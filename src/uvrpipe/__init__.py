@@ -1,6 +1,6 @@
 """uvrpipe: untethered-VR streaming protocol stack and latency simulator."""
 
-from .codec import CodecConfig, DecodeServer, EncodedFrame, FrameType, GopWalker
+from .codec import CodecConfig, DecodeServer, FrameType, GopWalker
 from .core import ColorSpace, EventQueue, RawFrame, Rng, SimTime
 from .netsim import ChannelModel, LinkState, Topology
 from .pipeline import SimResult, ab_compare, ab_suite, run_scenario
@@ -14,7 +14,6 @@ __all__ = [
     "ChannelModel",
     "ColorSpace",
     "DecodeServer",
-    "EncodedFrame",
     "EventQueue",
     "FrameType",
     "GopWalker",

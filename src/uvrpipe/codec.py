@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Optional
 
 from .core import ColorSpace, SimTime, round_half_up
 
@@ -81,44 +82,23 @@ def frame_budget(cfg: CodecConfig) -> Fraction:
     return Fraction(cfg.bitrate_bps, 8 * cfg.fps)
 
 
-_NOMINAL_CACHE: dict[tuple[int, int, int, Fraction], tuple[int, int]] = {}
-
-
 def nominal_sizes(cfg: CodecConfig) -> tuple[int, int]:
     """(I-frame bytes, P-frame bytes) such that one GOP averages the budget.
 
     s_I = G*B / (1 + (G-1)*r), s_P = r*s_I, both rounded half-up.
     """
-    key = (cfg.bitrate_bps, cfg.fps, cfg.gop_size, cfg.p_to_i_ratio)
-    cached = _NOMINAL_CACHE.get(key)
-    if cached is not None:
-        return cached
     budget = frame_budget(cfg)
     g = cfg.gop_size
     r = cfg.p_to_i_ratio
     s_i = Fraction(g) * budget / (1 + (g - 1) * r)
     s_p = r * s_i
-    result = (round_half_up(s_i), round_half_up(s_p))
-    _NOMINAL_CACHE[key] = result
-    return result
+    return round_half_up(s_i), round_half_up(s_p)
 
 
 @dataclass
 class GopState:
     next_gop_index: int = 0
     pending_force: bool = False
-
-
-@dataclass
-class EncodedFrame:
-    frame_id: int
-    frame_type: FrameType
-    size_bytes: int
-    gop_index: int
-    encode_done_time: SimTime
-    forced: bool = False
-    gen_time: SimTime = 0
-    complexity: float = 1.0
 
 
 def plan_frame(gop: GopState, g: int, force_i: bool) -> tuple[FrameType, int, bool, GopState]:
@@ -145,15 +125,21 @@ class GopWalker:
         return ftype, idx, forced
 
 
-def encoded_size(frame_type: FrameType, cfg: CodecConfig, complexity: float) -> int:
+def encoded_size(
+    frame_type: FrameType,
+    cfg: CodecConfig,
+    complexity: float,
+    nominal: Optional[tuple[int, int]] = None,
+) -> int:
     """Byte size of an encoded frame: round(nominal * complexity), half-up.
 
     Encoding in RGB inflates the output by the configured factor (direction
     reported for the reference system, the magnitude is a calibration knob).
+    Per-frame callers pass ``nominal_sizes(cfg)``, resolved once, as ``nominal``.
     """
     if complexity <= 0:
         raise ValueError("complexity must be > 0")
-    s_i, s_p = nominal_sizes(cfg)
+    s_i, s_p = nominal if nominal is not None else nominal_sizes(cfg)
     scaled = float(s_i if frame_type is FrameType.I else s_p) * complexity
     if effective_color_space(cfg) is ColorSpace.RGB:
         scaled *= cfg.rgb_inflation
@@ -207,11 +193,6 @@ class DecodeServer:
         if queue_wait > self.max_queue_wait_us:
             self.max_queue_wait_us = queue_wait
         return start, queue_wait
-
-    def present_time(self, arrival: SimTime) -> tuple[SimTime, SimTime]:
-        """Admit a frame; returns (present_time, queue_wait_us)."""
-        start, wait = self.offer(arrival)
-        return start + self.service_us, wait
 
 
 def decode_service_us(direct_net_io: bool) -> SimTime:

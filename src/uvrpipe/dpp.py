@@ -119,16 +119,23 @@ def decode_packet(b: bytes) -> DppPacket:
     )
 
 
-def fragment_sizes(size_bytes: int, payload_cap: int = PAYLOAD_CAP) -> list[int]:
-    """Payload sizes for a frame of ``size_bytes``: full fragments, then the tail."""
+def fragment_layout(size_bytes: int, payload_cap: int = PAYLOAD_CAP) -> tuple[int, int]:
+    """(fragment count, tail payload bytes) for a frame of ``size_bytes``.
+
+    Every fragment but the tail carries ``payload_cap`` bytes.
+    """
     if size_bytes < 1:
         raise FragmentationError("cannot fragment an empty frame")
     count = -(-size_bytes // payload_cap)
     if count > MAX_FRAGS:
         raise FragmentationError(f"{count} fragments overflow the 16-bit fragment counter")
-    sizes = [payload_cap] * (count - 1)
-    sizes.append(size_bytes - payload_cap * (count - 1))
-    return sizes
+    return count, size_bytes - payload_cap * (count - 1)
+
+
+def fragment_sizes(size_bytes: int, payload_cap: int = PAYLOAD_CAP) -> list[int]:
+    """Payload sizes for a frame of ``size_bytes``: full fragments, then the tail."""
+    count, tail = fragment_layout(size_bytes, payload_cap)
+    return [payload_cap] * (count - 1) + [tail]
 
 
 def frame_flags(is_iframe: bool, forced: bool) -> int:
@@ -359,14 +366,36 @@ class Reassembler:
         at the first arrival of the burst.
         """
         first_now = fragments[0][0]
-        events: list[ReassemblyEvent] = list(self._note_frame(first_now, frame_id))
         pend = self._pending.get(frame_id)
-        if (
-            frame_id not in self._resolved
-            and (pend is None or not pend.seen)
-            and len(fragments) == frag_count
-        ):
-            # whole frame in one burst: skip the per-fragment walk
+        if len(fragments) == frag_count and (pend is None or not pend.seen):
+            return self.on_whole_frame(
+                first_now, fragments[-1][0], frame_id, is_iframe, forced, gen_timestamp_us
+            )
+        events: list[ReassemblyEvent] = list(self._note_frame(first_now, frame_id))
+        for now, frag_index in fragments:
+            ingested = self._ingest(
+                now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us
+            )
+            if ingested is not None:
+                events.append(ingested)
+        return events
+
+    def on_whole_frame(
+        self,
+        first_arrival: SimTime,
+        last_arrival: SimTime,
+        frame_id: int,
+        is_iframe: bool,
+        forced: bool,
+        gen_timestamp_us: int,
+    ) -> list[ReassemblyEvent]:
+        """Ingest a frame whose fragments all arrived in this one burst.
+
+        Only the burst's first and last arrival matter, so this is
+        ``on_burst`` with the full fragment list, in O(1).
+        """
+        events: list[ReassemblyEvent] = list(self._note_frame(first_arrival, frame_id))
+        if frame_id not in self._resolved:
             self._resolve(frame_id)
             self.highest_completed = frame_id
             events.append(
@@ -375,17 +404,10 @@ class Reassembler:
                     is_iframe=is_iframe,
                     forced=forced,
                     gen_timestamp_us=gen_timestamp_us,
-                    first_arrival=first_now,
-                    last_arrival=fragments[-1][0],
+                    first_arrival=first_arrival,
+                    last_arrival=last_arrival,
                 )
             )
-            return events
-        for now, frag_index in fragments:
-            ingested = self._ingest(
-                now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us
-            )
-            if ingested is not None:
-                events.append(ingested)
         return events
 
     def on_packet(self, p: DppPacket, now: SimTime) -> list[ReassemblyEvent]:

@@ -8,6 +8,34 @@ Topologies:
 Senders acquire the medium for a whole frame burst at a time; the access
 point forwards the burst afterwards in arrival order. Lost packets still
 occupy the medium on the hop where they were transmitted.
+
+``transmit_burst`` walks a burst packet by packet (``_one_hop``) and is the
+general path. ``_burst_clean`` computes the same result in O(1) for a
+draw-free link, one whose channel has Bernoulli loss with ``loss_p == 0`` and
+no jitter, so that no random number is ever drawn:
+
+Each packet's transmission ends at ``end_k = max(req_k, end_{k-1}) + ser_k``
+(Lindley's recursion). A frame is ``n`` packets: ``n - 1`` full ones, then
+a tail. Let ``start = max(now, busy_until)`` and ``S_k = ser_1 + ... +
+ser_k``. Hop 1 sends the packets back to back from ``start`` and ends
+packet k at ``start + S_k``, so on P2P packet k arrives at
+``start + S_k + prop``. Under INFRA the access point forwards packet k from
+``req_k = start + S_k + prop`` but cannot begin before the sender's burst
+ends at ``start + S_n``. Unrolled, the recursion takes the latest of these
+release times, each plus the serializations from its packet up to k:
+
+    busy2_k = max(start + S_n + S_k, max_{j<=k} (start + S_j + prop + S_k - S_{j-1}))
+            = start + S_k + max(S_n, prop + max_{j<=k} ser_j)
+
+and packet k arrives at ``busy2_k + prop``. Only ``k = 1`` and ``k = n`` are
+evaluated. Link accounting is summed in the same way: ``S_n`` busy time,
+``n`` packets and the frame's bytes per hop.
+
+The receiver-side FIFO clamp raises an arrival to ``last_arrival`` when it
+would land earlier. The walk's arrivals rise with k, so the clamp binds
+somewhere only if it binds on the first arrival; then ``_burst_clean``
+returns None without touching the link and the caller takes the walk, as it
+does for every channel that draws.
 """
 
 from __future__ import annotations
@@ -168,9 +196,6 @@ def transmit_burst(
         if size > MAX_PACKET_BYTES:
             raise OversizedPacket(f"{size} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
     infra = ch.topology is Topology.INFRA
-    lossless = ch.loss_model is LossModel.BERNOULLI and ch.loss_p <= 0.0
-    if lossless and ch.jitter_sigma_us <= 0.0:
-        return _burst_clean(ch, link, sizes, now, infra)
     first_hop: list[tuple[int, Optional[SimTime]]] = []
     request = now
     for size in sizes:
@@ -190,42 +215,47 @@ def transmit_burst(
 
 
 def _burst_clean(
-    ch: ChannelModel, link: LinkState, sizes: list[int], now: SimTime, infra: bool
-) -> list[Optional[SimTime]]:
-    """Draw-free burst: same arithmetic as the per-packet walk, no RNG, no loss."""
-    bw = ch.bandwidth_bps
+    ch: ChannelModel,
+    link: LinkState,
+    count: int,
+    full_size: int,
+    tail_size: int,
+    now: SimTime,
+) -> Optional[tuple[SimTime, SimTime]]:
+    """Closed-form burst of ``count - 1`` packets of ``full_size`` bytes and a tail.
+
+    Returns (first_arrival, last_arrival) and updates ``link`` exactly as
+    ``transmit_burst`` would. Returns None and leaves ``link`` untouched when
+    the channel draws or the receiver FIFO clamp binds (see the module
+    docstring); the caller then takes ``transmit_burst``.
+    """
+    if ch.loss_model is not LossModel.BERNOULLI or ch.loss_p > 0.0 or ch.jitter_sigma_us > 0.0:
+        return None
+    if full_size > MAX_PACKET_BYTES or tail_size > MAX_PACKET_BYTES:
+        raise OversizedPacket(f"packets exceed the {MAX_PACKET_BYTES}-byte limit")
     prop = ch.prop_delay_us
-    sers = [-(-(size * 8 * 1_000_000) // bw) for size in sizes]
-    total_ser = sum(sers)
+    ser_full = serialization_us(full_size, ch.bandwidth_bps)
+    ser_tail = serialization_us(tail_size, ch.bandwidth_bps)
+    ser_first = ser_full if count > 1 else ser_tail
+    total = (count - 1) * ser_full + ser_tail
     start = now if now > link.busy_until else link.busy_until
-    end = start
-    hop1_arrivals = []
-    for ser in sers:
-        end += ser
-        hop1_arrivals.append(end + prop)
-    link.busy_until = end
-    link.busy_accum_us += total_ser
-    link.sent_packets += len(sizes)
-    link.sent_bytes += sum(sizes)
-    if infra:
-        arrivals = []
-        busy = end
-        for ser, request in zip(sers, hop1_arrivals):
-            s2 = request if request > busy else busy
-            busy = s2 + ser
-            arrivals.append(busy + prop)
-        link.busy_until = busy
-        link.busy_accum_us += total_ser
-        link.sent_packets += len(sizes)
-        link.sent_bytes += sum(sizes)
+    if ch.topology is Topology.INFRA:
+        peak = ser_tail if ser_tail > ser_first else ser_first
+        first = start + ser_first + max(total, prop + ser_first) + prop
+        last = start + total + max(total, prop + peak) + prop
+        hops = 2
     else:
-        arrivals = hop1_arrivals
-    for i, arrival in enumerate(arrivals):
-        if arrival < link.last_arrival:
-            arrivals[i] = link.last_arrival
-        else:
-            link.last_arrival = arrival
-    return arrivals
+        first = start + ser_first + prop
+        last = start + total + prop
+        hops = 1
+    if first < link.last_arrival:
+        return None
+    link.busy_until = last - prop
+    link.busy_accum_us += hops * total
+    link.sent_packets += hops * count
+    link.sent_bytes += hops * ((count - 1) * full_size + tail_size)
+    link.last_arrival = last
+    return first, last
 
 
 def link_occupancy(link: LinkState, window_us: int) -> float:

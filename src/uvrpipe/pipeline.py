@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from . import cp as cp_mod
 from . import dpp, netsim
-from .codec import DecodeServer, EncodedFrame, FrameType, GopWalker, encoded_size
+from .codec import DecodeServer, FrameType, GopWalker, encoded_size, nominal_sizes
 from .core import ColorSpace, EventQueue, FrameSource, Rng, SimTime, frame_ticks, tick_time
 from .report import FrameRecord, MetricsReport, build_distributions
 from .scenario import EncodeMode, ScenarioConfig, ScenarioError, to_flat_dict, with_toggle
@@ -58,6 +58,7 @@ class Simulator:
         self.link = netsim.LinkState()
         self.source = FrameSource(cfg.workload, ColorSpace.RGB, self.rng)
         self.walker = GopWalker(self.codec_cfg)
+        self.nominal_sizes = nominal_sizes(self.codec_cfg)
         self.reasm = dpp.Reassembler(cfg.drop_deadline_us)
         self.mud_fb = cp_mod.MudFeedbackState()
         self.host_fb = cp_mod.HostFeedbackState()
@@ -80,65 +81,69 @@ class Simulator:
     def _encode_and_send(self, now: SimTime, raw) -> None:
         g = self.graph
         force = self.host_fb.pending_force if self.cfg.toggles.feedback_control else False
-        ftype, gop_index, forced = self.walker.plan(force)
+        ftype, _, forced = self.walker.plan(force)
         encode_done = now + g.encode_path_us
-        frame = EncodedFrame(
-            frame_id=self._next_wire_id,
-            frame_type=ftype,
-            size_bytes=encoded_size(ftype, self.codec_cfg, raw.complexity),
-            gop_index=gop_index,
-            encode_done_time=encode_done,
-            forced=forced,
-            gen_time=raw.gen_time,
-            complexity=raw.complexity,
-        )
+        frame_id = self._next_wire_id
         self._next_wire_id += 1
-        if ftype is FrameType.I and self.cfg.toggles.feedback_control:
+        size = encoded_size(ftype, self.codec_cfg, raw.complexity, self.nominal_sizes)
+        is_iframe = ftype is FrameType.I
+        if is_iframe and self.cfg.toggles.feedback_control:
             cp_mod.host_on_iframe_emitted(
                 self.host_fb, encode_done, self.cfg.suppression_window_us
             )
 
         rec = FrameRecord(
-            frame_id=frame.frame_id,
+            frame_id=frame_id,
             frame_type=ftype.value,
             forced=forced,
             gen_us=raw.gen_time,
             encoded_us=encode_done,
-            size_bytes=frame.size_bytes,
+            size_bytes=size,
         )
         self.records.append(rec)
-        self._by_wire[frame.frame_id] = rec
+        self._by_wire[frame_id] = rec
 
         wire_request = encode_done + g.host_netstack_us
         busy_before = self.link.busy_until
-        sizes = [dpp.HEADER_LEN + p for p in dpp.fragment_sizes(frame.size_bytes)]
-        arrivals = netsim.transmit_burst(self.channel, self.link, sizes, wire_request, self.rng)
         rec.sent_first_us = wire_request if wire_request > busy_before else busy_before
-
-        if frame.frame_id == self.cfg.fault_drop_frame_id:
-            victim = self.cfg.fault_drop_frag_index
-            if victim < 0:
-                victim = int(self.rng.stream("fault").integers(0, len(sizes)))
-            if victim < len(arrivals):
-                arrivals[victim] = None
-
-        delivered = [(arr, idx) for idx, arr in enumerate(arrivals) if arr is not None]
-        if delivered:
+        count, tail = dpp.fragment_layout(size)
+        sent = self._transmit(frame_id, count, dpp.HEADER_LEN + tail, wire_request)
+        if sent is not None:
+            first, last, partial = sent
             self.queue.schedule(
-                delivered[-1][0],
-                (
-                    "burst",
-                    frame.frame_id,
-                    delivered,
-                    len(sizes),
-                    ftype is FrameType.I,
-                    forced,
-                    raw.gen_time,
-                ),
+                last,
+                ("burst", frame_id, first, last, partial, count, is_iframe, forced, raw.gen_time),
             )
 
         if self.cfg.encode_mode is EncodeMode.SYNC:
             self._sync_task_us.append(g.encode_path_us)
+
+    def _transmit(
+        self, frame_id: int, count: int, tail_wire: int, request: SimTime
+    ) -> Optional[tuple[SimTime, SimTime, Optional[list[tuple[SimTime, int]]]]]:
+        """Put one frame's fragments on the air.
+
+        Returns None if none arrives, else (first arrival, last arrival,
+        partial): ``partial`` is None when every fragment arrives and the
+        delivered (arrival, index) pairs otherwise.
+        """
+        faulted = frame_id == self.cfg.fault_drop_frame_id
+        if not faulted:
+            ends = netsim._burst_clean(self.channel, self.link, count, dpp.MTU, tail_wire, request)
+            if ends is not None:
+                return ends[0], ends[1], None
+        sizes = [dpp.MTU] * (count - 1) + [tail_wire]
+        arrivals = netsim.transmit_burst(self.channel, self.link, sizes, request, self.rng)
+        if faulted:
+            victim = self.cfg.fault_drop_frag_index
+            if victim < 0:
+                victim = int(self.rng.stream("fault").integers(0, count))
+            if victim < count:
+                arrivals[victim] = None
+        delivered = [(arr, idx) for idx, arr in enumerate(arrivals) if arr is not None]
+        if not delivered:
+            return None
+        return delivered[0][0], delivered[-1][0], delivered if len(delivered) < count else None
 
     def _handle_render(self, t: SimTime, index: int) -> None:
         raw = self.source.next_frame(t)
@@ -203,9 +208,14 @@ class Simulator:
                 self.queue.schedule(deadline + 1, ("deadline", fid))
 
     def _handle_burst(self, t: SimTime, event: tuple) -> None:
-        _, wire_id, delivered, frag_count, is_iframe, forced, gen_ts = event
-        fragments = [(arr, idx) for arr, idx in delivered]
-        for ev in self.reasm.on_burst(fragments, wire_id, frag_count, is_iframe, forced, gen_ts):
+        # ``partial`` lists the delivered (arrival, index) pairs of a frame
+        # that lost fragments; a whole frame carries only its two arrivals
+        _, wire_id, first, last, partial, frag_count, is_iframe, forced, gen_ts = event
+        if partial is None:
+            events = self.reasm.on_whole_frame(first, last, wire_id, is_iframe, forced, gen_ts)
+        else:
+            events = self.reasm.on_burst(partial, wire_id, frag_count, is_iframe, forced, gen_ts)
+        for ev in events:
             self._on_reassembly(ev, t)
         self._schedule_deadlines()
 

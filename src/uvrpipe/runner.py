@@ -24,12 +24,15 @@ import numpy as np
 
 from . import cp as cp_mod
 from . import dpp
-from .codec import CodecConfig, FrameType, GopWalker, encoded_size
+from .codec import CodecConfig, FrameType, GopWalker, encoded_size, nominal_sizes
 from .core import Rng, tick_time
 
 DEFAULT_PORT = 28_864
 HANDSHAKE_TIMEOUT_S = 3.0
 HELLO_RETRY_S = 0.2
+# An I-frame arrives as a burst of ~64 datagrams, which overflows the usual
+# 212,992-byte default. The kernel caps the request at net.core.rmem_max.
+RCVBUF_BYTES = 4 << 20
 
 
 class RunnerError(RuntimeError):
@@ -114,10 +117,12 @@ class RunnerStats:
     latency_p50_ms: float = 0.0
     latency_p99_ms: float = 0.0
     latency_mean_ms: float = 0.0
+    rcvbuf_bytes: int = 0  # SO_RCVBUF as granted by the kernel
 
     def to_dict(self) -> dict:
         return {
             "role": self.role,
+            "socket": {"rcvbuf_bytes": self.rcvbuf_bytes},
             "frames": {
                 "sent": self.frames_sent,
                 "completed": self.frames_completed,
@@ -145,6 +150,7 @@ class RunnerStats:
 def _open_socket(bind: tuple[str, int]) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RCVBUF_BYTES)
     try:
         sock.bind(bind)
     except OSError as exc:
@@ -158,6 +164,7 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
     stats = RunnerStats(role="HOST")
     fp = config_fingerprint(cfg.codec, cfg.feedback_control)
     sock = _open_socket(cfg.bind)
+    stats.rcvbuf_bytes = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
     sock.settimeout(0.05)
     try:
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
@@ -193,6 +200,8 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
                     continue
                 except OSError:
                     return
+                if done.is_set():
+                    return  # the stream is over; this may be the wake-up below
                 try:
                     msg = cp_mod.decode_cp(data)
                 except dpp.WireError:
@@ -208,6 +217,7 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
 
         rng = Rng(cfg.seed)
         walker = GopWalker(cfg.codec)
+        nominal = nominal_sizes(cfg.codec)
         n_frames = int(cfg.duration_s * cfg.codec.fps)
         t0 = time.monotonic()
         for i in range(n_frames):
@@ -223,13 +233,18 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
                 if ftype is FrameType.I and cfg.feedback_control:
                     cp_mod.host_on_iframe_emitted(host_fb, _now_us(), cfg.suppression_window_us)
             complexity = rng.lognormal_complexity(cfg.complexity_sigma)
-            size = encoded_size(ftype, cfg.codec, complexity)
+            size = encoded_size(ftype, cfg.codec, complexity, nominal)
             payload = frame_payload(i, size)
             packets = dpp.fragment(i, payload, _now_us(), ftype is FrameType.I, forced)
             for packet in packets:
                 sock.sendto(dpp.encode_packet(packet), peer)
             stats.frames_sent += 1
         done.set()
+        try:
+            # wake the listener now instead of at its next receive timeout
+            sock.sendto(b"", sock.getsockname())
+        except OSError:
+            pass
         listener.join(timeout=1.0)
         stats.requests_suppressed = host_fb.suppressed_count
         stats.forced_iframes = host_fb.forced_count
@@ -243,6 +258,7 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
     stats = RunnerStats(role="MUD")
     fp = config_fingerprint(cfg.codec, cfg.feedback_control)
     sock = _open_socket(cfg.bind)
+    stats.rcvbuf_bytes = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
     sock.settimeout(HELLO_RETRY_S)
     shim = random.Random(cfg.seed)
     try:

@@ -85,26 +85,24 @@ class StageLatencyModel:
     residual_presentation: SimTime = RESIDUAL_PRESENTATION_US
 
 
-def frame_wire_sizes(size_bytes: int) -> list[int]:
-    """On-air datagram sizes (header included) for an encoded frame."""
-    return [dpp.HEADER_LEN + p for p in dpp.fragment_sizes(size_bytes)]
-
-
 def expected_transport_us(size_bytes: int, channel: netsim.ChannelModel) -> int:
     """Last-fragment delivery time for one frame on an idle, lossless link."""
     clean = replace(
         channel, jitter_sigma_us=0.0, loss_model=netsim.LossModel.BERNOULLI, loss_p=0.0
     )
-    link = netsim.LinkState()
-    arrivals = netsim.transmit_burst(clean, link, frame_wire_sizes(size_bytes), 0)
-    return arrivals[-1]
+    count, tail = dpp.fragment_layout(size_bytes)
+    _first, last = netsim._burst_clean(
+        clean, netsim.LinkState(), count, dpp.MTU, dpp.HEADER_LEN + tail, 0
+    )
+    return last
 
 
 def _reference_sizes(cfg: CodecConfig) -> tuple[int, int]:
     ref = replace(cfg, bitrate_bps=REFERENCE_BITRATE_BPS, fps=REFERENCE_FPS)
+    nominal = codec_mod.nominal_sizes(ref)
     return (
-        codec_mod.encoded_size(FrameType.I, ref, 1.0),
-        codec_mod.encoded_size(FrameType.P, ref, 1.0),
+        codec_mod.encoded_size(FrameType.I, ref, 1.0, nominal),
+        codec_mod.encoded_size(FrameType.P, ref, 1.0, nominal),
     )
 
 

@@ -1,0 +1,101 @@
+"""The closed-form clean burst against the per-packet walk it stands in for."""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uvrpipe.dpp import HEADER_LEN, MAX_FRAGS, MTU, PAYLOAD_CAP, FragmentationError, fragment_layout
+from uvrpipe.netsim import (
+    MAX_PACKET_BYTES,
+    ChannelModel,
+    LinkState,
+    LossModel,
+    Topology,
+    _burst_clean,
+    transmit_burst,
+)
+from uvrpipe.pipeline import run_scenario
+from uvrpipe.scenario import preset_config
+
+
+@settings(max_examples=1_000)
+@given(
+    bandwidth=st.integers(1_000_000, 2_000_000_000),
+    prop=st.integers(0, 5_000),
+    busy_until=st.integers(0, 1_000_000),
+    last_arrival=st.integers(0, 2_000_000),
+    now=st.integers(0, 1_000_000),
+    size=st.integers(1, 400_000),
+    tail_wire=st.one_of(st.none(), st.integers(1, MAX_PACKET_BYTES)),
+    topology=st.sampled_from(Topology),
+)
+# the FIFO clamp binds: an earlier delivery landed after this frame's first
+@example(867_000_000, 200, 0, 50_000, 0, 144_928, None, Topology.P2P)
+@example(867_000_000, 200, 1_000, 60_000, 0, 41_408, None, Topology.INFRA)
+# the first arrival lands 1 us before the previous one, or exactly on it
+@example(867_000_000, 200, 0, 223, 0, 41_408, None, Topology.P2P)
+@example(867_000_000, 200, 0, 222, 0, 41_408, None, Topology.P2P)
+# one-fragment frames, a one-byte tail, a tail longer than a full packet
+@example(867_000_000, 0, 0, 0, 10, 1, None, Topology.INFRA)
+@example(1_000_000, 3_000, 5, 0, 7, PAYLOAD_CAP + 1, None, Topology.INFRA)
+@example(100_000_000, 1_000, 0, 0, 0, 3 * PAYLOAD_CAP, MAX_PACKET_BYTES, Topology.INFRA)
+def test_closed_form_equals_walk(
+    bandwidth, prop, busy_until, last_arrival, now, size, tail_wire, topology
+):
+    ch = ChannelModel(bandwidth_bps=bandwidth, prop_delay_us=prop, topology=topology)
+    before = LinkState(busy_until=busy_until, last_arrival=last_arrival)
+    fast, walk = replace(before), replace(before)
+    count, tail = fragment_layout(size)
+    full = MTU - 100 if tail_wire is not None else MTU  # leave room for a longer tail
+    if tail_wire is None:
+        tail_wire = HEADER_LEN + tail
+    sizes = [full] * (count - 1) + [tail_wire]
+    arrivals = transmit_burst(ch, walk, sizes, now)
+    ends = _burst_clean(ch, fast, count, full, tail_wire, now)
+    if ends is None:
+        # declined without touching the link, because the clamp binds ...
+        assert fast == before
+        assert arrivals[0] == last_arrival
+        # ... so the caller's fallback walk lands in the same state
+        fallback = transmit_burst(ch, fast, sizes, now)
+        ends = fallback[0], fallback[-1]
+    assert ends == (arrivals[0], arrivals[-1])
+    assert fast == walk
+
+
+@pytest.mark.parametrize("topology", Topology)
+def test_binding_clamp_declines(topology):
+    link = LinkState(last_arrival=50_000)
+    assert _burst_clean(ChannelModel(topology=topology), link, 64, MTU, 1_248, 0) is None
+    assert link == LinkState(last_arrival=50_000)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        ChannelModel(loss_p=0.01),
+        ChannelModel(jitter_sigma_us=1.0),
+        # no loss in either state, but the chain still draws its transitions
+        ChannelModel(loss_model=LossModel.GILBERT_ELLIOTT, ge_loss_bad=0.0),
+    ],
+)
+def test_channels_that_draw_decline(channel):
+    link = LinkState()
+    assert _burst_clean(channel, link, 19, MTU, 400, 0) is None
+    assert link == LinkState()
+
+
+def test_fragment_count_limit():
+    assert fragment_layout(MAX_FRAGS * PAYLOAD_CAP) == (MAX_FRAGS, PAYLOAD_CAP)
+    with pytest.raises(FragmentationError):
+        fragment_layout(MAX_FRAGS * PAYLOAD_CAP + 1)
+
+
+def test_frame_over_the_fragment_limit_fails_the_run():
+    cfg = preset_config("openuvr")
+    cfg.duration_s = 0.05
+    cfg.codec.bitrate_bps = 40_000_000_000  # a ~365 MB I-frame: 160k fragments
+    with pytest.raises(FragmentationError):
+        run_scenario(cfg)

@@ -111,8 +111,9 @@ def test_bitrate_conservation_whole_gops():
 
 def test_decoder_idle_frame():
     server = DecodeServer(60, 3_640)
-    present, wait = server.present_time(1_000)
-    assert present == 1_000 + 3_640
+    start, wait = server.offer(1_000)
+    assert start == 1_000
+    assert start + server.service_us == 1_000 + 3_640
     assert wait == 0
 
 

@@ -1,0 +1,92 @@
+"""Golden reports: simulator output pinned byte-for-byte.
+
+Each run's report (``meta`` stripped) must equal the stored JSON exactly, and
+the fault-drop run's event transcript must equal the stored one. Regenerate
+the files only for an intended behaviour change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from uvrpipe.experiments import recovery_config
+from uvrpipe.netsim import LossModel
+from uvrpipe.pipeline import run_scenario
+from uvrpipe.report import report_file_dict, strip_meta
+from uvrpipe.scenario import EncodeMode, preset_config
+
+GOLDEN = Path(__file__).parent / "golden"
+TRANSCRIPT_RUN = "fault_drop"
+
+
+def _preset(name, seed, duration_s):
+    cfg = preset_config(name)
+    cfg.seed = seed
+    cfg.duration_s = duration_s
+    return cfg
+
+
+def _ge_lossy():
+    cfg = _preset("openuvr", 7, 20.0)
+    cfg.channel.loss_model = LossModel.GILBERT_ELLIOTT
+    return cfg
+
+
+def _sync():
+    cfg = _preset("baseline", 5, 20.0)
+    cfg.encode_mode = EncodeMode.SYNC
+    return cfg
+
+
+RUNS = {
+    "baseline": lambda: _preset("baseline", 42, 60.0),
+    "openuvr": lambda: _preset("openuvr", 42, 60.0),
+    "ge_lossy": _ge_lossy,
+    "sync": _sync,
+    # one fragment of one frame lost in flight; every other frame is clean
+    TRANSCRIPT_RUN: lambda: recovery_config(10_003, feedback=True),
+}
+
+
+def _report_text(result) -> str:
+    return json.dumps(strip_meta(report_file_dict(result.metrics)), indent=2) + "\n"
+
+
+def _transcript_text(transcript) -> str:
+    rows = [
+        json.dumps([t, kind, arg if isinstance(arg, int) else repr(arg)])
+        for t, kind, arg in transcript
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def _run(name):
+    return run_scenario(RUNS[name](), collect_transcript=name == TRANSCRIPT_RUN)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_matches_golden(name):
+    result = _run(name)
+    assert _report_text(result) == (GOLDEN / f"{name}.json").read_text()
+    if name == TRANSCRIPT_RUN:
+        stored = (GOLDEN / f"{name}.transcript.jsonl").read_text()
+        assert _transcript_text(result.transcript) == stored
+
+
+def test_fault_drop_run_mixes_lost_and_whole_frames():
+    report = json.loads((GOLDEN / f"{TRANSCRIPT_RUN}.json").read_text())["report"]
+    assert report["frames"]["dropped"] == 1
+    assert report["frames"]["presented"] > 1
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in RUNS:
+        result = _run(name)
+        (GOLDEN / f"{name}.json").write_text(_report_text(result))
+        if name == TRANSCRIPT_RUN:
+            (GOLDEN / f"{name}.transcript.jsonl").write_text(_transcript_text(result.transcript))
+        print(f"wrote {name}")

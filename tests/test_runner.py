@@ -73,6 +73,8 @@ def test_loopback_lossfree_short_run():
     assert mud_stats.pattern_mismatches == 0
     assert mud_stats.frames_completed + mud_stats.frames_dropped <= host_stats.frames_sent
     assert mud_stats.latency_p50_ms > 0  # reported, not asserted against a bound
+    # the granted receive buffer is reported; its size depends on rmem_max
+    assert mud_stats.to_dict()["socket"]["rcvbuf_bytes"] == mud_stats.rcvbuf_bytes > 0
 
 
 def test_handshake_timeout_without_peer():
