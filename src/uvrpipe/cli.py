@@ -177,7 +177,7 @@ def _runner_config(args) -> runner_mod.RunnerConfig:
     return cfg
 
 
-def _run_role(args, fn, role: str) -> int:
+def _run_role(args, fn) -> int:
     cfg = _runner_config(args)
     stats = fn(cfg)
     data = {
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE")
         if role == "mud":
             p.add_argument("--induced-loss", type=float, default=0.0, dest="induced_loss")
-        p.set_defaults(func=lambda a, fn=fn, role=role: _run_role(a, fn, role))
+        p.set_defaults(func=lambda a, fn=fn: _run_role(a, fn))
 
     rep = sub.add_parser("report", help="report utilities")
     rep_sub = rep.add_subparsers(dest="report_command", required=True)

@@ -1,8 +1,8 @@
-"""Parametric hardware-codec model: GOP policy, CBR frame sizing, latencies.
+"""Parametric hardware-codec model: GOP policy, CBR frame sizing, decode rate.
 
 No actual video is produced; frames carry byte sizes chosen so that the GOP
 average meets the configured bitrate, with I-frames `1/p_to_i_ratio` times the
-size of P-frames.
+size of P-frames. The encode and decode stage costs live in ``stages``.
 """
 
 from __future__ import annotations
@@ -20,23 +20,6 @@ class FrameType(Enum):
     P = "P"
 
 
-# Host-side per-frame costs (us) for the encode path, measured on the
-# reference host profile. The three components are removable independently:
-# color-space conversion, GPU<->main-memory ping-pong, and the core encode.
-TRANSCODE_US = 5_510
-GPU_COPY_US = 4_710
-CORE_ENCODE_US = 3_720
-
-# Receiver-side costs (us): network-stack traversal (bypassed by direct
-# network I/O) and the hardware decode itself.
-MUD_NETSTACK_US = 700
-MUD_DECODE_US = 2_940
-
-
-class ConfigError(ValueError):
-    """A configuration violates a model invariant."""
-
-
 @dataclass
 class CodecConfig:
     bitrate_bps: int = 20_000_000
@@ -45,7 +28,6 @@ class CodecConfig:
     p_to_i_ratio: Fraction = Fraction(1, 4)
     color_space: ColorSpace = ColorSpace.YUV420
     transcode_avoidance: bool = False
-    shared_gpu_buffer: bool = False
     rgb_inflation: float = 1.10
     decode_fps_cap: int = 60
 
@@ -64,12 +46,6 @@ class CodecConfig:
         if self.decode_fps_cap <= 0:
             errors.append("codec.decode_fps_cap must be > 0")
         return errors
-
-    def validated(self) -> "CodecConfig":
-        errors = self.validate()
-        if errors:
-            raise ConfigError("; ".join(errors))
-        return self
 
 
 def effective_color_space(cfg: CodecConfig) -> ColorSpace:
@@ -95,34 +71,23 @@ def nominal_sizes(cfg: CodecConfig) -> tuple[int, int]:
     return round_half_up(s_i), round_half_up(s_p)
 
 
-@dataclass
-class GopState:
-    next_gop_index: int = 0
-    pending_force: bool = False
-
-
-def plan_frame(gop: GopState, g: int, force_i: bool) -> tuple[FrameType, int, bool, GopState]:
-    """Decide the next frame's type for a GOP of size ``g``.
-
-    Returns (type, gop_index, forced, new_state). A forced I restarts the GOP
-    phase rather than keeping it.
-    """
-    if force_i or gop.next_gop_index == 0:
-        return FrameType.I, 0, force_i, GopState(next_gop_index=1 % g)
-    idx = gop.next_gop_index
-    return FrameType.P, idx, False, GopState(next_gop_index=(idx + 1) % g)
-
-
 class GopWalker:
-    """Stateful wrapper around the GOP plan for a fixed configuration."""
+    """GOP plan for a fixed configuration: which type the next frame gets.
+
+    A forced I restarts the GOP phase rather than keeping it.
+    """
 
     def __init__(self, cfg: CodecConfig):
         self.g = cfg.gop_size
-        self.state = GopState()
+        self._next_index = 0
 
     def plan(self, force_i: bool) -> tuple[FrameType, int, bool]:
-        ftype, idx, forced, self.state = plan_frame(self.state, self.g, force_i)
-        return ftype, idx, forced
+        """Returns (type, gop_index, forced) for the next frame."""
+        idx = 0 if force_i else self._next_index
+        self._next_index = (idx + 1) % self.g
+        if idx == 0:
+            return FrameType.I, 0, force_i
+        return FrameType.P, idx, False
 
 
 def encoded_size(
@@ -147,16 +112,6 @@ def encoded_size(
     return size if size > 0 else 1
 
 
-def encode_latency_us(cfg: CodecConfig) -> SimTime:
-    """Host encode-path latency as a pure function of the two datapath toggles."""
-    latency = TRANSCODE_US + GPU_COPY_US + CORE_ENCODE_US
-    if cfg.transcode_avoidance:
-        latency -= TRANSCODE_US
-    if cfg.shared_gpu_buffer:
-        latency -= GPU_COPY_US
-    return latency
-
-
 class DecodeServer:
     """Rate-capped single decoder.
 
@@ -174,7 +129,6 @@ class DecodeServer:
         self._tokens = 2 * self.TOKEN
         self._last = 0
         self._prev_start = -1
-        self.max_queue_wait_us = 0
 
     def offer(self, arrival: SimTime) -> tuple[SimTime, SimTime]:
         """Admit a frame; returns (decode_start_time, queue_wait_us)."""
@@ -189,12 +143,5 @@ class DecodeServer:
             self._last = start
         self._tokens -= self.TOKEN
         self._prev_start = start
-        queue_wait = start - arrival
-        if queue_wait > self.max_queue_wait_us:
-            self.max_queue_wait_us = queue_wait
-        return start, queue_wait
+        return start, start - arrival
 
-
-def decode_service_us(direct_net_io: bool) -> SimTime:
-    """Total receiver-side latency per frame: netstack traversal + decode."""
-    return MUD_DECODE_US + (0 if direct_net_io else MUD_NETSTACK_US)

@@ -117,10 +117,6 @@ def raw_frame_bytes(width: int, height: int, color_space: ColorSpace) -> int:
 class RawFrame:
     frame_id: int
     gen_time: SimTime
-    width: int
-    height: int
-    color_space: ColorSpace
-    raw_bytes: int
     complexity: float
 
 
@@ -138,9 +134,8 @@ class FrameSource:
     is a model knob (sigma=0 gives constant unit complexity).
     """
 
-    def __init__(self, cfg: WorkloadConfig, color_space: ColorSpace, rng: Rng):
+    def __init__(self, cfg: WorkloadConfig, rng: Rng):
         self.cfg = cfg
-        self.color_space = color_space
         self.rng = rng
         self._next_id = 0
 
@@ -148,10 +143,6 @@ class FrameSource:
         frame = RawFrame(
             frame_id=self._next_id,
             gen_time=now,
-            width=self.cfg.width,
-            height=self.cfg.height,
-            color_space=self.color_space,
-            raw_bytes=raw_frame_bytes(self.cfg.width, self.cfg.height, self.color_space),
             complexity=self.rng.lognormal_complexity(self.cfg.complexity_sigma),
         )
         self._next_id += 1

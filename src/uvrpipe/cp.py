@@ -55,10 +55,6 @@ def encode_cp(msg: CpMessage) -> bytes:
 
 def decode_cp(b: bytes) -> CpMessage:
     packet = dpp.decode_packet(b)
-    return cp_from_packet(packet)
-
-
-def cp_from_packet(packet: dpp.DppPacket) -> CpMessage:
     if packet.msg_type != dpp.MSG_CTRL:
         raise dpp.MalformedHeader("not a control datagram")
     if len(packet.payload) != _PAYLOAD.size:

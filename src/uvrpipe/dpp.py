@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .core import SimTime
+from .netsim import MAX_PACKET_BYTES
 
 MAGIC = b"\x55\x56"
 VERSION = 0x01
@@ -26,9 +27,10 @@ FLAG_IFRAME = 0x01
 FLAG_FORCED = 0x02
 
 HEADER_LEN = 23
-MTU = 2_304
+MTU = MAX_PACKET_BYTES
 PAYLOAD_CAP = MTU - HEADER_LEN  # 2281
 MAX_FRAGS = 0xFFFF
+DROP_DEADLINE_US = 33_334  # two 60-FPS frame periods
 
 _HEADER = struct.Struct(">2sBBBIHHHQ")
 
@@ -207,7 +209,7 @@ class _PendingFrame:
         "forced",
         "gen_timestamp_us",
         "chunks",
-        "seen",
+        "reported_deadline",
     )
 
     def __init__(self, anchor: SimTime):
@@ -220,7 +222,7 @@ class _PendingFrame:
         self.forced = False
         self.gen_timestamp_us = 0
         self.chunks: Optional[dict[int, bytes]] = None
-        self.seen = False
+        self.reported_deadline: Optional[SimTime] = None  # last one pending_deadlines gave
 
 
 class Reassembler:
@@ -238,7 +240,6 @@ class Reassembler:
         self.keep_payload = keep_payload
         self._pending: dict[int, _PendingFrame] = {}
         self._resolved: set[int] = set()
-        self.highest_completed: Optional[int] = None
         self.highest_seen: Optional[int] = None
         self.malformed_count = 0
         self.duplicate_count = 0
@@ -250,11 +251,13 @@ class Reassembler:
             horizon = (self.highest_seen - 2048) & 0xFFFFFFFF
             self._resolved = {f for f in self._resolved if not seq_newer(horizon, f)}
 
-    def _sweep(self, now: SimTime, newest_id: int) -> list[FrameDropped]:
+    def _sweep(self, now: SimTime, newest_id: Optional[int]) -> list[FrameDropped]:
+        """Drop the pending frames past their deadline that are older than
+        ``newest_id``, or all of them when it is None."""
         dropped = []
         for fid, pend in list(self._pending.items()):
             expired = now > pend.deadline_anchor + self.drop_deadline_us
-            if expired and seq_newer(newest_id, fid):
+            if expired and (newest_id is None or seq_newer(newest_id, fid)):
                 dropped.append(FrameDropped(frame_id=fid, is_iframe=pend.is_iframe))
                 self._resolve(fid)
         return dropped
@@ -310,8 +313,7 @@ class Reassembler:
         if pend is None:
             pend = _PendingFrame(anchor=now)
             self._pending[frame_id] = pend
-        if not pend.seen:
-            pend.seen = True
+        if pend.first_arrival is None:
             pend.frag_count = frag_count
             pend.first_arrival = now
             pend.deadline_anchor = now
@@ -347,7 +349,6 @@ class Reassembler:
                 data=data,
             )
             self._resolve(frame_id)
-            self.highest_completed = frame_id
             return complete
         return None
 
@@ -367,7 +368,7 @@ class Reassembler:
         """
         first_now = fragments[0][0]
         pend = self._pending.get(frame_id)
-        if len(fragments) == frag_count and (pend is None or not pend.seen):
+        if len(fragments) == frag_count and (pend is None or pend.first_arrival is None):
             return self.on_whole_frame(
                 first_now, fragments[-1][0], frame_id, is_iframe, forced, gen_timestamp_us
             )
@@ -397,7 +398,6 @@ class Reassembler:
         events: list[ReassemblyEvent] = list(self._note_frame(first_arrival, frame_id))
         if frame_id not in self._resolved:
             self._resolve(frame_id)
-            self.highest_completed = frame_id
             events.append(
                 FrameComplete(
                     frame_id=frame_id,
@@ -424,26 +424,24 @@ class Reassembler:
 
     def expire(self, now: SimTime) -> list[FrameDropped]:
         """Resolve every pending frame whose deadline has passed."""
-        dropped = []
-        for fid, pend in list(self._pending.items()):
-            if now > pend.deadline_anchor + self.drop_deadline_us:
-                dropped.append(FrameDropped(frame_id=fid, is_iframe=pend.is_iframe))
-                self._resolve(fid)
-        return dropped
+        return self._sweep(now, None)
 
     def pending_deadlines(self) -> list[tuple[int, SimTime]]:
-        return [
-            (fid, pend.deadline_anchor + self.drop_deadline_us)
-            for fid, pend in self._pending.items()
-        ]
+        """(frame id, deadline) of each pending frame not returned by an earlier call.
+
+        A frame's deadline moves once, when its first fragment arrives after
+        it was discovered through a newer frame; the moved deadline is new.
+        """
+        fresh = []
+        for fid, pend in self._pending.items():
+            deadline = pend.deadline_anchor + self.drop_deadline_us
+            if deadline != pend.reported_deadline:
+                pend.reported_deadline = deadline
+                fresh.append((fid, deadline))
+        return fresh
 
 
 # --- host-side copy accounting -------------------------------------------
-
-# conventional stack repartition points a frame passes on its way to the NIC
-TRANSPORT_CHUNK = 65_507  # transport-layer datagram payload ceiling
-NETWORK_CHUNK = 2_480  # network-layer packet size
-LINK_CHUNK = MTU
 
 
 @dataclass

@@ -14,12 +14,25 @@ from typing import Any, Optional
 from . import cp as cp_mod
 from . import dpp, netsim
 from .codec import DecodeServer, FrameType, GopWalker, encoded_size, nominal_sizes
-from .core import ColorSpace, EventQueue, FrameSource, Rng, SimTime, frame_ticks, tick_time
+from .core import (
+    ColorSpace,
+    EventQueue,
+    FrameSource,
+    Rng,
+    SimTime,
+    frame_ticks,
+    raw_frame_bytes,
+    tick_time,
+)
 from .report import FrameRecord, MetricsReport, build_distributions
 from .scenario import EncodeMode, ScenarioConfig, ScenarioError, to_flat_dict, with_toggle
-from .stages import DatapathGraph, OptimizationToggles, TOGGLE_NAMES, build_datapath
-
-CP_WIRE_BYTES = dpp.HEADER_LEN + 9
+from .stages import (
+    DatapathGraph,
+    OptimizationToggles,
+    TOGGLE_NAMES,
+    build_datapath,
+    ledger_frame_copies,
+)
 
 STAGE_ORDER = (
     "sampler-wait",
@@ -46,17 +59,13 @@ class Simulator:
         if errors:
             raise ScenarioError(errors)
         self.cfg = cfg
-        self.codec_cfg = replace(
-            cfg.codec,
-            transcode_avoidance=cfg.toggles.transcode_avoidance,
-            shared_gpu_buffer=cfg.toggles.shared_gpu_buffer,
-        )
         self.graph = build_datapath(cfg.toggles, cfg.codec, cfg.channel)
-        self.channel = replace(cfg.channel, topology=self.graph.topology)
+        self.codec_cfg = self.graph.codec
+        self.channel = self.graph.channel
         self.rng = Rng(cfg.seed)
         self.queue = EventQueue()
         self.link = netsim.LinkState()
-        self.source = FrameSource(cfg.workload, ColorSpace.RGB, self.rng)
+        self.source = FrameSource(cfg.workload, self.rng)
         self.walker = GopWalker(self.codec_cfg)
         self.nominal_sizes = nominal_sizes(self.codec_cfg)
         self.reasm = dpp.Reassembler(cfg.drop_deadline_us)
@@ -65,16 +74,11 @@ class Simulator:
         self.decoder = DecodeServer(self.codec_cfg.decode_fps_cap, self.graph.mud_service_us)
         self.transcript: Optional[list[tuple]] = [] if collect_transcript else None
 
-        self.records: list[FrameRecord] = []
-        self._by_wire: dict[int, FrameRecord] = {}
-        self._next_wire_id = 0
+        self.records: list[FrameRecord] = []  # indexed by wire frame id
         self._latest_raw = None
         self._last_sampled = -1
         self._rendered = 0
-        self._scheduled_deadlines: set[tuple[int, SimTime]] = set()
-        self._sync_task_us: list[int] = []
         self._sync_overruns = 0
-        self._cp_sent = 0
 
     # --- host side ---------------------------------------------------------
 
@@ -83,8 +87,7 @@ class Simulator:
         force = self.host_fb.pending_force if self.cfg.toggles.feedback_control else False
         ftype, _, forced = self.walker.plan(force)
         encode_done = now + g.encode_path_us
-        frame_id = self._next_wire_id
-        self._next_wire_id += 1
+        frame_id = len(self.records)
         size = encoded_size(ftype, self.codec_cfg, raw.complexity, self.nominal_sizes)
         is_iframe = ftype is FrameType.I
         if is_iframe and self.cfg.toggles.feedback_control:
@@ -101,7 +104,6 @@ class Simulator:
             size_bytes=size,
         )
         self.records.append(rec)
-        self._by_wire[frame_id] = rec
 
         wire_request = encode_done + g.host_netstack_us
         busy_before = self.link.busy_until
@@ -114,9 +116,6 @@ class Simulator:
                 last,
                 ("burst", frame_id, first, last, partial, count, is_iframe, forced, raw.gen_time),
             )
-
-        if self.cfg.encode_mode is EncodeMode.SYNC:
-            self._sync_task_us.append(g.encode_path_us)
 
     def _transmit(
         self, frame_id: int, count: int, tail_wire: int, request: SimTime
@@ -176,36 +175,29 @@ class Simulator:
     # --- receiver side -----------------------------------------------------
 
     def _send_cp(self, msg: cp_mod.CpMessage, t: SimTime) -> None:
-        self._cp_sent += 1
-        arrival = netsim.transmit(self.channel, self.link, CP_WIRE_BYTES, t, self.rng)
+        arrival = netsim.transmit(self.channel, self.link, msg.wire_size(), t, self.rng)
         if arrival is not None:
             self.queue.schedule(arrival, ("cp", msg))
 
     def _on_reassembly(self, ev, t: SimTime) -> None:
+        rec = self.records[ev.frame_id]
         if isinstance(ev, dpp.FrameComplete):
-            rec = self._by_wire.get(ev.frame_id)
-            if rec is not None:
-                net_done = ev.last_arrival + self.graph.link_fixed_us
-                rec.arrived_last_us = ev.last_arrival
-                rec.net_us = net_done - (rec.encoded_us + self.graph.host_netstack_us)
-                start, wait = self.decoder.offer(net_done)
-                rec.queue_wait_us = wait
-                rec.decode_start_us = start
-                rec.presented_us = start + self.graph.mud_service_us + self.graph.residual_us
+            net_done = ev.last_arrival + self.graph.link_fixed_us
+            rec.arrived_last_us = ev.last_arrival
+            rec.net_us = net_done - (rec.encoded_us + self.graph.host_netstack_us)
+            start, wait = self.decoder.offer(net_done)
+            rec.queue_wait_us = wait
+            rec.decode_start_us = start
+            rec.presented_us = start + self.graph.mud_service_us + self.graph.residual_us
         else:
-            rec = self._by_wire.get(ev.frame_id)
-            if rec is not None:
-                rec.dropped = True
+            rec.dropped = True
         if self.cfg.toggles.feedback_control:
             for msg in cp_mod.mud_on_frame_event(self.mud_fb, ev, t):
                 self._send_cp(msg, t)
 
     def _schedule_deadlines(self) -> None:
         for fid, deadline in self.reasm.pending_deadlines():
-            key = (fid, deadline)
-            if key not in self._scheduled_deadlines:
-                self._scheduled_deadlines.add(key)
-                self.queue.schedule(deadline + 1, ("deadline", fid))
+            self.queue.schedule(deadline + 1, ("deadline", fid))
 
     def _handle_burst(self, t: SimTime, event: tuple) -> None:
         # ``partial`` lists the delivered (arrival, index) pairs of a frame
@@ -308,18 +300,19 @@ class Simulator:
             "encoded_throughput_bps": round(sent_bytes * 8 / duration_s, 2),
             "link_fixed_us_per_frame": g.link_fixed_us,
         }
-        raw_rgb = cfg.workload.width * cfg.workload.height * 3
-        raw_yuv = cfg.workload.width * cfg.workload.height * 3 // 2
-        ledger = dpp.CopyLedger()
-        dpp.host_capture_path(
-            raw_rgb, raw_yuv, cfg.toggles.transcode_avoidance, cfg.toggles.shared_gpu_buffer, ledger
-        )
-        raw_copy_per_frame = ledger.total_bytes()
+        width, height = cfg.workload.width, cfg.workload.height
+        raw_copy_per_frame = ledger_frame_copies(
+            g,
+            raw_frame_bytes(width, height, ColorSpace.RGB),
+            raw_frame_bytes(width, height, ColorSpace.YUV420),
+            0,
+        ).total_bytes()
+        encoded_copy_total = ledger_frame_copies(g, 0, 0, sent_bytes).total_bytes()
         copies = {
             "host_netstack_copies_per_frame": g.host_netstack_copies,
             "raw_copy_bytes_per_frame": raw_copy_per_frame,
-            "encoded_copy_bytes_total": sent_bytes * g.host_netstack_copies,
-            "host_copied_bytes_total": sent_bytes * g.host_netstack_copies
+            "encoded_copy_bytes_total": encoded_copy_total,
+            "host_copied_bytes_total": encoded_copy_total
             + raw_copy_per_frame * len(self.records),
         }
         sent = len(self.records)
@@ -337,15 +330,14 @@ class Simulator:
             "corrupted_rate": round(corrupted / len(presented), 6) if presented else 0.0,
         }
         feedback = {
-            "iframe_requests_sent": self._cp_sent,
+            "iframe_requests_sent": self.mud_fb.requests_sent,
             "requests_suppressed": self.host_fb.suppressed_count,
             "forced_iframes": self.host_fb.forced_count,
         }
         sync = None
         if cfg.encode_mode is EncodeMode.SYNC:
-            mean_task = (
-                sum(self._sync_task_us) / len(self._sync_task_us) if self._sync_task_us else 0.0
-            )
+            # every encode task takes the datapath's encode-path time
+            mean_task = g.encode_path_us if self.records else 0.0
             sync = {
                 "task_time_mean_ms": round(mean_task / 1000.0, 4),
                 "render_work_ms": round(cfg.render_work_us / 1000.0, 4),
@@ -372,8 +364,6 @@ def run_scenario(cfg: ScenarioConfig, collect_transcript: bool = False) -> SimRe
 
 def ab_compare(cfg: ScenarioConfig, toggle: str) -> dict[str, Any]:
     """Mean end-to-end saving from enabling one optimization, same seed."""
-    if toggle not in TOGGLE_NAMES:
-        raise ScenarioError([f"unknown toggle '{toggle}' (have: {', '.join(TOGGLE_NAMES)})"])
     off = run_scenario(with_toggle(cfg, toggle, False)).metrics
     on = run_scenario(with_toggle(cfg, toggle, True)).metrics
     stage_deltas = {}
@@ -404,12 +394,8 @@ def ab_suite(base: ScenarioConfig) -> dict[str, Any]:
     baseline_mean = run_scenario(all_off).metrics.end_to_end["mean_ms"]
     all_on = replace(all_off, toggles=OptimizationToggles.all_on())
     all_on_mean = run_scenario(all_on).metrics.end_to_end["mean_ms"]
-    delta_sum = (
-        results["transcode_avoidance"]["delta_ms"]
-        + results["shared_gpu_buffer"]["delta_ms"]
-        + results["direct_net_io"]["delta_ms"]
-        + p2p_rgb["delta_ms"]
-        + results["feedback_control"]["delta_ms"]
+    delta_sum = sum(
+        (p2p_rgb if name == "p2p_topology" else results[name])["delta_ms"] for name in TOGGLE_NAMES
     )
     residual = round(abs(baseline_mean - delta_sum - all_on_mean), 4)
     return {

@@ -7,7 +7,9 @@ are synthetic (model sizes, deterministic byte pattern) so the receiver can
 verify payload integrity end to end.
 
 One-way latency numbers are only meaningful when both roles share a clock,
-i.e. run on the same machine.
+i.e. run on the same machine. They and the datagrams' generation stamps are
+the only use of the wall clock: deadlines and the suppression window run on
+the monotonic clock, so a wall-clock step neither drops nor freezes frames.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class ConfigMismatch(RunnerError):
 
 def _now_us() -> int:
     return time.time_ns() // 1000
+
+
+def _mono_us() -> int:
+    return time.monotonic_ns() // 1000
 
 
 def config_fingerprint(codec: CodecConfig, feedback: bool) -> int:
@@ -96,8 +102,8 @@ class RunnerConfig:
     seed: int = 1
     feedback_control: bool = True
     complexity_sigma: float = 0.15
-    drop_deadline_us: int = 33_334
-    suppression_window_us: int = 200_000
+    drop_deadline_us: int = dpp.DROP_DEADLINE_US
+    suppression_window_us: int = cp_mod.DEFAULT_SUPPRESSION_WINDOW_US
     induced_loss: float = 0.0  # receiver-side drop shim for loss experiments
 
 
@@ -210,7 +216,7 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
                 if msg.subtype == cp_mod.SUB_IFRAME_REQUEST:
                     stats.requests_received += 1
                     with fb_lock:
-                        cp_mod.host_on_request(host_fb, msg, _now_us())
+                        cp_mod.host_on_request(host_fb, msg, _mono_us())
 
         listener = threading.Thread(target=cp_listener, daemon=True)
         listener.start()
@@ -231,7 +237,7 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
                 force = host_fb.pending_force if cfg.feedback_control else False
                 ftype, _idx, forced = walker.plan(force)
                 if ftype is FrameType.I and cfg.feedback_control:
-                    cp_mod.host_on_iframe_emitted(host_fb, _now_us(), cfg.suppression_window_us)
+                    cp_mod.host_on_iframe_emitted(host_fb, _mono_us(), cfg.suppression_window_us)
             complexity = rng.lognormal_complexity(cfg.complexity_sigma)
             size = encoded_size(ftype, cfg.codec, complexity, nominal)
             payload = frame_payload(i, size)
@@ -291,33 +297,31 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
         got_data = False
         sock.settimeout(0.05)
 
-        def handle_events(events, now_us: int) -> None:
+        def handle_events(events, wall_us: int) -> None:
             for ev in events:
                 if isinstance(ev, dpp.FrameComplete):
                     stats.frames_completed += 1
-                    latencies_us.append(now_us - ev.gen_timestamp_us)
+                    latencies_us.append(wall_us - ev.gen_timestamp_us)
                     if ev.data != frame_payload(ev.frame_id, len(ev.data or b"")):
                         stats.pattern_mismatches += 1
                 else:
                     stats.frames_dropped += 1
                 if cfg.feedback_control:
-                    for msg in cp_mod.mud_on_frame_event(mud_fb, ev, now_us):
+                    for msg in cp_mod.mud_on_frame_event(mud_fb, ev, wall_us):
                         sock.sendto(cp_mod.encode_cp(msg), cfg.peer)
-                        stats.requests_sent += 1
 
         while time.monotonic() < end_by:
             if stop is not None and stop.is_set():
                 break
             if got_data and time.monotonic() - last_rx > idle_limit_s:
                 break
-            now_us = _now_us()
-            handle_events(reasm.expire(now_us), now_us)
+            handle_events(reasm.expire(_mono_us()), _now_us())
             try:
                 data, _addr = sock.recvfrom(65_535)
             except socket.timeout:
                 continue
             last_rx = time.monotonic()
-            now_us = _now_us()
+            mono_us, wall_us = _mono_us(), _now_us()
             if cfg.induced_loss > 0.0 and shim.random() < cfg.induced_loss:
                 stats.induced_drops += 1
                 continue
@@ -329,10 +333,10 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
             if packet.msg_type == dpp.MSG_CTRL:
                 continue  # HELLO retransmits and input stubs
             got_data = True
-            handle_events(reasm.on_packet(packet, now_us), now_us)
+            handle_events(reasm.on_packet(packet, mono_us), wall_us)
 
-        now_us = _now_us() + cfg.drop_deadline_us + 1
-        handle_events(reasm.expire(now_us), now_us)
+        handle_events(reasm.expire(_mono_us() + cfg.drop_deadline_us + 1), _now_us())
+        stats.requests_sent = mud_fb.requests_sent
         if latencies_us:
             arr = np.asarray(latencies_us, dtype=np.float64) / 1000.0
             stats.latency_mean_ms = round(float(arr.mean()), 3)

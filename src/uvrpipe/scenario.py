@@ -11,16 +11,17 @@ import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cache
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional, Union, get_type_hints
 
-from .codec import CodecConfig
+from . import dpp
+from .codec import CodecConfig, FrameType, encoded_size
 from .core import US_PER_S, WorkloadConfig
-from .netsim import ChannelModel, LossModel
-from .stages import OptimizationToggles
-
-DEFAULT_DROP_DEADLINE_US = 33_334  # two 60-FPS frame periods
-DEFAULT_SUPPRESSION_WINDOW_US = 200_000
+from .cp import DEFAULT_SUPPRESSION_WINDOW_US
+from .netsim import ChannelModel
+from .stages import TOGGLE_NAMES, OptimizationToggles
 
 
 class EncodeMode(Enum):
@@ -45,7 +46,7 @@ class ScenarioConfig:
     codec: CodecConfig = field(default_factory=CodecConfig)
     toggles: OptimizationToggles = field(default_factory=OptimizationToggles)
     channel: ChannelModel = field(default_factory=ChannelModel)
-    drop_deadline_us: int = DEFAULT_DROP_DEADLINE_US
+    drop_deadline_us: int = dpp.DROP_DEADLINE_US
     suppression_window_us: int = DEFAULT_SUPPRESSION_WINDOW_US
     trace_enabled: bool = False
     fault_drop_frame_id: int = -1  # inject loss of one fragment of this frame
@@ -69,7 +70,19 @@ class ScenarioConfig:
             errors.append("workload.width and workload.height must be > 0")
         if self.workload.complexity_sigma < 0:
             errors.append("workload.complexity_sigma must be >= 0")
-        errors.extend(self.codec.validate())
+        codec_errors = self.codec.validate()
+        errors.extend(codec_errors)
+        if not codec_errors:
+            # the nominal I-frame, in the color space the toggles encode in
+            codec = replace(self.codec, transcode_avoidance=self.toggles.transcode_avoidance)
+            size = encoded_size(FrameType.I, codec, 1.0)
+            try:
+                dpp.fragment_layout(size)
+            except dpp.FragmentationError as exc:
+                errors.append(
+                    f"codec: a nominal I-frame of {size} bytes exceeds the"
+                    f" {dpp.MAX_FRAGS}-fragment limit ({exc})"
+                )
         errors.extend(self.channel.validate())
         if self.drop_deadline_us <= 0:
             errors.append("proto.drop_deadline_us must be > 0")
@@ -78,70 +91,83 @@ class ScenarioConfig:
         return errors
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+# Every scenario key, in file order, with its attribute path in ScenarioConfig.
+# The field's declared type picks the key's parser and formatter.
+KEYS: dict[str, str] = {
+    "seed": "seed",
+    "duration_s": "duration_s",
+    "render_fps": "render_fps",
+    "encode_mode": "encode_mode",
+    "render_work_us": "render_work_us",
+    "workload.width": "workload.width",
+    "workload.height": "workload.height",
+    "workload.complexity_sigma": "workload.complexity_sigma",
+    "codec.bitrate_bps": "codec.bitrate_bps",
+    "codec.fps": "codec.fps",
+    "codec.gop_size": "codec.gop_size",
+    "codec.p_to_i_ratio": "codec.p_to_i_ratio",
+    "codec.rgb_inflation": "codec.rgb_inflation",
+    "codec.decode_fps_cap": "codec.decode_fps_cap",
+    "toggles.transcode_avoidance": "toggles.transcode_avoidance",
+    "toggles.shared_gpu_buffer": "toggles.shared_gpu_buffer",
+    "toggles.direct_net_io": "toggles.direct_net_io",
+    "toggles.p2p_topology": "toggles.p2p_topology",
+    "toggles.feedback_control": "toggles.feedback_control",
+    "channel.bandwidth_bps": "channel.bandwidth_bps",
+    "channel.prop_delay_us": "channel.prop_delay_us",
+    "channel.jitter_sigma_us": "channel.jitter_sigma_us",
+    "channel.loss_model": "channel.loss_model",
+    "channel.loss_p": "channel.loss_p",
+    "channel.ge_p_gb": "channel.ge_p_gb",
+    "channel.ge_p_bg": "channel.ge_p_bg",
+    "channel.ge_loss_good": "channel.ge_loss_good",
+    "channel.ge_loss_bad": "channel.ge_loss_bad",
+    "proto.drop_deadline_us": "drop_deadline_us",
+    "cp.suppression_window_us": "suppression_window_us",
+    "trace.enabled": "trace_enabled",
+    "fault.drop_frame_id": "fault_drop_frame_id",
+    "fault.drop_frag_index": "fault_drop_frag_index",
+}
 
 
-def _parse_fraction(raw: str) -> Fraction:
-    return Fraction(raw.strip())
+_type_hints = cache(get_type_hints)  # resolving annotations costs ~0.1 ms per class
 
 
-_Setter = tuple[Callable[[str], Any], Callable[[ScenarioConfig, Any], None]]
+def _field_type(path: str) -> type:
+    owner: type = ScenarioConfig
+    for name in path.split("."):
+        owner = _type_hints(owner)[name]
+    return owner
 
 
-def _schema() -> dict[str, _Setter]:
-    def set_attr(*path: str):
-        def setter(cfg: ScenarioConfig, value: Any) -> None:
-            obj = cfg
-            for name in path[:-1]:
-                obj = getattr(obj, name)
-            setattr(obj, path[-1], value)
-
-        return setter
-
-    return {
-        "seed": (int, set_attr("seed")),
-        "duration_s": (float, set_attr("duration_s")),
-        "render_fps": (int, set_attr("render_fps")),
-        "encode_mode": (lambda s: EncodeMode(s.strip().upper()), set_attr("encode_mode")),
-        "render_work_us": (int, set_attr("render_work_us")),
-        "workload.width": (int, set_attr("workload", "width")),
-        "workload.height": (int, set_attr("workload", "height")),
-        "workload.complexity_sigma": (float, set_attr("workload", "complexity_sigma")),
-        "codec.bitrate_bps": (int, set_attr("codec", "bitrate_bps")),
-        "codec.fps": (int, set_attr("codec", "fps")),
-        "codec.gop_size": (int, set_attr("codec", "gop_size")),
-        "codec.p_to_i_ratio": (_parse_fraction, set_attr("codec", "p_to_i_ratio")),
-        "codec.rgb_inflation": (float, set_attr("codec", "rgb_inflation")),
-        "codec.decode_fps_cap": (int, set_attr("codec", "decode_fps_cap")),
-        "toggles.transcode_avoidance": (_parse_bool, set_attr("toggles", "transcode_avoidance")),
-        "toggles.shared_gpu_buffer": (_parse_bool, set_attr("toggles", "shared_gpu_buffer")),
-        "toggles.direct_net_io": (_parse_bool, set_attr("toggles", "direct_net_io")),
-        "toggles.p2p_topology": (_parse_bool, set_attr("toggles", "p2p_topology")),
-        "toggles.feedback_control": (_parse_bool, set_attr("toggles", "feedback_control")),
-        "channel.bandwidth_bps": (int, set_attr("channel", "bandwidth_bps")),
-        "channel.prop_delay_us": (int, set_attr("channel", "prop_delay_us")),
-        "channel.jitter_sigma_us": (float, set_attr("channel", "jitter_sigma_us")),
-        "channel.loss_model": (lambda s: LossModel(s.strip().lower()), set_attr("channel", "loss_model")),
-        "channel.loss_p": (float, set_attr("channel", "loss_p")),
-        "channel.ge_p_gb": (float, set_attr("channel", "ge_p_gb")),
-        "channel.ge_p_bg": (float, set_attr("channel", "ge_p_bg")),
-        "channel.ge_loss_good": (float, set_attr("channel", "ge_loss_good")),
-        "channel.ge_loss_bad": (float, set_attr("channel", "ge_loss_bad")),
-        "proto.drop_deadline_us": (int, set_attr("drop_deadline_us")),
-        "cp.suppression_window_us": (int, set_attr("suppression_window_us")),
-        "trace.enabled": (_parse_bool, set_attr("trace_enabled")),
-        "fault.drop_frame_id": (int, set_attr("fault_drop_frame_id")),
-        "fault.drop_frag_index": (int, set_attr("fault_drop_frag_index")),
-    }
+_TYPES = {key: _field_type(path) for key, path in KEYS.items()}
 
 
-SCHEMA = _schema()
+def _parse(field_type: type, raw: str) -> Any:
+    text = raw.strip()
+    if field_type is bool:
+        if text.lower() in ("true", "1", "yes", "on"):
+            return True
+        if text.lower() in ("false", "0", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if issubclass(field_type, Enum):
+        for member in field_type:
+            if member.value.lower() == text.lower():
+                return member
+        raise ValueError(f"{text!r} is not one of {', '.join(m.value for m in field_type)}")
+    return field_type(text)  # int, float, Fraction
+
+
+def _format(field_type: type, value: Any) -> str:
+    if field_type is bool:
+        return "true" if value else "false"
+    if issubclass(field_type, Enum):
+        return value.value
+    if field_type is Fraction:
+        return f"{value.numerator}/{value.denominator}"
+    return repr(value)  # int, float
+
 
 PRESETS: dict[str, dict[str, str]] = {
     # conventional layered stack through an access point, conservative GOP
@@ -165,14 +191,14 @@ PRESETS: dict[str, dict[str, str]] = {
 def apply_kv(
     cfg: ScenarioConfig, key: str, raw: str, errors: list[str], where: str = ""
 ) -> None:
-    entry = SCHEMA.get(key)
     prefix = f"{where}: " if where else ""
-    if entry is None:
+    if key not in KEYS:
         errors.append(f"{prefix}unknown key '{key}'")
         return
-    convert, setter = entry
+    owner_path, _, attr = KEYS[key].rpartition(".")
+    owner = attrgetter(owner_path)(cfg) if owner_path else cfg
     try:
-        setter(cfg, convert(raw))
+        setattr(owner, attr, _parse(_TYPES[key], raw))
     except (ValueError, ZeroDivisionError) as exc:
         errors.append(f"{prefix}invalid value for '{key}': {exc}")
 
@@ -216,53 +242,7 @@ def parse_scenario(path: Union[str, Path], base: Optional[ScenarioConfig] = None
 
 def to_flat_dict(cfg: ScenarioConfig) -> dict[str, str]:
     """Emit the full configuration in the file grammar (round-trips exactly)."""
-    def fmt(value: Any) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, (EncodeMode, LossModel)):
-            return value.value
-        if isinstance(value, Fraction):
-            return f"{value.numerator}/{value.denominator}"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    getters: dict[str, Any] = {
-        "seed": cfg.seed,
-        "duration_s": cfg.duration_s,
-        "render_fps": cfg.render_fps,
-        "encode_mode": cfg.encode_mode,
-        "render_work_us": cfg.render_work_us,
-        "workload.width": cfg.workload.width,
-        "workload.height": cfg.workload.height,
-        "workload.complexity_sigma": cfg.workload.complexity_sigma,
-        "codec.bitrate_bps": cfg.codec.bitrate_bps,
-        "codec.fps": cfg.codec.fps,
-        "codec.gop_size": cfg.codec.gop_size,
-        "codec.p_to_i_ratio": cfg.codec.p_to_i_ratio,
-        "codec.rgb_inflation": cfg.codec.rgb_inflation,
-        "codec.decode_fps_cap": cfg.codec.decode_fps_cap,
-        "toggles.transcode_avoidance": cfg.toggles.transcode_avoidance,
-        "toggles.shared_gpu_buffer": cfg.toggles.shared_gpu_buffer,
-        "toggles.direct_net_io": cfg.toggles.direct_net_io,
-        "toggles.p2p_topology": cfg.toggles.p2p_topology,
-        "toggles.feedback_control": cfg.toggles.feedback_control,
-        "channel.bandwidth_bps": cfg.channel.bandwidth_bps,
-        "channel.prop_delay_us": cfg.channel.prop_delay_us,
-        "channel.jitter_sigma_us": cfg.channel.jitter_sigma_us,
-        "channel.loss_model": cfg.channel.loss_model,
-        "channel.loss_p": cfg.channel.loss_p,
-        "channel.ge_p_gb": cfg.channel.ge_p_gb,
-        "channel.ge_p_bg": cfg.channel.ge_p_bg,
-        "channel.ge_loss_good": cfg.channel.ge_loss_good,
-        "channel.ge_loss_bad": cfg.channel.ge_loss_bad,
-        "proto.drop_deadline_us": cfg.drop_deadline_us,
-        "cp.suppression_window_us": cfg.suppression_window_us,
-        "trace.enabled": cfg.trace_enabled,
-        "fault.drop_frame_id": cfg.fault_drop_frame_id,
-        "fault.drop_frag_index": cfg.fault_drop_frag_index,
-    }
-    return {key: fmt(value) for key, value in getters.items()}
+    return {key: _format(_TYPES[key], attrgetter(path)(cfg)) for key, path in KEYS.items()}
 
 
 def emit_scenario(cfg: ScenarioConfig) -> str:
@@ -270,7 +250,7 @@ def emit_scenario(cfg: ScenarioConfig) -> str:
 
 
 def with_toggle(cfg: ScenarioConfig, toggle: str, value: bool) -> ScenarioConfig:
-    if toggle not in cfg.toggles.as_dict():
-        raise ScenarioError([f"unknown toggle '{toggle}'"])
+    if toggle not in TOGGLE_NAMES:
+        raise ScenarioError([f"unknown toggle '{toggle}' (have: {', '.join(TOGGLE_NAMES)})"])
     toggles = replace(cfg.toggles, **{toggle: value})
     return replace(cfg, toggles=toggles)

@@ -1,36 +1,51 @@
-"""Datapath construction: stage constants, copy plan, link-overhead calibration.
+"""Datapath construction: the stage table, copy plan, link-overhead calibration.
 
 The frame lifecycle is a sum of fixed per-stage costs plus the mechanistic
-packet transport from netsim. Stage constants come from measurements of a
-reference host/receiver profile (RTX-2080-class host, SoC receiver, 802.11ac
-at 867 Mbps, 20 Mbps / 60 FPS stream) and each optimization toggle removes its
-measured share:
+packet transport from netsim. The stage costs were measured on a reference
+host/receiver profile (RTX-2080-class host, SoC receiver, 802.11ac at
+867 Mbps, 20 Mbps / 60 FPS stream), and each optimization toggle removes its
+measured share. This is the package's one stage table: ``codec`` holds no
+stage cost, and ``build_datapath`` is the only code that applies the toggles
+to these constants.
 
-    encode path   13,940 us  (= transcode 5,510 + GPU copies 4,710 + encode 3,720)
-    host netstack 17,630 us  (direct network I/O bypasses 13,670; feedback
-                              control trims a further 100 of stream buffering)
-    network       topology/color targets below, minus what serialization and
-                  propagation already account for mechanistically
-    receiver       3,640 us  (= netstack 700, bypassed by direct I/O, + decode 2,940)
+    stage               constant                        us  removed by
+    transcode           TRANSCODE_US                 5,510  transcode_avoidance
+    GPU copies          GPU_COPY_US                  4,710  shared_gpu_buffer
+    core encode         CORE_ENCODE_US               3,720
+    host netstack       HOST_NETSTACK_US            17,630
+      bypassed part     DIRECT_IO_HOST_SAVING_US    13,670  direct_net_io
+      stream buffering  FEEDBACK_BUFFER_TRIM_US        100  feedback_control
+    receiver netstack   MUD_NETSTACK_US                700  direct_net_io
+    decode              MUD_DECODE_US                2,940
+    presentation        RESIDUAL_PRESENTATION_US     1,400  see below
+
+The network stage is the mean per-frame latency ``NET_TARGET_US`` of the
+frame's (topology, color space) cell, minus what serialization and
+propagation already account for mechanistically.
 
 With the full host datapath streamlined (transcode avoidance + shared GPU
-buffer + direct network I/O) a 1,400 us presentation/scan-out residual becomes
-visible that the coarse baseline stage accounting absorbs; it is reported as
-its own stage.
+buffer + direct network I/O), a presentation/scan-out residual becomes
+visible that the coarse baseline stage accounting absorbs. It is reported as
+its own stage, and is zero on every other datapath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from . import codec as codec_mod
 from . import dpp, netsim
 from .codec import CodecConfig, FrameType
 from .core import ColorSpace, SimTime
 
+TRANSCODE_US = 5_510
+GPU_COPY_US = 4_710
+CORE_ENCODE_US = 3_720
 HOST_NETSTACK_US = 17_630
 DIRECT_IO_HOST_SAVING_US = 13_670
 FEEDBACK_BUFFER_TRIM_US = 100
+MUD_NETSTACK_US = 700
+MUD_DECODE_US = 2_940
 RESIDUAL_PRESENTATION_US = 1_400
 
 # Mean per-frame network-subsystem latency measured on the reference profile,
@@ -59,30 +74,8 @@ class OptimizationToggles:
     def all_on(cls) -> "OptimizationToggles":
         return cls(True, True, True, True, True)
 
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "transcode_avoidance": self.transcode_avoidance,
-            "shared_gpu_buffer": self.shared_gpu_buffer,
-            "direct_net_io": self.direct_net_io,
-            "p2p_topology": self.p2p_topology,
-            "feedback_control": self.feedback_control,
-        }
 
-
-TOGGLE_NAMES = tuple(OptimizationToggles().as_dict().keys())
-
-
-@dataclass
-class StageLatencyModel:
-    host_capture: SimTime = 0
-    host_transcode: SimTime = codec_mod.TRANSCODE_US
-    host_encode: SimTime = codec_mod.CORE_ENCODE_US
-    host_copy: SimTime = codec_mod.GPU_COPY_US
-    host_netstack: SimTime = HOST_NETSTACK_US
-    net_fixed: SimTime = NET_TARGET_US[(netsim.Topology.INFRA, ColorSpace.YUV420)]
-    mud_netstack: SimTime = codec_mod.MUD_NETSTACK_US
-    mud_decode: SimTime = codec_mod.MUD_DECODE_US
-    residual_presentation: SimTime = RESIDUAL_PRESENTATION_US
+TOGGLE_NAMES = tuple(f.name for f in fields(OptimizationToggles))
 
 
 def expected_transport_us(size_bytes: int, channel: netsim.ChannelModel) -> int:
@@ -127,62 +120,43 @@ def link_fixed_overhead_us(cfg: CodecConfig, channel: netsim.ChannelModel) -> in
 @dataclass
 class DatapathGraph:
     toggles: OptimizationToggles
-    color_space: ColorSpace
-    topology: netsim.Topology
+    codec: CodecConfig  # with the toggles' color space applied
+    channel: netsim.ChannelModel  # on the toggles' topology
     host_stages: list[tuple[str, SimTime]]
     encode_path_us: SimTime
     host_netstack_us: SimTime
     link_fixed_us: SimTime
     mud_service_us: SimTime
     residual_us: SimTime
-    host_netstack_copies: int
-    raw_copy_stages: list[str]
 
-    def stage_names(self) -> list[str]:
-        return [name for name, _ in self.host_stages]
-
-    def total_fixed_us(self) -> SimTime:
-        return (
-            self.encode_path_us
-            + self.host_netstack_us
-            + self.link_fixed_us
-            + self.mud_service_us
-            + self.residual_us
-        )
+    @property
+    def host_netstack_copies(self) -> int:
+        """Copies of the encoded frame per frame sent, read off the copy ledger."""
+        # every copy of a one-byte frame adds one byte, and no raw bytes are copied
+        return ledger_frame_copies(self, 0, 0, 1).total_bytes()
 
 
 def build_datapath(
-    toggles: OptimizationToggles,
-    cfg: CodecConfig,
-    channel: netsim.ChannelModel,
-    stages: StageLatencyModel | None = None,
+    toggles: OptimizationToggles, cfg: CodecConfig, channel: netsim.ChannelModel
 ) -> DatapathGraph:
     """Resolve the per-frame stage plan for a toggle combination."""
-    s = stages or StageLatencyModel()
-    cfg = replace(
-        cfg,
-        transcode_avoidance=toggles.transcode_avoidance,
-        shared_gpu_buffer=toggles.shared_gpu_buffer,
-    )
+    cfg = replace(cfg, transcode_avoidance=toggles.transcode_avoidance)
     topology = netsim.Topology.P2P if toggles.p2p_topology else netsim.Topology.INFRA
     channel = replace(channel, topology=topology)
-    color = codec_mod.effective_color_space(cfg)
 
     host_stages: list[tuple[str, SimTime]] = []
-    raw_copies: list[str] = []
     if toggles.shared_gpu_buffer:
         host_stages.append(("capture-in-place", 0))
     else:
-        host_stages.append(("capture", s.host_capture))
-        raw_copies.append("capture")
-        raw_copies.append("encode-input")
+        host_stages.append(("capture", 0))
     if not toggles.transcode_avoidance:
-        host_stages.append(("transcode", s.host_transcode))
+        host_stages.append(("transcode", TRANSCODE_US))
     if not toggles.shared_gpu_buffer:
-        host_stages.append(("gpu-copy", s.host_copy))
-    host_stages.append(("encode", s.host_encode))
+        host_stages.append(("gpu-copy", GPU_COPY_US))
+    host_stages.append(("encode", CORE_ENCODE_US))
+    encode_path = sum(us for _, us in host_stages)
 
-    netstack = s.host_netstack
+    netstack = HOST_NETSTACK_US
     if toggles.direct_net_io:
         netstack -= DIRECT_IO_HOST_SAVING_US
     if toggles.feedback_control:
@@ -192,20 +166,16 @@ def build_datapath(
     streamlined = (
         toggles.transcode_avoidance and toggles.shared_gpu_buffer and toggles.direct_net_io
     )
-    mud_service = s.mud_decode + (0 if toggles.direct_net_io else s.mud_netstack)
-
     return DatapathGraph(
         toggles=toggles,
-        color_space=color,
-        topology=topology,
+        codec=cfg,
+        channel=channel,
         host_stages=host_stages,
-        encode_path_us=sum(us for name, us in host_stages if name not in ("netstack", "link-send")),
+        encode_path_us=encode_path,
         host_netstack_us=netstack,
         link_fixed_us=link_fixed_overhead_us(cfg, channel),
-        mud_service_us=mud_service,
-        residual_us=s.residual_presentation if streamlined else 0,
-        host_netstack_copies=1 if toggles.direct_net_io else 3,
-        raw_copy_stages=raw_copies,
+        mud_service_us=MUD_DECODE_US + (0 if toggles.direct_net_io else MUD_NETSTACK_US),
+        residual_us=RESIDUAL_PRESENTATION_US if streamlined else 0,
     )
 
 

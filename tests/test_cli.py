@@ -68,6 +68,12 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert main(["sim", "run", "--set", "no.such.key=1"]) == 1
 
 
+def test_unfragmentable_config_is_a_validation_error(capsys):
+    argv = ["sim", "run", "--preset", "baseline", "--set", "codec.bitrate_bps=1000000000000"]
+    assert main(argv) == 1
+    assert "fragment" in capsys.readouterr().err
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     out = tmp_path / "env.json"
     monkeypatch.setenv("UVRPIPE_SEED", "7")

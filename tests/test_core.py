@@ -83,7 +83,7 @@ def test_raw_frame_sizes():
 
 
 def test_sigma_zero_complexity_is_exactly_one():
-    src = FrameSource(WorkloadConfig(complexity_sigma=0.0), ColorSpace.RGB, Rng(1))
+    src = FrameSource(WorkloadConfig(complexity_sigma=0.0), Rng(1))
     frames = [src.next_frame(i) for i in range(50)]
     assert all(f.complexity == 1.0 for f in frames)
     assert [f.frame_id for f in frames] == list(range(50))

@@ -1,22 +1,27 @@
 """Golden reports: simulator output pinned byte-for-byte.
 
 Each run's report (``meta`` stripped) must equal the stored JSON exactly, and
-the fault-drop run's event transcript must equal the stored one. Regenerate
-the files only for an intended behaviour change:
+the fault-drop run's event transcript must equal the stored one. The resolved
+datapath of every toggle combination and an A/B suite are pinned the same
+way. Regenerate the files only for an intended behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from uvrpipe.codec import CodecConfig, effective_color_space
+from uvrpipe.core import ColorSpace, raw_frame_bytes
 from uvrpipe.experiments import recovery_config
-from uvrpipe.netsim import LossModel
-from uvrpipe.pipeline import run_scenario
+from uvrpipe.netsim import ChannelModel, LossModel
+from uvrpipe.pipeline import ab_suite, run_scenario
 from uvrpipe.report import report_file_dict, strip_meta
 from uvrpipe.scenario import EncodeMode, preset_config
+from uvrpipe.stages import TOGGLE_NAMES, OptimizationToggles, build_datapath, ledger_frame_copies
 
 GOLDEN = Path(__file__).parent / "golden"
 TRANSCRIPT_RUN = "fault_drop"
@@ -67,6 +72,43 @@ def _run(name):
     return run_scenario(RUNS[name](), collect_transcript=name == TRANSCRIPT_RUN)
 
 
+def _datapaths_text() -> str:
+    """Every toggle combination's datapath, default codec and channel.
+
+    The copy ledger is taken for a 1920x1080 frame that encodes to 41,408 bytes.
+    """
+    raw_rgb = raw_frame_bytes(1920, 1080, ColorSpace.RGB)
+    raw_yuv = raw_frame_bytes(1920, 1080, ColorSpace.YUV420)
+    rows = []
+    for values in itertools.product((False, True), repeat=len(TOGGLE_NAMES)):
+        toggles = OptimizationToggles(**dict(zip(TOGGLE_NAMES, values)))
+        g = build_datapath(toggles, CodecConfig(), ChannelModel())
+        ledger = ledger_frame_copies(g, raw_rgb, raw_yuv, 41_408)
+        rows.append(
+            {
+                "toggles": [name for name, on in zip(TOGGLE_NAMES, values) if on],
+                "host_stages": g.host_stages,
+                "encode_path_us": g.encode_path_us,
+                "host_netstack_us": g.host_netstack_us,
+                "link_fixed_us": g.link_fixed_us,
+                "mud_service_us": g.mud_service_us,
+                "residual_us": g.residual_us,
+                "color_space": effective_color_space(g.codec).value,
+                "topology": g.channel.topology.value,
+                "host_netstack_copies": g.host_netstack_copies,
+                "copies": [[stage, nbytes] for stage, nbytes, _ in ledger.entries],
+            }
+        )
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def _ab_suite_text() -> str:
+    return json.dumps(ab_suite(_preset("baseline", 1, 10.0)), indent=2) + "\n"
+
+
+PINNED = {"datapaths": _datapaths_text, "ab_suite": _ab_suite_text}
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_matches_golden(name):
     result = _run(name)
@@ -74,6 +116,11 @@ def test_report_matches_golden(name):
     if name == TRANSCRIPT_RUN:
         stored = (GOLDEN / f"{name}.transcript.jsonl").read_text()
         assert _transcript_text(result.transcript) == stored
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_output_matches_golden(name):
+    assert PINNED[name]() == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_fault_drop_run_mixes_lost_and_whole_frames():
@@ -89,4 +136,7 @@ if __name__ == "__main__":
         (GOLDEN / f"{name}.json").write_text(_report_text(result))
         if name == TRANSCRIPT_RUN:
             (GOLDEN / f"{name}.transcript.jsonl").write_text(_transcript_text(result.transcript))
+        print(f"wrote {name}")
+    for name, text in PINNED.items():
+        (GOLDEN / f"{name}.json").write_text(text())
         print(f"wrote {name}")

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from uvrpipe import dpp
+from uvrpipe import dpp, runner
 from uvrpipe.runner import (
     ConfigMismatch,
     HandshakeTimeout,
@@ -75,6 +75,29 @@ def test_loopback_lossfree_short_run():
     assert mud_stats.latency_p50_ms > 0  # reported, not asserted against a bound
     # the granted receive buffer is reported; its size depends on rmem_max
     assert mud_stats.to_dict()["socket"]["rcvbuf_bytes"] == mud_stats.rcvbuf_bytes > 0
+
+
+def test_wall_clock_step_drops_no_frame(monkeypatch):
+    # frame 0 is an I-frame of ~64 fragments; the wall clock jumps 1 s ahead
+    # just after its second fragment arrives, which must not expire it
+    decode_packet, now_us = dpp.decode_packet, runner._now_us
+    frame0_fragments = []
+
+    def decode(data):
+        packet = decode_packet(data)
+        if packet.msg_type == dpp.MSG_DATA and packet.frame_id == 0:
+            frame0_fragments.append(packet.frag_index)
+        return packet
+
+    def stepped_now_us():
+        return now_us() + (1_000_000 if len(frame0_fragments) >= 2 else 0)
+
+    monkeypatch.setattr(dpp, "decode_packet", decode)
+    monkeypatch.setattr(runner, "_now_us", stepped_now_us)
+    host_stats, mud_stats = _run_pair(*_pair(duration_s=1.0))
+    assert len(frame0_fragments) > 2
+    assert mud_stats.frames_dropped == 0
+    assert mud_stats.frames_completed == host_stats.frames_sent
 
 
 def test_handshake_timeout_without_peer():

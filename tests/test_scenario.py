@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from uvrpipe.netsim import LossModel
@@ -19,13 +21,13 @@ def test_preset_openuvr():
     assert cfg.codec.gop_size == 480
     assert cfg.codec.bitrate_bps == 20_000_000
     assert cfg.codec.fps == 60
-    assert all(cfg.toggles.as_dict().values())
+    assert all(asdict(cfg.toggles).values())
 
 
 def test_preset_baseline():
     cfg = preset_config("baseline")
     assert cfg.codec.gop_size == 20
-    assert not any(cfg.toggles.as_dict().values())
+    assert not any(asdict(cfg.toggles).values())
 
 
 def test_unknown_preset():
@@ -96,3 +98,14 @@ def test_with_toggle():
 def test_duration_us_rounding():
     cfg = ScenarioConfig(duration_s=0.0005)
     assert cfg.duration_us == 500
+
+
+def test_nominal_iframe_over_the_fragment_limit_rejected():
+    cfg = preset_config("baseline")
+    cfg.codec.bitrate_bps = 20_000_000_000  # a nominal I-frame of ~145 MB fits
+    assert cfg.validate() == []
+    # RGB inflation takes the same I-frame past 65,535 fragments of 2,281 bytes
+    cfg.toggles.transcode_avoidance = True
+    errors = cfg.validate()
+    assert len(errors) == 1
+    assert "65535-fragment limit" in errors[0]

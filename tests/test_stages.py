@@ -1,6 +1,8 @@
+import re
 from dataclasses import replace
 
-from uvrpipe.codec import CodecConfig, FrameType, encoded_size
+from uvrpipe import stages
+from uvrpipe.codec import CodecConfig, FrameType, effective_color_space, encoded_size
 from uvrpipe.core import ColorSpace
 from uvrpipe.netsim import ChannelModel, Topology
 from uvrpipe.stages import (
@@ -20,25 +22,25 @@ def _graph(**kwargs):
 def test_baseline_graph_census():
     g = _graph()
     assert g.host_netstack_copies == 3
-    assert "transcode" in g.stage_names()
+    assert "transcode" in [name for name, _ in g.host_stages]
     assert g.encode_path_us == 13_940
     assert g.host_netstack_us == 17_630
     assert g.mud_service_us == 3_640
     assert g.residual_us == 0
-    assert g.topology is Topology.INFRA
-    assert g.color_space is ColorSpace.YUV420
+    assert g.channel.topology is Topology.INFRA
+    assert effective_color_space(g.codec) is ColorSpace.YUV420
 
 
 def test_all_on_graph_census():
     g = build_datapath(OptimizationToggles.all_on(), CodecConfig(gop_size=480), ChannelModel())
-    assert g.stage_names() == ["capture-in-place", "encode", "link-send"]
+    assert [name for name, _ in g.host_stages] == ["capture-in-place", "encode", "link-send"]
     assert g.host_netstack_copies == 1
     assert g.encode_path_us == 3_720
     assert g.host_netstack_us == 17_630 - 13_670 - 100
     assert g.mud_service_us == 2_940
     assert g.residual_us == 1_400
-    assert g.topology is Topology.P2P
-    assert g.color_space is ColorSpace.RGB
+    assert g.channel.topology is Topology.P2P
+    assert effective_color_space(g.codec) is ColorSpace.RGB
 
 
 def test_p2p_toggle_changes_no_host_stages():
@@ -46,7 +48,7 @@ def test_p2p_toggle_changes_no_host_stages():
     b = _graph(p2p_topology=True)
     assert a.host_stages == b.host_stages
     assert a.host_netstack_copies == b.host_netstack_copies
-    assert b.topology is Topology.P2P
+    assert b.channel.topology is Topology.P2P
 
 
 def test_residual_requires_full_streamlined_datapath():
@@ -93,3 +95,10 @@ def test_frame_copy_ledger_dominance():
         assert len(lo.entries) == 1
         assert lo.total_bytes() < lb.total_bytes()
         assert not any(s in ("capture", "encode-input") for s in lo.stages())
+
+
+def test_docstring_stage_table_matches_constants():
+    rows = re.findall(r"^ +[a-zA-Z /-]+? {2,}([A-Z_]+_US) +([\d,]+)", stages.__doc__, re.M)
+    assert len(rows) == 9
+    for name, value in rows:
+        assert getattr(stages, name) == int(value.replace(",", "")), name
