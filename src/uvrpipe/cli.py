@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import report as report_mod
@@ -22,6 +23,7 @@ from .scenario import (
     ScenarioConfig,
     ScenarioError,
     apply_kv,
+    key_error,
     parse_scenario,
     preset_config,
 )
@@ -162,6 +164,10 @@ def _parse_addr(raw: str, default_port: int) -> tuple[str, int]:
 
 
 def _runner_config(args) -> runner_mod.RunnerConfig:
+    checks = (("duration_s", args.duration), ("codec.gop_size", args.gop), ("seed", args.seed))
+    errors = [e for key, v in checks if v is not None and (e := key_error(key, v))]
+    if errors:  # before any socket opens
+        raise ScenarioError(errors)
     cfg = runner_mod.RunnerConfig()
     cfg.bind = _parse_addr(args.bind, runner_mod.DEFAULT_PORT)
     cfg.peer = _parse_addr(args.peer, runner_mod.DEFAULT_PORT)
@@ -169,8 +175,6 @@ def _runner_config(args) -> runner_mod.RunnerConfig:
     cfg.seed = args.seed if args.seed is not None else cfg.seed
     cfg.feedback_control = not args.no_feedback
     if args.gop is not None:
-        from dataclasses import replace
-
         cfg.codec = replace(cfg.codec, gop_size=args.gop)
     if getattr(args, "induced_loss", None):
         cfg.induced_loss = args.induced_loss

@@ -26,26 +26,9 @@ class CodecConfig:
     fps: int = 60
     gop_size: int = 20
     p_to_i_ratio: Fraction = Fraction(1, 4)
-    color_space: ColorSpace = ColorSpace.YUV420
     transcode_avoidance: bool = False
     rgb_inflation: float = 1.10
     decode_fps_cap: int = 60
-
-    def validate(self) -> list[str]:
-        errors = []
-        if self.bitrate_bps <= 0:
-            errors.append("codec.bitrate_bps must be > 0")
-        if self.fps <= 0:
-            errors.append("codec.fps must be > 0")
-        if self.gop_size < 1:
-            errors.append("codec.gop_size must be >= 1")
-        if not (0 < self.p_to_i_ratio <= 1):
-            errors.append("codec.p_to_i_ratio must be in (0, 1]")
-        if self.rgb_inflation <= 0:
-            errors.append("codec.rgb_inflation must be > 0")
-        if self.decode_fps_cap <= 0:
-            errors.append("codec.decode_fps_cap must be > 0")
-        return errors
 
 
 def effective_color_space(cfg: CodecConfig) -> ColorSpace:

@@ -17,7 +17,6 @@ import numpy as np
 SimTime = int  # microseconds since scenario start
 
 US_PER_S = 1_000_000
-US_PER_MS = 1_000
 
 
 class SchedulingError(Exception):

@@ -17,7 +17,6 @@ from .core import SimTime
 
 SUB_IFRAME_REQUEST = 0x01
 SUB_HELLO = 0x02
-SUB_INPUT_EVENT = 0x03
 
 _PAYLOAD = struct.Struct(">BII")
 

@@ -72,24 +72,6 @@ class ChannelModel:
     ge_loss_good: float = 0.0
     ge_loss_bad: float = 0.3
 
-    def validate(self) -> list[str]:
-        errors = []
-        if self.bandwidth_bps <= 0:
-            errors.append("channel.bandwidth_bps must be > 0")
-        if self.prop_delay_us < 0:
-            errors.append("channel.prop_delay_us must be >= 0")
-        if self.jitter_sigma_us < 0:
-            errors.append("channel.jitter_sigma_us must be >= 0")
-        for name in ("loss_p", "ge_p_gb", "ge_p_bg", "ge_loss_good", "ge_loss_bad"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                errors.append(f"channel.{name} must be in [0, 1]")
-        return errors
-
-    @property
-    def hops(self) -> int:
-        return 2 if self.topology is Topology.INFRA else 1
-
 
 @dataclass
 class LinkState:

@@ -118,7 +118,9 @@ class RunnerStats:
     requests_received: int = 0
     requests_suppressed: int = 0
     forced_iframes: int = 0
-    malformed_datagrams: int = 0
+    malformed_datagrams: int = 0  # datagrams that fail to parse as DPP
+    frag_count_mismatches: int = 0  # fragments whose frag_count disagrees with their frame's
+    duplicate_fragments: int = 0
     induced_drops: int = 0
     latency_p50_ms: float = 0.0
     latency_p99_ms: float = 0.0
@@ -137,6 +139,8 @@ class RunnerStats:
             "integrity": {
                 "pattern_mismatches": self.pattern_mismatches,
                 "malformed_datagrams": self.malformed_datagrams,
+                "frag_count_mismatches": self.frag_count_mismatches,
+                "duplicate_fragments": self.duplicate_fragments,
                 "induced_drops": self.induced_drops,
             },
             "feedback": {
@@ -337,6 +341,8 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
 
         handle_events(reasm.expire(_mono_us() + cfg.drop_deadline_us + 1), _now_us())
         stats.requests_sent = mud_fb.requests_sent
+        stats.frag_count_mismatches = reasm.malformed_count
+        stats.duplicate_fragments = reasm.duplicate_count
         if latencies_us:
             arr = np.asarray(latencies_us, dtype=np.float64) / 1000.0
             stats.latency_mean_ms = round(float(arr.mean()), 3)

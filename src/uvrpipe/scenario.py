@@ -8,13 +8,14 @@ failing on the first.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Optional, Union, get_type_hints
+from typing import Any, Callable, Optional, Union, get_type_hints
 
 from . import dpp
 from .codec import CodecConfig, FrameType, encoded_size
@@ -57,76 +58,80 @@ class ScenarioConfig:
         return round(self.duration_s * US_PER_S)
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.seed < 0:
-            errors.append("seed must be >= 0")
-        if self.duration_s <= 0:
-            errors.append("duration_s must be > 0")
-        if self.render_fps <= 0:
-            errors.append("render_fps must be > 0")
-        if self.render_work_us < 0:
-            errors.append("render_work_us must be >= 0")
-        if self.workload.width <= 0 or self.workload.height <= 0:
-            errors.append("workload.width and workload.height must be > 0")
-        if self.workload.complexity_sigma < 0:
-            errors.append("workload.complexity_sigma must be >= 0")
-        codec_errors = self.codec.validate()
-        errors.extend(codec_errors)
-        if not codec_errors:
+        """Every range violation, key by key in ``KEYS`` order, then the
+        checks that a key's own range cannot express."""
+        failed = {}
+        for key, (path, _bound) in KEYS.items():
+            error = key_error(key, attrgetter(path)(self))
+            if error is not None:
+                failed[key] = error
+        errors = list(failed.values())
+        if "duration_s" not in failed and self.duration_us < 1:
+            errors.append("duration_s must be at least 1 us, rounded to whole us")
+        if not any(key.startswith("codec.") for key in failed):
             # the nominal I-frame, in the color space the toggles encode in
             codec = replace(self.codec, transcode_avoidance=self.toggles.transcode_avoidance)
-            size = encoded_size(FrameType.I, codec, 1.0)
             try:
+                size = encoded_size(FrameType.I, codec, 1.0)
                 dpp.fragment_layout(size)
+            except OverflowError:  # past the float range, so past any fragment limit
+                errors.append(
+                    f"codec: a nominal I-frame overflows the {dpp.MAX_FRAGS}-fragment limit"
+                )
             except dpp.FragmentationError as exc:
                 errors.append(
                     f"codec: a nominal I-frame of {size} bytes exceeds the"
                     f" {dpp.MAX_FRAGS}-fragment limit ({exc})"
                 )
-        errors.extend(self.channel.validate())
-        if self.drop_deadline_us <= 0:
-            errors.append("proto.drop_deadline_us must be > 0")
-        if self.suppression_window_us < 0:
-            errors.append("cp.suppression_window_us must be >= 0")
         return errors
 
 
-# Every scenario key, in file order, with its attribute path in ScenarioConfig.
-# The field's declared type picks the key's parser and formatter.
-KEYS: dict[str, str] = {
-    "seed": "seed",
-    "duration_s": "duration_s",
-    "render_fps": "render_fps",
-    "encode_mode": "encode_mode",
-    "render_work_us": "render_work_us",
-    "workload.width": "workload.width",
-    "workload.height": "workload.height",
-    "workload.complexity_sigma": "workload.complexity_sigma",
-    "codec.bitrate_bps": "codec.bitrate_bps",
-    "codec.fps": "codec.fps",
-    "codec.gop_size": "codec.gop_size",
-    "codec.p_to_i_ratio": "codec.p_to_i_ratio",
-    "codec.rgb_inflation": "codec.rgb_inflation",
-    "codec.decode_fps_cap": "codec.decode_fps_cap",
-    "toggles.transcode_avoidance": "toggles.transcode_avoidance",
-    "toggles.shared_gpu_buffer": "toggles.shared_gpu_buffer",
-    "toggles.direct_net_io": "toggles.direct_net_io",
-    "toggles.p2p_topology": "toggles.p2p_topology",
-    "toggles.feedback_control": "toggles.feedback_control",
-    "channel.bandwidth_bps": "channel.bandwidth_bps",
-    "channel.prop_delay_us": "channel.prop_delay_us",
-    "channel.jitter_sigma_us": "channel.jitter_sigma_us",
-    "channel.loss_model": "channel.loss_model",
-    "channel.loss_p": "channel.loss_p",
-    "channel.ge_p_gb": "channel.ge_p_gb",
-    "channel.ge_p_bg": "channel.ge_p_bg",
-    "channel.ge_loss_good": "channel.ge_loss_good",
-    "channel.ge_loss_bad": "channel.ge_loss_bad",
-    "proto.drop_deadline_us": "drop_deadline_us",
-    "cp.suppression_window_us": "suppression_window_us",
-    "trace.enabled": "trace_enabled",
-    "fault.drop_frame_id": "fault_drop_frame_id",
-    "fault.drop_frag_index": "fault_drop_frag_index",
+# Every scenario key, in file order: its attribute path in ScenarioConfig and
+# the range its value must lie in (None: any value of the field's type). The
+# field's declared type picks the key's parser and formatter; float values
+# must also be finite.
+KEYS: dict[str, tuple[str, Optional[str]]] = {
+    "seed": ("seed", ">= 0"),
+    "duration_s": ("duration_s", "> 0"),
+    "render_fps": ("render_fps", "> 0"),
+    "encode_mode": ("encode_mode", None),
+    "render_work_us": ("render_work_us", ">= 0"),
+    "workload.width": ("workload.width", "> 0"),
+    "workload.height": ("workload.height", "> 0"),
+    "workload.complexity_sigma": ("workload.complexity_sigma", ">= 0"),
+    "codec.bitrate_bps": ("codec.bitrate_bps", "> 0"),
+    "codec.fps": ("codec.fps", "> 0"),
+    "codec.gop_size": ("codec.gop_size", ">= 1"),
+    "codec.p_to_i_ratio": ("codec.p_to_i_ratio", "in (0, 1]"),
+    "codec.rgb_inflation": ("codec.rgb_inflation", "> 0"),
+    "codec.decode_fps_cap": ("codec.decode_fps_cap", "> 0"),
+    "toggles.transcode_avoidance": ("toggles.transcode_avoidance", None),
+    "toggles.shared_gpu_buffer": ("toggles.shared_gpu_buffer", None),
+    "toggles.direct_net_io": ("toggles.direct_net_io", None),
+    "toggles.p2p_topology": ("toggles.p2p_topology", None),
+    "toggles.feedback_control": ("toggles.feedback_control", None),
+    "channel.bandwidth_bps": ("channel.bandwidth_bps", "> 0"),
+    "channel.prop_delay_us": ("channel.prop_delay_us", ">= 0"),
+    "channel.jitter_sigma_us": ("channel.jitter_sigma_us", ">= 0"),
+    "channel.loss_model": ("channel.loss_model", None),
+    "channel.loss_p": ("channel.loss_p", "in [0, 1]"),
+    "channel.ge_p_gb": ("channel.ge_p_gb", "in [0, 1]"),
+    "channel.ge_p_bg": ("channel.ge_p_bg", "in [0, 1]"),
+    "channel.ge_loss_good": ("channel.ge_loss_good", "in [0, 1]"),
+    "channel.ge_loss_bad": ("channel.ge_loss_bad", "in [0, 1]"),
+    "proto.drop_deadline_us": ("drop_deadline_us", "> 0"),
+    "cp.suppression_window_us": ("suppression_window_us", ">= 0"),
+    "trace.enabled": ("trace_enabled", None),
+    "fault.drop_frame_id": ("fault_drop_frame_id", None),
+    "fault.drop_frag_index": ("fault_drop_frag_index", None),
+}
+
+_IN_RANGE: dict[str, Callable[[Any], bool]] = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
 
@@ -140,7 +145,17 @@ def _field_type(path: str) -> type:
     return owner
 
 
-_TYPES = {key: _field_type(path) for key, path in KEYS.items()}
+_TYPES = {key: _field_type(path) for key, (path, _bound) in KEYS.items()}
+
+
+def key_error(key: str, value: Any) -> Optional[str]:
+    """Why ``value`` is out of ``key``'s declared range, or None if it is not."""
+    if _TYPES[key] is float and not math.isfinite(value):
+        return f"{key} must be finite"
+    bound = KEYS[key][1]
+    if bound is not None and not _IN_RANGE[bound](value):
+        return f"{key} must be {bound}"
+    return None
 
 
 def _parse(field_type: type, raw: str) -> Any:
@@ -195,7 +210,7 @@ def apply_kv(
     if key not in KEYS:
         errors.append(f"{prefix}unknown key '{key}'")
         return
-    owner_path, _, attr = KEYS[key].rpartition(".")
+    owner_path, _, attr = KEYS[key][0].rpartition(".")
     owner = attrgetter(owner_path)(cfg) if owner_path else cfg
     try:
         setattr(owner, attr, _parse(_TYPES[key], raw))
@@ -242,7 +257,7 @@ def parse_scenario(path: Union[str, Path], base: Optional[ScenarioConfig] = None
 
 def to_flat_dict(cfg: ScenarioConfig) -> dict[str, str]:
     """Emit the full configuration in the file grammar (round-trips exactly)."""
-    return {key: _format(_TYPES[key], attrgetter(path)(cfg)) for key, path in KEYS.items()}
+    return {key: _format(_TYPES[key], attrgetter(KEYS[key][0])(cfg)) for key in KEYS}
 
 
 def emit_scenario(cfg: ScenarioConfig) -> str:

@@ -68,6 +68,40 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert main(["sim", "run", "--set", "no.such.key=1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "codec.rgb_inflation=inf",
+        "channel.jitter_sigma_us=nan",
+        "duration_s=1e-7",
+        "workload.complexity_sigma=nan",
+    ],
+)
+def test_out_of_range_value_is_a_validation_error(override, capsys):
+    argv = ["sim", "run", "--preset", "openuvr", "--set", "duration_s=1", "--set", override]
+    assert main(argv) == 1
+    key = override.split("=")[0]
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--gop", "0"], "codec.gop_size"),
+        (["--duration", "nan"], "duration_s"),
+        (["--seed", "-1"], "seed"),
+    ],
+)
+@pytest.mark.parametrize("role", ["host", "mud"])
+def test_runner_flags_validated_before_any_socket(role, flags, key, capsys, monkeypatch):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr("uvrpipe.runner._open_socket", no_socket)
+    assert main(["net", role, *flags]) == 1
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
 def test_unfragmentable_config_is_a_validation_error(capsys):
     argv = ["sim", "run", "--preset", "baseline", "--set", "codec.bitrate_bps=1000000000000"]
     assert main(argv) == 1

@@ -12,6 +12,7 @@ from uvrpipe.codec import (
     nominal_sizes,
 )
 from uvrpipe.core import tick_time
+from uvrpipe.scenario import ScenarioConfig
 
 
 def test_frame_budget():
@@ -21,7 +22,8 @@ def test_frame_budget():
 
 
 def test_zero_bitrate_rejected():
-    assert CodecConfig(bitrate_bps=0).validate() == ["codec.bitrate_bps must be > 0"]
+    cfg = ScenarioConfig(codec=CodecConfig(bitrate_bps=0))
+    assert cfg.validate() == ["codec.bitrate_bps must be > 0"]
 
 
 def test_nominal_sizes_default_gop():

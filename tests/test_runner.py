@@ -75,6 +75,9 @@ def test_loopback_lossfree_short_run():
     assert mud_stats.latency_p50_ms > 0  # reported, not asserted against a bound
     # the granted receive buffer is reported; its size depends on rmem_max
     assert mud_stats.to_dict()["socket"]["rcvbuf_bytes"] == mud_stats.rcvbuf_bytes > 0
+    integrity = mud_stats.to_dict()["integrity"]
+    assert integrity["frag_count_mismatches"] == 0
+    assert integrity["duplicate_fragments"] == 0
 
 
 def test_wall_clock_step_drops_no_frame(monkeypatch):
@@ -98,6 +101,27 @@ def test_wall_clock_step_drops_no_frame(monkeypatch):
     assert len(frame0_fragments) > 2
     assert mud_stats.frames_dropped == 0
     assert mud_stats.frames_completed == host_stats.frames_sent
+
+
+def test_reassembler_rejects_are_reported(monkeypatch):
+    # every frame (16+ fragments here) is sent with its first fragment twice
+    # and once more claiming one fragment too many, before the rest arrive
+    fragment = dpp.fragment
+
+    def doctored(*args, **kwargs):
+        packets = fragment(*args, **kwargs)
+        first = packets[0]
+        bad_count = replace(first, frag_count=first.frag_count + 1)
+        return [first, first, bad_count, *packets[1:]]
+
+    monkeypatch.setattr(dpp, "fragment", doctored)
+    host_stats, mud_stats = _run_pair(*_pair(duration_s=0.5))
+    integrity = mud_stats.to_dict()["integrity"]
+    assert integrity["duplicate_fragments"] == host_stats.frames_sent > 0
+    assert integrity["frag_count_mismatches"] == host_stats.frames_sent
+    assert integrity["malformed_datagrams"] == 0
+    assert mud_stats.frames_completed == host_stats.frames_sent
+    assert mud_stats.pattern_mismatches == 0
 
 
 def test_handshake_timeout_without_peer():

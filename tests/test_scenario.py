@@ -1,12 +1,15 @@
 from dataclasses import asdict
+from operator import attrgetter
 
 import pytest
 
 from uvrpipe.netsim import LossModel
 from uvrpipe.scenario import (
+    KEYS,
     EncodeMode,
     ScenarioConfig,
     ScenarioError,
+    apply_kv,
     emit_scenario,
     parse_scenario,
     parse_scenario_text,
@@ -109,3 +112,70 @@ def test_nominal_iframe_over_the_fragment_limit_rejected():
     errors = cfg.validate()
     assert len(errors) == 1
     assert "65535-fragment limit" in errors[0]
+
+
+FLOAT_KEYS = [
+    key for key, (path, _bound) in KEYS.items()
+    if isinstance(attrgetter(path)(ScenarioConfig()), float)
+]
+
+
+def test_float_keys():
+    assert FLOAT_KEYS == [
+        "duration_s",
+        "workload.complexity_sigma",
+        "codec.rgb_inflation",
+        "channel.jitter_sigma_us",
+        "channel.loss_p",
+        "channel.ge_p_gb",
+        "channel.ge_p_bg",
+        "channel.ge_loss_good",
+        "channel.ge_loss_bad",
+    ]
+
+
+def _with(key, raw):
+    cfg = ScenarioConfig()
+    errors = []
+    apply_kv(cfg, key, raw, errors)
+    assert errors == []
+    return cfg
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_one_error(key, raw):
+    assert _with(key, raw).validate() == [f"{key} must be finite"]
+
+
+# per bound: a value just outside it, and the value on its closed edge
+EDGES = {
+    "> 0": ("0", "1"),
+    ">= 0": ("-1", "0"),
+    ">= 1": ("0", "1"),
+    "in [0, 1]": ("1.5", "0"),
+    "in (0, 1]": ("0", "1"),
+}
+
+
+@pytest.mark.parametrize("key", [key for key, (_path, bound) in KEYS.items() if bound])
+def test_each_bound_rejects_outside_and_accepts_its_edge(key):
+    bound = KEYS[key][1]
+    outside, edge = EDGES[bound]
+    assert _with(key, outside).validate() == [f"{key} must be {bound}"]
+    assert _with(key, edge).validate() == []
+
+
+def test_duration_below_one_microsecond_rejected():
+    errors = _with("duration_s", "1e-7").validate()
+    assert errors == ["duration_s must be at least 1 us, rounded to whole us"]
+    assert _with("duration_s", "1e-6").validate() == []
+
+
+def test_float_overflowing_nominal_iframe_rejected():
+    cfg = _with("codec.rgb_inflation", "1e308")
+    assert cfg.validate() == []  # YUV420: the inflation is not applied
+    cfg.toggles.transcode_avoidance = True
+    errors = cfg.validate()
+    assert len(errors) == 1
+    assert "fragment limit" in errors[0]
