@@ -23,6 +23,7 @@ from .scenario import (
     ScenarioConfig,
     ScenarioError,
     apply_kv,
+    bound_error,
     key_error,
     parse_scenario,
     preset_config,
@@ -166,6 +167,10 @@ def _parse_addr(raw: str, default_port: int) -> tuple[str, int]:
 def _runner_config(args) -> runner_mod.RunnerConfig:
     checks = (("duration_s", args.duration), ("codec.gop_size", args.gop), ("seed", args.seed))
     errors = [e for key, v in checks if v is not None and (e := key_error(key, v))]
+    # a mud-only flag that no scenario key owns; nan fails the range too
+    induced_loss = getattr(args, "induced_loss", 0.0)
+    if error := bound_error("--induced-loss", induced_loss, "in [0, 1]"):
+        errors.append(error)
     if errors:  # before any socket opens
         raise ScenarioError(errors)
     cfg = runner_mod.RunnerConfig()
@@ -176,8 +181,7 @@ def _runner_config(args) -> runner_mod.RunnerConfig:
     cfg.feedback_control = not args.no_feedback
     if args.gop is not None:
         cfg.codec = replace(cfg.codec, gop_size=args.gop)
-    if getattr(args, "induced_loss", None):
-        cfg.induced_loss = args.induced_loss
+    cfg.induced_loss = induced_loss
     return cfg
 
 

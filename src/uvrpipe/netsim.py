@@ -9,10 +9,28 @@ Senders acquire the medium for a whole frame burst at a time; the access
 point forwards the burst afterwards in arrival order. Lost packets still
 occupy the medium on the hop where they were transmitted.
 
-``transmit_burst`` walks a burst packet by packet (``_one_hop``) and is the
-general path. ``_burst_clean`` computes the same result in O(1) for a
-draw-free link, one whose channel has Bernoulli loss with ``loss_p == 0`` and
-no jitter, so that no random number is ever drawn:
+Two paths compute a burst. ``transmit_burst`` is the general one, and
+``transmit`` is a one-packet burst. Each hop draws its randomness in
+batches, one numpy call per stream, and then walks its packets over plain
+Python numbers:
+
+  * loss: ``2n`` uniforms for Gilbert-Elliott (a loss draw, then a
+    transition draw, per packet), ``n`` for Bernoulli with ``loss_p > 0``,
+    none for ``loss_p == 0``;
+  * jitter: one standard normal per packet the hop delivers, none when
+    ``jitter_sigma_us == 0``.
+
+The draw order is a contract, because reports are pinned byte for byte:
+per hop, the loss draws come in packet order and the jitter draws of the
+delivered packets follow; under INFRA, hop 2 covers only hop 1's survivors
+and all of its draws come after hop 1's. The loss and jitter streams are
+independent, so this is exactly what a per-packet walk with one scalar draw
+per value consumes; ``tests/test_lossy_burst.py`` keeps that walk as the
+reference.
+
+``_burst_clean`` is the draw-free fast path. It computes the same result in
+O(1) for a link whose channel has Bernoulli loss with ``loss_p == 0`` and no
+jitter, so that no random number is ever drawn:
 
 Each packet's transmission ends at ``end_k = max(req_k, end_{k-1}) + ser_k``
 (Lindley's recursion). A frame is ``n`` packets: ``n - 1`` full ones, then
@@ -92,55 +110,83 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
     return -(-(size_bytes * 8 * 1_000_000) // bandwidth_bps)
 
 
-def _lost(ch: ChannelModel, link: LinkState, rng: Optional[Rng]) -> bool:
+def _loss_flags(ch: ChannelModel, link: LinkState, n: int, rng: Optional[Rng]) -> list[bool]:
+    """Loss flags of ``n`` packets sent in order; steps the Gilbert-Elliott chain."""
     if ch.loss_model is LossModel.BERNOULLI:
         if ch.loss_p <= 0.0:
-            return False
-        return bool(rng.stream("loss").random() < ch.loss_p)
-    # Gilbert-Elliott: loss by current state, then advance the chain
-    stream = rng.stream("loss")
-    p = ch.ge_loss_bad if link.ge_bad else ch.ge_loss_good
-    lost = bool(stream.random() < p)
-    flip = ch.ge_p_bg if link.ge_bad else ch.ge_p_gb
-    if stream.random() < flip:
-        link.ge_bad = not link.ge_bad
-    return lost
+            return [False] * n
+        p = ch.loss_p
+        return [u < p for u in rng.stream("loss").random(n).tolist()]
+    # Gilbert-Elliott: per packet, loss by current state, then advance the chain
+    draws = rng.stream("loss").random(2 * n).tolist()
+    bad = link.ge_bad
+    loss_good, loss_bad = ch.ge_loss_good, ch.ge_loss_bad
+    p_gb, p_bg = ch.ge_p_gb, ch.ge_p_bg
+    flags = []
+    for i in range(0, 2 * n, 2):
+        if bad:
+            flags.append(draws[i] < loss_bad)
+            bad = draws[i + 1] >= p_bg
+        else:
+            flags.append(draws[i] < loss_good)
+            bad = draws[i + 1] < p_gb
+    link.ge_bad = bad
+    return flags
 
 
-def _jitter(ch: ChannelModel, rng: Optional[Rng]) -> int:
-    if ch.jitter_sigma_us <= 0.0:
-        return 0
-    # one-sided truncated normal: extra delay in [0, 3 sigma]
-    draw = abs(rng.stream("jitter").standard_normal()) * ch.jitter_sigma_us
-    return int(min(draw, 3.0 * ch.jitter_sigma_us))
-
-
-def _one_hop(
+def _hop(
     ch: ChannelModel,
     link: LinkState,
-    size: int,
-    request: SimTime,
+    sizes: list[int],
+    requests: list[SimTime],
     rng: Optional[Rng],
     final_hop: bool,
-) -> tuple[Optional[SimTime], SimTime]:
-    """Send one packet on one hop; returns (arrival or None if lost, tx_end)."""
-    ser = serialization_us(size, ch.bandwidth_bps)
-    start = request if request > link.busy_until else link.busy_until
-    end = start + ser
-    link.busy_until = end
-    link.busy_accum_us += ser
-    link.sent_packets += 1
-    link.sent_bytes += size
-    if _lost(ch, link, rng):
-        link.lost_packets += 1
-        return None, end
-    arrival = end + ch.prop_delay_us + _jitter(ch, rng)
-    if final_hop:
-        # receiver-side FIFO: jitter never reorders deliveries on a link
-        if arrival < link.last_arrival:
-            arrival = link.last_arrival
-        link.last_arrival = arrival
-    return arrival, end
+) -> list[Optional[SimTime]]:
+    """Send packets in order on one hop; returns arrivals, None where lost.
+
+    Packet k starts at ``max(requests[k], end of packet k-1)``. All loss
+    draws of the hop come first, then one jitter draw per delivered packet.
+    """
+    lost = _loss_flags(ch, link, len(sizes), rng)
+    delivered = lost.count(False)
+    sigma = ch.jitter_sigma_us
+    if sigma > 0.0 and delivered:
+        # one-sided truncated normal: extra delay in [0, 3 sigma]
+        cap = 3.0 * sigma
+        draws = rng.stream("jitter").standard_normal(delivered).tolist()
+        jitter = [int(min(abs(z) * sigma, cap)) for z in draws]
+    else:
+        jitter = [0] * delivered
+    # a burst repeats one full size: serialize each distinct size once
+    ser_of = {size: serialization_us(size, ch.bandwidth_bps) for size in set(sizes)}
+    prop = ch.prop_delay_us
+    busy = link.busy_until
+    last = link.last_arrival
+    busy_us = 0
+    j = 0
+    arrivals: list[Optional[SimTime]] = []
+    for size, request, is_lost in zip(sizes, requests, lost):
+        ser = ser_of[size]
+        busy = (request if request > busy else busy) + ser
+        busy_us += ser
+        if is_lost:
+            arrivals.append(None)
+            continue
+        arrival = busy + prop + jitter[j]
+        j += 1
+        if final_hop:
+            # receiver-side FIFO: jitter never reorders deliveries on a link
+            if arrival < last:
+                arrival = last
+            last = arrival
+        arrivals.append(arrival)
+    link.busy_until = busy
+    link.busy_accum_us += busy_us
+    link.last_arrival = last
+    link.sent_packets += len(sizes)
+    link.lost_packets += len(sizes) - delivered
+    link.sent_bytes += sum(sizes)
+    return arrivals
 
 
 def transmit(
@@ -148,17 +194,10 @@ def transmit(
 ) -> Optional[SimTime]:
     """Deliver one packet; returns the arrival time, or None when lost.
 
-    INFRA applies both hops back to back on the same link state.
+    A one-packet ``transmit_burst``: INFRA applies both hops back to back on
+    the same link state.
     """
-    if size_bytes > MAX_PACKET_BYTES:
-        raise OversizedPacket(f"{size_bytes} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
-    infra = ch.topology is Topology.INFRA
-    arrival, _ = _one_hop(ch, link, size_bytes, now, rng, final_hop=not infra)
-    if arrival is None:
-        return None
-    if infra:
-        arrival, _ = _one_hop(ch, link, size_bytes, arrival, rng, final_hop=True)
-    return arrival
+    return transmit_burst(ch, link, [size_bytes], now, rng)[0]
 
 
 def transmit_burst(
@@ -177,22 +216,18 @@ def transmit_burst(
     for size in sizes:
         if size > MAX_PACKET_BYTES:
             raise OversizedPacket(f"{size} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
-    infra = ch.topology is Topology.INFRA
-    first_hop: list[tuple[int, Optional[SimTime]]] = []
-    request = now
-    for size in sizes:
-        arrival, end = _one_hop(ch, link, size, request, rng, final_hop=not infra)
-        first_hop.append((size, arrival))
-        request = end
-    if not infra:
-        return [arrival for _, arrival in first_hop]
-    arrivals: list[Optional[SimTime]] = []
-    for size, hop1_arrival in first_hop:
-        if hop1_arrival is None:
-            arrivals.append(None)
-            continue
-        arrival, _ = _one_hop(ch, link, size, hop1_arrival, rng, final_hop=True)
-        arrivals.append(arrival)
+    if ch.topology is not Topology.INFRA:
+        return _hop(ch, link, sizes, [now] * len(sizes), rng, final_hop=True)
+    first_hop = _hop(ch, link, sizes, [now] * len(sizes), rng, final_hop=False)
+    survivors = [k for k, arrival in enumerate(first_hop) if arrival is not None]
+    if not survivors:
+        return first_hop
+    second_hop = _hop(
+        ch, link, [sizes[k] for k in survivors], [first_hop[k] for k in survivors], rng, True
+    )
+    arrivals: list[Optional[SimTime]] = [None] * len(sizes)
+    for k, arrival in zip(survivors, second_hop):
+        arrivals[k] = arrival
     return arrivals
 
 

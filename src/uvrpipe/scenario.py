@@ -153,9 +153,12 @@ def key_error(key: str, value: Any) -> Optional[str]:
     if _TYPES[key] is float and not math.isfinite(value):
         return f"{key} must be finite"
     bound = KEYS[key][1]
-    if bound is not None and not _IN_RANGE[bound](value):
-        return f"{key} must be {bound}"
-    return None
+    return None if bound is None else bound_error(key, value, bound)
+
+
+def bound_error(name: str, value: Any, bound: str) -> Optional[str]:
+    """``"<name> must be <bound>"`` if ``value`` is outside ``bound``, else None."""
+    return None if _IN_RANGE[bound](value) else f"{name} must be {bound}"
 
 
 def _parse(field_type: type, raw: str) -> Any:

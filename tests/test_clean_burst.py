@@ -1,4 +1,4 @@
-"""The closed-form clean burst against the per-packet walk it stands in for."""
+"""The closed-form clean burst against the general walk it stands in for."""
 
 from dataclasses import replace
 

@@ -94,11 +94,22 @@ def test_out_of_range_value_is_a_validation_error(override, capsys):
 )
 @pytest.mark.parametrize("role", ["host", "mud"])
 def test_runner_flags_validated_before_any_socket(role, flags, key, capsys, monkeypatch):
+    _assert_rejected_before_any_socket(["net", role, *flags], key, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("value", ["nan", "-3", "1.5"])
+def test_induced_loss_validated_before_any_socket(value, capsys, monkeypatch):
+    # a mud-only flag: nan used to pass and silently measure a loss-free link
+    argv = ["net", "mud", "--induced-loss", value]
+    _assert_rejected_before_any_socket(argv, "--induced-loss", capsys, monkeypatch)
+
+
+def _assert_rejected_before_any_socket(argv, key, capsys, monkeypatch):
     def no_socket(*args, **kwargs):
         raise AssertionError("a socket was opened")
 
     monkeypatch.setattr("uvrpipe.runner._open_socket", no_socket)
-    assert main(["net", role, *flags]) == 1
+    assert main(argv) == 1
     assert f"config error: {key} must be" in capsys.readouterr().err
 
 

@@ -40,6 +40,14 @@ def _ge_lossy():
     return cfg
 
 
+def _infra_lossy():
+    # INFRA: hop-2 loss draws and the jitter stream in a whole run
+    cfg = _preset("baseline", 11, 20.0)
+    cfg.channel.loss_p = 0.02
+    cfg.channel.jitter_sigma_us = 40.0
+    return cfg
+
+
 def _sync():
     cfg = _preset("baseline", 5, 20.0)
     cfg.encode_mode = EncodeMode.SYNC
@@ -50,6 +58,7 @@ RUNS = {
     "baseline": lambda: _preset("baseline", 42, 60.0),
     "openuvr": lambda: _preset("openuvr", 42, 60.0),
     "ge_lossy": _ge_lossy,
+    "infra_lossy": _infra_lossy,
     "sync": _sync,
     # one fragment of one frame lost in flight; every other frame is clean
     TRANSCRIPT_RUN: lambda: recovery_config(10_003, feedback=True),

@@ -1,0 +1,202 @@
+"""The batched lossy walk against the per-packet reference walk.
+
+The reference is the walk that the batched one replaced: it steps one packet
+at a time and makes each loss and jitter draw with its own scalar call. The
+loss and jitter streams are independent, so its per-packet interleaving
+consumes each stream in the order the ``uvrpipe.netsim`` module docstring
+promises: per hop, the loss draws in packet order, and the jitter draws of
+the delivered packets in packet order; under INFRA all of hop 2 (only hop
+1's survivors) after hop 1. The batched walk must give the same arrivals and
+the same ``LinkState``, and leave both streams at the same place.
+"""
+
+from dataclasses import replace
+from typing import Optional
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uvrpipe.core import Rng
+from uvrpipe.netsim import (
+    MAX_PACKET_BYTES,
+    ChannelModel,
+    LinkState,
+    LossModel,
+    Topology,
+    serialization_us,
+    transmit,
+    transmit_burst,
+)
+
+
+def _ref_lost(ch: ChannelModel, link: LinkState, rng: Rng) -> bool:
+    if ch.loss_model is LossModel.BERNOULLI:
+        if ch.loss_p <= 0.0:
+            return False
+        return bool(rng.stream("loss").random() < ch.loss_p)
+    # Gilbert-Elliott: loss by current state, then advance the chain
+    stream = rng.stream("loss")
+    p = ch.ge_loss_bad if link.ge_bad else ch.ge_loss_good
+    lost = bool(stream.random() < p)
+    flip = ch.ge_p_bg if link.ge_bad else ch.ge_p_gb
+    if stream.random() < flip:
+        link.ge_bad = not link.ge_bad
+    return lost
+
+
+def _ref_jitter(ch: ChannelModel, rng: Rng) -> int:
+    if ch.jitter_sigma_us <= 0.0:
+        return 0
+    draw = abs(rng.stream("jitter").standard_normal()) * ch.jitter_sigma_us
+    return int(min(draw, 3.0 * ch.jitter_sigma_us))
+
+
+def _ref_one_hop(ch, link, size, request, rng, final_hop):
+    """Send one packet on one hop; returns (arrival or None if lost, tx_end)."""
+    ser = serialization_us(size, ch.bandwidth_bps)
+    start = request if request > link.busy_until else link.busy_until
+    end = start + ser
+    link.busy_until = end
+    link.busy_accum_us += ser
+    link.sent_packets += 1
+    link.sent_bytes += size
+    if _ref_lost(ch, link, rng):
+        link.lost_packets += 1
+        return None, end
+    arrival = end + ch.prop_delay_us + _ref_jitter(ch, rng)
+    if final_hop:
+        if arrival < link.last_arrival:
+            arrival = link.last_arrival
+        link.last_arrival = arrival
+    return arrival, end
+
+
+def reference_transmit_burst(ch, link, sizes, now, rng) -> list[Optional[int]]:
+    infra = ch.topology is Topology.INFRA
+    first_hop = []
+    request = now
+    for size in sizes:
+        arrival, end = _ref_one_hop(ch, link, size, request, rng, final_hop=not infra)
+        first_hop.append((size, arrival))
+        request = end
+    if not infra:
+        return [arrival for _, arrival in first_hop]
+    arrivals = []
+    for size, hop1_arrival in first_hop:
+        if hop1_arrival is None:
+            arrivals.append(None)
+            continue
+        arrival, _ = _ref_one_hop(ch, link, size, hop1_arrival, rng, final_hop=True)
+        arrivals.append(arrival)
+    return arrivals
+
+
+def _next_draws(rng: Rng) -> tuple[float, float]:
+    return float(rng.stream("loss").random()), float(rng.stream("jitter").standard_normal())
+
+
+def _compare(ch, link, seed, calls):
+    """Run ``calls`` through both walks, each on its own copy of ``link``."""
+    fast, ref = replace(link), replace(link)
+    fast_rng, ref_rng = Rng(seed), Rng(seed)
+    for now, sizes, one_packet_call in calls:
+        if one_packet_call:
+            got = [transmit(ch, fast, sizes[0], now, fast_rng)]
+            sizes = sizes[:1]
+        else:
+            got = transmit_burst(ch, fast, sizes, now, fast_rng)
+        want = reference_transmit_burst(ch, ref, sizes, now, ref_rng)
+        assert got == want
+        assert fast == ref
+    assert _next_draws(fast_rng) == _next_draws(ref_rng)
+
+
+channels = st.builds(
+    ChannelModel,
+    bandwidth_bps=st.integers(1_000_000, 2_000_000_000),
+    prop_delay_us=st.integers(0, 5_000),
+    jitter_sigma_us=st.one_of(st.just(0.0), st.floats(0.1, 2_000.0)),
+    topology=st.sampled_from(Topology),
+    loss_model=st.sampled_from(LossModel),
+    loss_p=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    ge_p_gb=st.floats(0.0, 1.0),
+    ge_p_bg=st.floats(0.0, 1.0),
+    ge_loss_good=st.floats(0.0, 1.0),
+    ge_loss_bad=st.floats(0.0, 1.0),
+)
+links = st.builds(
+    LinkState,
+    busy_until=st.integers(0, 200_000),
+    last_arrival=st.integers(0, 400_000),
+    ge_bad=st.booleans(),
+)
+packet = st.integers(1, MAX_PACKET_BYTES)
+# each call: (send time, sizes, one_packet_call) -- one_packet_call uses ``transmit``
+calls = st.lists(
+    st.tuples(st.integers(0, 200_000), st.lists(packet, min_size=1, max_size=40), st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+GE = dict(loss_model=LossModel.GILBERT_ELLIOTT, ge_p_gb=0.3, ge_p_bg=0.3, ge_loss_bad=0.6)
+
+
+@settings(max_examples=600)
+@given(ch=channels, link=links, seed=st.integers(0, 2**32 - 1), calls=calls)
+# the FIFO clamp binds: a preset last arrival lies far beyond this burst
+@example(
+    ChannelModel(jitter_sigma_us=300.0, loss_p=0.2),
+    LinkState(last_arrival=400_000),
+    1,
+    [(0, [MAX_PACKET_BYTES] * 30, False)],
+)
+@example(
+    ChannelModel(topology=Topology.INFRA, jitter_sigma_us=50.0, **GE),
+    LinkState(last_arrival=300_000, ge_bad=True),
+    2,
+    [(0, [MAX_PACKET_BYTES] * 30, False), (10, [900], True)],
+)
+# one-packet bursts and interleaved transmit / transmit_burst on one link
+@example(
+    ChannelModel(topology=Topology.INFRA, loss_p=0.5, jitter_sigma_us=80.0),
+    LinkState(),
+    3,
+    [(0, [700], False), (5, [64], True), (5, [2_000, 3], False), (90_000, [1], True)],
+)
+@example(
+    ChannelModel(topology=Topology.P2P, jitter_sigma_us=20.0, **GE),
+    LinkState(),
+    4,
+    [(0, [1_500], True), (0, [MAX_PACKET_BYTES] * 12 + [400], False), (0, [64], True)],
+)
+# jitter on a loss-free channel: no loss draw at all, and draws beyond 2 sigma
+@example(
+    ChannelModel(topology=Topology.INFRA, jitter_sigma_us=500.0),
+    LinkState(),
+    6,
+    [(0, [MAX_PACKET_BYTES] * 40, False), (0, [64], True)],
+)
+# every packet lost on hop 1: hop 2 draws nothing
+@example(
+    ChannelModel(topology=Topology.INFRA, loss_p=1.0, jitter_sigma_us=10.0),
+    LinkState(),
+    5,
+    [(0, [MAX_PACKET_BYTES] * 5, False), (0, [100], True)],
+)
+def test_batched_walk_equals_reference(ch, link, seed, calls):
+    _compare(ch, link, seed, calls)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 120.0])
+@pytest.mark.parametrize("topology", Topology)
+@pytest.mark.parametrize("loss", [dict(loss_p=0.05), GE], ids=["bernoulli", "gilbert_elliott"])
+def test_every_channel_kind(loss, topology, jitter):
+    # an I-frame-sized burst whose first arrivals the preset FIFO clamp holds
+    # back, a control packet, then a P-frame-sized burst
+    ch = ChannelModel(topology=topology, jitter_sigma_us=jitter, **loss)
+    link = LinkState(busy_until=1_000, last_arrival=1_900, ge_bad=True)
+    full = [MAX_PACKET_BYTES] * 80 + [1_248]
+    calls = [(0, full, False), (500, [64], True), (16_667, full[:19], False)]
+    for seed in range(8):
+        _compare(ch, link, seed, calls)
