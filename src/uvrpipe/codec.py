@@ -12,6 +12,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .core import ColorSpace, SimTime, round_half_up
 
 
@@ -88,11 +90,35 @@ def encoded_size(
     if complexity <= 0:
         raise ValueError("complexity must be > 0")
     s_i, s_p = nominal if nominal is not None else nominal_sizes(cfg)
-    scaled = float(s_i if frame_type is FrameType.I else s_p) * complexity
-    if effective_color_space(cfg) is ColorSpace.RGB:
-        scaled *= cfg.rgb_inflation
-    size = int(scaled + 0.5)
+    size = int(_half_up_point(float(s_i if frame_type is FrameType.I else s_p), cfg, complexity))
     return size if size > 0 else 1
+
+
+def encoded_sizes(
+    is_iframe: np.ndarray, cfg: CodecConfig, complexity: np.ndarray, nominal: tuple[int, int]
+) -> Optional[np.ndarray]:
+    """``encoded_size`` of many frames at once, as int64.
+
+    Returns None when ``encoded_size`` would raise for some frame: a
+    complexity <= 0, or a size past the int64 range.
+    """
+    s_i, s_p = nominal
+    points = _half_up_point(np.where(is_iframe, float(s_i), float(s_p)), cfg, complexity)
+    if not ((complexity > 0) & (points < 2.0**63)).all():
+        return None
+    return np.maximum(points.astype(np.int64), 1)
+
+
+def _half_up_point(nominal_bytes, cfg: CodecConfig, complexity):
+    """``nominal * complexity`` (RGB-inflated) plus 0.5: truncated, it rounds half-up.
+
+    Plain float arithmetic, so a float64 array of frames gets the same bits
+    as one frame at a time.
+    """
+    scaled = nominal_bytes * complexity
+    if effective_color_space(cfg) is ColorSpace.RGB:
+        scaled = scaled * cfg.rgb_inflation
+    return scaled + 0.5
 
 
 class DecodeServer:

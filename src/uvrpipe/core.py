@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -41,6 +41,17 @@ def tick_time(index: int, fps: int) -> SimTime:
     return (2 * US_PER_S * index + fps) // (2 * fps)
 
 
+def frame_ticks(fps: int, duration_us: SimTime) -> np.ndarray:
+    """Times of every grid tick strictly before duration_us; tick i at index i.
+
+    ``tick_time`` is integer-only, so it evaluates the whole grid as int64.
+    Index ``duration_us * fps // US_PER_S + 1`` already lies at or past the
+    end, so the range below covers every earlier tick.
+    """
+    ticks = tick_time(np.arange(duration_us * fps // US_PER_S + 2, dtype=np.int64), fps)
+    return ticks[ticks < duration_us]
+
+
 class Rng:
     """Seeded random source with named, independently-derived substreams.
 
@@ -64,12 +75,17 @@ class Rng:
     def stream(self, name: str) -> np.random.Generator:
         return self._gens[name]
 
-    def lognormal_complexity(self, sigma: float) -> float:
+    def lognormal_complexity(self, sigma: float, n: Optional[int] = None):
+        """One content complexity, or an array of ``n`` from one batched draw.
+
+        The batch equals ``n`` scalar calls bit for bit and leaves the
+        workload stream at the same place.
+        """
+        z = self._gens["workload"].standard_normal(n)
         if sigma == 0.0:
-            # degenerate distribution; draw anyway to keep streams aligned
-            self._gens["workload"].standard_normal()
-            return 1.0
-        return float(np.exp(sigma * self._gens["workload"].standard_normal()))
+            # degenerate distribution; the draw above keeps streams aligned
+            return 1.0 if n is None else np.ones(n)
+        return float(np.exp(sigma * z)) if n is None else np.exp(sigma * z)
 
 
 class EventQueue:
@@ -147,13 +163,3 @@ class FrameSource:
         self._next_id += 1
         return frame
 
-
-def frame_ticks(fps: int, duration_us: SimTime) -> Iterator[tuple[int, SimTime]]:
-    """Yield (index, time) for every grid tick strictly before duration_us."""
-    i = 0
-    while True:
-        t = tick_time(i, fps)
-        if t >= duration_us:
-            return
-        yield i, t
-        i += 1

@@ -128,9 +128,16 @@ def fragment_layout(size_bytes: int, payload_cap: int = PAYLOAD_CAP) -> tuple[in
     """
     if size_bytes < 1:
         raise FragmentationError("cannot fragment an empty frame")
-    count = -(-size_bytes // payload_cap)
+    count, tail = unchecked_layout(size_bytes, payload_cap)
     if count > MAX_FRAGS:
         raise FragmentationError(f"{count} fragments overflow the 16-bit fragment counter")
+    return count, tail
+
+
+def unchecked_layout(size_bytes, payload_cap: int = PAYLOAD_CAP):
+    """``fragment_layout`` without its checks: plain integer arithmetic, so it
+    also lays out an int64 array of frame sizes at once."""
+    count = -(-size_bytes // payload_cap)
     return count, size_bytes - payload_cap * (count - 1)
 
 
@@ -366,13 +373,7 @@ class Reassembler:
         Equivalent to per-fragment calls except that the drop sweep runs once,
         at the first arrival of the burst.
         """
-        first_now = fragments[0][0]
-        pend = self._pending.get(frame_id)
-        if len(fragments) == frag_count and (pend is None or pend.first_arrival is None):
-            return self.on_whole_frame(
-                first_now, fragments[-1][0], frame_id, is_iframe, forced, gen_timestamp_us
-            )
-        events: list[ReassemblyEvent] = list(self._note_frame(first_now, frame_id))
+        events: list[ReassemblyEvent] = list(self._note_frame(fragments[0][0], frame_id))
         for now, frag_index in fragments:
             ingested = self._ingest(
                 now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us

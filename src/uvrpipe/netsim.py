@@ -54,6 +54,10 @@ would land earlier. The walk's arrivals rise with k, so the clamp binds
 somewhere only if it binds on the first arrival; then ``_burst_clean``
 returns None without touching the link and the caller takes the walk, as it
 does for every channel that draws.
+
+``clean_run`` evaluates the same closed form for a whole run of frames at
+once, over int64 arrays; across frames the link is Lindley's recursion
+again, one frame per step, unrolled into one running maximum.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .core import Rng, SimTime
 
@@ -111,14 +117,22 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
 
 
 def _loss_flags(ch: ChannelModel, link: LinkState, n: int, rng: Optional[Rng]) -> list[bool]:
-    """Loss flags of ``n`` packets sent in order; steps the Gilbert-Elliott chain."""
+    """Loss flags of ``n`` packets sent in order; steps the Gilbert-Elliott chain.
+
+    One packet (every control message) takes scalar draws: the same values
+    as a batch of one, without the array round trip.
+    """
     if ch.loss_model is LossModel.BERNOULLI:
         if ch.loss_p <= 0.0:
             return [False] * n
         p = ch.loss_p
-        return [u < p for u in rng.stream("loss").random(n).tolist()]
+        stream = rng.stream("loss")
+        if n == 1:
+            return [stream.random() < p]
+        return [u < p for u in stream.random(n).tolist()]
     # Gilbert-Elliott: per packet, loss by current state, then advance the chain
-    draws = rng.stream("loss").random(2 * n).tolist()
+    stream = rng.stream("loss")
+    draws = [stream.random(), stream.random()] if n == 1 else stream.random(2 * n).tolist()
     bad = link.ge_bad
     loss_good, loss_bad = ch.ge_loss_good, ch.ge_loss_bad
     p_gb, p_bg = ch.ge_p_gb, ch.ge_p_bg
@@ -153,20 +167,24 @@ def _hop(
     if sigma > 0.0 and delivered:
         # one-sided truncated normal: extra delay in [0, 3 sigma]
         cap = 3.0 * sigma
-        draws = rng.stream("jitter").standard_normal(delivered).tolist()
+        stream = rng.stream("jitter")
+        if delivered == 1:
+            draws = [stream.standard_normal()]
+        else:
+            draws = stream.standard_normal(delivered).tolist()
         jitter = [int(min(abs(z) * sigma, cap)) for z in draws]
     else:
         jitter = [0] * delivered
-    # a burst repeats one full size: serialize each distinct size once
-    ser_of = {size: serialization_us(size, ch.bandwidth_bps) for size in set(sizes)}
     prop = ch.prop_delay_us
     busy = link.busy_until
     last = link.last_arrival
     busy_us = 0
     j = 0
     arrivals: list[Optional[SimTime]] = []
+    ser_size = None
     for size, request, is_lost in zip(sizes, requests, lost):
-        ser = ser_of[size]
+        if size != ser_size:  # a burst repeats one full size: serialize it once
+            ser, ser_size = serialization_us(size, ch.bandwidth_bps), size
         busy = (request if request > busy else busy) + ser
         busy_us += ser
         if is_lost:
@@ -197,7 +215,13 @@ def transmit(
     A one-packet ``transmit_burst``: INFRA applies both hops back to back on
     the same link state.
     """
-    return transmit_burst(ch, link, [size_bytes], now, rng)[0]
+    if size_bytes > MAX_PACKET_BYTES:
+        raise OversizedPacket(f"{size_bytes} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
+    infra = ch.topology is Topology.INFRA
+    (arrival,) = _hop(ch, link, [size_bytes], [now], rng, final_hop=not infra)
+    if infra and arrival is not None:
+        (arrival,) = _hop(ch, link, [size_bytes], [arrival], rng, final_hop=True)
+    return arrival
 
 
 def transmit_burst(
@@ -231,6 +255,35 @@ def transmit_burst(
     return arrivals
 
 
+def _clean_shape(ch: ChannelModel, count, full_size, tail_size):
+    """A clean burst's first arrival and busy end, as offsets from its start,
+    and the busy time it adds per hop.
+
+    Plain integer arithmetic, so it also evaluates int64 arrays of frames
+    at once (``clean_run``).
+    """
+    prop = ch.prop_delay_us
+    ser_full = serialization_us(full_size, ch.bandwidth_bps)
+    ser_tail = serialization_us(tail_size, ch.bandwidth_bps)
+    # the first packet is a full one unless the tail is all there is
+    ser_first = ser_tail + (count > 1) * (ser_full - ser_tail)
+    total = (count - 1) * ser_full + ser_tail
+    if ch.topology is not Topology.INFRA:
+        return ser_first + prop, total, total
+    larger = np.maximum if isinstance(total, np.ndarray) else max
+    peak = larger(ser_tail, ser_first)
+    first = ser_first + larger(total, prop + ser_first) + prop
+    return first, total + larger(total, prop + peak), total
+
+
+def _account_clean(ch: ChannelModel, link: LinkState, busy_us: int, packets: int, nbytes: int):
+    """Add clean bursts' busy time, packets and bytes (per hop) to ``link``."""
+    hops = 2 if ch.topology is Topology.INFRA else 1
+    link.busy_accum_us += hops * busy_us
+    link.sent_packets += hops * packets
+    link.sent_bytes += hops * nbytes
+
+
 def _burst_clean(
     ch: ChannelModel,
     link: LinkState,
@@ -246,33 +299,75 @@ def _burst_clean(
     the channel draws or the receiver FIFO clamp binds (see the module
     docstring); the caller then takes ``transmit_burst``.
     """
-    if ch.loss_model is not LossModel.BERNOULLI or ch.loss_p > 0.0 or ch.jitter_sigma_us > 0.0:
+    if not draw_free(ch):
         return None
     if full_size > MAX_PACKET_BYTES or tail_size > MAX_PACKET_BYTES:
         raise OversizedPacket(f"packets exceed the {MAX_PACKET_BYTES}-byte limit")
-    prop = ch.prop_delay_us
-    ser_full = serialization_us(full_size, ch.bandwidth_bps)
-    ser_tail = serialization_us(tail_size, ch.bandwidth_bps)
-    ser_first = ser_full if count > 1 else ser_tail
-    total = (count - 1) * ser_full + ser_tail
+    first_off, busy_off, total = _clean_shape(ch, count, full_size, tail_size)
     start = now if now > link.busy_until else link.busy_until
-    if ch.topology is Topology.INFRA:
-        peak = ser_tail if ser_tail > ser_first else ser_first
-        first = start + ser_first + max(total, prop + ser_first) + prop
-        last = start + total + max(total, prop + peak) + prop
-        hops = 2
-    else:
-        first = start + ser_first + prop
-        last = start + total + prop
-        hops = 1
+    first = start + first_off
     if first < link.last_arrival:
         return None
-    link.busy_until = last - prop
-    link.busy_accum_us += hops * total
-    link.sent_packets += hops * count
-    link.sent_bytes += hops * ((count - 1) * full_size + tail_size)
-    link.last_arrival = last
-    return first, last
+    link.busy_until = start + busy_off
+    link.last_arrival = link.busy_until + ch.prop_delay_us
+    _account_clean(ch, link, total, count, (count - 1) * full_size + tail_size)
+    return first, link.last_arrival
+
+
+def clean_run(
+    ch: ChannelModel, link: LinkState, count: np.ndarray, tail_size: np.ndarray, now: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_burst_clean`` for a run of frames at once, each of ``count - 1``
+    full packets (``MAX_PACKET_BYTES``) and a tail, requested at ``now``.
+
+    Returns int64 arrays (start, first arrival, last arrival) and updates
+    ``link`` as the per-frame calls would. Across frames the link is the
+    Lindley recursion ``busy_i = max(now_i, busy_{i-1}) + T_i``, where
+    ``T_i`` is frame i's busy offset; with ``C = cumsum(T)`` it unrolls to
+    ``busy_i = C_i + max(busy_until, max_{k<=i} (now_k - C_{k-1}))``, one
+    running maximum. Returns None and leaves ``link`` untouched when the
+    channel draws, a tail is oversized, a time could outgrow int64 (a link
+    of a few bits per second), or the FIFO clamp binds on some frame; the
+    caller then takes the per-frame path, whose Python ints do not wrap.
+    """
+    if not draw_free(ch):
+        return None
+    if not len(count):
+        return count, count, count
+    first_off, busy_off, total = _clean_shape(ch, count, MAX_PACKET_BYTES, tail_size)
+    # every time below is at most this; the margin leaves room for the
+    # caller's fixed per-frame offsets
+    horizon = (
+        max(int(now.max()), link.busy_until)
+        + int(busy_off.max()) * len(busy_off)
+        + ch.prop_delay_us
+    )
+    if tail_size.max() > MAX_PACKET_BYTES or horizon >= 2**62:
+        return None
+    cum = np.cumsum(busy_off)
+    lead = np.maximum.accumulate(now - (cum - busy_off))
+    busy = cum + np.maximum(lead, link.busy_until)
+    start = busy - busy_off
+    first = start + first_off
+    last = busy + ch.prop_delay_us
+    if first[0] < link.last_arrival or (first[1:] < last[:-1]).any():
+        return None
+    link.busy_until = int(busy[-1])
+    link.last_arrival = int(last[-1])
+    _account_clean(
+        ch,
+        link,
+        int(total.sum()),
+        int(count.sum()),
+        int(((count - 1) * MAX_PACKET_BYTES + tail_size).sum()),
+    )
+    return start, first, last
+
+
+def draw_free(ch: ChannelModel) -> bool:
+    """True when a burst on ``ch`` draws no random number: Bernoulli loss with
+    ``loss_p == 0`` and no jitter."""
+    return ch.loss_model is LossModel.BERNOULLI and ch.loss_p <= 0.0 and ch.jitter_sigma_us <= 0.0
 
 
 def link_occupancy(link: LinkState, window_us: int) -> float:

@@ -4,16 +4,36 @@ One simulated frame flows: render tick -> encode (GOP plan + sizing) ->
 host network stack -> fragment burst on the air -> reassembly at the
 receiver -> rate-capped decode -> presentation. Dropped-frame feedback runs
 against the same clock over the same (shared) medium.
+
+A run is computed in one of two ways, with the same result:
+
+  * The event loop (``Simulator._run_events``), the general one: render,
+    sample, burst, deadline and feedback events on one heap.
+  * The array run (``Simulator._run_arrays``), for a draw-free run:
+    Bernoulli loss at ``loss_p == 0``, no jitter, no fault frame and no
+    transcript. Nothing is lost, so no frame drops, no feedback is sent
+    and every frame follows the GOP schedule; ticks, complexities, sizes,
+    fragment layouts and the link (``netsim.clean_run``) are whole-run
+    numpy arrays, and only the decoder's token bucket is a loop. When a
+    precondition fails on the arrays (the receiver's FIFO clamp binds, a
+    frame exceeds the fragment limit, a time could outgrow int64), it
+    leaves the rng and the link as they were and the event loop runs.
+
+``tests/test_array_run.py`` keeps the event loop as the array run's reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Optional
+
+import numpy as np
 
 from . import cp as cp_mod
 from . import dpp, netsim
-from .codec import DecodeServer, FrameType, GopWalker, encoded_size, nominal_sizes
+from .codec import DecodeServer, FrameType, GopWalker, encoded_size, encoded_sizes, nominal_sizes
 from .core import (
     ColorSpace,
     EventQueue,
@@ -34,15 +54,25 @@ from .stages import (
     ledger_frame_copies,
 )
 
-STAGE_ORDER = (
-    "sampler-wait",
-    "encode-path",
-    "host-netstack",
-    "network",
-    "decode-wait",
-    "mud",
-    "presentation",
+# the FrameRecord fields that ``Simulator._metrics`` reads, as columns
+_COLUMNS = (
+    "gen_us",
+    "encoded_us",
+    "net_us",
+    "queue_wait_us",
+    "presented_us",
+    "size_bytes",
+    "dropped",
+    "corrupted",
 )
+
+
+def _column(records: list[FrameRecord], name: str) -> np.ndarray:
+    values = list(map(attrgetter(name), records))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # times past int64 on a link of a few bits per second
+        return np.array(values, dtype=object)
 
 
 @dataclass
@@ -144,18 +174,27 @@ class Simulator:
             return None
         return delivered[0][0], delivered[-1][0], delivered if len(delivered) < count else None
 
+    def _sync_sends(self, index):
+        """Whether SYNC encodes render tick ``index`` (an int or an int64 array).
+
+        Decimates to the codec rate when rendering faster than it; at or
+        below the codec rate every tick's codec slot differs from the next.
+        """
+        fps, render_fps = self.codec_cfg.fps, self.cfg.render_fps
+        return index * fps // render_fps != (index + 1) * fps // render_fps
+
+    def _sync_overrun(self, index, t):
+        """Whether rendering plus encoding overruns the period of tick ``index`` at ``t``."""
+        period = tick_time(index + 1, self.cfg.render_fps) - t
+        return self.cfg.render_work_us + self.graph.encode_path_us > period
+
     def _handle_render(self, t: SimTime, index: int) -> None:
         raw = self.source.next_frame(t)
         self._rendered += 1
         if self.cfg.encode_mode is EncodeMode.SYNC:
-            # decimate to the codec rate when rendering faster than it
-            if self.cfg.render_fps <= self.codec_cfg.fps or (
-                index * self.codec_cfg.fps // self.cfg.render_fps
-                != (index + 1) * self.codec_cfg.fps // self.cfg.render_fps
-            ):
+            if self._sync_sends(index):
                 self._encode_and_send(t, raw)
-                period = tick_time(index + 1, self.cfg.render_fps) - t
-                if self.cfg.render_work_us + self.graph.encode_path_us > period:
+                if self._sync_overrun(index, t):
                     self._sync_overruns += 1
         else:
             self._latest_raw = raw
@@ -234,16 +273,111 @@ class Simulator:
             self._handle_cp(t, event[1])
 
     def run(self) -> SimResult:
+        """Simulate the scenario: as arrays when the run is draw-free, else event by event."""
+        if self._draw_free():
+            result = self._run_arrays()
+            if result is not None:
+                return result
+        return self._run_events()
+
+    def _draw_free(self) -> bool:
+        """Whether the array run applies: no random number is drawn on the
+        channel or for a fault, and no event transcript is wanted."""
+        return (
+            netsim.draw_free(self.channel)
+            and self.cfg.fault_drop_frame_id < 0
+            and self.transcript is None
+        )
+
+    def _run_events(self) -> SimResult:
         duration_us = self.cfg.duration_us
-        for i, t in frame_ticks(self.cfg.render_fps, duration_us):
+        for i, t in enumerate(frame_ticks(self.cfg.render_fps, duration_us).tolist()):
             self.queue.schedule(t, ("render", i))
         if self.cfg.encode_mode is EncodeMode.ASYNC:
-            for i, t in frame_ticks(self.codec_cfg.fps, duration_us):
+            for i, t in enumerate(frame_ticks(self.codec_cfg.fps, duration_us).tolist()):
                 self.queue.schedule(t, ("sample", i))
         self.queue.run(self._dispatch)
         self._mark_corruption()
+        return self._result({name: _column(self.records, name) for name in _COLUMNS})
+
+    def _run_arrays(self) -> Optional[SimResult]:
+        """The whole draw-free run as numpy arrays; None, with nothing drawn or
+        changed, when a precondition fails and the event loop must run it.
+
+        Every frame arrives whole, so the receiver never drops one and no
+        feedback is sent: each frame is I exactly on its GOP schedule, and
+        only the decoder's token bucket needs a loop.
+        """
+        cfg, g = self.cfg, self.graph
+        render = frame_ticks(cfg.render_fps, cfg.duration_us)
+        workload = self.rng.stream("workload").bit_generator
+        drawn_from = workload.state
+        complexity = self.rng.lognormal_complexity(cfg.workload.complexity_sigma, len(render))
+        if cfg.encode_mode is EncodeMode.SYNC:
+            source = np.flatnonzero(self._sync_sends(np.arange(len(render))))
+            send = render[source]
+        else:
+            # the latest render at or before each sample; on a tie the render runs first
+            samples = frame_ticks(self.codec_cfg.fps, cfg.duration_us)
+            latest = np.searchsorted(render, samples, side="right") - 1
+            fresh = np.diff(latest, prepend=-1) > 0
+            source, send = latest[fresh], samples[fresh]
+        is_iframe = np.arange(len(source)) % self.codec_cfg.gop_size == 0
+        sizes = encoded_sizes(is_iframe, self.codec_cfg, complexity[source], self.nominal_sizes)
+        sent = None
+        if sizes is not None:
+            count, tail = dpp.unchecked_layout(sizes)
+            if not len(count) or count.max() <= dpp.MAX_FRAGS:
+                encoded = send + g.encode_path_us
+                request = encoded + g.host_netstack_us
+                sent = netsim.clean_run(self.channel, self.link, count, dpp.HEADER_LEN + tail, request)
+        if sent is None:
+            workload.state = drawn_from
+            return None
+        start, _first, last = sent
+
+        net_done = last + g.link_fixed_us
+        offer = self.decoder.offer
+        decode_start = np.array([offer(t)[0] for t in net_done.tolist()], dtype=np.int64)
+        presented = decode_start + g.mud_service_us + g.residual_us
+        columns = {
+            "gen_us": render[source],
+            "encoded_us": encoded,
+            "net_us": net_done - request,
+            "queue_wait_us": decode_start - net_done,
+            "presented_us": presented,
+            "size_bytes": sizes,
+            "dropped": np.zeros(len(sizes), dtype=np.int64),
+            "corrupted": np.zeros(len(sizes), dtype=np.int64),
+        }
+        self._rendered = len(render)
+        if cfg.encode_mode is EncodeMode.SYNC:
+            self._sync_overruns = int(self._sync_overrun(source, send).sum())
+        n = len(sizes)
+        self.records = list(
+            map(
+                FrameRecord,
+                range(n),
+                np.where(is_iframe, FrameType.I.value, FrameType.P.value).tolist(),
+                repeat(False, n),
+                columns["gen_us"].tolist(),
+                encoded.tolist(),
+                start.tolist(),
+                last.tolist(),
+                decode_start.tolist(),
+                presented.tolist(),
+                repeat(False, n),
+                repeat(False, n),
+                sizes.tolist(),
+                columns["queue_wait_us"].tolist(),
+                columns["net_us"].tolist(),
+            )
+        )
+        return self._result(columns)
+
+    def _result(self, columns: dict[str, np.ndarray]) -> SimResult:
         return SimResult(
-            metrics=self._metrics(),
+            metrics=self._metrics(columns),
             records=self.records,
             graph=self.graph,
             transcript=self.transcript,
@@ -260,32 +394,34 @@ class Simulator:
                 elif broken:
                     rec.corrupted = True
 
-    def _metrics(self) -> MetricsReport:
+    def _metrics(self, col: dict[str, np.ndarray]) -> MetricsReport:
+        """The run's report from its per-frame ``_COLUMNS``, one array each."""
         cfg = self.cfg
         g = self.graph
-        presented = [r for r in self.records if r.presented_us >= 0]
-        dropped = sum(1 for r in self.records if r.dropped)
-        corrupted = sum(1 for r in presented if r.corrupted)
-        unresolved = sum(1 for r in self.records if not r.dropped and r.presented_us < 0)
+        shown = col["presented_us"] >= 0
+        n_presented = int(shown.sum())
+        dropped = int(col["dropped"].sum())
+        corrupted = int(col["corrupted"][shown].sum())
+        unresolved = int(((col["dropped"] == 0) & ~shown).sum())
 
-        per_stage: dict[str, list[int]] = {name: [] for name in STAGE_ORDER}
-        e2e: list[int] = []
-        for r in presented:
-            e2e.append(r.presented_us - r.gen_us)
-            per_stage["sampler-wait"].append(r.encoded_us - g.encode_path_us - r.gen_us)
-            per_stage["encode-path"].append(g.encode_path_us)
-            per_stage["host-netstack"].append(g.host_netstack_us)
-            per_stage["network"].append(r.net_us)
-            per_stage["decode-wait"].append(r.queue_wait_us)
-            per_stage["mud"].append(g.mud_service_us)
-            per_stage["presentation"].append(g.residual_us)
-        if not any(per_stage["sampler-wait"]):
+        gen = col["gen_us"][shown]
+        per_stage = {
+            "sampler-wait": col["encoded_us"][shown] - g.encode_path_us - gen,
+            "encode-path": np.full(n_presented, g.encode_path_us),
+            "host-netstack": np.full(n_presented, g.host_netstack_us),
+            "network": col["net_us"][shown],
+            "decode-wait": col["queue_wait_us"][shown],
+            "mud": np.full(n_presented, g.mud_service_us),
+            "presentation": np.full(n_presented, g.residual_us),
+        }
+        if not per_stage["sampler-wait"].any():
             del per_stage["sampler-wait"]
         if g.residual_us == 0:
             del per_stage["presentation"]
 
-        stages, e2e_dist = build_distributions(per_stage, e2e)
-        sent_bytes = sum(r.size_bytes for r in self.records)
+        stages, e2e_dist = build_distributions(per_stage, col["presented_us"][shown] - gen)
+        sent_bytes = int(col["size_bytes"].sum())
+        sent = len(col["size_bytes"])
         duration_s = cfg.duration_s
         mech_sent = self.link.sent_packets
         network = {
@@ -313,13 +449,12 @@ class Simulator:
             "raw_copy_bytes_per_frame": raw_copy_per_frame,
             "encoded_copy_bytes_total": encoded_copy_total,
             "host_copied_bytes_total": encoded_copy_total
-            + raw_copy_per_frame * len(self.records),
+            + raw_copy_per_frame * sent,
         }
-        sent = len(self.records)
         frames = {
             "rendered": self._rendered,
             "sent": sent,
-            "presented": len(presented),
+            "presented": n_presented,
             "dropped": dropped,
             "corrupted": corrupted,
             "forced_i": self.host_fb.forced_count,
@@ -327,7 +462,7 @@ class Simulator:
             if cfg.encode_mode is EncodeMode.ASYNC
             else 0,
             "dropped_rate": round(dropped / sent, 6) if sent else 0.0,
-            "corrupted_rate": round(corrupted / len(presented), 6) if presented else 0.0,
+            "corrupted_rate": round(corrupted / n_presented, 6) if n_presented else 0.0,
         }
         feedback = {
             "iframe_requests_sent": self.mud_fb.requests_sent,
@@ -337,7 +472,7 @@ class Simulator:
         sync = None
         if cfg.encode_mode is EncodeMode.SYNC:
             # every encode task takes the datapath's encode-path time
-            mean_task = g.encode_path_us if self.records else 0.0
+            mean_task = g.encode_path_us if sent else 0.0
             sync = {
                 "task_time_mean_ms": round(mean_task / 1000.0, 4),
                 "render_work_ms": round(cfg.render_work_us / 1000.0, 4),

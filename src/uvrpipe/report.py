@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,8 +77,8 @@ def write_trace(records: list[FrameRecord], path: Union[str, Path]) -> None:
             fh.write(rec.trace_row() + "\n")
 
 
-def _dist_ms(values_us: list[int]) -> dict[str, float]:
-    if not values_us:
+def _dist_ms(values_us: Sequence[int]) -> dict[str, float]:
+    if len(values_us) == 0:
         return {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
     arr = np.asarray(values_us, dtype=np.float64) / 1000.0
     return {
@@ -121,7 +121,7 @@ class MetricsReport:
 
 
 def build_distributions(
-    per_stage_us: dict[str, list[int]], e2e_us: list[int]
+    per_stage_us: dict[str, Sequence[int]], e2e_us: Sequence[int]
 ) -> tuple[dict[str, dict[str, float]], dict[str, float]]:
     stages = {name: _dist_ms(vals) for name, vals in per_stage_us.items()}
     e2e = _dist_ms(e2e_us)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from uvrpipe.core import (
@@ -97,3 +98,18 @@ def test_rng_streams_deterministic_and_distinct():
     assert a == b
     assert a != c
     assert a != d
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.15, 0.5, 1.0, 3.0])
+def test_batched_complexities_equal_scalar_draws(sigma):
+    # The array run draws a whole run's complexities in one call. Its reports
+    # stay byte-identical only if numpy's vectorized exp gives the bits of
+    # one scalar call per frame, at every batch length.
+    for n in (1, 7, 20_000):
+        scalar_rng, batch_rng = Rng(11), Rng(11)
+        scalar = np.array([scalar_rng.lognormal_complexity(sigma) for _ in range(n)])
+        batch = np.exp(sigma * batch_rng.stream("workload").standard_normal(n))
+        assert batch.tobytes() == scalar.tobytes()
+        assert Rng(11).lognormal_complexity(sigma, n).tobytes() == scalar.tobytes()
+        # and both leave the workload stream at the same place
+        assert batch_rng.lognormal_complexity(sigma) == scalar_rng.lognormal_complexity(sigma)

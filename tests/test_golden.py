@@ -18,7 +18,7 @@ from uvrpipe.codec import CodecConfig, effective_color_space
 from uvrpipe.core import ColorSpace, raw_frame_bytes
 from uvrpipe.experiments import recovery_config
 from uvrpipe.netsim import ChannelModel, LossModel
-from uvrpipe.pipeline import ab_suite, run_scenario
+from uvrpipe.pipeline import Simulator, ab_suite, run_scenario
 from uvrpipe.report import report_file_dict, strip_meta
 from uvrpipe.scenario import EncodeMode, preset_config
 from uvrpipe.stages import TOGGLE_NAMES, OptimizationToggles, build_datapath, ledger_frame_copies
@@ -130,6 +130,15 @@ def test_report_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_output_matches_golden(name):
     assert PINNED[name]() == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_run_takes_the_expected_path(name):
+    # the draw-free runs (and the A/B suite, on baseline) pin the array run;
+    # the lossy, jittered and fault runs pin the event loop
+    sim = Simulator(RUNS[name](), collect_transcript=name == TRANSCRIPT_RUN)
+    takes_arrays = sim._draw_free() and sim._run_arrays() is not None
+    assert takes_arrays == (name in {"baseline", "openuvr", "sync"})
 
 
 def test_fault_drop_run_mixes_lost_and_whole_frames():
