@@ -8,10 +8,18 @@ Wire format (23-byte big-endian header, total datagram <= 2304 bytes):
 
 msg_type 0x01 carries frame fragments, 0x02 carries control messages.
 flags bit0 marks an I-frame fragment, bit1 a forced I-frame.
+
+Two codecs write and read these bytes. ``fragment``, ``encode_packet`` and
+``decode_packet`` go through ``DppPacket`` objects (control messages, tests).
+The runner's datapath builds none: ``send_frame`` gathers each datagram from
+a reused header buffer and a view of the frame, and ``parse_header`` checks a
+datagram in place in a reused receive buffer. ``decode_packet`` is built on
+``parse_header``, so both reject the same datagrams with the same errors.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -92,24 +100,37 @@ def encode_packet(p: DppPacket) -> bytes:
     ) + p.payload
 
 
-def decode_packet(b: bytes) -> DppPacket:
-    if len(b) < HEADER_LEN:
-        raise MalformedHeader(f"datagram of {len(b)} bytes is shorter than the header")
+def parse_header(buf, n: int) -> tuple[int, int, int, int, int, int]:
+    """Check the header of the ``n``-byte datagram at the start of ``buf``.
+
+    Returns (msg_type, flags, frame_id, frag_index, frag_count,
+    gen_timestamp_us); the payload is ``buf[HEADER_LEN:n]``. ``buf`` may be a
+    larger reused receive buffer: nothing past ``n`` is read.
+    """
+    if n < HEADER_LEN:
+        raise MalformedHeader(f"datagram of {n} bytes is shorter than the header")
     magic, version, msg_type, flags, frame_id, frag_index, frag_count, payload_len, ts = (
-        _HEADER.unpack(b[:HEADER_LEN])
+        _HEADER.unpack_from(buf)
     )
     if magic != MAGIC:
         raise MalformedHeader(f"bad magic {magic!r}")
     if version != VERSION:
         raise UnsupportedVersion(f"version {version}")
-    if len(b) - HEADER_LEN != payload_len:
+    if n - HEADER_LEN != payload_len:
         raise LengthMismatch(
-            f"payload_len={payload_len} but {len(b) - HEADER_LEN} payload bytes present"
+            f"payload_len={payload_len} but {n - HEADER_LEN} payload bytes present"
         )
+    if payload_len > PAYLOAD_CAP:
+        raise LengthMismatch(f"payload_len={payload_len} exceeds the {MTU}-byte MTU")
     if msg_type not in (MSG_DATA, MSG_CTRL):
         raise MalformedHeader(f"unknown msg_type {msg_type:#x}")
     if frag_index >= frag_count:
         raise MalformedHeader(f"frag_index {frag_index} >= frag_count {frag_count}")
+    return msg_type, flags, frame_id, frag_index, frag_count, ts
+
+
+def decode_packet(b: bytes) -> DppPacket:
+    msg_type, flags, frame_id, frag_index, frag_count, ts = parse_header(b, len(b))
     return DppPacket(
         msg_type=msg_type,
         flags=flags,
@@ -180,6 +201,32 @@ def fragment(
     return packets
 
 
+def send_frame(
+    sock, peer, frame_id: int, data, gen_timestamp_us: int, is_iframe: bool, forced: bool
+) -> None:
+    """Send a frame as the datagrams ``encode_packet`` gives for each packet
+    of ``fragment``, without building either.
+
+    Each datagram is gathered by ``sock.sendmsg`` from one reused header
+    buffer and a view of ``data``, so the payload is copied once, by the
+    kernel.
+    """
+    count, tail = fragment_layout(len(data))
+    flags = frame_flags(is_iframe, forced)
+    frame_id &= 0xFFFFFFFF
+    header = bytearray(HEADER_LEN)
+    view = memoryview(data)
+    last = count - 1
+    for index in range(count):
+        at = index * PAYLOAD_CAP
+        size = PAYLOAD_CAP if index < last else tail
+        _HEADER.pack_into(
+            header, 0, MAGIC, VERSION, MSG_DATA, flags, frame_id, index, count, size,
+            gen_timestamp_us,
+        )
+        sock.sendmsg([header, view[at : at + size]], (), 0, peer)
+
+
 def seq_newer(a: int, b: int) -> bool:
     """True if frame id ``a`` is newer than ``b`` under 32-bit serial arithmetic."""
     return a != b and ((a - b) & 0xFFFFFFFF) < 0x80000000
@@ -247,6 +294,9 @@ class Reassembler:
         self.keep_payload = keep_payload
         self._pending: dict[int, _PendingFrame] = {}
         self._resolved: set[int] = set()
+        # no pending deadline anchor is below this, so no sweep before
+        # ``_anchor_floor + drop_deadline_us`` can drop a frame
+        self._anchor_floor = math.inf
         self.highest_seen: Optional[int] = None
         self.malformed_count = 0
         self.duplicate_count = 0
@@ -261,12 +311,18 @@ class Reassembler:
     def _sweep(self, now: SimTime, newest_id: Optional[int]) -> list[FrameDropped]:
         """Drop the pending frames past their deadline that are older than
         ``newest_id``, or all of them when it is None."""
+        if now <= self._anchor_floor + self.drop_deadline_us:
+            return []
         dropped = []
+        floor = math.inf
         for fid, pend in list(self._pending.items()):
             expired = now > pend.deadline_anchor + self.drop_deadline_us
             if expired and (newest_id is None or seq_newer(newest_id, fid)):
                 dropped.append(FrameDropped(frame_id=fid, is_iframe=pend.is_iframe))
                 self._resolve(fid)
+            elif pend.deadline_anchor < floor:
+                floor = pend.deadline_anchor
+        self._anchor_floor = floor
         return dropped
 
     def _note_frame(self, now: SimTime, frame_id: int) -> list[FrameDropped]:
@@ -280,6 +336,8 @@ class Reassembler:
                     while seq_newer(frame_id, fid):
                         if fid not in self._resolved and fid not in self._pending:
                             self._pending[fid] = _PendingFrame(anchor=now)
+                            if now < self._anchor_floor:
+                                self._anchor_floor = now
                         fid = (fid + 1) & 0xFFFFFFFF
             self.highest_seen = frame_id
         return self._sweep(now, frame_id)
@@ -324,6 +382,8 @@ class Reassembler:
             pend.frag_count = frag_count
             pend.first_arrival = now
             pend.deadline_anchor = now
+            if now < self._anchor_floor:
+                self._anchor_floor = now
             pend.is_iframe = is_iframe
             pend.forced = forced
             pend.gen_timestamp_us = gen_timestamp_us
@@ -340,7 +400,7 @@ class Reassembler:
         pend.mask |= bit
         pend.received += 1
         if pend.chunks is not None and payload is not None:
-            pend.chunks[frag_index] = payload
+            pend.chunks[frag_index] = bytes(payload)  # may be a view of a reused buffer
 
         if pend.received == pend.frag_count:
             data = None

@@ -10,13 +10,18 @@ One-way latency numbers are only meaningful when both roles share a clock,
 i.e. run on the same machine. They and the datagrams' generation stamps are
 the only use of the wall clock: deadlines and the suppression window run on
 the monotonic clock, so a wall-clock step neither drops nor freezes frames.
+
+Neither role polls on a timeout per datagram. The host's socket blocks; the
+receiver's is non-blocking, drained until empty and then waited on once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import select
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -35,6 +40,12 @@ HELLO_RETRY_S = 0.2
 # An I-frame arrives as a burst of ~64 datagrams, which overflows the usual
 # 212,992-byte default. The kernel caps the request at net.core.rmem_max.
 RCVBUF_BYTES = 4 << 20
+# socket(7): with this option set, a datagram carries the number of datagrams
+# the socket has dropped so far, whenever that number is above 0. Linux only;
+# the socket module has no constant for it.
+SO_RXQ_OVFL = 40 if sys.platform.startswith("linux") else None
+# the receiver's longest wait for a datagram before it checks its deadlines
+POLL_MS = 50
 
 
 class RunnerError(RuntimeError):
@@ -86,11 +97,18 @@ def _hello_fp(msg: cp_mod.CpMessage) -> int:
     return (msg.dropped_frame_id << 32) | msg.last_received_frame_id
 
 
+_TILE = bytes(range(256))
+_pattern = _TILE  # the tile repeated; grown on demand, never shrunk
+
+
 def frame_payload(frame_id: int, size: int) -> bytes:
-    """byte i of frame f = (f*131 + i) mod 256; periodic, so built from a tile."""
-    tile = bytes((frame_id * 131 + i) % 256 for i in range(256))
-    reps = size // 256 + 1
-    return (tile * reps)[:size]
+    """byte i of frame f = (f*131 + i) mod 256: a slice of one periodic buffer."""
+    global _pattern
+    start = frame_id * 131 % 256
+    pattern = _pattern
+    if start + size > len(pattern):
+        pattern = _pattern = _TILE * ((start + size) // 256 + 1)
+    return pattern[start : start + size]
 
 
 @dataclass
@@ -126,11 +144,12 @@ class RunnerStats:
     latency_p99_ms: float = 0.0
     latency_mean_ms: float = 0.0
     rcvbuf_bytes: int = 0  # SO_RCVBUF as granted by the kernel
+    kernel_drops: int = 0  # datagrams the receive queue overflowed (SO_RXQ_OVFL)
 
     def to_dict(self) -> dict:
         return {
             "role": self.role,
-            "socket": {"rcvbuf_bytes": self.rcvbuf_bytes},
+            "socket": {"rcvbuf_bytes": self.rcvbuf_bytes, "kernel_drops": self.kernel_drops},
             "frames": {
                 "sent": self.frames_sent,
                 "completed": self.frames_completed,
@@ -169,6 +188,23 @@ def _open_socket(bind: tuple[str, int]) -> socket.socket:
     return sock
 
 
+def _count_kernel_drops(sock: socket.socket) -> int:
+    """Ask for the drop counter on every datagram; returns the ancillary
+    buffer size that ``recvmsg_into`` needs to receive it (0: unsupported)."""
+    if SO_RXQ_OVFL is None:
+        return 0
+    sock.setsockopt(socket.SOL_SOCKET, SO_RXQ_OVFL, 1)
+    return socket.CMSG_SPACE(4)
+
+
+def _kernel_drops(ancdata: list, drops: int) -> int:
+    """The drop count that ``ancdata`` of one datagram carries, else ``drops``."""
+    for level, kind, data in ancdata:
+        if level == socket.SOL_SOCKET and kind == SO_RXQ_OVFL:
+            return int.from_bytes(data[:4], sys.byteorder)
+    return drops
+
+
 def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> RunnerStats:
     """Stream paced synthetic frames; honor I-frame requests from the peer."""
     stats = RunnerStats(role="HOST")
@@ -201,17 +237,18 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
         host_fb = cp_mod.HostFeedbackState()
         fb_lock = threading.Lock()
         done = threading.Event()
+        # blocking from here on: no poll() ahead of every send, and the
+        # listener sleeps in recvfrom until a datagram or the shutdown below
+        sock.settimeout(None)
 
         def cp_listener():
-            while not done.is_set():
+            while True:
                 try:
                     data, _addr = sock.recvfrom(65_535)
-                except socket.timeout:
-                    continue
                 except OSError:
                     return
                 if done.is_set():
-                    return  # the stream is over; this may be the wake-up below
+                    return  # the stream is over and the shutdown below woke us
                 try:
                     msg = cp_mod.decode_cp(data)
                 except dpp.WireError:
@@ -222,40 +259,42 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
                     with fb_lock:
                         cp_mod.host_on_request(host_fb, msg, _mono_us())
 
-        listener = threading.Thread(target=cp_listener, daemon=True)
+        listener = threading.Thread(target=cp_listener, name="host-cp-listener", daemon=True)
         listener.start()
-
-        rng = Rng(cfg.seed)
-        walker = GopWalker(cfg.codec)
-        nominal = nominal_sizes(cfg.codec)
-        n_frames = int(cfg.duration_s * cfg.codec.fps)
-        t0 = time.monotonic()
-        for i in range(n_frames):
-            if stop is not None and stop.is_set():
-                break
-            target = t0 + tick_time(i, cfg.codec.fps) / 1e6
-            delay = target - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            with fb_lock:
-                force = host_fb.pending_force if cfg.feedback_control else False
-                ftype, _idx, forced = walker.plan(force)
-                if ftype is FrameType.I and cfg.feedback_control:
-                    cp_mod.host_on_iframe_emitted(host_fb, _mono_us(), cfg.suppression_window_us)
-            complexity = rng.lognormal_complexity(cfg.complexity_sigma)
-            size = encoded_size(ftype, cfg.codec, complexity, nominal)
-            payload = frame_payload(i, size)
-            packets = dpp.fragment(i, payload, _now_us(), ftype is FrameType.I, forced)
-            for packet in packets:
-                sock.sendto(dpp.encode_packet(packet), peer)
-            stats.frames_sent += 1
-        done.set()
         try:
-            # wake the listener now instead of at its next receive timeout
-            sock.sendto(b"", sock.getsockname())
-        except OSError:
-            pass
-        listener.join(timeout=1.0)
+            rng = Rng(cfg.seed)
+            walker = GopWalker(cfg.codec)
+            nominal = nominal_sizes(cfg.codec)
+            n_frames = int(cfg.duration_s * cfg.codec.fps)
+            t0 = time.monotonic()
+            for i in range(n_frames):
+                if stop is not None and stop.is_set():
+                    break
+                target = t0 + tick_time(i, cfg.codec.fps) / 1e6
+                delay = target - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+                with fb_lock:
+                    force = host_fb.pending_force if cfg.feedback_control else False
+                    ftype, _idx, forced = walker.plan(force)
+                    if ftype is FrameType.I and cfg.feedback_control:
+                        cp_mod.host_on_iframe_emitted(
+                            host_fb, _mono_us(), cfg.suppression_window_us
+                        )
+                complexity = rng.lognormal_complexity(cfg.complexity_sigma)
+                size = encoded_size(ftype, cfg.codec, complexity, nominal)
+                payload = frame_payload(i, size)
+                dpp.send_frame(sock, peer, i, payload, _now_us(), ftype is FrameType.I, forced)
+                stats.frames_sent += 1
+        finally:
+            done.set()
+            try:
+                # wakes the blocked recvfrom; Linux also reports ENOTCONN, since
+                # the socket is not connected
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+            listener.join()
         stats.requests_suppressed = host_fb.suppressed_count
         stats.forced_iframes = host_fb.forced_count
         return stats
@@ -299,7 +338,13 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
         end_by = time.monotonic() + cfg.duration_s + HANDSHAKE_TIMEOUT_S
         last_rx = time.monotonic()
         got_data = False
-        sock.settimeout(0.05)
+        # drain without blocking, then wait once: one syscall per datagram
+        sock.setblocking(False)
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        anc_size = _count_kernel_drops(sock)
+        buf = bytearray(65_535)
+        bufs, view = [buf], memoryview(buf)
 
         def handle_events(events, wall_us: int) -> None:
             for ev in events:
@@ -320,24 +365,44 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
             if got_data and time.monotonic() - last_rx > idle_limit_s:
                 break
             handle_events(reasm.expire(_mono_us()), _now_us())
-            try:
-                data, _addr = sock.recvfrom(65_535)
-            except socket.timeout:
-                continue
-            last_rx = time.monotonic()
-            mono_us, wall_us = _mono_us(), _now_us()
-            if cfg.induced_loss > 0.0 and shim.random() < cfg.induced_loss:
-                stats.induced_drops += 1
-                continue
-            try:
-                packet = dpp.decode_packet(data)
-            except dpp.WireError:
-                stats.malformed_datagrams += 1
-                continue
-            if packet.msg_type == dpp.MSG_CTRL:
-                continue  # HELLO retransmits and input stubs
-            got_data = True
-            handle_events(reasm.on_packet(packet, mono_us), wall_us)
+            received = False
+            while True:
+                try:
+                    n, ancdata, _flags, _addr = sock.recvmsg_into(bufs, anc_size)
+                except BlockingIOError:
+                    break
+                received = True
+                mono_us, wall_us = _mono_us(), _now_us()
+                if ancdata:
+                    stats.kernel_drops = _kernel_drops(ancdata, stats.kernel_drops)
+                if cfg.induced_loss > 0.0 and shim.random() < cfg.induced_loss:
+                    stats.induced_drops += 1
+                    continue
+                try:
+                    msg_type, flags, frame_id, frag_index, frag_count, ts = dpp.parse_header(
+                        buf, n
+                    )
+                except dpp.WireError:
+                    stats.malformed_datagrams += 1
+                    continue
+                if msg_type == dpp.MSG_CTRL:
+                    continue  # HELLO retransmits and input stubs
+                got_data = True
+                events = reasm.on_fragment(
+                    mono_us,
+                    frame_id,
+                    frag_index,
+                    frag_count,
+                    bool(flags & dpp.FLAG_IFRAME),
+                    bool(flags & dpp.FLAG_FORCED),
+                    ts,
+                    view[dpp.HEADER_LEN : n],
+                )
+                if events:
+                    handle_events(events, wall_us)
+            if received:
+                last_rx = time.monotonic()
+            poller.poll(POLL_MS)
 
         handle_events(reasm.expire(_mono_us() + cfg.drop_deadline_us + 1), _now_us())
         stats.requests_sent = mud_fb.requests_sent

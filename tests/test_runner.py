@@ -3,6 +3,7 @@ import threading
 from dataclasses import replace
 
 import pytest
+from test_wire_path import CaptureSocket
 
 from uvrpipe import dpp, runner
 from uvrpipe.runner import (
@@ -75,6 +76,9 @@ def test_loopback_lossfree_short_run():
     assert mud_stats.latency_p50_ms > 0  # reported, not asserted against a bound
     # the granted receive buffer is reported; its size depends on rmem_max
     assert mud_stats.to_dict()["socket"]["rcvbuf_bytes"] == mud_stats.rcvbuf_bytes > 0
+    assert mud_stats.to_dict()["socket"]["kernel_drops"] == mud_stats.kernel_drops == 0
+    # the host's control listener is joined before host_run returns
+    assert not [t for t in threading.enumerate() if t.name == "host-cp-listener"]
     integrity = mud_stats.to_dict()["integrity"]
     assert integrity["frag_count_mismatches"] == 0
     assert integrity["duplicate_fragments"] == 0
@@ -83,19 +87,20 @@ def test_loopback_lossfree_short_run():
 def test_wall_clock_step_drops_no_frame(monkeypatch):
     # frame 0 is an I-frame of ~64 fragments; the wall clock jumps 1 s ahead
     # just after its second fragment arrives, which must not expire it
-    decode_packet, now_us = dpp.decode_packet, runner._now_us
+    parse_header, now_us = dpp.parse_header, runner._now_us
     frame0_fragments = []
 
-    def decode(data):
-        packet = decode_packet(data)
-        if packet.msg_type == dpp.MSG_DATA and packet.frame_id == 0:
-            frame0_fragments.append(packet.frag_index)
-        return packet
+    def parse(buf, n):
+        header = parse_header(buf, n)
+        msg_type, _flags, frame_id, frag_index = header[:4]
+        if msg_type == dpp.MSG_DATA and frame_id == 0:
+            frame0_fragments.append(frag_index)
+        return header
 
     def stepped_now_us():
         return now_us() + (1_000_000 if len(frame0_fragments) >= 2 else 0)
 
-    monkeypatch.setattr(dpp, "decode_packet", decode)
+    monkeypatch.setattr(dpp, "parse_header", parse)
     monkeypatch.setattr(runner, "_now_us", stepped_now_us)
     host_stats, mud_stats = _run_pair(*_pair(duration_s=1.0))
     assert len(frame0_fragments) > 2
@@ -106,15 +111,20 @@ def test_wall_clock_step_drops_no_frame(monkeypatch):
 def test_reassembler_rejects_are_reported(monkeypatch):
     # every frame (16+ fragments here) is sent with its first fragment twice
     # and once more claiming one fragment too many, before the rest arrive
-    fragment = dpp.fragment
+    send_frame = dpp.send_frame
 
-    def doctored(*args, **kwargs):
-        packets = fragment(*args, **kwargs)
-        first = packets[0]
+    def doctored(sock, peer, *args):
+        capture = CaptureSocket()
+        send_frame(capture, peer, *args)
+        datagrams = [datagram for datagram, _address in capture.sent]
+        first = dpp.decode_packet(datagrams[0])
         bad_count = replace(first, frag_count=first.frag_count + 1)
-        return [first, first, bad_count, *packets[1:]]
+        for packet in [first, first, bad_count]:
+            sock.sendto(dpp.encode_packet(packet), peer)
+        for datagram in datagrams[1:]:
+            sock.sendto(datagram, peer)
 
-    monkeypatch.setattr(dpp, "fragment", doctored)
+    monkeypatch.setattr(dpp, "send_frame", doctored)
     host_stats, mud_stats = _run_pair(*_pair(duration_s=0.5))
     integrity = mud_stats.to_dict()["integrity"]
     assert integrity["duplicate_fragments"] == host_stats.frames_sent > 0
@@ -161,15 +171,14 @@ def test_fingerprint_sensitivity():
 def test_wire_bytes_match_simulator_encoding():
     # a datagram sent by the runner parses to the identical packet the
     # simulator-side encoder produced
-    payload = frame_payload(3, 1_000)
+    payload = frame_payload(3, 5_000)
     packets = dpp.fragment(3, payload, 777, is_iframe=True, forced=True)
     rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     rx.bind(("127.0.0.1", 0))
     rx.settimeout(2.0)
     tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        for p in packets:
-            tx.sendto(dpp.encode_packet(p), rx.getsockname())
+        dpp.send_frame(tx, rx.getsockname(), 3, payload, 777, is_iframe=True, forced=True)
         for p in packets:
             data, _ = rx.recvfrom(65_535)
             assert data == dpp.encode_packet(p)
