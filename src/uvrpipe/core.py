@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -110,10 +110,27 @@ class EventQueue:
         self.now = t
         return t, event
 
-    def run(self, handler: Callable[[SimTime, Any], None]) -> None:
-        while self._heap:
-            t, event = self.pop()
+    def run(
+        self,
+        handler: Callable[[SimTime, Any], None],
+        ticks: Iterable[tuple[SimTime, Any]] = (),
+    ) -> None:
+        """Dispatch every event, and every (time, event) of ``ticks``, in order.
+
+        ``ticks`` is a grid in time order that is merged lazily with the heap
+        instead of being scheduled: a tick dispatches before every heap event
+        at its time, as if it had been scheduled before all of them.
+        """
+        heap = self._heap
+        for t, event in ticks:
+            while heap and heap[0][0] < t:
+                handler(*self.pop())
+            if t < self.now:
+                raise SchedulingError(f"tick at t={t} before now={self.now}")
+            self.now = t
             handler(t, event)
+        while heap:
+            handler(*self.pop())
 
 
 class ColorSpace(Enum):

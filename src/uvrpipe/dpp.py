@@ -399,8 +399,9 @@ class Reassembler:
             return None
         pend.mask |= bit
         pend.received += 1
-        if pend.chunks is not None and payload is not None:
-            pend.chunks[frag_index] = bytes(payload)  # may be a view of a reused buffer
+        if pend.chunks is not None:
+            # a view of a reused buffer is copied; no payload joins as empty
+            pend.chunks[frag_index] = b"" if payload is None else bytes(payload)
 
         if pend.received == pend.frag_count:
             data = None

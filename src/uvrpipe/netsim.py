@@ -9,10 +9,8 @@ Senders acquire the medium for a whole frame burst at a time; the access
 point forwards the burst afterwards in arrival order. Lost packets still
 occupy the medium on the hop where they were transmitted.
 
-Two paths compute a burst. ``transmit_burst`` is the general one, and
-``transmit`` is a one-packet burst. Each hop draws its randomness in
-batches, one numpy call per stream, and then walks its packets over plain
-Python numbers:
+A burst is computed in two steps: draw, then time. First each hop draws its
+randomness in batches, one numpy call per stream:
 
   * loss: ``2n`` uniforms for Gilbert-Elliott (a loss draw, then a
     transition draw, per packet), ``n`` for Bernoulli with ``loss_p > 0``,
@@ -28,9 +26,17 @@ independent, so this is exactly what a per-packet walk with one scalar draw
 per value consumes; ``tests/test_lossy_burst.py`` keeps that walk as the
 reference.
 
-``_burst_clean`` is the draw-free fast path. It computes the same result in
-O(1) for a link whose channel has Bernoulli loss with ``loss_p == 0`` and no
-jitter, so that no random number is ever drawn:
+Then the burst is timed. ``transmit_frame`` (a frame's burst; ``transmit``
+is a one-packet frame) times a burst that lost nothing on any hop and drew
+no jitter in closed form, below; a loss-free Gilbert-Elliott hop is mostly
+told apart by two ``min()`` reductions over its draws. Every other burst
+walks its packets over the values already drawn, in plain Python numbers,
+as ``transmit_burst`` always does.
+
+The closed form computes in O(1) what the walk computes for a burst with
+nothing lost and no jitter, whether the channel drew nothing (Bernoulli
+loss with ``loss_p == 0`` and no jitter: ``_burst_clean``) or its draws came
+out clean:
 
 Each packet's transmission ends at ``end_k = max(req_k, end_{k-1}) + ser_k``
 (Lindley's recursion). A frame is ``n`` packets: ``n - 1`` full ones, then
@@ -51,9 +57,9 @@ evaluated. Link accounting is summed in the same way: ``S_n`` busy time,
 
 The receiver-side FIFO clamp raises an arrival to ``last_arrival`` when it
 would land earlier. The walk's arrivals rise with k, so the clamp binds
-somewhere only if it binds on the first arrival; then ``_burst_clean``
-returns None without touching the link and the caller takes the walk, as it
-does for every channel that draws.
+somewhere only if it binds on the first arrival; then the closed form
+leaves the link untouched and the burst walks. ``_burst_clean`` also declines
+every channel that draws; its caller then takes the walk.
 
 ``clean_run`` evaluates the same closed form for a whole run of frames at
 once, over int64 arrays; across frames the link is Lindley's recursion
@@ -116,26 +122,37 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
     return -(-(size_bytes * 8 * 1_000_000) // bandwidth_bps)
 
 
-def _loss_flags(ch: ChannelModel, link: LinkState, n: int, rng: Optional[Rng]) -> list[bool]:
-    """Loss flags of ``n`` packets sent in order; steps the Gilbert-Elliott chain.
+def _loss_draws(
+    ch: ChannelModel, link: LinkState, n: int, rng: Optional[Rng]
+) -> Optional[list[bool]]:
+    """Draw the loss of ``n`` packets sent in order and step the Gilbert-Elliott
+    chain; returns the loss flags, or None when the hop lost nothing.
 
-    One packet (every control message) takes scalar draws: the same values
-    as a batch of one, without the array round trip.
+    Mostly the hop came out clean: every loss draw at or above its state's
+    loss probability and, for Gilbert-Elliott, every transition draw at or
+    above the probability of leaving the state, so the chain stays where it
+    is. Two ``min()`` reductions decide that, with no per-packet Python; only
+    otherwise is the chain walked. One packet (every control message) takes
+    scalar draws: the same values as a batch of one, without the array round
+    trip.
     """
     if ch.loss_model is LossModel.BERNOULLI:
-        if ch.loss_p <= 0.0:
-            return [False] * n
         p = ch.loss_p
+        if p <= 0.0:
+            return None
         stream = rng.stream("loss")
-        if n == 1:
-            return [stream.random() < p]
-        return [u < p for u in stream.random(n).tolist()]
+        u = [stream.random()] if n == 1 else stream.random(n).tolist()
+        return None if min(u) >= p else [x < p for x in u]
     # Gilbert-Elliott: per packet, loss by current state, then advance the chain
     stream = rng.stream("loss")
     draws = [stream.random(), stream.random()] if n == 1 else stream.random(2 * n).tolist()
     bad = link.ge_bad
     loss_good, loss_bad = ch.ge_loss_good, ch.ge_loss_bad
     p_gb, p_bg = ch.ge_p_gb, ch.ge_p_bg
+    if min(draws[0::2]) >= (loss_bad if bad else loss_good) and min(draws[1::2]) >= (
+        p_bg if bad else p_gb
+    ):
+        return None
     flags = []
     for i in range(0, 2 * n, 2):
         if bad:
@@ -145,7 +162,41 @@ def _loss_flags(ch: ChannelModel, link: LinkState, n: int, rng: Optional[Rng]) -
             flags.append(draws[i] < loss_good)
             bad = draws[i + 1] < p_gb
     link.ge_bad = bad
-    return flags
+    return flags if True in flags else None
+
+
+def _jitter_draws(ch: ChannelModel, n: int, rng: Optional[Rng]) -> Optional[list[int]]:
+    """Extra delays of ``n`` delivered packets, or None when none is drawn."""
+    sigma = ch.jitter_sigma_us
+    if sigma <= 0.0 or not n:
+        return None
+    # one-sided truncated normal: extra delay in [0, 3 sigma]
+    cap = 3.0 * sigma
+    stream = rng.stream("jitter")
+    draws = [stream.standard_normal()] if n == 1 else stream.standard_normal(n).tolist()
+    return [int(min(abs(z) * sigma, cap)) for z in draws]
+
+
+_Draws = list[tuple[Optional[list[bool]], Optional[list[int]]]]
+
+
+def _draw(ch: ChannelModel, link: LinkState, n: int, rng: Optional[Rng]) -> Optional[_Draws]:
+    """Every draw of an ``n``-packet burst, per hop: (loss flags, jitter),
+    each None when it came out clean; None when every hop lost nothing and
+    drew no jitter. Under INFRA, hop 2 draws for hop 1's survivors only, and
+    not at all when there are none."""
+    hops: _Draws = []
+    clean = True
+    for _ in range(2 if ch.topology is Topology.INFRA else 1):
+        if not n:
+            break
+        lost = _loss_draws(ch, link, n, rng)
+        if lost is not None:
+            n = lost.count(False)
+        jitter = _jitter_draws(ch, n, rng)
+        clean = clean and lost is None and jitter is None
+        hops.append((lost, jitter))
+    return None if clean else hops
 
 
 def _hop(
@@ -153,27 +204,20 @@ def _hop(
     link: LinkState,
     sizes: list[int],
     requests: list[SimTime],
-    rng: Optional[Rng],
+    lost: Optional[list[bool]],
+    jitter: Optional[list[int]],
     final_hop: bool,
 ) -> list[Optional[SimTime]]:
-    """Send packets in order on one hop; returns arrivals, None where lost.
+    """Time packets sent in order on one hop over its draws (``_draw``);
+    returns arrivals, None where lost.
 
-    Packet k starts at ``max(requests[k], end of packet k-1)``. All loss
-    draws of the hop come first, then one jitter draw per delivered packet.
+    Packet k starts at ``max(requests[k], end of packet k-1)``.
     """
-    lost = _loss_flags(ch, link, len(sizes), rng)
+    n = len(sizes)
+    if lost is None:
+        lost = [False] * n
     delivered = lost.count(False)
-    sigma = ch.jitter_sigma_us
-    if sigma > 0.0 and delivered:
-        # one-sided truncated normal: extra delay in [0, 3 sigma]
-        cap = 3.0 * sigma
-        stream = rng.stream("jitter")
-        if delivered == 1:
-            draws = [stream.standard_normal()]
-        else:
-            draws = stream.standard_normal(delivered).tolist()
-        jitter = [int(min(abs(z) * sigma, cap)) for z in draws]
-    else:
+    if jitter is None:
         jitter = [0] * delivered
     prop = ch.prop_delay_us
     busy = link.busy_until
@@ -201,10 +245,44 @@ def _hop(
     link.busy_until = busy
     link.busy_accum_us += busy_us
     link.last_arrival = last
-    link.sent_packets += len(sizes)
-    link.lost_packets += len(sizes) - delivered
+    link.sent_packets += n
+    link.lost_packets += n - delivered
     link.sent_bytes += sum(sizes)
     return arrivals
+
+
+def _walk(
+    ch: ChannelModel, link: LinkState, sizes: list[int], now: SimTime, hops: Optional[_Draws]
+) -> list[Optional[SimTime]]:
+    """Time a burst over its draws (``_draw``), hop by hop; returns
+    per-packet arrivals.
+
+    The sender drains the whole burst in a single medium acquisition; under
+    INFRA the access point then forwards the surviving packets in order.
+    """
+    infra = ch.topology is Topology.INFRA
+    if hops is None:  # every hop came out clean
+        hops = [(None, None)] * (2 if infra else 1)
+    (lost, jitter), *forward = hops
+    arrivals = _hop(ch, link, sizes, [now] * len(sizes), lost, jitter, final_hop=not infra)
+    if forward:
+        survivors = [k for k, arrival in enumerate(arrivals) if arrival is not None]
+        second_hop = _hop(
+            ch,
+            link,
+            [sizes[k] for k in survivors],
+            [arrivals[k] for k in survivors],
+            *forward[0],
+            final_hop=True,
+        )
+        for k, arrival in zip(survivors, second_hop):
+            arrivals[k] = arrival
+    return arrivals
+
+
+def _check_size(size: int) -> None:
+    if size > MAX_PACKET_BYTES:
+        raise OversizedPacket(f"{size} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
 
 
 def transmit(
@@ -212,16 +290,11 @@ def transmit(
 ) -> Optional[SimTime]:
     """Deliver one packet; returns the arrival time, or None when lost.
 
-    A one-packet ``transmit_burst``: INFRA applies both hops back to back on
+    A one-packet ``transmit_frame``: INFRA applies both hops back to back on
     the same link state.
     """
-    if size_bytes > MAX_PACKET_BYTES:
-        raise OversizedPacket(f"{size_bytes} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
-    infra = ch.topology is Topology.INFRA
-    (arrival,) = _hop(ch, link, [size_bytes], [now], rng, final_hop=not infra)
-    if infra and arrival is not None:
-        (arrival,) = _hop(ch, link, [size_bytes], [arrival], rng, final_hop=True)
-    return arrival
+    ends = transmit_frame(ch, link, 1, size_bytes, size_bytes, now, rng)
+    return None if ends is None else ends[0]
 
 
 def transmit_burst(
@@ -233,26 +306,48 @@ def transmit_burst(
 ) -> list[Optional[SimTime]]:
     """Deliver a frame's packets as one burst; returns per-packet arrivals.
 
-    The sender drains the whole burst in a single medium acquisition; under
-    INFRA the access point then forwards the surviving packets in order. For
-    P2P this is exactly equivalent to per-packet ``transmit`` calls.
+    For P2P this is exactly equivalent to per-packet ``transmit`` calls.
     """
-    for size in sizes:
-        if size > MAX_PACKET_BYTES:
-            raise OversizedPacket(f"{size} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
-    if ch.topology is not Topology.INFRA:
-        return _hop(ch, link, sizes, [now] * len(sizes), rng, final_hop=True)
-    first_hop = _hop(ch, link, sizes, [now] * len(sizes), rng, final_hop=False)
-    survivors = [k for k, arrival in enumerate(first_hop) if arrival is not None]
-    if not survivors:
-        return first_hop
-    second_hop = _hop(
-        ch, link, [sizes[k] for k in survivors], [first_hop[k] for k in survivors], rng, True
-    )
-    arrivals: list[Optional[SimTime]] = [None] * len(sizes)
-    for k, arrival in zip(survivors, second_hop):
-        arrivals[k] = arrival
-    return arrivals
+    _check_size(max(sizes, default=0))
+    return _walk(ch, link, sizes, now, _draw(ch, link, len(sizes), rng))
+
+
+def transmit_frame(
+    ch: ChannelModel,
+    link: LinkState,
+    count: int,
+    full_size: int,
+    tail_size: int,
+    now: SimTime,
+    rng: Optional[Rng] = None,
+) -> Optional[tuple[SimTime, SimTime, Optional[list[tuple[SimTime, int]]]]]:
+    """``transmit_burst`` of ``count - 1`` packets of ``full_size`` bytes and a
+    tail, summed up as ``frame_arrivals``: draw, then time.
+
+    When every hop's draws came out clean and no jitter was drawn, the burst
+    is timed in closed form (``_burst_clean``'s, FIFO clamp check included);
+    otherwise it walks over the values already drawn.
+    """
+    _check_size(max(full_size, tail_size))
+    hops = _draw(ch, link, count, rng)
+    if hops is None:
+        ends = _clean_ends(ch, link, count, full_size, tail_size, now)
+        if ends is not None:
+            return ends[0], ends[1], None
+    sizes = [full_size] * (count - 1) + [tail_size]
+    return frame_arrivals(_walk(ch, link, sizes, now, hops))
+
+
+def frame_arrivals(
+    arrivals: list[Optional[SimTime]],
+) -> Optional[tuple[SimTime, SimTime, Optional[list[tuple[SimTime, int]]]]]:
+    """A frame's per-packet arrivals as (first, last, partial), or None when
+    none arrives: ``partial`` is None when every packet arrives and the
+    delivered (arrival, index) pairs otherwise."""
+    delivered = [(arr, idx) for idx, arr in enumerate(arrivals) if arr is not None]
+    if not delivered:
+        return None
+    return delivered[0][0], delivered[-1][0], delivered if len(delivered) < len(arrivals) else None
 
 
 def _clean_shape(ch: ChannelModel, count, full_size, tail_size):
@@ -301,8 +396,19 @@ def _burst_clean(
     """
     if not draw_free(ch):
         return None
-    if full_size > MAX_PACKET_BYTES or tail_size > MAX_PACKET_BYTES:
-        raise OversizedPacket(f"packets exceed the {MAX_PACKET_BYTES}-byte limit")
+    _check_size(max(full_size, tail_size))
+    return _clean_ends(ch, link, count, full_size, tail_size, now)
+
+
+def _clean_ends(
+    ch: ChannelModel,
+    link: LinkState,
+    count: int,
+    full_size: int,
+    tail_size: int,
+    now: SimTime,
+) -> Optional[tuple[SimTime, SimTime]]:
+    """``_burst_clean`` for a burst whose draws, if any, came out clean."""
     first_off, busy_off, total = _clean_shape(ch, count, full_size, tail_size)
     start = now if now > link.busy_until else link.busy_until
     first = start + first_off

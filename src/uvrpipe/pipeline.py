@@ -7,8 +7,13 @@ against the same clock over the same (shared) medium.
 
 A run is computed in one of two ways, with the same result:
 
-  * The event loop (``Simulator._run_events``), the general one: render,
-    sample, burst, deadline and feedback events on one heap.
+  * The event loop (``Simulator._run_events``), the general one: burst,
+    deadline and feedback events on one heap, with the render and sample
+    tick grid merged in lazily (``EventQueue.run``) rather than pushed onto
+    the heap, and the render ticks' complexities drawn as one batch. A tick
+    still goes before a heap event at its time, and a render before a
+    sample, as when every tick was scheduled up front; a frame's burst is
+    drawn, then timed (``netsim.transmit_frame``).
   * The array run (``Simulator._run_arrays``), for a draw-free run:
     Bernoulli loss at ``loss_p == 0``, no jitter, no fault frame and no
     transcript. Nothing is lost, so no frame drops, no feedback is sent
@@ -19,14 +24,16 @@ A run is computed in one of two ways, with the same result:
     frame exceeds the fragment limit, a time could outgrow int64), it
     leaves the rng and the link as they were and the event loop runs.
 
-``tests/test_array_run.py`` keeps the event loop as the array run's reference.
+``tests/test_array_run.py`` keeps the event loop as the array run's reference,
+and ``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
+merge's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Optional
 
 import numpy as np
@@ -37,7 +44,6 @@ from .codec import DecodeServer, FrameType, GopWalker, encoded_size, encoded_siz
 from .core import (
     ColorSpace,
     EventQueue,
-    FrameSource,
     Rng,
     SimTime,
     frame_ticks,
@@ -95,7 +101,6 @@ class Simulator:
         self.rng = Rng(cfg.seed)
         self.queue = EventQueue()
         self.link = netsim.LinkState()
-        self.source = FrameSource(cfg.workload, self.rng)
         self.walker = GopWalker(self.codec_cfg)
         self.nominal_sizes = nominal_sizes(self.codec_cfg)
         self.reasm = dpp.Reassembler(cfg.drop_deadline_us)
@@ -105,20 +110,25 @@ class Simulator:
         self.transcript: Optional[list[tuple]] = [] if collect_transcript else None
 
         self.records: list[FrameRecord] = []  # indexed by wire frame id
-        self._latest_raw = None
+        # the event loop's render ticks: times and complexities, by tick index
+        self._render_us: list[SimTime] = []
+        self._complexity: list[float] = []
+        self._latest_render = -1
         self._last_sampled = -1
         self._rendered = 0
         self._sync_overruns = 0
 
     # --- host side ---------------------------------------------------------
 
-    def _encode_and_send(self, now: SimTime, raw) -> None:
+    def _encode_and_send(self, now: SimTime, index: int) -> None:
+        """Encode render tick ``index``'s frame at ``now`` and put it on the air."""
+        gen_time = self._render_us[index]
         g = self.graph
         force = self.host_fb.pending_force if self.cfg.toggles.feedback_control else False
         ftype, _, forced = self.walker.plan(force)
         encode_done = now + g.encode_path_us
         frame_id = len(self.records)
-        size = encoded_size(ftype, self.codec_cfg, raw.complexity, self.nominal_sizes)
+        size = encoded_size(ftype, self.codec_cfg, self._complexity[index], self.nominal_sizes)
         is_iframe = ftype is FrameType.I
         if is_iframe and self.cfg.toggles.feedback_control:
             cp_mod.host_on_iframe_emitted(
@@ -129,7 +139,7 @@ class Simulator:
             frame_id=frame_id,
             frame_type=ftype.value,
             forced=forced,
-            gen_us=raw.gen_time,
+            gen_us=gen_time,
             encoded_us=encode_done,
             size_bytes=size,
         )
@@ -144,7 +154,7 @@ class Simulator:
             first, last, partial = sent
             self.queue.schedule(
                 last,
-                ("burst", frame_id, first, last, partial, count, is_iframe, forced, raw.gen_time),
+                ("burst", frame_id, first, last, partial, count, is_iframe, forced, gen_time),
             )
 
     def _transmit(
@@ -156,23 +166,18 @@ class Simulator:
         partial): ``partial`` is None when every fragment arrives and the
         delivered (arrival, index) pairs otherwise.
         """
-        faulted = frame_id == self.cfg.fault_drop_frame_id
-        if not faulted:
-            ends = netsim._burst_clean(self.channel, self.link, count, dpp.MTU, tail_wire, request)
-            if ends is not None:
-                return ends[0], ends[1], None
+        if frame_id != self.cfg.fault_drop_frame_id:
+            return netsim.transmit_frame(
+                self.channel, self.link, count, dpp.MTU, tail_wire, request, self.rng
+            )
         sizes = [dpp.MTU] * (count - 1) + [tail_wire]
         arrivals = netsim.transmit_burst(self.channel, self.link, sizes, request, self.rng)
-        if faulted:
-            victim = self.cfg.fault_drop_frag_index
-            if victim < 0:
-                victim = int(self.rng.stream("fault").integers(0, count))
-            if victim < count:
-                arrivals[victim] = None
-        delivered = [(arr, idx) for idx, arr in enumerate(arrivals) if arr is not None]
-        if not delivered:
-            return None
-        return delivered[0][0], delivered[-1][0], delivered if len(delivered) < count else None
+        victim = self.cfg.fault_drop_frag_index
+        if victim < 0:
+            victim = int(self.rng.stream("fault").integers(0, count))
+        if victim < count:
+            arrivals[victim] = None
+        return netsim.frame_arrivals(arrivals)
 
     def _sync_sends(self, index):
         """Whether SYNC encodes render tick ``index`` (an int or an int64 array).
@@ -189,22 +194,20 @@ class Simulator:
         return self.cfg.render_work_us + self.graph.encode_path_us > period
 
     def _handle_render(self, t: SimTime, index: int) -> None:
-        raw = self.source.next_frame(t)
-        self._rendered += 1
         if self.cfg.encode_mode is EncodeMode.SYNC:
             if self._sync_sends(index):
-                self._encode_and_send(t, raw)
+                self._encode_and_send(t, index)
                 if self._sync_overrun(index, t):
                     self._sync_overruns += 1
         else:
-            self._latest_raw = raw
+            self._latest_render = index
 
     def _handle_sample(self, t: SimTime) -> None:
-        raw = self._latest_raw
-        if raw is None or raw.frame_id == self._last_sampled:
+        index = self._latest_render
+        if index == self._last_sampled:
             return
-        self._last_sampled = raw.frame_id
-        self._encode_and_send(t, raw)
+        self._last_sampled = index
+        self._encode_and_send(t, index)
 
     def _handle_cp(self, t: SimTime, msg: cp_mod.CpMessage) -> None:
         if not self.cfg.toggles.feedback_control:
@@ -290,13 +293,17 @@ class Simulator:
         )
 
     def _run_events(self) -> SimResult:
-        duration_us = self.cfg.duration_us
-        for i, t in enumerate(frame_ticks(self.cfg.render_fps, duration_us).tolist()):
-            self.queue.schedule(t, ("render", i))
-        if self.cfg.encode_mode is EncodeMode.ASYNC:
-            for i, t in enumerate(frame_ticks(self.codec_cfg.fps, duration_us).tolist()):
-                self.queue.schedule(t, ("sample", i))
-        self.queue.run(self._dispatch)
+        cfg = self.cfg
+        self._render_us = frame_ticks(cfg.render_fps, cfg.duration_us).tolist()
+        self._rendered = len(self._render_us)
+        sigma = cfg.workload.complexity_sigma
+        self._complexity = self.rng.lognormal_complexity(sigma, self._rendered).tolist()
+        ticks = [(t, ("render", i)) for i, t in enumerate(self._render_us)]
+        if cfg.encode_mode is EncodeMode.ASYNC:
+            samples = frame_ticks(self.codec_cfg.fps, cfg.duration_us).tolist()
+            ticks += [(t, ("sample", i)) for i, t in enumerate(samples)]
+            ticks.sort(key=itemgetter(0))  # stable: on a tie the render goes first
+        self.queue.run(self._dispatch, ticks)
         self._mark_corruption()
         return self._result({name: _column(self.records, name) for name in _COLUMNS})
 

@@ -90,6 +90,15 @@ def test_sigma_zero_complexity_is_exactly_one():
     assert [f.frame_id for f in frames] == list(range(50))
 
 
+def test_sigma_zero_batch_is_ones_and_advances_the_stream():
+    rng, scalar = Rng(1), Rng(1)
+    assert rng.lognormal_complexity(0.0, 50).tolist() == [1.0] * 50
+    for _ in range(50):
+        assert scalar.lognormal_complexity(0.0) == 1.0
+    assert rng.stream("workload").random() == scalar.stream("workload").random()
+    assert Rng(1).stream("workload").random() != scalar.stream("workload").random()
+
+
 def test_rng_streams_deterministic_and_distinct():
     a = Rng(7).stream("loss").random(5).tolist()
     b = Rng(7).stream("loss").random(5).tolist()

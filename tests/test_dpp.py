@@ -136,6 +136,16 @@ def test_reassembly_shuffled_and_duplicated():
         assert completes[0].data == data
 
 
+def test_payload_keeping_reassembler_joins_fragments_without_payload():
+    # a fragment ingested without a payload joins as an empty chunk
+    reasm = Reassembler(33_334, keep_payload=True)
+    (ev,) = reasm.on_fragment(0, 1, 0, 1, False, False, 0)
+    assert isinstance(ev, FrameComplete) and ev.data == b""
+    assert reasm.on_fragment(10, 2, 0, 2, False, False, 0, b"ab") == []
+    (ev,) = reasm.on_fragment(11, 2, 1, 2, False, False, 0)
+    assert ev.frame_id == 2 and ev.data == b"ab"
+
+
 def test_duplicate_fragment_is_idempotent():
     packets = fragment(1, b"z" * 5_000, 0, is_iframe=False)
     reasm = Reassembler(33_334)

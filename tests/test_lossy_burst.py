@@ -8,6 +8,9 @@ promises: per hop, the loss draws in packet order, and the jitter draws of
 the delivered packets in packet order; under INFRA all of hop 2 (only hop
 1's survivors) after hop 1. The batched walk must give the same arrivals and
 the same ``LinkState``, and leave both streams at the same place.
+
+``transmit_frame`` draws first and times a burst whose draws came out clean
+in closed form; it is checked against the same reference walk.
 """
 
 from dataclasses import replace
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uvrpipe import netsim
 from uvrpipe.core import Rng
 from uvrpipe.netsim import (
     MAX_PACKET_BYTES,
@@ -27,6 +31,7 @@ from uvrpipe.netsim import (
     serialization_us,
     transmit,
     transmit_burst,
+    transmit_frame,
 )
 
 
@@ -200,3 +205,129 @@ def test_every_channel_kind(loss, topology, jitter):
     calls = [(0, full, False), (500, [64], True), (16_667, full[:19], False)]
     for seed in range(8):
         _compare(ch, link, seed, calls)
+
+
+def reference_frame(arrivals):
+    """(first, last, partial) of a frame's arrivals, None when none arrives."""
+    delivered = [(arrival, k) for k, arrival in enumerate(arrivals) if arrival is not None]
+    if not delivered:
+        return None
+    partial = None if len(delivered) == len(arrivals) else delivered
+    return delivered[0][0], delivered[-1][0], partial
+
+
+def _compare_frames(ch, link, seed, frames):
+    """Send ``frames`` through ``transmit_frame`` and the reference walk."""
+    fast, ref = replace(link), replace(link)
+    fast_rng, ref_rng = Rng(seed), Rng(seed)
+    for now, count, full, tail in frames:
+        got = transmit_frame(ch, fast, count, full, tail, now, fast_rng)
+        sizes = [full] * (count - 1) + [tail]
+        assert got == reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
+        assert fast == ref
+    assert _next_draws(fast_rng) == _next_draws(ref_rng)
+
+
+@st.composite
+def ge_channels(draw):
+    """Gilbert-Elliott channels, ``ge_p_gb`` above, equal to or below ``ge_p_bg``."""
+    p_gb = draw(st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 1.0)))
+    relation = draw(st.sampled_from(("above", "equal", "below")))
+    if relation == "above":
+        p_bg = draw(st.floats(0.0, p_gb))
+    elif relation == "below":
+        p_bg = draw(st.floats(p_gb, 1.0))
+    else:
+        p_bg = p_gb
+    return ChannelModel(
+        bandwidth_bps=draw(st.integers(1_000_000, 2_000_000_000)),
+        prop_delay_us=draw(st.integers(0, 5_000)),
+        jitter_sigma_us=draw(st.one_of(st.just(0.0), st.floats(0.1, 500.0))),
+        topology=draw(st.sampled_from(Topology)),
+        loss_model=LossModel.GILBERT_ELLIOTT,
+        ge_p_gb=p_gb,
+        ge_p_bg=p_bg,
+        ge_loss_good=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05))),
+        ge_loss_bad=draw(st.floats(0.0, 1.0)),
+    )
+
+
+# each frame: (send time, count, full size, tail size); count 1 is a one-packet burst
+frames = st.lists(
+    st.tuples(st.integers(0, 200_000), st.integers(1, 40), packet, packet),
+    min_size=1,
+    max_size=6,
+)
+FRAME = [(0, 30, MAX_PACKET_BYTES, 700), (16_667, 12, MAX_PACKET_BYTES, 64), (16_700, 1, 900, 900)]
+
+
+@settings(max_examples=600)
+@given(
+    ch=st.one_of(channels, ge_channels()),
+    link=links,
+    seed=st.integers(0, 2**32 - 1),
+    frames=frames,
+)
+# clean draws, then the FIFO clamp binds: a preset last arrival lies beyond the burst
+@example(ChannelModel(**dict(GE, ge_p_gb=0.0)), LinkState(last_arrival=400_000), 1, FRAME)
+# a chain that starts bad with loss in the good state, and one-packet bursts
+@example(
+    ChannelModel(topology=Topology.INFRA, **dict(GE, ge_loss_good=0.02, ge_p_bg=0.01)),
+    LinkState(ge_bad=True),
+    2,
+    [(0, 1, 64, 64), (5, 1, 2_000, 2_000), *FRAME],
+)
+def test_frame_entry_equals_reference(ch, link, seed, frames):
+    _compare_frames(ch, link, seed, frames)
+
+
+def _hop_losses(ch, link, sizes, now, seed):
+    """Packets lost on hop 1 and on both hops of a burst, by the reference walk.
+
+    Hop 1's loss draws do not depend on the topology, so the same burst on
+    P2P shows what hop 1 lost.
+    """
+    p2p = replace(ch, topology=Topology.P2P)
+    hop1 = reference_transmit_burst(p2p, replace(link), sizes, now, Rng(seed)).count(None)
+    both = reference_transmit_burst(ch, replace(link), sizes, now, Rng(seed)).count(None)
+    return hop1, both
+
+
+@pytest.mark.parametrize("jitter", [0.0, 40.0])
+@pytest.mark.parametrize("loss", [dict(loss_p=0.01), dict(GE, ge_p_gb=0.01, ge_loss_bad=0.5)])
+def test_infra_clean_first_hop_lossy_second_hop(loss, jitter):
+    ch = ChannelModel(topology=Topology.INFRA, jitter_sigma_us=jitter, **loss)
+    sizes = [MAX_PACKET_BYTES] * 29 + [500]
+    cases = 0
+    for seed in range(60):
+        hop1, both = _hop_losses(ch, LinkState(), sizes, 0, seed)
+        if hop1 == 0 and both > 0:
+            cases += 1
+            _compare_frames(ch, LinkState(), seed, [(0, 30, MAX_PACKET_BYTES, 500)])
+    assert cases > 0
+
+
+@pytest.mark.parametrize("topology", Topology)
+@pytest.mark.parametrize(
+    "loss", [dict(loss_p=0.01), dict(GE, ge_p_gb=0.01)], ids=["bernoulli", "gilbert_elliott"]
+)
+def test_clean_draws_take_the_closed_form(loss, topology, monkeypatch):
+    # a burst that lost nothing is never walked, and the clamp sends it back to the walk
+    ch = ChannelModel(topology=topology, **loss)
+    walks = []
+    hop = netsim._hop
+    monkeypatch.setattr(netsim, "_hop", lambda *args, **kw: walks.append(1) or hop(*args, **kw))
+    for seed in range(20):
+        if reference_transmit_burst(ch, LinkState(), [MAX_PACKET_BYTES] * 12, 0, Rng(seed)).count(
+            None
+        ):
+            continue
+        walks.clear()
+        _compare_frames(ch, LinkState(), seed, [(0, 12, MAX_PACKET_BYTES, MAX_PACKET_BYTES)])
+        assert not walks
+        _compare_frames(
+            ch, LinkState(last_arrival=10**6), seed, [(0, 12, MAX_PACKET_BYTES, MAX_PACKET_BYTES)]
+        )
+        assert walks
+        return
+    pytest.fail("no seed gave a clean burst")

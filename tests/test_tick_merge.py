@@ -1,0 +1,145 @@
+"""The lazy tick merge of the event loop against the eager scheduler it replaced.
+
+``EventQueue.run`` merges the render and sample tick grid with the heap of
+dynamic events instead of scheduling every tick up front. The eager
+scheduler is kept here as the reference: it pushes every tick onto the heap
+before the run, in grid order, and then runs the heap. A tick was scheduled
+before any dynamic event, so on equal times it goes first, and a render goes
+before a sample; transcripts, records and reports must come out the same.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uvrpipe.core import EventQueue, Rng, SchedulingError
+from uvrpipe.netsim import LossModel
+from uvrpipe.pipeline import Simulator
+from uvrpipe.scenario import EncodeMode, preset_config
+
+
+class EagerQueue(EventQueue):
+    """The old scheduler: every render tick, then every sample tick, on the
+    heap before the first dispatch."""
+
+    def run(self, handler, ticks=()):
+        for t, event in sorted(ticks, key=lambda tick: tick[1][0] == "sample"):
+            self.schedule(t, event)
+        super().run(handler)
+
+
+def _outcome(cfg, queue_cls):
+    sim = Simulator(cfg, collect_transcript=True)
+    sim.queue = queue_cls()
+    result = sim.run()
+    return (
+        result.transcript,
+        repr(result.records),
+        json.dumps(result.metrics.to_dict()),
+        repr(sim.link),
+        sim.rng.stream("workload").standard_normal(),
+    )
+
+
+# A P-frame on an idle link reaches the receiver this long after its send
+# tick. Every tick grid of an even rate repeats itself after half a second,
+# so such frames land exactly on a later tick.
+ON_A_TICK_US = 500_000
+
+
+def _config(channel, mode, render_fps):
+    cfg = preset_config("openuvr")
+    cfg.seed = 9
+    cfg.duration_s = 2.0
+    cfg.encode_mode = mode
+    cfg.render_fps = render_fps
+    if channel == "faulted":
+        cfg.fault_drop_frame_id = 7
+        return cfg
+    if channel == "tied":
+        cfg.workload.complexity_sigma = 0.0  # every P-frame has one size
+        probe = Simulator(cfg)  # loss-free, so frame 1 is a P-frame on an idle link
+        p_frame = probe.run().records[1]
+        latency = p_frame.arrived_last_us - p_frame.encoded_us + probe.graph.encode_path_us
+        cfg.channel.prop_delay_us += ON_A_TICK_US - latency
+    cfg.channel.loss_model = LossModel.GILBERT_ELLIOTT
+    return cfg
+
+
+@pytest.mark.parametrize("render_fps", [60, 72, 90, 120])
+@pytest.mark.parametrize("mode", EncodeMode)
+@pytest.mark.parametrize("channel", ["lossy", "faulted", "tied"])
+def test_lazy_merge_equals_eager_schedule(channel, mode, render_fps):
+    cfg = _config(channel, mode, render_fps)
+    lazy = _outcome(cfg, EventQueue)
+    assert lazy == _outcome(cfg, EagerQueue)
+    transcript = lazy[0]
+    ticks = {t for t, kind, _ in transcript if kind in ("render", "sample")}
+    on_ticks = [kind for t, kind, _ in transcript if t in ticks and kind not in ("render", "sample")]
+    if channel == "tied":
+        assert "burst" in on_ticks  # dynamic events do land on tick times
+    if channel == "faulted":
+        assert any(kind == "cp" for _, kind, _ in transcript)
+
+
+def test_complexities_leave_the_stream_where_scalar_draws_do():
+    cfg = _config("lossy", EncodeMode.ASYNC, 90)
+    sim = Simulator(cfg)
+    sim.run()
+    scalar = Rng(cfg.seed)
+    for _ in range(sim._rendered):
+        scalar.lognormal_complexity(cfg.workload.complexity_sigma)
+    assert sim.rng.stream("workload").random() == scalar.stream("workload").random()
+
+
+def _children(event, now, ticks):
+    """Events that dispatching ``event`` at ``now`` schedules: some at ``now``,
+    some on a later tick time, some in between; fixed by the event alone."""
+    rnd = random.Random(repr(event))
+    later = [t for t, _ in ticks if t >= now]
+    times = []
+    for _ in range(rnd.randrange(3) if len(repr(event)) < 40 else 0):
+        choice = rnd.randrange(3)
+        if choice == 0:
+            times.append(now)
+        elif choice == 1 and later:
+            times.append(rnd.choice(later))
+        else:
+            times.append(now + rnd.randrange(1, 50))
+    return [(t, (event, k)) for k, t in enumerate(times)]
+
+
+def _dispatch_all(queue_cls, ticks, seeds):
+    """Run the grid ``ticks`` (the first at time 0); tick 0 schedules ``seeds``."""
+    queue = queue_cls()
+    order = []
+
+    def handler(t, event):
+        order.append((t, event))
+        children = seeds if event == ("tick", 0) else _children(event, t, ticks)
+        for child_t, child in children:
+            queue.schedule(child_t, child)
+
+    queue.run(handler, ticks)
+    return order
+
+
+@settings(max_examples=300)
+@given(
+    gaps=st.lists(st.integers(0, 30), max_size=30),
+    seeds=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 9)), max_size=12),
+)
+def test_queue_merge_equals_eager_schedule(gaps, seeds):
+    # a sorted grid with repeated times (a render and a sample on one time)
+    times = [sum(gaps[:k]) for k in range(len(gaps) + 1)]
+    ticks = [(t, ("tick", k)) for k, t in enumerate(times)]
+    assert _dispatch_all(EventQueue, ticks, seeds) == _dispatch_all(EagerQueue, ticks, seeds)
+
+
+def test_unsorted_ticks_are_refused():
+    queue = EventQueue()
+    with pytest.raises(SchedulingError):
+        queue.run(lambda t, event: None, [(5, "a"), (4, "b")])
