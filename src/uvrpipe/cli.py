@@ -157,11 +157,17 @@ def cmd_sim_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_addr(raw: str, default_port: int) -> tuple[str, int]:
-    if ":" in raw:
-        host, port = raw.rsplit(":", 1)
-        return host, int(port)
-    return raw, default_port
+def _parse_addr(raw: str, default_port: int) -> Optional[tuple[str, int]]:
+    """(host, port) of ``HOST[:PORT]``, or None unless PORT is an integer in
+    [0, 65535]."""
+    host, colon, port = raw.rpartition(":")
+    if not colon:
+        return raw, default_port
+    try:
+        number = int(port)
+    except ValueError:
+        return None
+    return (host, number) if 0 <= number <= 0xFFFF else None
 
 
 def _runner_config(args) -> runner_mod.RunnerConfig:
@@ -171,11 +177,14 @@ def _runner_config(args) -> runner_mod.RunnerConfig:
     induced_loss = getattr(args, "induced_loss", 0.0)
     if error := bound_error("--induced-loss", induced_loss, "in [0, 1]"):
         errors.append(error)
+    bind, peer = (_parse_addr(raw, runner_mod.DEFAULT_PORT) for raw in (args.bind, args.peer))
+    for flag, addr in (("--bind", bind), ("--peer", peer)):
+        if addr is None:
+            errors.append(f"{flag} must be HOST:PORT with PORT in [0, 65535]")
     if errors:  # before any socket opens
         raise ScenarioError(errors)
     cfg = runner_mod.RunnerConfig()
-    cfg.bind = _parse_addr(args.bind, runner_mod.DEFAULT_PORT)
-    cfg.peer = _parse_addr(args.peer, runner_mod.DEFAULT_PORT)
+    cfg.bind, cfg.peer = bind, peer
     cfg.duration_s = args.duration
     cfg.seed = args.seed if args.seed is not None else cfg.seed
     cfg.feedback_control = not args.no_feedback

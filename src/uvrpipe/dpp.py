@@ -15,6 +15,8 @@ The runner's datapath builds none: ``send_frame`` gathers each datagram from
 a reused header buffer and a view of the frame, and ``parse_header`` checks a
 datagram in place in a reused receive buffer. ``decode_packet`` is built on
 ``parse_header``, so both reject the same datagrams with the same errors.
+``Reassembler`` takes either a parsed datagram (``on_fragment``) or a
+simulated frame's burst (``on_frame``).
 """
 
 from __future__ import annotations
@@ -162,12 +164,6 @@ def unchecked_layout(size_bytes, payload_cap: int = PAYLOAD_CAP):
     return count, size_bytes - payload_cap * (count - 1)
 
 
-def fragment_sizes(size_bytes: int, payload_cap: int = PAYLOAD_CAP) -> list[int]:
-    """Payload sizes for a frame of ``size_bytes``: full fragments, then the tail."""
-    count, tail = fragment_layout(size_bytes, payload_cap)
-    return [payload_cap] * (count - 1) + [tail]
-
-
 def frame_flags(is_iframe: bool, forced: bool) -> int:
     return (FLAG_IFRAME if is_iframe else 0) | (FLAG_FORCED if forced else 0)
 
@@ -180,25 +176,22 @@ def fragment(
     forced: bool = False,
     payload_cap: int = PAYLOAD_CAP,
 ) -> list[DppPacket]:
-    """Split encoded frame bytes into ordered DATA packets."""
-    sizes = fragment_sizes(len(data), payload_cap)
+    """Split encoded frame bytes into ordered DATA packets: full fragments of
+    ``payload_cap`` bytes, then the tail."""
+    count, _tail = fragment_layout(len(data), payload_cap)
     flags = frame_flags(is_iframe, forced)
-    packets = []
-    at = 0
-    for index, size in enumerate(sizes):
-        packets.append(
-            DppPacket(
-                msg_type=MSG_DATA,
-                flags=flags,
-                frame_id=frame_id,
-                frag_index=index,
-                frag_count=len(sizes),
-                gen_timestamp_us=gen_timestamp_us,
-                payload=data[at : at + size],
-            )
+    return [
+        DppPacket(
+            msg_type=MSG_DATA,
+            flags=flags,
+            frame_id=frame_id,
+            frag_index=index,
+            frag_count=count,
+            gen_timestamp_us=gen_timestamp_us,
+            payload=data[index * payload_cap : (index + 1) * payload_cap],
         )
-        at += size
-    return packets
+        for index in range(count)
+    ]
 
 
 def send_frame(
@@ -287,11 +280,16 @@ class Reassembler:
     fragment arrival, or at the first sight of a newer frame if none of its
     own fragments ever arrived) expires - either observed directly via
     ``expire`` or implied by a fragment of a newer frame arriving later.
+
+    Fragments come in through one of two entries over the same pending-frame
+    state. The runner hands ``on_fragment`` one datagram's header fields and
+    payload, and the frame's bytes are joined when it completes. The
+    simulator hands ``on_frame`` one frame's burst as
+    ``netsim.transmit_frame`` sums it up, and carries no payload.
     """
 
-    def __init__(self, drop_deadline_us: int, keep_payload: bool = False):
+    def __init__(self, drop_deadline_us: int):
         self.drop_deadline_us = drop_deadline_us
-        self.keep_payload = keep_payload
         self._pending: dict[int, _PendingFrame] = {}
         self._resolved: set[int] = set()
         # no pending deadline anchor is below this, so no sweep before
@@ -351,14 +349,51 @@ class Reassembler:
         is_iframe: bool,
         forced: bool,
         gen_timestamp_us: int,
-        payload: Optional[bytes] = None,
+        payload: bytes | memoryview,
     ) -> list[ReassemblyEvent]:
+        """Ingest one fragment and its payload, which may be a view of a
+        reused buffer: it is copied."""
         events: list[ReassemblyEvent] = list(self._note_frame(now, frame_id))
         ingested = self._ingest(
             now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us, payload
         )
         if ingested is not None:
             events.append(ingested)
+        return events
+
+    def on_frame(
+        self,
+        first: SimTime,
+        last: SimTime,
+        partial: Optional[list[tuple[SimTime, int]]],
+        frame_id: int,
+        frag_count: int,
+        is_iframe: bool,
+        forced: bool,
+        gen_timestamp_us: int,
+    ) -> list[ReassemblyEvent]:
+        """Ingest one frame's burst, as ``netsim.transmit_frame`` returns it:
+        its first and last arrival, and ``partial``, the delivered
+        (arrival, frag_index) pairs, or None when every fragment arrived.
+
+        Equivalent to a call per fragment, except that the drop sweep runs
+        once, at ``first``. A whole frame completes in O(1): only its two
+        arrivals matter.
+        """
+        events: list[ReassemblyEvent] = list(self._note_frame(first, frame_id))
+        if partial is None:
+            if frame_id not in self._resolved:
+                self._resolve(frame_id)
+                events.append(
+                    FrameComplete(frame_id, is_iframe, forced, gen_timestamp_us, first, last)
+                )
+            return events
+        for now, frag_index in partial:
+            ingested = self._ingest(
+                now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us, None
+            )
+            if ingested is not None:
+                events.append(ingested)
         return events
 
     def _ingest(
@@ -370,7 +405,7 @@ class Reassembler:
         is_iframe: bool,
         forced: bool,
         gen_timestamp_us: int,
-        payload: Optional[bytes] = None,
+        payload: Optional[bytes | memoryview],
     ) -> Optional[FrameComplete]:
         if frame_id in self._resolved:
             return None
@@ -387,7 +422,7 @@ class Reassembler:
             pend.is_iframe = is_iframe
             pend.forced = forced
             pend.gen_timestamp_us = gen_timestamp_us
-            if self.keep_payload:
+            if payload is not None:  # a frame's fragments all carry one, or none does
                 pend.chunks = {}
         elif frag_count != pend.frag_count:
             self.malformed_count += 1
@@ -400,8 +435,7 @@ class Reassembler:
         pend.mask |= bit
         pend.received += 1
         if pend.chunks is not None:
-            # a view of a reused buffer is copied; no payload joins as empty
-            pend.chunks[frag_index] = b"" if payload is None else bytes(payload)
+            pend.chunks[frag_index] = bytes(payload)
 
         if pend.received == pend.frag_count:
             data = None
@@ -419,70 +453,6 @@ class Reassembler:
             self._resolve(frame_id)
             return complete
         return None
-
-    def on_burst(
-        self,
-        fragments: list[tuple[SimTime, int]],
-        frame_id: int,
-        frag_count: int,
-        is_iframe: bool,
-        forced: bool,
-        gen_timestamp_us: int,
-    ) -> list[ReassemblyEvent]:
-        """Ingest one frame's delivered fragments as (arrival, frag_index) pairs.
-
-        Equivalent to per-fragment calls except that the drop sweep runs once,
-        at the first arrival of the burst.
-        """
-        events: list[ReassemblyEvent] = list(self._note_frame(fragments[0][0], frame_id))
-        for now, frag_index in fragments:
-            ingested = self._ingest(
-                now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us
-            )
-            if ingested is not None:
-                events.append(ingested)
-        return events
-
-    def on_whole_frame(
-        self,
-        first_arrival: SimTime,
-        last_arrival: SimTime,
-        frame_id: int,
-        is_iframe: bool,
-        forced: bool,
-        gen_timestamp_us: int,
-    ) -> list[ReassemblyEvent]:
-        """Ingest a frame whose fragments all arrived in this one burst.
-
-        Only the burst's first and last arrival matter, so this is
-        ``on_burst`` with the full fragment list, in O(1).
-        """
-        events: list[ReassemblyEvent] = list(self._note_frame(first_arrival, frame_id))
-        if frame_id not in self._resolved:
-            self._resolve(frame_id)
-            events.append(
-                FrameComplete(
-                    frame_id=frame_id,
-                    is_iframe=is_iframe,
-                    forced=forced,
-                    gen_timestamp_us=gen_timestamp_us,
-                    first_arrival=first_arrival,
-                    last_arrival=last_arrival,
-                )
-            )
-        return events
-
-    def on_packet(self, p: DppPacket, now: SimTime) -> list[ReassemblyEvent]:
-        return self.on_fragment(
-            now,
-            p.frame_id,
-            p.frag_index,
-            p.frag_count,
-            bool(p.flags & FLAG_IFRAME),
-            bool(p.flags & FLAG_FORCED),
-            p.gen_timestamp_us,
-            payload=p.payload,
-        )
 
     def expire(self, now: SimTime) -> list[FrameDropped]:
         """Resolve every pending frame whose deadline has passed."""

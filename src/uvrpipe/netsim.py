@@ -33,10 +33,10 @@ told apart by two ``min()`` reductions over its draws. Every other burst
 walks its packets over the values already drawn, in plain Python numbers,
 as ``transmit_burst`` always does.
 
-The closed form computes in O(1) what the walk computes for a burst with
-nothing lost and no jitter, whether the channel drew nothing (Bernoulli
-loss with ``loss_p == 0`` and no jitter: ``_burst_clean``) or its draws came
-out clean:
+The closed form (``_clean_ends``) computes in O(1) what the walk computes
+for a burst with nothing lost and no jitter, whether the channel drew
+nothing (Bernoulli loss with ``loss_p == 0`` and no jitter) or its draws
+came out clean:
 
 Each packet's transmission ends at ``end_k = max(req_k, end_{k-1}) + ser_k``
 (Lindley's recursion). A frame is ``n`` packets: ``n - 1`` full ones, then
@@ -58,8 +58,7 @@ evaluated. Link accounting is summed in the same way: ``S_n`` busy time,
 The receiver-side FIFO clamp raises an arrival to ``last_arrival`` when it
 would land earlier. The walk's arrivals rise with k, so the clamp binds
 somewhere only if it binds on the first arrival; then the closed form
-leaves the link untouched and the burst walks. ``_burst_clean`` also declines
-every channel that draws; its caller then takes the walk.
+leaves the link untouched and the burst walks.
 
 ``clean_run`` evaluates the same closed form for a whole run of frames at
 once, over int64 arrays; across frames the link is Lindley's recursion
@@ -68,7 +67,7 @@ again, one frame per step, unrolled into one running maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -325,7 +324,7 @@ def transmit_frame(
     tail, summed up as ``frame_arrivals``: draw, then time.
 
     When every hop's draws came out clean and no jitter was drawn, the burst
-    is timed in closed form (``_burst_clean``'s, FIFO clamp check included);
+    is timed in closed form (``_clean_ends``, FIFO clamp check included);
     otherwise it walks over the values already drawn.
     """
     _check_size(max(full_size, tail_size))
@@ -379,27 +378,6 @@ def _account_clean(ch: ChannelModel, link: LinkState, busy_us: int, packets: int
     link.sent_bytes += hops * nbytes
 
 
-def _burst_clean(
-    ch: ChannelModel,
-    link: LinkState,
-    count: int,
-    full_size: int,
-    tail_size: int,
-    now: SimTime,
-) -> Optional[tuple[SimTime, SimTime]]:
-    """Closed-form burst of ``count - 1`` packets of ``full_size`` bytes and a tail.
-
-    Returns (first_arrival, last_arrival) and updates ``link`` exactly as
-    ``transmit_burst`` would. Returns None and leaves ``link`` untouched when
-    the channel draws or the receiver FIFO clamp binds (see the module
-    docstring); the caller then takes ``transmit_burst``.
-    """
-    if not draw_free(ch):
-        return None
-    _check_size(max(full_size, tail_size))
-    return _clean_ends(ch, link, count, full_size, tail_size, now)
-
-
 def _clean_ends(
     ch: ChannelModel,
     link: LinkState,
@@ -408,7 +386,13 @@ def _clean_ends(
     tail_size: int,
     now: SimTime,
 ) -> Optional[tuple[SimTime, SimTime]]:
-    """``_burst_clean`` for a burst whose draws, if any, came out clean."""
+    """Closed-form burst of ``count - 1`` packets of ``full_size`` bytes and a
+    tail, whose draws, if any, came out clean.
+
+    Returns (first_arrival, last_arrival) and updates ``link`` exactly as the
+    walk would. Returns None and leaves ``link`` untouched when the receiver
+    FIFO clamp binds (see the module docstring); the caller then walks.
+    """
     first_off, busy_off, total = _clean_shape(ch, count, full_size, tail_size)
     start = now if now > link.busy_until else link.busy_until
     first = start + first_off
@@ -423,7 +407,7 @@ def _clean_ends(
 def clean_run(
     ch: ChannelModel, link: LinkState, count: np.ndarray, tail_size: np.ndarray, now: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``_burst_clean`` for a run of frames at once, each of ``count - 1``
+    """``_clean_ends`` for a run of frames at once, each of ``count - 1``
     full packets (``MAX_PACKET_BYTES``) and a tail, requested at ``now``.
 
     Returns int64 arrays (start, first arrival, last arrival) and updates

@@ -13,7 +13,8 @@ A run is computed in one of two ways, with the same result:
     the heap, and the render ticks' complexities drawn as one batch. A tick
     still goes before a heap event at its time, and a render before a
     sample, as when every tick was scheduled up front; a frame's burst is
-    drawn, then timed (``netsim.transmit_frame``).
+    drawn, then timed (``netsim.transmit_frame``), and the reassembler takes
+    its result as it is (``Reassembler.on_frame``).
   * The array run (``Simulator._run_arrays``), for a draw-free run:
     Bernoulli loss at ``loss_p == 0``, no jitter, no fault frame and no
     transcript. Nothing is lost, so no frame drops, no feedback is sent
@@ -242,14 +243,8 @@ class Simulator:
             self.queue.schedule(deadline + 1, ("deadline", fid))
 
     def _handle_burst(self, t: SimTime, event: tuple) -> None:
-        # ``partial`` lists the delivered (arrival, index) pairs of a frame
-        # that lost fragments; a whole frame carries only its two arrivals
-        _, wire_id, first, last, partial, frag_count, is_iframe, forced, gen_ts = event
-        if partial is None:
-            events = self.reasm.on_whole_frame(first, last, wire_id, is_iframe, forced, gen_ts)
-        else:
-            events = self.reasm.on_burst(partial, wire_id, frag_count, is_iframe, forced, gen_ts)
-        for ev in events:
+        _, wire_id, first, last, partial, *frame = event
+        for ev in self.reasm.on_frame(first, last, partial, wire_id, *frame):
             self._on_reassembly(ev, t)
         self._schedule_deadlines()
 

@@ -331,7 +331,7 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
                     raise ConfigMismatch("host codec configuration does not match")
                 confirmed = True
 
-        reasm = dpp.Reassembler(cfg.drop_deadline_us, keep_payload=True)
+        reasm = dpp.Reassembler(cfg.drop_deadline_us)
         mud_fb = cp_mod.MudFeedbackState()
         latencies_us: list[int] = []
         idle_limit_s = max(1.0, cfg.duration_s * 0.2)
@@ -351,7 +351,7 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
                 if isinstance(ev, dpp.FrameComplete):
                     stats.frames_completed += 1
                     latencies_us.append(wall_us - ev.gen_timestamp_us)
-                    if ev.data != frame_payload(ev.frame_id, len(ev.data or b"")):
+                    if ev.data != frame_payload(ev.frame_id, len(ev.data)):
                         stats.pattern_mismatches += 1
                 else:
                     stats.frames_dropped += 1
@@ -386,7 +386,7 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
                     stats.malformed_datagrams += 1
                     continue
                 if msg_type == dpp.MSG_CTRL:
-                    continue  # HELLO retransmits and input stubs
+                    continue  # HELLO retransmits
                 got_data = True
                 events = reasm.on_fragment(
                     mono_us,

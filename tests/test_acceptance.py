@@ -11,6 +11,7 @@ import threading
 import time
 
 import pytest
+from packet_feed import deliver
 
 from uvrpipe import dpp
 from uvrpipe.cli import main
@@ -175,26 +176,25 @@ def test_c07_protocol_properties():
             packets = dpp.fragment(case, data, 0, is_iframe=False)
             order = list(range(len(packets)))
             rnd.shuffle(order)
-            reasm = dpp.Reassembler(10**9, keep_payload=True)
+            reasm = dpp.Reassembler(10**9)
             completes = []
             for i in order:
                 completes += [
                     e
-                    for e in reasm.on_packet(packets[i], i)
+                    for e in deliver(reasm, packets[i], i)
                     if isinstance(e, dpp.FrameComplete)
                 ]
             assert len(completes) == 1 and completes[0].data == data
             checked_bytes += size
         else:
-            sizes = dpp.fragment_sizes(size)
-            assert sum(sizes) == size
-            assert len(sizes) == -(-size // dpp.PAYLOAD_CAP)
+            count, tail = dpp.fragment_layout(size)
+            assert (count - 1) * dpp.PAYLOAD_CAP + tail == size
+            assert count == -(-size // dpp.PAYLOAD_CAP)
             reasm = dpp.Reassembler(10**9)
-            order = list(range(len(sizes)))
+            order = list(range(count))
             rnd.shuffle(order)
-            events = []
-            for i in order:
-                events += reasm.on_fragment(0, case, i, len(sizes), False, False, 0)
+            burst = [(0, i) for i in order]
+            events = reasm.on_frame(0, 0, burst, case, count, False, False, 0)
             assert [e.frame_id for e in events] == [case]
 
     # exactly-once resolution under shuffled, duplicated, lossy delivery
@@ -208,7 +208,7 @@ def test_c07_protocol_properties():
         rnd.shuffle(stream)
         for p in stream:
             now += 211
-            for ev in reasm.on_packet(p, now):
+            for ev in deliver(reasm, p, now):
                 outcomes.setdefault(ev.frame_id, []).append(ev)
         now += 4_000
         for ev in reasm.expire(now):

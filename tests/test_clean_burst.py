@@ -11,9 +11,8 @@ from uvrpipe.netsim import (
     MAX_PACKET_BYTES,
     ChannelModel,
     LinkState,
-    LossModel,
     Topology,
-    _burst_clean,
+    _clean_ends,
     transmit_burst,
 )
 from uvrpipe.pipeline import run_scenario
@@ -53,7 +52,7 @@ def test_closed_form_equals_walk(
         tail_wire = HEADER_LEN + tail
     sizes = [full] * (count - 1) + [tail_wire]
     arrivals = transmit_burst(ch, walk, sizes, now)
-    ends = _burst_clean(ch, fast, count, full, tail_wire, now)
+    ends = _clean_ends(ch, fast, count, full, tail_wire, now)
     if ends is None:
         # declined without touching the link, because the clamp binds ...
         assert fast == before
@@ -68,23 +67,8 @@ def test_closed_form_equals_walk(
 @pytest.mark.parametrize("topology", Topology)
 def test_binding_clamp_declines(topology):
     link = LinkState(last_arrival=50_000)
-    assert _burst_clean(ChannelModel(topology=topology), link, 64, MTU, 1_248, 0) is None
+    assert _clean_ends(ChannelModel(topology=topology), link, 64, MTU, 1_248, 0) is None
     assert link == LinkState(last_arrival=50_000)
-
-
-@pytest.mark.parametrize(
-    "channel",
-    [
-        ChannelModel(loss_p=0.01),
-        ChannelModel(jitter_sigma_us=1.0),
-        # no loss in either state, but the chain still draws its transitions
-        ChannelModel(loss_model=LossModel.GILBERT_ELLIOTT, ge_loss_bad=0.0),
-    ],
-)
-def test_channels_that_draw_decline(channel):
-    link = LinkState()
-    assert _burst_clean(channel, link, 19, MTU, 400, 0) is None
-    assert link == LinkState()
 
 
 def test_fragment_count_limit():

@@ -90,6 +90,9 @@ def test_out_of_range_value_is_a_validation_error(override, capsys):
         (["--gop", "0"], "codec.gop_size"),
         (["--duration", "nan"], "duration_s"),
         (["--seed", "-1"], "seed"),
+        (["--bind", "127.0.0.1:abc"], "--bind"),
+        (["--bind", "127.0.0.1:70000"], "--bind"),
+        (["--peer", "127.0.0.1:-5"], "--peer"),
     ],
 )
 @pytest.mark.parametrize("role", ["host", "mud"])

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from packet_feed import deliver
 
 from uvrpipe import dpp
 from uvrpipe.dpp import (
@@ -16,7 +17,7 @@ from uvrpipe.dpp import (
     decode_packet,
     encode_packet,
     fragment,
-    fragment_sizes,
+    fragment_layout,
     host_capture_path,
     host_send_path,
     seq_newer,
@@ -80,14 +81,13 @@ def test_decode_rejections():
 
 
 def test_fragment_counts():
-    assert len(fragment_sizes(144_928)) == 64
-    assert fragment_sizes(144_928)[-1] == 1_225
-    assert fragment_sizes(2_281) == [2_281]
-    assert len(fragment_sizes(41_408)) == 19
+    assert fragment_layout(144_928) == (64, 1_225)
+    assert fragment_layout(2_281) == (1, 2_281)
+    assert fragment_layout(41_408)[0] == 19
     with pytest.raises(FragmentationError):
-        fragment_sizes(0)
+        fragment_layout(0)
     with pytest.raises(FragmentationError):
-        fragment_sizes(70_000, payload_cap=1)
+        fragment_layout(70_000, payload_cap=1)
 
 
 def test_fragment_roundtrip_identity():
@@ -102,12 +102,12 @@ def test_fragment_roundtrip_identity():
 
 
 def test_reassembly_in_order():
-    reasm = Reassembler(33_334, keep_payload=True)
+    reasm = Reassembler(33_334)
     data = bytes(range(256)) * 600
     packets = fragment(3, data, 50, is_iframe=True)
     events = []
     for i, p in enumerate(packets):
-        events = reasm.on_packet(p, 1_000 + i)
+        events = deliver(reasm, p, 1_000 + i)
         if i < len(packets) - 1:
             assert events == []
     assert len(events) == 1
@@ -126,31 +126,21 @@ def test_reassembly_shuffled_and_duplicated():
         packets = fragment(trial, data, 0, is_iframe=False)
         stream = packets + rnd.choices(packets, k=3)
         rnd.shuffle(stream)
-        reasm = Reassembler(33_334, keep_payload=True)
+        reasm = Reassembler(33_334)
         completes = []
         for i, p in enumerate(stream):
-            for ev in reasm.on_packet(p, i):
+            for ev in deliver(reasm, p, i):
                 if isinstance(ev, FrameComplete):
                     completes.append(ev)
         assert len(completes) == 1
         assert completes[0].data == data
 
 
-def test_payload_keeping_reassembler_joins_fragments_without_payload():
-    # a fragment ingested without a payload joins as an empty chunk
-    reasm = Reassembler(33_334, keep_payload=True)
-    (ev,) = reasm.on_fragment(0, 1, 0, 1, False, False, 0)
-    assert isinstance(ev, FrameComplete) and ev.data == b""
-    assert reasm.on_fragment(10, 2, 0, 2, False, False, 0, b"ab") == []
-    (ev,) = reasm.on_fragment(11, 2, 1, 2, False, False, 0)
-    assert ev.frame_id == 2 and ev.data == b"ab"
-
-
 def test_duplicate_fragment_is_idempotent():
     packets = fragment(1, b"z" * 5_000, 0, is_iframe=False)
     reasm = Reassembler(33_334)
-    assert reasm.on_packet(packets[0], 0) == []
-    assert reasm.on_packet(packets[0], 1) == []
+    assert deliver(reasm, packets[0], 0) == []
+    assert deliver(reasm, packets[0], 1) == []
     assert reasm.duplicate_count == 1
 
 
@@ -158,22 +148,22 @@ def test_drop_on_newer_frame_past_deadline():
     reasm = Reassembler(33_334)
     packets = fragment(10, b"q" * 10_000, 0, is_iframe=False)
     for p in packets[:-1]:  # last fragment lost
-        assert reasm.on_packet(p, 1_000) == []
+        assert deliver(reasm, p, 1_000) == []
     # next frame arrives after the deadline
     nxt = fragment(11, b"r" * 100, 40_000, is_iframe=False)
-    events = reasm.on_packet(nxt[0], 40_000)
+    events = deliver(reasm, nxt[0], 40_000)
     drops = [e for e in events if isinstance(e, FrameDropped)]
     completes = [e for e in events if isinstance(e, FrameComplete)]
     assert [d.frame_id for d in drops] == [10]
     assert [c.frame_id for c in completes] == [11]
     # late fragment for the dropped frame is ignored, exactly-once holds
-    assert reasm.on_packet(packets[-1], 41_000) == []
+    assert deliver(reasm, packets[-1], 41_000) == []
 
 
 def test_drop_on_deadline_expiry():
     reasm = Reassembler(33_334)
     packets = fragment(4, b"q" * 10_000, 0, is_iframe=True)
-    reasm.on_packet(packets[0], 2_000)
+    deliver(reasm, packets[0], 2_000)
     assert reasm.expire(2_000 + 33_334) == []  # boundary not yet past
     drops = reasm.expire(2_000 + 33_335)
     assert [d.frame_id for d in drops] == [4]
@@ -184,9 +174,9 @@ def test_wholly_lost_frame_dropped_via_gap_anchor():
     reasm = Reassembler(33_334)
     a = fragment(0, b"a" * 100, 0, is_iframe=True)[0]
     c = fragment(2, b"c" * 100, 0, is_iframe=False)[0]
-    assert [type(e) for e in reasm.on_packet(a, 0)] == [FrameComplete]
+    assert [type(e) for e in deliver(reasm, a, 0)] == [FrameComplete]
     # frame 1 never appears; discovered when frame 2 arrives
-    assert [type(e) for e in reasm.on_packet(c, 20_000)] == [FrameComplete]
+    assert [type(e) for e in deliver(reasm, c, 20_000)] == [FrameComplete]
     assert reasm.expire(20_000 + 33_334) == []
     drops = reasm.expire(20_000 + 33_335)
     assert [d.frame_id for d in drops] == [1]
@@ -204,7 +194,7 @@ def test_exactly_once_under_loss_and_reorder():
         rnd.shuffle(survivors)
         for p in survivors:
             now += 293
-            for ev in reasm.on_packet(p, now):
+            for ev in deliver(reasm, p, now):
                 outcomes.setdefault(ev.frame_id, []).append(ev)
         now += 5_000
         for ev in reasm.expire(now):
@@ -221,9 +211,9 @@ def test_serial_arithmetic_wrap():
     reasm = Reassembler(33_334)
     hi = fragment(0xFFFFFFFE, b"x" * 10, 0, is_iframe=False)[0]
     wrapped = fragment(1, b"y" * 10, 50_000, is_iframe=False)[0]
-    evs = reasm.on_packet(hi, 0)
+    evs = deliver(reasm, hi, 0)
     assert [e.frame_id for e in evs] == [0xFFFFFFFE]
-    evs = reasm.on_packet(wrapped, 50_000)
+    evs = deliver(reasm, wrapped, 50_000)
     assert any(isinstance(e, FrameComplete) and e.frame_id == 1 for e in evs)
     # ids skipped across the wrap get deadline anchors at discovery
     drops = reasm.expire(50_000 + 33_335)

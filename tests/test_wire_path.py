@@ -4,9 +4,13 @@ The host sends a frame with ``dpp.send_frame`` and the receiver parses each
 datagram in place with ``dpp.parse_header`` and hands ``on_fragment`` a view
 of its one reused receive buffer. The reference is the codec the runner
 used before and ``cp`` still uses: ``fragment`` + ``encode_packet`` on the
-host, ``decode_packet`` + ``Reassembler.on_packet`` on the receiver, with
-the drop sweep doing a full pass on every call. Both must give the same
-bytes, the same events and the same counters.
+host, ``decode_packet`` + ``Reassembler.on_fragment`` with the decoded
+packet's fields on the receiver, with the drop sweep doing a full pass on
+every call. Both must give the same bytes, the same events and the same
+counters.
+
+The simulator's entry, ``Reassembler.on_frame``, is checked here too: against
+the full sweep, and its O(1) whole-frame branch against its fragment loop.
 """
 
 import math
@@ -18,6 +22,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from packet_feed import deliver
 
 from uvrpipe import dpp, runner
 from uvrpipe.dpp import (
@@ -140,11 +145,10 @@ def _stream(seed: int, frames: int, loss: float, dups: int) -> list[tuple[str, i
     frames=st.integers(1, 40),
     loss=st.sampled_from([0.0, 0.02, 0.2, 0.6]),
     dups=st.integers(0, 3),
-    keep_payload=st.booleans(),
 )
-def test_buffer_receive_matches_packet_receive(seed, frames, loss, dups, keep_payload):
-    reference = FullSweep(33_334, keep_payload=keep_payload)
-    reasm = Reassembler(33_334, keep_payload=keep_payload)
+def test_buffer_receive_matches_packet_receive(seed, frames, loss, dups):
+    reference = FullSweep(33_334)
+    reasm = Reassembler(33_334)
     buf = bytearray(65_535)  # reused for every datagram, as in the runner
     view = memoryview(buf)
     for kind, now, datagram in _stream(seed, frames, loss, dups):
@@ -165,39 +169,85 @@ def test_buffer_receive_matches_packet_receive(seed, frames, loss, dups, keep_pa
             ts,
             view[HEADER_LEN:n],
         )
-        assert events == reference.on_packet(decode_packet(datagram), now)
+        assert events == deliver(reference, decode_packet(datagram), now)
     assert reasm.malformed_count == reference.malformed_count
     assert reasm.duplicate_count == reference.duplicate_count
     assert not reasm._pending and not reference._pending
 
 
-@settings(max_examples=200)
-@given(seed=st.integers(0, 2**32), frames=st.integers(1, 60))
-def test_simulator_entries_match_full_sweep(seed, frames):
-    # the simulator's entries: whole frames, bursts, deadline polls and expiry
+def _simulator_steps(seed: int, frames: int):
+    """A random sequence of what the simulator hands its reassembler.
+
+    ("frame", args) steps are ``on_frame`` arguments with ``partial`` None
+    for a whole frame, and ("poll", None) and ("expire", now) steps follow
+    them. As in the simulator, each frame id goes on the air once, in
+    order, and a one-fragment frame arrives at ``first == last``. A frame
+    id that is skipped is wholly lost, discovered through a newer frame.
+    """
     rnd = random.Random(seed)
-    reference, reasm = FullSweep(33_334), Reassembler(33_334)
     now = 0
     for fid in range(frames):
         now += rnd.choice([0, 5_000, 16_667, 40_000, 90_000])
         step = rnd.random()
         if step < 0.25:
-            continue  # wholly lost: discovered through a newer frame
+            continue
+        count = rnd.randint(1, 20)
+        flags = (fid % 5 == 0, fid % 10 == 0, now)
         if step < 0.6:
-            args = (now, now + rnd.randint(0, 9_000), fid, fid % 5 == 0, False, now)
-            assert reasm.on_whole_frame(*args) == reference.on_whole_frame(*args)
+            last = now + (rnd.randint(0, 9_000) if count > 1 else 0)
+            yield "frame", (now, last, None, fid, count, *flags)
         else:
-            count = rnd.randint(1, 20)
             got = sorted(rnd.sample(range(count), rnd.randint(1, count)))
             burst = [(now + 300 * i, index) for i, index in enumerate(got)]
-            args = (burst, fid, count, fid % 5 == 0, fid % 10 == 0, now)
-            assert reasm.on_burst(*args) == reference.on_burst(*args)
+            yield "frame", (burst[0][0], burst[-1][0], burst, fid, count, *flags)
         if rnd.random() < 0.5:
-            assert reasm.pending_deadlines() == reference.pending_deadlines()
+            yield "poll", None
         if rnd.random() < 0.3:
-            later = now + rnd.randint(0, 50_000)
-            assert reasm.expire(later) == reference.expire(later)
-    assert reasm.expire(now + 10**6) == reference.expire(now + 10**6)
+            yield "expire", now + rnd.randint(0, 50_000)
+    yield "expire", now + 10**6
+
+
+def _whole_as_fragments(args, rnd: random.Random):
+    """``on_frame`` arguments of a whole frame, with ``partial`` listing every
+    fragment: index 0 at ``first``, ``count - 1`` at ``last``, the others in
+    between."""
+    first, last, _partial, fid, count, *flags = args
+    between = sorted(rnd.randint(first, last) for _ in range(count - 2))
+    times = [first, *between, last][-count:]
+    return (first, last, list(zip(times, range(count))), fid, count, *flags)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32), frames=st.integers(1, 60))
+def test_simulator_entries_match_full_sweep(seed, frames):
+    # whole frames, bursts, deadline polls and expiry, as the simulator sends them
+    reference, reasm = FullSweep(33_334), Reassembler(33_334)
+    for kind, arg in _simulator_steps(seed, frames):
+        if kind == "frame":
+            assert reasm.on_frame(*arg) == reference.on_frame(*arg)
+        elif kind == "poll":
+            assert reasm.pending_deadlines() == reference.pending_deadlines()
+        else:
+            assert reasm.expire(arg) == reference.expire(arg)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32), frames=st.integers(1, 60))
+def test_whole_frame_matches_its_fragment_loop(seed, frames):
+    # the O(1) branch for a whole frame against the same frame's fragments
+    whole, loop = Reassembler(33_334), Reassembler(33_334)
+    rnd = random.Random(seed)
+    for kind, arg in _simulator_steps(seed, frames):
+        if kind == "frame":
+            fragments = arg if arg[2] is not None else _whole_as_fragments(arg, rnd)
+            assert whole.on_frame(*arg) == loop.on_frame(*fragments)
+        elif kind == "poll":
+            assert whole.pending_deadlines() == loop.pending_deadlines()
+        else:
+            assert whole.expire(arg) == loop.expire(arg)
+    counters = (whole.malformed_count, whole.duplicate_count)
+    assert counters == (loop.malformed_count, loop.duplicate_count)
+    assert not whole._pending and not loop._pending
 
 
 def _with_frag_count(raw: bytes, index: int, count: int) -> bytes:
@@ -239,7 +289,7 @@ def test_forged_fragment_count_allocates_little():
         encode_packet(DppPacket(dpp.MSG_DATA, 0, 9, 0, 1, 0, b"y" * PAYLOAD_CAP)), 65_534, 65_535
     )
     buf = bytearray(datagram)
-    reasm = Reassembler(33_334, keep_payload=True)
+    reasm = Reassembler(33_334)
     tracemalloc.start()
     try:
         _type, flags, frame_id, frag_index, frag_count, ts = parse_header(buf, len(buf))
