@@ -158,11 +158,14 @@ def cmd_sim_sweep(args) -> int:
 
 
 def _parse_addr(raw: str, default_port: int) -> Optional[tuple[str, int]]:
-    """(host, port) of ``HOST[:PORT]``, or None unless PORT is an integer in
-    [0, 65535]."""
+    """(host, port) of ``IPV4HOST[:PORT]``, or None unless PORT is an integer
+    in [0, 65535] and the host is no IPv6 address: the runner's sockets are
+    ``AF_INET``."""
     host, colon, port = raw.rpartition(":")
     if not colon:
         return raw, default_port
+    if any(c in host for c in ":[]"):
+        return None
     try:
         number = int(port)
     except ValueError:
@@ -180,7 +183,7 @@ def _runner_config(args) -> runner_mod.RunnerConfig:
     bind, peer = (_parse_addr(raw, runner_mod.DEFAULT_PORT) for raw in (args.bind, args.peer))
     for flag, addr in (("--bind", bind), ("--peer", peer)):
         if addr is None:
-            errors.append(f"{flag} must be HOST:PORT with PORT in [0, 65535]")
+            errors.append(f"{flag} must be IPV4HOST:PORT with PORT in [0, 65535]")
     if errors:  # before any socket opens
         raise ScenarioError(errors)
     cfg = runner_mod.RunnerConfig()
@@ -243,8 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     net_sub = net.add_subparsers(dest="net_command", required=True)
     for role, fn in (("host", runner_mod.host_run), ("mud", runner_mod.mud_run)):
         p = net_sub.add_parser(role, help=f"run the {role} role")
-        p.add_argument("--bind", default=f"127.0.0.1:{runner_mod.DEFAULT_PORT + (0 if role == 'host' else 1)}")
-        p.add_argument("--peer", default=f"127.0.0.1:{runner_mod.DEFAULT_PORT + (1 if role == 'host' else 0)}")
+        p.add_argument(
+            "--bind",
+            default=f"127.0.0.1:{runner_mod.DEFAULT_PORT + (0 if role == 'host' else 1)}",
+            help="local IPv4 address, IPV4HOST[:PORT]",
+        )
+        p.add_argument(
+            "--peer",
+            default=f"127.0.0.1:{runner_mod.DEFAULT_PORT + (1 if role == 'host' else 0)}",
+            help="the other role's IPv4 address, IPV4HOST[:PORT]",
+        )
         p.add_argument("--duration", type=float, default=10.0)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--gop", type=int, default=None)

@@ -127,7 +127,8 @@ class DecodeServer:
     Starts are limited to ``decode_fps_cap`` per second by an exact-integer
     token bucket (burst of 2 frames absorbs arrival jitter without letting the
     sustained rate exceed the cap); each admitted frame completes
-    ``service_us`` after it starts.
+    ``service_us`` after it starts. ``offer`` admits one frame; ``offer_run``
+    admits a whole run at once when the bucket never makes a frame wait.
     """
 
     TOKEN = 1_000_000  # scaled units per token; refills at fps_cap units/us
@@ -154,3 +155,36 @@ class DecodeServer:
         self._prev_start = start
         return start, start - arrival
 
+    def offer_run(self, arrivals: np.ndarray) -> Optional[np.ndarray]:
+        """``offer`` of every arrival in order, as one int64 array of decode
+        starts, when no frame waits for a token; else None, with no state
+        changed.
+
+        Without a wait the starts are ``s = cummax(max(arrivals, prev_start))``.
+        With ``c = fps_cap``, ``K = TOKEN`` and ``Z = start*c - tokens`` after
+        each frame, ``offer`` is ``Z_i = max(s_i*c - K, Z_{i-1} + K)``: the
+        refill to ``2K`` is the first term, one token taken the second. With
+        ``W_i = Z_i - (i+1)*K`` that is ``W_i = max(s_i*c - (i+2)*K, W_{i-1})``,
+        which unrolls to ``Z_i = (i+1)*K + max(Z_{-1}, cummax_{j<=i}(s_j*c -
+        (j+2)*K))``, one running maximum, where ``Z_{-1} = last*c - tokens``.
+        Frame i finds at least one token, so waits for none, exactly when
+        ``s_i*c - Z_{i-1} >= K``. Also None when a scaled time could reach
+        2**62, where int64 could wrap; the caller then offers frame by frame.
+        """
+        n = len(arrivals)
+        if n == 0:
+            return np.zeros(0, dtype=np.int64)
+        c, k = self.fps_cap, self.TOKEN
+        top = max(int(arrivals.max()), self._prev_start)  # the last start
+        if top * c + (n + 2) * k >= 2**62:
+            return None
+        start = np.maximum.accumulate(np.maximum(arrivals, self._prev_start))
+        z_before = self._last * c - self._tokens
+        scaled = start * c
+        taken = np.arange(1, n + 1) * k  # (i+1)*K
+        z = taken + np.maximum(np.maximum.accumulate(scaled - (taken + k)), z_before)
+        if scaled[0] - z_before < k or (scaled[1:] - z[:-1] < k).any():
+            return None
+        self._tokens = int(scaled[-1] - z[-1])
+        self._last = self._prev_start = int(start[-1])
+        return start

@@ -19,11 +19,14 @@ A run is computed in one of two ways, with the same result:
     Bernoulli loss at ``loss_p == 0``, no jitter, no fault frame and no
     transcript. Nothing is lost, so no frame drops, no feedback is sent
     and every frame follows the GOP schedule; ticks, complexities, sizes,
-    fragment layouts and the link (``netsim.clean_run``) are whole-run
-    numpy arrays, and only the decoder's token bucket is a loop. When a
-    precondition fails on the arrays (the receiver's FIFO clamp binds, a
-    frame exceeds the fragment limit, a time could outgrow int64), it
-    leaves the rng and the link as they were and the event loop runs.
+    fragment layouts, the link (``netsim.clean_run``) and the decoder's
+    token bucket (``DecodeServer.offer_run``) are whole-run numpy arrays,
+    with no Python step per frame. Only a bucket that makes some frame wait
+    is offered frame by frame. The ``FrameRecord`` list is built from the
+    arrays when ``SimResult.records`` is first read. When a precondition
+    fails on the arrays (the receiver's FIFO clamp binds, a frame exceeds
+    the fragment limit, a time could outgrow int64), it leaves the rng and
+    the link as they were and the event loop runs.
 
 ``tests/test_array_run.py`` keeps the event loop as the array run's reference,
 and ``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
@@ -32,10 +35,10 @@ merge's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import repeat
+from dataclasses import fields, replace
+from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -82,12 +85,33 @@ def _column(records: list[FrameRecord], name: str) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-@dataclass
 class SimResult:
-    metrics: MetricsReport
-    records: list[FrameRecord]
-    graph: DatapathGraph
-    transcript: Optional[list[tuple]] = None
+    """A run's report, datapath, optional event transcript and per-frame records.
+
+    ``records`` comes in as the list of ``FrameRecord`` or, from an array
+    run, as a dict of per-frame arrays keyed by ``FrameRecord`` field; the
+    list is then built on the first read of ``records``.
+    """
+
+    def __init__(
+        self,
+        metrics: MetricsReport,
+        records: Union[list[FrameRecord], dict[str, np.ndarray]],
+        graph: DatapathGraph,
+        transcript: Optional[list[tuple]] = None,
+    ):
+        self.metrics = metrics
+        self.graph = graph
+        self.transcript = transcript
+        if isinstance(records, list):
+            self.records = records
+        else:
+            self._frames = records
+
+    @cached_property
+    def records(self) -> list[FrameRecord]:
+        frames = self._frames
+        return list(map(FrameRecord, *(frames[f.name].tolist() for f in fields(FrameRecord))))
 
 
 class Simulator:
@@ -300,15 +324,19 @@ class Simulator:
             ticks.sort(key=itemgetter(0))  # stable: on a tie the render goes first
         self.queue.run(self._dispatch, ticks)
         self._mark_corruption()
-        return self._result({name: _column(self.records, name) for name in _COLUMNS})
+        columns = {name: _column(self.records, name) for name in _COLUMNS}
+        return SimResult(self._metrics(columns), self.records, self.graph, self.transcript)
 
     def _run_arrays(self) -> Optional[SimResult]:
         """The whole draw-free run as numpy arrays; None, with nothing drawn or
         changed, when a precondition fails and the event loop must run it.
 
         Every frame arrives whole, so the receiver never drops one and no
-        feedback is sent: each frame is I exactly on its GOP schedule, and
-        only the decoder's token bucket needs a loop.
+        feedback is sent: each frame is I exactly on its GOP schedule. The
+        decoder admits the run in one pass (``DecodeServer.offer_run``) unless
+        its token bucket makes some frame wait; then it takes frame by frame.
+        The result holds the per-frame arrays, from which ``SimResult``
+        builds the ``FrameRecord`` list only when it is read.
         """
         cfg, g = self.cfg, self.graph
         render = frame_ticks(cfg.render_fps, cfg.duration_us)
@@ -339,51 +367,32 @@ class Simulator:
         start, _first, last = sent
 
         net_done = last + g.link_fixed_us
-        offer = self.decoder.offer
-        decode_start = np.array([offer(t)[0] for t in net_done.tolist()], dtype=np.int64)
-        presented = decode_start + g.mud_service_us + g.residual_us
-        columns = {
+        decode_start = self.decoder.offer_run(net_done)
+        if decode_start is None:  # the decoder's token bucket makes some frame wait
+            offer = self.decoder.offer
+            decode_start = np.array([offer(t)[0] for t in net_done.tolist()], dtype=np.int64)
+        n = len(sizes)
+        zeros = np.zeros(n, dtype=bool)
+        frames = {
+            "frame_id": np.arange(n),
+            "frame_type": np.where(is_iframe, FrameType.I.value, FrameType.P.value),
+            "forced": zeros,
             "gen_us": render[source],
             "encoded_us": encoded,
-            "net_us": net_done - request,
-            "queue_wait_us": decode_start - net_done,
-            "presented_us": presented,
+            "sent_first_us": start,
+            "arrived_last_us": last,
+            "decode_start_us": decode_start,
+            "presented_us": decode_start + g.mud_service_us + g.residual_us,
+            "dropped": zeros,
+            "corrupted": zeros,
             "size_bytes": sizes,
-            "dropped": np.zeros(len(sizes), dtype=np.int64),
-            "corrupted": np.zeros(len(sizes), dtype=np.int64),
+            "queue_wait_us": decode_start - net_done,
+            "net_us": net_done - request,
         }
         self._rendered = len(render)
         if cfg.encode_mode is EncodeMode.SYNC:
             self._sync_overruns = int(self._sync_overrun(source, send).sum())
-        n = len(sizes)
-        self.records = list(
-            map(
-                FrameRecord,
-                range(n),
-                np.where(is_iframe, FrameType.I.value, FrameType.P.value).tolist(),
-                repeat(False, n),
-                columns["gen_us"].tolist(),
-                encoded.tolist(),
-                start.tolist(),
-                last.tolist(),
-                decode_start.tolist(),
-                presented.tolist(),
-                repeat(False, n),
-                repeat(False, n),
-                sizes.tolist(),
-                columns["queue_wait_us"].tolist(),
-                columns["net_us"].tolist(),
-            )
-        )
-        return self._result(columns)
-
-    def _result(self, columns: dict[str, np.ndarray]) -> SimResult:
-        return SimResult(
-            metrics=self._metrics(columns),
-            records=self.records,
-            graph=self.graph,
-            transcript=self.transcript,
-        )
+        return SimResult(self._metrics(frames), frames, self.graph, self.transcript)
 
     def _mark_corruption(self) -> None:
         broken = False

@@ -8,6 +8,7 @@ may differ between two runs of the same seeded scenario.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -78,14 +79,31 @@ def write_trace(records: list[FrameRecord], path: Union[str, Path]) -> None:
 
 
 def _dist_ms(values_us: Sequence[int]) -> dict[str, float]:
+    """Mean, median and 99th percentile of ``values_us``, in ms.
+
+    Both percentiles come from one sort and equal ``np.percentile``'s default
+    (linear) method bit for bit: the same index ``(n-1)*q``, the same weight
+    and the same two-sided interpolation, in plain floats.
+    """
     if len(values_us) == 0:
         return {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
     arr = np.asarray(values_us, dtype=np.float64) / 1000.0
+    ordered = np.sort(arr)
     return {
         "mean_ms": round(float(arr.mean()), 4),
-        "p50_ms": round(float(np.percentile(arr, 50)), 4),
-        "p99_ms": round(float(np.percentile(arr, 99)), 4),
+        "p50_ms": round(_percentile(ordered, 0.5), 4),
+        "p99_ms": round(_percentile(ordered, 0.99), 4),
     }
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """Quantile ``q`` of the ascending ``ordered`` by numpy's linear method."""
+    n = len(ordered)
+    v = (n - 1) * q
+    lo = math.floor(v)
+    a, b = float(ordered[lo]), float(ordered[min(lo + 1, n - 1)])
+    g = v - lo
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 @dataclass

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uvrpipe.codec import DecodeServer
 from uvrpipe.core import Rng
 from uvrpipe.dpp import FragmentationError
 from uvrpipe.netsim import LinkState, LossModel
@@ -131,6 +132,18 @@ def test_presets(preset, mode):
     cfg.duration_s = 3.0
     cfg.encode_mode = mode
     assert _outcome(cfg, _arrays) == _outcome(cfg, _events)
+
+
+@pytest.mark.parametrize("preset", ["baseline", "openuvr"])
+def test_presets_admit_the_decoder_in_one_pass(preset, monkeypatch):
+    # the whole 60-s run goes through DecodeServer.offer_run, never frame by frame
+    def no_offer(self, arrival):
+        raise AssertionError("DecodeServer.offer was called")
+
+    monkeypatch.setattr(DecodeServer, "offer", no_offer)
+    result = Simulator(preset_config(preset)).run()
+    assert result.metrics.frames["sent"] == 3_600
+    assert result.metrics.stages["decode-wait"]["p99_ms"] == 0.0
 
 
 # --- fallback: each of these runs must come out as the event loop's -----------

@@ -93,6 +93,11 @@ def test_out_of_range_value_is_a_validation_error(override, capsys):
         (["--bind", "127.0.0.1:abc"], "--bind"),
         (["--bind", "127.0.0.1:70000"], "--bind"),
         (["--peer", "127.0.0.1:-5"], "--peer"),
+        # the runner's sockets are IPv4 only
+        (["--bind", "::1"], "--bind"),
+        (["--bind", "[::1]:5000"], "--bind"),
+        (["--peer", "::1"], "--peer"),
+        (["--peer", "[::1]:5000"], "--peer"),
     ],
 )
 @pytest.mark.parametrize("role", ["host", "mud"])

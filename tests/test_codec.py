@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvrpipe.codec import (
     CodecConfig,
@@ -114,3 +117,119 @@ def test_decoder_overload_grows_unbounded():
     assert all(b >= a for a, b in zip(tail, tail[1:]))
     assert waits[-1] > 100 * 1000  # far beyond one service time and still climbing
     assert waits[-1] > waits[len(waits) // 2]
+
+
+# --- DecodeServer.offer_run against n offer calls -----------------------------
+
+caps = st.integers(1, 240)
+warm_ups = st.lists(st.integers(0, 3_000_000), max_size=4)
+
+
+def _servers(cap, warm_up):
+    """Two decoders in the same state, after the same earlier offers."""
+    loop, run = DecodeServer(cap, 3_640), DecodeServer(cap, 3_640)
+    for t in warm_up:
+        loop.offer(t)
+        run.offer(t)
+    return loop, run
+
+
+def _state(server):
+    return server._tokens, server._last, server._prev_start
+
+
+def _offer_each(server, arrivals):
+    """``offer`` of each arrival: the (start, wait) pairs, and whether the
+    token bucket held some frame back past its arrival and the last start."""
+    admitted, held = [], False
+    for t in arrivals:
+        ready = max(t, server._prev_start)
+        admitted.append(server.offer(t))
+        held |= admitted[-1][0] > ready
+    return admitted, held
+
+
+@st.composite
+def _unhurried(draw):
+    """(cap, warm-up, arrivals) where no frame waits: groups of one arrival
+    at least one token period after the last start, or of two (the second
+    repeated or earlier, so it starts with the first) after two periods."""
+    cap, warm_up = draw(caps), draw(warm_ups)
+    period = -(-DecodeServer.TOKEN // cap)
+    t = max(_servers(cap, warm_up)[0]._prev_start, 0)
+    arrivals = []
+    for pair in draw(st.lists(st.booleans(), max_size=30)):
+        t += (2 if pair else 1) * period + draw(st.integers(0, 3 * period))
+        arrivals.append(t)
+        if pair:
+            arrivals.append(t - draw(st.integers(0, 2 * period)))
+    return cap, warm_up, arrivals
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unhurried())
+def test_offer_run_equals_offer_loop(case):
+    cap, warm_up, arrivals = case
+    loop, run = _servers(cap, warm_up)
+    starts = run.offer_run(np.array(arrivals, dtype=np.int64))
+    admitted, held = _offer_each(loop, arrivals)
+    assert not held
+    assert starts is not None and starts.dtype == np.int64
+    assert starts.tolist() == [start for start, _ in admitted]
+    assert (starts - arrivals).tolist() == [wait for _, wait in admitted]
+    assert _state(run) == _state(loop)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cap=caps,
+    warm_up=warm_ups,
+    before=st.lists(st.integers(0, 3_000_000), max_size=20),
+    after=st.lists(st.integers(0, 3_000_000), max_size=20),
+    late=st.integers(0, 100_000),
+)
+def test_offer_run_declines_when_the_bucket_binds(cap, warm_up, before, after, late):
+    # three frames that start at one time need three tokens; the bucket holds two
+    t = max([*warm_up, *before], default=0) + late
+    arrivals = [*before, t, t, t, *after]
+    loop, run = _servers(cap, warm_up)
+    state = _state(run)
+    assert run.offer_run(np.array(arrivals, dtype=np.int64)) is None
+    assert _state(run) == state
+    assert _offer_each(loop, arrivals)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cap=caps,
+    warm_up=warm_ups,
+    arrivals=st.lists(st.integers(0, 3_000_000), max_size=30),
+)
+def test_offer_run_admits_or_declines_as_the_loop_decides(cap, warm_up, arrivals):
+    # unsorted arrivals at any spacing: the run is admitted exactly when the
+    # loop's bucket holds no frame back, and then ends in the loop's state
+    loop, run = _servers(cap, warm_up)
+    state = _state(run)
+    starts = run.offer_run(np.array(arrivals, dtype=np.int64))
+    admitted, held = _offer_each(loop, arrivals)
+    if held:
+        assert starts is None and _state(run) == state
+    else:
+        assert starts.tolist() == [start for start, _ in admitted]
+        assert (starts - arrivals).tolist() == [wait for _, wait in admitted]
+        assert _state(run) == _state(loop)
+
+
+def test_offer_run_of_nothing_changes_nothing():
+    server = DecodeServer(60, 3_640)
+    server.offer(5_000)
+    state = _state(server)
+    assert server.offer_run(np.zeros(0, dtype=np.int64)).tolist() == []
+    assert _state(server) == state
+
+
+def test_offer_run_declines_times_near_int64():
+    server = DecodeServer(240, 3_640)
+    state = _state(server)
+    assert server.offer_run(np.array([2**62 // 240], dtype=np.int64)) is None
+    assert _state(server) == state
