@@ -8,6 +8,7 @@ the same unit.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional
@@ -71,9 +72,19 @@ class Rng:
             name: np.random.Generator(np.random.PCG64(child))
             for name, child in zip(self._STREAMS, children)
         }
+        self._tapes: dict[str, UniformTape] = {}
 
     def stream(self, name: str) -> np.random.Generator:
+        """The generator, where the draws so far leave it (a tape is synced, dropped)."""
+        if name in self._tapes:
+            self._tapes.pop(name).sync()
         return self._gens[name]
+
+    def tape(self, name: str) -> UniformTape:
+        """The stream's uniforms from a tape drawn ahead (``UniformTape``)."""
+        if name not in self._tapes:
+            self._tapes[name] = UniformTape(self._gens[name])
+        return self._tapes[name]
 
     def lognormal_complexity(self, sigma: float, n: Optional[int] = None):
         """One content complexity, or an array of ``n`` from one batched draw.
@@ -86,6 +97,61 @@ class Rng:
             # degenerate distribution; the draw above keeps streams aligned
             return 1.0 if n is None else np.ones(n)
         return float(np.exp(sigma * z)) if n is None else np.exp(sigma * z)
+
+
+class UniformTape:
+    """A generator's ``random()`` draws, drawn ahead in blocks that start
+    small and double, and handed out in order: exactly the sequential draws.
+
+    ``take(k)`` hands out the next ``k``. ``clean(a, b, k)`` skips them if
+    none is *disturbing* (below ``a`` at an even offset, below ``b`` at an
+    odd one) and says whether it did, by one bisect over the positions of
+    such values, kept per threshold pair and parity. ``sync`` sets the
+    generator to the state before the first block, advanced by the count.
+    """
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen, self._origin = gen, gen.bit_generator.state
+        self._base = self._pos = 0  # values handed out before the block, and in it
+        self._block = np.zeros(0)
+        self._marks: dict[tuple[float, float, int], list[int]] = {}
+
+    def _ready(self, k: int) -> int:
+        """The current position, with ``k`` values drawn from it on."""
+        if self._pos + k > len(self._block):  # the next block keeps what is left
+            rest = self._block[self._pos :]
+            self._base += self._pos
+            size = min(max(64, 2 * len(self._block)), 1 << 16)
+            self._block = np.concatenate((rest, self._gen.random(max(size, k - len(rest)))))
+            self._pos, self._marks = 0, {}
+        return self._pos
+
+    def clean(self, a: float, b: float, k: int) -> bool:
+        pos = self._ready(k)
+        marks = self._marks.get((a, b, pos & 1))
+        if marks is None:
+            limits = np.full(len(self._block), b)
+            limits[pos & 1 :: 2] = a
+            # the block's end stands behind the last one, so a lookup always hits
+            found = np.flatnonzero(self._block < limits).tolist() + [len(self._block)]
+            marks = self._marks[a, b, pos & 1] = found
+        if marks[bisect_left(marks, pos)] < pos + k:
+            return False
+        self._pos = pos + k
+        return True
+
+    def take(self, k: int) -> list[float]:
+        pos = self._ready(k)
+        self._pos = pos + k
+        return self._block[pos : pos + k].tolist()
+
+    def sync(self) -> None:
+        bits = self._gen.bit_generator
+        bits.state = self._origin
+        bits.advance(self._base + self._pos)
+        # ``advance`` drops the buffered 32-bit half, which ``random()`` never touches
+        kept = {key: self._origin[key] for key in ("has_uint32", "uinteger")}
+        bits.state = {**bits.state, **kept}
 
 
 class EventQueue:

@@ -9,7 +9,7 @@ Wire format (23-byte big-endian header, total datagram <= 2304 bytes):
 msg_type 0x01 carries frame fragments, 0x02 carries control messages.
 flags bit0 marks an I-frame fragment, bit1 a forced I-frame.
 
-Two codecs write and read these bytes. ``fragment``, ``encode_packet`` and
+Two codecs write and read these bytes. ``encode_packet`` and
 ``decode_packet`` go through ``DppPacket`` objects (control messages, tests).
 The runner's datapath builds none: ``send_frame`` gathers each datagram from
 a reused header buffer and a view of the frame, and ``parse_header`` checks a
@@ -168,37 +168,12 @@ def frame_flags(is_iframe: bool, forced: bool) -> int:
     return (FLAG_IFRAME if is_iframe else 0) | (FLAG_FORCED if forced else 0)
 
 
-def fragment(
-    frame_id: int,
-    data: bytes,
-    gen_timestamp_us: int,
-    is_iframe: bool,
-    forced: bool = False,
-    payload_cap: int = PAYLOAD_CAP,
-) -> list[DppPacket]:
-    """Split encoded frame bytes into ordered DATA packets: full fragments of
-    ``payload_cap`` bytes, then the tail."""
-    count, _tail = fragment_layout(len(data), payload_cap)
-    flags = frame_flags(is_iframe, forced)
-    return [
-        DppPacket(
-            msg_type=MSG_DATA,
-            flags=flags,
-            frame_id=frame_id,
-            frag_index=index,
-            frag_count=count,
-            gen_timestamp_us=gen_timestamp_us,
-            payload=data[index * payload_cap : (index + 1) * payload_cap],
-        )
-        for index in range(count)
-    ]
-
-
 def send_frame(
     sock, peer, frame_id: int, data, gen_timestamp_us: int, is_iframe: bool, forced: bool
 ) -> None:
-    """Send a frame as the datagrams ``encode_packet`` gives for each packet
-    of ``fragment``, without building either.
+    """Send a frame as one datagram per fragment, byte for byte what
+    ``encode_packet`` gives for the fragment's ``DppPacket``, without
+    building either.
 
     Each datagram is gathered by ``sock.sendmsg`` from one reused header
     buffer and a view of ``data``, so the payload is copied once, by the
@@ -365,35 +340,26 @@ class Reassembler:
         self,
         first: SimTime,
         last: SimTime,
-        partial: Optional[list[tuple[SimTime, int]]],
+        delivered: int,
         frame_id: int,
         frag_count: int,
         is_iframe: bool,
         forced: bool,
         gen_timestamp_us: int,
     ) -> list[ReassemblyEvent]:
-        """Ingest one frame's burst, as ``netsim.transmit_frame`` returns it:
-        its first and last arrival, and ``partial``, the delivered
-        (arrival, frag_index) pairs, or None when every fragment arrived.
-
-        Equivalent to a call per fragment, except that the drop sweep runs
-        once, at ``first``. A whole frame completes in O(1): only its two
-        arrivals matter.
+        """Ingest one frame's burst in O(1), as ``netsim.transmit_frame``
+        returns it: its first and last arrival and how many of its
+        ``frag_count`` fragments arrived. The drop sweep runs once, at
+        ``first``. A whole frame completes; a partial one turns pending, its
+        deadline anchored at ``first``, as its first fragment would leave it.
+        A frame id goes on the air once in the simulator, so nothing completes it.
         """
         events: list[ReassemblyEvent] = list(self._note_frame(first, frame_id))
-        if partial is None:
-            if frame_id not in self._resolved:
-                self._resolve(frame_id)
-                events.append(
-                    FrameComplete(frame_id, is_iframe, forced, gen_timestamp_us, first, last)
-                )
-            return events
-        for now, frag_index in partial:
-            ingested = self._ingest(
-                now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us, None
-            )
-            if ingested is not None:
-                events.append(ingested)
+        if delivered < frag_count:
+            self._ingest(first, frame_id, 0, frag_count, is_iframe, forced, gen_timestamp_us, None)
+        elif frame_id not in self._resolved:
+            self._resolve(frame_id)
+            events.append(FrameComplete(frame_id, is_iframe, forced, gen_timestamp_us, first, last))
         return events
 
     def _ingest(

@@ -10,13 +10,13 @@ point forwards the burst afterwards in arrival order. Lost packets still
 occupy the medium on the hop where they were transmitted.
 
 A burst is computed in two steps: draw, then time. First each hop draws its
-randomness in batches, one numpy call per stream:
+randomness:
 
   * loss: ``2n`` uniforms for Gilbert-Elliott (a loss draw, then a
     transition draw, per packet), ``n`` for Bernoulli with ``loss_p > 0``,
     none for ``loss_p == 0``;
   * jitter: one standard normal per packet the hop delivers, none when
-    ``jitter_sigma_us == 0``.
+    ``jitter_sigma_us == 0``, in one numpy call.
 
 The draw order is a contract, because reports are pinned byte for byte:
 per hop, the loss draws come in packet order and the jitter draws of the
@@ -26,17 +26,20 @@ independent, so this is exactly what a per-packet walk with one scalar draw
 per value consumes; ``tests/test_lossy_burst.py`` keeps that walk as the
 reference.
 
-Then the burst is timed. ``transmit_frame`` (a frame's burst; ``transmit``
-is a one-packet frame) times a burst that lost nothing on any hop and drew
-no jitter in closed form, below; a loss-free Gilbert-Elliott hop is mostly
-told apart by two ``min()`` reductions over its draws. Every other burst
-walks its packets over the values already drawn, in plain Python numbers,
-as ``transmit_burst`` always does.
+The loss draws come from the loss stream's tape (``Rng.tape``): uniforms
+drawn ahead in blocks and handed out in order. A hop whose draws disturb
+nothing (no loss and, for Gilbert-Elliott, no change of state) is one
+bisect and a skip; only a disturbed hop takes its values and walks the
+chain. ``Rng.stream`` syncs the generator to where sequential draws leave it.
 
-The closed form (``_clean_ends``) computes in O(1) what the walk computes
-for a burst with nothing lost and no jitter, whether the channel drew
-nothing (Bernoulli loss with ``loss_p == 0`` and no jitter) or its draws
-came out clean:
+Then the burst is timed. ``transmit_frame`` times a burst in closed form,
+below: on P2P without jitter every burst, lossy or not; under INFRA or with
+jitter only a burst that lost nothing on any hop and drew no jitter. Every
+other burst walks its packets over the values already drawn, in plain
+Python numbers, as ``transmit_burst`` always does. ``transmit`` is a
+one-packet frame, timed directly on P2P without jitter.
+
+The closed form (``_clean_ends``) computes in O(1) what the walk computes:
 
 Each packet's transmission ends at ``end_k = max(req_k, end_{k-1}) + ser_k``
 (Lindley's recursion). A frame is ``n`` packets: ``n - 1`` full ones, then
@@ -55,10 +58,16 @@ and packet k arrives at ``busy2_k + prop``. Only ``k = 1`` and ``k = n`` are
 evaluated. Link accounting is summed in the same way: ``S_n`` busy time,
 ``n`` packets and the frame's bytes per hop.
 
+A lost packet still occupies the medium, so on P2P packet k arrives at
+``start + S_k + prop`` whether or not others were lost. A lossy P2P burst's
+first and last arrival are those of its first and last delivered packet,
+read off the loss flags with the lost count; the busy time is still
+``S_n``, and the link's last arrival moves only when something arrives.
+
 The receiver-side FIFO clamp raises an arrival to ``last_arrival`` when it
 would land earlier. The walk's arrivals rise with k, so the clamp binds
-somewhere only if it binds on the first arrival; then the closed form
-leaves the link untouched and the burst walks.
+somewhere only if it binds on the first delivered arrival; then the closed
+form leaves the link untouched and the burst walks.
 
 ``clean_run`` evaluates the same closed form for a whole run of frames at
 once, over int64 arrays; across frames the link is Lindley's recursion
@@ -127,31 +136,26 @@ def _loss_draws(
     """Draw the loss of ``n`` packets sent in order and step the Gilbert-Elliott
     chain; returns the loss flags, or None when the hop lost nothing.
 
-    Mostly the hop came out clean: every loss draw at or above its state's
-    loss probability and, for Gilbert-Elliott, every transition draw at or
-    above the probability of leaving the state, so the chain stays where it
-    is. Two ``min()`` reductions decide that, with no per-packet Python; only
-    otherwise is the chain walked. One packet (every control message) takes
-    scalar draws: the same values as a batch of one, without the array round
-    trip.
+    The draws come from the loss stream's tape. Mostly the hop comes out
+    clean: no loss draw below its state's loss probability and, for
+    Gilbert-Elliott, no transition draw below the probability of leaving the
+    state. The tape skips such draws in one bisect (``UniformTape.clean``);
+    only otherwise are they taken and the chain walked.
     """
     if ch.loss_model is LossModel.BERNOULLI:
         p = ch.loss_p
         if p <= 0.0:
             return None
-        stream = rng.stream("loss")
-        u = [stream.random()] if n == 1 else stream.random(n).tolist()
-        return None if min(u) >= p else [x < p for x in u]
+        tape = rng.tape("loss")
+        return None if tape.clean(p, p, n) else [x < p for x in tape.take(n)]
     # Gilbert-Elliott: per packet, loss by current state, then advance the chain
-    stream = rng.stream("loss")
-    draws = [stream.random(), stream.random()] if n == 1 else stream.random(2 * n).tolist()
+    tape = rng.tape("loss")
     bad = link.ge_bad
     loss_good, loss_bad = ch.ge_loss_good, ch.ge_loss_bad
     p_gb, p_bg = ch.ge_p_gb, ch.ge_p_bg
-    if min(draws[0::2]) >= (loss_bad if bad else loss_good) and min(draws[1::2]) >= (
-        p_bg if bad else p_gb
-    ):
+    if tape.clean(loss_bad, p_bg, 2 * n) if bad else tape.clean(loss_good, p_gb, 2 * n):
         return None
+    draws = tape.take(2 * n)
     flags = []
     for i in range(0, 2 * n, 2):
         if bad:
@@ -289,11 +293,24 @@ def transmit(
 ) -> Optional[SimTime]:
     """Deliver one packet; returns the arrival time, or None when lost.
 
-    A one-packet ``transmit_frame``: INFRA applies both hops back to back on
-    the same link state.
+    A one-packet ``transmit_frame``, timed directly on P2P without jitter;
+    INFRA applies both hops back to back on the same link state.
     """
-    ends = transmit_frame(ch, link, 1, size_bytes, size_bytes, now, rng)
-    return None if ends is None else ends[0]
+    if ch.topology is Topology.INFRA or ch.jitter_sigma_us > 0.0:
+        ends = transmit_frame(ch, link, 1, size_bytes, size_bytes, now, rng)
+        return None if ends is None else ends[0]
+    _check_size(size_bytes)
+    lost = _loss_draws(ch, link, 1, rng)
+    ser = serialization_us(size_bytes, ch.bandwidth_bps)
+    link.busy_until = (now if now > link.busy_until else link.busy_until) + ser
+    link.busy_accum_us += ser
+    link.sent_packets += 1
+    link.sent_bytes += size_bytes
+    if lost is not None:
+        link.lost_packets += 1
+        return None
+    link.last_arrival = max(link.last_arrival, link.busy_until + ch.prop_delay_us)
+    return link.last_arrival
 
 
 def transmit_burst(
@@ -319,34 +336,37 @@ def transmit_frame(
     tail_size: int,
     now: SimTime,
     rng: Optional[Rng] = None,
-) -> Optional[tuple[SimTime, SimTime, Optional[list[tuple[SimTime, int]]]]]:
+) -> Optional[tuple[SimTime, SimTime, int]]:
     """``transmit_burst`` of ``count - 1`` packets of ``full_size`` bytes and a
     tail, summed up as ``frame_arrivals``: draw, then time.
 
-    When every hop's draws came out clean and no jitter was drawn, the burst
-    is timed in closed form (``_clean_ends``, FIFO clamp check included);
-    otherwise it walks over the values already drawn.
+    In closed form (``_clean_ends``) on P2P without jitter whatever it lost,
+    else only when no hop lost a packet or drew jitter; a binding FIFO clamp,
+    and every other burst, walks over the values already drawn.
     """
     _check_size(max(full_size, tail_size))
-    hops = _draw(ch, link, count, rng)
-    if hops is None:
-        ends = _clean_ends(ch, link, count, full_size, tail_size, now)
-        if ends is not None:
-            return ends[0], ends[1], None
+    if ch.topology is Topology.P2P and ch.jitter_sigma_us <= 0.0:
+        lost = _loss_draws(ch, link, count, rng)
+        hops = None if lost is None else [(lost, None)]
+        ends = _clean_ends(ch, link, count, full_size, tail_size, now, lost)
+    else:
+        hops = _draw(ch, link, count, rng)
+        ends = None if hops else _clean_ends(ch, link, count, full_size, tail_size, now)
+    if ends is not None:
+        return ends if ends[2] else None
     sizes = [full_size] * (count - 1) + [tail_size]
     return frame_arrivals(_walk(ch, link, sizes, now, hops))
 
 
 def frame_arrivals(
     arrivals: list[Optional[SimTime]],
-) -> Optional[tuple[SimTime, SimTime, Optional[list[tuple[SimTime, int]]]]]:
-    """A frame's per-packet arrivals as (first, last, partial), or None when
-    none arrives: ``partial`` is None when every packet arrives and the
-    delivered (arrival, index) pairs otherwise."""
-    delivered = [(arr, idx) for idx, arr in enumerate(arrivals) if arr is not None]
+) -> Optional[tuple[SimTime, SimTime, int]]:
+    """A frame's per-packet arrivals as (first, last, delivered): the first and
+    last arrival and the count of packets that arrive; None when none does."""
+    delivered = [arrival for arrival in arrivals if arrival is not None]
     if not delivered:
         return None
-    return delivered[0][0], delivered[-1][0], delivered if len(delivered) < len(arrivals) else None
+    return delivered[0], delivered[-1], len(delivered)
 
 
 def _clean_shape(ch: ChannelModel, count, full_size, tail_size):
@@ -385,23 +405,36 @@ def _clean_ends(
     full_size: int,
     tail_size: int,
     now: SimTime,
-) -> Optional[tuple[SimTime, SimTime]]:
+    lost: Optional[list[bool]] = None,
+) -> Optional[tuple[Optional[SimTime], Optional[SimTime], int]]:
     """Closed-form burst of ``count - 1`` packets of ``full_size`` bytes and a
-    tail, whose draws, if any, came out clean.
+    tail, whose draws, if any, came out clean or, on P2P only, lost the
+    packets flagged in ``lost``.
 
-    Returns (first_arrival, last_arrival) and updates ``link`` exactly as the
-    walk would. Returns None and leaves ``link`` untouched when the receiver
-    FIFO clamp binds (see the module docstring); the caller then walks.
+    Returns (first arrival, last arrival, packets delivered), the arrivals
+    None when nothing arrives, and updates ``link`` exactly as the walk
+    would. Returns None and leaves ``link`` untouched when the receiver FIFO
+    clamp binds (see the module docstring); the caller then walks.
     """
     first_off, busy_off, total = _clean_shape(ch, count, full_size, tail_size)
     start = now if now > link.busy_until else link.busy_until
-    first = start + first_off
-    if first < link.last_arrival:
-        return None
+    first, last, delivered = start + first_off, start + busy_off + ch.prop_delay_us, count
+    if lost is not None:  # P2P: packet k arrives at ``start + S_k + prop``, lost or not
+        delivered = lost.count(False)
+        first = last = None
+        if delivered:
+            at, ser_full = start + ch.prop_delay_us, serialization_us(full_size, ch.bandwidth_bps)
+            head, back = lost.index(False), lost[::-1].index(False)
+            first = at + (total if head == count - 1 else (head + 1) * ser_full)
+            last = at + (total if back == 0 else (count - back) * ser_full)
+    if delivered:
+        if first < link.last_arrival:
+            return None
+        link.last_arrival = last
     link.busy_until = start + busy_off
-    link.last_arrival = link.busy_until + ch.prop_delay_us
+    link.lost_packets += count - delivered
     _account_clean(ch, link, total, count, (count - 1) * full_size + tail_size)
-    return first, link.last_arrival
+    return first, last, delivered
 
 
 def clean_run(

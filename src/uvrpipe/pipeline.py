@@ -176,20 +176,19 @@ class Simulator:
         count, tail = dpp.fragment_layout(size)
         sent = self._transmit(frame_id, count, dpp.HEADER_LEN + tail, wire_request)
         if sent is not None:
-            first, last, partial = sent
+            first, last, delivered = sent
             self.queue.schedule(
                 last,
-                ("burst", frame_id, first, last, partial, count, is_iframe, forced, gen_time),
+                ("burst", frame_id, first, last, delivered, count, is_iframe, forced, gen_time),
             )
 
     def _transmit(
         self, frame_id: int, count: int, tail_wire: int, request: SimTime
-    ) -> Optional[tuple[SimTime, SimTime, Optional[list[tuple[SimTime, int]]]]]:
+    ) -> Optional[tuple[SimTime, SimTime, int]]:
         """Put one frame's fragments on the air.
 
         Returns None if none arrives, else (first arrival, last arrival,
-        partial): ``partial`` is None when every fragment arrives and the
-        delivered (arrival, index) pairs otherwise.
+        fragments delivered).
         """
         if frame_id != self.cfg.fault_drop_frame_id:
             return netsim.transmit_frame(
@@ -267,8 +266,8 @@ class Simulator:
             self.queue.schedule(deadline + 1, ("deadline", fid))
 
     def _handle_burst(self, t: SimTime, event: tuple) -> None:
-        _, wire_id, first, last, partial, *frame = event
-        for ev in self.reasm.on_frame(first, last, partial, wire_id, *frame):
+        _, wire_id, first, last, delivered, *frame = event
+        for ev in self.reasm.on_frame(first, last, delivered, wire_id, *frame):
             self._on_reassembly(ev, t)
         self._schedule_deadlines()
 
@@ -418,12 +417,12 @@ class Simulator:
         gen = col["gen_us"][shown]
         per_stage = {
             "sampler-wait": col["encoded_us"][shown] - g.encode_path_us - gen,
-            "encode-path": np.full(n_presented, g.encode_path_us),
-            "host-netstack": np.full(n_presented, g.host_netstack_us),
+            "encode-path": g.encode_path_us,
+            "host-netstack": g.host_netstack_us,
             "network": col["net_us"][shown],
             "decode-wait": col["queue_wait_us"][shown],
-            "mud": np.full(n_presented, g.mud_service_us),
-            "presentation": np.full(n_presented, g.residual_us),
+            "mud": g.mud_service_us,
+            "presentation": g.residual_us,
         }
         if not per_stage["sampler-wait"].any():
             del per_stage["sampler-wait"]

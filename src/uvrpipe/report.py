@@ -138,10 +138,26 @@ class MetricsReport:
         return out
 
 
+def _constant_dist_ms(value_us: int, n: int) -> dict[str, float]:
+    """``_dist_ms`` of ``n`` copies of ``value_us``, without building them:
+    both percentiles are the value. numpy's mean (a pairwise sum) may miss it
+    by a few ulps, far under what rounding to 4 decimals absorbs below 2**40
+    us; beyond that the sample is built."""
+    if not n or abs(value_us) >= 2**40:
+        return _dist_ms(np.full(n, value_us))
+    ms = round(value_us / 1000.0, 4)
+    return {"mean_ms": ms, "p50_ms": ms, "p99_ms": ms}
+
+
 def build_distributions(
-    per_stage_us: dict[str, Sequence[int]], e2e_us: Sequence[int]
+    per_stage_us: dict[str, Union[int, Sequence[int]]], e2e_us: Sequence[int]
 ) -> tuple[dict[str, dict[str, float]], dict[str, float]]:
-    stages = {name: _dist_ms(vals) for name, vals in per_stage_us.items()}
+    """Each stage's and the end-to-end distribution; a stage given as one int
+    takes that value on every one of the ``len(e2e_us)`` frames."""
+    stages = {
+        name: _constant_dist_ms(vals, len(e2e_us)) if isinstance(vals, int) else _dist_ms(vals)
+        for name, vals in per_stage_us.items()
+    }
     e2e = _dist_ms(e2e_us)
     e2e["mean_frames_60fps"] = round(e2e["mean_ms"] / FRAME_PERIOD_60FPS_MS, 4)
     return stages, e2e

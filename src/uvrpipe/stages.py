@@ -85,7 +85,7 @@ def expected_transport_us(size_bytes: int, channel: netsim.ChannelModel) -> int:
     )
     count, tail = dpp.fragment_layout(size_bytes)
     # nothing is drawn, and on an idle link the FIFO clamp never binds
-    _first, last, _partial = netsim.transmit_frame(
+    _first, last, _delivered = netsim.transmit_frame(
         clean, netsim.LinkState(), count, dpp.MTU, dpp.HEADER_LEN + tail, 0
     )
     return last

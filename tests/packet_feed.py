@@ -1,7 +1,43 @@
-"""Feeds ``DppPacket`` objects to a ``Reassembler`` the way the runner feeds
-parsed datagrams."""
+"""Builds a frame's ``DppPacket`` fragments, and feeds them to a ``Reassembler``
+the way the runner feeds parsed datagrams."""
 
-from uvrpipe.dpp import FLAG_FORCED, FLAG_IFRAME, DppPacket, Reassembler
+from uvrpipe.dpp import (
+    FLAG_FORCED,
+    FLAG_IFRAME,
+    MSG_DATA,
+    PAYLOAD_CAP,
+    DppPacket,
+    Reassembler,
+    fragment_layout,
+    frame_flags,
+)
+
+
+def fragment(
+    frame_id: int,
+    data: bytes,
+    gen_timestamp_us: int,
+    is_iframe: bool,
+    forced: bool = False,
+    payload_cap: int = PAYLOAD_CAP,
+) -> list[DppPacket]:
+    """Split encoded frame bytes into ordered DATA packets: full fragments of
+    ``payload_cap`` bytes, then the tail. ``dpp.send_frame`` is pinned to
+    these packets' encoding."""
+    count, _tail = fragment_layout(len(data), payload_cap)
+    flags = frame_flags(is_iframe, forced)
+    return [
+        DppPacket(
+            msg_type=MSG_DATA,
+            flags=flags,
+            frame_id=frame_id,
+            frag_index=index,
+            frag_count=count,
+            gen_timestamp_us=gen_timestamp_us,
+            payload=data[index * payload_cap : (index + 1) * payload_cap],
+        )
+        for index in range(count)
+    ]
 
 
 def deliver(reasm: Reassembler, p: DppPacket, now: int) -> list:

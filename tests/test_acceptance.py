@@ -11,7 +11,7 @@ import threading
 import time
 
 import pytest
-from packet_feed import deliver
+from packet_feed import deliver, fragment
 
 from uvrpipe import dpp
 from uvrpipe.cli import main
@@ -173,7 +173,7 @@ def test_c07_protocol_properties():
             size = rnd.randint(1, 500_000)
         if verify_payload:
             data = rnd.randbytes(size)
-            packets = dpp.fragment(case, data, 0, is_iframe=False)
+            packets = fragment(case, data, 0, is_iframe=False)
             order = list(range(len(packets)))
             rnd.shuffle(order)
             reasm = dpp.Reassembler(10**9)
@@ -193,8 +193,11 @@ def test_c07_protocol_properties():
             reasm = dpp.Reassembler(10**9)
             order = list(range(count))
             rnd.shuffle(order)
-            burst = [(0, i) for i in order]
-            events = reasm.on_frame(0, 0, burst, case, count, False, False, 0)
+            events = []
+            for i in order:
+                events += reasm.on_fragment(0, case, i, count, False, False, 0, None)
+            assert [e.frame_id for e in events] == [case]
+            events = dpp.Reassembler(10**9).on_frame(0, 0, count, case, count, False, False, 0)
             assert [e.frame_id for e in events] == [case]
 
     # exactly-once resolution under shuffled, duplicated, lossy delivery
@@ -202,7 +205,7 @@ def test_c07_protocol_properties():
     outcomes = {}
     now = 0
     for fid in range(400):
-        packets = dpp.fragment(fid, rnd.randbytes(rnd.randint(1, 20_000)), now, False)
+        packets = fragment(fid, rnd.randbytes(rnd.randint(1, 20_000)), now, False)
         stream = [p for p in packets if rnd.random() > 0.03]
         stream += rnd.choices(packets, k=2)
         rnd.shuffle(stream)

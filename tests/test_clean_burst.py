@@ -59,8 +59,8 @@ def test_closed_form_equals_walk(
         assert arrivals[0] == last_arrival
         # ... so the caller's fallback walk lands in the same state
         fallback = transmit_burst(ch, fast, sizes, now)
-        ends = fallback[0], fallback[-1]
-    assert ends == (arrivals[0], arrivals[-1])
+        ends = fallback[0], fallback[-1], count
+    assert ends == (arrivals[0], arrivals[-1], count)
     assert fast == walk
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uvrpipe.core import (
     ColorSpace,
@@ -122,3 +124,59 @@ def test_batched_complexities_equal_scalar_draws(sigma):
         assert Rng(11).lognormal_complexity(sigma, n).tobytes() == scalar.tobytes()
         # and both leave the workload stream at the same place
         assert batch_rng.lognormal_complexity(sigma) == scalar_rng.lognormal_complexity(sigma)
+
+
+# --- the loss stream's tape ----------------------------------------------
+
+# threshold pairs: Bernoulli (a == b), and a Gilbert-Elliott chain's good and
+# bad state, which a flip switches between
+_PAIRS = st.sampled_from(
+    [(0.3, 0.3), (0.02, 0.02), (0.0, 0.01), (0.3, 0.2), (1.0, 0.0), (0.0, 0.0)]
+)
+_TAPE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("clean"), _PAIRS, st.integers(1, 300)),
+        st.tuples(st.just("take"), st.just(None), st.integers(1, 300)),
+        st.tuples(st.just("stream"), st.just(None), st.integers(0, 3)),
+    ),
+    max_size=60,
+)
+
+
+def _disturbing(values, a, b):
+    """Whether ``values`` holds one below ``a`` at an even offset or below ``b`` at an odd one."""
+    return any(v < (b if i % 2 else a) for i, v in enumerate(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ops=_TAPE_OPS)
+# a clean skip across the first block boundary, then an odd take and a
+# threshold change at an odd position
+@example(1, [("clean", (0.0, 0.0), 70), ("take", None, 3), ("clean", (0.3, 0.2), 2)])
+def test_tape_hands_out_the_sequential_draws(seed, ops):
+    plain = Rng(seed).stream("loss").random(60 * 300 + 10).tolist()
+    rng = Rng(seed)
+    at = 0
+    for op, pair, k in ops:
+        if op == "clean":
+            skipped = rng.tape("loss").clean(*pair, k)
+            assert skipped == (not _disturbing(plain[at : at + k], *pair))
+            at += k if skipped else 0
+        elif op == "take":
+            assert rng.tape("loss").take(k) == plain[at : at + k]
+            at += k
+        else:  # read the stream directly, then go on from a fresh tape
+            assert rng.stream("loss").random(k).tolist() == plain[at : at + k]
+            at += k
+    assert rng.stream("loss").random() == plain[at]
+
+
+def test_tape_sync_keeps_the_buffered_half_word():
+    # a 32-bit draw buffers the other half of its 64-bit word; ``random()``
+    # leaves it buffered, so a synced stream must too
+    plain, taped = Rng(5).stream("loss"), Rng(5)
+    expected = [plain.integers(2**32, dtype=np.uint32), plain.random(5).tolist()]
+    expected.append(plain.integers(2**32, dtype=np.uint32))
+    got = [taped.stream("loss").integers(2**32, dtype=np.uint32), taped.tape("loss").take(5)]
+    got.append(taped.stream("loss").integers(2**32, dtype=np.uint32))
+    assert got == expected

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from packet_feed import deliver
+from packet_feed import deliver, fragment
 
 from uvrpipe import dpp
 from uvrpipe.dpp import (
@@ -16,7 +16,6 @@ from uvrpipe.dpp import (
     UnsupportedVersion,
     decode_packet,
     encode_packet,
-    fragment,
     fragment_layout,
     host_capture_path,
     host_send_path,

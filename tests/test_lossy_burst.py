@@ -9,8 +9,10 @@ the delivered packets in packet order; under INFRA all of hop 2 (only hop
 1's survivors) after hop 1. The batched walk must give the same arrivals and
 the same ``LinkState``, and leave both streams at the same place.
 
-``transmit_frame`` draws first and times a burst whose draws came out clean
-in closed form; it is checked against the same reference walk.
+``transmit_frame`` draws first and times a burst whose draws came out clean,
+and on P2P without jitter any burst, in closed form; it is checked against
+the same reference walk. Its loss draws come from a tape drawn ahead, so two
+channels on one ``Rng`` must also leave each other the reference's draws.
 """
 
 from dataclasses import replace
@@ -208,12 +210,11 @@ def test_every_channel_kind(loss, topology, jitter):
 
 
 def reference_frame(arrivals):
-    """(first, last, partial) of a frame's arrivals, None when none arrives."""
-    delivered = [(arrival, k) for k, arrival in enumerate(arrivals) if arrival is not None]
+    """(first, last, delivered) of a frame's arrivals, None when none arrives."""
+    delivered = [arrival for arrival in arrivals if arrival is not None]
     if not delivered:
         return None
-    partial = None if len(delivered) == len(arrivals) else delivered
-    return delivered[0][0], delivered[-1][0], partial
+    return delivered[0], delivered[-1], len(delivered)
 
 
 def _compare_frames(ch, link, seed, frames):
@@ -331,3 +332,98 @@ def test_clean_draws_take_the_closed_form(loss, topology, monkeypatch):
         assert walks
         return
     pytest.fail("no seed gave a clean burst")
+
+
+def _walk_counter(monkeypatch) -> list:
+    walks = []
+    hop = netsim._hop
+    monkeypatch.setattr(netsim, "_hop", lambda *args, **kw: walks.append(1) or hop(*args, **kw))
+    return walks
+
+
+def _seed_where(ch, count, tail, wanted) -> int:
+    """The first seed whose burst of ``count`` packets the reference walk
+    delivers as ``wanted`` (a predicate over its arrivals) says."""
+    sizes = [MAX_PACKET_BYTES] * (count - 1) + [tail]
+    for seed in range(2_000):
+        if wanted(reference_transmit_burst(ch, LinkState(), sizes, 0, Rng(seed))):
+            return seed
+    pytest.fail("no seed gave the wanted burst")
+
+
+def _some(arrivals):
+    return any(arrival is not None for arrival in arrivals)
+
+
+P2P_LOSSY = [dict(loss_p=0.4), dict(GE, ge_loss_good=0.3, ge_p_gb=0.5)]
+
+
+@pytest.mark.parametrize("loss", P2P_LOSSY, ids=["bernoulli", "gilbert_elliott"])
+@pytest.mark.parametrize(
+    "count, wanted",
+    [
+        (12, lambda a: a[0] is None and _some(a)),
+        (12, lambda a: a[-1] is None and _some(a)),
+        (12, lambda a: a[0] is None and a[-1] is None and _some(a)),
+        (4, lambda a: not _some(a)),
+        (1, lambda a: a == [None]),
+        (2, lambda a: a[0] is not None and a[1] is None),
+    ],
+    ids=["first_lost", "last_lost", "both_ends_lost", "all_lost", "one_fragment", "tail_lost"],
+)
+def test_p2p_lossy_burst_takes_the_closed_form(loss, count, wanted, monkeypatch):
+    # a lossy P2P burst without jitter is never walked; a clean frame follows it
+    ch = ChannelModel(**loss)
+    seed = _seed_where(ch, count, 700, wanted)
+    walks = _walk_counter(monkeypatch)
+    frames = [(0, count, MAX_PACKET_BYTES, 700), (16_667, 12, MAX_PACKET_BYTES, 64)]
+    _compare_frames(ch, LinkState(), seed, frames)
+    assert not walks
+
+
+@pytest.mark.parametrize("loss", P2P_LOSSY, ids=["bernoulli", "gilbert_elliott"])
+def test_binding_clamp_after_lossy_burst_walks(loss, monkeypatch):
+    # the FIFO clamp binds on a burst that lost its first packets, so it walks
+    ch = ChannelModel(**loss)
+    seed = _seed_where(ch, 12, 700, lambda a: a[0] is None and _some(a))
+    walks = _walk_counter(monkeypatch)
+    link = LinkState(last_arrival=10**6)
+    frames = [(0, 12, MAX_PACKET_BYTES, 700), (10, 3, MAX_PACKET_BYTES, 64)]
+    _compare_frames(ch, link, seed, frames)
+    assert walks
+
+
+def _compare_two_channels(first, second, seed, frames):
+    """``_compare_frames`` for two channels that share one ``Rng``, each on its
+    own link, with ``frames`` sent alternately on them."""
+    links = {id(ch): (LinkState(), LinkState()) for ch in (first, second)}
+    fast_rng, ref_rng = Rng(seed), Rng(seed)
+    for i, (now, count, full, tail) in enumerate(frames):
+        ch = (first, second)[i % 2]
+        fast, ref = links[id(ch)]
+        got = transmit_frame(ch, fast, count, full, tail, now, fast_rng)
+        sizes = [full] * (count - 1) + [tail]
+        assert got == reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
+        assert fast == ref
+    assert _next_draws(fast_rng) == _next_draws(ref_rng)
+
+
+@settings(max_examples=300)
+@given(
+    first=st.one_of(channels, ge_channels()),
+    second=st.one_of(channels, ge_channels()),
+    seed=st.integers(0, 2**32 - 1),
+    frames=st.lists(
+        st.tuples(st.integers(0, 200_000), st.integers(1, 40), packet, packet), max_size=12
+    ),
+)
+# a Bernoulli and a Gilbert-Elliott channel draw from one tape, with odd
+# one-packet Bernoulli bursts in between, across the first block boundary
+@example(
+    ChannelModel(loss_p=0.05),
+    ChannelModel(**dict(GE, ge_loss_good=0.02)),
+    7,
+    [(0, 1, 64, 64), (0, 20, MAX_PACKET_BYTES, 300)] * 4,
+)
+def test_two_channels_share_one_tape(first, second, seed, frames):
+    _compare_two_channels(first, second, seed, frames)

@@ -1,11 +1,12 @@
-"""``report._dist_ms`` against the two ``np.percentile`` calls it replaces."""
+"""``report._dist_ms`` against the two ``np.percentile`` calls it replaces, and
+the constant-stage entry against ``_dist_ms`` of the full sample."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uvrpipe.report import _dist_ms, _percentile
+from uvrpipe.report import _constant_dist_ms, _dist_ms, _percentile, build_distributions
 
 
 def _numpy_dist_ms(values_us):
@@ -62,3 +63,30 @@ def test_times_past_int64():
 
 def test_empty_sample():
     assert _dist_ms(np.zeros(0, dtype=np.int64)) == {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
+
+
+def _bits(dist):
+    return {name: value.hex() for name, value in dist.items()}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize(
+    "value",
+    [0, 1, -1, 3_640, 2**40 - 1, 2**40, 2**53 + 1, 2**62 - 1, 2**62, 2**62 + 1, -(2**62)],
+)
+def test_constant_stage_equals_full_sample(n, value):
+    assert _bits(_constant_dist_ms(value, n)) == _bits(_dist_ms(np.full(n, value)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.one_of(wide, st.integers(-(2**41), 2**41), narrow), n=st.integers(0, 5_000))
+def test_constant_stage_equals_full_sample_at_any_length(value, n):
+    assert _bits(_constant_dist_ms(value, n)) == _bits(_dist_ms(np.full(n, value)))
+
+
+def test_build_distributions_takes_a_constant_stage():
+    e2e = np.array([9_000, 12_500, 11_000], dtype=np.int64)
+    # a stage given as one int takes it on every frame of the end-to-end sample
+    assert build_distributions({"mud": 3_640}, e2e) == build_distributions(
+        {"mud": np.full(3, 3_640)}, e2e
+    )

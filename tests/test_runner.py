@@ -3,6 +3,7 @@ import threading
 from dataclasses import replace
 
 import pytest
+from packet_feed import fragment
 from test_wire_path import CaptureSocket
 
 from uvrpipe import dpp, runner
@@ -172,7 +173,7 @@ def test_wire_bytes_match_simulator_encoding():
     # a datagram sent by the runner parses to the identical packet the
     # simulator-side encoder produced
     payload = frame_payload(3, 5_000)
-    packets = dpp.fragment(3, payload, 777, is_iframe=True, forced=True)
+    packets = fragment(3, payload, 777, is_iframe=True, forced=True)
     rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     rx.bind(("127.0.0.1", 0))
     rx.settimeout(2.0)

@@ -10,7 +10,8 @@ every call. Both must give the same bytes, the same events and the same
 counters.
 
 The simulator's entry, ``Reassembler.on_frame``, is checked here too: against
-the full sweep, and its O(1) whole-frame branch against its fragment loop.
+the full sweep, and its O(1) whole and partial frames against their
+fragments fed to ``on_fragment`` in shuffled order.
 """
 
 import math
@@ -18,11 +19,12 @@ import random
 import socket
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from packet_feed import deliver
+from packet_feed import deliver, fragment
 
 from uvrpipe import dpp, runner
 from uvrpipe.dpp import (
@@ -35,7 +37,6 @@ from uvrpipe.dpp import (
     UnsupportedVersion,
     decode_packet,
     encode_packet,
-    fragment,
     parse_header,
 )
 
@@ -178,11 +179,12 @@ def test_buffer_receive_matches_packet_receive(seed, frames, loss, dups):
 def _simulator_steps(seed: int, frames: int):
     """A random sequence of what the simulator hands its reassembler.
 
-    ("frame", args) steps are ``on_frame`` arguments with ``partial`` None
-    for a whole frame, and ("poll", None) and ("expire", now) steps follow
-    them. As in the simulator, each frame id goes on the air once, in
-    order, and a one-fragment frame arrives at ``first == last``. A frame
-    id that is skipped is wholly lost, discovered through a newer frame.
+    ("frame", (args, indices)) steps hold ``on_frame`` arguments and the
+    indices of the delivered fragments, shuffled; ("poll", None) and
+    ("expire", now) steps follow them. As in the simulator, each frame id
+    goes on the air once, in order, and a one-fragment frame arrives at
+    ``first == last``. A frame id that is skipped is wholly lost,
+    discovered through a newer frame.
     """
     rnd = random.Random(seed)
     now = 0
@@ -195,11 +197,12 @@ def _simulator_steps(seed: int, frames: int):
         flags = (fid % 5 == 0, fid % 10 == 0, now)
         if step < 0.6:
             last = now + (rnd.randint(0, 9_000) if count > 1 else 0)
-            yield "frame", (now, last, None, fid, count, *flags)
+            got = list(range(count))
         else:
-            got = sorted(rnd.sample(range(count), rnd.randint(1, count)))
-            burst = [(now + 300 * i, index) for i, index in enumerate(got)]
-            yield "frame", (burst[0][0], burst[-1][0], burst, fid, count, *flags)
+            got = rnd.sample(range(count), rnd.randint(1, count))
+            last = now + 300 * (len(got) - 1)
+        rnd.shuffle(got)
+        yield "frame", ((now, last, len(got), fid, count, *flags), got)
         if rnd.random() < 0.5:
             yield "poll", None
         if rnd.random() < 0.3:
@@ -207,14 +210,19 @@ def _simulator_steps(seed: int, frames: int):
     yield "expire", now + 10**6
 
 
-def _whole_as_fragments(args, rnd: random.Random):
-    """``on_frame`` arguments of a whole frame, with ``partial`` listing every
-    fragment: index 0 at ``first``, ``count - 1`` at ``last``, the others in
-    between."""
-    first, last, _partial, fid, count, *flags = args
-    between = sorted(rnd.randint(first, last) for _ in range(count - 2))
-    times = [first, *between, last][-count:]
-    return (first, last, list(zip(times, range(count))), fid, count, *flags)
+def _fragment_loop(reasm: Reassembler, args, indices) -> list:
+    """``on_frame``'s reference: ``on_fragment`` for each delivered fragment,
+    in the shuffled order given, all at ``first``, where ``on_frame`` runs
+    its one drop sweep. The frame's completion then reports ``last`` as its
+    last arrival."""
+    first, last, _delivered, fid, count, *flags = args
+    events = []
+    for index in indices:
+        events += reasm.on_fragment(first, fid, index, count, *flags, None)
+    return [
+        replace(ev, last_arrival=last) if isinstance(ev, dpp.FrameComplete) else ev
+        for ev in events
+    ]
 
 
 @settings(max_examples=200)
@@ -224,7 +232,7 @@ def test_simulator_entries_match_full_sweep(seed, frames):
     reference, reasm = FullSweep(33_334), Reassembler(33_334)
     for kind, arg in _simulator_steps(seed, frames):
         if kind == "frame":
-            assert reasm.on_frame(*arg) == reference.on_frame(*arg)
+            assert reasm.on_frame(*arg[0]) == reference.on_frame(*arg[0])
         elif kind == "poll":
             assert reasm.pending_deadlines() == reference.pending_deadlines()
         else:
@@ -234,13 +242,11 @@ def test_simulator_entries_match_full_sweep(seed, frames):
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32), frames=st.integers(1, 60))
 def test_whole_frame_matches_its_fragment_loop(seed, frames):
-    # the O(1) branch for a whole frame against the same frame's fragments
+    # on_frame's O(1) whole and partial frames against the same frame's fragments
     whole, loop = Reassembler(33_334), Reassembler(33_334)
-    rnd = random.Random(seed)
     for kind, arg in _simulator_steps(seed, frames):
         if kind == "frame":
-            fragments = arg if arg[2] is not None else _whole_as_fragments(arg, rnd)
-            assert whole.on_frame(*arg) == loop.on_frame(*fragments)
+            assert whole.on_frame(*arg[0]) == _fragment_loop(loop, *arg)
         elif kind == "poll":
             assert whole.pending_deadlines() == loop.pending_deadlines()
         else:
