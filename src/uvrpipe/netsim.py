@@ -36,8 +36,8 @@ Then the burst is timed. ``transmit_frame`` times a burst in closed form,
 below: on P2P without jitter every burst, lossy or not; under INFRA or with
 jitter only a burst that lost nothing on any hop and drew no jitter. Every
 other burst walks its packets over the values already drawn, in plain
-Python numbers, as ``transmit_burst`` always does. ``transmit`` is a
-one-packet frame, timed directly on P2P without jitter.
+Python numbers, as ``transmit_burst`` always does. ``transmit`` walks
+its one packet the same way, in scalar steps.
 
 The closed form (``_clean_ends``) computes in O(1) what the walk computes:
 
@@ -293,23 +293,24 @@ def transmit(
 ) -> Optional[SimTime]:
     """Deliver one packet; returns the arrival time, or None when lost.
 
-    A one-packet ``transmit_frame``, timed directly on P2P without jitter;
-    INFRA applies both hops back to back on the same link state.
+    A one-packet ``transmit_burst``, walked hop by hop with ``_draw``'s draw
+    order; INFRA applies both hops back to back on the same link state.
     """
-    if ch.topology is Topology.INFRA or ch.jitter_sigma_us > 0.0:
-        ends = transmit_frame(ch, link, 1, size_bytes, size_bytes, now, rng)
-        return None if ends is None else ends[0]
     _check_size(size_bytes)
-    lost = _loss_draws(ch, link, 1, rng)
     ser = serialization_us(size_bytes, ch.bandwidth_bps)
-    link.busy_until = (now if now > link.busy_until else link.busy_until) + ser
-    link.busy_accum_us += ser
-    link.sent_packets += 1
-    link.sent_bytes += size_bytes
-    if lost is not None:
-        link.lost_packets += 1
-        return None
-    link.last_arrival = max(link.last_arrival, link.busy_until + ch.prop_delay_us)
+    arrival = now
+    for _ in range(2 if ch.topology is Topology.INFRA else 1):
+        link.busy_until = (arrival if arrival > link.busy_until else link.busy_until) + ser
+        link.busy_accum_us += ser
+        link.sent_packets += 1
+        link.sent_bytes += size_bytes
+        if _loss_draws(ch, link, 1, rng) is not None:
+            link.lost_packets += 1
+            return None
+        jitter = _jitter_draws(ch, 1, rng)
+        arrival = link.busy_until + ch.prop_delay_us + (jitter[0] if jitter else 0)
+    # receiver-side FIFO: jitter never reorders deliveries on a link
+    link.last_arrival = max(link.last_arrival, arrival)
     return link.last_arrival
 
 

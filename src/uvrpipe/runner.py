@@ -11,8 +11,9 @@ i.e. run on the same machine. They and the datagrams' generation stamps are
 the only use of the wall clock: deadlines and the suppression window run on
 the monotonic clock, so a wall-clock step neither drops nor freezes frames.
 
-Neither role polls on a timeout per datagram. The host's socket blocks; the
-receiver's is non-blocking, drained until empty and then waited on once.
+Neither role polls on a timeout per datagram. Each drains its socket without
+blocking and then waits on it once: the host until its next frame tick, the
+receiver for at most ``POLL_MS``.
 """
 
 from __future__ import annotations
@@ -211,90 +212,60 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
     fp = config_fingerprint(cfg.codec, cfg.feedback_control)
     sock = _open_socket(cfg.bind)
     stats.rcvbuf_bytes = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
-    sock.settimeout(0.05)
-    try:
-        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
-        peer = None
-        while time.monotonic() < deadline:
-            try:
-                data, addr = sock.recvfrom(65_535)
-            except socket.timeout:
-                continue
-            try:
-                msg = cp_mod.decode_cp(data)
-            except dpp.WireError:
-                stats.malformed_datagrams += 1
-                continue
-            if msg.subtype == cp_mod.SUB_HELLO:
-                if _hello_fp(msg) != fp:
-                    raise ConfigMismatch("peer codec configuration does not match")
-                peer = addr
-                sock.sendto(cp_mod.encode_cp(_hello_message(fp, _now_us())), peer)
-                break
-        if peer is None:
-            raise HandshakeTimeout("no HELLO from receiver within 3 s")
+    host_fb = cp_mod.HostFeedbackState()
+    peer = None
 
-        host_fb = cp_mod.HostFeedbackState()
-        fb_lock = threading.Lock()
-        done = threading.Event()
-        # blocking from here on: no poll() ahead of every send, and the
-        # listener sleeps in recvfrom until a datagram or the shutdown below
-        sock.settimeout(None)
-
-        def cp_listener():
-            while True:
+    def receive(until: float) -> None:
+        """Handle datagrams until ``until`` (monotonic s), or until the HELLO
+        that makes the peer known; checks the socket at least once."""
+        nonlocal peer
+        while True:
+            readable, _, _ = select.select([sock], [], [], max(0.0, until - time.monotonic()))
+            while readable:
                 try:
-                    data, _addr = sock.recvfrom(65_535)
-                except OSError:
-                    return
-                if done.is_set():
-                    return  # the stream is over and the shutdown below woke us
+                    data, addr = sock.recvfrom(65_535, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    break
                 try:
                     msg = cp_mod.decode_cp(data)
                 except dpp.WireError:
                     stats.malformed_datagrams += 1
                     continue
-                if msg.subtype == cp_mod.SUB_IFRAME_REQUEST:
+                if peer is None and msg.subtype == cp_mod.SUB_HELLO:
+                    if _hello_fp(msg) != fp:
+                        raise ConfigMismatch("peer codec configuration does not match")
+                    peer = addr
+                    sock.sendto(cp_mod.encode_cp(_hello_message(fp, _now_us())), peer)
+                    return
+                if peer is not None and msg.subtype == cp_mod.SUB_IFRAME_REQUEST:
                     stats.requests_received += 1
-                    with fb_lock:
-                        cp_mod.host_on_request(host_fb, msg, _mono_us())
+                    cp_mod.host_on_request(host_fb, msg, _mono_us())
+            if time.monotonic() >= until:
+                return
 
-        listener = threading.Thread(target=cp_listener, name="host-cp-listener", daemon=True)
-        listener.start()
-        try:
-            rng = Rng(cfg.seed)
-            walker = GopWalker(cfg.codec)
-            nominal = nominal_sizes(cfg.codec)
-            n_frames = int(cfg.duration_s * cfg.codec.fps)
-            t0 = time.monotonic()
-            for i in range(n_frames):
-                if stop is not None and stop.is_set():
-                    break
-                target = t0 + tick_time(i, cfg.codec.fps) / 1e6
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                with fb_lock:
-                    force = host_fb.pending_force if cfg.feedback_control else False
-                    ftype, _idx, forced = walker.plan(force)
-                    if ftype is FrameType.I and cfg.feedback_control:
-                        cp_mod.host_on_iframe_emitted(
-                            host_fb, _mono_us(), cfg.suppression_window_us
-                        )
-                complexity = rng.lognormal_complexity(cfg.complexity_sigma)
-                size = encoded_size(ftype, cfg.codec, complexity, nominal)
-                payload = frame_payload(i, size)
-                dpp.send_frame(sock, peer, i, payload, _now_us(), ftype is FrameType.I, forced)
-                stats.frames_sent += 1
-        finally:
-            done.set()
-            try:
-                # wakes the blocked recvfrom; Linux also reports ENOTCONN, since
-                # the socket is not connected
-                sock.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-            listener.join()
+    try:
+        receive(time.monotonic() + HANDSHAKE_TIMEOUT_S)
+        if peer is None:
+            raise HandshakeTimeout("no HELLO from receiver within 3 s")
+        rng = Rng(cfg.seed)
+        walker = GopWalker(cfg.codec)
+        nominal = nominal_sizes(cfg.codec)
+        n_frames = int(cfg.duration_s * cfg.codec.fps)
+        t0 = time.monotonic()
+        for i in range(n_frames):
+            if stop is not None and stop.is_set():
+                break
+            # a request is acted on at the next plan: wait for the tick here
+            receive(t0 + tick_time(i, cfg.codec.fps) / 1e6)
+            force = host_fb.pending_force if cfg.feedback_control else False
+            ftype, _idx, forced = walker.plan(force)
+            if ftype is FrameType.I and cfg.feedback_control:
+                cp_mod.host_on_iframe_emitted(host_fb, _mono_us(), cfg.suppression_window_us)
+            complexity = rng.lognormal_complexity(cfg.complexity_sigma)
+            size = encoded_size(ftype, cfg.codec, complexity, nominal)
+            payload = frame_payload(i, size)
+            dpp.send_frame(sock, peer, i, payload, _now_us(), ftype is FrameType.I, forced)
+            stats.frames_sent += 1
         stats.requests_suppressed = host_fb.suppressed_count
         stats.forced_iframes = host_fb.forced_count
         return stats

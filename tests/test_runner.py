@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -78,8 +79,6 @@ def test_loopback_lossfree_short_run():
     # the granted receive buffer is reported; its size depends on rmem_max
     assert mud_stats.to_dict()["socket"]["rcvbuf_bytes"] == mud_stats.rcvbuf_bytes > 0
     assert mud_stats.to_dict()["socket"]["kernel_drops"] == mud_stats.kernel_drops == 0
-    # the host's control listener is joined before host_run returns
-    assert not [t for t in threading.enumerate() if t.name == "host-cp-listener"]
     integrity = mud_stats.to_dict()["integrity"]
     assert integrity["frag_count_mismatches"] == 0
     assert integrity["duplicate_fragments"] == 0
@@ -133,6 +132,60 @@ def test_reassembler_rejects_are_reported(monkeypatch):
     assert integrity["malformed_datagrams"] == 0
     assert mud_stats.frames_completed == host_stats.frames_sent
     assert mud_stats.pattern_mismatches == 0
+
+
+def test_host_with_a_scripted_peer(monkeypatch):
+    # The peer runs inside the host's own calls, so the host's thread is the
+    # only one: a malformed datagram and a HELLO as soon as the host's socket
+    # is bound, an IFRAME_REQUEST once frame 0 is out (after the HELLO reply),
+    # and another malformed datagram mid-stream.
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(1.0)
+    cfg = RunnerConfig(
+        bind=("127.0.0.1", _free_port()), peer=peer.getsockname(), duration_s=0.2
+    )
+    fp = config_fingerprint(cfg.codec, cfg.feedback_control)
+    request = runner.cp_mod.CpMessage(subtype=runner.cp_mod.SUB_IFRAME_REQUEST)
+    open_socket, send_frame = runner._open_socket, dpp.send_frame
+    threads_before = threading.active_count()
+    threads_seen, forced_frames, sent_at = [], [], []
+
+    def scripted_open_socket(bind):
+        sock = open_socket(bind)
+        peer.sendto(b"not a datagram", bind)
+        peer.sendto(runner.cp_mod.encode_cp(runner._hello_message(fp, 0)), bind)
+        return sock
+
+    def scripted_send_frame(sock, to, frame_id, payload, stamp_us, is_iframe, forced):
+        sent_at.append(time.monotonic())
+        send_frame(sock, to, frame_id, payload, stamp_us, is_iframe, forced)
+        threads_seen.append(threading.active_count())
+        if forced:
+            forced_frames.append(frame_id)
+        if frame_id == 0:
+            reply = runner.cp_mod.decode_cp(peer.recvfrom(65_535)[0])
+            assert reply.subtype == runner.cp_mod.SUB_HELLO
+            peer.sendto(runner.cp_mod.encode_cp(request), cfg.bind)
+        elif frame_id == 6:
+            peer.sendto(b"\x55\x56 truncated", cfg.bind)
+
+    monkeypatch.setattr(runner, "_open_socket", scripted_open_socket)
+    monkeypatch.setattr(dpp, "send_frame", scripted_send_frame)
+    try:
+        stats = host_run(cfg)
+    finally:
+        peer.close()
+    assert stats.frames_sent == 12
+    assert stats.malformed_datagrams == 2
+    assert stats.requests_received == stats.forced_iframes == 1
+    assert forced_frames and forced_frames[0] in (0, 1)
+    assert max(threads_seen) == threads_before
+    # paced on the ticks, also when a datagram ends the wait early; frame 0
+    # went out right after the stream's clock started
+    tick_s = 1 / cfg.codec.fps
+    for i, at in enumerate(sent_at):
+        assert at - sent_at[0] > (i - 0.5) * tick_s
 
 
 def test_handshake_timeout_without_peer():
