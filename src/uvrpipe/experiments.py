@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any
 
+import numpy as np
+
 from .core import Rng
 from .pipeline import run_scenario
 from .scenario import EncodeMode, ScenarioConfig
@@ -42,20 +44,15 @@ def recovery_trial(seed: int, feedback: bool, gop: int = 480) -> dict[str, Any]:
     cfg = recovery_config(seed, feedback, gop)
     result = run_scenario(cfg)
     victim = cfg.fault_drop_frame_id
-    corrupted = sum(1 for r in result.records if r.corrupted)
-    recovery_i = next(
-        (
-            r.frame_id
-            for r in result.records
-            if r.frame_id > victim and r.frame_type == "I" and r.presented_us >= 0
-        ),
-        None,
-    )
+    frames = result.frames
+    shown_i = (frames["frame_type"] == "I") & (frames["presented_us"] >= 0)
+    later_i = np.flatnonzero(shown_i & (frames["frame_id"] > victim))
+    recovery_i = int(later_i[0]) if len(later_i) else None
     return {
         "seed": seed,
         "victim": victim,
         "victim_gop_index": victim % gop,
-        "corrupted_interval": corrupted,
+        "corrupted_interval": int(frames["corrupted"].sum()),
         "recovered": recovery_i is not None,
         "recovery_frame_id": recovery_i,
         "dropped": result.metrics.frames["dropped"],

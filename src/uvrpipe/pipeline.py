@@ -5,40 +5,49 @@ host network stack -> fragment burst on the air -> reassembly at the
 receiver -> rate-capped decode -> presentation. Dropped-frame feedback runs
 against the same clock over the same (shared) medium.
 
-A run is computed in one of two ways, with the same result:
+Every run shares one prefix and one tail; only its middle is computed in
+one of two ways, with the same result:
 
-  * The event loop (``Simulator._run_events``), the general one: burst,
-    deadline and feedback events on one heap, with the render and sample
-    tick grid merged in lazily (``EventQueue.run``) rather than pushed onto
-    the heap, and the render ticks' complexities drawn as one batch. A tick
-    still goes before a heap event at its time, and a render before a
-    sample, as when every tick was scheduled up front; a frame's burst is
+  * The prefix (``Simulator._grid``), computed once: the render ticks, their
+    complexities as one batched draw, and the send grid, that is which tick
+    of the encoder's clock (each render tick in SYNC, each sample tick in
+    ASYNC) sends a frame and which render tick each frame encodes. It fixes
+    the frame count and each frame's ``gen_us`` and ``encoded_us``.
+  * The event loop (``Simulator._run_events``), the general middle: burst,
+    deadline and feedback events on one heap, with the tick grid merged in
+    lazily (``EventQueue.run``). Each tick carries the frame that it sends,
+    or -1. A tick goes before a heap event at its time, and a render before
+    a sample, as when every tick was scheduled up front; a frame's burst is
     drawn, then timed (``netsim.transmit_frame``), and the reassembler takes
-    its result as it is (``Reassembler.on_frame``).
+    its result as it is (``Reassembler.on_frame``). Outcomes go into one
+    Python list per column, made arrays once at the end.
   * The array run (``Simulator._run_arrays``), for a draw-free run:
     Bernoulli loss at ``loss_p == 0``, no jitter, no fault frame and no
-    transcript. Nothing is lost, so no frame drops, no feedback is sent
-    and every frame follows the GOP schedule; ticks, complexities, sizes,
-    fragment layouts, the link (``netsim.clean_run``) and the decoder's
-    token bucket (``DecodeServer.offer_run``) are whole-run numpy arrays,
-    with no Python step per frame. Only a bucket that makes some frame wait
-    is offered frame by frame. The ``FrameRecord`` list is built from the
-    arrays when ``SimResult.records`` is first read. When a precondition
-    fails on the arrays (the receiver's FIFO clamp binds, a frame exceeds
-    the fragment limit, a time could outgrow int64), it leaves the rng and
-    the link as they were and the event loop runs.
+    transcript. No frame drops, no feedback is sent and every frame follows
+    the GOP schedule; sizes, fragment layouts, the link
+    (``netsim.clean_run``) and the decoder's token bucket
+    (``DecodeServer.offer_run``) are whole-run arrays, with no Python step
+    per frame unless the bucket makes some frame wait. When a precondition
+    fails (the receiver's FIFO clamp binds, a frame exceeds the fragment
+    limit, a time could outgrow int64), the link is left as it was and the
+    event loop runs on the same prefix.
+  * The tail (``Simulator._result``): corruption, one array step run only
+    when some frame dropped, then the report. ``SimResult.frames`` is the
+    frame table, one array per ``FrameRecord`` field; ``SimResult.records``
+    is its read view, built when first read.
 
 ``tests/test_array_run.py`` keeps the event loop as the array run's reference,
-and ``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
-merge's.
+``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
+merge's, and ``tests/test_pipeline.py`` keeps the per-frame corruption loop
+as the array step's.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, replace
 from functools import cached_property
-from operator import attrgetter, itemgetter
-from typing import Any, Optional, Union
+from operator import itemgetter
+from typing import Any, Optional
 
 import numpy as np
 
@@ -64,53 +73,52 @@ from .stages import (
     ledger_frame_copies,
 )
 
-# the FrameRecord fields that ``Simulator._metrics`` reads, as columns
-_COLUMNS = (
-    "gen_us",
-    "encoded_us",
-    "net_us",
-    "queue_wait_us",
-    "presented_us",
-    "size_bytes",
-    "dropped",
-    "corrupted",
-)
 
-
-def _column(records: list[FrameRecord], name: str) -> np.ndarray:
-    values = list(map(attrgetter(name), records))
+def _array(values: list) -> np.ndarray:
+    """An event-loop column as an array typed as its values; times past int64
+    (a link of a few bits per second) stay Python ints."""
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:  # times past int64 on a link of a few bits per second
+        return np.array(values, dtype=type(values[0]) if values else int)
+    except OverflowError:
         return np.array(values, dtype=object)
 
 
-class SimResult:
-    """A run's report, datapath, optional event transcript and per-frame records.
+def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
+    """The presented P-frames decoded against a lost reference: the latest
+    drop at or before such a frame comes after the latest presented I-frame
+    at or before it."""
+    dropped = frames["dropped"]
+    index = np.arange(len(dropped))
+    presented = frames["presented_us"] >= 0
+    is_iframe = frames["frame_type"] == FrameType.I.value
+    last_drop = np.maximum.accumulate(np.where(dropped, index, -1))
+    last_i = np.maximum.accumulate(np.where(presented & is_iframe, index, -1))
+    return presented & ~is_iframe & (last_drop > last_i)
 
-    ``records`` comes in as the list of ``FrameRecord`` or, from an array
-    run, as a dict of per-frame arrays keyed by ``FrameRecord`` field; the
-    list is then built on the first read of ``records``.
+
+class SimResult:
+    """A run's report, datapath, optional event transcript and frame table.
+
+    ``frames`` holds one array per ``FrameRecord`` field, indexed by frame
+    id; ``records`` is its read view as ``FrameRecord``s, built when first
+    read.
     """
 
     def __init__(
         self,
         metrics: MetricsReport,
-        records: Union[list[FrameRecord], dict[str, np.ndarray]],
+        frames: dict[str, np.ndarray],
         graph: DatapathGraph,
         transcript: Optional[list[tuple]] = None,
     ):
         self.metrics = metrics
+        self.frames = frames
         self.graph = graph
         self.transcript = transcript
-        if isinstance(records, list):
-            self.records = records
-        else:
-            self._frames = records
 
     @cached_property
     def records(self) -> list[FrameRecord]:
-        frames = self._frames
+        frames = self.frames
         return list(map(FrameRecord, *(frames[f.name].tolist() for f in fields(FrameRecord))))
 
 
@@ -134,52 +142,71 @@ class Simulator:
         self.decoder = DecodeServer(self.codec_cfg.decode_fps_cap, self.graph.mud_service_us)
         self.transcript: Optional[list[tuple]] = [] if collect_transcript else None
 
-        self.records: list[FrameRecord] = []  # indexed by wire frame id
-        # the event loop's render ticks: times and complexities, by tick index
-        self._render_us: list[SimTime] = []
-        self._complexity: list[float] = []
-        self._latest_render = -1
-        self._last_sampled = -1
-        self._rendered = 0
-        self._sync_overruns = 0
+    # --- the prefix --------------------------------------------------------
+
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The send grid: the render ticks, the encoder's clock ticks (the
+        render grid in SYNC, the sample grid in ASYNC), which clock ticks send
+        a frame, and per frame the render tick that it encodes and that
+        tick's complexity. Every render tick's complexity is one batched draw.
+        """
+        cfg = self.cfg
+        render = frame_ticks(cfg.render_fps, cfg.duration_us)
+        complexity = self.rng.lognormal_complexity(cfg.workload.complexity_sigma, len(render))
+        if cfg.encode_mode is EncodeMode.SYNC:
+            # decimate to the codec rate when rendering faster than it; at or
+            # below it, every tick's codec slot differs from the next
+            clock, latest = render, np.arange(len(render))
+            fps, render_fps = self.codec_cfg.fps, cfg.render_fps
+            sends = latest * fps // render_fps != (latest + 1) * fps // render_fps
+        else:
+            # the latest render at or before each sample; on a tie the render runs first
+            clock = frame_ticks(self.codec_cfg.fps, cfg.duration_us)
+            latest = np.searchsorted(render, clock, side="right") - 1
+            sends = np.diff(latest, prepend=-1) > 0
+        source = latest[sends]
+        return render, clock, sends, source, complexity[source]
+
+    def _frames(self) -> dict[str, np.ndarray]:
+        """The frame table's columns that the send grid fixes."""
+        render, clock, sends, source, _ = self._grid
+        return {
+            "frame_id": np.arange(len(source)),
+            "gen_us": render[source],
+            "encoded_us": clock[sends] + self.graph.encode_path_us,
+        }
+
+    @property
+    def _rendered(self) -> int:
+        return len(self._grid[0])
 
     # --- host side ---------------------------------------------------------
 
-    def _encode_and_send(self, now: SimTime, index: int) -> None:
-        """Encode render tick ``index``'s frame at ``now`` and put it on the air."""
-        gen_time = self._render_us[index]
-        g = self.graph
+    def _encode_and_send(self, k: int) -> None:
+        """Encode frame ``k`` at its send tick and put it on the air."""
+        g, col = self.graph, self._table
         force = self.host_fb.pending_force if self.cfg.toggles.feedback_control else False
         ftype, _, forced = self.walker.plan(force)
-        encode_done = now + g.encode_path_us
-        frame_id = len(self.records)
-        size = encoded_size(ftype, self.codec_cfg, self._complexity[index], self.nominal_sizes)
+        encode_done = col["encoded_us"][k]
+        size = encoded_size(ftype, self.codec_cfg, self._complexity[k], self.nominal_sizes)
         is_iframe = ftype is FrameType.I
         if is_iframe and self.cfg.toggles.feedback_control:
-            cp_mod.host_on_iframe_emitted(
-                self.host_fb, encode_done, self.cfg.suppression_window_us
-            )
-
-        rec = FrameRecord(
-            frame_id=frame_id,
-            frame_type=ftype.value,
-            forced=forced,
-            gen_us=gen_time,
-            encoded_us=encode_done,
-            size_bytes=size,
-        )
-        self.records.append(rec)
+            cp_mod.host_on_iframe_emitted(self.host_fb, encode_done, self.cfg.suppression_window_us)
+        col["frame_type"][k] = ftype.value
+        col["forced"][k] = forced
+        col["size_bytes"][k] = size
 
         wire_request = encode_done + g.host_netstack_us
         busy_before = self.link.busy_until
-        rec.sent_first_us = wire_request if wire_request > busy_before else busy_before
+        col["sent_first_us"][k] = wire_request if wire_request > busy_before else busy_before
         count, tail = dpp.fragment_layout(size)
-        sent = self._transmit(frame_id, count, dpp.HEADER_LEN + tail, wire_request)
+        sent = self._transmit(k, count, dpp.HEADER_LEN + tail, wire_request)
         if sent is not None:
             first, last, delivered = sent
             self.queue.schedule(
                 last,
-                ("burst", frame_id, first, last, delivered, count, is_iframe, forced, gen_time),
+                ("burst", k, first, last, delivered, count, is_iframe, forced, col["gen_us"][k]),
             )
 
     def _transmit(
@@ -203,41 +230,6 @@ class Simulator:
             arrivals[victim] = None
         return netsim.frame_arrivals(arrivals)
 
-    def _sync_sends(self, index):
-        """Whether SYNC encodes render tick ``index`` (an int or an int64 array).
-
-        Decimates to the codec rate when rendering faster than it; at or
-        below the codec rate every tick's codec slot differs from the next.
-        """
-        fps, render_fps = self.codec_cfg.fps, self.cfg.render_fps
-        return index * fps // render_fps != (index + 1) * fps // render_fps
-
-    def _sync_overrun(self, index, t):
-        """Whether rendering plus encoding overruns the period of tick ``index`` at ``t``."""
-        period = tick_time(index + 1, self.cfg.render_fps) - t
-        return self.cfg.render_work_us + self.graph.encode_path_us > period
-
-    def _handle_render(self, t: SimTime, index: int) -> None:
-        if self.cfg.encode_mode is EncodeMode.SYNC:
-            if self._sync_sends(index):
-                self._encode_and_send(t, index)
-                if self._sync_overrun(index, t):
-                    self._sync_overruns += 1
-        else:
-            self._latest_render = index
-
-    def _handle_sample(self, t: SimTime) -> None:
-        index = self._latest_render
-        if index == self._last_sampled:
-            return
-        self._last_sampled = index
-        self._encode_and_send(t, index)
-
-    def _handle_cp(self, t: SimTime, msg: cp_mod.CpMessage) -> None:
-        if not self.cfg.toggles.feedback_control:
-            return
-        cp_mod.host_on_request(self.host_fb, msg, t)
-
     # --- receiver side -----------------------------------------------------
 
     def _send_cp(self, msg: cp_mod.CpMessage, t: SimTime) -> None:
@@ -246,17 +238,17 @@ class Simulator:
             self.queue.schedule(arrival, ("cp", msg))
 
     def _on_reassembly(self, ev, t: SimTime) -> None:
-        rec = self.records[ev.frame_id]
+        g, col, k = self.graph, self._table, ev.frame_id
         if isinstance(ev, dpp.FrameComplete):
-            net_done = ev.last_arrival + self.graph.link_fixed_us
-            rec.arrived_last_us = ev.last_arrival
-            rec.net_us = net_done - (rec.encoded_us + self.graph.host_netstack_us)
+            net_done = ev.last_arrival + g.link_fixed_us
+            col["arrived_last_us"][k] = ev.last_arrival
+            col["net_us"][k] = net_done - (col["encoded_us"][k] + g.host_netstack_us)
             start, wait = self.decoder.offer(net_done)
-            rec.queue_wait_us = wait
-            rec.decode_start_us = start
-            rec.presented_us = start + self.graph.mud_service_us + self.graph.residual_us
+            col["queue_wait_us"][k] = wait
+            col["decode_start_us"][k] = start
+            col["presented_us"][k] = start + g.mud_service_us + g.residual_us
         else:
-            rec.dropped = True
+            col["dropped"][k] = True
         if self.cfg.toggles.feedback_control:
             for msg in cp_mod.mud_on_frame_event(self.mud_fb, ev, t):
                 self._send_cp(msg, t)
@@ -281,17 +273,16 @@ class Simulator:
     def _dispatch(self, t: SimTime, event: tuple) -> None:
         kind = event[0]
         if self.transcript is not None:
-            self.transcript.append((t, kind, event[1] if len(event) > 1 else None))
-        if kind == "render":
-            self._handle_render(t, event[1])
-        elif kind == "sample":
-            self._handle_sample(t)
-        elif kind == "burst":
+            self.transcript.append((t, kind, event[1]))
+        if kind == "burst":
             self._handle_burst(t, event)
         elif kind == "deadline":
             self._handle_deadline(t)
         elif kind == "cp":
-            self._handle_cp(t, event[1])
+            if self.cfg.toggles.feedback_control:
+                cp_mod.host_on_request(self.host_fb, event[1], t)
+        elif event[2] >= 0:  # a render or sample tick that sends a frame
+            self._encode_and_send(event[2])
 
     def run(self) -> SimResult:
         """Simulate the scenario: as arrays when the run is draw-free, else event by event."""
@@ -311,57 +302,45 @@ class Simulator:
         )
 
     def _run_events(self) -> SimResult:
-        cfg = self.cfg
-        self._render_us = frame_ticks(cfg.render_fps, cfg.duration_us).tolist()
-        self._rendered = len(self._render_us)
-        sigma = cfg.workload.complexity_sigma
-        self._complexity = self.rng.lognormal_complexity(sigma, self._rendered).tolist()
-        ticks = [(t, ("render", i)) for i, t in enumerate(self._render_us)]
-        if cfg.encode_mode is EncodeMode.ASYNC:
-            samples = frame_ticks(self.codec_cfg.fps, cfg.duration_us).tolist()
-            ticks += [(t, ("sample", i)) for i, t in enumerate(samples)]
+        render, clock, sends, _, complexity = self._grid
+        n = len(complexity)
+        # frame_type and forced have no default: each frame's encode sets them
+        self._table = {f.name: [f.default] * n for f in fields(FrameRecord)}
+        self._table.update((name, col.tolist()) for name, col in self._frames().items())
+        self._complexity = complexity.tolist()
+        frame = np.where(sends, np.cumsum(sends) - 1, -1).tolist()
+        if self.cfg.encode_mode is EncodeMode.SYNC:
+            ticks = [(t, ("render", i, k)) for i, (t, k) in enumerate(zip(clock.tolist(), frame))]
+        else:
+            ticks = [(t, ("render", i, -1)) for i, t in enumerate(render.tolist())]
+            ticks += [(t, ("sample", i, k)) for i, (t, k) in enumerate(zip(clock.tolist(), frame))]
             ticks.sort(key=itemgetter(0))  # stable: on a tie the render goes first
         self.queue.run(self._dispatch, ticks)
-        self._mark_corruption()
-        columns = {name: _column(self.records, name) for name in _COLUMNS}
-        return SimResult(self._metrics(columns), self.records, self.graph, self.transcript)
+        return self._result({name: _array(values) for name, values in self._table.items()})
 
     def _run_arrays(self) -> Optional[SimResult]:
-        """The whole draw-free run as numpy arrays; None, with nothing drawn or
-        changed, when a precondition fails and the event loop must run it.
+        """The whole draw-free run as numpy arrays; None, with the link
+        unchanged, when a precondition fails and the event loop must run it.
 
         Every frame arrives whole, so the receiver never drops one and no
         feedback is sent: each frame is I exactly on its GOP schedule. The
         decoder admits the run in one pass (``DecodeServer.offer_run``) unless
         its token bucket makes some frame wait; then it takes frame by frame.
-        The result holds the per-frame arrays, from which ``SimResult``
-        builds the ``FrameRecord`` list only when it is read.
         """
-        cfg, g = self.cfg, self.graph
-        render = frame_ticks(cfg.render_fps, cfg.duration_us)
-        workload = self.rng.stream("workload").bit_generator
-        drawn_from = workload.state
-        complexity = self.rng.lognormal_complexity(cfg.workload.complexity_sigma, len(render))
-        if cfg.encode_mode is EncodeMode.SYNC:
-            source = np.flatnonzero(self._sync_sends(np.arange(len(render))))
-            send = render[source]
-        else:
-            # the latest render at or before each sample; on a tie the render runs first
-            samples = frame_ticks(self.codec_cfg.fps, cfg.duration_us)
-            latest = np.searchsorted(render, samples, side="right") - 1
-            fresh = np.diff(latest, prepend=-1) > 0
-            source, send = latest[fresh], samples[fresh]
-        is_iframe = np.arange(len(source)) % self.codec_cfg.gop_size == 0
-        sizes = encoded_sizes(is_iframe, self.codec_cfg, complexity[source], self.nominal_sizes)
-        sent = None
-        if sizes is not None:
-            count, tail = dpp.unchecked_layout(sizes)
-            if not len(count) or count.max() <= dpp.MAX_FRAGS:
-                encoded = send + g.encode_path_us
-                request = encoded + g.host_netstack_us
-                sent = netsim.clean_run(self.channel, self.link, count, dpp.HEADER_LEN + tail, request)
+        g = self.graph
+        complexity = self._grid[-1]
+        frames = self._frames()
+        n = len(complexity)
+        is_iframe = np.arange(n) % self.codec_cfg.gop_size == 0
+        sizes = encoded_sizes(is_iframe, self.codec_cfg, complexity, self.nominal_sizes)
+        if sizes is None:
+            return None
+        count, tail = dpp.unchecked_layout(sizes)
+        request = frames["encoded_us"] + g.host_netstack_us
+        if n and count.max() > dpp.MAX_FRAGS:
+            return None
+        sent = netsim.clean_run(self.channel, self.link, count, dpp.HEADER_LEN + tail, request)
         if sent is None:
-            workload.state = drawn_from
             return None
         start, _first, last = sent
 
@@ -370,42 +349,32 @@ class Simulator:
         if decode_start is None:  # the decoder's token bucket makes some frame wait
             offer = self.decoder.offer
             decode_start = np.array([offer(t)[0] for t in net_done.tolist()], dtype=np.int64)
-        n = len(sizes)
         zeros = np.zeros(n, dtype=bool)
-        frames = {
-            "frame_id": np.arange(n),
-            "frame_type": np.where(is_iframe, FrameType.I.value, FrameType.P.value),
-            "forced": zeros,
-            "gen_us": render[source],
-            "encoded_us": encoded,
-            "sent_first_us": start,
-            "arrived_last_us": last,
-            "decode_start_us": decode_start,
-            "presented_us": decode_start + g.mud_service_us + g.residual_us,
-            "dropped": zeros,
-            "corrupted": zeros,
-            "size_bytes": sizes,
-            "queue_wait_us": decode_start - net_done,
-            "net_us": net_done - request,
-        }
-        self._rendered = len(render)
-        if cfg.encode_mode is EncodeMode.SYNC:
-            self._sync_overruns = int(self._sync_overrun(source, send).sum())
+        frames.update(
+            frame_type=np.where(is_iframe, FrameType.I.value, FrameType.P.value),
+            forced=zeros,
+            sent_first_us=start,
+            arrived_last_us=last,
+            decode_start_us=decode_start,
+            presented_us=decode_start + g.mud_service_us + g.residual_us,
+            dropped=zeros,
+            corrupted=zeros,
+            size_bytes=sizes,
+            queue_wait_us=decode_start - net_done,
+            net_us=net_done - request,
+        )
+        return self._result(frames)
+
+    # --- the tail ----------------------------------------------------------
+
+    def _result(self, frames: dict[str, np.ndarray]) -> SimResult:
+        """Corruption, when some frame dropped, and the report of the frame table."""
+        if frames["dropped"].any():
+            frames["corrupted"] = _corrupted(frames)
         return SimResult(self._metrics(frames), frames, self.graph, self.transcript)
 
-    def _mark_corruption(self) -> None:
-        broken = False
-        for rec in self.records:
-            if rec.dropped:
-                broken = True
-            elif rec.presented_us >= 0:
-                if rec.frame_type == "I":
-                    broken = False
-                elif broken:
-                    rec.corrupted = True
-
     def _metrics(self, col: dict[str, np.ndarray]) -> MetricsReport:
-        """The run's report from its per-frame ``_COLUMNS``, one array each."""
+        """The run's report from its frame table."""
         cfg = self.cfg
         g = self.graph
         shown = col["presented_us"] >= 0
@@ -483,10 +452,13 @@ class Simulator:
         if cfg.encode_mode is EncodeMode.SYNC:
             # every encode task takes the datapath's encode-path time
             mean_task = g.encode_path_us if sent else 0.0
+            # rendering plus encoding overruns the period of a tick that sends
+            render, _, _, source, _ = self._grid
+            period = tick_time(source + 1, cfg.render_fps) - render[source]
             sync = {
                 "task_time_mean_ms": round(mean_task / 1000.0, 4),
                 "render_work_ms": round(cfg.render_work_us / 1000.0, 4),
-                "tick_overruns": self._sync_overruns,
+                "tick_overruns": int((cfg.render_work_us + g.encode_path_us > period).sum()),
             }
         return MetricsReport(
             seed=cfg.seed,

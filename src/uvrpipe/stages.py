@@ -27,6 +27,27 @@ With the full host datapath streamlined (transcode avoidance + shared GPU
 buffer + direct network I/O), a presentation/scan-out residual becomes
 visible that the coarse baseline stage accounting absorbs. It is reported as
 its own stage, and is zero on every other datapath.
+
+Provenance. The paper (arXiv 2101.07327; PAPER.md holds one passage of it)
+gives three figures for these constants, and only the first maps onto them:
+
+  * Copying only encoded data cuts end-to-end latency by 37 %. That is the
+    ``direct_net_io`` delta: DIRECT_IO_HOST_SAVING_US + MUD_NETSTACK_US =
+    14.37 ms of the 38.42-ms baseline (37.4 %; ``tests/golden/ab_suite.json``).
+  * The same optimization saves 6.7 ms of memory copies. No constant or sum
+    of constants here equals it: GPU_COPY_US (4,710) belongs to another
+    toggle, and the table keeps no copy time of its own for the netstack,
+    whose whole saving is the one DIRECT_IO_HOST_SAVING_US.
+  * RGB encoding cuts the host's encode time from 10.3 to 5.6 ms (4.7 ms).
+    TRANSCODE_US is 5,510, and the encode path (TRANSCODE_US + GPU_COPY_US
+    + CORE_ENCODE_US) is 13,940 us with every toggle off and 8,430 with
+    transcode avoidance alone, so neither end nor the saving matches.
+
+No figure in that passage gives the other constants. They are the reference
+profile's, and together they give the paper's two end-to-end means: 38.41
+ms with every toggle off (13,940 encode path + 17,630 host netstack + 3,200
+network + 700 + 2,940 receiver) and 14.32 ms with all five on (3,720 +
+3,860 + 2,400 + 2,940 + 1,400 residual).
 """
 
 from __future__ import annotations

@@ -190,10 +190,13 @@ def test_binding_clamp_falls_back(toggles):
     sim = Simulator(cfg)
     sim.link.last_arrival = 500_000
     assert sim._run_arrays() is None
-    # declined before it changed the link or moved the workload stream
+    # declined before it changed the link; the workload stream is where the
+    # prefix's one batched draw leaves it, and the event loop draws no more
     assert sim.link == LinkState(last_arrival=500_000)
-    first_draw = Rng(cfg.seed).stream("workload").standard_normal()
-    assert sim.rng.stream("workload").standard_normal() == first_draw
+    prefix = Rng(cfg.seed)
+    prefix.lognormal_complexity(cfg.workload.complexity_sigma, sim._rendered)
+    next_draw = prefix.stream("workload").standard_normal()
+    assert sim.rng.stream("workload").standard_normal() == next_draw
     assert _outcome(cfg, _run, last_arrival=500_000) == _outcome(
         cfg, _events, last_arrival=500_000
     )
@@ -225,4 +228,9 @@ def test_times_past_int64_fall_back():
     cfg.channel.bandwidth_bps = 1
     assert cfg.validate() == []
     assert Simulator(cfg)._run_arrays() is None
+    # both sides below are the event loop, so check that such times occur
+    # and reach the records as exact Python ints
+    presented = [r.presented_us for r in Simulator(cfg).run().records]
+    assert max(presented) > 2**63
+    assert all(type(t) is int for t in presented)
     assert _outcome(cfg, _run) == _outcome(cfg, _events)

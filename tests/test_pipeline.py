@@ -1,8 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from uvrpipe.pipeline import Simulator, ab_compare, run_scenario
+from uvrpipe.experiments import recovery_config, recovery_trial
+from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario
+from uvrpipe.report import FrameRecord
 from uvrpipe.scenario import EncodeMode, ScenarioConfig, ScenarioError, preset_config
 from uvrpipe.stages import OptimizationToggles, TOGGLE_NAMES
 
@@ -130,6 +135,23 @@ def test_gop_latency_spikes_on_iframes():
         assert lat[fid] > max(p_lat)
 
 
+@pytest.mark.parametrize("feedback", [True, False])
+def test_recovery_trial_reads_the_frame_table(feedback):
+    # the trial's reading of the frame table against the same run's records
+    for seed in range(10_000, 10_006):
+        trial = recovery_trial(seed, feedback, gop=20)
+        records = run_scenario(recovery_config(seed, feedback, gop=20)).records
+        victim = trial["victim"]
+        recovery_i = next(
+            r.frame_id
+            for r in records
+            if r.frame_id > victim and r.frame_type == "I" and r.presented_us >= 0
+        )
+        assert trial["recovery_frame_id"] == recovery_i and trial["recovered"] is True
+        assert trial["corrupted_interval"] == sum(r.corrupted for r in records) > 0
+        assert type(trial["recovery_frame_id"]) is type(trial["corrupted_interval"]) is int
+
+
 def test_unknown_toggle_rejected():
     with pytest.raises(ScenarioError):
         ab_compare(_short(), "warp_drive")
@@ -163,3 +185,54 @@ def test_decode_cap_backlog_in_pipeline():
     tail = waits[10:]
     assert all(b >= a for a, b in zip(tail, tail[1:]))
     assert tail[-1] > 10 * 16_667
+
+
+def mark_corruption(records):
+    """The per-frame corruption loop that the frame table's array step
+    replaced, kept as its reference: a presented P-frame is corrupted from a
+    drop until the next presented I-frame."""
+    broken = False
+    for rec in records:
+        if rec.dropped:
+            broken = True
+        elif rec.presented_us >= 0:
+            if rec.frame_type == "I":
+                broken = False
+            elif broken:
+                rec.corrupted = True
+
+
+# (outcome, frame type) per frame
+FRAMES = st.lists(
+    st.tuples(st.sampled_from(["dropped", "presented", "unresolved"]), st.sampled_from("IP")),
+    max_size=60,
+)
+
+
+@settings(max_examples=300)
+@given(FRAMES)
+@example([])
+@example([("dropped", "I"), ("presented", "P"), ("presented", "P")])  # a drop at frame 0
+# a drop right before an I-frame
+@example([("presented", "I"), ("dropped", "P"), ("presented", "I"), ("presented", "P")])
+# unresolved frames, of either type, between a drop and a P-frame
+@example([("dropped", "P"), ("unresolved", "P"), ("unresolved", "I"), ("presented", "P")])
+def test_array_corruption_equals_the_loop(frames):
+    records = [
+        FrameRecord(
+            frame_id=k,
+            frame_type=ftype,
+            forced=False,
+            gen_us=0,
+            presented_us=k if outcome == "presented" else -1,
+            dropped=outcome == "dropped",
+        )
+        for k, (outcome, ftype) in enumerate(frames)
+    ]
+    table = {
+        "dropped": np.array([r.dropped for r in records], dtype=bool),
+        "presented_us": np.array([r.presented_us for r in records], dtype=np.int64),
+        "frame_type": np.array([r.frame_type for r in records], dtype=str),
+    }
+    mark_corruption(records)
+    assert _corrupted(table).tolist() == [r.corrupted for r in records]
