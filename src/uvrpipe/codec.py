@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ColorSpace, SimTime, round_half_up
+from .core import ColorSpace, SimTime
 
 
 class FrameType(Enum):
@@ -46,14 +46,16 @@ def frame_budget(cfg: CodecConfig) -> Fraction:
 def nominal_sizes(cfg: CodecConfig) -> tuple[int, int]:
     """(I-frame bytes, P-frame bytes) such that one GOP averages the budget.
 
-    s_I = G*B / (1 + (G-1)*r), s_P = r*s_I, both rounded half-up.
+    s_I = G*B / (1 + (G-1)*r), s_P = r*s_I, both rounded half-up. With
+    B = bitrate / (8*fps) and r = p/q exactly, s_I = G*bitrate*q / den and
+    s_P = G*bitrate*p / den for den = 8*fps*(q + (G-1)*p); num/den rounds
+    half-up to (2*num + den) // (2*den), in exact integers.
     """
-    budget = frame_budget(cfg)
     g = cfg.gop_size
-    r = cfg.p_to_i_ratio
-    s_i = Fraction(g) * budget / (1 + (g - 1) * r)
-    s_p = r * s_i
-    return round_half_up(s_i), round_half_up(s_p)
+    p, q = cfg.p_to_i_ratio.as_integer_ratio()
+    den = 8 * cfg.fps * (q + (g - 1) * p)
+    scale = g * cfg.bitrate_bps
+    return (2 * scale * q + den) // (2 * den), (2 * scale * p + den) // (2 * den)
 
 
 class GopWalker:

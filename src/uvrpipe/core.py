@@ -24,18 +24,10 @@ class SchedulingError(Exception):
     """An event was scheduled before the current dispatch time (simulator bug)."""
 
 
-def round_half_up(x) -> int:
-    """Round to nearest integer, ties away from zero (toward +inf for x >= 0)."""
-    from fractions import Fraction
-
-    f = Fraction(x) if not isinstance(x, Fraction) else x
-    return int((2 * f + 1) // 2) if f >= 0 else -int((2 * (-f) + 1) // 2)
-
-
 def tick_time(index: int, fps: int) -> SimTime:
     """Time of tick ``index`` on a cumulative-rounding grid.
 
-    tick_time(i) = round_half_up(1e6 * i / fps); consecutive deltas wobble by
+    tick_time(i) = 1e6 * i / fps rounded half up; consecutive deltas wobble by
     at most 1 us but accumulate no drift (e.g. 90 FPS averages 11111.1 us
     exactly over any 10 ticks).
     """
@@ -57,33 +49,37 @@ class Rng:
     """Seeded random source with named, independently-derived substreams.
 
     Backed by numpy's PCG64 generator, whose output stream is stable across
-    platforms and versions for a given seed. Substreams are spawned from the
-    root seed by label so that adding draws in one subsystem never shifts the
-    sequences seen by another.
+    platforms and versions for a given seed. Substream ``i`` is the root
+    seed's ``i``-th spawned child, ``SeedSequence(seed, spawn_key=(i,))``, so
+    that adding draws in one subsystem never shifts the sequences seen by
+    another. Each is built on first use: a run pays only for the streams
+    that it draws from.
     """
 
-    _STREAMS = ("workload", "loss", "jitter", "fault", "misc")
+    _STREAMS = {"workload": 0, "loss": 1, "jitter": 2, "fault": 3, "misc": 4}
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        root = np.random.SeedSequence(self.seed)
-        children = root.spawn(len(self._STREAMS))
-        self._gens = {
-            name: np.random.Generator(np.random.PCG64(child))
-            for name, child in zip(self._STREAMS, children)
-        }
+        self._gens: dict[str, np.random.Generator] = {}
         self._tapes: dict[str, UniformTape] = {}
+
+    def _gen(self, name: str) -> np.random.Generator:
+        gen = self._gens.get(name)
+        if gen is None:
+            child = np.random.SeedSequence(self.seed, spawn_key=(self._STREAMS[name],))
+            gen = self._gens[name] = np.random.Generator(np.random.PCG64(child))
+        return gen
 
     def stream(self, name: str) -> np.random.Generator:
         """The generator, where the draws so far leave it (a tape is synced, dropped)."""
         if name in self._tapes:
             self._tapes.pop(name).sync()
-        return self._gens[name]
+        return self._gen(name)
 
     def tape(self, name: str) -> UniformTape:
         """The stream's uniforms from a tape drawn ahead (``UniformTape``)."""
         if name not in self._tapes:
-            self._tapes[name] = UniformTape(self._gens[name])
+            self._tapes[name] = UniformTape(self._gen(name))
         return self._tapes[name]
 
     def lognormal_complexity(self, sigma: float, n: Optional[int] = None):
@@ -92,7 +88,7 @@ class Rng:
         The batch equals ``n`` scalar calls bit for bit and leaves the
         workload stream at the same place.
         """
-        z = self._gens["workload"].standard_normal(n)
+        z = self._gen("workload").standard_normal(n)
         if sigma == 0.0:
             # degenerate distribution; the draw above keeps streams aligned
             return 1.0 if n is None else np.ones(n)

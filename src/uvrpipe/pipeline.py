@@ -8,19 +8,24 @@ against the same clock over the same (shared) medium.
 Every run shares one prefix and one tail; only its middle is computed in
 one of two ways, with the same result:
 
-  * The prefix (``Simulator._grid``), computed once: the render ticks, their
-    complexities as one batched draw, and the send grid, that is which tick
-    of the encoder's clock (each render tick in SYNC, each sample tick in
-    ASYNC) sends a frame and which render tick each frame encodes. It fixes
-    the frame count and each frame's ``gen_us`` and ``encoded_us``.
+  * The prefix (``Simulator._grid``): the send grid, that is the render
+    ticks, their complexities as one batched draw, which tick of the
+    encoder's clock (each render tick in SYNC, each sample tick in ASYNC)
+    sends a frame and which render tick each frame encodes. It fixes the
+    frame count and each frame's ``gen_us`` and ``encoded_us``. ``send_grid``
+    computes it once per (seed, clocks) and caches the last one, read-only,
+    so consecutive runs that differ in nothing else, such as an A/B suite's,
+    share it; each run restores the workload stream to where the draw left
+    it.
   * The event loop (``Simulator._run_events``), the general middle: burst,
     deadline and feedback events on one heap, with the tick grid merged in
     lazily (``EventQueue.run``). Each tick carries the frame that it sends,
-    or -1. A tick goes before a heap event at its time, and a render before
-    a sample, as when every tick was scheduled up front; a frame's burst is
-    drawn, then timed (``netsim.transmit_frame``), and the reassembler takes
-    its result as it is (``Reassembler.on_frame``). Outcomes go into one
-    Python list per column, made arrays once at the end.
+    or -1; an ASYNC render tick, which never sends, is merged only for the
+    transcript. A tick goes before a heap event at its time, and a render
+    before a sample, as when every tick was scheduled up front; a frame's
+    burst is drawn, then timed (``netsim.transmit_frame``), and the
+    reassembler takes its result as it is (``Reassembler.on_frame``).
+    Outcomes go into one Python list per column, made arrays once at the end.
   * The array run (``Simulator._run_arrays``), for a draw-free run:
     Bernoulli loss at ``loss_p == 0``, no jitter, no fault frame and no
     transcript. No frame drops, no feedback is sent and every frame follows
@@ -45,7 +50,7 @@ as the array step's.
 from __future__ import annotations
 
 from dataclasses import fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Any, Optional
 
@@ -94,6 +99,45 @@ def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
     last_drop = np.maximum.accumulate(np.where(dropped, index, -1))
     last_i = np.maximum.accumulate(np.where(presented & is_iframe, index, -1))
     return presented & ~is_iframe & (last_drop > last_i)
+
+
+@lru_cache(maxsize=1)
+def send_grid(
+    seed: int,
+    complexity_sigma: float,
+    render_fps: int,
+    fps: int,
+    duration_us: SimTime,
+    encode_mode: EncodeMode,
+) -> tuple[tuple[np.ndarray, ...], dict[str, Any]]:
+    """The send grid: the render ticks, the encoder's clock ticks (the render
+    grid in SYNC, the sample grid at the codec's ``fps`` in ASYNC), which
+    clock ticks send a frame, and per frame the render tick that it encodes
+    and that tick's complexity. Every render tick's complexity is one batched
+    draw from the seed's workload stream, whose state after the draw comes
+    with the grid.
+
+    The arrays are read-only, since consecutive runs of one seed and clocks,
+    such as an A/B suite's, share them from the cache.
+    """
+    rng = Rng(seed)
+    render = frame_ticks(render_fps, duration_us)
+    complexity = rng.lognormal_complexity(complexity_sigma, len(render))
+    if encode_mode is EncodeMode.SYNC:
+        # decimate to the codec rate when rendering faster than it; at or
+        # below it, every tick's codec slot differs from the next
+        clock, latest = render, np.arange(len(render))
+        sends = latest * fps // render_fps != (latest + 1) * fps // render_fps
+    else:
+        # the latest render at or before each sample; on a tie the render runs first
+        clock = frame_ticks(fps, duration_us)
+        latest = np.searchsorted(render, clock, side="right") - 1
+        sends = np.diff(latest, prepend=-1) > 0
+    source = latest[sends]
+    grid = (render, clock, sends, source, complexity[source])
+    for array in grid:
+        array.flags.writeable = False
+    return grid, rng.stream("workload").bit_generator.state
 
 
 class SimResult:
@@ -146,27 +190,19 @@ class Simulator:
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The send grid: the render ticks, the encoder's clock ticks (the
-        render grid in SYNC, the sample grid in ASYNC), which clock ticks send
-        a frame, and per frame the render tick that it encodes and that
-        tick's complexity. Every render tick's complexity is one batched draw.
-        """
+        """The send grid (``send_grid``) of this run's seed and clocks, with
+        the workload stream left where the grid's batched draw leaves it."""
         cfg = self.cfg
-        render = frame_ticks(cfg.render_fps, cfg.duration_us)
-        complexity = self.rng.lognormal_complexity(cfg.workload.complexity_sigma, len(render))
-        if cfg.encode_mode is EncodeMode.SYNC:
-            # decimate to the codec rate when rendering faster than it; at or
-            # below it, every tick's codec slot differs from the next
-            clock, latest = render, np.arange(len(render))
-            fps, render_fps = self.codec_cfg.fps, cfg.render_fps
-            sends = latest * fps // render_fps != (latest + 1) * fps // render_fps
-        else:
-            # the latest render at or before each sample; on a tie the render runs first
-            clock = frame_ticks(self.codec_cfg.fps, cfg.duration_us)
-            latest = np.searchsorted(render, clock, side="right") - 1
-            sends = np.diff(latest, prepend=-1) > 0
-        source = latest[sends]
-        return render, clock, sends, source, complexity[source]
+        grid, workload = send_grid(
+            cfg.seed,
+            cfg.workload.complexity_sigma,
+            cfg.render_fps,
+            self.codec_cfg.fps,
+            cfg.duration_us,
+            cfg.encode_mode,
+        )
+        self.rng.stream("workload").bit_generator.state = workload
+        return grid
 
     def _frames(self) -> dict[str, np.ndarray]:
         """The frame table's columns that the send grid fixes."""
@@ -309,12 +345,12 @@ class Simulator:
         self._table.update((name, col.tolist()) for name, col in self._frames().items())
         self._complexity = complexity.tolist()
         frame = np.where(sends, np.cumsum(sends) - 1, -1).tolist()
-        if self.cfg.encode_mode is EncodeMode.SYNC:
-            ticks = [(t, ("render", i, k)) for i, (t, k) in enumerate(zip(clock.tolist(), frame))]
-        else:
-            ticks = [(t, ("render", i, -1)) for i, t in enumerate(render.tolist())]
-            ticks += [(t, ("sample", i, k)) for i, (t, k) in enumerate(zip(clock.tolist(), frame))]
-            ticks.sort(key=itemgetter(0))  # stable: on a tie the render goes first
+        kind = "render" if self.cfg.encode_mode is EncodeMode.SYNC else "sample"
+        ticks = [(t, (kind, i, k)) for i, (t, k) in enumerate(zip(clock.tolist(), frame))]
+        if kind == "sample" and self.transcript is not None:
+            # an ASYNC render tick sends nothing: only the transcript sees it
+            renders = [(t, ("render", i, -1)) for i, t in enumerate(render.tolist())]
+            ticks = sorted(renders + ticks, key=itemgetter(0))  # on a tie the render goes first
         self.queue.run(self._dispatch, ticks)
         return self._result({name: _array(values) for name, values in self._table.items()})
 

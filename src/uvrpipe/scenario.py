@@ -61,8 +61,8 @@ class ScenarioConfig:
         """Every range violation, key by key in ``KEYS`` order, then the
         checks that a key's own range cannot express."""
         failed = {}
-        for key, (path, _bound) in KEYS.items():
-            error = key_error(key, attrgetter(path)(self))
+        for key, get in _GETTERS.items():
+            error = key_error(key, get(self))
             if error is not None:
                 failed[key] = error
         errors = list(failed.values())
@@ -148,12 +148,21 @@ def _field_type(path: str) -> type:
 _TYPES = {key: _field_type(path) for key, (path, _bound) in KEYS.items()}
 
 
+_GETTERS = {key: attrgetter(path) for key, (path, _bound) in KEYS.items()}
+# per key, resolved once: whether its value must be finite, and its range test
+_CHECKS = {
+    key: (_TYPES[key] is float, bound and _IN_RANGE[bound]) for key, (_path, bound) in KEYS.items()
+}
+
+
 def key_error(key: str, value: Any) -> Optional[str]:
     """Why ``value`` is out of ``key``'s declared range, or None if it is not."""
-    if _TYPES[key] is float and not math.isfinite(value):
+    finite, in_range = _CHECKS[key]
+    if finite and not math.isfinite(value):
         return f"{key} must be finite"
-    bound = KEYS[key][1]
-    return None if bound is None else bound_error(key, value, bound)
+    if in_range is None or in_range(value):
+        return None
+    return f"{key} must be {KEYS[key][1]}"
 
 
 def bound_error(name: str, value: Any, bound: str) -> Optional[str]:
@@ -260,7 +269,7 @@ def parse_scenario(path: Union[str, Path], base: Optional[ScenarioConfig] = None
 
 def to_flat_dict(cfg: ScenarioConfig) -> dict[str, str]:
     """Emit the full configuration in the file grammar (round-trips exactly)."""
-    return {key: _format(_TYPES[key], attrgetter(KEYS[key][0])(cfg)) for key in KEYS}
+    return {key: _format(_TYPES[key], get(cfg)) for key, get in _GETTERS.items()}
 
 
 def emit_scenario(cfg: ScenarioConfig) -> str:

@@ -100,16 +100,15 @@ TOGGLE_NAMES = tuple(f.name for f in fields(OptimizationToggles))
 
 
 def expected_transport_us(size_bytes: int, channel: netsim.ChannelModel) -> int:
-    """Last-fragment delivery time for one frame on an idle, lossless link."""
-    clean = replace(
-        channel, jitter_sigma_us=0.0, loss_model=netsim.LossModel.BERNOULLI, loss_p=0.0
-    )
+    """Last-fragment delivery time for one frame on an idle, lossless link.
+
+    The clean burst's closed form (``netsim._clean_shape``): on an idle link
+    it starts at once and the FIFO clamp never binds, so its last fragment
+    arrives one propagation delay after the medium's busy end.
+    """
     count, tail = dpp.fragment_layout(size_bytes)
-    # nothing is drawn, and on an idle link the FIFO clamp never binds
-    _first, last, _delivered = netsim.transmit_frame(
-        clean, netsim.LinkState(), count, dpp.MTU, dpp.HEADER_LEN + tail, 0
-    )
-    return last
+    _first, busy_end, _total = netsim._clean_shape(channel, count, dpp.MTU, dpp.HEADER_LEN + tail)
+    return busy_end + channel.prop_delay_us
 
 
 def _reference_sizes(cfg: CodecConfig) -> tuple[int, int]:

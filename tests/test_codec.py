@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uvrpipe.codec import (
@@ -27,6 +27,48 @@ def test_frame_budget():
 def test_zero_bitrate_rejected():
     cfg = ScenarioConfig(codec=CodecConfig(bitrate_bps=0))
     assert cfg.validate() == ["codec.bitrate_bps must be > 0"]
+
+
+def round_half_up(x) -> int:
+    """Round to nearest integer, ties away from zero (toward +inf for x >= 0)."""
+    f = Fraction(x)
+    return int((2 * f + 1) // 2) if f >= 0 else -int((2 * (-f) + 1) // 2)
+
+
+def test_round_half_up():
+    assert round_half_up(2.5) == 3
+    assert round_half_up(2.4) == 2
+    assert round_half_up(Fraction(5, 2)) == 3
+
+
+def _nominal_sizes_reference(cfg):
+    """``nominal_sizes`` as the exact rational formula, rounded half-up."""
+    budget = frame_budget(cfg)
+    g = cfg.gop_size
+    r = Fraction(cfg.p_to_i_ratio)
+    s_i = g * budget / (1 + (g - 1) * r)
+    return round_half_up(s_i), round_half_up(r * s_i)
+
+
+_RATIOS = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda r: r > 0),
+    st.floats(min_value=0, max_value=1, exclude_min=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    bitrate=st.integers(1, 10**11),
+    fps=st.integers(1, 1_000),
+    gop=st.integers(1, 2_000),
+    ratio=_RATIOS,
+)
+# ties: s_I = 0.5 and s_I = 1.5 round up
+@example(bitrate=4, fps=1, gop=1, ratio=Fraction(1))
+@example(bitrate=12, fps=1, gop=1, ratio=0.5)
+def test_nominal_sizes_equal_the_rational_formula(bitrate, fps, gop, ratio):
+    cfg = CodecConfig(bitrate_bps=bitrate, fps=fps, gop_size=gop, p_to_i_ratio=ratio)
+    assert nominal_sizes(cfg) == _nominal_sizes_reference(cfg)
 
 
 def test_nominal_sizes_default_gop():

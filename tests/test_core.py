@@ -11,7 +11,6 @@ from uvrpipe.core import (
     SchedulingError,
     WorkloadConfig,
     raw_frame_bytes,
-    round_half_up,
     tick_time,
 )
 
@@ -72,14 +71,6 @@ def test_tick_grid_90fps_no_drift():
     assert all(abs(d - 11_111.1) <= 1 for d in deltas)
 
 
-def test_round_half_up():
-    assert round_half_up(2.5) == 3
-    assert round_half_up(2.4) == 2
-    from fractions import Fraction
-
-    assert round_half_up(Fraction(5, 2)) == 3
-
-
 def test_raw_frame_sizes():
     assert raw_frame_bytes(1920, 1080, ColorSpace.RGB) == 6_220_800
     assert raw_frame_bytes(1920, 1080, ColorSpace.YUV420) == 3_110_400
@@ -124,6 +115,46 @@ def test_batched_complexities_equal_scalar_draws(sigma):
         assert Rng(11).lognormal_complexity(sigma, n).tobytes() == scalar.tobytes()
         # and both leave the workload stream at the same place
         assert batch_rng.lognormal_complexity(sigma) == scalar_rng.lognormal_complexity(sigma)
+
+
+# --- lazy streams ----------------------------------------------------------
+
+_STREAM_NAMES = ("workload", "loss", "jitter", "fault", "misc")
+
+
+def _eager_streams(seed):
+    """The reference: every stream built up front from the root seed's five
+    spawned children, in this order."""
+    children = np.random.SeedSequence(seed).spawn(len(_STREAM_NAMES))
+    return {
+        name: np.random.Generator(np.random.PCG64(child))
+        for name, child in zip(_STREAM_NAMES, children)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    order=st.permutations(_STREAM_NAMES),
+    taped=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_lazy_streams_equal_the_eager_ones(seed, order, taped):
+    # each stream is built on first use, in any order and through either
+    # door (a tape before the stream too), and draws what the eager one does
+    rng, eager = Rng(seed), _eager_streams(seed)
+    for name, tape in zip(order, taped):
+        if tape:
+            assert rng.tape(name).take(3) == eager[name].random(3).tolist()
+        else:
+            assert rng.stream(name).random(3).tolist() == eager[name].random(3).tolist()
+    for name in _STREAM_NAMES:
+        expected = eager[name].standard_normal(2).tolist()
+        assert rng.stream(name).standard_normal(2).tolist() == expected
+
+
+def test_unknown_stream_is_refused():
+    with pytest.raises(KeyError):
+        Rng(1).stream("nope")
 
 
 # --- the loss stream's tape ----------------------------------------------

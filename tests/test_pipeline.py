@@ -1,12 +1,15 @@
 import itertools
+from copy import deepcopy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uvrpipe.core import Rng
 from uvrpipe.experiments import recovery_config, recovery_trial
-from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario
+from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario, send_grid
 from uvrpipe.report import FrameRecord
 from uvrpipe.scenario import EncodeMode, ScenarioConfig, ScenarioError, preset_config
 from uvrpipe.stages import OptimizationToggles, TOGGLE_NAMES
@@ -236,3 +239,67 @@ def test_array_corruption_equals_the_loop(frames):
     }
     mark_corruption(records)
     assert _corrupted(table).tolist() == [r.corrupted for r in records]
+
+
+# --- the shared send grid ----------------------------------------------------
+
+
+def _grid_state(sim):
+    """A Simulator's send grid as lists, and its workload stream's state."""
+    grid = [array.tolist() for array in sim._grid]
+    return grid, sim.rng.stream("workload").bit_generator.state
+
+
+def test_runs_of_one_seed_and_clocks_share_a_read_only_grid():
+    cfg = _short()
+    first = Simulator(cfg)
+    second = Simulator(replace(cfg, toggles=OptimizationToggles.all_on()))
+    assert _grid_state(first) == _grid_state(second)
+    assert all(a is b for a, b in zip(first._grid, second._grid))
+    for array in second._grid:
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+
+
+def _changed(cfg, field):
+    """``cfg`` with one of the send grid's six key fields changed."""
+    cfg = deepcopy(cfg)
+    if field == "seed":
+        cfg.seed += 1
+    elif field == "complexity_sigma":
+        cfg.workload.complexity_sigma *= 2
+    elif field == "render_fps":
+        cfg.render_fps = 120
+    elif field == "fps":
+        cfg.codec.fps = 72
+    elif field == "duration_us":
+        cfg.duration_s += 0.5
+    else:
+        cfg.encode_mode = EncodeMode.SYNC
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "field", ["seed", "complexity_sigma", "render_fps", "fps", "duration_us", "encode_mode"]
+)
+def test_changing_a_key_field_gives_the_uncached_grid(field):
+    cfg = _short(render_fps=90)  # faster than the codec: SYNC and ASYNC grids differ
+    base = _grid_state(Simulator(cfg))
+    changed = _changed(cfg, field)
+    cached = _grid_state(Simulator(changed))  # the cache held cfg's grid
+    send_grid.cache_clear()
+    assert cached == _grid_state(Simulator(changed))
+    assert cached != base
+
+
+def test_a_cache_hit_leaves_the_workload_stream_where_scalar_draws_do():
+    cfg = _short("openuvr", render_fps=90)
+    Simulator(cfg).run()
+    hits = send_grid.cache_info().hits
+    sim = Simulator(cfg)  # a cache hit: no draw, the state is restored
+    sim.run()
+    assert send_grid.cache_info().hits == hits + 1
+    scalar = Rng(cfg.seed)
+    for _ in range(sim._rendered):
+        scalar.lognormal_complexity(cfg.workload.complexity_sigma)
+    assert sim.rng.stream("workload").random() == scalar.stream("workload").random()

@@ -1,7 +1,10 @@
 import re
 from dataclasses import replace
 
-from uvrpipe import stages
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uvrpipe import dpp, netsim, stages
 from uvrpipe.codec import CodecConfig, FrameType, effective_color_space, encoded_size
 from uvrpipe.core import ColorSpace
 from uvrpipe.netsim import ChannelModel, Topology
@@ -83,6 +86,39 @@ def test_link_calibration_hits_network_targets():
             color = ColorSpace.RGB if rgb else ColorSpace.YUV420
             target = NET_TARGET_US[(topology, color)]
             assert abs(fixed + mech - target) < 1.0
+
+
+def _transport_reference(size_bytes, channel):
+    """One frame's burst on an idle link of ``channel`` made lossless and
+    jitter-free, through ``netsim.transmit_frame``: its last arrival."""
+    clean = replace(
+        channel, jitter_sigma_us=0.0, loss_model=netsim.LossModel.BERNOULLI, loss_p=0.0
+    )
+    count, tail = dpp.fragment_layout(size_bytes)
+    _first, last, _delivered = netsim.transmit_frame(
+        clean, netsim.LinkState(), count, dpp.MTU, dpp.HEADER_LEN + tail, 0
+    )
+    return last
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 2_000_000),
+    topology=st.sampled_from(Topology),
+    bandwidth=st.integers(1_000, 10**10),
+    prop=st.integers(0, 5_000),
+    jitter=st.sampled_from([0.0, 40.0]),
+    loss=st.sampled_from([0.0, 0.3]),
+)
+def test_expected_transport_equals_a_clean_burst(size, topology, bandwidth, prop, jitter, loss):
+    channel = ChannelModel(
+        topology=topology,
+        bandwidth_bps=bandwidth,
+        prop_delay_us=prop,
+        jitter_sigma_us=jitter,
+        loss_p=loss,
+    )
+    assert expected_transport_us(size, channel) == _transport_reference(size, channel)
 
 
 def test_frame_copy_ledger_dominance():
