@@ -62,13 +62,27 @@ class Rng:
         self.seed = int(seed)
         self._gens: dict[str, np.random.Generator] = {}
         self._tapes: dict[str, UniformTape] = {}
+        self._states: dict[str, dict] = {}  # restored states of streams not built yet
 
     def _gen(self, name: str) -> np.random.Generator:
         gen = self._gens.get(name)
         if gen is None:
             child = np.random.SeedSequence(self.seed, spawn_key=(self._STREAMS[name],))
             gen = self._gens[name] = np.random.Generator(np.random.PCG64(child))
+            if name in self._states:
+                gen.bit_generator.state = self._states.pop(name)
         return gen
+
+    def restore(self, name: str, state: dict) -> None:
+        """Put the stream at a saved ``bit_generator.state``. A stream not
+        built yet keeps the state and takes it when it is first used."""
+        if name not in self._STREAMS:
+            raise KeyError(name)
+        self._tapes.pop(name, None)  # drawn ahead from the state replaced
+        if name in self._gens:
+            self._gens[name].bit_generator.state = state
+        else:
+            self._states[name] = state
 
     def stream(self, name: str) -> np.random.Generator:
         """The generator, where the draws so far leave it (a tape is synced, dropped)."""

@@ -11,20 +11,27 @@ flags bit0 marks an I-frame fragment, bit1 a forced I-frame.
 
 Two codecs write and read these bytes. ``encode_packet`` and
 ``decode_packet`` go through ``DppPacket`` objects (control messages, tests).
-The runner's datapath builds none: ``send_frame`` gathers each datagram from
-a reused header buffer and a view of the frame, and ``parse_header`` checks a
+The runner's datapath builds none: ``send_frame`` gathers datagrams from
+their packed headers and views of the frame, and ``parse_header`` checks a
 datagram in place in a reused receive buffer. ``decode_packet`` is built on
 ``parse_header``, so both reject the same datagrams with the same errors.
-``Reassembler`` takes either a parsed datagram (``on_fragment``) or a
-simulated frame's burst (``on_frame``).
+``Reassembler`` takes either a run of parsed datagrams of one frame
+(``on_fragments``) or a simulated frame's burst (``on_frame``).
+
+On Linux, ``send_frame`` hands the kernel up to ``TRAIN`` datagrams per
+``sendmsg`` through UDP segmentation offload (udp(7), ``UDP_SEGMENT``): the
+kernel cuts the gathered bytes at ``MTU``, so each datagram on the wire is
+still exactly one ``encode_packet``. Elsewhere, or once a socket refuses a
+train, it sends one datagram per call.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .core import SimTime
 from .netsim import MAX_PACKET_BYTES
@@ -43,6 +50,15 @@ MAX_FRAGS = 0xFFFF
 DROP_DEADLINE_US = 33_334  # two 60-FPS frame periods
 
 _HEADER = struct.Struct(">2sBBBIHHHQ")
+
+# udp(7): a send whose ancillary data carries (SOL_UDP, UDP_SEGMENT, size)
+# leaves as datagrams of ``size`` bytes, the last one shorter. Linux only;
+# the socket module has no constant for it. SOL_UDP is IPPROTO_UDP.
+SOL_UDP = 17
+UDP_SEGMENT = 103 if sys.platform.startswith("linux") else None
+# datagrams per send: the most whose bytes fit one UDP payload of 65,507 bytes
+TRAIN = 65_507 // MTU if UDP_SEGMENT is not None else 1
+_SEGMENT_AT_MTU = [(SOL_UDP, UDP_SEGMENT, struct.pack("=H", MTU))] if UDP_SEGMENT else []
 
 
 class WireError(Exception):
@@ -169,30 +185,63 @@ def frame_flags(is_iframe: bool, forced: bool) -> int:
 
 
 def send_frame(
-    sock, peer, frame_id: int, data, gen_timestamp_us: int, is_iframe: bool, forced: bool
-) -> None:
+    sock,
+    peer,
+    frame_id: int,
+    data,
+    gen_timestamp_us: int,
+    is_iframe: bool,
+    forced: bool,
+    train: int = TRAIN,
+) -> tuple[int, int]:
     """Send a frame as one datagram per fragment, byte for byte what
     ``encode_packet`` gives for the fragment's ``DppPacket``, without
     building either.
 
-    Each datagram is gathered by ``sock.sendmsg`` from one reused header
-    buffer and a view of ``data``, so the payload is copied once, by the
-    kernel.
+    Up to ``train`` datagrams go to the kernel in one ``sock.sendmsg``,
+    gathered from their packed headers and views of ``data``, so the payload
+    is copied once, by the kernel. A train of more than one carries
+    ``UDP_SEGMENT`` at ``MTU``: every datagram but a frame's last fills the
+    MTU, so the kernel cuts the train exactly at the datagrams' boundaries.
+
+    If a train send fails (no segmentation offload on the platform or path,
+    ``EMSGSIZE`` under a smaller path MTU, ``EIO`` under IPsec), that train
+    and everything after it go one datagram per call. Returns the number of
+    ``sendmsg`` calls and the train size for this socket's next frame: 1
+    after a fallback.
     """
     count, tail = fragment_layout(len(data))
     flags = frame_flags(is_iframe, forced)
     frame_id &= 0xFFFFFFFF
-    header = bytearray(HEADER_LEN)
     view = memoryview(data)
+    pack = _HEADER.pack
     last = count - 1
-    for index in range(count):
-        at = index * PAYLOAD_CAP
-        size = PAYLOAD_CAP if index < last else tail
-        _HEADER.pack_into(
-            header, 0, MAGIC, VERSION, MSG_DATA, flags, frame_id, index, count, size,
-            gen_timestamp_us,
-        )
-        sock.sendmsg([header, view[at : at + size]], (), 0, peer)
+    sends = start = 0
+    while start < count:
+        end = min(start + train, count)
+        parts = [None] * (2 * (end - start))
+        parts[::2] = [
+            pack(
+                MAGIC, VERSION, MSG_DATA, flags, frame_id, i, count,
+                PAYLOAD_CAP if i < last else tail, gen_timestamp_us,
+            )
+            for i in range(start, end)
+        ]
+        # the view ends with the frame, so the last slice is the tail
+        parts[1::2] = [
+            view[at : at + PAYLOAD_CAP]
+            for at in range(start * PAYLOAD_CAP, end * PAYLOAD_CAP, PAYLOAD_CAP)
+        ]
+        try:
+            sock.sendmsg(parts, _SEGMENT_AT_MTU if train > 1 else (), 0, peer)
+        except OSError:
+            if train == 1:
+                raise
+            train = 1  # the same train again, one datagram per call
+            continue
+        sends += 1
+        start = end
+    return sends, train
 
 
 def seq_newer(a: int, b: int) -> bool:
@@ -243,6 +292,7 @@ class _PendingFrame:
         self.is_iframe = False
         self.forced = False
         self.gen_timestamp_us = 0
+        # each run's bytes, by the index of its first fragment
         self.chunks: Optional[dict[int, bytes]] = None
         self.reported_deadline: Optional[SimTime] = None  # last one pending_deadlines gave
 
@@ -257,8 +307,9 @@ class Reassembler:
     ``expire`` or implied by a fragment of a newer frame arriving later.
 
     Fragments come in through one of two entries over the same pending-frame
-    state. The runner hands ``on_fragment`` one datagram's header fields and
-    payload, and the frame's bytes are joined when it completes. The
+    state. The runner hands ``on_fragments`` a run of datagrams of one frame
+    with consecutive fragment indices, read together (one datagram is a run
+    of one), and the frame's bytes are joined when it completes. The
     simulator hands ``on_frame`` one frame's burst as
     ``netsim.transmit_frame`` sums it up, and carries no payload.
     """
@@ -315,7 +366,7 @@ class Reassembler:
             self.highest_seen = frame_id
         return self._sweep(now, frame_id)
 
-    def on_fragment(
+    def on_fragments(
         self,
         now: SimTime,
         frame_id: int,
@@ -324,16 +375,31 @@ class Reassembler:
         is_iframe: bool,
         forced: bool,
         gen_timestamp_us: int,
-        payload: bytes | memoryview,
+        payloads: Sequence[bytes | memoryview | None],
     ) -> list[ReassemblyEvent]:
-        """Ingest one fragment and its payload, which may be a view of a
-        reused buffer: it is copied."""
+        """Ingest fragments ``frag_index``, ``frag_index + 1``, ... of one
+        frame, all arrived at ``now``, one per item of ``payloads``. The
+        header fields are the run's first datagram's. A payload may be a view
+        of a reused buffer (it is copied), or None when no fragment of the
+        frame carries bytes.
+
+        The events and the state left equal one call per fragment, in order:
+        the drop sweep runs once, since every fragment repeats its ``now``
+        and frame id. A run goes in as one step when it can
+        (``_ingest_run``), else one fragment at a time.
+        """
         events: list[ReassemblyEvent] = list(self._note_frame(now, frame_id))
-        ingested = self._ingest(
-            now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us, payload
-        )
-        if ingested is not None:
-            events.append(ingested)
+        if len(payloads) > 1 and self._ingest_run(
+            now, frame_id, frag_index, frag_count, is_iframe, forced, gen_timestamp_us, payloads,
+            events,
+        ):
+            return events
+        for index, payload in enumerate(payloads, frag_index):
+            ingested = self._ingest(
+                now, frame_id, index, frag_count, is_iframe, forced, gen_timestamp_us, payload
+            )
+            if ingested is not None:
+                events.append(ingested)
         return events
 
     def on_frame(
@@ -376,20 +442,11 @@ class Reassembler:
         if frame_id in self._resolved:
             return None
         pend = self._pending.get(frame_id)
-        if pend is None:
-            pend = _PendingFrame(anchor=now)
-            self._pending[frame_id] = pend
-        if pend.first_arrival is None:
-            pend.frag_count = frag_count
-            pend.first_arrival = now
-            pend.deadline_anchor = now
-            if now < self._anchor_floor:
-                self._anchor_floor = now
-            pend.is_iframe = is_iframe
-            pend.forced = forced
-            pend.gen_timestamp_us = gen_timestamp_us
-            if payload is not None:  # a frame's fragments all carry one, or none does
-                pend.chunks = {}
+        if pend is None or pend.first_arrival is None:
+            pend = self._open(
+                now, frame_id, pend, frag_count, is_iframe, forced, gen_timestamp_us,
+                payload is not None,
+            )
         elif frag_count != pend.frag_count:
             self.malformed_count += 1
             return None
@@ -402,23 +459,93 @@ class Reassembler:
         pend.received += 1
         if pend.chunks is not None:
             pend.chunks[frag_index] = bytes(payload)
-
         if pend.received == pend.frag_count:
-            data = None
-            if pend.chunks is not None:
-                data = b"".join(pend.chunks[i] for i in range(pend.frag_count))
-            complete = FrameComplete(
-                frame_id=frame_id,
-                is_iframe=pend.is_iframe,
-                forced=pend.forced,
-                gen_timestamp_us=pend.gen_timestamp_us,
-                first_arrival=pend.first_arrival,
-                last_arrival=now,
-                data=data,
-            )
-            self._resolve(frame_id)
-            return complete
+            return self._complete(now, frame_id, pend)
         return None
+
+    def _ingest_run(
+        self,
+        now: SimTime,
+        frame_id: int,
+        frag_index: int,
+        frag_count: int,
+        is_iframe: bool,
+        forced: bool,
+        gen_timestamp_us: int,
+        payloads: Sequence[bytes | memoryview | None],
+        events: list[ReassemblyEvent],
+    ) -> bool:
+        """Take a run of fragments in one step, its bytes as one chunk, and
+        say whether it did. It does when the frame is not resolved, agrees
+        on ``frag_count`` (or opens with this run), has none of the run's
+        fragments yet and cannot complete before the run's last one. Then
+        ``_ingest`` would take each fragment in turn with the same result,
+        and only the last could complete the frame."""
+        if frame_id in self._resolved:
+            return False
+        pend = self._pending.get(frame_id)
+        n = len(payloads)
+        bits = ((1 << n) - 1) << frag_index
+        if pend is None or pend.first_arrival is None:
+            if n > frag_count:
+                return False
+            pend = self._open(
+                now, frame_id, pend, frag_count, is_iframe, forced, gen_timestamp_us,
+                payloads[0] is not None,
+            )
+        elif frag_count != pend.frag_count or pend.received + n > frag_count or pend.mask & bits:
+            return False
+        pend.mask |= bits
+        pend.received += n
+        if pend.chunks is not None:
+            pend.chunks[frag_index] = b"".join(payloads)
+        if pend.received == frag_count:
+            events.append(self._complete(now, frame_id, pend))
+        return True
+
+    def _open(
+        self,
+        now: SimTime,
+        frame_id: int,
+        pend: Optional[_PendingFrame],
+        frag_count: int,
+        is_iframe: bool,
+        forced: bool,
+        gen_timestamp_us: int,
+        carries_bytes: bool,
+    ) -> _PendingFrame:
+        """The pending frame ``frame_id`` as its first fragment leaves it:
+        new, or ``pend``, discovered through a newer frame, whose deadline
+        now runs from ``now``."""
+        if pend is None:
+            pend = self._pending[frame_id] = _PendingFrame(anchor=now)
+        pend.frag_count = frag_count
+        pend.first_arrival = now
+        pend.deadline_anchor = now
+        if now < self._anchor_floor:
+            self._anchor_floor = now
+        pend.is_iframe = is_iframe
+        pend.forced = forced
+        pend.gen_timestamp_us = gen_timestamp_us
+        if carries_bytes:  # a frame's fragments all carry bytes, or none does
+            pend.chunks = {}
+        return pend
+
+    def _complete(self, now: SimTime, frame_id: int, pend: _PendingFrame) -> FrameComplete:
+        data = None
+        if pend.chunks is not None:
+            # one chunk, a whole frame read as one run, is the frame: no join
+            data = b"".join([pend.chunks[i] for i in sorted(pend.chunks)])
+        self._resolve(frame_id)
+        return FrameComplete(
+            frame_id=frame_id,
+            is_iframe=pend.is_iframe,
+            forced=pend.forced,
+            gen_timestamp_us=pend.gen_timestamp_us,
+            first_arrival=pend.first_arrival,
+            last_arrival=now,
+            data=data,
+        )
 
     def expire(self, now: SimTime) -> list[FrameDropped]:
         """Resolve every pending frame whose deadline has passed."""

@@ -201,7 +201,7 @@ class Simulator:
             cfg.duration_us,
             cfg.encode_mode,
         )
-        self.rng.stream("workload").bit_generator.state = workload
+        self.rng.restore("workload", workload)
         return grid
 
     def _frames(self) -> dict[str, np.ndarray]:

@@ -14,6 +14,14 @@ the monotonic clock, so a wall-clock step neither drops nor freezes frames.
 Neither role polls on a timeout per datagram. Each drains its socket without
 blocking and then waits on it once: the host until its next frame tick, the
 receiver for at most ``POLL_MS``.
+
+On Linux a frame crosses the socket in trains: the host sends up to
+``dpp.TRAIN`` datagrams per ``sendmsg`` (``dpp.send_frame``), and the
+receiver turns on ``UDP_GRO``, so that a train from loopback arrives as one
+read whose ancillary data gives the segment size. Each segment is then
+checked and counted as its own datagram, and consecutive fragments of one
+frame go to the reassembler as one run. Where the kernel refuses either
+option, the same code moves one datagram per call.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ RCVBUF_BYTES = 4 << 20
 # the socket has dropped so far, whenever that number is above 0. Linux only;
 # the socket module has no constant for it.
 SO_RXQ_OVFL = 40 if sys.platform.startswith("linux") else None
+# udp(7): with this option set, a train of datagrams sent with UDP_SEGMENT
+# (``dpp.send_frame``) may arrive as one read, whose ancillary data carries
+# the segment size. Linux only, like UDP_SEGMENT.
+UDP_GRO = 104 if sys.platform.startswith("linux") else None
 # the receiver's longest wait for a datagram before it checks its deadlines
 POLL_MS = 50
 
@@ -145,12 +157,23 @@ class RunnerStats:
     latency_p99_ms: float = 0.0
     latency_mean_ms: float = 0.0
     rcvbuf_bytes: int = 0  # SO_RCVBUF as granted by the kernel
-    kernel_drops: int = 0  # datagrams the receive queue overflowed (SO_RXQ_OVFL)
+    # packets the receive queue overflowed (SO_RXQ_OVFL): a datagram, or a
+    # whole train that UDP_GRO kept in one piece, counts as one
+    kernel_drops: int = 0
+    sends: int = 0  # host: sendmsg calls that carried frame datagrams
+    reads: int = 0  # receiver: receive calls that returned data
+    datagrams: int = 0  # receiver: datagrams those reads carried
 
     def to_dict(self) -> dict:
         return {
             "role": self.role,
-            "socket": {"rcvbuf_bytes": self.rcvbuf_bytes, "kernel_drops": self.kernel_drops},
+            "socket": {
+                "rcvbuf_bytes": self.rcvbuf_bytes,
+                "kernel_drops": self.kernel_drops,
+                "sends": self.sends,
+                "reads": self.reads,
+                "datagrams": self.datagrams,
+            },
             "frames": {
                 "sent": self.frames_sent,
                 "completed": self.frames_completed,
@@ -198,12 +221,28 @@ def _count_kernel_drops(sock: socket.socket) -> int:
     return socket.CMSG_SPACE(4)
 
 
-def _kernel_drops(ancdata: list, drops: int) -> int:
-    """The drop count that ``ancdata`` of one datagram carries, else ``drops``."""
+def _receive_trains(sock: socket.socket) -> int:
+    """Turn on ``UDP_GRO`` where the kernel allows it; returns the ancillary
+    buffer size that ``recvmsg_into`` needs for the segment size (0: off)."""
+    if UDP_GRO is None:
+        return 0
+    try:
+        sock.setsockopt(dpp.SOL_UDP, UDP_GRO, 1)
+    except OSError:
+        return 0
+    return socket.CMSG_SPACE(4)
+
+
+def _ancillary(ancdata: list, drops: int, n: int) -> tuple[int, int]:
+    """The drop count and the segment size that ``ancdata`` of one ``n``-byte
+    read carries; ``drops`` and ``n`` (one datagram) for what it lacks."""
+    segment = n
     for level, kind, data in ancdata:
         if level == socket.SOL_SOCKET and kind == SO_RXQ_OVFL:
-            return int.from_bytes(data[:4], sys.byteorder)
-    return drops
+            drops = int.from_bytes(data[:4], sys.byteorder)
+        elif level == dpp.SOL_UDP and kind == UDP_GRO:
+            segment = int.from_bytes(data[:4], sys.byteorder)
+    return drops, segment
 
 
 def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> RunnerStats:
@@ -251,6 +290,7 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
         walker = GopWalker(cfg.codec)
         nominal = nominal_sizes(cfg.codec)
         n_frames = int(cfg.duration_s * cfg.codec.fps)
+        train = dpp.TRAIN
         t0 = time.monotonic()
         for i in range(n_frames):
             if stop is not None and stop.is_set():
@@ -264,7 +304,10 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
             complexity = rng.lognormal_complexity(cfg.complexity_sigma)
             size = encoded_size(ftype, cfg.codec, complexity, nominal)
             payload = frame_payload(i, size)
-            dpp.send_frame(sock, peer, i, payload, _now_us(), ftype is FrameType.I, forced)
+            sends, train = dpp.send_frame(
+                sock, peer, i, payload, _now_us(), ftype is FrameType.I, forced, train
+            )
+            stats.sends += sends
             stats.frames_sent += 1
         stats.requests_suppressed = host_fb.suppressed_count
         stats.forced_iframes = host_fb.forced_count
@@ -280,7 +323,7 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
     sock = _open_socket(cfg.bind)
     stats.rcvbuf_bytes = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
     sock.settimeout(HELLO_RETRY_S)
-    shim = random.Random(cfg.seed)
+    shim, loss = random.Random(cfg.seed), cfg.induced_loss
     try:
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         confirmed = False
@@ -309,15 +352,19 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
         end_by = time.monotonic() + cfg.duration_s + HANDSHAKE_TIMEOUT_S
         last_rx = time.monotonic()
         got_data = False
-        # drain without blocking, then wait once: one syscall per datagram
+        # drain without blocking, then wait once
         sock.setblocking(False)
         poller = select.poll()
         poller.register(sock, select.POLLIN)
-        anc_size = _count_kernel_drops(sock)
+        anc_size = _count_kernel_drops(sock) + _receive_trains(sock)
         buf = bytearray(65_535)
         bufs, view = [buf], memoryview(buf)
 
-        def handle_events(events, wall_us: int) -> None:
+        def handle_events(events) -> None:
+            if not events:
+                return
+            # stamped after the reassembler's work, which the latency counts
+            wall_us = _now_us()
             for ev in events:
                 if isinstance(ev, dpp.FrameComplete):
                     stats.frames_completed += 1
@@ -330,12 +377,11 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
                     for msg in cp_mod.mud_on_frame_event(mud_fb, ev, wall_us):
                         sock.sendto(cp_mod.encode_cp(msg), cfg.peer)
 
-        while time.monotonic() < end_by:
-            if stop is not None and stop.is_set():
-                break
-            if got_data and time.monotonic() - last_rx > idle_limit_s:
-                break
-            handle_events(reasm.expire(_mono_us()), _now_us())
+        def ingest(now: int, head: tuple, run: list) -> None:
+            handle_events(reasm.on_fragments(now, *head, run))
+
+        while True:
+            # drain first: a wake-up goes straight to its datagrams
             received = False
             while True:
                 try:
@@ -343,39 +389,57 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
                 except BlockingIOError:
                     break
                 received = True
-                mono_us, wall_us = _mono_us(), _now_us()
+                stats.reads += 1
+                mono_us = _mono_us()
+                segment = n
                 if ancdata:
-                    stats.kernel_drops = _kernel_drops(ancdata, stats.kernel_drops)
-                if cfg.induced_loss > 0.0 and shim.random() < cfg.induced_loss:
-                    stats.induced_drops += 1
-                    continue
-                try:
-                    msg_type, flags, frame_id, frag_index, frag_count, ts = dpp.parse_header(
-                        buf, n
-                    )
-                except dpp.WireError:
-                    stats.malformed_datagrams += 1
-                    continue
-                if msg_type == dpp.MSG_CTRL:
-                    continue  # HELLO retransmits
-                got_data = True
-                events = reasm.on_fragment(
-                    mono_us,
-                    frame_id,
-                    frag_index,
-                    frag_count,
-                    bool(flags & dpp.FLAG_IFRAME),
-                    bool(flags & dpp.FLAG_FORCED),
-                    ts,
-                    view[dpp.HEADER_LEN : n],
-                )
-                if events:
-                    handle_events(events, wall_us)
+                    stats.kernel_drops, segment = _ancillary(ancdata, stats.kernel_drops, n)
+                # payload views of consecutive fragments of one frame, the first
+                # one's ``on_fragments`` fields, and the next fragment's key
+                run: list = []
+                head = expected = None
+                # a read without a segment size is one datagram, an empty one too
+                offsets = range(0, n, segment) if segment < n else (0,)
+                stats.datagrams += len(offsets)
+                for at in offsets:
+                    size = min(segment, n - at)
+                    if loss > 0.0 and shim.random() < loss:
+                        stats.induced_drops += 1
+                        continue
+                    try:
+                        msg_type, flags, frame_id, frag_index, frag_count, ts = dpp.parse_header(
+                            view[at:], size
+                        )
+                    except dpp.WireError:
+                        stats.malformed_datagrams += 1
+                        continue
+                    if msg_type == dpp.MSG_CTRL:
+                        continue  # HELLO retransmits
+                    got_data = True
+                    payload = view[at + dpp.HEADER_LEN : at + size]
+                    if run and (frame_id, frag_index, frag_count) == expected:
+                        run.append(payload)
+                    else:
+                        if run:
+                            ingest(mono_us, head, run)
+                        run = [payload]
+                        is_iframe = bool(flags & dpp.FLAG_IFRAME)
+                        forced = bool(flags & dpp.FLAG_FORCED)
+                        head = (frame_id, frag_index, frag_count, is_iframe, forced, ts)
+                    expected = (frame_id, frag_index + 1, frag_count)
+                if run:
+                    ingest(mono_us, head, run)
+            now_s = time.monotonic()
             if received:
-                last_rx = time.monotonic()
+                last_rx = now_s
+            handle_events(reasm.expire(_mono_us()))
+            if now_s >= end_by or (stop is not None and stop.is_set()):
+                break
+            if got_data and now_s - last_rx > idle_limit_s:
+                break
             poller.poll(POLL_MS)
 
-        handle_events(reasm.expire(_mono_us() + cfg.drop_deadline_us + 1), _now_us())
+        handle_events(reasm.expire(_mono_us() + cfg.drop_deadline_us + 1))
         stats.requests_sent = mud_fb.requests_sent
         stats.frag_count_mismatches = reasm.malformed_count
         stats.duplicate_fragments = reasm.duplicate_count

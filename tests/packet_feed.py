@@ -41,8 +41,8 @@ def fragment(
 
 
 def deliver(reasm: Reassembler, p: DppPacket, now: int) -> list:
-    """``reasm.on_fragment`` with the fields and payload of packet ``p``."""
-    return reasm.on_fragment(
+    """``reasm.on_fragments`` with the fields and payload of packet ``p``."""
+    return reasm.on_fragments(
         now,
         p.frame_id,
         p.frag_index,
@@ -50,5 +50,5 @@ def deliver(reasm: Reassembler, p: DppPacket, now: int) -> list:
         bool(p.flags & FLAG_IFRAME),
         bool(p.flags & FLAG_FORCED),
         p.gen_timestamp_us,
-        p.payload,
+        [p.payload],
     )

@@ -155,6 +155,20 @@ def test_lazy_streams_equal_the_eager_ones(seed, order, taped):
 def test_unknown_stream_is_refused():
     with pytest.raises(KeyError):
         Rng(1).stream("nope")
+    with pytest.raises(KeyError):
+        Rng(1).restore("nope", Rng(1).stream("misc").bit_generator.state)
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_a_restored_stream_draws_from_the_saved_state(built):
+    saved = Rng(3).stream("workload")
+    saved.random(5)
+    rng = Rng(3)
+    if built:
+        rng.stream("workload").random(2)
+    rng.restore("workload", saved.bit_generator.state)
+    assert ("workload" in rng._gens) is built  # not built before its first draw
+    assert rng.stream("workload").random(4).tolist() == saved.random(4).tolist()
 
 
 # --- the loss stream's tape ----------------------------------------------

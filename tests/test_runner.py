@@ -123,6 +123,7 @@ def test_reassembler_rejects_are_reported(monkeypatch):
             sock.sendto(dpp.encode_packet(packet), peer)
         for datagram in datagrams[1:]:
             sock.sendto(datagram, peer)
+        return len(datagrams) + 2, 1
 
     monkeypatch.setattr(dpp, "send_frame", doctored)
     host_stats, mud_stats = _run_pair(*_pair(duration_s=0.5))
@@ -157,9 +158,9 @@ def test_host_with_a_scripted_peer(monkeypatch):
         peer.sendto(runner.cp_mod.encode_cp(runner._hello_message(fp, 0)), bind)
         return sock
 
-    def scripted_send_frame(sock, to, frame_id, payload, stamp_us, is_iframe, forced):
+    def scripted_send_frame(sock, to, frame_id, payload, stamp_us, is_iframe, forced, train):
         sent_at.append(time.monotonic())
-        send_frame(sock, to, frame_id, payload, stamp_us, is_iframe, forced)
+        sent = send_frame(sock, to, frame_id, payload, stamp_us, is_iframe, forced, train)
         threads_seen.append(threading.active_count())
         if forced:
             forced_frames.append(frame_id)
@@ -169,6 +170,7 @@ def test_host_with_a_scripted_peer(monkeypatch):
             peer.sendto(runner.cp_mod.encode_cp(request), cfg.bind)
         elif frame_id == 6:
             peer.sendto(b"\x55\x56 truncated", cfg.bind)
+        return sent
 
     monkeypatch.setattr(runner, "_open_socket", scripted_open_socket)
     monkeypatch.setattr(dpp, "send_frame", scripted_send_frame)

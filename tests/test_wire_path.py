@@ -1,22 +1,27 @@
 """The runner's buffer datapath against the packet codec.
 
-The host sends a frame with ``dpp.send_frame`` and the receiver parses each
-datagram in place with ``dpp.parse_header`` and hands ``on_fragment`` a view
-of its one reused receive buffer. The reference is the codec the runner
-used before and ``cp`` still uses: ``fragment`` + ``encode_packet`` on the
-host, ``decode_packet`` + ``Reassembler.on_fragment`` with the decoded
-packet's fields on the receiver, with the drop sweep doing a full pass on
+The host sends a frame with ``dpp.send_frame``, in trains of datagrams that
+the kernel cuts at the MTU, and the receiver parses each datagram in place
+with ``dpp.parse_header`` and hands ``on_fragments`` views of its one reused
+receive buffer, a run of consecutive fragments of one frame at a time. The
+reference is the codec the runner used before and ``cp`` still uses:
+``fragment`` + ``encode_packet`` on the host, one datagram at a time, and
+``decode_packet`` + ``Reassembler.on_fragments`` with one decoded packet's
+fields per call on the receiver, with the drop sweep doing a full pass on
 every call. Both must give the same bytes, the same events and the same
 counters.
 
 The simulator's entry, ``Reassembler.on_frame``, is checked here too: against
 the full sweep, and its O(1) whole and partial frames against their
-fragments fed to ``on_fragment`` in shuffled order.
+fragments fed to ``on_fragments`` one at a time in shuffled order.
 """
 
+import errno
 import math
+import os
 import random
 import socket
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -45,14 +50,23 @@ GOLDEN_BYTES = bytes.fromhex("555601010100000001000000010002000000000000002a4142
 
 
 class CaptureSocket:
-    """Records each datagram a sender gathers, copied at send time."""
+    """Records each datagram a sender gathers, copied at send time. A call
+    with ``UDP_SEGMENT`` is cut at its segment size, as the kernel cuts it."""
 
     def __init__(self):
         self.sent = []
+        self.calls = 0
 
     def sendmsg(self, buffers, ancdata, flags, address):
-        assert ancdata == () and flags == 0
-        self.sent.append((b"".join(bytes(b) for b in buffers), address))
+        assert flags == 0 and len(ancdata) <= 1
+        data = b"".join(bytes(b) for b in buffers)
+        segment = len(data)
+        for level, kind, value in ancdata:
+            assert (level, kind) == (dpp.SOL_UDP, dpp.UDP_SEGMENT)
+            segment = int.from_bytes(value, sys.byteorder)  # a native u16
+            assert len(value) == 2 and len(data) <= 65_507
+        self.calls += 1
+        self.sent += [(data[at : at + segment], address) for at in range(0, len(data), segment)]
 
 
 # --- host -----------------------------------------------------------------
@@ -78,9 +92,56 @@ def test_send_frame_emits_the_codec_datagrams(
     data = random.Random(seed).randbytes(size)
     peer = ("127.0.0.1", 9)
     capture = CaptureSocket()
-    dpp.send_frame(capture, peer, frame_id, data, gen_timestamp_us, is_iframe, forced)
+    sent = dpp.send_frame(capture, peer, frame_id, data, gen_timestamp_us, is_iframe, forced)
     reference = fragment(frame_id, data, gen_timestamp_us, is_iframe, forced)
     assert capture.sent == [(encode_packet(p), peer) for p in reference]
+    assert sent == (capture.calls, dpp.TRAIN)
+    assert capture.calls == -(-len(reference) // dpp.TRAIN)
+
+
+class RefusingSocket(CaptureSocket):
+    """A capture socket that takes ``accepted`` sends with ``UDP_SEGMENT``
+    and refuses each later one, with the next of ``errors``."""
+
+    def __init__(self, accepted, errors):
+        super().__init__()
+        self.accepted, self.errors, self.refused = accepted, errors, 0
+
+    def sendmsg(self, buffers, ancdata, flags, address):
+        if ancdata and self.accepted == 0:
+            code = self.errors[min(self.refused, len(self.errors) - 1)]
+            self.refused += 1
+            raise OSError(code, os.strerror(code))
+        self.accepted -= bool(ancdata)
+        super().sendmsg(buffers, ancdata, flags, address)
+
+
+@pytest.mark.skipif(dpp.TRAIN == 1, reason="no UDP_SEGMENT: every send is one datagram")
+@pytest.mark.parametrize("accepted", [0, 1])
+@pytest.mark.parametrize(
+    "errors", [[errno.EIO, errno.EMSGSIZE], [errno.EMSGSIZE, errno.EIO]], ids=["EIO", "EMSGSIZE"]
+)
+def test_a_refused_train_goes_one_datagram_per_call_from_then_on(accepted, errors):
+    # IPsec refuses a train with EIO, a path MTU below the segment size with
+    # EMSGSIZE. The train is resent one datagram per call, and so is every
+    # later frame on the socket: the second error is never raised.
+    frames = [runner.frame_payload(i, size) for i, size in enumerate([I_FRAME_66, 40_000, 900])]
+    refusing, train = RefusingSocket(accepted, errors), dpp.TRAIN
+    calls = []
+    for i, payload in enumerate(frames):
+        before = refusing.calls
+        sends, train = dpp.send_frame(refusing, None, i, payload, 7, i == 0, False, train)
+        calls.append(refusing.calls - before)
+        assert sends == calls[-1]
+    assert (refusing.refused, train) == (1, 1)
+    reference = [
+        (encode_packet(p), None)
+        for i, payload in enumerate(frames)
+        for p in fragment(i, payload, 7, i == 0, False)
+    ]
+    assert refusing.sent == reference
+    # the accepted trains, then one call per datagram
+    assert sum(calls) == accepted + len(reference) - accepted * dpp.TRAIN
 
 
 def test_send_frame_takes_the_frame_payload():
@@ -160,7 +221,7 @@ def test_buffer_receive_matches_packet_receive(seed, frames, loss, dups):
         buf[:n] = datagram
         buf[n : n + 64] = random.Random(now).randbytes(64)  # stale bytes past the end
         msg_type, flags, frame_id, frag_index, frag_count, ts = parse_header(buf, n)
-        events = reasm.on_fragment(
+        events = reasm.on_fragments(
             now,
             frame_id,
             frag_index,
@@ -168,12 +229,114 @@ def test_buffer_receive_matches_packet_receive(seed, frames, loss, dups):
             bool(flags & dpp.FLAG_IFRAME),
             bool(flags & dpp.FLAG_FORCED),
             ts,
-            view[HEADER_LEN:n],
+            [view[HEADER_LEN:n]],
         )
         assert events == deliver(reference, decode_packet(datagram), now)
     assert reasm.malformed_count == reference.malformed_count
     assert reasm.duplicate_count == reference.duplicate_count
     assert not reasm._pending and not reference._pending
+
+
+def _train_steps(seed: int, frames: int):
+    """("read", now, packets) and ("expire", now, None) steps of a stream
+    sent in order, as trains of up to 28 datagrams arrive: a read's packets
+    share its arrival time.
+
+    Each frame's fragments go out in order, apart from lost fragments (gaps),
+    duplicates, a neighbour pair swapped, and up to three consecutive
+    fragments that claim one fragment too many, placed amid the others. A
+    frame's tail may arrive behind the start of the next frame, and some
+    pauses outlast the drop deadline.
+    """
+    rnd = random.Random(seed)
+    chunks = []
+    for fid in range(frames):
+        count = rnd.randint(1, 40)
+        data = rnd.randbytes(rnd.randint(8 * count - 7, 8 * count))
+        sent = fragment(fid, data, fid * 16_667, fid % 7 == 0, fid % 14 == 0, payload_cap=8)
+        if rnd.random() < 0.2:
+            sent = [p for p in sent if rnd.random() > 0.15]
+        for _ in range(rnd.choice([0, 0, 0, 1, 3]) if sent else 0):
+            sent.insert(rnd.randint(0, len(sent)), rnd.choice(sent))
+        if len(sent) > 2 and rnd.random() < 0.15:
+            at = rnd.randrange(len(sent) - 1)
+            sent[at], sent[at + 1] = sent[at + 1], sent[at]
+        if sent and rnd.random() < 0.2:  # one to three consecutive liars
+            at = rnd.randrange(len(sent))
+            liars = [
+                DppPacket(**{**p.__dict__, "frag_count": p.frag_count + 1})
+                for p in sent[at : at + rnd.randint(1, 3)]
+            ]
+            at = rnd.randint(0, len(sent))
+            sent[at:at] = liars
+        cut = rnd.randint(1, len(sent)) if sent and rnd.random() < 0.3 else len(sent)
+        chunks += [sent[:cut], sent[cut:]]
+    for i in range(1, len(chunks) - 2, 2):
+        if rnd.random() < 0.4:  # the frame's tail behind the start of the next frame
+            chunks[i], chunks[i + 1] = chunks[i + 1], chunks[i]
+    packets = [p for chunk in chunks for p in chunk]
+    now = at = 0
+    while at < len(packets):
+        now += rnd.randint(0, 3_000) if rnd.random() < 0.9 else rnd.randint(20_000, 80_000)
+        size = rnd.randint(1, 28)
+        yield "read", now, packets[at : at + size]
+        at += size
+        if rnd.random() < 0.1:
+            yield "expire", now + rnd.randint(0, 50_000), None
+    yield "expire", now + 10**6, None
+
+
+def _runs(packets):
+    """The packets of one read cut as ``mud_run`` cuts them: runs of
+    consecutive fragments of one frame that agree on ``frag_count``."""
+    runs = []
+    for p in packets:
+        last = runs[-1][-1] if runs else None
+        key = (p.frame_id, p.frag_index - 1, p.frag_count)
+        if last is not None and key == (last.frame_id, last.frag_index, last.frag_count):
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    return runs
+
+
+def _state(reasm: Reassembler):
+    """The pending frames, each with its bytes so far in fragment order,
+    ``highest_seen``, the resolved frames and the reject counters."""
+    pending = {
+        fid: tuple(
+            b"".join(pend.chunks[i] for i in sorted(pend.chunks))
+            if slot == "chunks" and pend.chunks is not None
+            else getattr(pend, slot)
+            for slot in type(pend).__slots__
+        )
+        for fid, pend in reasm._pending.items()
+    }
+    counters = (reasm.malformed_count, reasm.duplicate_count)
+    return pending, reasm.highest_seen, reasm._resolved, counters
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32), frames=st.integers(1, 30))
+def test_runs_match_one_fragment_at_a_time(seed, frames):
+    # the run lane against per-fragment calls on the full sweep
+    reference, reasm = FullSweep(33_334), Reassembler(33_334)
+    for kind, now, packets in _train_steps(seed, frames):
+        if kind == "expire":
+            assert reasm.expire(now) == reference.expire(now)
+        else:
+            expected = [ev for p in packets for ev in deliver(reference, p, now)]
+            events = []
+            for run in _runs(packets):
+                p = run[0]
+                flags = (bool(p.flags & dpp.FLAG_IFRAME), bool(p.flags & dpp.FLAG_FORCED))
+                events += reasm.on_fragments(
+                    now, p.frame_id, p.frag_index, p.frag_count, *flags, p.gen_timestamp_us,
+                    [memoryview(q.payload) for q in run],
+                )
+            assert events == expected
+        assert _state(reasm) == _state(reference)
+    assert not reasm._pending
 
 
 def _simulator_steps(seed: int, frames: int):
@@ -211,14 +374,14 @@ def _simulator_steps(seed: int, frames: int):
 
 
 def _fragment_loop(reasm: Reassembler, args, indices) -> list:
-    """``on_frame``'s reference: ``on_fragment`` for each delivered fragment,
+    """``on_frame``'s reference: ``on_fragments`` for each delivered fragment,
     in the shuffled order given, all at ``first``, where ``on_frame`` runs
     its one drop sweep. The frame's completion then reports ``last`` as its
     last arrival."""
     first, last, _delivered, fid, count, *flags = args
     events = []
     for index in indices:
-        events += reasm.on_fragment(first, fid, index, count, *flags, None)
+        events += reasm.on_fragments(first, fid, index, count, *flags, [None])
     return [
         replace(ev, last_arrival=last) if isinstance(ev, dpp.FrameComplete) else ev
         for ev in events
@@ -299,8 +462,8 @@ def test_forged_fragment_count_allocates_little():
     tracemalloc.start()
     try:
         _type, flags, frame_id, frag_index, frag_count, ts = parse_header(buf, len(buf))
-        events = reasm.on_fragment(
-            0, frame_id, frag_index, frag_count, False, False, ts, memoryview(buf)[HEADER_LEN:]
+        events = reasm.on_fragments(
+            0, frame_id, frag_index, frag_count, False, False, ts, [memoryview(buf)[HEADER_LEN:]]
         )
         _current, peak = tracemalloc.get_traced_memory()
     finally:
@@ -312,8 +475,10 @@ def test_forged_fragment_count_allocates_little():
 # --- sockets --------------------------------------------------------------
 
 
-@pytest.mark.skipif(runner.SO_RXQ_OVFL is None, reason="SO_RXQ_OVFL is Linux only")
-def test_overflowed_receive_queue_reports_kernel_drops():
+def _flooded_drops(trains: bool) -> int:
+    """The drop count that a small-buffer socket reports after a flood
+    before it is read: 200 datagrams, or ``send_frame`` trains of
+    ``dpp.TRAIN`` datagrams each to a ``UDP_GRO`` socket."""
     rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
@@ -322,18 +487,24 @@ def test_overflowed_receive_queue_reports_kernel_drops():
         rx.setblocking(False)
         anc_size = runner._count_kernel_drops(rx)
         assert anc_size > 0
-        for _ in range(200):  # flooded before it is read
-            tx.sendto(b"z" * 1_000, rx.getsockname())
+        if trains:
+            anc_size += runner._receive_trains(rx)
+            payload = runner.frame_payload(0, dpp.TRAIN * PAYLOAD_CAP)
+            for i in range(10):
+                assert dpp.send_frame(tx, rx.getsockname(), i, payload, 0, False, False)[0] == 1
+        else:
+            for _ in range(200):
+                tx.sendto(b"z" * 1_000, rx.getsockname())
         drops, buf = 0, bytearray(65_535)
 
         def drain():
             nonlocal drops
             while True:
                 try:
-                    _n, ancdata, _flags, _addr = rx.recvmsg_into([buf], anc_size)
+                    n, ancdata, _flags, _addr = rx.recvmsg_into([buf], anc_size)
                 except BlockingIOError:
                     return
-                drops = runner._kernel_drops(ancdata, drops)
+                drops, _segment = runner._ancillary(ancdata, drops, n)
 
         drain()
         # the counter rides on datagrams queued after the drops
@@ -342,7 +513,43 @@ def test_overflowed_receive_queue_reports_kernel_drops():
     finally:
         rx.close()
         tx.close()
-    assert drops > 0
+    return drops
+
+
+@pytest.mark.skipif(runner.SO_RXQ_OVFL is None, reason="SO_RXQ_OVFL is Linux only")
+def test_overflowed_receive_queue_reports_kernel_drops():
+    assert _flooded_drops(trains=False) > 0
+    # a UDP_GRO socket keeps a train in one piece and drops it whole, as one
+    assert 0 < _flooded_drops(trains=True) <= 10
+
+
+@pytest.mark.skipif(runner.UDP_GRO is None, reason="UDP_SEGMENT and UDP_GRO are Linux only")
+def test_a_train_crosses_loopback_as_the_codec_datagrams():
+    # one train of dpp.TRAIN datagrams, its last one short
+    payload = runner.frame_payload(3, dpp.TRAIN * PAYLOAD_CAP - 1_000)
+    reference = [encode_packet(p) for p in fragment(3, payload, 777, True, False)]
+    assert len(reference) == dpp.TRAIN
+    plain, gro, tx = (socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(3))
+    try:
+        for rx in (plain, gro):
+            rx.bind(("127.0.0.1", 0))
+            rx.settimeout(2.0)
+        anc_size = runner._count_kernel_drops(gro) + runner._receive_trains(gro)
+        for rx in (plain, gro):
+            sent = dpp.send_frame(tx, rx.getsockname(), 3, payload, 777, True, False)
+            assert sent == (1, dpp.TRAIN)
+        assert [plain.recv(65_535) for _ in reference] == reference
+        buf = bytearray(65_535)
+        n, ancdata, _flags, _addr = gro.recvmsg_into([buf], anc_size)
+        assert runner._ancillary(ancdata, 0, n) == (0, dpp.MTU)
+        assert buf[:n] == b"".join(reference)
+        for rx in (plain, gro):
+            rx.settimeout(0.05)
+            with pytest.raises(socket.timeout):
+                rx.recv(65_535)
+    finally:
+        for sock in (plain, gro, tx):
+            sock.close()
 
 
 def test_host_ends_on_time_when_the_peer_stays_silent():
