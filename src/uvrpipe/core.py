@@ -8,7 +8,6 @@ the same unit.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional
@@ -78,7 +77,9 @@ class Rng:
         built yet keeps the state and takes it when it is first used."""
         if name not in self._STREAMS:
             raise KeyError(name)
-        self._tapes.pop(name, None)  # drawn ahead from the state replaced
+        tape = self._tapes.pop(name, None)  # drawn ahead from the state replaced
+        if tape is not None:
+            tape.settle()  # its reader must not read on from the old state
         if name in self._gens:
             self._gens[name].bit_generator.state = state
         else:
@@ -113,49 +114,54 @@ class UniformTape:
     """A generator's ``random()`` draws, drawn ahead in blocks that start
     small and double, and handed out in order: exactly the sequential draws.
 
-    ``take(k)`` hands out the next ``k``. ``clean(a, b, k)`` skips them if
-    none is *disturbing* (below ``a`` at an even offset, below ``b`` at an
-    odd one) and says whether it did, by one bisect over the positions of
-    such values, kept per threshold pair and parity. ``sync`` sets the
-    generator to the state before the first block, advanced by the count.
+    ``take(k)`` hands out the next ``k``. ``lend(holder, k)`` hands out the
+    block itself, with at least ``k`` values from the current position on,
+    to a reader that keeps its own position in it: ``netsim.Medium`` builds
+    its loss table over such a window and reads it without telling the tape.
+    There is still one position. Before anything else reads the tape
+    (``take``, another ``lend``, ``sync``), ``settle`` asks the holder where
+    its draws left the position (``holder.release()``) and takes it back.
+    ``sync`` sets the generator to the state before the first block,
+    advanced by the count.
     """
 
     def __init__(self, gen: np.random.Generator):
         self._gen, self._origin = gen, gen.bit_generator.state
         self._base = self._pos = 0  # values handed out before the block, and in it
         self._block = np.zeros(0)
-        self._marks: dict[tuple[float, float, int], list[int]] = {}
+        self._holder: Any = None  # the reader that the block is lent to
+
+    def settle(self) -> None:
+        """Take the position back from the reader that the block is lent to."""
+        holder, self._holder = self._holder, None
+        if holder is not None:
+            self._pos = holder.release()
 
     def _ready(self, k: int) -> int:
         """The current position, with ``k`` values drawn from it on."""
+        self.settle()
         if self._pos + k > len(self._block):  # the next block keeps what is left
             rest = self._block[self._pos :]
             self._base += self._pos
             size = min(max(64, 2 * len(self._block)), 1 << 16)
             self._block = np.concatenate((rest, self._gen.random(max(size, k - len(rest)))))
-            self._pos, self._marks = 0, {}
+            self._pos = 0
         return self._pos
-
-    def clean(self, a: float, b: float, k: int) -> bool:
-        pos = self._ready(k)
-        marks = self._marks.get((a, b, pos & 1))
-        if marks is None:
-            limits = np.full(len(self._block), b)
-            limits[pos & 1 :: 2] = a
-            # the block's end stands behind the last one, so a lookup always hits
-            found = np.flatnonzero(self._block < limits).tolist() + [len(self._block)]
-            marks = self._marks[a, b, pos & 1] = found
-        if marks[bisect_left(marks, pos)] < pos + k:
-            return False
-        self._pos = pos + k
-        return True
 
     def take(self, k: int) -> list[float]:
         pos = self._ready(k)
         self._pos = pos + k
         return self._block[pos : pos + k].tolist()
 
+    def lend(self, holder: Any, k: int) -> tuple[np.ndarray, int]:
+        """The block and the current position in it, with at least ``k``
+        values from there on, lent to ``holder`` until the next ``settle``."""
+        pos = self._ready(k)
+        self._holder = holder
+        return self._block, pos
+
     def sync(self) -> None:
+        self.settle()
         bits = self._gen.bit_generator
         bits.state = self._origin
         bits.advance(self._base + self._pos)

@@ -26,18 +26,44 @@ independent, so this is exactly what a per-packet walk with one scalar draw
 per value consumes; ``tests/test_lossy_burst.py`` keeps that walk as the
 reference.
 
-The loss draws come from the loss stream's tape (``Rng.tape``): uniforms
-drawn ahead in blocks and handed out in order. A hop whose draws disturb
-nothing (no loss and, for Gilbert-Elliott, no change of state) is one
-bisect and a skip; only a disturbed hop takes its values and walks the
-chain. ``Rng.stream`` syncs the generator to where sequential draws leave it.
+The loss draws are read through a loss table held by a ``Medium``: a
+channel bound to one ``LinkState`` and to the loss stream of one ``Rng``.
+The simulator binds one per run and puts every frame and control message on
+the air through it; each module-level entry (``transmit``,
+``transmit_burst``, ``transmit_frame``) binds a fresh one per call.
+
+On its first hop that draws, a ``Medium`` borrows a window of the loss
+stream's tape (``UniformTape.lend``) and computes each packet's outcome in
+it with numpy (``_loss_table``). Under Gilbert-Elliott, each transition draw
+``u`` maps the chain's {good, bad} by one of three maps: a swap when
+``u < min(p_gb, p_bg)``, a constant when ``u`` lies between the two (good if
+``p_gb <= p_bg``, else bad), and the identity when ``u >= max(p_gb, p_bg)``.
+The state before packet k is therefore the value of the last constant map
+(or the start state) XOR the parity of the swaps since then: one running
+maximum and one cumulative sum. A packet is lost when its loss draw is below
+its state's loss probability. Bernoulli loss is the stateless case, at one
+draw per packet. The table keeps the packets that *disturb* (a loss, or a
+change of state) as one sorted list, and the medium keeps the index of the
+next one, so a hop that reaches no disturbance is one comparison and one
+add.
+
+A table is valid from one tape position and one chain state. It is rebuilt
+from the current position when the tape moved under it (another reader
+settled it: a second channel on one tape, ``Rng.stream``, ``Rng.restore``),
+when ``ge_bad`` was changed from outside, or when its window ends. Windows
+start at 64 values and double up to 65,536, as the tape's blocks do, so a
+one-off call pays for little more than its own packets. ``Rng.stream``
+syncs the generator to where the sequential draws leave it.
 
 Then the burst is timed. ``transmit_frame`` times a burst in closed form,
 below: on P2P without jitter every burst, lossy or not; under INFRA or with
 jitter only a burst that lost nothing on any hop and drew no jitter. Every
 other burst walks its packets over the values already drawn, in plain
 Python numbers, as ``transmit_burst`` always does. ``transmit`` walks
-its one packet the same way, in scalar steps.
+its one packet the same way, in scalar steps. On P2P without jitter a
+burst that reaches no disturbance is timed inline (``Medium.frame``), from
+constants fixed for the run: ``prop`` and the serialization of a full
+packet.
 
 The closed form (``_clean_ends``) computes in O(1) what the walk computes:
 
@@ -76,13 +102,14 @@ again, one frame per step, unrolled into one running maximum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .core import Rng, SimTime
+from .core import Rng, SimTime, UniformTape
 
 MAX_PACKET_BYTES = 2_304
 
@@ -130,42 +157,34 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
     return -(-(size_bytes * 8 * 1_000_000) // bandwidth_bps)
 
 
-def _loss_draws(
-    ch: ChannelModel, link: LinkState, n: int, rng: Optional[Rng]
-) -> Optional[list[bool]]:
-    """Draw the loss of ``n`` packets sent in order and step the Gilbert-Elliott
-    chain; returns the loss flags, or None when the hop lost nothing.
+_MIN_WINDOW, _MAX_WINDOW = 64, 1 << 16  # uniforms in a loss table's window
+_NEVER = 1 << 62  # the next disturbance of a channel that draws nothing
 
-    The draws come from the loss stream's tape. Mostly the hop comes out
-    clean: no loss draw below its state's loss probability and, for
-    Gilbert-Elliott, no transition draw below the probability of leaving the
-    state. The tape skips such draws in one bisect (``UniformTape.clean``);
-    only otherwise are they taken and the chain walked.
-    """
+
+def _loss_table(
+    ch: ChannelModel, values: np.ndarray, bad: bool
+) -> tuple[np.ndarray, Optional[np.ndarray], list[int]]:
+    """The loss table over a window of loss-stream uniforms, for a chain that
+    starts in state ``bad``: per packet, whether it is lost and (for
+    Gilbert-Elliott; else None) the chain state after it, and the sorted
+    packets that disturb (lose, or change the state), closed by the window's
+    packet count. Each flag is the per-packet walk's, bit for bit."""
     if ch.loss_model is LossModel.BERNOULLI:
-        p = ch.loss_p
-        if p <= 0.0:
-            return None
-        tape = rng.tape("loss")
-        return None if tape.clean(p, p, n) else [x < p for x in tape.take(n)]
-    # Gilbert-Elliott: per packet, loss by current state, then advance the chain
-    tape = rng.tape("loss")
-    bad = link.ge_bad
-    loss_good, loss_bad = ch.ge_loss_good, ch.ge_loss_bad
-    p_gb, p_bg = ch.ge_p_gb, ch.ge_p_bg
-    if tape.clean(loss_bad, p_bg, 2 * n) if bad else tape.clean(loss_good, p_gb, 2 * n):
-        return None
-    draws = tape.take(2 * n)
-    flags = []
-    for i in range(0, 2 * n, 2):
-        if bad:
-            flags.append(draws[i] < loss_bad)
-            bad = draws[i + 1] >= p_bg
-        else:
-            flags.append(draws[i] < loss_good)
-            bad = draws[i + 1] < p_gb
-    link.ge_bad = bad
-    return flags if True in flags else None
+        lost = values < ch.loss_p
+        return lost, None, [*np.flatnonzero(lost).tolist(), len(lost)]
+    # a loss draw, then a transition draw, per packet
+    loss, move = values[0::2], values[1::2]
+    low, high = sorted((ch.ge_p_gb, ch.ge_p_bg))
+    swaps = np.cumsum(move < low)
+    constant = (move >= low) & (move < high)
+    last = np.maximum.accumulate(np.where(constant, np.arange(len(move)), -1))
+    # the last constant map's value, or the start state, XOR the parity of the swaps since
+    since = np.where(last < 0, swaps, swaps - swaps[last])
+    after = np.where(last < 0, bad, ch.ge_p_gb > ch.ge_p_bg) ^ (since & 1).astype(bool)
+    before = np.concatenate(([bad], after[:-1]))
+    lost = loss < np.where(before, ch.ge_loss_bad, ch.ge_loss_good)
+    marks = np.flatnonzero(lost | (before != after)).tolist()
+    return lost, after, [*marks, len(lost)]
 
 
 def _jitter_draws(ch: ChannelModel, n: int, rng: Optional[Rng]) -> Optional[list[int]]:
@@ -181,25 +200,6 @@ def _jitter_draws(ch: ChannelModel, n: int, rng: Optional[Rng]) -> Optional[list
 
 
 _Draws = list[tuple[Optional[list[bool]], Optional[list[int]]]]
-
-
-def _draw(ch: ChannelModel, link: LinkState, n: int, rng: Optional[Rng]) -> Optional[_Draws]:
-    """Every draw of an ``n``-packet burst, per hop: (loss flags, jitter),
-    each None when it came out clean; None when every hop lost nothing and
-    drew no jitter. Under INFRA, hop 2 draws for hop 1's survivors only, and
-    not at all when there are none."""
-    hops: _Draws = []
-    clean = True
-    for _ in range(2 if ch.topology is Topology.INFRA else 1):
-        if not n:
-            break
-        lost = _loss_draws(ch, link, n, rng)
-        if lost is not None:
-            n = lost.count(False)
-        jitter = _jitter_draws(ch, n, rng)
-        clean = clean and lost is None and jitter is None
-        hops.append((lost, jitter))
-    return None if clean else hops
 
 
 def _hop(
@@ -288,30 +288,190 @@ def _check_size(size: int) -> None:
         raise OversizedPacket(f"{size} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
 
 
+class Medium:
+    """A channel bound to one ``LinkState`` and to the loss stream of one
+    ``Rng``, for every burst (``frame``, ``burst``) and packet (``packet``)
+    that goes on the air between them.
+
+    The loss flags come from a table over a window of the loss stream's
+    tape (``_loss_table``; the module docstring). ``_at`` is the packets
+    read since the window's first, ``_next`` the next packet that disturbs
+    (or the window's end), and ``_bad`` the chain state up to it; the tape
+    takes its position back through ``release``.
+    """
+
+    def __init__(self, ch: ChannelModel, link: LinkState, rng: Optional[Rng] = None):
+        self.ch, self.link, self.rng = ch, link, rng
+        self._hops = 2 if ch.topology is Topology.INFRA else 1
+        self._jittered = ch.jitter_sigma_us > 0.0
+        self._inline = self._hops == 1 and not self._jittered
+        self._full_size = self._ser_full = -1  # the last full size, and its serialization
+        # uniforms per packet: none when nothing is drawn
+        if ch.loss_model is LossModel.GILBERT_ELLIOTT:
+            self._per = 2
+        else:
+            self._per = 1 if ch.loss_p > 0.0 else 0
+        self._tape: Optional[UniformTape] = None  # the tape whose block the table reads
+        self._origin = self._at = self._end = 0
+        self._span = _MIN_WINDOW
+        self._next = _NEVER if not self._per else -1
+        self._bad = link.ge_bad
+        self._lost: Optional[np.ndarray] = None  # the table (``_loss_table``)
+        self._after: Optional[np.ndarray] = None
+        self._marks: list[int] = []
+
+    def release(self) -> int:
+        """Give up the table; returns the tape position that its reads reached."""
+        self._tape, self._next = None, -1
+        return self._origin + self._per * self._at
+
+    def _anchor(self, n: int) -> None:
+        """Build the table from the tape's position in the link's chain state,
+        over a window of at least ``n`` packets: twice the last one when the
+        last one ran out, else the smallest."""
+        link = self.link
+        grown = self._tape is not None and link.ge_bad is self._bad
+        self._span = min(2 * self._span, _MAX_WINDOW) if grown else _MIN_WINDOW
+        per = self._per
+        values = max(self._span, per * n)
+        tape = self.rng.tape("loss")
+        block, pos = tape.lend(self, values)  # the last holder, maybe this one, lets go
+        self._tape = tape
+        self._lost, self._after, self._marks = _loss_table(
+            self.ch, block[pos : pos + values], link.ge_bad
+        )
+        self._origin, self._at, self._end = pos, 0, values // per
+        self._bad = link.ge_bad
+
+    def _flags(self, n: int) -> Optional[list[bool]]:
+        """The loss flags of the next ``n`` packets, None when none is lost;
+        steps ``link.ge_bad`` over them."""
+        link = self.link
+        at = self._at
+        if at + n <= self._next and link.ge_bad is self._bad:
+            self._at = at + n
+            return None
+        if not self._per:  # nothing is drawn; ``ge_bad`` was set from outside
+            self._at, self._bad = at + n, link.ge_bad
+            return None
+        if self._tape is None or at + n > self._end or link.ge_bad is not self._bad:
+            self._anchor(n)
+            at = 0
+        end = at + n
+        flags = self._lost[at:end].tolist()
+        if self._after is not None:
+            link.ge_bad = bool(self._after[end - 1])
+        self._at, self._bad = end, link.ge_bad
+        self._next = self._marks[bisect_left(self._marks, end)]
+        return flags if True in flags else None
+
+    def _draw(self, n: int) -> Optional[_Draws]:
+        """Every draw of an ``n``-packet burst, per hop: (loss flags, jitter),
+        each None when it came out clean; None when every hop lost nothing and
+        drew no jitter. Under INFRA, hop 2 draws for hop 1's survivors only, and
+        not at all when there are none."""
+        hops: _Draws = []
+        clean = True
+        for _ in range(self._hops):
+            if not n:
+                break
+            lost = self._flags(n)
+            if lost is not None:
+                n = lost.count(False)
+            jitter = _jitter_draws(self.ch, n, self.rng)
+            clean = clean and lost is None and jitter is None
+            hops.append((lost, jitter))
+        return None if clean else hops
+
+    def packet(self, size_bytes: int, now: SimTime) -> Optional[SimTime]:
+        """Deliver one packet; returns the arrival time, or None when lost.
+
+        A one-packet ``burst``, walked hop by hop in ``_draw``'s draw order;
+        INFRA applies both hops back to back on the same link state.
+        """
+        _check_size(size_bytes)
+        ch, link = self.ch, self.link
+        ser = -(-(size_bytes * 8_000_000) // ch.bandwidth_bps)  # ``serialization_us``
+        arrival = now
+        for _ in range(self._hops):
+            busy = (arrival if arrival > link.busy_until else link.busy_until) + ser
+            link.busy_until = busy
+            link.busy_accum_us += ser
+            link.sent_packets += 1
+            link.sent_bytes += size_bytes
+            at = self._at
+            if at < self._next and link.ge_bad is self._bad:
+                self._at = at + 1
+            elif self._flags(1) is not None:
+                link.lost_packets += 1
+                return None
+            jitter = _jitter_draws(ch, 1, self.rng) if self._jittered else None
+            arrival = busy + ch.prop_delay_us + (jitter[0] if jitter else 0)
+        # receiver-side FIFO: jitter never reorders deliveries on a link
+        if arrival > link.last_arrival:
+            link.last_arrival = arrival
+        return link.last_arrival
+
+    def burst(self, sizes: list[int], now: SimTime) -> list[Optional[SimTime]]:
+        """Deliver a frame's packets as one burst; returns per-packet arrivals.
+
+        For P2P this is exactly equivalent to per-packet ``packet`` calls.
+        """
+        _check_size(max(sizes, default=0))
+        return _walk(self.ch, self.link, sizes, now, self._draw(len(sizes)))
+
+    def frame(
+        self, count: int, full_size: int, tail_size: int, now: SimTime
+    ) -> Optional[tuple[SimTime, SimTime, int]]:
+        """``burst`` of ``count - 1`` packets of ``full_size`` bytes and a
+        tail, summed up as ``frame_arrivals``: draw, then time.
+
+        Inline on P2P without jitter when the burst reaches no disturbance,
+        else in closed form (``_clean_ends``) on P2P without jitter whatever
+        it lost, and elsewhere only when no hop lost a packet or drew jitter;
+        a binding FIFO clamp, and every other burst, walks over the values
+        already drawn.
+        """
+        if full_size > MAX_PACKET_BYTES or tail_size > MAX_PACKET_BYTES:
+            _check_size(max(full_size, tail_size))
+        ch, link = self.ch, self.link
+        if self._inline:
+            at = self._at
+            if at + count <= self._next and link.ge_bad is self._bad:
+                if full_size != self._full_size:
+                    self._full_size = full_size
+                    self._ser_full = serialization_us(full_size, ch.bandwidth_bps)
+                ser_full = self._ser_full
+                ser_tail = -(-(tail_size * 8_000_000) // ch.bandwidth_bps)
+                busy = link.busy_until
+                start = now if now > busy else busy
+                first = start + (ser_full if count > 1 else ser_tail) + ch.prop_delay_us
+                if first >= link.last_arrival:  # else the FIFO clamp binds: walk
+                    self._at = at + count
+                    total = (count - 1) * ser_full + ser_tail
+                    link.busy_until = start + total
+                    link.last_arrival = last = start + total + ch.prop_delay_us
+                    link.busy_accum_us += total
+                    link.sent_packets += count
+                    link.sent_bytes += (count - 1) * full_size + tail_size
+                    return first, last, count
+            lost = self._flags(count)
+            hops = None if lost is None else [(lost, None)]
+            ends = _clean_ends(ch, link, count, full_size, tail_size, now, lost)
+        else:
+            hops = self._draw(count)
+            ends = None if hops else _clean_ends(ch, link, count, full_size, tail_size, now)
+        if ends is not None:
+            return ends if ends[2] else None
+        sizes = [full_size] * (count - 1) + [tail_size]
+        return frame_arrivals(_walk(ch, link, sizes, now, hops))
+
+
 def transmit(
     ch: ChannelModel, link: LinkState, size_bytes: int, now: SimTime, rng: Optional[Rng] = None
 ) -> Optional[SimTime]:
-    """Deliver one packet; returns the arrival time, or None when lost.
-
-    A one-packet ``transmit_burst``, walked hop by hop with ``_draw``'s draw
-    order; INFRA applies both hops back to back on the same link state.
-    """
-    _check_size(size_bytes)
-    ser = serialization_us(size_bytes, ch.bandwidth_bps)
-    arrival = now
-    for _ in range(2 if ch.topology is Topology.INFRA else 1):
-        link.busy_until = (arrival if arrival > link.busy_until else link.busy_until) + ser
-        link.busy_accum_us += ser
-        link.sent_packets += 1
-        link.sent_bytes += size_bytes
-        if _loss_draws(ch, link, 1, rng) is not None:
-            link.lost_packets += 1
-            return None
-        jitter = _jitter_draws(ch, 1, rng)
-        arrival = link.busy_until + ch.prop_delay_us + (jitter[0] if jitter else 0)
-    # receiver-side FIFO: jitter never reorders deliveries on a link
-    link.last_arrival = max(link.last_arrival, arrival)
-    return link.last_arrival
+    """``Medium.packet`` on a fresh binding."""
+    return Medium(ch, link, rng).packet(size_bytes, now)
 
 
 def transmit_burst(
@@ -321,12 +481,8 @@ def transmit_burst(
     now: SimTime,
     rng: Optional[Rng] = None,
 ) -> list[Optional[SimTime]]:
-    """Deliver a frame's packets as one burst; returns per-packet arrivals.
-
-    For P2P this is exactly equivalent to per-packet ``transmit`` calls.
-    """
-    _check_size(max(sizes, default=0))
-    return _walk(ch, link, sizes, now, _draw(ch, link, len(sizes), rng))
+    """``Medium.burst`` on a fresh binding."""
+    return Medium(ch, link, rng).burst(sizes, now)
 
 
 def transmit_frame(
@@ -338,25 +494,8 @@ def transmit_frame(
     now: SimTime,
     rng: Optional[Rng] = None,
 ) -> Optional[tuple[SimTime, SimTime, int]]:
-    """``transmit_burst`` of ``count - 1`` packets of ``full_size`` bytes and a
-    tail, summed up as ``frame_arrivals``: draw, then time.
-
-    In closed form (``_clean_ends``) on P2P without jitter whatever it lost,
-    else only when no hop lost a packet or drew jitter; a binding FIFO clamp,
-    and every other burst, walks over the values already drawn.
-    """
-    _check_size(max(full_size, tail_size))
-    if ch.topology is Topology.P2P and ch.jitter_sigma_us <= 0.0:
-        lost = _loss_draws(ch, link, count, rng)
-        hops = None if lost is None else [(lost, None)]
-        ends = _clean_ends(ch, link, count, full_size, tail_size, now, lost)
-    else:
-        hops = _draw(ch, link, count, rng)
-        ends = None if hops else _clean_ends(ch, link, count, full_size, tail_size, now)
-    if ends is not None:
-        return ends if ends[2] else None
-    sizes = [full_size] * (count - 1) + [tail_size]
-    return frame_arrivals(_walk(ch, link, sizes, now, hops))
+    """``Medium.frame`` on a fresh binding."""
+    return Medium(ch, link, rng).frame(count, full_size, tail_size, now)
 
 
 def frame_arrivals(

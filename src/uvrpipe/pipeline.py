@@ -23,7 +23,7 @@ one of two ways, with the same result:
     or -1; an ASYNC render tick, which never sends, is merged only for the
     transcript. A tick goes before a heap event at its time, and a render
     before a sample, as when every tick was scheduled up front; a frame's
-    burst is drawn, then timed (``netsim.transmit_frame``), and the
+    burst is drawn, then timed (``netsim.Medium.frame``), and the
     reassembler takes its result as it is (``Reassembler.on_frame``).
     Outcomes go into one Python list per column, made arrays once at the end.
   * The array run (``Simulator._run_arrays``), for a draw-free run:
@@ -229,7 +229,7 @@ class Simulator:
         is_iframe = ftype is FrameType.I
         if is_iframe and self.cfg.toggles.feedback_control:
             cp_mod.host_on_iframe_emitted(self.host_fb, encode_done, self.cfg.suppression_window_us)
-        col["frame_type"][k] = ftype.value
+        col["frame_type"][k] = is_iframe  # made "I" or "P" at the end of the run
         col["forced"][k] = forced
         col["size_bytes"][k] = size
 
@@ -254,9 +254,9 @@ class Simulator:
         fragments delivered).
         """
         if frame_id != self.cfg.fault_drop_frame_id:
-            return netsim.transmit_frame(
-                self.channel, self.link, count, dpp.MTU, tail_wire, request, self.rng
-            )
+            return self._medium.frame(count, dpp.MTU, tail_wire, request)
+        # the fault frame binds a medium of its own, at the tape position
+        # where this run's medium hands it over (``UniformTape.settle``)
         sizes = [dpp.MTU] * (count - 1) + [tail_wire]
         arrivals = netsim.transmit_burst(self.channel, self.link, sizes, request, self.rng)
         victim = self.cfg.fault_drop_frag_index
@@ -266,10 +266,16 @@ class Simulator:
             arrivals[victim] = None
         return netsim.frame_arrivals(arrivals)
 
+    @cached_property
+    def _medium(self) -> netsim.Medium:
+        """The channel bound to this run's link and loss stream, built when
+        the first packet goes on the air: an array run never builds it."""
+        return netsim.Medium(self.channel, self.link, self.rng)
+
     # --- receiver side -----------------------------------------------------
 
     def _send_cp(self, msg: cp_mod.CpMessage, t: SimTime) -> None:
-        arrival = netsim.transmit(self.channel, self.link, msg.wire_size(), t, self.rng)
+        arrival = self._medium.packet(msg.wire_size(), t)
         if arrival is not None:
             self.queue.schedule(arrival, ("cp", msg))
 
@@ -352,7 +358,9 @@ class Simulator:
             renders = [(t, ("render", i, -1)) for i, t in enumerate(render.tolist())]
             ticks = sorted(renders + ticks, key=itemgetter(0))  # on a tie the render goes first
         self.queue.run(self._dispatch, ticks)
-        return self._result({name: _array(values) for name, values in self._table.items()})
+        frames = {name: _array(values) for name, values in self._table.items()}
+        frames["frame_type"] = np.where(frames["frame_type"], FrameType.I.value, FrameType.P.value)
+        return self._result(frames)
 
     def _run_arrays(self) -> Optional[SimResult]:
         """The whole draw-free run as numpy arrays; None, with the link

@@ -114,14 +114,29 @@ _TILE = bytes(range(256))
 _pattern = _TILE  # the tile repeated; grown on demand, never shrunk
 
 
-def frame_payload(frame_id: int, size: int) -> bytes:
-    """byte i of frame f = (f*131 + i) mod 256: a slice of one periodic buffer."""
+def _pattern_at(frame_id: int, size: int) -> tuple[bytes, int]:
+    """The pattern buffer, grown to hold frame ``frame_id``'s ``size`` bytes,
+    and where they start in it."""
     global _pattern
     start = frame_id * 131 % 256
     pattern = _pattern
     if start + size > len(pattern):
         pattern = _pattern = _TILE * ((start + size) // 256 + 1)
-    return pattern[start : start + size]
+    return pattern, start
+
+
+def frame_payload(frame_id: int, size: int) -> memoryview:
+    """byte i of frame f = (f*131 + i) mod 256: a view of one periodic buffer,
+    so the host sends it without a copy."""
+    pattern, start = _pattern_at(frame_id, size)
+    return memoryview(pattern)[start : start + size]
+
+
+def is_frame_payload(frame_id: int, data) -> bool:
+    """Whether ``data`` is ``frame_payload(frame_id, len(data))``, compared
+    in place (``bytes.startswith``; a ``memoryview`` compares item by item)."""
+    pattern, start = _pattern_at(frame_id, len(data))
+    return pattern.startswith(data, start)
 
 
 @dataclass
@@ -369,7 +384,7 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
                 if isinstance(ev, dpp.FrameComplete):
                     stats.frames_completed += 1
                     latencies_us.append(wall_us - ev.gen_timestamp_us)
-                    if ev.data != frame_payload(ev.frame_id, len(ev.data)):
+                    if not is_frame_payload(ev.frame_id, ev.data):
                         stats.pattern_mismatches += 1
                 else:
                     stats.frames_dropped += 1

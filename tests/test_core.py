@@ -173,40 +173,49 @@ def test_a_restored_stream_draws_from_the_saved_state(built):
 
 # --- the loss stream's tape ----------------------------------------------
 
-# threshold pairs: Bernoulli (a == b), and a Gilbert-Elliott chain's good and
-# bad state, which a flip switches between
-_PAIRS = st.sampled_from(
-    [(0.3, 0.3), (0.02, 0.02), (0.0, 0.01), (0.3, 0.2), (1.0, 0.0), (0.0, 0.0)]
-)
+
+class _Reader:
+    """A reader that the tape lends its block to (as ``netsim.Medium`` is):
+    it reads on its own and reports its position when the tape settles."""
+
+    def __init__(self, tape, k):
+        self.block, self.pos = tape.lend(self, k)
+
+    def read(self, k):
+        values = self.block[self.pos : self.pos + k].tolist()
+        self.pos += k
+        return values
+
+    def release(self):
+        return self.pos
+
+
 _TAPE_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("clean"), _PAIRS, st.integers(1, 300)),
-        st.tuples(st.just("take"), st.just(None), st.integers(1, 300)),
-        st.tuples(st.just("stream"), st.just(None), st.integers(0, 3)),
+        # lend a window of k values and read some of them, in two reads
+        st.tuples(st.just("lend"), st.integers(1, 300), st.integers(0, 150), st.integers(0, 150)),
+        st.tuples(st.just("take"), st.integers(1, 300), st.just(0), st.just(0)),
+        st.tuples(st.just("stream"), st.integers(0, 3), st.just(0), st.just(0)),
     ),
     max_size=60,
 )
 
 
-def _disturbing(values, a, b):
-    """Whether ``values`` holds one below ``a`` at an even offset or below ``b`` at an odd one."""
-    return any(v < (b if i % 2 else a) for i, v in enumerate(values))
-
-
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ops=_TAPE_OPS)
-# a clean skip across the first block boundary, then an odd take and a
-# threshold change at an odd position
-@example(1, [("clean", (0.0, 0.0), 70), ("take", None, 3), ("clean", (0.3, 0.2), 2)])
+# a lent window across the first block boundary, read on past an odd take,
+# then a second lender before the first one settled
+@example(1, [("lend", 70, 3, 64), ("take", 3, 0, 0), ("lend", 2, 1, 0), ("lend", 9, 0, 5)])
 def test_tape_hands_out_the_sequential_draws(seed, ops):
     plain = Rng(seed).stream("loss").random(60 * 300 + 10).tolist()
     rng = Rng(seed)
     at = 0
-    for op, pair, k in ops:
-        if op == "clean":
-            skipped = rng.tape("loss").clean(*pair, k)
-            assert skipped == (not _disturbing(plain[at : at + k], *pair))
-            at += k if skipped else 0
+    for op, k, first, second in ops:
+        if op == "lend":
+            reader = _Reader(rng.tape("loss"), k)
+            for part in (min(first, k), min(second, k - min(first, k))):
+                assert reader.read(part) == plain[at : at + part]
+                at += part
         elif op == "take":
             assert rng.tape("loss").take(k) == plain[at : at + k]
             at += k
@@ -214,6 +223,19 @@ def test_tape_hands_out_the_sequential_draws(seed, ops):
             assert rng.stream("loss").random(k).tolist() == plain[at : at + k]
             at += k
     assert rng.stream("loss").random() == plain[at]
+
+
+def test_restore_lets_the_reader_go():
+    # the reader of a tape drawn ahead from a replaced state reads no more
+    rng = Rng(2)
+    saved = rng.stream("loss").bit_generator.state
+    reader = _Reader(rng.tape("loss"), 10)
+    reader.read(4)
+    released = []
+    reader.release = lambda: released.append(reader.pos) or reader.pos
+    rng.restore("loss", saved)
+    assert released == [4]
+    assert rng.tape("loss").take(3) == Rng(2).stream("loss").random(3).tolist()
 
 
 def test_tape_sync_keeps_the_buffered_half_word():

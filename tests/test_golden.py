@@ -48,6 +48,24 @@ def _infra_lossy():
     return cfg
 
 
+def _ge_fault():
+    # a fault frame on a lossy channel: the fault burst draws from the loss
+    # stream at the position the other frames' hops left it
+    cfg = preset_config("openuvr")
+    cfg.duration_s = 10.0
+    cfg.channel.loss_model = LossModel.GILBERT_ELLIOTT
+    cfg.fault_drop_frame_id = 300
+    return cfg
+
+
+def _ge_infra():
+    # INFRA: both hops of a burst and every control message step one chain
+    cfg = _preset("baseline", 11, 20.0)
+    cfg.channel.loss_model = LossModel.GILBERT_ELLIOTT
+    cfg.channel.jitter_sigma_us = 40.0
+    return cfg
+
+
 def _sync():
     cfg = _preset("baseline", 5, 20.0)
     cfg.encode_mode = EncodeMode.SYNC
@@ -59,6 +77,8 @@ RUNS = {
     "openuvr": lambda: _preset("openuvr", 42, 60.0),
     "ge_lossy": _ge_lossy,
     "infra_lossy": _infra_lossy,
+    "ge_fault": _ge_fault,
+    "ge_infra": _ge_infra,
     "sync": _sync,
     # one fragment of one frame lost in flight; every other frame is clean
     TRANSCRIPT_RUN: lambda: recovery_config(10_003, feedback=True),

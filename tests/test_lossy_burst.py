@@ -11,13 +11,17 @@ the same ``LinkState``, and leave both streams at the same place.
 
 ``transmit_frame`` draws first and times a burst whose draws came out clean,
 and on P2P without jitter any burst, in closed form; it is checked against
-the same reference walk. Its loss draws come from a tape drawn ahead, so two
-channels on one ``Rng`` must also leave each other the reference's draws.
+the same reference walk. Its loss flags come from a loss table over a
+window of a tape drawn ahead, so two channels on one ``Rng`` must also leave
+each other the reference's draws. The table itself is checked against the
+per-packet walk over the same uniforms, and a ``Medium`` bound once, as the
+simulator binds one per run, against the reference walk.
 """
 
 from dataclasses import replace
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -427,3 +431,145 @@ def _compare_two_channels(first, second, seed, frames):
 )
 def test_two_channels_share_one_tape(first, second, seed, frames):
     _compare_two_channels(first, second, seed, frames)
+
+
+# --- the loss table ----------------------------------------------------------
+
+
+def _reference_table(ch, values, bad):
+    """The per-packet walk over ``values``: each packet's loss flag and, under
+    Gilbert-Elliott, the chain state after it, and the packets that lose or
+    change the state, closed by the packet count."""
+    lost, after, marks = [], [], []
+    if ch.loss_model is LossModel.BERNOULLI:
+        lost = [u < ch.loss_p for u in values]
+        return lost, None, [k for k, flag in enumerate(lost) if flag] + [len(lost)]
+    for k in range(len(values) // 2):
+        was = bad
+        lost.append(values[2 * k] < (ch.ge_loss_bad if bad else ch.ge_loss_good))
+        bad = values[2 * k + 1] >= ch.ge_p_bg if bad else values[2 * k + 1] < ch.ge_p_gb
+        after.append(bad)
+        if lost[-1] or bad != was:
+            marks.append(k)
+    return lost, after, marks + [len(lost)]
+
+
+# probabilities of 0 and 1, and the rest
+probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def table_channels(draw):
+    """Bernoulli channels, and Gilbert-Elliott ones with ``ge_p_gb`` below,
+    equal to or above ``ge_p_bg``."""
+    if draw(st.booleans()):
+        return ChannelModel(loss_p=draw(probability))
+    p_gb = draw(probability)
+    p_bg = draw(st.one_of(st.just(p_gb), probability))
+    return ChannelModel(
+        loss_model=LossModel.GILBERT_ELLIOTT,
+        ge_p_gb=p_gb,
+        ge_p_bg=p_bg,
+        ge_loss_good=draw(st.one_of(st.just(0.0), probability)),
+        ge_loss_bad=draw(probability),
+    )
+
+
+@settings(max_examples=800)
+@given(ch=table_channels(), bad=st.booleans(), data=st.data())
+def test_loss_table_equals_the_per_packet_walk(ch, bad, data):
+    # uniforms that include every threshold itself, where ``<`` and ``<=`` part
+    edges = [ch.loss_p, ch.ge_p_gb, ch.ge_p_bg, ch.ge_loss_good, ch.ge_loss_bad, 0.0]
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges))
+    # a Gilbert-Elliott packet takes two uniforms
+    per = 2 if ch.loss_model is LossModel.GILBERT_ELLIOTT else 1
+    values = data.draw(st.lists(uniform, min_size=per, max_size=80))
+    values = values[: len(values) // per * per]
+    lost, after, marks = netsim._loss_table(ch, np.array(values), bad)
+    want_lost, want_after, want_marks = _reference_table(ch, values, bad)
+    assert lost.tolist() == want_lost
+    assert (after if after is None else after.tolist()) == want_after
+    assert marks == want_marks
+
+
+# ops on a medium bound once, as the simulator binds one per run
+bound_ops = st.lists(
+    st.one_of(
+        # up to 90 packets: longer than a first window (32 Gilbert-Elliott packets)
+        st.tuples(st.just("frame"), st.integers(0, 200_000), st.integers(1, 90), packet),
+        st.tuples(st.just("packet"), st.integers(0, 200_000), packet, st.just(None)),
+        st.tuples(
+            st.just("burst"),
+            st.integers(0, 200_000),
+            st.lists(packet, min_size=1, max_size=40),
+            st.just(None),
+        ),
+        # ``ge_bad`` set from outside between hops
+        st.tuples(st.just("flip"), st.just(0), st.just(0), st.just(None)),
+        # a frame on a second channel, bound to the same tape
+        st.tuples(st.just("other"), st.integers(0, 200_000), st.integers(1, 40), packet),
+        # the loss stream read directly
+        st.tuples(st.just("stream"), st.integers(0, 3), st.just(0), st.just(None)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+# frames of 90 Gilbert-Elliott packets: hops across the first windows' and
+# blocks' ends, and hops longer than a window
+LONG = [("frame", 16_667 * k, 90, 700) for k in range(14)]
+
+
+@settings(max_examples=500)
+@given(
+    ch=st.one_of(channels, ge_channels(), table_channels()),
+    other=st.one_of(channels, ge_channels()),
+    bad=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    ops=bound_ops,
+)
+@example(ChannelModel(**dict(GE, ge_loss_good=0.05)), ChannelModel(loss_p=0.1), True, 3, LONG)
+@example(
+    ChannelModel(topology=Topology.INFRA, jitter_sigma_us=30.0, **dict(GE, ge_p_gb=0.02)),
+    ChannelModel(**GE),
+    False,
+    4,
+    [
+        *LONG[:5],
+        ("flip", 0, 0, None),
+        ("packet", 0, 64, None),
+        ("stream", 1, 0, None),
+        *LONG[5:9],
+        ("other", 0, 30, 500),
+        *LONG[9:],
+    ],
+)
+def test_bound_medium_equals_reference(ch, other, bad, seed, ops):
+    fast, ref = LinkState(ge_bad=bad), LinkState(ge_bad=bad)
+    fast_other, ref_other = LinkState(), LinkState()
+    fast_rng, ref_rng = Rng(seed), Rng(seed)
+    medium = netsim.Medium(ch, fast, fast_rng)
+    other_medium = netsim.Medium(other, fast_other, fast_rng)
+    for op, now, n, size in ops:
+        if op in ("frame", "other"):
+            bound, link, ref_link = (
+                (medium, ch, ref) if op == "frame" else (other_medium, other, ref_other)
+            )
+            got = bound.frame(n, MAX_PACKET_BYTES, size, now)
+            sizes = [MAX_PACKET_BYTES] * (n - 1) + [size]
+            want = reference_frame(reference_transmit_burst(link, ref_link, sizes, now, ref_rng))
+        elif op == "packet":
+            got = medium.packet(n, now)
+            want = reference_transmit_burst(ch, ref, [n], now, ref_rng)[0]
+        elif op == "burst":
+            got = medium.burst(n, now)
+            want = reference_transmit_burst(ch, ref, n, now, ref_rng)
+        elif op == "flip":
+            fast.ge_bad = ref.ge_bad = not ref.ge_bad
+            continue
+        else:
+            got = fast_rng.stream("loss").random(now).tolist()
+            want = ref_rng.stream("loss").random(now).tolist()
+        assert got == want
+        assert fast == ref
+        assert fast_other == ref_other
+    assert _next_draws(fast_rng) == _next_draws(ref_rng)

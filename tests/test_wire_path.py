@@ -158,6 +158,10 @@ def test_frame_payload_is_the_pattern():
         for size in (1, 255, 256, 257, 5_000):
             expected = bytes((frame_id * 131 + i) % 256 for i in range(size))
             assert runner.frame_payload(frame_id, size) == expected
+            # the receiver's check, in place
+            assert runner.is_frame_payload(frame_id, expected)
+            assert not runner.is_frame_payload(frame_id + 1, expected)
+            assert not runner.is_frame_payload(frame_id, expected[:-1] + b"?")
 
 
 # --- receiver -------------------------------------------------------------
