@@ -52,7 +52,9 @@ class Rng:
     seed's ``i``-th spawned child, ``SeedSequence(seed, spawn_key=(i,))``, so
     that adding draws in one subsystem never shifts the sequences seen by
     another. Each is built on first use: a run pays only for the streams
-    that it draws from.
+    that it draws from. A stream is a plain generator: whoever draws from
+    it moves it, and nothing here draws ahead (``netsim.Medium`` draws
+    ahead from the loss stream itself).
     """
 
     _STREAMS = {"workload": 0, "loss": 1, "jitter": 2, "fault": 3, "misc": 4}
@@ -60,10 +62,10 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gens: dict[str, np.random.Generator] = {}
-        self._tapes: dict[str, UniformTape] = {}
         self._states: dict[str, dict] = {}  # restored states of streams not built yet
 
-    def _gen(self, name: str) -> np.random.Generator:
+    def stream(self, name: str) -> np.random.Generator:
+        """The stream's generator, built on first use."""
         gen = self._gens.get(name)
         if gen is None:
             child = np.random.SeedSequence(self.seed, spawn_key=(self._STREAMS[name],))
@@ -77,25 +79,10 @@ class Rng:
         built yet keeps the state and takes it when it is first used."""
         if name not in self._STREAMS:
             raise KeyError(name)
-        tape = self._tapes.pop(name, None)  # drawn ahead from the state replaced
-        if tape is not None:
-            tape.settle()  # its reader must not read on from the old state
         if name in self._gens:
             self._gens[name].bit_generator.state = state
         else:
             self._states[name] = state
-
-    def stream(self, name: str) -> np.random.Generator:
-        """The generator, where the draws so far leave it (a tape is synced, dropped)."""
-        if name in self._tapes:
-            self._tapes.pop(name).sync()
-        return self._gen(name)
-
-    def tape(self, name: str) -> UniformTape:
-        """The stream's uniforms from a tape drawn ahead (``UniformTape``)."""
-        if name not in self._tapes:
-            self._tapes[name] = UniformTape(self._gen(name))
-        return self._tapes[name]
 
     def lognormal_complexity(self, sigma: float, n: Optional[int] = None):
         """One content complexity, or an array of ``n`` from one batched draw.
@@ -103,71 +90,11 @@ class Rng:
         The batch equals ``n`` scalar calls bit for bit and leaves the
         workload stream at the same place.
         """
-        z = self._gen("workload").standard_normal(n)
+        z = self.stream("workload").standard_normal(n)
         if sigma == 0.0:
             # degenerate distribution; the draw above keeps streams aligned
             return 1.0 if n is None else np.ones(n)
         return float(np.exp(sigma * z)) if n is None else np.exp(sigma * z)
-
-
-class UniformTape:
-    """A generator's ``random()`` draws, drawn ahead in blocks that start
-    small and double, and handed out in order: exactly the sequential draws.
-
-    ``take(k)`` hands out the next ``k``. ``lend(holder, k)`` hands out the
-    block itself, with at least ``k`` values from the current position on,
-    to a reader that keeps its own position in it: ``netsim.Medium`` builds
-    its loss table over such a window and reads it without telling the tape.
-    There is still one position. Before anything else reads the tape
-    (``take``, another ``lend``, ``sync``), ``settle`` asks the holder where
-    its draws left the position (``holder.release()``) and takes it back.
-    ``sync`` sets the generator to the state before the first block,
-    advanced by the count.
-    """
-
-    def __init__(self, gen: np.random.Generator):
-        self._gen, self._origin = gen, gen.bit_generator.state
-        self._base = self._pos = 0  # values handed out before the block, and in it
-        self._block = np.zeros(0)
-        self._holder: Any = None  # the reader that the block is lent to
-
-    def settle(self) -> None:
-        """Take the position back from the reader that the block is lent to."""
-        holder, self._holder = self._holder, None
-        if holder is not None:
-            self._pos = holder.release()
-
-    def _ready(self, k: int) -> int:
-        """The current position, with ``k`` values drawn from it on."""
-        self.settle()
-        if self._pos + k > len(self._block):  # the next block keeps what is left
-            rest = self._block[self._pos :]
-            self._base += self._pos
-            size = min(max(64, 2 * len(self._block)), 1 << 16)
-            self._block = np.concatenate((rest, self._gen.random(max(size, k - len(rest)))))
-            self._pos = 0
-        return self._pos
-
-    def take(self, k: int) -> list[float]:
-        pos = self._ready(k)
-        self._pos = pos + k
-        return self._block[pos : pos + k].tolist()
-
-    def lend(self, holder: Any, k: int) -> tuple[np.ndarray, int]:
-        """The block and the current position in it, with at least ``k``
-        values from there on, lent to ``holder`` until the next ``settle``."""
-        pos = self._ready(k)
-        self._holder = holder
-        return self._block, pos
-
-    def sync(self) -> None:
-        self.settle()
-        bits = self._gen.bit_generator
-        bits.state = self._origin
-        bits.advance(self._base + self._pos)
-        # ``advance`` drops the buffered 32-bit half, which ``random()`` never touches
-        kept = {key: self._origin[key] for key in ("has_uint32", "uinteger")}
-        bits.state = {**bits.state, **kept}
 
 
 class EventQueue:

@@ -311,7 +311,7 @@ class Reassembler:
     with consecutive fragment indices, read together (one datagram is a run
     of one), and the frame's bytes are joined when it completes. The
     simulator hands ``on_frame`` one frame's burst as
-    ``netsim.transmit_frame`` sums it up, and carries no payload.
+    ``netsim.Medium.frame`` sums it up, and carries no payload.
     """
 
     def __init__(self, drop_deadline_us: int):
@@ -413,7 +413,7 @@ class Reassembler:
         forced: bool,
         gen_timestamp_us: int,
     ) -> list[ReassemblyEvent]:
-        """Ingest one frame's burst in O(1), as ``netsim.transmit_frame``
+        """Ingest one frame's burst in O(1), as ``netsim.Medium.frame``
         returns it: its first and last arrival and how many of its
         ``frag_count`` fragments arrived. The drop sweep runs once, at
         ``first``. A whole frame completes; a partial one turns pending, its

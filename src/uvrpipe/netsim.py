@@ -26,44 +26,44 @@ independent, so this is exactly what a per-packet walk with one scalar draw
 per value consumes; ``tests/test_lossy_burst.py`` keeps that walk as the
 reference.
 
-The loss draws are read through a loss table held by a ``Medium``: a
-channel bound to one ``LinkState`` and to the loss stream of one ``Rng``.
-The simulator binds one per run and puts every frame and control message on
-the air through it; each module-level entry (``transmit``,
-``transmit_burst``, ``transmit_frame``) binds a fresh one per call.
+Every draw of a burst goes through a ``Medium``: a channel bound to one
+``LinkState`` and to the loss stream of one ``Rng``. The simulator binds one
+per run and puts every frame and control message on the air through it.
 
-On its first hop that draws, a ``Medium`` borrows a window of the loss
-stream's tape (``UniformTape.lend``) and computes each packet's outcome in
-it with numpy (``_loss_table``). Under Gilbert-Elliott, each transition draw
-``u`` maps the chain's {good, bad} by one of three maps: a swap when
-``u < min(p_gb, p_bg)``, a constant when ``u`` lies between the two (good if
-``p_gb <= p_bg``, else bad), and the identity when ``u >= max(p_gb, p_bg)``.
-The state before packet k is therefore the value of the last constant map
-(or the start state) XOR the parity of the swaps since then: one running
-maximum and one cumulative sum. A packet is lost when its loss draw is below
-its state's loss probability. Bernoulli loss is the stateless case, at one
-draw per packet. The table keeps the packets that *disturb* (a loss, or a
-change of state) as one sorted list, and the medium keeps the index of the
-next one, so a hop that reaches no disturbance is one comparison and one
-add.
+The medium is its ``Rng``'s only loss reader, and it draws ahead itself: it
+keeps one array of uniforms from the loss stream and computes each packet's
+outcome over it with numpy (``_loss_table``). Under Gilbert-Elliott, each
+transition draw ``u`` maps the chain's {good, bad} by one of three maps: a
+swap when ``u < min(p_gb, p_bg)``, a constant when ``u`` lies between the
+two (good if ``p_gb <= p_bg``, else bad), and the identity when
+``u >= max(p_gb, p_bg)``. The state before packet k is therefore the value
+of the last constant map (or the start state) XOR the parity of the swaps
+since then: one running maximum and one cumulative sum. A packet is lost
+when its loss draw is below its state's loss probability. Bernoulli loss is
+the stateless case, at one draw per packet. The table keeps the packets that
+*disturb* (a loss, or a change of state) as one sorted list, and the medium
+keeps the index of the next one, so a hop that reaches no disturbance is one
+comparison and one add.
 
-A table is valid from one tape position and one chain state. It is rebuilt
-from the current position when the tape moved under it (another reader
-settled it: a second channel on one tape, ``Rng.stream``, ``Rng.restore``),
-when ``ge_bad`` was changed from outside, or when its window ends. Windows
-start at 64 values and double up to 65,536, as the tape's blocks do, so a
-one-off call pays for little more than its own packets. ``Rng.stream``
-syncs the generator to where the sequential draws leave it.
+A table is valid from one position in the array and one chain state. When
+a hop needs more values than are left, the medium keeps the unread rest,
+appends the next block (64 values, doubling with each block up to 65,536,
+or what the hop lacks if that is more) and builds the table over both; when ``ge_bad``
+was set from outside, it builds one over the rest. A one-off binding pays
+for little more than its own packets. The values come out in the stream's
+order whatever the block sizes, so the draw order above holds; only a
+second reader of the loss stream after the medium has drawn ahead (another
+``Medium``, ``Rng.stream("loss")``, ``Rng.restore("loss")``) sees values
+past the medium's array, not the ones that the medium has yet to read.
 
-Then the burst is timed. ``transmit_frame`` times a burst in closed form,
+Then the burst is timed. ``Medium.frame`` times a burst in closed form,
 below: on P2P without jitter every burst, lossy or not; under INFRA or with
 jitter only a burst that lost nothing on any hop and drew no jitter. Every
 other burst walks its packets over the values already drawn, in plain
-Python numbers, as ``transmit_burst`` always does. ``transmit`` walks
+Python numbers, as ``Medium.burst`` always does. ``Medium.packet`` walks
 its one packet the same way, in scalar steps. On P2P without jitter a
-burst that reaches no disturbance is timed inline (``Medium.frame``), from
-constants fixed for the run: ``prop`` and the serialization of a full
-packet.
+burst that reaches no disturbance is timed inline, from constants fixed for
+the run: ``prop`` and the serialization of a full packet.
 
 The closed form (``_clean_ends``) computes in O(1) what the walk computes:
 
@@ -109,7 +109,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Rng, SimTime, UniformTape
+from .core import Rng, SimTime
 
 MAX_PACKET_BYTES = 2_304
 
@@ -157,17 +157,17 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
     return -(-(size_bytes * 8 * 1_000_000) // bandwidth_bps)
 
 
-_MIN_WINDOW, _MAX_WINDOW = 64, 1 << 16  # uniforms in a loss table's window
+_MIN_BLOCK, _MAX_BLOCK = 64, 1 << 16  # uniforms that a medium draws ahead at a time
 _NEVER = 1 << 62  # the next disturbance of a channel that draws nothing
 
 
 def _loss_table(
     ch: ChannelModel, values: np.ndarray, bad: bool
 ) -> tuple[np.ndarray, Optional[np.ndarray], list[int]]:
-    """The loss table over a window of loss-stream uniforms, for a chain that
+    """The loss table over an array of loss-stream uniforms, for a chain that
     starts in state ``bad``: per packet, whether it is lost and (for
     Gilbert-Elliott; else None) the chain state after it, and the sorted
-    packets that disturb (lose, or change the state), closed by the window's
+    packets that disturb (lose, or change the state), closed by the array's
     packet count. Each flag is the per-packet walk's, bit for bit."""
     if ch.loss_model is LossModel.BERNOULLI:
         lost = values < ch.loss_p
@@ -293,11 +293,13 @@ class Medium:
     ``Rng``, for every burst (``frame``, ``burst``) and packet (``packet``)
     that goes on the air between them.
 
-    The loss flags come from a table over a window of the loss stream's
-    tape (``_loss_table``; the module docstring). ``_at`` is the packets
-    read since the window's first, ``_next`` the next packet that disturbs
-    (or the window's end), and ``_bad`` the chain state up to it; the tape
-    takes its position back through ``release``.
+    The medium is the stream's only reader and draws ahead itself (the
+    module docstring): ``_values`` holds the uniforms drawn from the table's
+    first packet on, and the loss flags come from a table over them
+    (``_loss_table``). ``_at`` is the packets read since the table's first,
+    so the unread values start at ``_per * _at``; ``_next`` is the next
+    packet that disturbs (or the table's end), and ``_bad`` the chain state
+    up to it.
     """
 
     def __init__(self, ch: ChannelModel, link: LinkState, rng: Optional[Rng] = None):
@@ -311,37 +313,27 @@ class Medium:
             self._per = 2
         else:
             self._per = 1 if ch.loss_p > 0.0 else 0
-        self._tape: Optional[UniformTape] = None  # the tape whose block the table reads
-        self._origin = self._at = self._end = 0
-        self._span = _MIN_WINDOW
+        self._values = np.zeros(0)
+        self._block = _MIN_BLOCK  # the values that the next draw ahead draws at least
+        self._at = 0
         self._next = _NEVER if not self._per else -1
         self._bad = link.ge_bad
-        self._lost: Optional[np.ndarray] = None  # the table (``_loss_table``)
+        self._lost = np.zeros(0, dtype=bool)  # the table (``_loss_table``)
         self._after: Optional[np.ndarray] = None
         self._marks: list[int] = []
 
-    def release(self) -> int:
-        """Give up the table; returns the tape position that its reads reached."""
-        self._tape, self._next = None, -1
-        return self._origin + self._per * self._at
-
-    def _anchor(self, n: int) -> None:
-        """Build the table from the tape's position in the link's chain state,
-        over a window of at least ``n`` packets: twice the last one when the
-        last one ran out, else the smallest."""
-        link = self.link
-        grown = self._tape is not None and link.ge_bad is self._bad
-        self._span = min(2 * self._span, _MAX_WINDOW) if grown else _MIN_WINDOW
-        per = self._per
-        values = max(self._span, per * n)
-        tape = self.rng.tape("loss")
-        block, pos = tape.lend(self, values)  # the last holder, maybe this one, lets go
-        self._tape = tape
-        self._lost, self._after, self._marks = _loss_table(
-            self.ch, block[pos : pos + values], link.ge_bad
-        )
-        self._origin, self._at, self._end = pos, 0, values // per
-        self._bad = link.ge_bad
+    def _table(self, n: int) -> None:
+        """Build the table over the unread values in the link's chain state,
+        first drawing the next block after them when fewer than ``n``
+        packets' values are left."""
+        per, link = self._per, self.link
+        rest = self._values[per * self._at :]
+        if len(rest) < per * n:
+            more = self.rng.stream("loss").random(max(self._block, per * n - len(rest)))
+            rest = np.concatenate((rest, more))
+            self._block = min(2 * self._block, _MAX_BLOCK)
+        self._values, self._at, self._bad = rest, 0, link.ge_bad
+        self._lost, self._after, self._marks = _loss_table(self.ch, rest, link.ge_bad)
 
     def _flags(self, n: int) -> Optional[list[bool]]:
         """The loss flags of the next ``n`` packets, None when none is lost;
@@ -354,8 +346,8 @@ class Medium:
         if not self._per:  # nothing is drawn; ``ge_bad`` was set from outside
             self._at, self._bad = at + n, link.ge_bad
             return None
-        if self._tape is None or at + n > self._end or link.ge_bad is not self._bad:
-            self._anchor(n)
+        if at + n > len(self._lost) or link.ge_bad is not self._bad:
+            self._table(n)
             at = 0
         end = at + n
         flags = self._lost[at:end].tolist()
@@ -465,37 +457,6 @@ class Medium:
             return ends if ends[2] else None
         sizes = [full_size] * (count - 1) + [tail_size]
         return frame_arrivals(_walk(ch, link, sizes, now, hops))
-
-
-def transmit(
-    ch: ChannelModel, link: LinkState, size_bytes: int, now: SimTime, rng: Optional[Rng] = None
-) -> Optional[SimTime]:
-    """``Medium.packet`` on a fresh binding."""
-    return Medium(ch, link, rng).packet(size_bytes, now)
-
-
-def transmit_burst(
-    ch: ChannelModel,
-    link: LinkState,
-    sizes: list[int],
-    now: SimTime,
-    rng: Optional[Rng] = None,
-) -> list[Optional[SimTime]]:
-    """``Medium.burst`` on a fresh binding."""
-    return Medium(ch, link, rng).burst(sizes, now)
-
-
-def transmit_frame(
-    ch: ChannelModel,
-    link: LinkState,
-    count: int,
-    full_size: int,
-    tail_size: int,
-    now: SimTime,
-    rng: Optional[Rng] = None,
-) -> Optional[tuple[SimTime, SimTime, int]]:
-    """``Medium.frame`` on a fresh binding."""
-    return Medium(ch, link, rng).frame(count, full_size, tail_size, now)
 
 
 def frame_arrivals(

@@ -255,10 +255,7 @@ class Simulator:
         """
         if frame_id != self.cfg.fault_drop_frame_id:
             return self._medium.frame(count, dpp.MTU, tail_wire, request)
-        # the fault frame binds a medium of its own, at the tape position
-        # where this run's medium hands it over (``UniformTape.settle``)
-        sizes = [dpp.MTU] * (count - 1) + [tail_wire]
-        arrivals = netsim.transmit_burst(self.channel, self.link, sizes, request, self.rng)
+        arrivals = self._medium.burst([dpp.MTU] * (count - 1) + [tail_wire], request)
         victim = self.cfg.fault_drop_frag_index
         if victim < 0:
             victim = int(self.rng.stream("fault").integers(0, count))

@@ -11,9 +11,9 @@ from uvrpipe.netsim import (
     MAX_PACKET_BYTES,
     ChannelModel,
     LinkState,
+    Medium,
     Topology,
     _clean_ends,
-    transmit_burst,
 )
 from uvrpipe.pipeline import run_scenario
 from uvrpipe.scenario import preset_config
@@ -51,14 +51,14 @@ def test_closed_form_equals_walk(
     if tail_wire is None:
         tail_wire = HEADER_LEN + tail
     sizes = [full] * (count - 1) + [tail_wire]
-    arrivals = transmit_burst(ch, walk, sizes, now)
+    arrivals = Medium(ch, walk).burst(sizes, now)
     ends = _clean_ends(ch, fast, count, full, tail_wire, now)
     if ends is None:
         # declined without touching the link, because the clamp binds ...
         assert fast == before
         assert arrivals[0] == last_arrival
         # ... so the caller's fallback walk lands in the same state
-        fallback = transmit_burst(ch, fast, sizes, now)
+        fallback = Medium(ch, fast).burst(sizes, now)
         ends = fallback[0], fallback[-1], count
     assert ends == (arrivals[0], arrivals[-1], count)
     assert fast == walk

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uvrpipe.core import (
@@ -133,20 +133,12 @@ def _eager_streams(seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**64),
-    order=st.permutations(_STREAM_NAMES),
-    taped=st.lists(st.booleans(), min_size=5, max_size=5),
-)
-def test_lazy_streams_equal_the_eager_ones(seed, order, taped):
-    # each stream is built on first use, in any order and through either
-    # door (a tape before the stream too), and draws what the eager one does
+@given(seed=st.integers(0, 2**64), order=st.permutations(_STREAM_NAMES))
+def test_lazy_streams_equal_the_eager_ones(seed, order):
+    # each stream is built on first use, in any order, and draws what the eager one does
     rng, eager = Rng(seed), _eager_streams(seed)
-    for name, tape in zip(order, taped):
-        if tape:
-            assert rng.tape(name).take(3) == eager[name].random(3).tolist()
-        else:
-            assert rng.stream(name).random(3).tolist() == eager[name].random(3).tolist()
+    for name in order:
+        assert rng.stream(name).random(3).tolist() == eager[name].random(3).tolist()
     for name in _STREAM_NAMES:
         expected = eager[name].standard_normal(2).tolist()
         assert rng.stream(name).standard_normal(2).tolist() == expected
@@ -169,81 +161,3 @@ def test_a_restored_stream_draws_from_the_saved_state(built):
     rng.restore("workload", saved.bit_generator.state)
     assert ("workload" in rng._gens) is built  # not built before its first draw
     assert rng.stream("workload").random(4).tolist() == saved.random(4).tolist()
-
-
-# --- the loss stream's tape ----------------------------------------------
-
-
-class _Reader:
-    """A reader that the tape lends its block to (as ``netsim.Medium`` is):
-    it reads on its own and reports its position when the tape settles."""
-
-    def __init__(self, tape, k):
-        self.block, self.pos = tape.lend(self, k)
-
-    def read(self, k):
-        values = self.block[self.pos : self.pos + k].tolist()
-        self.pos += k
-        return values
-
-    def release(self):
-        return self.pos
-
-
-_TAPE_OPS = st.lists(
-    st.one_of(
-        # lend a window of k values and read some of them, in two reads
-        st.tuples(st.just("lend"), st.integers(1, 300), st.integers(0, 150), st.integers(0, 150)),
-        st.tuples(st.just("take"), st.integers(1, 300), st.just(0), st.just(0)),
-        st.tuples(st.just("stream"), st.integers(0, 3), st.just(0), st.just(0)),
-    ),
-    max_size=60,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), ops=_TAPE_OPS)
-# a lent window across the first block boundary, read on past an odd take,
-# then a second lender before the first one settled
-@example(1, [("lend", 70, 3, 64), ("take", 3, 0, 0), ("lend", 2, 1, 0), ("lend", 9, 0, 5)])
-def test_tape_hands_out_the_sequential_draws(seed, ops):
-    plain = Rng(seed).stream("loss").random(60 * 300 + 10).tolist()
-    rng = Rng(seed)
-    at = 0
-    for op, k, first, second in ops:
-        if op == "lend":
-            reader = _Reader(rng.tape("loss"), k)
-            for part in (min(first, k), min(second, k - min(first, k))):
-                assert reader.read(part) == plain[at : at + part]
-                at += part
-        elif op == "take":
-            assert rng.tape("loss").take(k) == plain[at : at + k]
-            at += k
-        else:  # read the stream directly, then go on from a fresh tape
-            assert rng.stream("loss").random(k).tolist() == plain[at : at + k]
-            at += k
-    assert rng.stream("loss").random() == plain[at]
-
-
-def test_restore_lets_the_reader_go():
-    # the reader of a tape drawn ahead from a replaced state reads no more
-    rng = Rng(2)
-    saved = rng.stream("loss").bit_generator.state
-    reader = _Reader(rng.tape("loss"), 10)
-    reader.read(4)
-    released = []
-    reader.release = lambda: released.append(reader.pos) or reader.pos
-    rng.restore("loss", saved)
-    assert released == [4]
-    assert rng.tape("loss").take(3) == Rng(2).stream("loss").random(3).tolist()
-
-
-def test_tape_sync_keeps_the_buffered_half_word():
-    # a 32-bit draw buffers the other half of its 64-bit word; ``random()``
-    # leaves it buffered, so a synced stream must too
-    plain, taped = Rng(5).stream("loss"), Rng(5)
-    expected = [plain.integers(2**32, dtype=np.uint32), plain.random(5).tolist()]
-    expected.append(plain.integers(2**32, dtype=np.uint32))
-    got = [taped.stream("loss").integers(2**32, dtype=np.uint32), taped.tape("loss").take(5)]
-    got.append(taped.stream("loss").integers(2**32, dtype=np.uint32))
-    assert got == expected

@@ -9,13 +9,16 @@ the delivered packets in packet order; under INFRA all of hop 2 (only hop
 1's survivors) after hop 1. The batched walk must give the same arrivals and
 the same ``LinkState``, and leave both streams at the same place.
 
-``transmit_frame`` draws first and times a burst whose draws came out clean,
+``Medium.frame`` draws first and times a burst whose draws came out clean,
 and on P2P without jitter any burst, in closed form; it is checked against
-the same reference walk. Its loss flags come from a loss table over a
-window of a tape drawn ahead, so two channels on one ``Rng`` must also leave
-each other the reference's draws. The table itself is checked against the
-per-packet walk over the same uniforms, and a ``Medium`` bound once, as the
-simulator binds one per run, against the reference walk.
+the same reference walk. Every fast path runs on one ``Medium`` per link,
+bound once, as the simulator binds one per run. The medium is its loss
+stream's only reader and draws ahead, so "the same place" in the loss
+stream means its next unread value, or the stream's next one when it holds
+none. Its loss flags come from a loss table over the values drawn ahead:
+the table itself is checked against the per-packet walk over the same
+uniforms, and a medium against the reference walk across the ends of the
+blocks it draws and with ``ge_bad`` set from outside between hops.
 """
 
 from dataclasses import replace
@@ -35,9 +38,6 @@ from uvrpipe.netsim import (
     LossModel,
     Topology,
     serialization_us,
-    transmit,
-    transmit_burst,
-    transmit_frame,
 )
 
 
@@ -103,24 +103,29 @@ def reference_transmit_burst(ch, link, sizes, now, rng) -> list[Optional[int]]:
     return arrivals
 
 
-def _next_draws(rng: Rng) -> tuple[float, float]:
-    return float(rng.stream("loss").random()), float(rng.stream("jitter").standard_normal())
+def _next_draws(rng: Rng, medium: Optional[netsim.Medium] = None) -> tuple[float, float]:
+    """The next loss and jitter draw. The loss draw is the medium's next
+    unread value, or the stream's next one when the medium holds none."""
+    unread = [] if medium is None else medium._values[medium._per * medium._at :]
+    loss = unread[0] if len(unread) else rng.stream("loss").random()
+    return float(loss), float(rng.stream("jitter").standard_normal())
 
 
 def _compare(ch, link, seed, calls):
     """Run ``calls`` through both walks, each on its own copy of ``link``."""
     fast, ref = replace(link), replace(link)
     fast_rng, ref_rng = Rng(seed), Rng(seed)
+    medium = netsim.Medium(ch, fast, fast_rng)
     for now, sizes, one_packet_call in calls:
         if one_packet_call:
-            got = [transmit(ch, fast, sizes[0], now, fast_rng)]
+            got = [medium.packet(sizes[0], now)]
             sizes = sizes[:1]
         else:
-            got = transmit_burst(ch, fast, sizes, now, fast_rng)
+            got = medium.burst(sizes, now)
         want = reference_transmit_burst(ch, ref, sizes, now, ref_rng)
         assert got == want
         assert fast == ref
-    assert _next_draws(fast_rng) == _next_draws(ref_rng)
+    assert _next_draws(fast_rng, medium) == _next_draws(ref_rng)
 
 
 channels = st.builds(
@@ -143,7 +148,7 @@ links = st.builds(
     ge_bad=st.booleans(),
 )
 packet = st.integers(1, MAX_PACKET_BYTES)
-# each call: (send time, sizes, one_packet_call) -- one_packet_call uses ``transmit``
+# each call: (send time, sizes, one_packet_call) -- one_packet_call uses ``Medium.packet``
 calls = st.lists(
     st.tuples(st.integers(0, 200_000), st.lists(packet, min_size=1, max_size=40), st.booleans()),
     min_size=1,
@@ -168,7 +173,7 @@ GE = dict(loss_model=LossModel.GILBERT_ELLIOTT, ge_p_gb=0.3, ge_p_bg=0.3, ge_los
     2,
     [(0, [MAX_PACKET_BYTES] * 30, False), (10, [900], True)],
 )
-# one-packet bursts and interleaved transmit / transmit_burst on one link
+# one-packet bursts and interleaved packet and burst calls on one medium
 @example(
     ChannelModel(topology=Topology.INFRA, loss_p=0.5, jitter_sigma_us=80.0),
     LinkState(),
@@ -222,15 +227,16 @@ def reference_frame(arrivals):
 
 
 def _compare_frames(ch, link, seed, frames):
-    """Send ``frames`` through ``transmit_frame`` and the reference walk."""
+    """Send ``frames`` through ``Medium.frame`` and the reference walk."""
     fast, ref = replace(link), replace(link)
     fast_rng, ref_rng = Rng(seed), Rng(seed)
+    medium = netsim.Medium(ch, fast, fast_rng)
     for now, count, full, tail in frames:
-        got = transmit_frame(ch, fast, count, full, tail, now, fast_rng)
+        got = medium.frame(count, full, tail, now)
         sizes = [full] * (count - 1) + [tail]
         assert got == reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
         assert fast == ref
-    assert _next_draws(fast_rng) == _next_draws(ref_rng)
+    assert _next_draws(fast_rng, medium) == _next_draws(ref_rng)
 
 
 @st.composite
@@ -397,42 +403,6 @@ def test_binding_clamp_after_lossy_burst_walks(loss, monkeypatch):
     assert walks
 
 
-def _compare_two_channels(first, second, seed, frames):
-    """``_compare_frames`` for two channels that share one ``Rng``, each on its
-    own link, with ``frames`` sent alternately on them."""
-    links = {id(ch): (LinkState(), LinkState()) for ch in (first, second)}
-    fast_rng, ref_rng = Rng(seed), Rng(seed)
-    for i, (now, count, full, tail) in enumerate(frames):
-        ch = (first, second)[i % 2]
-        fast, ref = links[id(ch)]
-        got = transmit_frame(ch, fast, count, full, tail, now, fast_rng)
-        sizes = [full] * (count - 1) + [tail]
-        assert got == reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
-        assert fast == ref
-    assert _next_draws(fast_rng) == _next_draws(ref_rng)
-
-
-@settings(max_examples=300)
-@given(
-    first=st.one_of(channels, ge_channels()),
-    second=st.one_of(channels, ge_channels()),
-    seed=st.integers(0, 2**32 - 1),
-    frames=st.lists(
-        st.tuples(st.integers(0, 200_000), st.integers(1, 40), packet, packet), max_size=12
-    ),
-)
-# a Bernoulli and a Gilbert-Elliott channel draw from one tape, with odd
-# one-packet Bernoulli bursts in between, across the first block boundary
-@example(
-    ChannelModel(loss_p=0.05),
-    ChannelModel(**dict(GE, ge_loss_good=0.02)),
-    7,
-    [(0, 1, 64, 64), (0, 20, MAX_PACKET_BYTES, 300)] * 4,
-)
-def test_two_channels_share_one_tape(first, second, seed, frames):
-    _compare_two_channels(first, second, seed, frames)
-
-
 # --- the loss table ----------------------------------------------------------
 
 
@@ -495,7 +465,7 @@ def test_loss_table_equals_the_per_packet_walk(ch, bad, data):
 # ops on a medium bound once, as the simulator binds one per run
 bound_ops = st.lists(
     st.one_of(
-        # up to 90 packets: longer than a first window (32 Gilbert-Elliott packets)
+        # up to 90 packets: longer than a first block (32 Gilbert-Elliott packets)
         st.tuples(st.just("frame"), st.integers(0, 200_000), st.integers(1, 90), packet),
         st.tuples(st.just("packet"), st.integers(0, 200_000), packet, st.just(None)),
         st.tuples(
@@ -506,70 +476,47 @@ bound_ops = st.lists(
         ),
         # ``ge_bad`` set from outside between hops
         st.tuples(st.just("flip"), st.just(0), st.just(0), st.just(None)),
-        # a frame on a second channel, bound to the same tape
-        st.tuples(st.just("other"), st.integers(0, 200_000), st.integers(1, 40), packet),
-        # the loss stream read directly
-        st.tuples(st.just("stream"), st.integers(0, 3), st.just(0), st.just(None)),
     ),
     min_size=1,
     max_size=25,
 )
-# frames of 90 Gilbert-Elliott packets: hops across the first windows' and
-# blocks' ends, and hops longer than a window
+# frames of 90 Gilbert-Elliott packets: hops across the ends of the blocks
+# drawn ahead, and hops longer than a block
 LONG = [("frame", 16_667 * k, 90, 700) for k in range(14)]
 
 
 @settings(max_examples=500)
 @given(
     ch=st.one_of(channels, ge_channels(), table_channels()),
-    other=st.one_of(channels, ge_channels()),
     bad=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     ops=bound_ops,
 )
-@example(ChannelModel(**dict(GE, ge_loss_good=0.05)), ChannelModel(loss_p=0.1), True, 3, LONG)
+@example(ChannelModel(**dict(GE, ge_loss_good=0.05)), True, 3, LONG)
 @example(
     ChannelModel(topology=Topology.INFRA, jitter_sigma_us=30.0, **dict(GE, ge_p_gb=0.02)),
-    ChannelModel(**GE),
     False,
     4,
-    [
-        *LONG[:5],
-        ("flip", 0, 0, None),
-        ("packet", 0, 64, None),
-        ("stream", 1, 0, None),
-        *LONG[5:9],
-        ("other", 0, 30, 500),
-        *LONG[9:],
-    ],
+    [*LONG[:5], ("flip", 0, 0, None), ("packet", 0, 64, None), *LONG[5:]],
 )
-def test_bound_medium_equals_reference(ch, other, bad, seed, ops):
+def test_bound_medium_equals_reference(ch, bad, seed, ops):
     fast, ref = LinkState(ge_bad=bad), LinkState(ge_bad=bad)
-    fast_other, ref_other = LinkState(), LinkState()
     fast_rng, ref_rng = Rng(seed), Rng(seed)
     medium = netsim.Medium(ch, fast, fast_rng)
-    other_medium = netsim.Medium(other, fast_other, fast_rng)
     for op, now, n, size in ops:
-        if op in ("frame", "other"):
-            bound, link, ref_link = (
-                (medium, ch, ref) if op == "frame" else (other_medium, other, ref_other)
-            )
-            got = bound.frame(n, MAX_PACKET_BYTES, size, now)
+        if op == "frame":
+            got = medium.frame(n, MAX_PACKET_BYTES, size, now)
             sizes = [MAX_PACKET_BYTES] * (n - 1) + [size]
-            want = reference_frame(reference_transmit_burst(link, ref_link, sizes, now, ref_rng))
+            want = reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
         elif op == "packet":
             got = medium.packet(n, now)
             want = reference_transmit_burst(ch, ref, [n], now, ref_rng)[0]
         elif op == "burst":
             got = medium.burst(n, now)
             want = reference_transmit_burst(ch, ref, n, now, ref_rng)
-        elif op == "flip":
+        else:
             fast.ge_bad = ref.ge_bad = not ref.ge_bad
             continue
-        else:
-            got = fast_rng.stream("loss").random(now).tolist()
-            want = ref_rng.stream("loss").random(now).tolist()
         assert got == want
         assert fast == ref
-        assert fast_other == ref_other
-    assert _next_draws(fast_rng) == _next_draws(ref_rng)
+    assert _next_draws(fast_rng, medium) == _next_draws(ref_rng)

@@ -7,10 +7,9 @@ from uvrpipe.netsim import (
     LossModel,
     OversizedPacket,
     Topology,
+    Medium,
     link_occupancy,
     serialization_us,
-    transmit,
-    transmit_burst,
 )
 
 
@@ -22,14 +21,14 @@ def test_serialization_examples():
 def test_p2p_idle_delivery():
     ch = ChannelModel(topology=Topology.P2P)
     link = LinkState()
-    assert transmit(ch, link, 2_304, 1_000) == 1_000 + 22 + 200
+    assert Medium(ch, link).packet(2_304, 1_000) == 1_000 + 22 + 200
     assert link.busy_until == 1_022
 
 
 def test_infra_two_hops_one_medium():
     ch = ChannelModel(topology=Topology.INFRA)
     link = LinkState()
-    arrival = transmit(ch, link, 2_304, 0)
+    arrival = Medium(ch, link).packet(2_304, 0)
     assert arrival == 444  # two serializations + two propagation delays
     assert link.busy_accum_us == 44
 
@@ -37,16 +36,15 @@ def test_infra_two_hops_one_medium():
 def test_oversized_packet_rejected():
     ch = ChannelModel()
     with pytest.raises(OversizedPacket):
-        transmit(ch, LinkState(), 2_305, 0)
+        Medium(ch, LinkState()).packet(2_305, 0)
     with pytest.raises(OversizedPacket):
-        transmit_burst(ch, LinkState(), [100, 9_999], 0)
+        Medium(ch, LinkState()).burst([100, 9_999], 0)
 
 
 def test_fifo_under_jitter():
     ch = ChannelModel(topology=Topology.P2P, jitter_sigma_us=300.0)
     link = LinkState()
-    rng = Rng(3)
-    arrivals = transmit_burst(ch, link, [2_304] * 200, 0, rng)
+    arrivals = Medium(ch, link, Rng(3)).burst([2_304] * 200, 0)
     assert all(a is not None for a in arrivals)
     assert arrivals == sorted(arrivals)
 
@@ -54,9 +52,8 @@ def test_fifo_under_jitter():
 def test_jitter_bounded_by_three_sigma():
     ch = ChannelModel(topology=Topology.P2P, jitter_sigma_us=100.0)
     link = LinkState()
-    rng = Rng(4)
     base_gap = 22  # back-to-back serialization
-    arrivals = transmit_burst(ch, link, [2_304] * 500, 0, rng)
+    arrivals = Medium(ch, link, Rng(4)).burst([2_304] * 500, 0)
     starts = [i * base_gap for i in range(500)]
     extras = [a - (s + base_gap + 200) for a, s in zip(arrivals, starts)]
     assert all(0 <= e <= 300 + base_gap for e in extras)
@@ -66,11 +63,9 @@ def test_zero_loss_zero_jitter_is_seed_independent():
     ch = ChannelModel(topology=Topology.INFRA)
     runs = []
     for seed in (1, 2):
-        link = LinkState()
-        runs.append(transmit_burst(ch, link, [2_304, 1_500, 800], 0, Rng(seed)))
+        runs.append(Medium(ch, LinkState(), Rng(seed)).burst([2_304, 1_500, 800], 0))
     assert runs[0] == runs[1]
-    link = LinkState()
-    assert transmit_burst(ch, link, [2_304, 1_500, 800], 0, None) == runs[0]
+    assert Medium(ch, LinkState(), None).burst([2_304, 1_500, 800], 0) == runs[0]
 
 
 def test_bernoulli_loss_rate_within_binomial_bounds():
@@ -78,8 +73,8 @@ def test_bernoulli_loss_rate_within_binomial_bounds():
     n = 20_000
     ch = ChannelModel(topology=Topology.P2P, loss_p=p)
     link = LinkState()
-    rng = Rng(12)
-    lost = sum(1 for _ in range(n) if transmit(ch, link, 500, link.busy_until, rng) is None)
+    medium = Medium(ch, link, Rng(12))
+    lost = sum(1 for _ in range(n) if medium.packet(500, link.busy_until) is None)
     sigma = (n * p * (1 - p)) ** 0.5
     assert abs(lost - n * p) <= 3 * sigma
 
@@ -94,8 +89,8 @@ def test_gilbert_elliott_burstier_than_bernoulli():
         ge_loss_bad=0.5,
     )
     link = LinkState()
-    rng = Rng(5)
-    outcomes = [transmit(ch, link, 500, link.busy_until, rng) is None for _ in range(20_000)]
+    medium = Medium(ch, link, Rng(5))
+    outcomes = [medium.packet(500, link.busy_until) is None for _ in range(20_000)]
     losses = sum(outcomes)
     assert 0 < losses < 20_000
     # loss events cluster: P(loss | previous loss) well above the base rate
@@ -108,9 +103,10 @@ def test_burst_equals_sequential_transmit_on_p2p():
     ch = ChannelModel(topology=Topology.P2P)
     sizes = [2_304, 117, 900, 2_304, 64]
     a = LinkState()
-    burst = transmit_burst(ch, a, sizes, 5_000)
+    burst = Medium(ch, a).burst(sizes, 5_000)
     b = LinkState()
-    seq = [transmit(ch, b, s, 5_000) for s in sizes]
+    medium = Medium(ch, b)
+    seq = [medium.packet(s, 5_000) for s in sizes]
     assert burst == seq
     assert a.busy_until == b.busy_until
 
@@ -121,9 +117,9 @@ def test_occupancy_and_infra_doubling():
     assert link_occupancy(idle, window) == 0.0
     sizes = [2_304] * 100
     p2p_link = LinkState()
-    transmit_burst(ChannelModel(topology=Topology.P2P), p2p_link, sizes, 0)
+    Medium(ChannelModel(topology=Topology.P2P), p2p_link).burst(sizes, 0)
     infra_link = LinkState()
-    transmit_burst(ChannelModel(topology=Topology.INFRA), infra_link, sizes, 0)
+    Medium(ChannelModel(topology=Topology.INFRA), infra_link).burst(sizes, 0)
     assert link_occupancy(infra_link, window) == 2 * link_occupancy(p2p_link, window)
     with pytest.raises(ValueError):
         link_occupancy(idle, 0)
@@ -135,8 +131,9 @@ def test_occupancy_of_a_paced_stream():
     link = LinkState()
     frame_bytes = 41_667
     sizes = [2_304] * (frame_bytes // 2_304) + [frame_bytes % 2_304]
+    medium = Medium(ch, link)
     for i in range(60):
-        transmit_burst(ch, link, sizes, i * 16_667)
+        medium.burst(sizes, i * 16_667)
     expected = 8 * frame_bytes * 60 / ch.bandwidth_bps
     measured = link_occupancy(link, 1_000_000)
     assert measured == pytest.approx(expected, rel=0.05)  # per-packet ceil rounding
@@ -144,6 +141,6 @@ def test_occupancy_of_a_paced_stream():
 
 def test_p2p_beats_infra_per_packet():
     for size in (64, 500, 2_304):
-        p2p = transmit(ChannelModel(topology=Topology.P2P), LinkState(), size, 0)
-        infra = transmit(ChannelModel(topology=Topology.INFRA), LinkState(), size, 0)
+        p2p = Medium(ChannelModel(topology=Topology.P2P), LinkState()).packet(size, 0)
+        infra = Medium(ChannelModel(topology=Topology.INFRA), LinkState()).packet(size, 0)
         assert p2p < infra

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden import RUNS, _ge_fault
 
+from uvrpipe import netsim
 from uvrpipe.core import Rng
 from uvrpipe.experiments import recovery_config, recovery_trial
 from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario, send_grid
@@ -153,6 +155,24 @@ def test_recovery_trial_reads_the_frame_table(feedback):
         assert trial["recovery_frame_id"] == recovery_i and trial["recovered"] is True
         assert trial["corrupted_interval"] == sum(r.corrupted for r in records) > 0
         assert type(trial["recovery_frame_id"]) is type(trial["corrupted_interval"]) is int
+
+
+def test_a_run_binds_at_most_one_medium(monkeypatch):
+    # the fault frame goes on the air through the run's own medium, the loss
+    # stream's only reader; a draw-free array run binds none
+    built = []
+
+    class Counted(netsim.Medium):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "Medium", Counted)
+    run_scenario(_ge_fault())
+    assert len(built) == 1
+    built.clear()
+    run_scenario(RUNS["baseline"]())
+    assert built == []
 
 
 def test_unknown_toggle_rejected():

@@ -90,14 +90,13 @@ def test_link_calibration_hits_network_targets():
 
 def _transport_reference(size_bytes, channel):
     """One frame's burst on an idle link of ``channel`` made lossless and
-    jitter-free, through ``netsim.transmit_frame``: its last arrival."""
+    jitter-free, through ``netsim.Medium.frame``: its last arrival."""
     clean = replace(
         channel, jitter_sigma_us=0.0, loss_model=netsim.LossModel.BERNOULLI, loss_p=0.0
     )
     count, tail = dpp.fragment_layout(size_bytes)
-    _first, last, _delivered = netsim.transmit_frame(
-        clean, netsim.LinkState(), count, dpp.MTU, dpp.HEADER_LEN + tail, 0
-    )
+    medium = netsim.Medium(clean, netsim.LinkState())
+    _first, last, _delivered = medium.frame(count, dpp.MTU, dpp.HEADER_LEN + tail, 0)
     return last
 
 
