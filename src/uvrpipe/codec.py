@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ColorSpace, SimTime
+from .core import ColorSpace, SimTime, running_max
 
 
 class FrameType(Enum):
@@ -36,11 +36,6 @@ class CodecConfig:
 def effective_color_space(cfg: CodecConfig) -> ColorSpace:
     """Encoding color space: native RGB when transcoding is avoided."""
     return ColorSpace.RGB if cfg.transcode_avoidance else ColorSpace.YUV420
-
-
-def frame_budget(cfg: CodecConfig) -> Fraction:
-    """Average bytes per frame at the target bitrate."""
-    return Fraction(cfg.bitrate_bps, 8 * cfg.fps)
 
 
 def nominal_sizes(cfg: CodecConfig) -> tuple[int, int]:
@@ -180,11 +175,11 @@ class DecodeServer:
         top = max(int(arrivals.max()), self._prev_start)  # the last start
         if top * c + (n + 2) * k >= 2**62:
             return None
-        start = np.maximum.accumulate(np.maximum(arrivals, self._prev_start))
+        start = running_max(np.maximum(arrivals, self._prev_start))
         z_before = self._last * c - self._tokens
         scaled = start * c
         taken = np.arange(1, n + 1) * k  # (i+1)*K
-        z = taken + np.maximum(np.maximum.accumulate(scaled - (taken + k)), z_before)
+        z = taken + np.maximum(running_max(scaled - (taken + k)), z_before)
         if scaled[0] - z_before < k or (scaled[1:] - z[:-1] < k).any():
             return None
         self._tokens = int(scaled[-1] - z[-1])

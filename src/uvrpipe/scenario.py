@@ -61,8 +61,8 @@ class ScenarioConfig:
         """Every range violation, key by key in ``KEYS`` order, then the
         checks that a key's own range cannot express."""
         failed = {}
-        for key, get in _GETTERS.items():
-            error = key_error(key, get(self))
+        for key, value in zip(KEYS, config_values(self)):
+            error = key_error(key, value)
             if error is not None:
                 failed[key] = error
         errors = list(failed.values())
@@ -148,7 +148,8 @@ def _field_type(path: str) -> type:
 _TYPES = {key: _field_type(path) for key, (path, _bound) in KEYS.items()}
 
 
-_GETTERS = {key: attrgetter(path) for key, (path, _bound) in KEYS.items()}
+# every key's value, in ``KEYS`` order: a snapshot that later changes to a config do not reach
+config_values = attrgetter(*(path for path, _bound in KEYS.values()))
 # per key, resolved once: whether its value must be finite, and its range test
 _CHECKS = {
     key: (_TYPES[key] is float, bound and _IN_RANGE[bound]) for key, (_path, bound) in KEYS.items()
@@ -267,9 +268,11 @@ def parse_scenario(path: Union[str, Path], base: Optional[ScenarioConfig] = None
     return parse_scenario_text(p.read_text(), base=base, source=str(p))
 
 
-def to_flat_dict(cfg: ScenarioConfig) -> dict[str, str]:
-    """Emit the full configuration in the file grammar (round-trips exactly)."""
-    return {key: _format(_TYPES[key], get(cfg)) for key, get in _GETTERS.items()}
+def to_flat_dict(cfg: Union[ScenarioConfig, tuple]) -> dict[str, str]:
+    """Emit the full configuration, or its ``config_values``, in the file
+    grammar (round-trips exactly)."""
+    values = cfg if isinstance(cfg, tuple) else config_values(cfg)
+    return dict(zip(KEYS, map(_format, _TYPES.values(), values)))
 
 
 def emit_scenario(cfg: ScenarioConfig) -> str:

@@ -53,6 +53,8 @@ network + 700 + 2,940 receiver) and 14.32 ms with all five on (3,720 +
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from . import codec as codec_mod
 from . import dpp, netsim
@@ -138,19 +140,19 @@ def link_fixed_overhead_us(cfg: CodecConfig, channel: netsim.ChannelModel) -> in
     return max(0, round(target - mech_mean))
 
 
-@dataclass
+@dataclass(frozen=True)  # with copies of its own parts, so runs can share it
 class DatapathGraph:
     toggles: OptimizationToggles
     codec: CodecConfig  # with the toggles' color space applied
     channel: netsim.ChannelModel  # on the toggles' topology
-    host_stages: list[tuple[str, SimTime]]
+    host_stages: tuple[tuple[str, SimTime], ...]
     encode_path_us: SimTime
     host_netstack_us: SimTime
     link_fixed_us: SimTime
     mud_service_us: SimTime
     residual_us: SimTime
 
-    @property
+    @cached_property
     def host_netstack_copies(self) -> int:
         """Copies of the encoded frame per frame sent, read off the copy ledger."""
         # every copy of a one-byte frame adds one byte, and no raw bytes are copied
@@ -188,15 +190,41 @@ def build_datapath(
         toggles.transcode_avoidance and toggles.shared_gpu_buffer and toggles.direct_net_io
     )
     return DatapathGraph(
-        toggles=toggles,
+        toggles=replace(toggles),
         codec=cfg,
         channel=channel,
-        host_stages=host_stages,
+        host_stages=tuple(host_stages),
         encode_path_us=encode_path,
         host_netstack_us=netstack,
         link_fixed_us=link_fixed_overhead_us(cfg, channel),
         mud_service_us=MUD_DECODE_US + (0 if toggles.direct_net_io else MUD_NETSTACK_US),
         residual_us=RESIDUAL_PRESENTATION_US if streamlined else 0,
+    )
+
+
+# each part's field values, in field order
+_TOGGLE_VALUES, _CODEC_VALUES, _CHANNEL_VALUES = (
+    attrgetter(*(f.name for f in fields(part)))
+    for part in (OptimizationToggles, CodecConfig, netsim.ChannelModel)
+)
+
+
+def shared_datapath(
+    toggles: OptimizationToggles, cfg: CodecConfig, channel: netsim.ChannelModel
+) -> DatapathGraph:
+    """``build_datapath`` of the parts' values, built once and shared
+    read-only by every run whose values agree."""
+    return _datapath(*_TOGGLE_VALUES(toggles), *_CODEC_VALUES(cfg), *_CHANNEL_VALUES(channel))
+
+
+@lru_cache(maxsize=2 ** len(TOGGLE_NAMES), typed=True)  # typed: 1, 1.0 and True differ
+def _datapath(*values) -> DatapathGraph:
+    codec_at = len(TOGGLE_NAMES)
+    channel_at = codec_at + len(fields(CodecConfig))
+    return build_datapath(
+        OptimizationToggles(*values[:codec_at]),
+        CodecConfig(*values[codec_at:channel_at]),
+        netsim.ChannelModel(*values[channel_at:]),
     )
 
 

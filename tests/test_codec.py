@@ -11,11 +11,16 @@ from uvrpipe.codec import (
     FrameType,
     GopWalker,
     encoded_size,
-    frame_budget,
     nominal_sizes,
 )
 from uvrpipe.core import tick_time
 from uvrpipe.scenario import ScenarioConfig
+
+
+def frame_budget(cfg: CodecConfig) -> Fraction:
+    """Average bytes per frame at the target bitrate: the reference for
+    ``nominal_sizes``, whose GOP averages it."""
+    return Fraction(cfg.bitrate_bps, 8 * cfg.fps)
 
 
 def test_frame_budget():

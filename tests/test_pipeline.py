@@ -1,6 +1,7 @@
 import itertools
+import json
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import RUNS, _ge_fault
 
-from uvrpipe import netsim
+from uvrpipe import netsim, stages
 from uvrpipe.core import Rng
 from uvrpipe.experiments import recovery_config, recovery_trial
 from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario, send_grid
-from uvrpipe.report import FrameRecord
-from uvrpipe.scenario import EncodeMode, ScenarioConfig, ScenarioError, preset_config
-from uvrpipe.stages import OptimizationToggles, TOGGLE_NAMES
+from uvrpipe.report import FrameRecord, report_file_dict
+from uvrpipe.scenario import EncodeMode, ScenarioConfig, ScenarioError, preset_config, to_flat_dict
+from uvrpipe.stages import OptimizationToggles, TOGGLE_NAMES, build_datapath
 
 
 def _short(preset="baseline", seconds=2.0, seed=42, **attrs):
@@ -323,3 +324,75 @@ def test_a_cache_hit_leaves_the_workload_stream_where_scalar_draws_do():
     for _ in range(sim._rendered):
         scalar.lognormal_complexity(cfg.workload.complexity_sigma)
     assert sim.rng.stream("workload").random() == scalar.stream("workload").random()
+
+
+# an array run, and a run that a fault frame past its end sends through the event loop
+_PATHS = {"arrays": {}, "events": {"fault_drop_frame_id": 10**6}}
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_a_report_reads_the_same_through_either_json_encoder(path):
+    # compact dumps takes json's C encoder and indent its Python one; a
+    # config that is formatted on first read must reach both
+    cfg = _short(**_PATHS[path])
+    d = report_file_dict(run_scenario(cfg).metrics)
+    compact = json.loads(json.dumps(d))
+    assert compact == json.loads(json.dumps(d, indent=2))
+    assert compact["report"]["config"] == to_flat_dict(cfg)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_a_report_keeps_the_config_of_its_run(path):
+    cfg = _short(**_PATHS[path])
+    at_run = deepcopy(cfg)
+    metrics = run_scenario(cfg).metrics
+    cfg.channel.loss_p = 0.5
+    cfg.toggles.p2p_topology = True
+    cfg.codec.gop_size = 7
+    cfg.seed = 1
+    assert to_flat_dict(cfg) != to_flat_dict(at_run)
+    assert metrics.config == to_flat_dict(at_run)
+
+
+def test_an_array_run_builds_no_event_loop_state():
+    sim = Simulator(_short())
+    sim.run()
+    assert not {"queue", "walker", "reasm", "mud_fb", "host_fb"} & set(vars(sim))
+
+
+def test_equal_configs_share_one_frozen_graph():
+    cfg = _short()
+    first, second = Simulator(cfg), Simulator(_short(seed=7))
+    assert first.graph is second.graph
+    assert first.graph == build_datapath(cfg.toggles, cfg.codec, cfg.channel)
+    assert first.graph.toggles is not cfg.toggles
+    assert build_datapath(cfg.toggles, cfg.codec, cfg.channel).toggles is not cfg.toggles
+    with pytest.raises(FrozenInstanceError):
+        first.graph.encode_path_us = 0
+    with pytest.raises(FrozenInstanceError):
+        first.graph.toggles = OptimizationToggles.all_on()
+
+
+def test_equal_values_of_other_types_do_not_share_a_graph():
+    # 200 == 200.0, but a float delay makes every arrival time a float
+    cfg = _short()
+    cfg.channel.prop_delay_us = 200.0
+    assert type(Simulator(cfg).graph.channel.prop_delay_us) is float
+    assert type(Simulator(_short()).graph.channel.prop_delay_us) is int
+
+
+@pytest.mark.parametrize("part", ["toggles", "codec"])
+def test_changing_a_config_part_between_runs_gives_its_new_graph(part):
+    cfg = _short()
+    first = run_scenario(cfg)
+    if part == "toggles":
+        cfg.toggles.p2p_topology = True
+    else:
+        cfg.codec.bitrate_bps //= 2
+    second = run_scenario(cfg)
+    assert second.graph == build_datapath(cfg.toggles, cfg.codec, cfg.channel)
+    assert second.graph != first.graph
+    base = _short()
+    assert first.graph == build_datapath(base.toggles, base.codec, base.channel)
+    stages._datapath.cache_clear()
+    assert second.metrics.to_dict() == run_scenario(cfg).metrics.to_dict()

@@ -1,12 +1,19 @@
-"""``report._dist_ms`` against the two ``np.percentile`` calls it replaces, and
-the constant-stage entry against ``_dist_ms`` of the full sample."""
+"""``report._dist_ms`` against the two ``np.percentile`` calls it replaces, the
+constant-stage entry against ``_dist_ms`` of the full sample, and
+``build_distributions`` against one ``_dist_ms`` per column."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uvrpipe.report import _constant_dist_ms, _dist_ms, _percentile, build_distributions
+from uvrpipe.report import (
+    FRAME_PERIOD_60FPS_MS,
+    _constant_dist_ms,
+    _dist_ms,
+    _percentile,
+    build_distributions,
+)
 
 
 def _numpy_dist_ms(values_us):
@@ -21,7 +28,7 @@ def _numpy_dist_ms(values_us):
 
 def _assert_same(values_us):
     arr = np.asarray(values_us, dtype=np.float64) / 1000.0
-    ordered = np.sort(arr)
+    ordered = np.sort(values_us)  # in us: each value read is made ms
     for q, pct in ((0.5, 50), (0.99, 99)):
         # bit for bit before rounding
         assert _percentile(ordered, q).hex() == float(np.percentile(arr, pct)).hex()
@@ -90,3 +97,81 @@ def test_build_distributions_takes_a_constant_stage():
     assert build_distributions({"mud": 3_640}, e2e) == build_distributions(
         {"mud": np.full(3, 3_640)}, e2e
     )
+
+
+def _reference_distributions(per_stage_us, e2e_us):
+    """``build_distributions`` as one ``_dist_ms`` per column, no sort shared."""
+    n = len(e2e_us)
+    stages = {
+        name: _dist_ms(np.full(n, vals) if isinstance(vals, int) else vals)
+        for name, vals in per_stage_us.items()
+    }
+    e2e = _dist_ms(e2e_us)
+    e2e["mean_frames_60fps"] = round(e2e["mean_ms"] / FRAME_PERIOD_60FPS_MS, 4)
+    return stages, e2e
+
+
+def _assert_distributions(per_stage_us, e2e_us):
+    stages, e2e = build_distributions(per_stage_us, e2e_us)
+    want_stages, want_e2e = _reference_distributions(per_stage_us, e2e_us)
+    assert list(stages) == list(want_stages)
+    assert {k: _bits(v) for k, v in stages.items()} == {k: _bits(v) for k, v in want_stages.items()}
+    assert _bits(e2e) == _bits(want_e2e)
+    for name, vals in per_stage_us.items():
+        if not isinstance(vals, int):
+            assert stages[name] == _numpy_dist_ms(vals)
+    assert {k: v for k, v in e2e.items() if k != "mean_frames_60fps"} == _numpy_dist_ms(e2e_us)
+
+
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+@st.composite
+def stage_tables(draw):
+    """Stages and an end-to-end sample: constant ints and constant int
+    columns (negative, past 2**40), with no varying column, one that
+    end-to-end follows at a fixed offset, two, or Python ints past int64."""
+    n = draw(st.integers(1, 40))
+    value = st.one_of(narrow, st.integers(-(2**41), 2**41), wide)
+    per_stage = {}
+    for i in range(draw(st.integers(0, 3))):
+        per_stage[f"int{i}"] = draw(value)
+    for i in range(draw(st.integers(0, 2))):
+        per_stage[f"flat{i}"] = np.full(n, draw(value), dtype=np.int64)
+    column = st.lists(st.one_of(narrow, st.integers(0, 50_000), wide), min_size=n, max_size=n)
+    shape = draw(st.sampled_from(["none", "one", "one", "one", "two", "object"]))
+    if shape == "object":
+        col = [2**63 + v for v in draw(column)]
+        per_stage["big"] = np.array(col, dtype=object)
+        return per_stage, np.array([v + draw(narrow) for v in col], dtype=object)
+    cols = [draw(column) for _ in range({"none": 0, "one": 1, "two": 2}[shape])]
+    for i, col in enumerate(cols):
+        per_stage[f"var{i}"] = np.array(col, dtype=np.int64)
+    if cols and draw(st.integers(0, 3)) == 0:
+        e2e = draw(column)  # unrelated to the stages
+    else:
+        shift = draw(value)
+        e2e = [sum(vals) + shift for vals in zip(*cols)] if cols else [shift] * n
+    assume(all(_INT64[0] <= v <= _INT64[1] for v in e2e))
+    return per_stage, np.array(e2e, dtype=np.int64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(stage_tables())
+def test_build_distributions_equals_a_dist_ms_per_column(table):
+    _assert_distributions(*table)
+
+
+def test_a_shared_sort_is_not_read_across_a_wrapped_offset():
+    # end-to-end is the stage plus 2**63 + 10, which int64 wraps to a
+    # constant; the two must not share the stage's sort
+    col = np.array([-(2**62) - 5, -(2**62) - 3, -(2**62)], dtype=np.int64)
+    e2e = np.array([int(v) + 2**63 + 10 for v in col], dtype=np.int64)
+    _assert_distributions({"network": col, "mud": 3_640}, e2e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3_600])
+def test_one_varying_stage_shares_its_sort_with_end_to_end(n):
+    net = np.arange(3_000, 3_000 + 7 * n, 7, dtype=np.int64) % 5_501
+    per_stage = {"encode": 13_940, "network": net, "decode-wait": np.zeros(n, dtype=np.int64)}
+    _assert_distributions(per_stage, net + 13_940)
