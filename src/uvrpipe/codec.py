@@ -152,6 +152,16 @@ class DecodeServer:
         self._prev_start = start
         return start, start - arrival
 
+    @property
+    def fresh(self) -> bool:
+        """Whether the server is as built: no frame offered, the bucket full."""
+        return self._prev_start < 0 and self._last == 0 and self._tokens == 2 * self.TOKEN
+
+    def scaled_horizon(self, top: SimTime, n: int) -> int:
+        """A bound on every scaled time of ``offer_run`` over n arrivals whose
+        last start is ``top``; at 2**62 or more, int64 could wrap."""
+        return top * self.fps_cap + (n + 2) * self.TOKEN
+
     def offer_run(self, arrivals: np.ndarray) -> Optional[np.ndarray]:
         """``offer`` of every arrival in order, as one int64 array of decode
         starts, when no frame waits for a token; else None, with no state
@@ -173,7 +183,7 @@ class DecodeServer:
             return np.zeros(0, dtype=np.int64)
         c, k = self.fps_cap, self.TOKEN
         top = max(int(arrivals.max()), self._prev_start)  # the last start
-        if top * c + (n + 2) * k >= 2**62:
+        if self.scaled_horizon(top, n) >= 2**62:
             return None
         start = running_max(np.maximum(arrivals, self._prev_start))
         z_before = self._last * c - self._tokens

@@ -540,12 +540,13 @@ def _clean_ends(
 
 def clean_run(
     ch: ChannelModel, link: LinkState, count: np.ndarray, tail_size: np.ndarray, now: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
     """``_clean_ends`` for a run of frames at once, each of ``count - 1``
     full packets (``MAX_PACKET_BYTES``) and a tail, requested at ``now``.
 
-    Returns int64 arrays (start, first arrival, last arrival) and updates
-    ``link`` as the per-frame calls would. Across frames the link is the
+    Returns int64 arrays (start, last arrival) and the run's horizon, a bound
+    on every time in it that stays below 2**62, and updates ``link`` as the
+    per-frame calls would. Across frames the link is the
     Lindley recursion ``busy_i = max(now_i, busy_{i-1}) + T_i``, where
     ``T_i`` is frame i's busy offset; with ``C = cumsum(T)`` it unrolls to
     ``busy_i = C_i + max(busy_until, max_{k<=i} (now_k - C_{k-1}))``, one
@@ -557,7 +558,7 @@ def clean_run(
     if not draw_free(ch):
         return None
     if not len(count):
-        return count, count, count
+        return count, count, 0
     first_off, busy_off, total = _clean_shape(ch, count, MAX_PACKET_BYTES, tail_size)
     # every time below is at most this; the margin leaves room for the
     # caller's fixed per-frame offsets
@@ -585,7 +586,7 @@ def clean_run(
         int(count.sum()),
         int(((count - 1) * MAX_PACKET_BYTES + tail_size).sum()),
     )
-    return start, first, last
+    return start, last, horizon
 
 
 def draw_free(ch: ChannelModel) -> bool:

@@ -32,10 +32,16 @@ one of two ways, with the same result:
     the GOP schedule; sizes, fragment layouts, the link
     (``netsim.clean_run``) and the decoder's token bucket
     (``DecodeServer.offer_run``) are whole-run arrays, with no Python step
-    per frame unless the bucket makes some frame wait. When a precondition
-    fails (the receiver's FIFO clamp binds, a frame exceeds the fragment
-    limit, a time could outgrow int64), the link is left as it was and the
-    event loop runs on the same prefix.
+    per frame unless the bucket makes some frame wait. They depend on the
+    send grid, codec and channel, not on the datapath's stage constants,
+    which only shift every time by the same amount: ``array_timing``
+    computes them once, from a fresh link and decoder at the clock ticks,
+    and shares them read-only, so an A/B suite times each of its four
+    (color space, topology) cells once and each run adds its own constants.
+    When a precondition fails (the receiver's FIFO clamp binds, a frame
+    exceeds the fragment limit, a time could outgrow int64, the link or
+    decoder was used before), the link is left as it was and the event loop
+    runs on the same prefix.
   * The tail (``Simulator._result``): corruption, one array step run only
     when some frame dropped, then the report. ``SimResult.frames`` is the
     frame table, one array per ``FrameRecord`` field; ``SimResult.records``
@@ -55,13 +61,21 @@ from __future__ import annotations
 from dataclasses import fields, replace
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 from . import cp as cp_mod
 from . import dpp, netsim
-from .codec import DecodeServer, FrameType, GopWalker, encoded_size, encoded_sizes, nominal_sizes
+from .codec import (
+    CodecConfig,
+    DecodeServer,
+    FrameType,
+    GopWalker,
+    encoded_size,
+    encoded_sizes,
+    nominal_sizes,
+)
 from .core import (
     ColorSpace,
     EventQueue,
@@ -77,6 +91,8 @@ from .stages import (
     DatapathGraph,
     OptimizationToggles,
     TOGGLE_NAMES,
+    channel_values,
+    codec_values,
     ledger_frame_copies,
     shared_datapath,
 )
@@ -104,6 +120,21 @@ def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
     return presented & ~is_iframe & (last_drop > last_i)
 
 
+class SendGrid(NamedTuple):
+    """The render ticks, the encoder's clock ticks, which clock ticks send a
+    frame, and per frame the render tick that it encodes, that tick's
+    complexity, the frame's id, its render time and its clock tick."""
+
+    render: np.ndarray
+    clock: np.ndarray
+    sends: np.ndarray
+    source: np.ndarray
+    complexity: np.ndarray
+    frame_id: np.ndarray
+    gen: np.ndarray
+    tick: np.ndarray
+
+
 @lru_cache(maxsize=1)
 def send_grid(
     seed: int,
@@ -112,7 +143,7 @@ def send_grid(
     fps: int,
     duration_us: SimTime,
     encode_mode: EncodeMode,
-) -> tuple[tuple[np.ndarray, ...], dict[str, Any]]:
+) -> tuple[SendGrid, dict[str, Any]]:
     """The send grid: the render ticks, the encoder's clock ticks (the render
     grid in SYNC, the sample grid at the codec's ``fps`` in ASYNC), which
     clock ticks send a frame, and per frame the render tick that it encodes
@@ -137,10 +168,101 @@ def send_grid(
         latest = np.searchsorted(render, clock, side="right") - 1
         sends = np.diff(latest, prepend=-1) > 0
     source = latest[sends]
-    grid = (render, clock, sends, source, complexity[source])
+    frame_id = np.arange(len(source))
+    grid = SendGrid(
+        render, clock, sends, source, complexity[source], frame_id, render[source], clock[sends]
+    )
     for array in grid:
         array.flags.writeable = False
     return grid, rng.stream("workload").bit_generator.state
+
+
+class ArrayTiming(NamedTuple):
+    """A draw-free run's link and decoder timing, shifted by no datapath
+    constant (``array_timing``): per frame its type and size, its burst's
+    start and last arrival, ``net`` (last arrival minus send tick), its
+    decode start and ``queue_wait`` (decode start minus last arrival); the
+    link's end state; and the two bounds that a shifted run re-checks."""
+
+    frame_type: np.ndarray
+    size_bytes: np.ndarray
+    start: np.ndarray
+    last: np.ndarray
+    net: np.ndarray
+    decode_start: np.ndarray
+    queue_wait: np.ndarray
+    busy_until: SimTime
+    last_arrival: SimTime
+    totals: tuple[int, int, int]  # the link's busy_accum_us, sent_packets, sent_bytes
+    link_horizon: int  # clean_run's horizon
+    decode_top: SimTime  # the last decode arrival
+
+
+def array_timing(
+    cfg: ScenarioConfig, codec: CodecConfig, channel: netsim.ChannelModel
+) -> Optional[ArrayTiming]:
+    """The array timing of ``cfg``'s send grid on a codec and channel (a
+    datapath's, with its toggles applied), computed once for their values
+    and shared read-only by every run whose values agree; None when a
+    precondition fails on it (see ``Simulator._run_arrays``)."""
+    return _timing(
+        cfg.seed,
+        cfg.workload.complexity_sigma,
+        cfg.render_fps,
+        cfg.duration_us,
+        cfg.encode_mode,
+        *codec_values(codec),
+        *channel_values(channel),
+    )
+
+
+# typed: 1, 1.0 and True differ; 4 holds an A/B suite's (color space, topology) cells
+@lru_cache(maxsize=4, typed=True)
+def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *values):
+    """A fresh link and decoder timing the grid's frames sent at their clock
+    ticks; the frames follow the GOP schedule."""
+    codec_at = len(fields(CodecConfig))
+    codec = CodecConfig(*values[:codec_at])
+    channel = netsim.ChannelModel(*values[codec_at:])
+    grid, _ = send_grid(seed, complexity_sigma, render_fps, codec.fps, duration_us, encode_mode)
+    n = len(grid.tick)
+    is_iframe = np.zeros(n, dtype=bool)
+    is_iframe[:: codec.gop_size] = True
+    sizes = encoded_sizes(is_iframe, codec, grid.complexity, nominal_sizes(codec))
+    if sizes is None:
+        return None
+    count, tail = dpp.unchecked_layout(sizes)
+    if n and count.max() > dpp.MAX_FRAGS:
+        return None
+    link = netsim.LinkState()
+    sent = netsim.clean_run(channel, link, count, dpp.HEADER_LEN + tail, grid.tick)
+    if sent is None:
+        return None
+    start, last, link_horizon = sent
+    decoder = DecodeServer(codec.decode_fps_cap, 0)  # no start depends on the service time
+    decode_start = decoder.offer_run(last)
+    if decode_start is None:  # the decoder's token bucket makes some frame wait
+        offer = decoder.offer
+        decode_start = np.array([offer(t)[0] for t in last.tolist()], dtype=np.int64)
+    columns = dict(
+        frame_type=np.where(is_iframe, FrameType.I.value, FrameType.P.value),
+        size_bytes=sizes,
+        start=start,
+        last=last,
+        net=last - grid.tick,
+        decode_start=decode_start,
+        queue_wait=decode_start - last,
+    )
+    for array in columns.values():
+        array.flags.writeable = False
+    return ArrayTiming(
+        **columns,
+        busy_until=link.busy_until,
+        last_arrival=link.last_arrival,
+        totals=(link.busy_accum_us, link.sent_packets, link.sent_bytes),
+        link_horizon=link_horizon,
+        decode_top=int(last[-1]) if n else 0,
+    )
 
 
 class SimResult:
@@ -148,7 +270,8 @@ class SimResult:
 
     ``frames`` holds one array per ``FrameRecord`` field, indexed by frame
     id; ``records`` is its read view as ``FrameRecord``s, built when first
-    read.
+    read. The columns that an array run takes as they are from a cache
+    (``send_grid``, ``array_timing``) are read-only.
     """
 
     def __init__(
@@ -194,7 +317,7 @@ class Simulator:
     # --- the prefix --------------------------------------------------------
 
     @cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _grid(self) -> SendGrid:
         """The send grid (``send_grid``) of this run's seed and clocks, with
         the workload stream left where the grid's batched draw leaves it."""
         cfg = self.cfg
@@ -211,16 +334,16 @@ class Simulator:
 
     def _frames(self) -> dict[str, np.ndarray]:
         """The frame table's columns that the send grid fixes."""
-        render, clock, sends, source, _ = self._grid
+        grid = self._grid
         return {
-            "frame_id": np.arange(len(source)),
-            "gen_us": render[source],
-            "encoded_us": clock[sends] + self.graph.encode_path_us,
+            "frame_id": grid.frame_id,
+            "gen_us": grid.gen,
+            "encoded_us": grid.tick + self.graph.encode_path_us,
         }
 
     @property
     def _rendered(self) -> int:
-        return len(self._grid[0])
+        return len(self._grid.render)
 
     # --- host side ---------------------------------------------------------
 
@@ -349,18 +472,18 @@ class Simulator:
         self.walker = GopWalker(self.codec_cfg)
         self.reasm = dpp.Reassembler(self.cfg.drop_deadline_us)
         self.mud_fb, self.host_fb = cp_mod.MudFeedbackState(), cp_mod.HostFeedbackState()
-        render, clock, sends, _, complexity = self._grid
-        n = len(complexity)
+        grid = self._grid
+        n = len(grid.tick)
         # frame_type and forced have no default: each frame's encode sets them
         self._table = {f.name: [f.default] * n for f in fields(FrameRecord)}
         self._table.update((name, col.tolist()) for name, col in self._frames().items())
-        self._complexity = complexity.tolist()
-        frame = np.where(sends, np.cumsum(sends) - 1, -1).tolist()
+        self._complexity = grid.complexity.tolist()
+        frame = np.where(grid.sends, np.cumsum(grid.sends) - 1, -1).tolist()
         kind = "render" if self.cfg.encode_mode is EncodeMode.SYNC else "sample"
-        ticks = [(t, (kind, i, k)) for i, (t, k) in enumerate(zip(clock.tolist(), frame))]
+        ticks = [(t, (kind, i, k)) for i, (t, k) in enumerate(zip(grid.clock.tolist(), frame))]
         if kind == "sample" and self.transcript is not None:
             # an ASYNC render tick sends nothing: only the transcript sees it
-            renders = [(t, ("render", i, -1)) for i, t in enumerate(render.tolist())]
+            renders = [(t, ("render", i, -1)) for i, t in enumerate(grid.render.tolist())]
             ticks = sorted(renders + ticks, key=itemgetter(0))  # on a tie the render goes first
         self.queue.run(self._dispatch, ticks)
         frames = {name: _array(values) for name, values in self._table.items()}
@@ -373,45 +496,59 @@ class Simulator:
 
         Every frame arrives whole, so the receiver never drops one and no
         feedback is sent: each frame is I exactly on its GOP schedule. The
-        decoder admits the run in one pass (``DecodeServer.offer_run``) unless
-        its token bucket makes some frame wait; then it takes frame by frame.
-        """
-        g = self.graph
-        complexity = self._grid[-1]
-        frames = self._frames()
-        n = len(complexity)
-        is_iframe = np.zeros(n, dtype=bool)
-        is_iframe[:: self.codec_cfg.gop_size] = True
-        sizes = encoded_sizes(is_iframe, self.codec_cfg, complexity, self.nominal_sizes)
-        if sizes is None:
-            return None
-        count, tail = dpp.unchecked_layout(sizes)
-        request = frames["encoded_us"] + g.host_netstack_us
-        if n and count.max() > dpp.MAX_FRAGS:
-            return None
-        sent = netsim.clean_run(self.channel, self.link, count, dpp.HEADER_LEN + tail, request)
-        if sent is None:
-            return None
-        start, _first, last = sent
+        run is its grid's ``array_timing`` shifted by its datapath's
+        constants: a frame's wire request is its clock tick plus ``shift =
+        encode_path_us + host_netstack_us``, and its decode arrival its last
+        arrival plus ``link_fixed_us``. The shift is exact on a fresh link and
+        decoder, so a run on any other declines:
 
-        net_done = last + g.link_fixed_us
-        decode_start = self.decoder.offer_run(net_done)
-        if decode_start is None:  # the decoder's token bucket makes some frame wait
-            offer = self.decoder.offer
-            decode_start = np.array([offer(t)[0] for t in net_done.tolist()], dtype=np.int64)
+          * Link. With ``busy_until = last_arrival = 0`` and requests >= 0,
+            ``clean_run``'s running maximum never takes ``busy_until``, so a
+            request shifted by c shifts each start, first and last arrival by
+            c; the FIFO check and the busy, packet and byte totals are the
+            same.
+          * Decoder. The first frame finds the bucket full at any time >= 0,
+            and every later step of ``offer`` (and so of ``offer_run``)
+            depends only on differences of times.
+          * Bounds. The shifted run must pass the scalar checks that the
+            unshifted one passed: ``clean_run``'s and ``offer_run``'s int64
+            horizons, and a first decoder arrival >= 0.
+        """
+        g, link = self.graph, self.link
+        if link != netsim.LinkState() or not self.decoder.fresh:
+            return None
+        timing = array_timing(self.cfg, self.codec_cfg, self.channel)
+        if timing is None:
+            return None
+        n = len(timing.last)
+        shift = g.encode_path_us + g.host_netstack_us
+        decode_shift = shift + g.link_fixed_us
+        if n and (
+            min(shift, decode_shift) < 0
+            or timing.link_horizon + shift >= 2**62
+            or self.decoder.scaled_horizon(timing.decode_top + decode_shift, n) >= 2**62
+        ):
+            return None
+
+        link.busy_accum_us, link.sent_packets, link.sent_bytes = timing.totals
+        if n:  # a run that sends nothing leaves the link as it was
+            link.busy_until = timing.busy_until + shift
+            link.last_arrival = timing.last_arrival + shift
+        decode_start = timing.decode_start + decode_shift
         zeros = np.zeros(n, dtype=bool)
+        frames = self._frames()
         frames.update(
-            frame_type=np.where(is_iframe, FrameType.I.value, FrameType.P.value),
+            frame_type=timing.frame_type,
             forced=zeros,
-            sent_first_us=start,
-            arrived_last_us=last,
+            sent_first_us=timing.start + shift,
+            arrived_last_us=timing.last + shift,
             decode_start_us=decode_start,
-            presented_us=decode_start + g.mud_service_us + g.residual_us,
+            presented_us=decode_start + (g.mud_service_us + g.residual_us),
             dropped=zeros,
             corrupted=zeros,
-            size_bytes=sizes,
-            queue_wait_us=decode_start - net_done,
-            net_us=net_done - request,
+            size_bytes=timing.size_bytes,
+            queue_wait_us=timing.queue_wait,
+            net_us=timing.net + g.link_fixed_us,
         )
         return self._result(frames)
 
@@ -430,9 +567,11 @@ class Simulator:
         shown = col["presented_us"] >= 0
         n_presented = int(np.count_nonzero(shown))
         dropped = int(np.count_nonzero(col["dropped"]))
-        unresolved = int(np.count_nonzero((col["dropped"] == 0) & ~shown))
         if n_presented == len(shown):
-            shown = slice(None)  # every frame is presented: no column is copied
+            # every frame is presented: none is unresolved and no column is copied
+            shown, unresolved = slice(None), 0
+        else:
+            unresolved = int(np.count_nonzero((col["dropped"] == 0) & ~shown))
         corrupted = int(np.count_nonzero(col["corrupted"][shown]))
 
         gen = col["gen_us"][shown]
@@ -505,8 +644,8 @@ class Simulator:
             # every encode task takes the datapath's encode-path time
             mean_task = g.encode_path_us if sent else 0.0
             # rendering plus encoding overruns the period of a tick that sends
-            render, _, _, source, _ = self._grid
-            period = tick_time(source + 1, cfg.render_fps) - render[source]
+            source = self._grid.source
+            period = tick_time(source + 1, cfg.render_fps) - self._grid.gen
             sync = {
                 "task_time_mean_ms": round(mean_task / 1000.0, 4),
                 "render_work_ms": round(cfg.render_work_us / 1000.0, 4),

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Optional, Union, get_type_hints
@@ -60,30 +60,11 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         """Every range violation, key by key in ``KEYS`` order, then the
         checks that a key's own range cannot express."""
-        failed = {}
-        for key, value in zip(KEYS, config_values(self)):
-            error = key_error(key, value)
-            if error is not None:
-                failed[key] = error
-        errors = list(failed.values())
-        if "duration_s" not in failed and self.duration_us < 1:
-            errors.append("duration_s must be at least 1 us, rounded to whole us")
-        if not any(key.startswith("codec.") for key in failed):
-            # the nominal I-frame, in the color space the toggles encode in
-            codec = replace(self.codec, transcode_avoidance=self.toggles.transcode_avoidance)
-            try:
-                size = encoded_size(FrameType.I, codec, 1.0)
-                dpp.fragment_layout(size)
-            except OverflowError:  # past the float range, so past any fragment limit
-                errors.append(
-                    f"codec: a nominal I-frame overflows the {dpp.MAX_FRAGS}-fragment limit"
-                )
-            except dpp.FragmentationError as exc:
-                errors.append(
-                    f"codec: a nominal I-frame of {size} bytes exceeds the"
-                    f" {dpp.MAX_FRAGS}-fragment limit ({exc})"
-                )
-        return errors
+        seed, *values = config_values(self)
+        # the seed has a range and nothing else, so runs of one config at
+        # many seeds share one cached validation of the other values
+        error = key_error("seed", seed)
+        return ([error] if error else []) + list(_errors(*values))
 
 
 # Every scenario key, in file order: its attribute path in ScenarioConfig and
@@ -150,6 +131,7 @@ _TYPES = {key: _field_type(path) for key, (path, _bound) in KEYS.items()}
 
 # every key's value, in ``KEYS`` order: a snapshot that later changes to a config do not reach
 config_values = attrgetter(*(path for path, _bound in KEYS.values()))
+_UNSEEDED_KEYS = tuple(KEYS)[1:]  # the seed comes first
 # per key, resolved once: whether its value must be finite, and its range test
 _CHECKS = {
     key: (_TYPES[key] is float, bound and _IN_RANGE[bound]) for key, (_path, bound) in KEYS.items()
@@ -164,6 +146,39 @@ def key_error(key: str, value: Any) -> Optional[str]:
     if in_range is None or in_range(value):
         return None
     return f"{key} must be {KEYS[key][1]}"
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: 1, 1.0 and True differ
+def _errors(*values) -> tuple[str, ...]:
+    """``ScenarioConfig.validate``'s errors after the seed's own, from the
+    ``config_values`` after the seed; computed once per set of values, since
+    validation reads nothing else."""
+    value_of = dict(zip(_UNSEEDED_KEYS, values))
+    failed = {}
+    for key, value in value_of.items():
+        error = key_error(key, value)
+        if error is not None:
+            failed[key] = error
+    errors = list(failed.values())
+    if "duration_s" not in failed and round(value_of["duration_s"] * US_PER_S) < 1:
+        errors.append("duration_s must be at least 1 us, rounded to whole us")
+    if not any(key.startswith("codec.") for key in failed):
+        # the nominal I-frame, in the color space the toggles encode in
+        codec = CodecConfig(
+            transcode_avoidance=value_of["toggles.transcode_avoidance"],
+            **{k.removeprefix("codec."): v for k, v in value_of.items() if k.startswith("codec.")},
+        )
+        try:
+            size = encoded_size(FrameType.I, codec, 1.0)
+            dpp.fragment_layout(size)
+        except OverflowError:  # past the float range, so past any fragment limit
+            errors.append(f"codec: a nominal I-frame overflows the {dpp.MAX_FRAGS}-fragment limit")
+        except dpp.FragmentationError as exc:
+            errors.append(
+                f"codec: a nominal I-frame of {size} bytes exceeds the"
+                f" {dpp.MAX_FRAGS}-fragment limit ({exc})"
+            )
+    return tuple(errors)
 
 
 def bound_error(name: str, value: Any, bound: str) -> Optional[str]:

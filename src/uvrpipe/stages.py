@@ -203,7 +203,7 @@ def build_datapath(
 
 
 # each part's field values, in field order
-_TOGGLE_VALUES, _CODEC_VALUES, _CHANNEL_VALUES = (
+toggle_values, codec_values, channel_values = (
     attrgetter(*(f.name for f in fields(part)))
     for part in (OptimizationToggles, CodecConfig, netsim.ChannelModel)
 )
@@ -214,7 +214,7 @@ def shared_datapath(
 ) -> DatapathGraph:
     """``build_datapath`` of the parts' values, built once and shared
     read-only by every run whose values agree."""
-    return _datapath(*_TOGGLE_VALUES(toggles), *_CODEC_VALUES(cfg), *_CHANNEL_VALUES(channel))
+    return _datapath(*toggle_values(toggles), *codec_values(cfg), *channel_values(channel))
 
 
 @lru_cache(maxsize=2 ** len(TOGGLE_NAMES), typed=True)  # typed: 1, 1.0 and True differ

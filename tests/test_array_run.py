@@ -6,16 +6,23 @@ and hands every other run, or one whose preconditions fail on the arrays, to
 the event loop. The event loop is the reference: the report, every
 ``FrameRecord`` field, every ``LinkState`` field and the next draw of the
 workload stream must come out the same.
+
+An array run is its grid's shared timing (``pipeline.array_timing``),
+computed once per grid, codec and channel, shifted by its own datapath's
+constants. A run whose timing comes from the cache must equal one that
+computes it afresh.
 """
 
 import itertools
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uvrpipe import pipeline
 from uvrpipe.codec import DecodeServer
 from uvrpipe.core import Rng
 from uvrpipe.dpp import FragmentationError
@@ -73,55 +80,80 @@ def test_every_toggle_set(toggles, mode, bandwidth_bps, sigma):
     assert _outcome(cfg, _arrays) == _outcome(cfg, _events)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    duration_s=st.floats(0.001, 0.6),
-    mode=st.sampled_from(EncodeMode),
-    toggles=st.sampled_from(TOGGLE_SETS),
-    render_fps=st.integers(1, 240),
-    codec_fps=st.sampled_from([24, 30, 60, 72, 90, 120]),
-    gop_size=st.integers(1, 40),
-    # wide enough to vary sizes, narrow enough that no frame nears the fragment limit
-    sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-    # slow links queue frames behind each other; a slow decoder queues them too
-    bandwidth_bps=st.one_of(st.just(867_000_000), st.integers(5_000_000, 200_000_000)),
-    prop_delay_us=st.integers(0, 3_000),
-    bitrate_bps=st.integers(1_000_000, 200_000_000),
-    decode_fps_cap=st.integers(10, 240),
-    render_work_us=st.integers(0, 20_000),
-)
-def test_array_run_equals_event_loop(
-    seed,
-    duration_s,
-    mode,
-    toggles,
-    render_fps,
-    codec_fps,
-    gop_size,
-    sigma,
-    bandwidth_bps,
-    prop_delay_us,
-    bitrate_bps,
-    decode_fps_cap,
-    render_work_us,
-):
-    cfg = _config(
-        seed,
-        duration_s,
-        mode,
-        toggles,
-        render_fps,
-        fps=codec_fps,
-        gop_size=gop_size,
-        bitrate_bps=bitrate_bps,
-        decode_fps_cap=decode_fps_cap,
+# the draw-free config space: every toggle set in both encode modes, with
+# clocks, GOPs, content, links and decoders that vary
+CONFIG_SPACE = st.fixed_dictionaries(
+    dict(
+        seed=st.integers(0, 2**32 - 1),
+        duration_s=st.floats(0.001, 0.6),
+        mode=st.sampled_from(EncodeMode),
+        toggles=st.sampled_from(TOGGLE_SETS),
+        render_fps=st.integers(1, 240),
+        codec_fps=st.sampled_from([24, 30, 60, 72, 90, 120]),
+        gop_size=st.integers(1, 40),
+        # wide enough to vary sizes, narrow enough that no frame nears the fragment limit
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        # slow links queue frames behind each other; a slow decoder queues them too
+        bandwidth_bps=st.one_of(st.just(867_000_000), st.integers(5_000_000, 200_000_000)),
+        prop_delay_us=st.integers(0, 3_000),
+        bitrate_bps=st.integers(1_000_000, 200_000_000),
+        decode_fps_cap=st.integers(10, 240),
+        render_work_us=st.integers(0, 20_000),
     )
-    cfg.render_work_us = render_work_us
-    cfg.workload.complexity_sigma = sigma
-    cfg.channel.bandwidth_bps = bandwidth_bps
-    cfg.channel.prop_delay_us = prop_delay_us
+)
+
+
+def _space_config(p):
+    cfg = _config(
+        p["seed"],
+        p["duration_s"],
+        p["mode"],
+        p["toggles"],
+        p["render_fps"],
+        fps=p["codec_fps"],
+        gop_size=p["gop_size"],
+        bitrate_bps=p["bitrate_bps"],
+        decode_fps_cap=p["decode_fps_cap"],
+    )
+    cfg.render_work_us = p["render_work_us"]
+    cfg.workload.complexity_sigma = p["sigma"]
+    cfg.channel.bandwidth_bps = p["bandwidth_bps"]
+    cfg.channel.prop_delay_us = p["prop_delay_us"]
     assert cfg.validate() == []
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=CONFIG_SPACE)
+def test_array_run_equals_event_loop(params):
+    cfg = _space_config(params)
+    assert _outcome(cfg, _arrays) == _outcome(cfg, _events)
+
+
+def _no_frame_sent():
+    # rendering at 90 FPS for a 60-FPS codec, SYNC sends nothing on tick 0
+    return _config(3, 0.001, EncodeMode.SYNC, (False,) * 5)
+
+
+def _decoder_waits(mode):
+    cfg = preset_config("baseline")
+    cfg.duration_s = 3.0
+    cfg.encode_mode = mode
+    cfg.codec.decode_fps_cap = 10
+    cfg.codec.bitrate_bps = 1_000_000
+    return cfg
+
+
+def test_a_run_that_sends_no_frame_leaves_the_link_as_the_event_loop_does():
+    cfg = _no_frame_sent()
+    assert Simulator(cfg).run().metrics.frames["sent"] == 0
+    assert _outcome(cfg, _arrays) == _outcome(cfg, _events)
+
+
+@pytest.mark.parametrize("mode", EncodeMode)
+def test_a_decoder_that_makes_frames_wait(mode):
+    cfg = _decoder_waits(mode)
+    assert Simulator(cfg).run().frames["queue_wait_us"].max() > 0
     assert _outcome(cfg, _arrays) == _outcome(cfg, _events)
 
 
@@ -202,6 +234,64 @@ def test_binding_clamp_falls_back(toggles):
     )
 
 
+def test_a_used_decoder_falls_back():
+    # the shared timing starts from a fresh decoder, as it starts from a fresh link
+    cfg = preset_config("baseline")
+    cfg.duration_s = 1.0
+
+    def used(sim):
+        sim.decoder.offer(0)
+        return sim
+
+    sim = used(Simulator(cfg))
+    assert sim._run_arrays() is None
+    assert sim.link == LinkState()
+    run, events = used(Simulator(cfg)).run(), used(Simulator(cfg))._run_events()
+    assert json.dumps(run.metrics.to_dict()) == json.dumps(events.metrics.to_dict())
+    assert run.records == events.records
+
+
+def _p2p_timing(prop_delay_us, slow=False):
+    cfg = preset_config("baseline")
+    cfg.duration_s = 0.1
+    cfg.toggles.p2p_topology = True  # on P2P a frame's busy time leaves out the delay
+    cfg.channel.prop_delay_us = prop_delay_us
+    if slow:
+        # frames of seconds on the air and a decoder of 1 FPS: clean_run's
+        # bound lies above offer_run's
+        cfg.codec.bitrate_bps = 200_000_000
+        cfg.codec.decode_fps_cap = 1
+        cfg.channel.bandwidth_bps = 1_000_000
+    sim = Simulator(cfg)
+    return cfg, sim, pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
+
+
+def test_a_shift_past_the_link_horizon_falls_back():
+    # the largest delay at which the unshifted timing is within clean_run's
+    # bound; the run's shift takes it past, as clean_run on the shifted
+    # requests would find
+    _, _, base = _p2p_timing(0, slow=True)
+    cfg, sim, timing = _p2p_timing(2**62 - 1 - base.link_horizon, slow=True)
+    assert timing.link_horizon == 2**62 - 1
+    shift = sim.graph.encode_path_us + sim.graph.host_netstack_us + sim.graph.link_fixed_us
+    assert sim.decoder.scaled_horizon(timing.decode_top + shift, len(timing.last)) < 2**62
+    assert sim._run_arrays() is None
+    assert _outcome(cfg, _run) == _outcome(cfg, _events)
+
+
+def test_a_shift_past_the_decoder_horizon_falls_back():
+    # the unshifted timing admits its decoder in one pass, but offer_run of
+    # the shifted arrivals could wrap int64
+    _, sim, base = _p2p_timing(0)
+    n, decoder = len(base.last), sim.decoder
+    top = (2**62 - 1 - decoder.scaled_horizon(0, n)) // decoder.fps_cap
+    cfg, sim, timing = _p2p_timing(top - base.decode_top)
+    assert timing.decode_top == top
+    assert timing.link_horizon + 10**6 < 2**62
+    assert sim._run_arrays() is None
+    assert _outcome(cfg, _run) == _outcome(cfg, _events)
+
+
 def test_frame_over_the_fragment_limit_falls_back():
     # frame 0 of seed 3 needs ~69k fragments; the event loop raises there
     cfg = preset_config("openuvr")
@@ -234,3 +324,107 @@ def test_times_past_int64_fall_back():
     assert max(presented) > 2**63
     assert all(type(t) is int for t in presented)
     assert _outcome(cfg, _run) == _outcome(cfg, _events)
+
+
+# --- the shared timing: a run that takes it from the cache equals a fresh one -
+
+
+def _suite_configs(base):
+    """The configs of ``ab_suite(base)``'s runs, in the suite's order."""
+    configs, run_scenario = [], pipeline.run_scenario
+
+    def record(cfg):
+        configs.append(cfg)
+        return run_scenario(cfg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "run_scenario", record)
+        pipeline.ab_suite(base)
+    return configs
+
+
+def _baseline_42():
+    cfg = preset_config("baseline")
+    cfg.seed = 42
+    return cfg
+
+
+SUITE = _suite_configs(_baseline_42())
+
+
+def _warm_up(cfg):
+    """A config of the same grid, codec and channel with other toggles: the
+    toggles that neither change the color space nor the topology flipped."""
+    toggles = cfg.toggles
+    return replace(
+        cfg,
+        toggles=replace(
+            toggles,
+            shared_gpu_buffer=not toggles.shared_gpu_buffer,
+            direct_net_io=not toggles.direct_net_io,
+            feedback_control=not toggles.feedback_control,
+        ),
+    )
+
+
+def _table(cfg):
+    # The decoder's end state is left out: nothing reads it after a run, and
+    # an array run times a decoder of its own rather than the run's.
+    sim = Simulator(cfg)
+    result = sim.run()
+    columns = {name: (col.dtype, col.tolist()) for name, col in result.frames.items()}
+    return json.dumps(result.metrics.to_dict()), columns, sim.link
+
+
+def _shared_and_fresh(cfg):
+    warm = _warm_up(cfg)
+    assert Simulator(warm).graph.codec == Simulator(cfg).graph.codec
+    assert Simulator(warm).graph.channel == Simulator(cfg).graph.channel
+    pipeline._timing.cache_clear()
+    Simulator(warm).run()
+    hits = pipeline._timing.cache_info().hits
+    shared = _table(cfg)
+    assert pipeline._timing.cache_info().hits == hits + 1
+    pipeline._timing.cache_clear()
+    return shared, _table(cfg)
+
+
+def test_the_suite_has_four_timing_cells():
+    assert len(SUITE) == 14
+    cells = {(c.toggles.transcode_avoidance, c.toggles.p2p_topology) for c in SUITE}
+    assert len(cells) == 4
+    pipeline._timing.cache_clear()
+    pipeline.ab_suite(_baseline_42())
+    assert pipeline._timing.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("index", range(len(SUITE)))
+def test_suite_run_with_shared_timing_equals_a_fresh_one(index):
+    shared, fresh = _shared_and_fresh(SUITE[index])
+    assert shared == fresh
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=CONFIG_SPACE)
+def test_shared_timing_equals_a_fresh_one(params):
+    shared, fresh = _shared_and_fresh(_space_config(params))
+    assert shared == fresh
+
+
+@pytest.mark.parametrize(
+    "cfg", [_no_frame_sent(), _decoder_waits(EncodeMode.SYNC), _decoder_waits(EncodeMode.ASYNC)]
+)
+def test_edge_runs_with_shared_timing_equal_fresh_ones(cfg):
+    shared, fresh = _shared_and_fresh(cfg)
+    assert shared == fresh
+
+
+def test_cached_timing_is_read_only():
+    cfg = _baseline_42()
+    sim = Simulator(cfg)
+    timing = pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
+    arrays = [value for value in timing if isinstance(value, np.ndarray)]
+    assert len(arrays) == 7
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = array[1]

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import asdict
 from operator import attrgetter
 
@@ -9,7 +10,9 @@ from uvrpipe.scenario import (
     EncodeMode,
     ScenarioConfig,
     ScenarioError,
+    _errors,
     apply_kv,
+    config_values,
     emit_scenario,
     parse_scenario,
     parse_scenario_text,
@@ -112,6 +115,26 @@ def test_nominal_iframe_over_the_fragment_limit_rejected():
     errors = cfg.validate()
     assert len(errors) == 1
     assert "65535-fragment limit" in errors[0]
+
+
+@pytest.mark.parametrize("rgb_toggle", [False, True])
+def test_configs_of_equal_values_get_equal_errors(rgb_toggle):
+    # the codec's own transcode_avoidance is no key: the nominal I-frame takes
+    # the toggles' color space, so the two configs differ only outside their
+    # values, and validation, cached by those values, must not see it
+    a = preset_config("baseline")
+    a.codec.bitrate_bps = 20_000_000_000  # only an RGB nominal I-frame is too large
+    a.duration_s = 1e-7
+    a.toggles.transcode_avoidance = rgb_toggle
+    b = copy.deepcopy(a)
+    b.codec.transcode_avoidance = not rgb_toggle
+    assert config_values(a) == config_values(b)
+    errors = a.validate()
+    assert errors[0] == "duration_s must be at least 1 us, rounded to whole us"
+    assert len(errors) == 1 + rgb_toggle
+    _errors.cache_clear()
+    assert b.validate() == errors
+    assert b.validate() is not b.validate()  # a fresh list on every call
 
 
 FLOAT_KEYS = [
