@@ -122,6 +122,12 @@ class EventQueue:
         heapq.heappush(self._heap, (int(t), self._seq, event))
         self._seq += 1
 
+    def is_next(self, t: SimTime) -> bool:
+        """Whether an event scheduled now at ``t`` would be the heap's next
+        pop: every event on the heap is later (one at ``t`` goes first)."""
+        heap = self._heap
+        return not heap or t < heap[0][0]
+
     def pop(self) -> tuple[SimTime, Any]:
         t, _seq, event = heapq.heappop(self._heap)
         self.now = t

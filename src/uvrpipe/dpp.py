@@ -419,7 +419,25 @@ class Reassembler:
         ``first``. A whole frame completes; a partial one turns pending, its
         deadline anchored at ``first``, as its first fragment would leave it.
         A frame id goes on the air once in the simulator, so nothing completes it.
+
+        A whole frame that follows ``highest_seen`` with nothing pending
+        resolves in one step: it opens no gap, and the sweep has nothing to
+        drop. That sweep would leave the anchor floor at inf, or as it was
+        when it stops early; this step sets inf, the exact bound when nothing
+        is pending.
         """
+        highest = self.highest_seen
+        if (
+            delivered == frag_count
+            and not self._pending
+            and highest is not None
+            and frame_id == (highest + 1) & 0xFFFFFFFF
+            and frame_id not in self._resolved
+        ):
+            self.highest_seen = frame_id
+            self._anchor_floor = math.inf
+            self._resolve(frame_id)
+            return [FrameComplete(frame_id, is_iframe, forced, gen_timestamp_us, first, last)]
         events: list[ReassemblyEvent] = list(self._note_frame(first, frame_id))
         if delivered < frag_count:
             self._ingest(first, frame_id, 0, frag_count, is_iframe, forced, gen_timestamp_us, None)
@@ -550,6 +568,11 @@ class Reassembler:
     def expire(self, now: SimTime) -> list[FrameDropped]:
         """Resolve every pending frame whose deadline has passed."""
         return self._sweep(now, None)
+
+    @property
+    def has_pending(self) -> bool:
+        """Whether some frame is pending: seen, but neither complete nor dropped."""
+        return bool(self._pending)
 
     def pending_deadlines(self) -> list[tuple[int, SimTime]]:
         """(frame id, deadline) of each pending frame not returned by an earlier call.

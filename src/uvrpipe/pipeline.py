@@ -20,12 +20,30 @@ one of two ways, with the same result:
   * The event loop (``Simulator._run_events``), the general middle: burst,
     deadline and feedback events on one heap, with the tick grid merged in
     lazily (``EventQueue.run``). Each tick carries the frame that it sends,
-    or -1; an ASYNC render tick, which never sends, is merged only for the
-    transcript. A tick goes before a heap event at its time, and a render
-    before a sample, as when every tick was scheduled up front; a frame's
-    burst is drawn, then timed (``netsim.Medium.frame``), and the
-    reassembler takes its result as it is (``Reassembler.on_frame``).
-    Outcomes go into one Python list per column, made arrays once at the end.
+    or -1; a tick that sends nothing (every ASYNC render tick, and a SYNC one
+    that the codec rate skips) is merged only for the transcript. A tick
+    goes before a heap event at its time, and a render before a sample, as
+    when every tick was scheduled up front. A frame's size and fragment
+    layout come from two whole-run arrays, one per frame type; its burst is
+    drawn, then timed (``netsim.Medium.frame``), and the reassembler takes
+    its result as it is (``Reassembler.on_frame``). Outcomes go into one
+    Python list per column, made arrays once at the end.
+
+    A run that collects a transcript puts every burst and request on the
+    heap. Without one, the heap keeps only what can interleave:
+
+      - A burst whose last arrival comes strictly before the next tick that
+        sends and strictly before every heap event is the loop's next
+        dispatch, so its own tick handles it, as its last step.
+      - An I-frame request that reaches the host strictly before the next
+        tick that sends is decided when it is sent, though the medium still
+        times it then. Only an encode reads or writes ``HostFeedbackState``;
+        a request sets ``pending_force`` or counts a suppression against a
+        ``suppression_until`` that only an encode moves, so the decisions
+        between two encodes commute with each other and with every other
+        event.
+
+    Deadlines, and bursts and requests that are not next, stay on the heap.
   * The array run (``Simulator._run_arrays``), for a draw-free run:
     Bernoulli loss at ``loss_p == 0``, no jitter, no fault frame and no
     transcript. No frame drops, no feedback is sent and every frame follows
@@ -52,8 +70,9 @@ one of two ways, with the same result:
 
 ``tests/test_array_run.py`` keeps the event loop as the array run's reference,
 ``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
-merge's, and ``tests/test_pipeline.py`` keeps the per-frame corruption loop
-as the array step's.
+merge's, ``tests/test_inline_events.py`` keeps the transcript run as the
+reference of a run without one, and ``tests/test_pipeline.py`` keeps the
+per-frame corruption loop as the array step's.
 """
 
 from __future__ import annotations
@@ -347,14 +366,41 @@ class Simulator:
 
     # --- host side ---------------------------------------------------------
 
+    def _frame_layouts(self) -> Optional[list[list[tuple[int, int, int]]]]:
+        """Per frame type (P, then I), each frame's (size, fragment count,
+        tail datagram bytes) as ``encoded_size`` and ``fragment_layout`` give
+        them, from two whole-run arrays; None when some frame would make
+        either raise, so that the run calls them and raises as they do."""
+        grid, n = self._grid, len(self._grid.tick)
+        layouts = []
+        for is_iframe in (False, True):
+            sizes = encoded_sizes(
+                np.full(n, is_iframe), self.codec_cfg, grid.complexity, self.nominal_sizes
+            )
+            if sizes is None:
+                return None
+            count, tail = dpp.unchecked_layout(sizes)
+            if n and count.max() > dpp.MAX_FRAGS:
+                return None
+            tail_wire = dpp.HEADER_LEN + tail
+            layouts.append(list(zip(sizes.tolist(), count.tolist(), tail_wire.tolist())))
+        return layouts
+
     def _encode_and_send(self, k: int) -> None:
         """Encode frame ``k`` at its send tick and put it on the air."""
         g, col = self.graph, self._table
+        self._next_tick = self._send_at[k + 1]
         force = self.host_fb.pending_force if self.cfg.toggles.feedback_control else False
         ftype, _, forced = self.walker.plan(force)
         encode_done = col["encoded_us"][k]
-        size = encoded_size(ftype, self.codec_cfg, self._complexity[k], self.nominal_sizes)
         is_iframe = ftype is FrameType.I
+        if self._layouts is not None:
+            size, count, tail_wire = self._layouts[is_iframe][k]
+        else:
+            complexity = float(self._grid.complexity[k])
+            size = encoded_size(ftype, self.codec_cfg, complexity, self.nominal_sizes)
+            count, tail = dpp.fragment_layout(size)
+            tail_wire = dpp.HEADER_LEN + tail
         if is_iframe and self.cfg.toggles.feedback_control:
             cp_mod.host_on_iframe_emitted(self.host_fb, encode_done, self.cfg.suppression_window_us)
         col["frame_type"][k] = is_iframe  # made "I" or "P" at the end of the run
@@ -364,14 +410,17 @@ class Simulator:
         wire_request = encode_done + g.host_netstack_us
         busy_before = self.link.busy_until
         col["sent_first_us"][k] = wire_request if wire_request > busy_before else busy_before
-        count, tail = dpp.fragment_layout(size)
-        sent = self._transmit(k, count, dpp.HEADER_LEN + tail, wire_request)
+        sent = self._transmit(k, count, tail_wire, wire_request)
         if sent is not None:
             first, last, delivered = sent
-            self.queue.schedule(
-                last,
-                ("burst", k, first, last, delivered, count, is_iframe, forced, col["gen_us"][k]),
-            )
+            burst = ("burst", k, first, last, delivered, count, is_iframe, forced, col["gen_us"][k])
+            if self.transcript is None and last < self._next_tick and self.queue.is_next(last):
+                # the loop's next dispatch: no tick and no heap event comes
+                # first. Its time becomes the queue's, as its pop would make it
+                self.queue.now = last
+                self._handle_burst(last, burst)
+            else:
+                self.queue.schedule(last, burst)
 
     def _transmit(
         self, frame_id: int, count: int, tail_wire: int, request: SimTime
@@ -401,7 +450,13 @@ class Simulator:
 
     def _send_cp(self, msg: cp_mod.CpMessage, t: SimTime) -> None:
         arrival = self._medium.packet(msg.wire_size(), t)
-        if arrival is not None:
+        if arrival is None:
+            return
+        if self.transcript is None and arrival < self._next_tick:
+            # only an encode reads or writes the host's feedback state, and
+            # none comes before the next tick that sends: decide it now
+            cp_mod.host_on_request(self.host_fb, msg, arrival)
+        else:
             self.queue.schedule(arrival, ("cp", msg))
 
     def _on_reassembly(self, ev, t: SimTime) -> None:
@@ -421,6 +476,8 @@ class Simulator:
                 self._send_cp(msg, t)
 
     def _schedule_deadlines(self) -> None:
+        if not self.reasm.has_pending:
+            return
         for fid, deadline in self.reasm.pending_deadlines():
             self.queue.schedule(deadline + 1, ("deadline", fid))
 
@@ -477,14 +534,21 @@ class Simulator:
         # frame_type and forced have no default: each frame's encode sets them
         self._table = {f.name: [f.default] * n for f in fields(FrameRecord)}
         self._table.update((name, col.tolist()) for name, col in self._frames().items())
-        self._complexity = grid.complexity.tolist()
-        frame = np.where(grid.sends, np.cumsum(grid.sends) - 1, -1).tolist()
+        self._layouts = self._frame_layouts()
+        self._send_at = grid.tick.tolist() + [float("inf")]  # each frame's send tick
+        self._next_tick = self._send_at[0]
         kind = "render" if self.cfg.encode_mode is EncodeMode.SYNC else "sample"
-        ticks = [(t, (kind, i, k)) for i, (t, k) in enumerate(zip(grid.clock.tolist(), frame))]
-        if kind == "sample" and self.transcript is not None:
-            # an ASYNC render tick sends nothing: only the transcript sees it
-            renders = [(t, ("render", i, -1)) for i, t in enumerate(grid.render.tolist())]
-            ticks = sorted(renders + ticks, key=itemgetter(0))  # on a tie the render goes first
+        if self.transcript is None:
+            # a tick that sends nothing does nothing, and a burst handled at
+            # the tick before it may arrive after it
+            sending = np.flatnonzero(grid.sends).tolist()
+            ticks = [(t, (kind, i, k)) for k, (t, i) in enumerate(zip(self._send_at, sending))]
+        else:
+            frame = np.where(grid.sends, np.cumsum(grid.sends) - 1, -1).tolist()
+            ticks = [(t, (kind, i, k)) for i, (t, k) in enumerate(zip(grid.clock.tolist(), frame))]
+            if kind == "sample":
+                renders = [(t, ("render", i, -1)) for i, t in enumerate(grid.render.tolist())]
+                ticks = sorted(renders + ticks, key=itemgetter(0))  # on a tie the render goes first
         self.queue.run(self._dispatch, ticks)
         frames = {name: _array(values) for name, values in self._table.items()}
         frames["frame_type"] = np.where(frames["frame_type"], FrameType.I.value, FrameType.P.value)

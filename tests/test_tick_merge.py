@@ -6,8 +6,9 @@ scheduler is kept here as the reference: it pushes every tick onto the heap
 before the run, in grid order, and then runs the heap. A tick was scheduled
 before any dynamic event, so on equal times it goes first, and a render goes
 before a sample; transcripts, records and reports must come out the same. A
-run without a transcript merges no ASYNC render tick, since none sends a
-frame; its records and report must still equal the eager schedule's.
+run without a transcript merges no tick that sends nothing (no ASYNC render
+tick, and no SYNC one that the codec rate skips); its records and report
+must still equal the eager schedule's.
 """
 
 import json
@@ -79,8 +80,8 @@ def test_lazy_merge_equals_eager_schedule(channel, mode, render_fps):
     lazy = _outcome(cfg, EventQueue)
     eager = _outcome(cfg, EagerQueue)
     assert lazy == eager
-    # without a transcript the ASYNC render ticks, which send nothing, are
-    # left out of the merge; records, report, link and streams stay the same
+    # without a transcript the ticks that send nothing are left out of the
+    # merge; records, report, link and streams stay the same
     untranscribed = _outcome(cfg, EventQueue, transcript=False)
     assert untranscribed[0] is None
     assert untranscribed[1:] == eager[1:]
