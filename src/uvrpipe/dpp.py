@@ -160,24 +160,24 @@ def decode_packet(b: bytes) -> DppPacket:
     )
 
 
-def fragment_layout(size_bytes: int, payload_cap: int = PAYLOAD_CAP) -> tuple[int, int]:
+def fragment_layout(size_bytes: int) -> tuple[int, int]:
     """(fragment count, tail payload bytes) for a frame of ``size_bytes``.
 
-    Every fragment but the tail carries ``payload_cap`` bytes.
+    Every fragment but the tail carries ``PAYLOAD_CAP`` bytes.
     """
     if size_bytes < 1:
         raise FragmentationError("cannot fragment an empty frame")
-    count, tail = unchecked_layout(size_bytes, payload_cap)
+    count, tail = unchecked_layout(size_bytes)
     if count > MAX_FRAGS:
         raise FragmentationError(f"{count} fragments overflow the 16-bit fragment counter")
     return count, tail
 
 
-def unchecked_layout(size_bytes, payload_cap: int = PAYLOAD_CAP):
+def unchecked_layout(size_bytes):
     """``fragment_layout`` without its checks: plain integer arithmetic, so it
     also lays out an int64 array of frame sizes at once."""
-    count = -(-size_bytes // payload_cap)
-    return count, size_bytes - payload_cap * (count - 1)
+    count = -(-size_bytes // PAYLOAD_CAP)
+    return count, size_bytes - PAYLOAD_CAP * (count - 1)
 
 
 def frame_flags(is_iframe: bool, forced: bool) -> int:

@@ -28,7 +28,9 @@ reference.
 
 Every draw of a burst goes through a ``Medium``: a channel bound to one
 ``LinkState`` and to the loss stream of one ``Rng``. The simulator binds one
-per run and puts every frame and control message on the air through it.
+per run and puts every frame and control message on the air through it. A
+frame is ``n - 1`` full packets of ``MAX_PACKET_BYTES`` and a tail, which is
+never longer; a control message is a one-packet frame.
 
 The medium is its ``Rng``'s only loss reader, and it draws ahead itself: it
 keeps one array of uniforms from the loss stream and computes each packet's
@@ -60,8 +62,7 @@ Then the burst is timed. ``Medium.frame`` times a burst in closed form,
 below: on P2P without jitter every burst, lossy or not; under INFRA or with
 jitter only a burst that lost nothing on any hop and drew no jitter. Every
 other burst walks its packets over the values already drawn, in plain
-Python numbers, as ``Medium.burst`` always does. ``Medium.packet`` walks
-its one packet the same way, in scalar steps. On P2P without jitter a
+Python numbers, as ``Medium.burst`` always does. On P2P without jitter a
 burst that reaches no disturbance is timed inline, from constants fixed for
 the run: ``prop`` and the serialization of a full packet.
 
@@ -78,11 +79,12 @@ ends at ``start + S_n``. Unrolled, the recursion takes the latest of these
 release times, each plus the serializations from its packet up to k:
 
     busy2_k = max(start + S_n + S_k, max_{j<=k} (start + S_j + prop + S_k - S_{j-1}))
-            = start + S_k + max(S_n, prop + max_{j<=k} ser_j)
+            = start + S_k + max(S_n, prop + ser_first)
 
-and packet k arrives at ``busy2_k + prop``. Only ``k = 1`` and ``k = n`` are
-evaluated. Link accounting is summed in the same way: ``S_n`` busy time,
-``n`` packets and the frame's bytes per hop.
+as no packet is longer than the first: a full one, or the tail when it is
+all there is. Packet k arrives at ``busy2_k + prop``. Only ``k = 1`` and
+``k = n`` are evaluated. Link accounting is summed in the same way: ``S_n``
+busy time, ``n`` packets and the frame's bytes per hop.
 
 A lost packet still occupies the medium, so on P2P packet k arrives at
 ``start + S_k + prop`` whether or not others were lost. A lossy P2P burst's
@@ -290,7 +292,7 @@ def _check_size(size: int) -> None:
 
 class Medium:
     """A channel bound to one ``LinkState`` and to the loss stream of one
-    ``Rng``, for every burst (``frame``, ``burst``) and packet (``packet``)
+    ``Rng``, for every frame (``frame``) and burst of any sizes (``burst``)
     that goes on the air between them.
 
     The medium is the stream's only reader and draws ahead itself (the
@@ -305,9 +307,8 @@ class Medium:
     def __init__(self, ch: ChannelModel, link: LinkState, rng: Optional[Rng] = None):
         self.ch, self.link, self.rng = ch, link, rng
         self._hops = 2 if ch.topology is Topology.INFRA else 1
-        self._jittered = ch.jitter_sigma_us > 0.0
-        self._inline = self._hops == 1 and not self._jittered
-        self._full_size = self._ser_full = -1  # the last full size, and its serialization
+        self._inline = self._hops == 1 and ch.jitter_sigma_us <= 0.0
+        self._ser_full = serialization_us(MAX_PACKET_BYTES, ch.bandwidth_bps)
         # uniforms per packet: none when nothing is drawn
         if ch.loss_model is LossModel.GILBERT_ELLIOTT:
             self._per = 2
@@ -375,87 +376,47 @@ class Medium:
             hops.append((lost, jitter))
         return None if clean else hops
 
-    def packet(self, size_bytes: int, now: SimTime) -> Optional[SimTime]:
-        """Deliver one packet; returns the arrival time, or None when lost.
-
-        A one-packet ``burst``, walked hop by hop in ``_draw``'s draw order;
-        INFRA applies both hops back to back on the same link state.
-        """
-        _check_size(size_bytes)
-        ch, link = self.ch, self.link
-        ser = -(-(size_bytes * 8_000_000) // ch.bandwidth_bps)  # ``serialization_us``
-        arrival = now
-        for _ in range(self._hops):
-            busy = (arrival if arrival > link.busy_until else link.busy_until) + ser
-            link.busy_until = busy
-            link.busy_accum_us += ser
-            link.sent_packets += 1
-            link.sent_bytes += size_bytes
-            at = self._at
-            if at < self._next and link.ge_bad is self._bad:
-                self._at = at + 1
-            elif self._flags(1) is not None:
-                link.lost_packets += 1
-                return None
-            jitter = _jitter_draws(ch, 1, self.rng) if self._jittered else None
-            arrival = busy + ch.prop_delay_us + (jitter[0] if jitter else 0)
-        # receiver-side FIFO: jitter never reorders deliveries on a link
-        if arrival > link.last_arrival:
-            link.last_arrival = arrival
-        return link.last_arrival
-
     def burst(self, sizes: list[int], now: SimTime) -> list[Optional[SimTime]]:
         """Deliver a frame's packets as one burst; returns per-packet arrivals.
 
-        For P2P this is exactly equivalent to per-packet ``packet`` calls.
+        For P2P this is exactly equivalent to one-packet ``frame`` calls.
         """
         _check_size(max(sizes, default=0))
         return _walk(self.ch, self.link, sizes, now, self._draw(len(sizes)))
 
     def frame(
-        self, count: int, full_size: int, tail_size: int, now: SimTime
+        self, count: int, tail_size: int, now: SimTime
     ) -> Optional[tuple[SimTime, SimTime, int]]:
-        """``burst`` of ``count - 1`` packets of ``full_size`` bytes and a
-        tail, summed up as ``frame_arrivals``: draw, then time.
-
-        Inline on P2P without jitter when the burst reaches no disturbance,
-        else in closed form (``_clean_ends``) on P2P without jitter whatever
-        it lost, and elsewhere only when no hop lost a packet or drew jitter;
-        a binding FIFO clamp, and every other burst, walks over the values
-        already drawn.
-        """
-        if full_size > MAX_PACKET_BYTES or tail_size > MAX_PACKET_BYTES:
-            _check_size(max(full_size, tail_size))
+        """``burst`` of ``count - 1`` full packets and a tail, summed up as
+        ``frame_arrivals``: draw, then time inline, in closed form
+        (``_clean_ends``) or by the walk, as the module docstring says."""
+        _check_size(tail_size)
         ch, link = self.ch, self.link
         if self._inline:
             at = self._at
             if at + count <= self._next and link.ge_bad is self._bad:
-                if full_size != self._full_size:
-                    self._full_size = full_size
-                    self._ser_full = serialization_us(full_size, ch.bandwidth_bps)
-                ser_full = self._ser_full
                 ser_tail = -(-(tail_size * 8_000_000) // ch.bandwidth_bps)
                 busy = link.busy_until
                 start = now if now > busy else busy
-                first = start + (ser_full if count > 1 else ser_tail) + ch.prop_delay_us
+                first = start + (self._ser_full if count > 1 else ser_tail) + ch.prop_delay_us
                 if first >= link.last_arrival:  # else the FIFO clamp binds: walk
                     self._at = at + count
-                    total = (count - 1) * ser_full + ser_tail
+                    total = (count - 1) * self._ser_full + ser_tail
                     link.busy_until = start + total
                     link.last_arrival = last = start + total + ch.prop_delay_us
                     link.busy_accum_us += total
                     link.sent_packets += count
-                    link.sent_bytes += (count - 1) * full_size + tail_size
+                    link.sent_bytes += (count - 1) * MAX_PACKET_BYTES + tail_size
                     return first, last, count
             lost = self._flags(count)
             hops = None if lost is None else [(lost, None)]
-            ends = _clean_ends(ch, link, count, full_size, tail_size, now, lost)
+            ends = _clean_ends(ch, link, count, tail_size, now, lost)
         else:
             hops = self._draw(count)
-            ends = None if hops else _clean_ends(ch, link, count, full_size, tail_size, now)
+            ends = None if hops else _clean_ends(ch, link, count, tail_size, now)
         if ends is not None:
             return ends if ends[2] else None
-        sizes = [full_size] * (count - 1) + [tail_size]
+        sizes = [MAX_PACKET_BYTES] * (count - 1) + [tail_size]
         return frame_arrivals(_walk(ch, link, sizes, now, hops))
 
 
@@ -470,7 +431,7 @@ def frame_arrivals(
     return delivered[0], delivered[-1], len(delivered)
 
 
-def _clean_shape(ch: ChannelModel, count, full_size, tail_size):
+def _clean_shape(ch: ChannelModel, count, tail_size):
     """A clean burst's first arrival and busy end, as offsets from its start,
     and the busy time it adds per hop.
 
@@ -478,7 +439,7 @@ def _clean_shape(ch: ChannelModel, count, full_size, tail_size):
     at once (``clean_run``).
     """
     prop = ch.prop_delay_us
-    ser_full = serialization_us(full_size, ch.bandwidth_bps)
+    ser_full = serialization_us(MAX_PACKET_BYTES, ch.bandwidth_bps)
     ser_tail = serialization_us(tail_size, ch.bandwidth_bps)
     # the first packet is a full one unless the tail is all there is
     ser_first = ser_tail + (count > 1) * (ser_full - ser_tail)
@@ -486,9 +447,8 @@ def _clean_shape(ch: ChannelModel, count, full_size, tail_size):
     if ch.topology is not Topology.INFRA:
         return ser_first + prop, total, total
     larger = np.maximum if isinstance(total, np.ndarray) else max
-    peak = larger(ser_tail, ser_first)
-    first = ser_first + larger(total, prop + ser_first) + prop
-    return first, total + larger(total, prop + peak), total
+    hop2 = larger(total, prop + ser_first)  # a tail is never longer than the full first packet
+    return ser_first + hop2 + prop, total + hop2, total
 
 
 def _account_clean(ch: ChannelModel, link: LinkState, busy_us: int, packets: int, nbytes: int):
@@ -503,28 +463,28 @@ def _clean_ends(
     ch: ChannelModel,
     link: LinkState,
     count: int,
-    full_size: int,
     tail_size: int,
     now: SimTime,
     lost: Optional[list[bool]] = None,
 ) -> Optional[tuple[Optional[SimTime], Optional[SimTime], int]]:
-    """Closed-form burst of ``count - 1`` packets of ``full_size`` bytes and a
-    tail, whose draws, if any, came out clean or, on P2P only, lost the
-    packets flagged in ``lost``.
+    """Closed-form burst of ``count - 1`` full packets and a tail, whose
+    draws, if any, came out clean or, on P2P only, lost the packets flagged
+    in ``lost``.
 
     Returns (first arrival, last arrival, packets delivered), the arrivals
     None when nothing arrives, and updates ``link`` exactly as the walk
     would. Returns None and leaves ``link`` untouched when the receiver FIFO
     clamp binds (see the module docstring); the caller then walks.
     """
-    first_off, busy_off, total = _clean_shape(ch, count, full_size, tail_size)
+    first_off, busy_off, total = _clean_shape(ch, count, tail_size)
     start = now if now > link.busy_until else link.busy_until
     first, last, delivered = start + first_off, start + busy_off + ch.prop_delay_us, count
     if lost is not None:  # P2P: packet k arrives at ``start + S_k + prop``, lost or not
         delivered = lost.count(False)
         first = last = None
         if delivered:
-            at, ser_full = start + ch.prop_delay_us, serialization_us(full_size, ch.bandwidth_bps)
+            at = start + ch.prop_delay_us
+            ser_full = serialization_us(MAX_PACKET_BYTES, ch.bandwidth_bps)
             head, back = lost.index(False), lost[::-1].index(False)
             first = at + (total if head == count - 1 else (head + 1) * ser_full)
             last = at + (total if back == 0 else (count - back) * ser_full)
@@ -534,7 +494,7 @@ def _clean_ends(
         link.last_arrival = last
     link.busy_until = start + busy_off
     link.lost_packets += count - delivered
-    _account_clean(ch, link, total, count, (count - 1) * full_size + tail_size)
+    _account_clean(ch, link, total, count, (count - 1) * MAX_PACKET_BYTES + tail_size)
     return first, last, delivered
 
 
@@ -559,7 +519,7 @@ def clean_run(
         return None
     if not len(count):
         return count, count, 0
-    first_off, busy_off, total = _clean_shape(ch, count, MAX_PACKET_BYTES, tail_size)
+    first_off, busy_off, total = _clean_shape(ch, count, tail_size)
     # every time below is at most this; the margin leaves room for the
     # caller's fixed per-frame offsets
     horizon = (

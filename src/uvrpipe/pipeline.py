@@ -235,6 +235,20 @@ def array_timing(
     )
 
 
+def _frame_layout(is_iframe, codec: CodecConfig, complexity: np.ndarray, nominal):
+    """Each frame's size, fragment count and tail datagram bytes, as int64
+    arrays, as ``encoded_size`` and ``fragment_layout`` give them for its
+    type (``is_iframe``, per frame or one for all) and complexity; None when
+    some frame would make either raise."""
+    sizes = encoded_sizes(is_iframe, codec, complexity, nominal)
+    if sizes is None:
+        return None
+    count, tail = dpp.unchecked_layout(sizes)
+    if len(sizes) and count.max() > dpp.MAX_FRAGS:
+        return None
+    return sizes, count, dpp.HEADER_LEN + tail
+
+
 # typed: 1, 1.0 and True differ; 4 holds an A/B suite's (color space, topology) cells
 @lru_cache(maxsize=4, typed=True)
 def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *values):
@@ -247,14 +261,12 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *value
     n = len(grid.tick)
     is_iframe = np.zeros(n, dtype=bool)
     is_iframe[:: codec.gop_size] = True
-    sizes = encoded_sizes(is_iframe, codec, grid.complexity, nominal_sizes(codec))
-    if sizes is None:
+    layout = _frame_layout(is_iframe, codec, grid.complexity, nominal_sizes(codec))
+    if layout is None:
         return None
-    count, tail = dpp.unchecked_layout(sizes)
-    if n and count.max() > dpp.MAX_FRAGS:
-        return None
+    sizes, count, tail_wire = layout
     link = netsim.LinkState()
-    sent = netsim.clean_run(channel, link, count, dpp.HEADER_LEN + tail, grid.tick)
+    sent = netsim.clean_run(channel, link, count, tail_wire, grid.tick)
     if sent is None:
         return None
     start, last, link_horizon = sent
@@ -368,23 +380,17 @@ class Simulator:
 
     def _frame_layouts(self) -> Optional[list[list[tuple[int, int, int]]]]:
         """Per frame type (P, then I), each frame's (size, fragment count,
-        tail datagram bytes) as ``encoded_size`` and ``fragment_layout`` give
-        them, from two whole-run arrays; None when some frame would make
-        either raise, so that the run calls them and raises as they do."""
-        grid, n = self._grid, len(self._grid.tick)
-        layouts = []
-        for is_iframe in (False, True):
-            sizes = encoded_sizes(
-                np.full(n, is_iframe), self.codec_cfg, grid.complexity, self.nominal_sizes
-            )
-            if sizes is None:
-                return None
-            count, tail = dpp.unchecked_layout(sizes)
-            if n and count.max() > dpp.MAX_FRAGS:
-                return None
-            tail_wire = dpp.HEADER_LEN + tail
-            layouts.append(list(zip(sizes.tolist(), count.tolist(), tail_wire.tolist())))
-        return layouts
+        tail datagram bytes) from a whole-run ``_frame_layout``; None when
+        some frame would make ``encoded_size`` or ``fragment_layout`` raise,
+        so that the run calls them and raises as they do."""
+        complexity = self._grid.complexity
+        layouts = [
+            _frame_layout(is_iframe, self.codec_cfg, complexity, self.nominal_sizes)
+            for is_iframe in (False, True)
+        ]
+        if None in layouts:
+            return None
+        return [list(zip(*(column.tolist() for column in layout))) for layout in layouts]
 
     def _encode_and_send(self, k: int) -> None:
         """Encode frame ``k`` at its send tick and put it on the air."""
@@ -431,7 +437,7 @@ class Simulator:
         fragments delivered).
         """
         if frame_id != self.cfg.fault_drop_frame_id:
-            return self._medium.frame(count, dpp.MTU, tail_wire, request)
+            return self._medium.frame(count, tail_wire, request)
         arrivals = self._medium.burst([dpp.MTU] * (count - 1) + [tail_wire], request)
         victim = self.cfg.fault_drop_frag_index
         if victim < 0:
@@ -449,9 +455,10 @@ class Simulator:
     # --- receiver side -----------------------------------------------------
 
     def _send_cp(self, msg: cp_mod.CpMessage, t: SimTime) -> None:
-        arrival = self._medium.packet(msg.wire_size(), t)
-        if arrival is None:
+        sent = self._medium.frame(1, msg.wire_size(), t)  # a one-packet frame
+        if sent is None:
             return
+        arrival = sent[0]
         if self.transcript is None and arrival < self._next_tick:
             # only an encode reads or writes the host's feedback state, and
             # none comes before the next tick that sends: decide it now
@@ -479,7 +486,8 @@ class Simulator:
         if not self.reasm.has_pending:
             return
         for fid, deadline in self.reasm.pending_deadlines():
-            self.queue.schedule(deadline + 1, ("deadline", fid))
+            # a deadline inside the frame's own burst drops it as that burst is handled
+            self.queue.schedule(max(deadline + 1, self.queue.now), ("deadline", fid))
 
     def _handle_burst(self, t: SimTime, event: tuple) -> None:
         _, wire_id, first, last, delivered, *frame = event

@@ -109,7 +109,7 @@ def expected_transport_us(size_bytes: int, channel: netsim.ChannelModel) -> int:
     arrives one propagation delay after the medium's busy end.
     """
     count, tail = dpp.fragment_layout(size_bytes)
-    _first, busy_end, _total = netsim._clean_shape(channel, count, dpp.MTU, dpp.HEADER_LEN + tail)
+    _first, busy_end, _total = netsim._clean_shape(channel, count, dpp.HEADER_LEN + tail)
     return busy_end + channel.prop_delay_us
 
 

@@ -8,7 +8,6 @@ from uvrpipe.dpp import (
     PAYLOAD_CAP,
     DppPacket,
     Reassembler,
-    fragment_layout,
     frame_flags,
 )
 
@@ -24,7 +23,7 @@ def fragment(
     """Split encoded frame bytes into ordered DATA packets: full fragments of
     ``payload_cap`` bytes, then the tail. ``dpp.send_frame`` is pinned to
     these packets' encoding."""
-    count, _tail = fragment_layout(len(data), payload_cap)
+    count = -(-len(data) // payload_cap)
     flags = frame_flags(is_iframe, forced)
     return [
         DppPacket(

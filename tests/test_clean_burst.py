@@ -36,7 +36,7 @@ from uvrpipe.scenario import preset_config
 # the first arrival lands 1 us before the previous one, or exactly on it
 @example(867_000_000, 200, 0, 223, 0, 41_408, None, Topology.P2P)
 @example(867_000_000, 200, 0, 222, 0, 41_408, None, Topology.P2P)
-# one-fragment frames, a one-byte tail, a tail longer than a full packet
+# one-fragment frames, a one-byte tail, a tail as long as a full packet
 @example(867_000_000, 0, 0, 0, 10, 1, None, Topology.INFRA)
 @example(1_000_000, 3_000, 5, 0, 7, PAYLOAD_CAP + 1, None, Topology.INFRA)
 @example(100_000_000, 1_000, 0, 0, 0, 3 * PAYLOAD_CAP, MAX_PACKET_BYTES, Topology.INFRA)
@@ -47,12 +47,11 @@ def test_closed_form_equals_walk(
     before = LinkState(busy_until=busy_until, last_arrival=last_arrival)
     fast, walk = replace(before), replace(before)
     count, tail = fragment_layout(size)
-    full = MTU - 100 if tail_wire is not None else MTU  # leave room for a longer tail
     if tail_wire is None:
         tail_wire = HEADER_LEN + tail
-    sizes = [full] * (count - 1) + [tail_wire]
+    sizes = [MTU] * (count - 1) + [tail_wire]
     arrivals = Medium(ch, walk).burst(sizes, now)
-    ends = _clean_ends(ch, fast, count, full, tail_wire, now)
+    ends = _clean_ends(ch, fast, count, tail_wire, now)
     if ends is None:
         # declined without touching the link, because the clamp binds ...
         assert fast == before
@@ -67,7 +66,7 @@ def test_closed_form_equals_walk(
 @pytest.mark.parametrize("topology", Topology)
 def test_binding_clamp_declines(topology):
     link = LinkState(last_arrival=50_000)
-    assert _clean_ends(ChannelModel(topology=topology), link, 64, MTU, 1_248, 0) is None
+    assert _clean_ends(ChannelModel(topology=topology), link, 64, 1_248, 0) is None
     assert link == LinkState(last_arrival=50_000)
 
 

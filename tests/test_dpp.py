@@ -88,7 +88,7 @@ def test_fragment_counts():
     with pytest.raises(FragmentationError):
         fragment_layout(0)
     with pytest.raises(FragmentationError):
-        fragment_layout(70_000, payload_cap=1)
+        fragment_layout(dpp.MAX_FRAGS * dpp.PAYLOAD_CAP + 1)
 
 
 def test_fragment_roundtrip_identity():

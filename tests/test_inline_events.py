@@ -10,20 +10,19 @@ collects a transcript keeps every event on the heap; it is the reference. The
 report, every frame-table column with its dtype, the link, both feedback
 states and the decoder must come out the same.
 
-A drop deadline shorter than a partial burst's span schedules the frame's
-deadline before the burst's own dispatch time. Both runs then raise the same
-``SchedulingError``, which the outcome compares instead.
+A drop deadline shorter than a partial burst's span falls before the
+burst's own dispatch time; the frame then drops as that burst is handled.
 """
 
 import json
 from copy import deepcopy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uvrpipe import dpp, pipeline
-from uvrpipe.core import EventQueue, SchedulingError
+from uvrpipe.core import EventQueue
 from uvrpipe.cp import SUB_IFRAME_REQUEST, CpMessage
 from uvrpipe.netsim import LossModel, serialization_us
 from uvrpipe.pipeline import Simulator, run_scenario
@@ -32,10 +31,7 @@ from uvrpipe.scenario import EncodeMode, preset_config
 
 def _outcome(cfg, collect_transcript):
     sim = Simulator(cfg, collect_transcript=collect_transcript)
-    try:
-        result = sim.run()
-    except SchedulingError as exc:
-        return ("raised", str(exc))
+    result = sim.run()
     return (
         json.dumps(result.metrics.to_dict()),
         {name: (column.dtype.str, column.tolist()) for name, column in result.frames.items()},
@@ -74,7 +70,7 @@ SPACE = st.fixed_dictionaries(
         feedback=st.booleans(),
         fault=st.sampled_from(["none", "first", "mid", "last"]),
         suppression_window_us=st.sampled_from([0, 1_000_000]),
-        # a deadline shorter than a partial burst raises (see above); most
+        # a deadline shorter than a partial burst's span (see above); most
         # drawn here are longer
         drop_deadline_us=st.one_of(
             st.sampled_from([1, 33_334, 100_000]),
@@ -110,8 +106,27 @@ def _space_config(p):
     return cfg
 
 
+# ``uvrpipe sim run --preset openuvr --set channel.loss_model=gilbert_elliott
+# --set proto.drop_deadline_us=100 --set duration_s=5``: deadlines inside
+# their own partial bursts
+REPRO = dict(
+    seed=1,
+    duration_s=5.0,
+    loss=(LossModel.GILBERT_ELLIOTT, (0.01, 0.2)),
+    jitter_sigma_us=0.0,
+    p2p=True,
+    mode=EncodeMode.ASYNC,
+    render_fps=60,
+    feedback=True,
+    fault="none",
+    suppression_window_us=200_000,
+    drop_deadline_us=100,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(params=SPACE)
+@example(REPRO)
 def test_plain_run_equals_transcript_run(params):
     _assert_same(_space_config(params))
 
@@ -272,3 +287,10 @@ def test_the_lossy_benchmark_run_heaps_few_events(monkeypatch):
     cfg.seed = 42
     assert run_scenario(cfg).metrics.frames["sent"] == 3_600
     assert 0 < len(pushed) <= 1_200
+
+
+def test_a_deadline_inside_its_own_burst_drops_the_frame():
+    report = run_scenario(_space_config(REPRO)).metrics
+    frames = report.frames
+    assert frames["dropped"] > 0
+    assert frames["presented"] + frames["dropped"] + report.unresolved_frames == frames["sent"]

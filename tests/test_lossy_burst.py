@@ -118,11 +118,11 @@ def _compare(ch, link, seed, calls):
     medium = netsim.Medium(ch, fast, fast_rng)
     for now, sizes, one_packet_call in calls:
         if one_packet_call:
-            got = [medium.packet(sizes[0], now)]
-            sizes = sizes[:1]
+            got = medium.frame(1, sizes[0], now)
+            want = reference_frame(reference_transmit_burst(ch, ref, sizes[:1], now, ref_rng))
         else:
             got = medium.burst(sizes, now)
-        want = reference_transmit_burst(ch, ref, sizes, now, ref_rng)
+            want = reference_transmit_burst(ch, ref, sizes, now, ref_rng)
         assert got == want
         assert fast == ref
     assert _next_draws(fast_rng, medium) == _next_draws(ref_rng)
@@ -148,7 +148,7 @@ links = st.builds(
     ge_bad=st.booleans(),
 )
 packet = st.integers(1, MAX_PACKET_BYTES)
-# each call: (send time, sizes, one_packet_call) -- one_packet_call uses ``Medium.packet``
+# each call: (send time, sizes, one_packet_call); a one-packet call sends ``frame(1, ...)``
 calls = st.lists(
     st.tuples(st.integers(0, 200_000), st.lists(packet, min_size=1, max_size=40), st.booleans()),
     min_size=1,
@@ -173,7 +173,7 @@ GE = dict(loss_model=LossModel.GILBERT_ELLIOTT, ge_p_gb=0.3, ge_p_bg=0.3, ge_los
     2,
     [(0, [MAX_PACKET_BYTES] * 30, False), (10, [900], True)],
 )
-# one-packet bursts and interleaved packet and burst calls on one medium
+# one-packet bursts and interleaved one-packet frames and bursts on one medium
 @example(
     ChannelModel(topology=Topology.INFRA, loss_p=0.5, jitter_sigma_us=80.0),
     LinkState(),
@@ -231,9 +231,9 @@ def _compare_frames(ch, link, seed, frames):
     fast, ref = replace(link), replace(link)
     fast_rng, ref_rng = Rng(seed), Rng(seed)
     medium = netsim.Medium(ch, fast, fast_rng)
-    for now, count, full, tail in frames:
-        got = medium.frame(count, full, tail, now)
-        sizes = [full] * (count - 1) + [tail]
+    for now, count, tail in frames:
+        got = medium.frame(count, tail, now)
+        sizes = [MAX_PACKET_BYTES] * (count - 1) + [tail]
         assert got == reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
         assert fast == ref
     assert _next_draws(fast_rng, medium) == _next_draws(ref_rng)
@@ -263,13 +263,13 @@ def ge_channels(draw):
     )
 
 
-# each frame: (send time, count, full size, tail size); count 1 is a one-packet burst
+# each frame: (send time, count, tail size); count 1 is a one-packet burst
 frames = st.lists(
-    st.tuples(st.integers(0, 200_000), st.integers(1, 40), packet, packet),
+    st.tuples(st.integers(0, 200_000), st.integers(1, 40), packet),
     min_size=1,
     max_size=6,
 )
-FRAME = [(0, 30, MAX_PACKET_BYTES, 700), (16_667, 12, MAX_PACKET_BYTES, 64), (16_700, 1, 900, 900)]
+FRAME = [(0, 30, 700), (16_667, 12, 64), (16_700, 1, 900)]
 
 
 @settings(max_examples=600)
@@ -286,7 +286,7 @@ FRAME = [(0, 30, MAX_PACKET_BYTES, 700), (16_667, 12, MAX_PACKET_BYTES, 64), (16
     ChannelModel(topology=Topology.INFRA, **dict(GE, ge_loss_good=0.02, ge_p_bg=0.01)),
     LinkState(ge_bad=True),
     2,
-    [(0, 1, 64, 64), (5, 1, 2_000, 2_000), *FRAME],
+    [(0, 1, 64), (5, 1, 2_000), *FRAME],
 )
 def test_frame_entry_equals_reference(ch, link, seed, frames):
     _compare_frames(ch, link, seed, frames)
@@ -314,7 +314,7 @@ def test_infra_clean_first_hop_lossy_second_hop(loss, jitter):
         hop1, both = _hop_losses(ch, LinkState(), sizes, 0, seed)
         if hop1 == 0 and both > 0:
             cases += 1
-            _compare_frames(ch, LinkState(), seed, [(0, 30, MAX_PACKET_BYTES, 500)])
+            _compare_frames(ch, LinkState(), seed, [(0, 30, 500)])
     assert cases > 0
 
 
@@ -334,11 +334,9 @@ def test_clean_draws_take_the_closed_form(loss, topology, monkeypatch):
         ):
             continue
         walks.clear()
-        _compare_frames(ch, LinkState(), seed, [(0, 12, MAX_PACKET_BYTES, MAX_PACKET_BYTES)])
+        _compare_frames(ch, LinkState(), seed, [(0, 12, MAX_PACKET_BYTES)])
         assert not walks
-        _compare_frames(
-            ch, LinkState(last_arrival=10**6), seed, [(0, 12, MAX_PACKET_BYTES, MAX_PACKET_BYTES)]
-        )
+        _compare_frames(ch, LinkState(last_arrival=10**6), seed, [(0, 12, MAX_PACKET_BYTES)])
         assert walks
         return
     pytest.fail("no seed gave a clean burst")
@@ -386,7 +384,7 @@ def test_p2p_lossy_burst_takes_the_closed_form(loss, count, wanted, monkeypatch)
     ch = ChannelModel(**loss)
     seed = _seed_where(ch, count, 700, wanted)
     walks = _walk_counter(monkeypatch)
-    frames = [(0, count, MAX_PACKET_BYTES, 700), (16_667, 12, MAX_PACKET_BYTES, 64)]
+    frames = [(0, count, 700), (16_667, 12, 64)]
     _compare_frames(ch, LinkState(), seed, frames)
     assert not walks
 
@@ -398,7 +396,7 @@ def test_binding_clamp_after_lossy_burst_walks(loss, monkeypatch):
     seed = _seed_where(ch, 12, 700, lambda a: a[0] is None and _some(a))
     walks = _walk_counter(monkeypatch)
     link = LinkState(last_arrival=10**6)
-    frames = [(0, 12, MAX_PACKET_BYTES, 700), (10, 3, MAX_PACKET_BYTES, 64)]
+    frames = [(0, 12, 700), (10, 3, 64)]
     _compare_frames(ch, link, seed, frames)
     assert walks
 
@@ -467,7 +465,7 @@ bound_ops = st.lists(
     st.one_of(
         # up to 90 packets: longer than a first block (32 Gilbert-Elliott packets)
         st.tuples(st.just("frame"), st.integers(0, 200_000), st.integers(1, 90), packet),
-        st.tuples(st.just("packet"), st.integers(0, 200_000), packet, st.just(None)),
+        st.tuples(st.just("control"), st.integers(0, 200_000), packet, st.just(None)),
         st.tuples(
             st.just("burst"),
             st.integers(0, 200_000),
@@ -497,7 +495,7 @@ LONG = [("frame", 16_667 * k, 90, 700) for k in range(14)]
     ChannelModel(topology=Topology.INFRA, jitter_sigma_us=30.0, **dict(GE, ge_p_gb=0.02)),
     False,
     4,
-    [*LONG[:5], ("flip", 0, 0, None), ("packet", 0, 64, None), *LONG[5:]],
+    [*LONG[:5], ("flip", 0, 0, None), ("control", 0, 64, None), *LONG[5:]],
 )
 def test_bound_medium_equals_reference(ch, bad, seed, ops):
     fast, ref = LinkState(ge_bad=bad), LinkState(ge_bad=bad)
@@ -505,12 +503,12 @@ def test_bound_medium_equals_reference(ch, bad, seed, ops):
     medium = netsim.Medium(ch, fast, fast_rng)
     for op, now, n, size in ops:
         if op == "frame":
-            got = medium.frame(n, MAX_PACKET_BYTES, size, now)
+            got = medium.frame(n, size, now)
             sizes = [MAX_PACKET_BYTES] * (n - 1) + [size]
             want = reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
-        elif op == "packet":
-            got = medium.packet(n, now)
-            want = reference_transmit_burst(ch, ref, [n], now, ref_rng)[0]
+        elif op == "control":  # a control message: a one-packet frame
+            got = medium.frame(1, n, now)
+            want = reference_frame(reference_transmit_burst(ch, ref, [n], now, ref_rng))
         elif op == "burst":
             got = medium.burst(n, now)
             want = reference_transmit_burst(ch, ref, n, now, ref_rng)

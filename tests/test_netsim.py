@@ -1,4 +1,5 @@
 import pytest
+from test_lossy_burst import reference_frame
 
 from uvrpipe.core import Rng
 from uvrpipe.netsim import (
@@ -21,22 +22,22 @@ def test_serialization_examples():
 def test_p2p_idle_delivery():
     ch = ChannelModel(topology=Topology.P2P)
     link = LinkState()
-    assert Medium(ch, link).packet(2_304, 1_000) == 1_000 + 22 + 200
+    assert Medium(ch, link).frame(1, 2_304, 1_000) == reference_frame([1_000 + 22 + 200])
     assert link.busy_until == 1_022
 
 
 def test_infra_two_hops_one_medium():
     ch = ChannelModel(topology=Topology.INFRA)
     link = LinkState()
-    arrival = Medium(ch, link).packet(2_304, 0)
-    assert arrival == 444  # two serializations + two propagation delays
+    arrival = Medium(ch, link).frame(1, 2_304, 0)
+    assert arrival == reference_frame([444])  # two serializations + two propagation delays
     assert link.busy_accum_us == 44
 
 
 def test_oversized_packet_rejected():
     ch = ChannelModel()
     with pytest.raises(OversizedPacket):
-        Medium(ch, LinkState()).packet(2_305, 0)
+        Medium(ch, LinkState()).frame(1, 2_305, 0)
     with pytest.raises(OversizedPacket):
         Medium(ch, LinkState()).burst([100, 9_999], 0)
 
@@ -74,7 +75,7 @@ def test_bernoulli_loss_rate_within_binomial_bounds():
     ch = ChannelModel(topology=Topology.P2P, loss_p=p)
     link = LinkState()
     medium = Medium(ch, link, Rng(12))
-    lost = sum(1 for _ in range(n) if medium.packet(500, link.busy_until) is None)
+    lost = sum(1 for _ in range(n) if medium.frame(1, 500, link.busy_until) is None)
     sigma = (n * p * (1 - p)) ** 0.5
     assert abs(lost - n * p) <= 3 * sigma
 
@@ -90,7 +91,7 @@ def test_gilbert_elliott_burstier_than_bernoulli():
     )
     link = LinkState()
     medium = Medium(ch, link, Rng(5))
-    outcomes = [medium.packet(500, link.busy_until) is None for _ in range(20_000)]
+    outcomes = [medium.frame(1, 500, link.busy_until) is None for _ in range(20_000)]
     losses = sum(outcomes)
     assert 0 < losses < 20_000
     # loss events cluster: P(loss | previous loss) well above the base rate
@@ -106,8 +107,8 @@ def test_burst_equals_sequential_transmit_on_p2p():
     burst = Medium(ch, a).burst(sizes, 5_000)
     b = LinkState()
     medium = Medium(ch, b)
-    seq = [medium.packet(s, 5_000) for s in sizes]
-    assert burst == seq
+    seq = [medium.frame(1, s, 5_000) for s in sizes]
+    assert [reference_frame([arrival]) for arrival in burst] == seq
     assert a.busy_until == b.busy_until
 
 
@@ -141,6 +142,6 @@ def test_occupancy_of_a_paced_stream():
 
 def test_p2p_beats_infra_per_packet():
     for size in (64, 500, 2_304):
-        p2p = Medium(ChannelModel(topology=Topology.P2P), LinkState()).packet(size, 0)
-        infra = Medium(ChannelModel(topology=Topology.INFRA), LinkState()).packet(size, 0)
-        assert p2p < infra
+        p2p = Medium(ChannelModel(topology=Topology.P2P), LinkState()).frame(1, size, 0)
+        infra = Medium(ChannelModel(topology=Topology.INFRA), LinkState()).frame(1, size, 0)
+        assert p2p[0] < infra[0]

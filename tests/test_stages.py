@@ -96,7 +96,7 @@ def _transport_reference(size_bytes, channel):
     )
     count, tail = dpp.fragment_layout(size_bytes)
     medium = netsim.Medium(clean, netsim.LinkState())
-    _first, last, _delivered = medium.frame(count, dpp.MTU, dpp.HEADER_LEN + tail, 0)
+    _first, last, _delivered = medium.frame(count, dpp.HEADER_LEN + tail, 0)
     return last
 
 
