@@ -56,6 +56,9 @@ one of two ways, with the same result:
     computes them once, from a fresh link and decoder at the clock ticks,
     and shares them read-only, so an A/B suite times each of its four
     (color space, topology) cells once and each run adds its own constants.
+    With them it keeps what every run's report takes as it is: the network
+    stage sorted once, with its distribution, and the one value of the
+    sampler and decode waits, when each has one.
     When a precondition fails (the receiver's FIFO clamp binds, a frame
     exceeds the fragment limit, a time could outgrow int64, the link or
     decoder was used before), the link is left as it was and the event loop
@@ -66,9 +69,17 @@ one of two ways, with the same result:
     is its read view, built when first read. The report sorts only the
     stages that vary (``report.build_distributions``) and formats its config
     when first read; a run shares its datapath (``stages.shared_datapath``)
-    and builds the event loop's state only when the event loop runs.
+    and builds the event loop's state only when the event loop runs. An
+    array run whose timing keeps its report's stages sorts nothing and
+    counts nothing: every frame is presented, the network stage is the
+    timing's, and end-to-end, the sum of the stages on every frame, reads
+    its percentiles off the network's order plus the run's constant
+    stages. Only its mean, whose float sum depends on those constants, is
+    a pass over the run's own values. When a wait varies or the network
+    does not, the report takes the general path, as the event loop's does.
 
-``tests/test_array_run.py`` keeps the event loop as the array run's reference,
+``tests/test_array_run.py`` keeps the event loop as the array run's reference
+(and the general report path as that of a report from the timing's stages),
 ``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
 merge's, ``tests/test_inline_events.py`` keeps the transcript run as the
 reference of a run without one, and ``tests/test_pipeline.py`` keeps the
@@ -104,7 +115,7 @@ from .core import (
     raw_frame_bytes,
     tick_time,
 )
-from .report import FrameRecord, MetricsReport, build_distributions
+from .report import FrameRecord, KnownStage, MetricsReport, build_distributions, known_stage
 from .scenario import EncodeMode, ScenarioConfig, ScenarioError, config_values, with_toggle
 from .stages import (
     DatapathGraph,
@@ -113,6 +124,7 @@ from .stages import (
     channel_values,
     codec_values,
     ledger_frame_copies,
+    link_fixed_overhead_us,
     shared_datapath,
 )
 
@@ -201,7 +213,15 @@ class ArrayTiming(NamedTuple):
     constant (``array_timing``): per frame its type and size, its burst's
     start and last arrival, ``net`` (last arrival minus send tick), its
     decode start and ``queue_wait`` (decode start minus last arrival); the
-    link's end state; and the two bounds that a shifted run re-checks."""
+    link's end state; the two bounds that a shifted run re-checks; and what
+    every run's report takes from it as it is.
+
+    ``stages`` is the report's sampler-wait (clock tick minus render time)
+    and decode-wait as their one value each, and its network stage (``net``
+    plus the codec and channel's ``link_fixed_overhead_us``, the datapath's
+    ``link_fixed_us``) sorted once with its distribution; None when either
+    wait varies or the network stage does not (``report.known_stage``).
+    """
 
     frame_type: np.ndarray
     size_bytes: np.ndarray
@@ -215,6 +235,8 @@ class ArrayTiming(NamedTuple):
     totals: tuple[int, int, int]  # the link's busy_accum_us, sent_packets, sent_bytes
     link_horizon: int  # clean_run's horizon
     decode_top: SimTime  # the last decode arrival
+    stages: Optional[tuple[int, KnownStage, int]]  # sampler-wait, network, decode-wait
+    sent_bytes: int
 
 
 def array_timing(
@@ -233,6 +255,12 @@ def array_timing(
         *codec_values(codec),
         *channel_values(channel),
     )
+
+
+def _single_value(values: np.ndarray) -> Optional[int]:
+    """The one value that every element of a non-empty int array takes, or None."""
+    lo = int(values.min())
+    return lo if lo == int(values.max()) else None
 
 
 def _frame_layout(is_iframe, codec: CodecConfig, complexity: np.ndarray, nominal):
@@ -286,6 +314,13 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *value
     )
     for array in columns.values():
         array.flags.writeable = False
+    stages = None
+    network = known_stage(columns["net"], link_fixed_overhead_us(codec, channel))
+    if network is not None:  # so some frame is sent
+        sampler_wait = _single_value(grid.tick - grid.gen)
+        decode_wait = _single_value(columns["queue_wait"])
+        if sampler_wait is not None and decode_wait is not None:
+            stages = sampler_wait, network, decode_wait
     return ArrayTiming(
         **columns,
         busy_until=link.busy_until,
@@ -293,6 +328,8 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *value
         totals=(link.busy_accum_us, link.sent_packets, link.sent_bytes),
         link_horizon=link_horizon,
         decode_top=int(last[-1]) if n else 0,
+        stages=stages,
+        sent_bytes=int(sizes.sum()),
     )
 
 
@@ -622,48 +659,66 @@ class Simulator:
             queue_wait_us=timing.queue_wait,
             net_us=timing.net + g.link_fixed_us,
         )
-        return self._result(frames)
+        return self._result(frames, timing)
 
     # --- the tail ----------------------------------------------------------
 
-    def _result(self, frames: dict[str, np.ndarray]) -> SimResult:
-        """Corruption, when some frame dropped, and the report of the frame table."""
+    def _result(
+        self, frames: dict[str, np.ndarray], timing: Optional[ArrayTiming] = None
+    ) -> SimResult:
+        """Corruption, when some frame dropped, and the report of the frame
+        table; ``timing`` is an array run's."""
         if frames["dropped"].any():
             frames["corrupted"] = _corrupted(frames)
-        return SimResult(self._metrics(frames), frames, self.graph, self.transcript)
+        return SimResult(self._metrics(frames, timing), frames, self.graph, self.transcript)
 
-    def _metrics(self, col: dict[str, np.ndarray]) -> MetricsReport:
-        """The run's report from its frame table."""
+    def _metrics(
+        self, col: dict[str, np.ndarray], timing: Optional[ArrayTiming] = None
+    ) -> MetricsReport:
+        """The run's report from its frame table. An array run presents every
+        frame; when its timing knows the report's ``stages``, only the
+        network stage varies, and its order and distribution are the
+        timing's, so the report sorts nothing."""
         cfg = self.cfg
         g = self.graph
-        shown = col["presented_us"] >= 0
-        n_presented = int(np.count_nonzero(shown))
-        dropped = int(np.count_nonzero(col["dropped"]))
-        if n_presented == len(shown):
-            # every frame is presented: none is unresolved and no column is copied
-            shown, unresolved = slice(None), 0
+        sent = len(col["size_bytes"])
+        if timing is not None and timing.stages is not None:
+            n_presented, dropped, unresolved, corrupted = sent, 0, 0, 0
+            sampler_wait, network, decode_wait = timing.stages
+            has_sampler_wait = sampler_wait != 0
+            e2e = col["presented_us"] - col["gen_us"]
+            sent_bytes = timing.sent_bytes
         else:
-            unresolved = int(np.count_nonzero((col["dropped"] == 0) & ~shown))
-        corrupted = int(np.count_nonzero(col["corrupted"][shown]))
+            shown = col["presented_us"] >= 0
+            n_presented = int(np.count_nonzero(shown))
+            dropped = int(np.count_nonzero(col["dropped"]))
+            if n_presented == len(shown):
+                # every frame is presented: none is unresolved and no column is copied
+                shown, unresolved = slice(None), 0
+            else:
+                unresolved = int(np.count_nonzero((col["dropped"] == 0) & ~shown))
+            corrupted = int(np.count_nonzero(col["corrupted"][shown]))
+            gen = col["gen_us"][shown]
+            sampler_wait = col["encoded_us"][shown] - g.encode_path_us - gen
+            network, decode_wait = col["net_us"][shown], col["queue_wait_us"][shown]
+            has_sampler_wait = sampler_wait.any()
+            e2e = col["presented_us"][shown] - gen
+            sent_bytes = int(col["size_bytes"].sum())
 
-        gen = col["gen_us"][shown]
         per_stage = {
-            "sampler-wait": col["encoded_us"][shown] - g.encode_path_us - gen,
+            "sampler-wait": sampler_wait,
             "encode-path": g.encode_path_us,
             "host-netstack": g.host_netstack_us,
-            "network": col["net_us"][shown],
-            "decode-wait": col["queue_wait_us"][shown],
+            "network": network,
+            "decode-wait": decode_wait,
             "mud": g.mud_service_us,
             "presentation": g.residual_us,
         }
-        if not per_stage["sampler-wait"].any():
+        if not has_sampler_wait:
             del per_stage["sampler-wait"]
         if g.residual_us == 0:
             del per_stage["presentation"]
-
-        stages, e2e_dist = build_distributions(per_stage, col["presented_us"][shown] - gen)
-        sent_bytes = int(col["size_bytes"].sum())
-        sent = len(col["size_bytes"])
+        stages, e2e_dist = build_distributions(per_stage, e2e)
         duration_s = cfg.duration_s
         mech_sent = self.link.sent_packets
         network = {

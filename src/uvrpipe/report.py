@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -91,7 +91,12 @@ def _dist_ms(values_us: np.ndarray, ordered=None, shift: int = 0) -> dict[str, f
     """
     if len(values_us) == 0:
         return {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
-    arr = np.asarray(values_us, dtype=np.float64) / 1000.0
+    # the ufunc makes int64 float64 itself, in the same pass; an object column
+    # (Python ints past int64) is made float64 first, to sum as floats do
+    if values_us.dtype.kind == "i":
+        arr = values_us / 1000.0
+    else:
+        arr = np.asarray(values_us, dtype=np.float64) / 1000.0
     ordered = np.sort(values_us) if ordered is None else ordered
     return {
         "mean_ms": round(float(arr.sum()) / len(arr), 4),  # ndarray.mean's steps
@@ -159,27 +164,71 @@ def _constant_dist_ms(value_us: int, n: int) -> dict[str, float]:
     return {"mean_ms": ms, "p50_ms": ms, "p99_ms": ms}
 
 
+class KnownStage(NamedTuple):
+    """A stage whose values are ``ordered + shift`` in ascending order and
+    whose distribution is ``dist`` (``known_stage``): the runs that share its
+    values pass it to ``build_distributions``, which sorts nothing for it."""
+
+    ordered: np.ndarray
+    shift: int
+    dist: dict[str, float]
+
+
+def _sort(values_us: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """An int array whose bounds are ``lo`` and ``hi``, in ascending order;
+    in int32, where they fit, the same order sorts in half the time."""
+    return np.sort(values_us.astype(np.int32) if -(2**31) <= lo and hi < 2**31 else values_us)
+
+
+def known_stage(values_us: np.ndarray, shift: int) -> Optional[KnownStage]:
+    """The stage ``values_us + shift`` of an int64 array, sorted once (the
+    order read-only) with its distribution; None when it takes fewer than two
+    values, or when a value or the shift reaches 2**62, so that the sum
+    cannot wrap."""
+    if not len(values_us):
+        return None
+    lo, hi = int(values_us.min()), int(values_us.max())
+    if lo == hi or max(-lo, hi, abs(shift)) >= 2**62:
+        return None
+    ordered = _sort(values_us, lo, hi)
+    ordered.flags.writeable = False
+    return KnownStage(ordered, shift, _dist_ms(values_us + shift, ordered, shift))
+
+
 def build_distributions(
-    per_stage_us: dict[str, Union[int, np.ndarray]], e2e_us: np.ndarray
+    per_stage_us: dict[str, Union[int, np.ndarray, KnownStage]], e2e_us: np.ndarray
 ) -> tuple[dict[str, dict[str, float]], dict[str, float]]:
     """Each stage's and the end-to-end distribution; a stage is an array with
-    one value per frame of ``e2e_us``, or one int that every frame takes.
-    Only an int array that varies is sorted. End-to-end reads its percentiles
-    off the sort of the one such stage when it differs from that stage by the
-    same amount on every frame (every other stage is constant)."""
+    one value per frame of ``e2e_us``, one int that every frame takes, or a
+    ``KnownStage``. Only an int array that varies is sorted. End-to-end reads
+    its percentiles off the order of the one stage that varies:
+
+      * a known stage's, when every other stage is an int: its caller vouches
+        that end-to-end is the sum of the stages on every frame;
+      * else an array's, when end-to-end differs from it by the same amount
+        on every frame (every other stage is constant).
+    """
     n = len(e2e_us)
-    stages, varying = {}, []
+    stages, varying, known, constants = {}, [], [], []
     for name, vals in per_stage_us.items():
-        if isinstance(vals, int) or vals.dtype.kind != "i" or not n:
-            stages[name] = _constant_dist_ms(vals, n) if isinstance(vals, int) else _dist_ms(vals)
+        if isinstance(vals, int):
+            stages[name] = _constant_dist_ms(vals, n)
+            constants.append(vals)
+        elif isinstance(vals, KnownStage):
+            stages[name] = dict(vals.dist)
+            known.append(vals)
+        elif vals.dtype.kind != "i" or not n:
+            stages[name] = _dist_ms(vals)
         elif (lo := int(vals.min())) == (hi := int(vals.max())):
             stages[name] = _constant_dist_ms(lo, n)
-        else:  # in int32 the same order sorts in half the time
-            ordered = np.sort(vals.astype(np.int32) if -(2**31) <= lo and hi < 2**31 else vals)
+        else:
+            ordered = _sort(vals, lo, hi)
             stages[name] = _dist_ms(vals, ordered)
             varying.append((vals, ordered, max(-lo, hi)))
     shift = None
-    if len(varying) == 1 and e2e_us.dtype.kind == "i":
+    if len(known) == 1 and len(constants) == len(per_stage_us) - 1:
+        ordered, shift = known[0].ordered, known[0].shift + sum(constants)
+    elif len(varying) == 1 and e2e_us.dtype.kind == "i":
         vals, ordered, top = varying[0]
         offset = e2e_us - vals
         # below 2**62 on both sides, the int64 difference cannot wrap

@@ -10,7 +10,10 @@ workload stream must come out the same.
 An array run is its grid's shared timing (``pipeline.array_timing``),
 computed once per grid, codec and channel, shifted by its own datapath's
 constants. A run whose timing comes from the cache must equal one that
-computes it afresh.
+computes it afresh. Its report reads what the timing cell fixes (the
+network stage's order and distribution, the single sampler and decode
+waits), and must equal the general report over the same frame table and the
+event loop's, key order included.
 """
 
 import itertools
@@ -19,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from uvrpipe import pipeline
@@ -423,8 +426,117 @@ def test_cached_timing_is_read_only():
     cfg = _baseline_42()
     sim = Simulator(cfg)
     timing = pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
+    sampler_wait, network, decode_wait = timing.stages
+    # single values as Python ints, which build_distributions takes as constants
+    assert type(sampler_wait) is int and type(decode_wait) is int
     arrays = [value for value in timing if isinstance(value, np.ndarray)]
     assert len(arrays) == 7
-    for array in arrays:
+    for array in arrays + [network.ordered]:
         with pytest.raises(ValueError):
             array[0] = array[1]
+
+
+# --- the report of an array run reads its timing cell's statistics ----------
+
+
+def _three_reports(cfg):
+    """A run's report JSON as the array run makes it (from its timing cell's
+    statistics when the cell has them), as ``build_distributions`` makes it
+    over the same frame table, and as the event loop makes it; and whether
+    the cell had the statistics."""
+    sim = Simulator(cfg)
+    result = _arrays(sim)
+    timing = pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
+    general = sim._metrics(result.frames)  # given no timing: the general path
+    events = Simulator(cfg)._run_events().metrics
+    reports = [json.dumps(m.to_dict()) for m in (result.metrics, general, events)]
+    return reports, timing.stages is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=CONFIG_SPACE)
+def test_cell_statistics_give_the_general_and_the_event_loop_report(params):
+    reports, known = _three_reports(_space_config(params))
+    event("cell statistics" if known else "general path")
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _params(**changes):
+    params = dict(
+        seed=42,
+        duration_s=0.5,
+        mode=EncodeMode.ASYNC,
+        toggles=(False,) * 5,
+        render_fps=60,
+        codec_fps=60,
+        gop_size=20,
+        sigma=0.15,
+        bandwidth_bps=867_000_000,
+        prop_delay_us=200,
+        bitrate_bps=20_000_000,
+        decode_fps_cap=120,
+        render_work_us=11_100,
+    )
+    params.update(changes)
+    return params
+
+
+# (params, whether the cell has the statistics)
+STATISTICS_CASES = {
+    "baseline": (_params(), True),
+    "p2p, rgb": (_params(toggles=(True, False, False, True, False)), True),
+    # every frame the same size on an idle link: the network stage has one value
+    "gop 1, constant content": (_params(gop_size=1, sigma=0.0), False),
+    "decoder below the codec rate": (_params(decode_fps_cap=30), False),
+    "async at 90 fps": (_params(render_fps=90), False),
+    "sync, 120 to 60": (_params(mode=EncodeMode.SYNC, render_fps=120), True),
+    # frames queue behind each other for hours: net leaves int32
+    "slow link": (_params(bandwidth_bps=7_000), True),
+    "one frame": (_params(duration_s=0.01), False),
+    # the reference frames take longer than the cell's target: no fixed overhead
+    "no fixed overhead": (_params(bandwidth_bps=25_000_000), True),
+}
+
+
+def _numpy_dist_ms(values_us):
+    """A distribution as ``np.percentile`` gives it, sharing no sort."""
+    arr = np.asarray(values_us, dtype=np.float64) / 1000.0
+    return {
+        "mean_ms": round(float(arr.mean()), 4),
+        "p50_ms": round(float(np.percentile(arr, 50)), 4),
+        "p99_ms": round(float(np.percentile(arr, 99)), 4),
+    }
+
+
+@pytest.mark.parametrize("case", STATISTICS_CASES)
+def test_cell_statistics_cases(case):
+    params, known = STATISTICS_CASES[case]
+    cfg = _space_config(params)
+    reports, got = _three_reports(cfg)
+    assert got == known
+    assert reports[0] == reports[1] == reports[2]
+    # and against numpy's own percentiles of the frame table
+    result = Simulator(cfg).run()
+    frames, metrics = result.frames, result.metrics
+    assert metrics.stages["network"] == _numpy_dist_ms(frames["net_us"])
+    e2e = {k: v for k, v in metrics.end_to_end.items() if k != "mean_frames_60fps"}
+    assert e2e == _numpy_dist_ms(frames["presented_us"] - frames["gen_us"])
+
+
+def test_the_explicit_cases_reach_their_edges():
+    def parts(case):
+        cfg = _space_config(STATISTICS_CASES[case][0])
+        sim = Simulator(cfg)
+        return sim, pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
+
+    sim, timing = parts("baseline")
+    assert sim.graph.link_fixed_us > 0
+    sim, timing = parts("no fixed overhead")
+    assert sim.graph.link_fixed_us == 0
+    _, timing = parts("slow link")
+    ordered = timing.stages[1].ordered
+    assert ordered.dtype == np.int64 and ordered[0] < 2**31 <= ordered[-1] < 2**32
+    _, timing = parts("one frame")
+    assert len(timing.net) == 1
+    sim, timing = parts("sync, 120 to 60")
+    assert len(timing.net) * 2 == len(sim._grid.render)

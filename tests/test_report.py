@@ -1,6 +1,7 @@
-"""``report._dist_ms`` against the two ``np.percentile`` calls it replaces, the
-constant-stage entry against ``_dist_ms`` of the full sample, and
-``build_distributions`` against one ``_dist_ms`` per column."""
+"""``report._dist_ms`` against the two ``np.percentile`` calls it replaces and
+against its own earlier float conversion, the constant-stage entry against
+``_dist_ms`` of the full sample, ``build_distributions`` against one
+``_dist_ms`` per column, and a known stage against the array it stands for."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from uvrpipe.report import (
     _dist_ms,
     _percentile,
     build_distributions,
+    known_stage,
 )
 
 
@@ -66,6 +68,33 @@ def test_times_past_int64():
     # the event loop's columns fall back to Python ints past int64
     values = np.array([2**63 + 5, 2**64, 2**70, 3], dtype=object)
     _assert_same(values)
+
+
+def _two_step_dist_ms(values_us):
+    """``_dist_ms`` as it made every column float: ``asarray`` to float64 first."""
+    arr = np.asarray(values_us, dtype=np.float64) / 1000.0
+    ordered = np.sort(values_us)
+    return {
+        "mean_ms": round(float(arr.sum()) / len(arr), 4),
+        "p50_ms": round(_percentile(ordered, 0.5), 4),
+        "p99_ms": round(_percentile(ordered, 0.99), 4),
+    }
+
+
+# int64 columns, and object columns of Python ints within and past int64
+columns = st.one_of(
+    samples.map(lambda values: np.array(values, dtype=np.int64)),
+    samples.map(lambda values: np.array(values, dtype=object)),
+    st.lists(st.integers(2**63, 2**70), min_size=1, max_size=300).map(
+        lambda values: np.array(values, dtype=object)
+    ),
+)
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(columns)
+def test_dist_ms_equals_its_two_step_float_conversion(values):
+    assert _bits(_dist_ms(values)) == _bits(_two_step_dist_ms(values))
 
 
 def test_empty_sample():
@@ -175,3 +204,61 @@ def test_one_varying_stage_shares_its_sort_with_end_to_end(n):
     net = np.arange(3_000, 3_000 + 7 * n, 7, dtype=np.int64) % 5_501
     per_stage = {"encode": 13_940, "network": net, "decode-wait": np.zeros(n, dtype=np.int64)}
     _assert_distributions(per_stage, net + 13_940)
+
+
+@st.composite
+def known_stage_tables(draw):
+    """Int stages, one int64 column and a shift at a drawn place among them,
+    and end-to-end as the sum of the stages."""
+    n = draw(st.integers(1, 40))
+    value = st.one_of(narrow, st.integers(-(2**41), 2**41), wide)
+    ints = [draw(value) for _ in range(draw(st.integers(0, 3)))]
+    col = draw(st.lists(st.one_of(narrow, st.integers(0, 50_000), wide), min_size=n, max_size=n))
+    shift = draw(value)
+    e2e = [v + shift + sum(ints) for v in col]
+    assume(all(_INT64[0] <= v <= _INT64[1] for v in e2e + [v + shift for v in col]))
+    return ints, draw(st.integers(0, len(ints))), np.array(col, dtype=np.int64), shift, e2e
+
+
+def _with_stage(ints, at, stage):
+    names = [f"int{i}" for i in range(len(ints))]
+    return dict(zip(names[:at] + ["network"] + names[at:], ints[:at] + [stage] + ints[at:]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(known_stage_tables())
+def test_a_known_stage_gives_its_arrays_distributions(table):
+    ints, at, col, shift, e2e = table
+    e2e = np.array(e2e, dtype=np.int64)
+    stage = known_stage(col, shift)
+    lo, hi = int(col.min()), int(col.max())
+    if lo == hi or max(-lo, hi, abs(shift)) >= 2**62:
+        assert stage is None
+        return
+    with pytest.raises(ValueError):
+        stage.ordered[0] = 0
+    per_stage = _with_stage(ints, at, col + shift)
+    stages, e2e_dist = build_distributions(_with_stage(ints, at, stage), e2e)
+    want_stages, want_e2e = _reference_distributions(per_stage, e2e)
+    assert list(stages) == list(want_stages)
+    assert {k: _bits(v) for k, v in stages.items()} == {k: _bits(v) for k, v in want_stages.items()}
+    assert _bits(e2e_dist) == _bits(want_e2e)
+
+
+def test_a_known_stage_beside_a_varying_array_sorts_end_to_end():
+    # end-to-end then differs from neither by a constant: it is sorted itself
+    col = np.array([5, 1, 9, 3], dtype=np.int64)
+    other = np.array([0, 7, 2, 2], dtype=np.int64)
+    e2e = col + other + 100
+    got = build_distributions({"network": known_stage(col, 100), "wait": other}, e2e)
+    assert got == build_distributions({"network": col + 100, "wait": other}, e2e)
+    _assert_distributions({"network": col + 100, "wait": other}, e2e)
+
+
+def test_a_column_across_int32_is_sorted_in_int64():
+    col = np.array([2**31 + 5, 3, 2**31 - 5, 2**32 - 1, 2**31], dtype=np.int64)
+    e2e = col + 700
+    _assert_distributions({"network": col, "mud": 700}, e2e)
+    stages, e2e_dist = build_distributions({"network": known_stage(col, 0), "mud": 700}, e2e)
+    assert stages["network"] == _numpy_dist_ms(col)
+    assert {k: v for k, v in e2e_dist.items() if k != "mean_frames_60fps"} == _numpy_dist_ms(e2e)
