@@ -119,20 +119,18 @@ def _half_up_point(nominal_bytes, cfg: CodecConfig, complexity):
 
 
 class DecodeServer:
-    """Rate-capped single decoder.
+    """Rate-capped single decoder: when each frame starts decoding.
 
     Starts are limited to ``decode_fps_cap`` per second by an exact-integer
     token bucket (burst of 2 frames absorbs arrival jitter without letting the
-    sustained rate exceed the cap); each admitted frame completes
-    ``service_us`` after it starts. ``offer`` admits one frame; ``offer_run``
-    admits a whole run at once when the bucket never makes a frame wait.
+    sustained rate exceed the cap); a frame's service time is the datapath's
+    ``mud_service_us``. ``offer`` admits one frame, ``offer_run`` a run.
     """
 
     TOKEN = 1_000_000  # scaled units per token; refills at fps_cap units/us
 
-    def __init__(self, fps_cap: int, service_us: SimTime):
+    def __init__(self, fps_cap: int):
         self.fps_cap = fps_cap
-        self.service_us = service_us
         self._tokens = 2 * self.TOKEN
         self._last = 0
         self._prev_start = -1
@@ -152,20 +150,15 @@ class DecodeServer:
         self._prev_start = start
         return start, start - arrival
 
-    @property
-    def fresh(self) -> bool:
-        """Whether the server is as built: no frame offered, the bucket full."""
-        return self._prev_start < 0 and self._last == 0 and self._tokens == 2 * self.TOKEN
-
-    def scaled_horizon(self, top: SimTime, n: int) -> int:
+    @staticmethod
+    def scaled_horizon(fps_cap: int, top: SimTime, n: int) -> int:
         """A bound on every scaled time of ``offer_run`` over n arrivals whose
         last start is ``top``; at 2**62 or more, int64 could wrap."""
-        return top * self.fps_cap + (n + 2) * self.TOKEN
+        return top * fps_cap + (n + 2) * DecodeServer.TOKEN
 
-    def offer_run(self, arrivals: np.ndarray) -> Optional[np.ndarray]:
-        """``offer`` of every arrival in order, as one int64 array of decode
-        starts, when no frame waits for a token; else None, with no state
-        changed.
+    def offer_run(self, arrivals: np.ndarray) -> np.ndarray:
+        """``offer`` of every arrival in order: the decode starts, as an
+        array of the arrivals' dtype.
 
         Without a wait the starts are ``s = cummax(max(arrivals, prev_start))``.
         With ``c = fps_cap``, ``K = TOKEN`` and ``Z = start*c - tokens`` after
@@ -175,23 +168,19 @@ class DecodeServer:
         which unrolls to ``Z_i = (i+1)*K + max(Z_{-1}, cummax_{j<=i}(s_j*c -
         (j+2)*K))``, one running maximum, where ``Z_{-1} = last*c - tokens``.
         Frame i finds at least one token, so waits for none, exactly when
-        ``s_i*c - Z_{i-1} >= K``. Also None when a scaled time could reach
-        2**62, where int64 could wrap; the caller then offers frame by frame.
+        ``s_i*c - Z_{i-1} >= K``. When some frame waits, or a scaled time
+        could reach 2**62, where int64 could wrap, ``offer`` admits the run
+        frame by frame instead.
         """
-        n = len(arrivals)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        c, k = self.fps_cap, self.TOKEN
-        top = max(int(arrivals.max()), self._prev_start)  # the last start
-        if self.scaled_horizon(top, n) >= 2**62:
-            return None
-        start = running_max(np.maximum(arrivals, self._prev_start))
-        z_before = self._last * c - self._tokens
-        scaled = start * c
-        taken = np.arange(1, n + 1) * k  # (i+1)*K
-        z = taken + np.maximum(running_max(scaled - (taken + k)), z_before)
-        if scaled[0] - z_before < k or (scaled[1:] - z[:-1] < k).any():
-            return None
-        self._tokens = int(scaled[-1] - z[-1])
-        self._last = self._prev_start = int(start[-1])
-        return start
+        n, c, k = len(arrivals), self.fps_cap, self.TOKEN
+        if n and self.scaled_horizon(c, max(int(arrivals.max()), self._prev_start), n) < 2**62:
+            start = running_max(np.maximum(arrivals, self._prev_start))
+            z_before = self._last * c - self._tokens
+            scaled = start * c
+            taken = np.arange(1, n + 1) * k  # (i+1)*K
+            z = taken + np.maximum(running_max(scaled - (taken + k)), z_before)
+            if scaled[0] - z_before >= k and (scaled[1:] - z[:-1] >= k).all():
+                self._tokens = int(scaled[-1] - z[-1])
+                self._last = self._prev_start = int(start[-1])
+                return start
+        return np.array([self.offer(t)[0] for t in arrivals.tolist()], dtype=arrivals.dtype)

@@ -60,30 +60,36 @@ one of two ways, with the same result:
     stage sorted once, with its distribution, and the one value of the
     sampler and decode waits, when each has one.
     When a precondition fails (the receiver's FIFO clamp binds, a frame
-    exceeds the fragment limit, a time could outgrow int64, the link or
-    decoder was used before), the link is left as it was and the event loop
-    runs on the same prefix.
-  * The tail (``Simulator._result``): corruption, one array step run only
-    when some frame dropped, then the report. ``SimResult.frames`` is the
-    frame table, one array per ``FrameRecord`` field; ``SimResult.records``
-    is its read view, built when first read. The report sorts only the
-    stages that vary (``report.build_distributions``) and formats its config
-    when first read; a run shares its datapath (``stages.shared_datapath``)
-    and builds the event loop's state only when the event loop runs. An
-    array run whose timing keeps its report's stages sorts nothing and
-    counts nothing: every frame is presented, the network stage is the
-    timing's, and end-to-end, the sum of the stages on every frame, reads
-    its percentiles off the network's order plus the run's constant
-    stages. Only its mean, whose float sum depends on those constants, is
-    a pass over the run's own values. When a wait varies or the network
-    does not, the report takes the general path, as the event loop's does.
+    exceeds the fragment limit, a time could outgrow int64, the link was
+    used before), the link is left as it was and the event loop runs on the
+    same prefix.
+  * The tail: the event loop's decode step (``Simulator._decode``; an array
+    run's comes with its timing), corruption, one array step run only when
+    some frame dropped, then the report (``Simulator._result``). The MUD
+    decodes a frame once it is whole, so nothing in the loop reads the
+    decoder: after it, one fresh ``DecodeServer.offer_run`` admits the frames
+    in the order they completed, each at its last arrival plus
+    ``link_fixed_us``. ``SimResult.frames`` is the frame table, one array per
+    ``FrameRecord`` field; ``SimResult.records`` is its read view, built when
+    first read. The report sorts only the stages that vary
+    (``report.build_distributions``) and formats its config when first read; a
+    run shares its datapath (``stages.shared_datapath``) and builds the event
+    loop's state only when the event loop runs. An array run whose timing
+    keeps its report's stages sorts nothing and counts nothing: every frame is
+    presented, the network stage is the timing's, and end-to-end, the sum of
+    the stages on every frame, reads its percentiles off the network's order
+    plus the run's constant stages. Only its mean, whose float sum depends on
+    those constants, is a pass over the run's own values. When a wait varies
+    or the network does not, the report takes the general path, as the event
+    loop's does.
 
 ``tests/test_array_run.py`` keeps the event loop as the array run's reference
 (and the general report path as that of a report from the timing's stages),
 ``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
-merge's, ``tests/test_inline_events.py`` keeps the transcript run as the
-reference of a run without one, and ``tests/test_pipeline.py`` keeps the
-per-frame corruption loop as the array step's.
+merge's, ``tests/test_inline_events.py`` the transcript run as the reference
+of a run without one, ``tests/test_decode_tail.py`` the decoder inside the
+loop as the decode step's, and ``tests/test_pipeline.py`` the per-frame
+corruption loop as the array step's.
 """
 
 from __future__ import annotations
@@ -213,8 +219,8 @@ class ArrayTiming(NamedTuple):
     constant (``array_timing``): per frame its type and size, its burst's
     start and last arrival, ``net`` (last arrival minus send tick), its
     decode start and ``queue_wait`` (decode start minus last arrival); the
-    link's end state; the two bounds that a shifted run re-checks; and what
-    every run's report takes from it as it is.
+    link's end state; ``clean_run``'s bound, which a shifted run re-checks;
+    and what every run's report takes from it as it is.
 
     ``stages`` is the report's sampler-wait (clock tick minus render time)
     and decode-wait as their one value each, and its network stage (``net``
@@ -234,7 +240,6 @@ class ArrayTiming(NamedTuple):
     last_arrival: SimTime
     totals: tuple[int, int, int]  # the link's busy_accum_us, sent_packets, sent_bytes
     link_horizon: int  # clean_run's horizon
-    decode_top: SimTime  # the last decode arrival
     stages: Optional[tuple[int, KnownStage, int]]  # sampler-wait, network, decode-wait
     sent_bytes: int
 
@@ -298,11 +303,7 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *value
     if sent is None:
         return None
     start, last, link_horizon = sent
-    decoder = DecodeServer(codec.decode_fps_cap, 0)  # no start depends on the service time
-    decode_start = decoder.offer_run(last)
-    if decode_start is None:  # the decoder's token bucket makes some frame wait
-        offer = decoder.offer
-        decode_start = np.array([offer(t)[0] for t in last.tolist()], dtype=np.int64)
+    decode_start = DecodeServer(codec.decode_fps_cap).offer_run(last)
     columns = dict(
         frame_type=np.where(is_iframe, FrameType.I.value, FrameType.P.value),
         size_bytes=sizes,
@@ -327,7 +328,6 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *value
         last_arrival=link.last_arrival,
         totals=(link.busy_accum_us, link.sent_packets, link.sent_bytes),
         link_horizon=link_horizon,
-        decode_top=int(last[-1]) if n else 0,
         stages=stages,
         sent_bytes=int(sizes.sum()),
     )
@@ -375,7 +375,6 @@ class Simulator:
         self.rng = Rng(cfg.seed)
         self.link = netsim.LinkState()
         self.nominal_sizes = nominal_sizes(self.codec_cfg)
-        self.decoder = DecodeServer(self.codec_cfg.decode_fps_cap, self.graph.mud_service_us)
         self.transcript: Optional[list[tuple]] = [] if collect_transcript else None
 
     @cached_property
@@ -504,17 +503,11 @@ class Simulator:
             self.queue.schedule(arrival, ("cp", msg))
 
     def _on_reassembly(self, ev, t: SimTime) -> None:
-        g, col, k = self.graph, self._table, ev.frame_id
         if isinstance(ev, dpp.FrameComplete):
-            net_done = ev.last_arrival + g.link_fixed_us
-            col["arrived_last_us"][k] = ev.last_arrival
-            col["net_us"][k] = net_done - (col["encoded_us"][k] + g.host_netstack_us)
-            start, wait = self.decoder.offer(net_done)
-            col["queue_wait_us"][k] = wait
-            col["decode_start_us"][k] = start
-            col["presented_us"][k] = start + g.mud_service_us + g.residual_us
+            self._table["arrived_last_us"][ev.frame_id] = ev.last_arrival
+            self._done.append(ev.frame_id)  # the decode step admits it (``_decode``)
         else:
-            col["dropped"][k] = True
+            self._table["dropped"][ev.frame_id] = True
         if self.cfg.toggles.feedback_control:
             for msg in cp_mod.mud_on_frame_event(self.mud_fb, ev, t):
                 self._send_cp(msg, t)
@@ -574,6 +567,7 @@ class Simulator:
         self.walker = GopWalker(self.codec_cfg)
         self.reasm = dpp.Reassembler(self.cfg.drop_deadline_us)
         self.mud_fb, self.host_fb = cp_mod.MudFeedbackState(), cp_mod.HostFeedbackState()
+        self._done: list[int] = []  # the completed frames, in the order they completed
         grid = self._grid
         n = len(grid.tick)
         # frame_type and forced have no default: each frame's encode sets them
@@ -597,6 +591,7 @@ class Simulator:
         self.queue.run(self._dispatch, ticks)
         frames = {name: _array(values) for name, values in self._table.items()}
         frames["frame_type"] = np.where(frames["frame_type"], FrameType.I.value, FrameType.P.value)
+        self._decode(frames)
         return self._result(frames)
 
     def _run_arrays(self) -> Optional[SimResult]:
@@ -608,8 +603,8 @@ class Simulator:
         run is its grid's ``array_timing`` shifted by its datapath's
         constants: a frame's wire request is its clock tick plus ``shift =
         encode_path_us + host_netstack_us``, and its decode arrival its last
-        arrival plus ``link_fixed_us``. The shift is exact on a fresh link and
-        decoder, so a run on any other declines:
+        arrival plus ``link_fixed_us``. The shift is exact on a fresh link,
+        so a run on any other declines, and every run's decoder is fresh:
 
           * Link. With ``busy_until = last_arrival = 0`` and requests >= 0,
             ``clean_run``'s running maximum never takes ``busy_until``, so a
@@ -624,7 +619,7 @@ class Simulator:
             horizons, and a first decoder arrival >= 0.
         """
         g, link = self.graph, self.link
-        if link != netsim.LinkState() or not self.decoder.fresh:
+        if link != netsim.LinkState():
             return None
         timing = array_timing(self.cfg, self.codec_cfg, self.channel)
         if timing is None:
@@ -632,10 +627,11 @@ class Simulator:
         n = len(timing.last)
         shift = g.encode_path_us + g.host_netstack_us
         decode_shift = shift + g.link_fixed_us
+        top = int(timing.last[-1]) + decode_shift if n else 0  # the last decode arrival
         if n and (
             min(shift, decode_shift) < 0
             or timing.link_horizon + shift >= 2**62
-            or self.decoder.scaled_horizon(timing.decode_top + decode_shift, n) >= 2**62
+            or DecodeServer.scaled_horizon(self.codec_cfg.decode_fps_cap, top, n) >= 2**62
         ):
             return None
 
@@ -662,6 +658,21 @@ class Simulator:
         return self._result(frames, timing)
 
     # --- the tail ----------------------------------------------------------
+
+    def _decode(self, frames: dict[str, np.ndarray]) -> None:
+        """The event loop's decode step, which fills the decode columns."""
+        g, done = self.graph, np.array(self._done, dtype=np.intp)
+        times = ("arrived_last_us", "net_us", "queue_wait_us", "decode_start_us", "presented_us")
+        # from 2**62 up a time here could leave int64: Python ints, typed as ``_array`` does
+        wide = len(done) > 0 and int(frames[times[0]][done].max()) + g.link_fixed_us >= 2**62
+        col = {name: frames[name].astype(object) if wide else frames[name] for name in times}
+        arrivals = col["arrived_last_us"][done] + g.link_fixed_us
+        starts = DecodeServer(self.codec_cfg.decode_fps_cap).offer_run(arrivals)
+        col["net_us"][done] = arrivals - (frames["encoded_us"][done] + g.host_netstack_us)
+        col["queue_wait_us"][done] = starts - arrivals
+        col["decode_start_us"][done] = starts
+        col["presented_us"][done] = starts + (g.mud_service_us + g.residual_us)
+        frames.update((name, _array(c.tolist()) if wide else c) for name, c in col.items())
 
     def _result(
         self, frames: dict[str, np.ndarray], timing: Optional[ArrayTiming] = None

@@ -268,12 +268,12 @@ def test_c09_bitrate_conservation():
 
 
 def test_c10_decode_cap():
-    overloaded = DecodeServer(60, 3_640)
+    overloaded = DecodeServer(60)
     waits = [overloaded.offer(tick_time(i, 90))[1] for i in range(900)]  # 10 s at 90 FPS
     tail = waits[5:]
     assert all(b >= a for a, b in zip(tail, tail[1:]))
     assert tail[-1] > tail[0]
-    at_cap = DecodeServer(60, 3_640)
+    at_cap = DecodeServer(60)
     waits60 = sorted(at_cap.offer(tick_time(i, 60))[1] for i in range(600))
     p99 = waits60[int(0.99 * len(waits60))]
     assert p99 < 3_640

@@ -237,23 +237,6 @@ def test_binding_clamp_falls_back(toggles):
     )
 
 
-def test_a_used_decoder_falls_back():
-    # the shared timing starts from a fresh decoder, as it starts from a fresh link
-    cfg = preset_config("baseline")
-    cfg.duration_s = 1.0
-
-    def used(sim):
-        sim.decoder.offer(0)
-        return sim
-
-    sim = used(Simulator(cfg))
-    assert sim._run_arrays() is None
-    assert sim.link == LinkState()
-    run, events = used(Simulator(cfg)).run(), used(Simulator(cfg))._run_events()
-    assert json.dumps(run.metrics.to_dict()) == json.dumps(events.metrics.to_dict())
-    assert run.records == events.records
-
-
 def _p2p_timing(prop_delay_us, slow=False):
     cfg = preset_config("baseline")
     cfg.duration_s = 0.1
@@ -277,19 +260,20 @@ def test_a_shift_past_the_link_horizon_falls_back():
     cfg, sim, timing = _p2p_timing(2**62 - 1 - base.link_horizon, slow=True)
     assert timing.link_horizon == 2**62 - 1
     shift = sim.graph.encode_path_us + sim.graph.host_netstack_us + sim.graph.link_fixed_us
-    assert sim.decoder.scaled_horizon(timing.decode_top + shift, len(timing.last)) < 2**62
+    top, cap = int(timing.last[-1]) + shift, cfg.codec.decode_fps_cap
+    assert DecodeServer.scaled_horizon(cap, top, len(timing.last)) < 2**62
     assert sim._run_arrays() is None
     assert _outcome(cfg, _run) == _outcome(cfg, _events)
 
 
 def test_a_shift_past_the_decoder_horizon_falls_back():
-    # the unshifted timing admits its decoder in one pass, but offer_run of
-    # the shifted arrivals could wrap int64
-    _, sim, base = _p2p_timing(0)
-    n, decoder = len(base.last), sim.decoder
-    top = (2**62 - 1 - decoder.scaled_horizon(0, n)) // decoder.fps_cap
-    cfg, sim, timing = _p2p_timing(top - base.decode_top)
-    assert timing.decode_top == top
+    # the unshifted timing is within offer_run's int64 bound, but the
+    # shifted decode arrivals are not
+    base_cfg, _, base = _p2p_timing(0)
+    n, cap = len(base.last), base_cfg.codec.decode_fps_cap
+    top = (2**62 - 1 - DecodeServer.scaled_horizon(cap, 0, n)) // cap
+    cfg, sim, timing = _p2p_timing(top - int(base.last[-1]))
+    assert timing.last[-1] == top
     assert timing.link_horizon + 10**6 < 2**62
     assert sim._run_arrays() is None
     assert _outcome(cfg, _run) == _outcome(cfg, _events)
@@ -310,9 +294,8 @@ def test_frame_over_the_fragment_limit_falls_back():
     assert str(from_run.value) == str(from_events.value)
 
 
-def test_times_past_int64_fall_back():
-    # On a 1-bps P2P link 8,400 frames of 140 MB each end past 2**63 us.
-    # The event loop's Python ints carry such times; int64 arrays would wrap.
+def past_int64():
+    """On a 1-bps P2P link 8,400 frames of 140 MB each end past 2**63 us."""
     cfg = ScenarioConfig(seed=1, duration_s=140.0)
     cfg.toggles = OptimizationToggles(p2p_topology=True)
     cfg.codec.gop_size = 1
@@ -320,6 +303,12 @@ def test_times_past_int64_fall_back():
     cfg.workload.complexity_sigma = 0.0
     cfg.channel.bandwidth_bps = 1
     assert cfg.validate() == []
+    return cfg
+
+
+def test_times_past_int64_fall_back():
+    # The event loop's Python ints carry times past int64; int64 arrays would wrap.
+    cfg = past_int64()
     assert Simulator(cfg)._run_arrays() is None
     # both sides below are the event loop, so check that such times occur
     # and reach the records as exact Python ints
@@ -371,8 +360,6 @@ def _warm_up(cfg):
 
 
 def _table(cfg):
-    # The decoder's end state is left out: nothing reads it after a run, and
-    # an array run times a decoder of its own rather than the run's.
     sim = Simulator(cfg)
     result = sim.run()
     columns = {name: (col.dtype, col.tolist()) for name, col in result.frames.items()}

@@ -144,21 +144,20 @@ def test_bitrate_conservation_whole_gops():
 
 
 def test_decoder_idle_frame():
-    server = DecodeServer(60, 3_640)
+    server = DecodeServer(60)
     start, wait = server.offer(1_000)
     assert start == 1_000
-    assert start + server.service_us == 1_000 + 3_640
     assert wait == 0
 
 
 def test_decoder_at_capacity_no_standing_queue():
-    server = DecodeServer(60, 3_640)
+    server = DecodeServer(60)
     waits = [server.offer(tick_time(i, 60))[1] for i in range(600)]
     assert max(waits) == 0
 
 
 def test_decoder_overload_grows_unbounded():
-    server = DecodeServer(60, 3_640)
+    server = DecodeServer(60)
     waits = [server.offer(tick_time(i, 90))[1] for i in range(900)]  # 10 s at 90 FPS
     tail = waits[5:]
     assert all(b >= a for a, b in zip(tail, tail[1:]))
@@ -174,7 +173,7 @@ warm_ups = st.lists(st.integers(0, 3_000_000), max_size=4)
 
 def _servers(cap, warm_up):
     """Two decoders in the same state, after the same earlier offers."""
-    loop, run = DecodeServer(cap, 3_640), DecodeServer(cap, 3_640)
+    loop, run = DecodeServer(cap), DecodeServer(cap)
     for t in warm_up:
         loop.offer(t)
         run.offer(t)
@@ -213,18 +212,24 @@ def _unhurried(draw):
     return cap, warm_up, arrivals
 
 
+def _assert_run_equals_loop(cap, warm_up, arrivals, dtype=np.int64):
+    """``offer_run`` of the arrivals equals ``offer`` of each, starts (typed
+    as the arrivals) and bucket state both; returns whether the loop's bucket
+    held some frame back."""
+    loop, run = _servers(cap, warm_up)
+    starts = run.offer_run(np.array(arrivals, dtype=dtype))
+    admitted, held = _offer_each(loop, arrivals)
+    assert starts.dtype == dtype
+    assert starts.tolist() == [start for start, _ in admitted]
+    assert [s - t for s, t in zip(starts.tolist(), arrivals)] == [wait for _, wait in admitted]
+    assert _state(run) == _state(loop)
+    return held
+
+
 @settings(max_examples=300, deadline=None)
 @given(_unhurried())
 def test_offer_run_equals_offer_loop(case):
-    cap, warm_up, arrivals = case
-    loop, run = _servers(cap, warm_up)
-    starts = run.offer_run(np.array(arrivals, dtype=np.int64))
-    admitted, held = _offer_each(loop, arrivals)
-    assert not held
-    assert starts is not None and starts.dtype == np.int64
-    assert starts.tolist() == [start for start, _ in admitted]
-    assert (starts - arrivals).tolist() == [wait for _, wait in admitted]
-    assert _state(run) == _state(loop)
+    assert not _assert_run_equals_loop(*case)
 
 
 @settings(max_examples=300, deadline=None)
@@ -235,15 +240,11 @@ def test_offer_run_equals_offer_loop(case):
     after=st.lists(st.integers(0, 3_000_000), max_size=20),
     late=st.integers(0, 100_000),
 )
-def test_offer_run_declines_when_the_bucket_binds(cap, warm_up, before, after, late):
-    # three frames that start at one time need three tokens; the bucket holds two
+def test_offer_run_equals_offer_loop_when_the_bucket_binds(cap, warm_up, before, after, late):
+    # three frames that start at one time need three tokens; the bucket holds
+    # two, so one frame waits and the run is admitted frame by frame
     t = max([*warm_up, *before], default=0) + late
-    arrivals = [*before, t, t, t, *after]
-    loop, run = _servers(cap, warm_up)
-    state = _state(run)
-    assert run.offer_run(np.array(arrivals, dtype=np.int64)) is None
-    assert _state(run) == state
-    assert _offer_each(loop, arrivals)[1]
+    assert _assert_run_equals_loop(cap, warm_up, [*before, t, t, t, *after])
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,31 +253,27 @@ def test_offer_run_declines_when_the_bucket_binds(cap, warm_up, before, after, l
     warm_up=warm_ups,
     arrivals=st.lists(st.integers(0, 3_000_000), max_size=30),
 )
-def test_offer_run_admits_or_declines_as_the_loop_decides(cap, warm_up, arrivals):
-    # unsorted arrivals at any spacing: the run is admitted exactly when the
-    # loop's bucket holds no frame back, and then ends in the loop's state
-    loop, run = _servers(cap, warm_up)
-    state = _state(run)
-    starts = run.offer_run(np.array(arrivals, dtype=np.int64))
-    admitted, held = _offer_each(loop, arrivals)
-    if held:
-        assert starts is None and _state(run) == state
-    else:
-        assert starts.tolist() == [start for start, _ in admitted]
-        assert (starts - arrivals).tolist() == [wait for _, wait in admitted]
-        assert _state(run) == _state(loop)
+def test_offer_run_equals_offer_loop_at_any_spacing(cap, warm_up, arrivals):
+    # unsorted arrivals at any spacing, whether or not the bucket holds a frame back
+    _assert_run_equals_loop(cap, warm_up, arrivals)
 
 
 def test_offer_run_of_nothing_changes_nothing():
-    server = DecodeServer(60, 3_640)
+    server = DecodeServer(60)
     server.offer(5_000)
     state = _state(server)
     assert server.offer_run(np.zeros(0, dtype=np.int64)).tolist() == []
     assert _state(server) == state
 
 
-def test_offer_run_declines_times_near_int64():
-    server = DecodeServer(240, 3_640)
-    state = _state(server)
-    assert server.offer_run(np.array([2**62 // 240], dtype=np.int64)) is None
-    assert _state(server) == state
+@pytest.mark.parametrize(
+    "cap, arrivals, dtype, held",
+    [
+        (240, [2**62 // 240], np.int64, False),  # one frame, its scaled time past 2**62
+        (240, [2**62 // 240] * 3, np.int64, True),  # and a frame held back there
+        (60, [2**63 + 5, 2**63 + 5, 2**63 + 5, 2**64], object, True),  # Python ints past int64
+    ],
+)
+def test_offer_run_equals_offer_loop_near_int64(cap, arrivals, dtype, held):
+    # a scaled time could wrap int64, so the run is admitted frame by frame
+    assert _assert_run_equals_loop(cap, [], arrivals, dtype) == held

@@ -1,0 +1,123 @@
+"""The event loop's decode step against the decoder inside the loop.
+
+The MUD decodes a frame as soon as it is whole, so nothing in the event loop
+reads the decoder: ``Simulator._decode`` admits the completed frames after
+the loop, in the order they completed, with one ``DecodeServer.offer_run``.
+The reference is the loop that offered each frame to its decoder as the
+frame completed; the report and every frame-table column, with its dtype,
+must come out the same.
+"""
+
+import json
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from test_array_run import past_int64
+from test_inline_events import REPRO, SPACE, _space_config
+
+from uvrpipe import cp as cp_mod
+from uvrpipe import dpp
+from uvrpipe.codec import DecodeServer
+from uvrpipe.pipeline import Simulator
+from uvrpipe.scenario import preset_config
+
+
+class PerFrameDecode(Simulator):
+    """The event loop with a decoder of its own, offered each frame as the
+    frame completes; the decode step after the loop does nothing."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.decoder = DecodeServer(self.codec_cfg.decode_fps_cap)
+
+    def _on_reassembly(self, ev, t):
+        g, col, k = self.graph, self._table, ev.frame_id
+        if isinstance(ev, dpp.FrameComplete):
+            net_done = ev.last_arrival + g.link_fixed_us
+            col["arrived_last_us"][k] = ev.last_arrival
+            col["net_us"][k] = net_done - (col["encoded_us"][k] + g.host_netstack_us)
+            start, wait = self.decoder.offer(net_done)
+            col["queue_wait_us"][k] = wait
+            col["decode_start_us"][k] = start
+            col["presented_us"][k] = start + g.mud_service_us + g.residual_us
+        else:
+            col["dropped"][k] = True
+        if self.cfg.toggles.feedback_control:
+            for msg in cp_mod.mud_on_frame_event(self.mud_fb, ev, t):
+                self._send_cp(msg, t)
+
+    def _decode(self, frames):
+        pass
+
+
+def _outcome(sim):
+    result = sim._run_events()
+    return (
+        json.dumps(result.metrics.to_dict()),
+        {name: (column.dtype.str, column.tolist()) for name, column in result.frames.items()},
+    )
+
+
+def _assert_same(cfg):
+    assert _outcome(Simulator(cfg)) == _outcome(PerFrameDecode(cfg))
+
+
+def _tied():
+    """Huge I-frames and one-packet P-frames on the openuvr link: a P-frame
+    queues behind an I-frame, and its last fragment's jitter can bring it in
+    before the I-frame's, where the receiver's FIFO raises it to the same
+    time. Two frames then complete, and reach the decoder, at one time."""
+    cfg = preset_config("openuvr")
+    cfg.seed = 3
+    cfg.duration_s = 2.0
+    cfg.codec.p_to_i_ratio = Fraction(1, 1000)
+    cfg.codec.bitrate_bps = 100_000_000
+    cfg.channel.jitter_sigma_us = 400.0
+    return cfg
+
+
+def _near_int64():
+    """Every arrival fits int64, the last 100 us short of 2**63, but its
+    presentation does not: a P2P link with a propagation delay near 2**63."""
+    cfg = preset_config("baseline")
+    cfg.duration_s = 0.1
+    cfg.toggles.p2p_topology = True
+    last = Simulator(cfg)._run_events().frames["arrived_last_us"][-1]
+    cfg.channel.prop_delay_us = 2**63 - 100 - int(last)
+    return cfg
+
+
+def _capped():
+    # a 30-FPS decoder behind a 60-FPS codec, under Gilbert-Elliott loss
+    return _space_config(dict(REPRO, drop_deadline_us=100_000, decode_fps_cap=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=SPACE.map(_space_config))
+@example(cfg=_tied())
+@example(cfg=_capped())
+@example(cfg=past_int64())
+@example(cfg=_near_int64())
+def test_decode_step_equals_the_decoder_in_the_loop(cfg):
+    _assert_same(cfg)
+
+
+def test_the_examples_reach_their_edges():
+    sim = Simulator(_tied())
+    sim._run_events()
+    arrivals = [sim._table["arrived_last_us"][k] for k in sim._done]
+    assert len(set(arrivals)) < len(arrivals)
+
+    cfg = _capped()
+    assert cfg.codec.decode_fps_cap < cfg.codec.fps
+    assert Simulator(cfg)._run_events().frames["queue_wait_us"].max() > 0
+
+    frames = Simulator(_near_int64())._run_events().frames
+    assert frames["arrived_last_us"].dtype == "int64"
+    assert frames["presented_us"].dtype == object
+
+    # Python ints past int64 arrive at the decoder; the waits fit in int64
+    frames = Simulator(past_int64())._run_events().frames
+    assert frames["arrived_last_us"].dtype == object
+    assert max(frames["arrived_last_us"]) >= 2**63
+    assert frames["queue_wait_us"].dtype == "int64"

@@ -66,6 +66,14 @@ def _ge_infra():
     return cfg
 
 
+def _ge_decode_capped():
+    # a decoder below the codec rate on a lossy channel: most frames wait
+    # for a token, so the decode tail admits them frame by frame
+    cfg = _ge_lossy()
+    cfg.codec.decode_fps_cap = 45
+    return cfg
+
+
 def _sync():
     cfg = _preset("baseline", 5, 20.0)
     cfg.encode_mode = EncodeMode.SYNC
@@ -76,6 +84,7 @@ RUNS = {
     "baseline": lambda: _preset("baseline", 42, 60.0),
     "openuvr": lambda: _preset("openuvr", 42, 60.0),
     "ge_lossy": _ge_lossy,
+    "ge_decode_capped": _ge_decode_capped,
     "infra_lossy": _infra_lossy,
     "ge_fault": _ge_fault,
     "ge_infra": _ge_infra,
@@ -159,6 +168,11 @@ def test_golden_run_takes_the_expected_path(name):
     sim = Simulator(RUNS[name](), collect_transcript=name == TRANSCRIPT_RUN)
     takes_arrays = sim._draw_free() and sim._run_arrays() is not None
     assert takes_arrays == (name in {"baseline", "openuvr", "sync"})
+
+
+def test_decode_capped_run_makes_frames_wait():
+    report = json.loads((GOLDEN / "ge_decode_capped.json").read_text())["report"]
+    assert report["stages"]["decode-wait"]["mean_ms"] > 0
 
 
 def test_fault_drop_run_mixes_lost_and_whole_frames():

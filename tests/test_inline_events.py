@@ -7,8 +7,9 @@ end of its own tick: it is the loop's next dispatch. An I-frame request that
 reaches the host strictly before the next tick that sends is decided when it
 is sent: only an encode reads or writes the host's feedback state. A run that
 collects a transcript keeps every event on the heap; it is the reference. The
-report, every frame-table column with its dtype, the link, both feedback
-states and the decoder must come out the same.
+report, every frame-table column with its dtype, the link and both feedback
+states must come out the same. (The decoder's end state follows from the
+``decode_start_us`` and ``queue_wait_us`` columns.)
 
 A drop deadline shorter than a partial burst's span falls before the
 burst's own dispatch time; the frame then drops as that burst is handled.
@@ -38,7 +39,6 @@ def _outcome(cfg, collect_transcript):
         repr(sim.link),
         repr(sim.mud_fb),
         repr(sim.host_fb),
-        vars(sim.decoder),
     )
 
 
@@ -77,6 +77,8 @@ SPACE = st.fixed_dictionaries(
             st.integers(1, 100_000),
             st.integers(2_000, 100_000),
         ),
+        # below the codec's 60 FPS the decoder makes frames wait
+        decode_fps_cap=st.sampled_from([30, 45, 60]),
     )
 )
 
@@ -98,6 +100,7 @@ def _space_config(p):
     cfg.render_fps = p["render_fps"]
     cfg.suppression_window_us = p["suppression_window_us"]
     cfg.drop_deadline_us = p["drop_deadline_us"]
+    cfg.codec.decode_fps_cap = p["decode_fps_cap"]
     sent = _sent(cfg)
     cfg.fault_drop_frame_id = {"none": -1, "first": 0, "mid": sent // 2, "last": sent - 1}[
         p["fault"]
@@ -121,6 +124,7 @@ REPRO = dict(
     fault="none",
     suppression_window_us=200_000,
     drop_deadline_us=100,
+    decode_fps_cap=60,
 )
 
 
