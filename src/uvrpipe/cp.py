@@ -1,8 +1,10 @@
 """Control protocol: dropped-frame feedback and forced-I-frame suppression.
 
-CP messages ride the same 23-byte header as data packets with msg_type 0x02
-and a 9-byte payload: subtype(1) + dropped_frame_id(4) + last_received(4),
-big-endian. One datagram per message, at most 32 bytes on the wire.
+CP messages ride the same 23-byte header as data packets (``dpp.HEADER``)
+with msg_type 0x02 and a 9-byte payload: subtype(1) + dropped_frame_id(4) +
+last_received(4), big-endian. One datagram per message, exactly
+``WIRE_BYTES`` (32) on the wire, packed in one call and checked by
+``dpp.parse_header``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ SUB_IFRAME_REQUEST = 0x01
 SUB_HELLO = 0x02
 
 _PAYLOAD = struct.Struct(">BII")
+# the whole datagram: the data-plane header, then the payload
+_DATAGRAM = struct.Struct(dpp.HEADER.format + _PAYLOAD.format[1:])
+WIRE_BYTES = _DATAGRAM.size
 
 DEFAULT_SUPPRESSION_WINDOW_US = 200_000
 
@@ -30,40 +35,26 @@ class CpMessage:
     last_received_frame_id: int = 0
     send_time: SimTime = 0
 
-    def wire_size(self) -> int:
-        return dpp.HEADER_LEN + _PAYLOAD.size
-
 
 def encode_cp(msg: CpMessage) -> bytes:
-    payload = _PAYLOAD.pack(
-        msg.subtype,
-        msg.dropped_frame_id & 0xFFFFFFFF,
-        msg.last_received_frame_id & 0xFFFFFFFF,
+    return _DATAGRAM.pack(
+        dpp.MAGIC, dpp.VERSION, dpp.MSG_CTRL, 0, 0, 0, 1, _PAYLOAD.size, msg.send_time,
+        msg.subtype, msg.dropped_frame_id & 0xFFFFFFFF, msg.last_received_frame_id & 0xFFFFFFFF,
     )
-    packet = dpp.DppPacket(
-        msg_type=dpp.MSG_CTRL,
-        flags=0,
-        frame_id=0,
-        frag_index=0,
-        frag_count=1,
-        gen_timestamp_us=msg.send_time,
-        payload=payload,
-    )
-    return dpp.encode_packet(packet)
 
 
 def decode_cp(b: bytes) -> CpMessage:
-    packet = dpp.decode_packet(b)
-    if packet.msg_type != dpp.MSG_CTRL:
+    msg_type, _flags, _frame_id, _index, _count, send_time = dpp.parse_header(b, len(b))
+    if msg_type != dpp.MSG_CTRL:
         raise dpp.MalformedHeader("not a control datagram")
-    if len(packet.payload) != _PAYLOAD.size:
-        raise dpp.LengthMismatch(f"control payload of {len(packet.payload)} bytes")
-    subtype, dropped, last_received = _PAYLOAD.unpack(packet.payload)
+    if len(b) != WIRE_BYTES:
+        raise dpp.LengthMismatch(f"control payload of {len(b) - dpp.HEADER_LEN} bytes")
+    subtype, dropped, last_received = _PAYLOAD.unpack_from(b, dpp.HEADER_LEN)
     return CpMessage(
         subtype=subtype,
         dropped_frame_id=dropped,
         last_received_frame_id=last_received,
-        send_time=packet.gen_timestamp_us,
+        send_time=send_time,
     )
 
 

@@ -9,20 +9,18 @@ Wire format (23-byte big-endian header, total datagram <= 2304 bytes):
 msg_type 0x01 carries frame fragments, 0x02 carries control messages.
 flags bit0 marks an I-frame fragment, bit1 a forced I-frame.
 
-Two codecs write and read these bytes. ``encode_packet`` and
-``decode_packet`` go through ``DppPacket`` objects (control messages, tests).
-The runner's datapath builds none: ``send_frame`` gathers datagrams from
-their packed headers and views of the frame, and ``parse_header`` checks a
-datagram in place in a reused receive buffer. ``decode_packet`` is built on
-``parse_header``, so both reject the same datagrams with the same errors.
+``HEADER`` is the one description of this layout: ``send_frame`` packs
+datagrams with it, gathered from their packed headers and views of the frame,
+and ``parse_header`` checks a datagram in place in a reused receive buffer.
+Control messages (``cp``) are packed and checked through the same two.
 ``Reassembler`` takes either a run of parsed datagrams of one frame
 (``on_fragments``) or a simulated frame's burst (``on_frame``).
 
 On Linux, ``send_frame`` hands the kernel up to ``TRAIN`` datagrams per
 ``sendmsg`` through UDP segmentation offload (udp(7), ``UDP_SEGMENT``): the
 kernel cuts the gathered bytes at ``MTU``, so each datagram on the wire is
-still exactly one ``encode_packet``. Elsewhere, or once a socket refuses a
-train, it sends one datagram per call.
+still exactly one fragment's header and payload. Elsewhere, or once a socket
+refuses a train, it sends one datagram per call.
 """
 
 from __future__ import annotations
@@ -43,13 +41,12 @@ MSG_CTRL = 0x02
 FLAG_IFRAME = 0x01
 FLAG_FORCED = 0x02
 
-HEADER_LEN = 23
+HEADER = struct.Struct(">2sBBBIHHHQ")
+HEADER_LEN = HEADER.size  # 23
 MTU = MAX_PACKET_BYTES
 PAYLOAD_CAP = MTU - HEADER_LEN  # 2281
 MAX_FRAGS = 0xFFFF
 DROP_DEADLINE_US = 33_334  # two 60-FPS frame periods
-
-_HEADER = struct.Struct(">2sBBBIHHHQ")
 
 # udp(7): a send whose ancillary data carries (SOL_UDP, UDP_SEGMENT, size)
 # leaves as datagrams of ``size`` bytes, the last one shorter. Linux only;
@@ -81,43 +78,6 @@ class FragmentationError(ValueError):
     pass
 
 
-@dataclass
-class DppPacket:
-    msg_type: int
-    flags: int
-    frame_id: int
-    frag_index: int
-    frag_count: int
-    gen_timestamp_us: int
-    payload: bytes
-
-    def __post_init__(self):
-        if not (0 <= self.frag_index < self.frag_count <= MAX_FRAGS):
-            raise FragmentationError(
-                f"frag_index {self.frag_index} not below frag_count {self.frag_count}"
-            )
-        if HEADER_LEN + len(self.payload) > MTU:
-            raise FragmentationError(f"packet exceeds {MTU}-byte MTU")
-
-    @property
-    def wire_size(self) -> int:
-        return HEADER_LEN + len(self.payload)
-
-
-def encode_packet(p: DppPacket) -> bytes:
-    return _HEADER.pack(
-        MAGIC,
-        VERSION,
-        p.msg_type,
-        p.flags,
-        p.frame_id & 0xFFFFFFFF,
-        p.frag_index,
-        p.frag_count,
-        len(p.payload),
-        p.gen_timestamp_us,
-    ) + p.payload
-
-
 def parse_header(buf, n: int) -> tuple[int, int, int, int, int, int]:
     """Check the header of the ``n``-byte datagram at the start of ``buf``.
 
@@ -128,7 +88,7 @@ def parse_header(buf, n: int) -> tuple[int, int, int, int, int, int]:
     if n < HEADER_LEN:
         raise MalformedHeader(f"datagram of {n} bytes is shorter than the header")
     magic, version, msg_type, flags, frame_id, frag_index, frag_count, payload_len, ts = (
-        _HEADER.unpack_from(buf)
+        HEADER.unpack_from(buf)
     )
     if magic != MAGIC:
         raise MalformedHeader(f"bad magic {magic!r}")
@@ -145,19 +105,6 @@ def parse_header(buf, n: int) -> tuple[int, int, int, int, int, int]:
     if frag_index >= frag_count:
         raise MalformedHeader(f"frag_index {frag_index} >= frag_count {frag_count}")
     return msg_type, flags, frame_id, frag_index, frag_count, ts
-
-
-def decode_packet(b: bytes) -> DppPacket:
-    msg_type, flags, frame_id, frag_index, frag_count, ts = parse_header(b, len(b))
-    return DppPacket(
-        msg_type=msg_type,
-        flags=flags,
-        frame_id=frame_id,
-        frag_index=frag_index,
-        frag_count=frag_count,
-        gen_timestamp_us=ts,
-        payload=b[HEADER_LEN:],
-    )
 
 
 def fragment_layout(size_bytes: int) -> tuple[int, int]:
@@ -194,9 +141,10 @@ def send_frame(
     forced: bool,
     train: int = TRAIN,
 ) -> tuple[int, int]:
-    """Send a frame as one datagram per fragment, byte for byte what
-    ``encode_packet`` gives for the fragment's ``DppPacket``, without
-    building either.
+    """Send a frame as one datagram per fragment: the fragment's ``HEADER``
+    (``MSG_DATA``, ``frame_flags``, its index of the frame's ``count`` and
+    its payload length) followed by its ``PAYLOAD_CAP`` bytes of ``data``,
+    or the tail.
 
     Up to ``train`` datagrams go to the kernel in one ``sock.sendmsg``,
     gathered from their packed headers and views of ``data``, so the payload
@@ -214,7 +162,7 @@ def send_frame(
     flags = frame_flags(is_iframe, forced)
     frame_id &= 0xFFFFFFFF
     view = memoryview(data)
-    pack = _HEADER.pack
+    pack = HEADER.pack
     last = count - 1
     sends = start = 0
     while start < count:

@@ -491,7 +491,7 @@ class Simulator:
     # --- receiver side -----------------------------------------------------
 
     def _send_cp(self, msg: cp_mod.CpMessage, t: SimTime) -> None:
-        sent = self._medium.frame(1, msg.wire_size(), t)  # a one-packet frame
+        sent = self._medium.frame(1, cp_mod.WIRE_BYTES, t)  # a one-packet frame
         if sent is None:
             return
         arrival = sent[0]

@@ -41,7 +41,7 @@ import numpy as np
 from . import cp as cp_mod
 from . import dpp
 from .codec import CodecConfig, FrameType, GopWalker, encoded_size, nominal_sizes
-from .core import Rng, tick_time
+from .core import US_PER_S, Rng, tick_time
 
 DEFAULT_PORT = 28_864
 HANDSHAKE_TIMEOUT_S = 3.0
@@ -304,7 +304,8 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
         rng = Rng(cfg.seed)
         walker = GopWalker(cfg.codec)
         nominal = nominal_sizes(cfg.codec)
-        n_frames = int(cfg.duration_s * cfg.codec.fps)
+        # in integer us: int(4.1 * 30) is 122, not 123
+        n_frames = round(cfg.duration_s * US_PER_S) * cfg.codec.fps // US_PER_S
         train = dpp.TRAIN
         t0 = time.monotonic()
         for i in range(n_frames):

@@ -11,7 +11,7 @@ import threading
 import time
 
 import pytest
-from packet_feed import deliver, fragment
+from packet_feed import DppPacket, decode_packet, deliver, encode_packet, fragment
 
 from uvrpipe import dpp
 from uvrpipe.cli import main
@@ -142,10 +142,11 @@ def test_c06_iframe_cadence_and_stutter():
 
 def test_c07_protocol_properties():
     rnd = random.Random(1234)
-    # encode/decode round trip, 10^4 randomized packets
+    # encode/decode round trip, 10^4 randomized packets, through the reference
+    # codec and the receiver's header check
     for _ in range(10_000):
         count = rnd.randint(1, 64)
-        p = dpp.DppPacket(
+        p = DppPacket(
             msg_type=rnd.choice((dpp.MSG_DATA, dpp.MSG_CTRL)),
             flags=rnd.randint(0, 3),
             frame_id=rnd.randint(0, 0xFFFFFFFF),
@@ -154,9 +155,12 @@ def test_c07_protocol_properties():
             gen_timestamp_us=rnd.randint(0, 2**63),
             payload=rnd.randbytes(rnd.randint(0, dpp.PAYLOAD_CAP)),
         )
-        raw = dpp.encode_packet(p)
-        assert dpp.decode_packet(raw) == p
-        assert dpp.encode_packet(dpp.decode_packet(raw)) == raw
+        raw = encode_packet(p)
+        assert decode_packet(raw) == p
+        assert encode_packet(decode_packet(raw)) == raw
+        assert dpp.parse_header(raw, len(raw)) == (
+            p.msg_type, p.flags, p.frame_id, p.frag_index, p.frag_count, p.gen_timestamp_us
+        )
 
     # fragment/reassemble identity, 10^4 randomized frames (shuffled delivery);
     # byte-exact payload verification on a sample including the extremes
@@ -221,21 +225,21 @@ def test_c07_protocol_properties():
     assert all(len(evs) == 1 for evs in outcomes.values())
 
     # shared golden vector, simulator-side and across a real datagram socket
-    golden = dpp.DppPacket(dpp.MSG_DATA, dpp.FLAG_IFRAME, 1, 0, 1, 42, b"AB")
+    golden = DppPacket(dpp.MSG_DATA, dpp.FLAG_IFRAME, 1, 0, 1, 42, b"AB")
     golden_bytes = bytes.fromhex("555601010100000001000000010002000000000000002a4142")
-    assert dpp.encode_packet(golden) == golden_bytes
+    assert encode_packet(golden) == golden_bytes
     rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     rx.bind(("127.0.0.1", 0))
     rx.settimeout(2.0)
     tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        tx.sendto(dpp.encode_packet(golden), rx.getsockname())
+        tx.sendto(encode_packet(golden), rx.getsockname())
         wire, _ = rx.recvfrom(65_535)
     finally:
         rx.close()
         tx.close()
     assert wire == golden_bytes
-    assert dpp.decode_packet(wire) == golden
+    assert decode_packet(wire) == golden
     _ok("C7", f"10^4 wire + 10^4 reassembly cases ({checked_bytes} payload bytes verified)")
 
 
@@ -322,8 +326,8 @@ def test_c11_runner_loopback_and_induced_loss():
     assert lossy_host.forced_iframes >= 1
     assert lossy_mud.frames_completed + lossy_mud.frames_dropped <= lossy_host.frames_sent
 
-    golden = dpp.DppPacket(dpp.MSG_DATA, dpp.FLAG_IFRAME, 1, 0, 1, 42, b"AB")
-    assert dpp.encode_packet(golden) == bytes.fromhex(
+    golden = DppPacket(dpp.MSG_DATA, dpp.FLAG_IFRAME, 1, 0, 1, 42, b"AB")
+    assert encode_packet(golden) == bytes.fromhex(
         "555601010100000001000000010002000000000000002a4142"
     )
     _ok(

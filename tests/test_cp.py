@@ -1,5 +1,10 @@
+from hypothesis import given
+from hypothesis import strategies as st
+from packet_feed import DppPacket, decode_packet, encode_packet
+
 from uvrpipe import dpp
 from uvrpipe.cp import (
+    WIRE_BYTES,
     CpMessage,
     HostDecision,
     HostFeedbackState,
@@ -25,15 +30,26 @@ def test_wire_size_and_roundtrip():
     msg = CpMessage(SUB_IFRAME_REQUEST, dropped_frame_id=100, last_received_frame_id=99,
                     send_time=123_456)
     raw = encode_cp(msg)
-    assert len(raw) <= 64
+    assert len(raw) == WIRE_BYTES == 32
     assert decode_cp(raw) == msg
 
 
 def test_ctrl_rides_the_shared_header():
     raw = encode_cp(CpMessage(SUB_IFRAME_REQUEST))
-    packet = dpp.decode_packet(raw)
+    packet = decode_packet(raw)
     assert packet.msg_type == dpp.MSG_CTRL
     assert len(packet.payload) == 9
+
+
+_U32 = st.integers(0, 2**32 - 1)
+
+
+@given(st.builds(CpMessage, st.integers(0, 255), _U32, _U32, st.integers(0, 2**64 - 1)))
+def test_encode_cp_is_the_reference_codec(m):
+    payload = bytes([m.subtype]) + m.dropped_frame_id.to_bytes(4, "big")
+    payload += m.last_received_frame_id.to_bytes(4, "big")
+    assert encode_cp(m) == encode_packet(DppPacket(dpp.MSG_CTRL, 0, 0, 0, 1, m.send_time, payload))
+    assert decode_cp(encode_cp(m)) == m
 
 
 def test_normal_complete_is_silent():

@@ -3,12 +3,11 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from packet_feed import deliver, fragment
+from packet_feed import DppPacket, decode_packet, deliver, encode_packet, fragment
 
 from uvrpipe import dpp
 from uvrpipe.dpp import (
     CopyLedger,
-    DppPacket,
     FrameComplete,
     FrameDropped,
     FragmentationError,
@@ -16,8 +15,6 @@ from uvrpipe.dpp import (
     MalformedHeader,
     Reassembler,
     UnsupportedVersion,
-    decode_packet,
-    encode_packet,
     fragment_layout,
     host_capture_path,
     host_send_path,

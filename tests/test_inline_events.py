@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from uvrpipe import dpp, pipeline
 from uvrpipe.core import EventQueue
-from uvrpipe.cp import SUB_IFRAME_REQUEST, CpMessage
+from uvrpipe.cp import WIRE_BYTES
 from uvrpipe.netsim import LossModel, serialization_us
 from uvrpipe.pipeline import Simulator, run_scenario
 from uvrpipe.scenario import EncodeMode, preset_config
@@ -168,7 +168,7 @@ def _p_frame_latency(cfg):
 
 def _request_us(cfg):
     """An I-frame request's serialization time on the channel."""
-    return serialization_us(CpMessage(SUB_IFRAME_REQUEST).wire_size(), cfg.channel.bandwidth_bps)
+    return serialization_us(WIRE_BYTES, cfg.channel.bandwidth_bps)
 
 
 def _arrivals(cfg, monkeypatch):

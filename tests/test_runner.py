@@ -4,7 +4,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from packet_feed import fragment
+from packet_feed import decode_packet, encode_packet, fragment
 from test_wire_path import CaptureSocket
 
 from uvrpipe import dpp, runner
@@ -117,10 +117,10 @@ def test_reassembler_rejects_are_reported(monkeypatch):
         capture = CaptureSocket()
         send_frame(capture, peer, *args)
         datagrams = [datagram for datagram, _address in capture.sent]
-        first = dpp.decode_packet(datagrams[0])
+        first = decode_packet(datagrams[0])
         bad_count = replace(first, frag_count=first.frag_count + 1)
         for packet in [first, first, bad_count]:
-            sock.sendto(dpp.encode_packet(packet), peer)
+            sock.sendto(encode_packet(packet), peer)
         for datagram in datagrams[1:]:
             sock.sendto(datagram, peer)
         return len(datagrams) + 2, 1
@@ -237,8 +237,8 @@ def test_wire_bytes_match_simulator_encoding():
         dpp.send_frame(tx, rx.getsockname(), 3, payload, 777, is_iframe=True, forced=True)
         for p in packets:
             data, _ = rx.recvfrom(65_535)
-            assert data == dpp.encode_packet(p)
-            assert dpp.decode_packet(data) == p
+            assert data == encode_packet(p)
+            assert decode_packet(data) == p
     finally:
         rx.close()
         tx.close()

@@ -4,12 +4,11 @@ The host sends a frame with ``dpp.send_frame``, in trains of datagrams that
 the kernel cuts at the MTU, and the receiver parses each datagram in place
 with ``dpp.parse_header`` and hands ``on_fragments`` views of its one reused
 receive buffer, a run of consecutive fragments of one frame at a time. The
-reference is the codec the runner used before and ``cp`` still uses:
-``fragment`` + ``encode_packet`` on the host, one datagram at a time, and
-``decode_packet`` + ``Reassembler.on_fragments`` with one decoded packet's
-fields per call on the receiver, with the drop sweep doing a full pass on
-every call. Both must give the same bytes, the same events and the same
-counters.
+reference is the packet codec of ``packet_feed``: ``fragment`` +
+``encode_packet`` on the host, one datagram at a time, and ``decode_packet``
++ ``Reassembler.on_fragments`` with one decoded packet's fields per call on
+the receiver, with the drop sweep doing a full pass on every call. Both must
+give the same bytes, the same events and the same counters.
 
 The simulator's entry, ``Reassembler.on_frame``, is checked here too: against
 the full sweep, and its O(1) whole and partial frames against their
@@ -29,19 +28,16 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from packet_feed import deliver, fragment
+from packet_feed import DppPacket, decode_packet, deliver, encode_packet, fragment
 
-from uvrpipe import dpp, runner
+from uvrpipe import cp, dpp, runner
 from uvrpipe.dpp import (
     HEADER_LEN,
     PAYLOAD_CAP,
-    DppPacket,
     LengthMismatch,
     MalformedHeader,
     Reassembler,
     UnsupportedVersion,
-    decode_packet,
-    encode_packet,
     parse_header,
 )
 
@@ -449,12 +445,26 @@ MALFORMED = [
 
 @pytest.mark.parametrize("datagram, error", MALFORMED)
 def test_parse_header_rejects_like_decode_packet(datagram, error):
-    with pytest.raises(error):
-        decode_packet(datagram)
+    """``parse_header`` rejects each datagram, read from a larger buffer, as
+    listed, and so do its two readers: the reference ``decode_packet`` and
+    the control plane's ``cp.decode_cp``."""
     buf = bytearray(GOLDEN_BYTES * 3000)  # a larger buffer with valid-looking bytes after n
     buf[: len(datagram)] = datagram
     with pytest.raises(error):
         parse_header(buf, len(datagram))
+    for reader in (decode_packet, cp.decode_cp):
+        with pytest.raises(error):
+            reader(datagram)
+
+
+def test_decode_cp_rejects_what_is_no_control_message():
+    with pytest.raises(MalformedHeader):
+        cp.decode_cp(GOLDEN_BYTES)  # a well-formed DATA datagram
+    for size in (8, 10):
+        datagram = encode_packet(DppPacket(dpp.MSG_CTRL, 0, 0, 0, 1, 5, b"\x01" * size))
+        parse_header(datagram, len(datagram))
+        with pytest.raises(LengthMismatch):
+            cp.decode_cp(datagram)
 
 
 def test_forged_fragment_count_allocates_little():
@@ -556,7 +566,8 @@ def test_a_train_crosses_loopback_as_the_codec_datagrams():
             sock.close()
 
 
-def test_host_ends_on_time_when_the_peer_stays_silent():
+def _host_with_silent_peer(**config) -> runner.RunnerStats:
+    """``host_run`` against a peer that says HELLO and then only reads."""
     host_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     host_sock.bind(("127.0.0.1", 0))
     host_addr = host_sock.getsockname()
@@ -564,7 +575,7 @@ def test_host_ends_on_time_when_the_peer_stays_silent():
     peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     peer.bind(("127.0.0.1", 0))
     peer.settimeout(0.1)
-    cfg = runner.RunnerConfig(bind=host_addr, peer=peer.getsockname(), duration_s=0.3)
+    cfg = runner.RunnerConfig(bind=host_addr, peer=peer.getsockname(), **config)
     fp = runner.config_fingerprint(cfg.codec, cfg.feedback_control)
     hello = runner.cp_mod.encode_cp(runner._hello_message(fp, 0))
 
@@ -581,8 +592,17 @@ def test_host_ends_on_time_when_the_peer_stays_silent():
     thread = threading.Thread(target=silent_peer)
     thread.start()
     try:
-        stats = runner.host_run(cfg)
+        return runner.host_run(cfg)
     finally:
         thread.join()
         peer.close()
-    assert stats.frames_sent == 18
+
+
+def test_host_ends_on_time_when_the_peer_stays_silent():
+    assert _host_with_silent_peer(duration_s=0.3).frames_sent == 18
+
+
+def test_host_sends_every_frame_of_its_duration():
+    # 0.7 * 90 is 62.99999999999999 in floats: 63 frames, not 62
+    codec = runner.CodecConfig(fps=90)
+    assert _host_with_silent_peer(duration_s=0.7, codec=codec).frames_sent == 63
