@@ -150,12 +150,6 @@ class DecodeServer:
         self._prev_start = start
         return start, start - arrival
 
-    @staticmethod
-    def scaled_horizon(fps_cap: int, top: SimTime, n: int) -> int:
-        """A bound on every scaled time of ``offer_run`` over n arrivals whose
-        last start is ``top``; at 2**62 or more, int64 could wrap."""
-        return top * fps_cap + (n + 2) * DecodeServer.TOKEN
-
     def offer_run(self, arrivals: np.ndarray) -> np.ndarray:
         """``offer`` of every arrival in order: the decode starts, as an
         array of the arrivals' dtype.
@@ -173,7 +167,7 @@ class DecodeServer:
         frame by frame instead.
         """
         n, c, k = len(arrivals), self.fps_cap, self.TOKEN
-        if n and self.scaled_horizon(c, max(int(arrivals.max()), self._prev_start), n) < 2**62:
+        if n and max(int(arrivals.max()), self._prev_start) * c + (n + 2) * k < 2**62:
             start = running_max(np.maximum(arrivals, self._prev_start))
             z_before = self._last * c - self._tokens
             scaled = start * c

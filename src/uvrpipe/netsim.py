@@ -500,35 +500,27 @@ def _clean_ends(
 
 def clean_run(
     ch: ChannelModel, link: LinkState, count: np.ndarray, tail_size: np.ndarray, now: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """``_clean_ends`` for a run of frames at once, each of ``count - 1``
     full packets (``MAX_PACKET_BYTES``) and a tail, requested at ``now``.
 
-    Returns int64 arrays (start, last arrival) and the run's horizon, a bound
-    on every time in it that stays below 2**62, and updates ``link`` as the
-    per-frame calls would. Across frames the link is the
+    Returns int64 arrays (start, last arrival) and updates ``link`` as the
+    per-frame calls would; validation keeps a run's times below 2**62
+    (``scenario.time_bound``), so none wraps. Across frames the link is the
     Lindley recursion ``busy_i = max(now_i, busy_{i-1}) + T_i``, where
     ``T_i`` is frame i's busy offset; with ``C = cumsum(T)`` it unrolls to
     ``busy_i = C_i + max(busy_until, max_{k<=i} (now_k - C_{k-1}))``, one
     running maximum. Returns None and leaves ``link`` untouched when the
-    channel draws, a tail is oversized, a time could outgrow int64 (a link
-    of a few bits per second), or the FIFO clamp binds on some frame; the
-    caller then takes the per-frame path, whose Python ints do not wrap.
+    channel draws, a tail is oversized, or the FIFO clamp binds on some
+    frame; the caller then takes the per-frame path.
     """
     if not draw_free(ch):
         return None
     if not len(count):
-        return count, count, 0
-    first_off, busy_off, total = _clean_shape(ch, count, tail_size)
-    # every time below is at most this; the margin leaves room for the
-    # caller's fixed per-frame offsets
-    horizon = (
-        max(int(now.max()), link.busy_until)
-        + int(busy_off.max()) * len(busy_off)
-        + ch.prop_delay_us
-    )
-    if tail_size.max() > MAX_PACKET_BYTES or horizon >= 2**62:
+        return count, count
+    if tail_size.max() > MAX_PACKET_BYTES:
         return None
+    first_off, busy_off, total = _clean_shape(ch, count, tail_size)
     cum = np.cumsum(busy_off)
     lead = running_max(now - (cum - busy_off))
     busy = cum + np.maximum(lead, link.busy_until)
@@ -546,7 +538,7 @@ def clean_run(
         int(count.sum()),
         int(((count - 1) * MAX_PACKET_BYTES + tail_size).sum()),
     )
-    return start, last, horizon
+    return start, last
 
 
 def draw_free(ch: ChannelModel) -> bool:

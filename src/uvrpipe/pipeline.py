@@ -60,9 +60,8 @@ one of two ways, with the same result:
     stage sorted once, with its distribution, and the one value of the
     sampler and decode waits, when each has one.
     When a precondition fails (the receiver's FIFO clamp binds, a frame
-    exceeds the fragment limit, a time could outgrow int64, the link was
-    used before), the link is left as it was and the event loop runs on the
-    same prefix.
+    exceeds the fragment limit, the link was used before), the link is left
+    as it was and the event loop runs on the same prefix.
   * The tail: the event loop's decode step (``Simulator._decode``; an array
     run's comes with its timing), corruption, one array step run only when
     some frame dropped, then the report (``Simulator._result``). The MUD
@@ -133,15 +132,6 @@ from .stages import (
     link_fixed_overhead_us,
     shared_datapath,
 )
-
-
-def _array(values: list) -> np.ndarray:
-    """An event-loop column as an array typed as its values; times past int64
-    (a link of a few bits per second) stay Python ints."""
-    try:
-        return np.array(values, dtype=type(values[0]) if values else int)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
@@ -219,8 +209,7 @@ class ArrayTiming(NamedTuple):
     constant (``array_timing``): per frame its type and size, its burst's
     start and last arrival, ``net`` (last arrival minus send tick), its
     decode start and ``queue_wait`` (decode start minus last arrival); the
-    link's end state; ``clean_run``'s bound, which a shifted run re-checks;
-    and what every run's report takes from it as it is.
+    link's end state; and what every run's report takes from it as it is.
 
     ``stages`` is the report's sampler-wait (clock tick minus render time)
     and decode-wait as their one value each, and its network stage (``net``
@@ -239,7 +228,6 @@ class ArrayTiming(NamedTuple):
     busy_until: SimTime
     last_arrival: SimTime
     totals: tuple[int, int, int]  # the link's busy_accum_us, sent_packets, sent_bytes
-    link_horizon: int  # clean_run's horizon
     stages: Optional[tuple[int, KnownStage, int]]  # sampler-wait, network, decode-wait
     sent_bytes: int
 
@@ -302,7 +290,7 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *value
     sent = netsim.clean_run(channel, link, count, tail_wire, grid.tick)
     if sent is None:
         return None
-    start, last, link_horizon = sent
+    start, last = sent
     decode_start = DecodeServer(codec.decode_fps_cap).offer_run(last)
     columns = dict(
         frame_type=np.where(is_iframe, FrameType.I.value, FrameType.P.value),
@@ -327,7 +315,6 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *value
         busy_until=link.busy_until,
         last_arrival=link.last_arrival,
         totals=(link.busy_accum_us, link.sent_packets, link.sent_bytes),
-        link_horizon=link_horizon,
         stages=stages,
         sent_bytes=int(sizes.sum()),
     )
@@ -589,7 +576,8 @@ class Simulator:
                 renders = [(t, ("render", i, -1)) for i, t in enumerate(grid.render.tolist())]
                 ticks = sorted(renders + ticks, key=itemgetter(0))  # on a tie the render goes first
         self.queue.run(self._dispatch, ticks)
-        frames = {name: _array(values) for name, values in self._table.items()}
+        # each column typed as its values; validation keeps every time in int64
+        frames = {k: np.array(v, dtype=type(v[0]) if v else int) for k, v in self._table.items()}
         frames["frame_type"] = np.where(frames["frame_type"], FrameType.I.value, FrameType.P.value)
         self._decode(frames)
         return self._result(frames)
@@ -614,9 +602,9 @@ class Simulator:
           * Decoder. The first frame finds the bucket full at any time >= 0,
             and every later step of ``offer`` (and so of ``offer_run``)
             depends only on differences of times.
-          * Bounds. The shifted run must pass the scalar checks that the
-            unshifted one passed: ``clean_run``'s and ``offer_run``'s int64
-            horizons, and a first decoder arrival >= 0.
+          * Bounds. The stage constants make both shifts >= 0, and
+            validation keeps every time of the run below 2**62
+            (``scenario.time_bound``), so no shifted array wraps.
         """
         g, link = self.graph, self.link
         if link != netsim.LinkState():
@@ -626,20 +614,11 @@ class Simulator:
             return None
         n = len(timing.last)
         shift = g.encode_path_us + g.host_netstack_us
-        decode_shift = shift + g.link_fixed_us
-        top = int(timing.last[-1]) + decode_shift if n else 0  # the last decode arrival
-        if n and (
-            min(shift, decode_shift) < 0
-            or timing.link_horizon + shift >= 2**62
-            or DecodeServer.scaled_horizon(self.codec_cfg.decode_fps_cap, top, n) >= 2**62
-        ):
-            return None
-
         link.busy_accum_us, link.sent_packets, link.sent_bytes = timing.totals
         if n:  # a run that sends nothing leaves the link as it was
             link.busy_until = timing.busy_until + shift
             link.last_arrival = timing.last_arrival + shift
-        decode_start = timing.decode_start + decode_shift
+        decode_start = timing.decode_start + (shift + g.link_fixed_us)
         zeros = np.zeros(n, dtype=bool)
         frames = self._frames()
         frames.update(
@@ -662,17 +641,12 @@ class Simulator:
     def _decode(self, frames: dict[str, np.ndarray]) -> None:
         """The event loop's decode step, which fills the decode columns."""
         g, done = self.graph, np.array(self._done, dtype=np.intp)
-        times = ("arrived_last_us", "net_us", "queue_wait_us", "decode_start_us", "presented_us")
-        # from 2**62 up a time here could leave int64: Python ints, typed as ``_array`` does
-        wide = len(done) > 0 and int(frames[times[0]][done].max()) + g.link_fixed_us >= 2**62
-        col = {name: frames[name].astype(object) if wide else frames[name] for name in times}
-        arrivals = col["arrived_last_us"][done] + g.link_fixed_us
+        arrivals = frames["arrived_last_us"][done] + g.link_fixed_us
         starts = DecodeServer(self.codec_cfg.decode_fps_cap).offer_run(arrivals)
-        col["net_us"][done] = arrivals - (frames["encoded_us"][done] + g.host_netstack_us)
-        col["queue_wait_us"][done] = starts - arrivals
-        col["decode_start_us"][done] = starts
-        col["presented_us"][done] = starts + (g.mud_service_us + g.residual_us)
-        frames.update((name, _array(c.tolist()) if wide else c) for name, c in col.items())
+        frames["net_us"][done] = arrivals - (frames["encoded_us"][done] + g.host_netstack_us)
+        frames["queue_wait_us"][done] = starts - arrivals
+        frames["decode_start_us"][done] = starts
+        frames["presented_us"][done] = starts + (g.mud_service_us + g.residual_us)
 
     def _result(
         self, frames: dict[str, np.ndarray], timing: Optional[ArrayTiming] = None

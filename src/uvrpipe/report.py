@@ -91,12 +91,7 @@ def _dist_ms(values_us: np.ndarray, ordered=None, shift: int = 0) -> dict[str, f
     """
     if len(values_us) == 0:
         return {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
-    # the ufunc makes int64 float64 itself, in the same pass; an object column
-    # (Python ints past int64) is made float64 first, to sum as floats do
-    if values_us.dtype.kind == "i":
-        arr = values_us / 1000.0
-    else:
-        arr = np.asarray(values_us, dtype=np.float64) / 1000.0
+    arr = values_us / 1000.0  # the ufunc makes int64 float64 itself, in the same pass
     ordered = np.sort(values_us) if ordered is None else ordered
     return {
         "mean_ms": round(float(arr.sum()) / len(arr), 4),  # ndarray.mean's steps
@@ -217,7 +212,7 @@ def build_distributions(
         elif isinstance(vals, KnownStage):
             stages[name] = dict(vals.dist)
             known.append(vals)
-        elif vals.dtype.kind != "i" or not n:
+        elif not n:
             stages[name] = _dist_ms(vals)
         elif (lo := int(vals.min())) == (hi := int(vals.max())):
             stages[name] = _constant_dist_ms(lo, n)
@@ -228,7 +223,7 @@ def build_distributions(
     shift = None
     if len(known) == 1 and len(constants) == len(per_stage_us) - 1:
         ordered, shift = known[0].ordered, known[0].shift + sum(constants)
-    elif len(varying) == 1 and e2e_us.dtype.kind == "i":
+    elif len(varying) == 1:
         vals, ordered, top = varying[0]
         offset = e2e_us - vals
         # below 2**62 on both sides, the int64 difference cannot wrap

@@ -21,8 +21,8 @@ from . import dpp
 from .codec import CodecConfig, FrameType, encoded_size
 from .core import US_PER_S, WorkloadConfig
 from .cp import DEFAULT_SUPPRESSION_WINDOW_US
-from .netsim import ChannelModel
-from .stages import TOGGLE_NAMES, OptimizationToggles
+from .netsim import ChannelModel, serialization_us
+from .stages import MAX_STAGES_US, TOGGLE_NAMES, OptimizationToggles
 
 
 class EncodeMode(Enum):
@@ -162,6 +162,8 @@ def _errors(*values) -> tuple[str, ...]:
     errors = list(failed.values())
     if "duration_s" not in failed and round(value_of["duration_s"] * US_PER_S) < 1:
         errors.append("duration_s must be at least 1 us, rounded to whole us")
+    if not errors and (bound := time_bound(value_of)) >= 2**62:
+        errors.append(f"a run's times could reach {bound} us, past the 2**62-us horizon of int64")
     if not any(key.startswith("codec.") for key in failed):
         # the nominal I-frame, in the color space the toggles encode in
         codec = CodecConfig(
@@ -179,6 +181,43 @@ def _errors(*values) -> tuple[str, ...]:
                 f" {dpp.MAX_FRAGS}-fragment limit ({exc})"
             )
     return tuple(errors)
+
+
+def time_bound(value_of: dict[str, Any]) -> int:
+    """A bound, in us, above every time in the frame table of a run of the
+    config values ``value_of`` (by key), whatever its toggles, as an A/B
+    suite flips them: ``D + S + n*(2*((MAX_FRAGS+1)*s + p + J) + q)``, with
+    D the duration, n the frames, s one MTU packet's serialization, p the
+    propagation delay, J the jitter's cap ``ceil(3.0*sigma)``, ``q =
+    ceil(10**6/decode_fps_cap)`` and S (``stages.MAX_STAGES_US``) at least
+    the datapath's constants. Proof, with h hops (2 under INFRA, else 1)
+    and ``X = D + encode_path_us + host_netstack_us``:
+
+      * A frame is sent at a tick of the encoder's clock: at f FPS
+        ``frame_ticks`` has at most ``D*f // 10**6 + 1``.
+      * A use of the medium, m packets requested at r, moves ``busy_until``
+        from b to at most ``max(r, b) + h*m*s + (h-1)*(p+J)`` (hop 2 waits
+        at most p + J for a packet), and delivers by that plus p + J or,
+        FIFO-clamped, at an earlier arrival.
+      * Up to frame k's burst, the medium takes at most k + 1 bursts of at
+        most MAX_FRAGS packets and k one-packet requests (a frame resolves
+        once, after its burst), each requested before X, as both shifts are
+        >= 0 and the loop sends a request before frame k's tick or after its
+        burst. As ``(2k+1)*(h-1) + 1 <= (k+1)*h``, frame k is sent and
+        arrives before ``X + n*h*((MAX_FRAGS+1)*s + p + J)``.
+      * A decode starts at the later of its arrival and the previous start,
+        plus a token wait of at most q; presentation adds a constant.
+      * Renders and encodes come before X; ``net_us`` and ``queue_wait_us``
+        are differences of times >= 0.
+    """
+    duration_us = round(value_of["duration_s"] * US_PER_S)
+    frames = duration_us * max(value_of["render_fps"], value_of["codec.fps"]) // US_PER_S + 1
+    # a cap of 2**62 or more fails the bound as it is; 3.0 * sigma may be inf
+    jitter = math.ceil(min(3.0 * value_of["channel.jitter_sigma_us"], 2**62))
+    packets = (dpp.MAX_FRAGS + 1) * serialization_us(dpp.MTU, value_of["channel.bandwidth_bps"])
+    link = 2 * (packets + value_of["channel.prop_delay_us"] + jitter)
+    decode = -(-US_PER_S // value_of["codec.decode_fps_cap"])
+    return duration_us + MAX_STAGES_US + frames * (link + decode)
 
 
 def bound_error(name: str, value: Any, bound: str) -> Optional[str]:

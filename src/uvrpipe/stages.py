@@ -81,6 +81,11 @@ NET_TARGET_US = {
     (netsim.Topology.P2P, ColorSpace.RGB): 2_400,
 }
 
+# the most that the stages add to a frame's times on any datapath: no toggle
+# adds to a constant, and ``link_fixed_overhead_us`` is at most its cell's target
+MAX_STAGES_US = (TRANSCODE_US + GPU_COPY_US + CORE_ENCODE_US + HOST_NETSTACK_US + MUD_NETSTACK_US
+                 + MUD_DECODE_US + RESIDUAL_PRESENTATION_US + max(NET_TARGET_US.values()))
+
 REFERENCE_BITRATE_BPS = 20_000_000
 REFERENCE_FPS = 60
 

@@ -237,46 +237,47 @@ def test_binding_clamp_falls_back(toggles):
     )
 
 
-def _p2p_timing(prop_delay_us, slow=False):
+def _p2p_config(prop_delay_us, slow=False):
     cfg = preset_config("baseline")
     cfg.duration_s = 0.1
     cfg.toggles.p2p_topology = True  # on P2P a frame's busy time leaves out the delay
     cfg.channel.prop_delay_us = prop_delay_us
-    if slow:
-        # frames of seconds on the air and a decoder of 1 FPS: clean_run's
-        # bound lies above offer_run's
+    if slow:  # frames of seconds on the air and a decoder of 1 FPS
         cfg.codec.bitrate_bps = 200_000_000
         cfg.codec.decode_fps_cap = 1
         cfg.channel.bandwidth_bps = 1_000_000
+    return cfg
+
+
+def _p2p_timing(prop_delay_us, slow=False):
+    cfg = _p2p_config(prop_delay_us, slow)
     sim = Simulator(cfg)
     return cfg, sim, pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
 
 
-def test_a_shift_past_the_link_horizon_falls_back():
-    # the largest delay at which the unshifted timing is within clean_run's
-    # bound; the run's shift takes it past, as clean_run on the shifted
-    # requests would find
+def test_a_delay_past_the_link_horizon_fails_validation():
+    # the largest delay at which the unshifted timing stayed within the bound
+    # that clean_run once checked (the last request plus every frame at the
+    # longest busy time) and a run's shift took it past: validation rejects it
     _, _, base = _p2p_timing(0, slow=True)
-    cfg, sim, timing = _p2p_timing(2**62 - 1 - base.link_horizon, slow=True)
-    assert timing.link_horizon == 2**62 - 1
-    shift = sim.graph.encode_path_us + sim.graph.host_netstack_us + sim.graph.link_fixed_us
-    top, cap = int(timing.last[-1]) + shift, cfg.codec.decode_fps_cap
-    assert DecodeServer.scaled_horizon(cap, top, len(timing.last)) < 2**62
-    assert sim._run_arrays() is None
-    assert _outcome(cfg, _run) == _outcome(cfg, _events)
+    busy = int((base.last - base.start).max())  # on P2P at no delay
+    horizon = int((base.last - base.net).max()) + busy * len(base.last)
+    errors = _p2p_config(2**62 - 1 - horizon, slow=True).validate()
+    assert len(errors) == 1 and "2**62-us horizon" in errors[0]
 
 
-def test_a_shift_past_the_decoder_horizon_falls_back():
-    # the unshifted timing is within offer_run's int64 bound, but the
-    # shifted decode arrivals are not
+def test_a_delay_near_the_decoder_horizon_runs_as_arrays():
+    # the unshifted decode arrivals end where offer_run's scaled times reach
+    # its int64 bound, so the event loop's shifted ones are admitted frame
+    # by frame; validation keeps the times below 2**62, and the array run
+    # shifts its timing's decode starts as they are
     base_cfg, _, base = _p2p_timing(0)
     n, cap = len(base.last), base_cfg.codec.decode_fps_cap
-    top = (2**62 - 1 - DecodeServer.scaled_horizon(cap, 0, n)) // cap
-    cfg, sim, timing = _p2p_timing(top - int(base.last[-1]))
+    top = (2**62 - 1 - (n + 2) * DecodeServer.TOKEN) // cap
+    cfg, _, timing = _p2p_timing(top - int(base.last[-1]))
     assert timing.last[-1] == top
-    assert timing.link_horizon + 10**6 < 2**62
-    assert sim._run_arrays() is None
-    assert _outcome(cfg, _run) == _outcome(cfg, _events)
+    assert cfg.validate() == []
+    assert _outcome(cfg, _run) == _outcome(cfg, _arrays) == _outcome(cfg, _events)
 
 
 def test_frame_over_the_fragment_limit_falls_back():
@@ -292,30 +293,6 @@ def test_frame_over_the_fragment_limit_falls_back():
     with pytest.raises(FragmentationError) as from_events:
         Simulator(cfg)._run_events()
     assert str(from_run.value) == str(from_events.value)
-
-
-def past_int64():
-    """On a 1-bps P2P link 8,400 frames of 140 MB each end past 2**63 us."""
-    cfg = ScenarioConfig(seed=1, duration_s=140.0)
-    cfg.toggles = OptimizationToggles(p2p_topology=True)
-    cfg.codec.gop_size = 1
-    cfg.codec.bitrate_bps = 67_200_000_000
-    cfg.workload.complexity_sigma = 0.0
-    cfg.channel.bandwidth_bps = 1
-    assert cfg.validate() == []
-    return cfg
-
-
-def test_times_past_int64_fall_back():
-    # The event loop's Python ints carry times past int64; int64 arrays would wrap.
-    cfg = past_int64()
-    assert Simulator(cfg)._run_arrays() is None
-    # both sides below are the event loop, so check that such times occur
-    # and reach the records as exact Python ints
-    presented = [r.presented_us for r in Simulator(cfg).run().records]
-    assert max(presented) > 2**63
-    assert all(type(t) is int for t in presented)
-    assert _outcome(cfg, _run) == _outcome(cfg, _events)
 
 
 # --- the shared timing: a run that takes it from the cache equals a fresh one -

@@ -127,6 +127,17 @@ def test_unfragmentable_config_is_a_validation_error(capsys):
     assert "fragment" in capsys.readouterr().err
 
 
+def test_times_past_the_int64_horizon_are_a_validation_error(capsys, monkeypatch):
+    # at 1 bps a 60-s baseline run's times could reach 2**62 us; a 1-s one's cannot
+    argv = ["sim", "run", "--preset", "baseline", "--set", "channel.bandwidth_bps=1"]
+    with monkeypatch.context() as patch:
+        patch.setattr("uvrpipe.cli.run_scenario", lambda cfg: pytest.fail("the run started"))
+        assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "horizon" in err[0]
+    assert main([*argv, "--set", "duration_s=1"]) == 0
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     out = tmp_path / "env.json"
     monkeypatch.setenv("UVRPIPE_SEED", "7")

@@ -158,7 +158,8 @@ def test_float_keys():
 
 
 def _with(key, raw):
-    cfg = ScenarioConfig()
+    # a 1-s run: its times stay below the 2**62-us horizon on a 1-bps link too
+    cfg = ScenarioConfig(duration_s=1.0)
     errors = []
     apply_kv(cfg, key, raw, errors)
     assert errors == []

@@ -1,6 +1,8 @@
+import itertools
 import re
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from uvrpipe.core import ColorSpace
 from uvrpipe.netsim import ChannelModel, Topology
 from uvrpipe.stages import (
     NET_TARGET_US,
+    TOGGLE_NAMES,
     OptimizationToggles,
     build_datapath,
     expected_transport_us,
@@ -68,6 +71,19 @@ def test_encode_path_matches_latency_table():
     assert _graph(transcode_avoidance=True).encode_path_us == 8_430
     assert _graph(shared_gpu_buffer=True).encode_path_us == 9_230
     assert _graph(transcode_avoidance=True, shared_gpu_buffer=True).encode_path_us == 3_720
+
+
+# the default link, and one so fast that link_fixed_us takes nearly its whole target
+@pytest.mark.parametrize("channel", [ChannelModel(), ChannelModel(10**12, prop_delay_us=0)])
+def test_stage_shifts_are_nonnegative_and_within_the_stage_maximum(channel):
+    # the array run shifts its shared timing by these, and validation's time
+    # bound (scenario.time_bound) takes MAX_STAGES_US for their sum
+    for toggles in itertools.product((False, True), repeat=len(TOGGLE_NAMES)):
+        g = build_datapath(OptimizationToggles(*toggles), CodecConfig(), channel)
+        shift = g.encode_path_us + g.host_netstack_us
+        assert shift >= 0 and g.link_fixed_us >= 0
+        receiver = g.link_fixed_us + g.mud_service_us + g.residual_us
+        assert shift + receiver <= stages.MAX_STAGES_US
 
 
 def test_link_calibration_hits_network_targets():
