@@ -27,6 +27,7 @@ from .scenario import (
     key_error,
     parse_scenario,
     preset_config,
+    validated,
 )
 
 EXIT_OK = 0
@@ -70,10 +71,7 @@ def _resolve_config(args) -> ScenarioConfig:
             raise ScenarioError([f"UVRPIPE_SEED is not an integer: {env_seed!r}"])
     if args.seed is not None:
         cfg.seed = args.seed
-    errors = cfg.validate()
-    if errors:
-        raise ScenarioError(errors)
-    return cfg
+    return validated(cfg)
 
 
 def _emit(data: dict, out: Optional[str]) -> None:

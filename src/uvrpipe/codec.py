@@ -93,16 +93,10 @@ def encoded_size(
 
 def encoded_sizes(
     is_iframe: np.ndarray, cfg: CodecConfig, complexity: np.ndarray, nominal: tuple[int, int]
-) -> Optional[np.ndarray]:
-    """``encoded_size`` of many frames at once, as int64.
-
-    Returns None when ``encoded_size`` would raise for some frame: a
-    complexity <= 0, or a size past the int64 range.
-    """
+) -> np.ndarray:
+    """``encoded_size`` of many frames at once, as int64 (validation keeps each valid)."""
     s_i, s_p = nominal
     points = _half_up_point(np.where(is_iframe, float(s_i), float(s_p)), cfg, complexity)
-    if not ((complexity > 0) & (points < 2.0**63)).all():
-        return None
     return np.maximum(points.astype(np.int64), 1)
 
 

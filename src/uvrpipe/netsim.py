@@ -510,16 +510,14 @@ def clean_run(
     Lindley recursion ``busy_i = max(now_i, busy_{i-1}) + T_i``, where
     ``T_i`` is frame i's busy offset; with ``C = cumsum(T)`` it unrolls to
     ``busy_i = C_i + max(busy_until, max_{k<=i} (now_k - C_{k-1}))``, one
-    running maximum. Returns None and leaves ``link`` untouched when the
-    channel draws, a tail is oversized, or the FIFO clamp binds on some
-    frame; the caller then takes the per-frame path.
+    running maximum. A tail, at most a full packet, is never oversized.
+    Returns None and leaves ``link`` untouched when the channel draws or the
+    FIFO clamp binds on some frame; the caller then takes the per-frame path.
     """
     if not draw_free(ch):
         return None
     if not len(count):
         return count, count
-    if tail_size.max() > MAX_PACKET_BYTES:
-        return None
     first_off, busy_off, total = _clean_shape(ch, count, tail_size)
     cum = np.cumsum(busy_off)
     lead = running_max(now - (cum - busy_off))

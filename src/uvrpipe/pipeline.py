@@ -12,11 +12,11 @@ one of two ways, with the same result:
     ticks, their complexities as one batched draw, which tick of the
     encoder's clock (each render tick in SYNC, each sample tick in ASYNC)
     sends a frame and which render tick each frame encodes. It fixes the
-    frame count and each frame's ``gen_us`` and ``encoded_us``. ``send_grid``
-    computes it once per (seed, clocks) and caches the last one, read-only,
-    so consecutive runs that differ in nothing else, such as an A/B suite's,
-    share it; each run restores the workload stream to where the draw left
-    it.
+    frame count and each frame's ``gen_us`` and ``encoded_us``.
+    ``scenario.send_grid`` computes it once per (seed, clocks), for
+    validation, and caches the last one, read-only, so the run that follows
+    and consecutive runs that differ in nothing else share it; each run
+    restores the workload stream to where the draw left it.
   * The event loop (``Simulator._run_events``), the general middle: burst,
     deadline and feedback events on one heap, with the tick grid merged in
     lazily (``EventQueue.run``). Each tick carries the frame that it sends,
@@ -58,10 +58,9 @@ one of two ways, with the same result:
     (color space, topology) cells once and each run adds its own constants.
     With them it keeps what every run's report takes as it is: the network
     stage sorted once, with its distribution, and the one value of the
-    sampler and decode waits, when each has one.
-    When a precondition fails (the receiver's FIFO clamp binds, a frame
-    exceeds the fragment limit, the link was used before), the link is left
-    as it was and the event loop runs on the same prefix.
+    sampler and decode waits, when each has one. When the receiver's FIFO
+    clamp binds or the link was used before, the link is left as it was and
+    the event loop runs on the same prefix.
   * The tail: the event loop's decode step (``Simulator._decode``; an array
     run's comes with its timing), corruption, one array step run only when
     some frame dropped, then the report (``Simulator._result``). The MUD
@@ -101,13 +100,12 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from . import cp as cp_mod
-from . import dpp, netsim
+from . import dpp, netsim, scenario
 from .codec import (
     CodecConfig,
     DecodeServer,
     FrameType,
     GopWalker,
-    encoded_size,
     encoded_sizes,
     nominal_sizes,
 )
@@ -116,12 +114,11 @@ from .core import (
     EventQueue,
     Rng,
     SimTime,
-    frame_ticks,
     raw_frame_bytes,
     tick_time,
 )
 from .report import FrameRecord, KnownStage, MetricsReport, build_distributions, known_stage
-from .scenario import EncodeMode, ScenarioConfig, ScenarioError, config_values, with_toggle
+from .scenario import EncodeMode, ScenarioConfig, config_values, validated, with_toggle
 from .stages import (
     DatapathGraph,
     OptimizationToggles,
@@ -145,63 +142,6 @@ def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
     last_drop = np.maximum.accumulate(np.where(dropped, index, -1))
     last_i = np.maximum.accumulate(np.where(presented & is_iframe, index, -1))
     return presented & ~is_iframe & (last_drop > last_i)
-
-
-class SendGrid(NamedTuple):
-    """The render ticks, the encoder's clock ticks, which clock ticks send a
-    frame, and per frame the render tick that it encodes, that tick's
-    complexity, the frame's id, its render time and its clock tick."""
-
-    render: np.ndarray
-    clock: np.ndarray
-    sends: np.ndarray
-    source: np.ndarray
-    complexity: np.ndarray
-    frame_id: np.ndarray
-    gen: np.ndarray
-    tick: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def send_grid(
-    seed: int,
-    complexity_sigma: float,
-    render_fps: int,
-    fps: int,
-    duration_us: SimTime,
-    encode_mode: EncodeMode,
-) -> tuple[SendGrid, dict[str, Any]]:
-    """The send grid: the render ticks, the encoder's clock ticks (the render
-    grid in SYNC, the sample grid at the codec's ``fps`` in ASYNC), which
-    clock ticks send a frame, and per frame the render tick that it encodes
-    and that tick's complexity. Every render tick's complexity is one batched
-    draw from the seed's workload stream, whose state after the draw comes
-    with the grid.
-
-    The arrays are read-only, since consecutive runs of one seed and clocks,
-    such as an A/B suite's, share them from the cache.
-    """
-    rng = Rng(seed)
-    render = frame_ticks(render_fps, duration_us)
-    complexity = rng.lognormal_complexity(complexity_sigma, len(render))
-    if encode_mode is EncodeMode.SYNC:
-        # decimate to the codec rate when rendering faster than it; at or
-        # below it, every tick's codec slot differs from the next
-        clock, latest = render, np.arange(len(render))
-        sends = latest * fps // render_fps != (latest + 1) * fps // render_fps
-    else:
-        # the latest render at or before each sample; on a tie the render runs first
-        clock = frame_ticks(fps, duration_us)
-        latest = np.searchsorted(render, clock, side="right") - 1
-        sends = np.diff(latest, prepend=-1) > 0
-    source = latest[sends]
-    frame_id = np.arange(len(source))
-    grid = SendGrid(
-        render, clock, sends, source, complexity[source], frame_id, render[source], clock[sends]
-    )
-    for array in grid:
-        array.flags.writeable = False
-    return grid, rng.stream("workload").bit_generator.state
 
 
 class ArrayTiming(NamedTuple):
@@ -259,33 +199,25 @@ def _single_value(values: np.ndarray) -> Optional[int]:
 def _frame_layout(is_iframe, codec: CodecConfig, complexity: np.ndarray, nominal):
     """Each frame's size, fragment count and tail datagram bytes, as int64
     arrays, as ``encoded_size`` and ``fragment_layout`` give them for its
-    type (``is_iframe``, per frame or one for all) and complexity; None when
-    some frame would make either raise."""
+    type (``is_iframe``, per frame or one for all) and complexity."""
     sizes = encoded_sizes(is_iframe, codec, complexity, nominal)
-    if sizes is None:
-        return None
     count, tail = dpp.unchecked_layout(sizes)
-    if len(sizes) and count.max() > dpp.MAX_FRAGS:
-        return None
     return sizes, count, dpp.HEADER_LEN + tail
 
 
 # typed: 1, 1.0 and True differ; 4 holds an A/B suite's (color space, topology) cells
 @lru_cache(maxsize=4, typed=True)
-def _timing(seed, complexity_sigma, render_fps, duration_us, encode_mode, *values):
+def _timing(seed, complexity_sigma, render_fps, duration_us, mode, *values):
     """A fresh link and decoder timing the grid's frames sent at their clock
     ticks; the frames follow the GOP schedule."""
     codec_at = len(fields(CodecConfig))
     codec = CodecConfig(*values[:codec_at])
     channel = netsim.ChannelModel(*values[codec_at:])
-    grid, _ = send_grid(seed, complexity_sigma, render_fps, codec.fps, duration_us, encode_mode)
+    grid, _ = scenario.send_grid(seed, complexity_sigma, render_fps, codec.fps, duration_us, mode)
     n = len(grid.tick)
     is_iframe = np.zeros(n, dtype=bool)
     is_iframe[:: codec.gop_size] = True
-    layout = _frame_layout(is_iframe, codec, grid.complexity, nominal_sizes(codec))
-    if layout is None:
-        return None
-    sizes, count, tail_wire = layout
+    sizes, count, tail_wire = _frame_layout(is_iframe, codec, grid.complexity, nominal_sizes(codec))
     link = netsim.LinkState()
     sent = netsim.clean_run(channel, link, count, tail_wire, grid.tick)
     if sent is None:
@@ -352,16 +284,12 @@ class Simulator:
     mud_fb, host_fb = cp_mod.MudFeedbackState(), cp_mod.HostFeedbackState()
 
     def __init__(self, cfg: ScenarioConfig, collect_transcript: bool = False):
-        errors = cfg.validate()
-        if errors:
-            raise ScenarioError(errors)
-        self.cfg = cfg
+        self.cfg = validated(cfg)
         self.graph = shared_datapath(cfg.toggles, cfg.codec, cfg.channel)
         self.codec_cfg = self.graph.codec
         self.channel = self.graph.channel
         self.rng = Rng(cfg.seed)
         self.link = netsim.LinkState()
-        self.nominal_sizes = nominal_sizes(self.codec_cfg)
         self.transcript: Optional[list[tuple]] = [] if collect_transcript else None
 
     @cached_property
@@ -371,11 +299,11 @@ class Simulator:
     # --- the prefix --------------------------------------------------------
 
     @cached_property
-    def _grid(self) -> SendGrid:
+    def _grid(self) -> scenario.SendGrid:
         """The send grid (``send_grid``) of this run's seed and clocks, with
         the workload stream left where the grid's batched draw leaves it."""
         cfg = self.cfg
-        grid, workload = send_grid(
+        grid, workload = scenario.send_grid(
             cfg.seed,
             cfg.workload.complexity_sigma,
             cfg.render_fps,
@@ -401,20 +329,6 @@ class Simulator:
 
     # --- host side ---------------------------------------------------------
 
-    def _frame_layouts(self) -> Optional[list[list[tuple[int, int, int]]]]:
-        """Per frame type (P, then I), each frame's (size, fragment count,
-        tail datagram bytes) from a whole-run ``_frame_layout``; None when
-        some frame would make ``encoded_size`` or ``fragment_layout`` raise,
-        so that the run calls them and raises as they do."""
-        complexity = self._grid.complexity
-        layouts = [
-            _frame_layout(is_iframe, self.codec_cfg, complexity, self.nominal_sizes)
-            for is_iframe in (False, True)
-        ]
-        if None in layouts:
-            return None
-        return [list(zip(*(column.tolist() for column in layout))) for layout in layouts]
-
     def _encode_and_send(self, k: int) -> None:
         """Encode frame ``k`` at its send tick and put it on the air."""
         g, col = self.graph, self._table
@@ -423,13 +337,7 @@ class Simulator:
         ftype, _, forced = self.walker.plan(force)
         encode_done = col["encoded_us"][k]
         is_iframe = ftype is FrameType.I
-        if self._layouts is not None:
-            size, count, tail_wire = self._layouts[is_iframe][k]
-        else:
-            complexity = float(self._grid.complexity[k])
-            size = encoded_size(ftype, self.codec_cfg, complexity, self.nominal_sizes)
-            count, tail = dpp.fragment_layout(size)
-            tail_wire = dpp.HEADER_LEN + tail
+        size, count, tail_wire = self._layouts[is_iframe][k]
         if is_iframe and self.cfg.toggles.feedback_control:
             cp_mod.host_on_iframe_emitted(self.host_fb, encode_done, self.cfg.suppression_window_us)
         col["frame_type"][k] = is_iframe  # made "I" or "P" at the end of the run
@@ -560,7 +468,10 @@ class Simulator:
         # frame_type and forced have no default: each frame's encode sets them
         self._table = {f.name: [f.default] * n for f in fields(FrameRecord)}
         self._table.update((name, col.tolist()) for name, col in self._frames().items())
-        self._layouts = self._frame_layouts()
+        # per frame type (P, then I), each frame's (size, fragment count, tail datagram bytes)
+        nominal, complexity = nominal_sizes(self.codec_cfg), grid.complexity
+        layouts = (_frame_layout(i, self.codec_cfg, complexity, nominal) for i in (False, True))
+        self._layouts = [list(zip(*(column.tolist() for column in layout))) for layout in layouts]
         self._send_at = grid.tick.tolist() + [float("inf")]  # each frame's send tick
         self._next_tick = self._send_at[0]
         kind = "render" if self.cfg.encode_mode is EncodeMode.SYNC else "sample"
@@ -584,7 +495,7 @@ class Simulator:
 
     def _run_arrays(self) -> Optional[SimResult]:
         """The whole draw-free run as numpy arrays; None, with the link
-        unchanged, when a precondition fails and the event loop must run it.
+        unchanged, when the link was used before or its FIFO clamp binds.
 
         Every frame arrives whole, so the receiver never drops one and no
         feedback is sent: each frame is I exactly on its GOP schedule. The
@@ -784,8 +695,8 @@ def run_scenario(cfg: ScenarioConfig, collect_transcript: bool = False) -> SimRe
 
 def ab_compare(cfg: ScenarioConfig, toggle: str) -> dict[str, Any]:
     """Mean end-to-end saving from enabling one optimization, same seed."""
-    off = run_scenario(with_toggle(cfg, toggle, False)).metrics
-    on = run_scenario(with_toggle(cfg, toggle, True)).metrics
+    configs = [validated(with_toggle(cfg, toggle, value)) for value in (False, True)]
+    off, on = (run_scenario(config).metrics for config in configs)
     stage_deltas = {}
     for name in set(off.stages) | set(on.stages):
         before = off.stages.get(name, {}).get("mean_ms", 0.0)
@@ -805,14 +716,17 @@ def ab_suite(base: ScenarioConfig) -> dict[str, Any]:
 
     The p2p delta is taken both against the base color space and with
     transcoding avoidance active (RGB); the interaction residual follows the
-    cumulative-measurement convention, so it uses the RGB p2p delta.
-    """
+    cumulative-measurement convention, so it uses the RGB p2p delta. Every
+    run's config validates before the first run."""
     all_off = base
-    results = {name: ab_compare(all_off, name) for name in TOGGLE_NAMES}
     rgb_base = with_toggle(all_off, "transcode_avoidance", True)
+    all_on = replace(all_off, toggles=OptimizationToggles.all_on())
+    compared = [(all_off, name) for name in TOGGLE_NAMES] + [(rgb_base, "p2p_topology")]
+    for cfg in [with_toggle(c, name, v) for c, name in compared for v in (False, True)] + [all_on]:
+        validated(cfg)
+    results = {name: ab_compare(all_off, name) for name in TOGGLE_NAMES}
     p2p_rgb = ab_compare(rgb_base, "p2p_topology")
     baseline_mean = run_scenario(all_off).metrics.end_to_end["mean_ms"]
-    all_on = replace(all_off, toggles=OptimizationToggles.all_on())
     all_on_mean = run_scenario(all_on).metrics.end_to_end["mean_ms"]
     delta_sum = sum(
         (p2p_rgb if name == "p2p_topology" else results[name])["delta_ms"] for name in TOGGLE_NAMES

@@ -15,14 +15,18 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Optional, Union, get_type_hints
+from typing import Any, Callable, NamedTuple, Optional, Union, get_type_hints
+
+import numpy as np
 
 from . import dpp
 from .codec import CodecConfig, FrameType, encoded_size
-from .core import US_PER_S, WorkloadConfig
+from .core import US_PER_S, Rng, SimTime, WorkloadConfig, frame_ticks
 from .cp import DEFAULT_SUPPRESSION_WINDOW_US
 from .netsim import ChannelModel, serialization_us
-from .stages import MAX_STAGES_US, TOGGLE_NAMES, OptimizationToggles
+from .stages import MAX_STAGES_US, TOGGLE_NAMES, OptimizationToggles, codec_values
+
+MAX_TICKS = 2**20  # of a run's clocks: one hour at 240 FPS is 864,000 (README: memory)
 
 
 class EncodeMode(Enum):
@@ -59,12 +63,15 @@ class ScenarioConfig:
 
     def validate(self) -> list[str]:
         """Every range violation, key by key in ``KEYS`` order, then the
-        checks that a key's own range cannot express."""
+        checks that a key's own range cannot express, the seeded one last."""
         seed, *values = config_values(self)
-        # the seed has a range and nothing else, so runs of one config at
-        # many seeds share one cached validation of the other values
+        # only the seeded check reads the seed besides its range, so runs of
+        # one config at many seeds share one cached validation of the rest
         error = key_error("seed", seed)
-        return ([error] if error else []) + list(_errors(*values))
+        errors, sized = _errors(*values)
+        if error is None and sized is not None:
+            errors += _fragment_errors(seed, *sized)
+        return ([error] if error else []) + list(errors)
 
 
 # Every scenario key, in file order: its attribute path in ScenarioConfig and
@@ -148,39 +155,120 @@ def key_error(key: str, value: Any) -> Optional[str]:
     return f"{key} must be {KEYS[key][1]}"
 
 
+class SendGrid(NamedTuple):
+    """The render ticks, the encoder's clock ticks, which clock ticks send a
+    frame, and per frame the render tick that it encodes, that tick's
+    complexity, the frame's id, its render time and its clock tick."""
+
+    render: np.ndarray
+    clock: np.ndarray
+    sends: np.ndarray
+    source: np.ndarray
+    complexity: np.ndarray
+    frame_id: np.ndarray
+    gen: np.ndarray
+    tick: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def send_grid(
+    seed: int,
+    complexity_sigma: float,
+    render_fps: int,
+    fps: int,
+    duration_us: SimTime,
+    encode_mode: EncodeMode,
+) -> tuple[SendGrid, dict[str, Any]]:
+    """The send grid: the render ticks, the encoder's clock ticks (the render
+    grid in SYNC, the sample grid at the codec's ``fps`` in ASYNC), which
+    clock ticks send a frame, and per frame the render tick that it encodes
+    and that tick's complexity. Every render tick's complexity is one batched
+    draw from the seed's workload stream, whose state after the draw comes
+    with the grid; past the float range a complexity is inf.
+
+    The arrays are read-only, since validation, the run that follows it and
+    consecutive runs of one seed and clocks, such as an A/B suite's, share
+    them from the cache.
+    """
+    rng = Rng(seed)
+    render = frame_ticks(render_fps, duration_us)
+    with np.errstate(over="ignore"):
+        complexity = rng.lognormal_complexity(complexity_sigma, len(render))
+    if encode_mode is EncodeMode.SYNC:
+        # decimate to the codec rate when rendering faster than it; at or
+        # below it, every tick's codec slot differs from the next
+        clock, latest = render, np.arange(len(render))
+        sends = latest * fps // render_fps != (latest + 1) * fps // render_fps
+    else:
+        # the latest render at or before each sample; on a tie the render runs first
+        clock = frame_ticks(fps, duration_us)
+        latest = np.searchsorted(render, clock, side="right") - 1
+        sends = np.diff(latest, prepend=-1) > 0
+    source = latest[sends]
+    frame_id = np.arange(len(source))
+    grid = SendGrid(
+        render, clock, sends, source, complexity[source], frame_id, render[source], clock[sends]
+    )
+    for array in grid:
+        array.flags.writeable = False
+    return grid, rng.stream("workload").bit_generator.state
+
+
 @lru_cache(maxsize=64, typed=True)  # typed: 1, 1.0 and True differ
-def _errors(*values) -> tuple[str, ...]:
-    """``ScenarioConfig.validate``'s errors after the seed's own, from the
-    ``config_values`` after the seed; computed once per set of values, since
-    validation reads nothing else."""
+def _errors(*values) -> tuple[tuple[str, ...], Optional[tuple]]:
+    """From the values after the seed: ``validate``'s errors after the seed's,
+    and the seeded check's arguments after the seed, or None if it cannot run."""
     value_of = dict(zip(_UNSEEDED_KEYS, values))
-    failed = {}
-    for key, value in value_of.items():
-        error = key_error(key, value)
-        if error is not None:
-            failed[key] = error
-    errors = list(failed.values())
+    failed = {key: error for key, value in value_of.items() if (error := key_error(key, value))}
     if "duration_s" not in failed and round(value_of["duration_s"] * US_PER_S) < 1:
-        errors.append("duration_s must be at least 1 us, rounded to whole us")
+        failed["duration_s"] = "duration_s must be at least 1 us, rounded to whole us"
+    failed_clocks = failed.keys() & {"duration_s", "render_fps", "codec.fps"}
+    if not failed_clocks and (ticks := clock_ticks(value_of)) > MAX_TICKS:  # before any draw
+        failed["ticks"] = f"a run's clocks could tick {ticks} times, past the limit of {MAX_TICKS}"
+    errors = list(failed.values())
     if not errors and (bound := time_bound(value_of)) >= 2**62:
         errors.append(f"a run's times could reach {bound} us, past the 2**62-us horizon of int64")
-    if not any(key.startswith("codec.") for key in failed):
-        # the nominal I-frame, in the color space the toggles encode in
-        codec = CodecConfig(
-            transcode_avoidance=value_of["toggles.transcode_avoidance"],
-            **{k.removeprefix("codec."): v for k, v in value_of.items() if k.startswith("codec.")},
-        )
+    # the seeded check needs the keys with a range that it reads, and the tick bound
+    sized = ("codec.", "duration_s", "render_fps", "workload.complexity_sigma", "ticks")
+    if any(key.startswith(sized) for key in failed):
+        return tuple(errors), None
+    # the codec's values, in the color space that the toggles encode in
+    codec = {k.removeprefix("codec."): v for k, v in value_of.items() if k.startswith("codec.")}
+    codec = CodecConfig(transcode_avoidance=value_of["toggles.transcode_avoidance"], **codec)
+    grid_keys = ("workload.complexity_sigma", "render_fps", "duration_s", "encode_mode")
+    return tuple(errors), (*map(value_of.get, grid_keys), *codec_values(codec))
+
+
+@lru_cache(maxsize=4, typed=True)  # typed: 1, 1.0 and True differ; an A/B suite takes two
+def _fragment_errors(seed, sigma, render_fps, duration_s, mode, *codec_values):
+    """The seeded check: every ``encoded_size`` and ``fragment_layout`` of a
+    run passes, whatever frame the feedback forces to I, when its grid
+    (``send_grid``; the run finds it in the cache) gives each sent frame a
+    complexity above 0 and the largest, as an I-frame, fits in ``MAX_FRAGS``
+    fragments: a size rises with complexity, and ``p_to_i_ratio <= 1``."""
+    codec = CodecConfig(*codec_values)
+    grid, _ = send_grid(seed, sigma, render_fps, codec.fps, round(duration_s * US_PER_S), mode)
+    complexity = grid.complexity  # each >= 0; a run may send no frame
+    smallest, largest = float(complexity.min(initial=math.inf)), float(complexity.max(initial=0))
+    if largest > 0:
         try:
-            size = encoded_size(FrameType.I, codec, 1.0)
-            dpp.fragment_layout(size)
-        except OverflowError:  # past the float range, so past any fragment limit
-            errors.append(f"codec: a nominal I-frame overflows the {dpp.MAX_FRAGS}-fragment limit")
-        except dpp.FragmentationError as exc:
-            errors.append(
-                f"codec: a nominal I-frame of {size} bytes exceeds the"
-                f" {dpp.MAX_FRAGS}-fragment limit ({exc})"
+            count = dpp.unchecked_layout(encoded_size(FrameType.I, codec, largest))[0]
+        except OverflowError:  # an infinite size
+            count = math.inf
+        if count > dpp.MAX_FRAGS:
+            return (
+                f"seed {seed} draws a frame of complexity {largest:g} whose I-frame needs"
+                f" {count:.10g} fragments, past the {dpp.MAX_FRAGS}-fragment limit",
             )
-    return tuple(errors)
+    if smallest <= 0:
+        return (f"seed {seed} draws a frame of complexity {smallest:g}, where it must be > 0",)
+    return ()
+
+
+def clock_ticks(value_of: dict[str, Any]) -> int:
+    """The most ticks, ``D*f // 10**6 + 1`` at f FPS over D us, of a run's clocks."""
+    duration_us = round(value_of["duration_s"] * US_PER_S)
+    return duration_us * max(value_of["render_fps"], value_of["codec.fps"]) // US_PER_S + 1
 
 
 def time_bound(value_of: dict[str, Any]) -> int:
@@ -193,8 +281,8 @@ def time_bound(value_of: dict[str, Any]) -> int:
     the datapath's constants. Proof, with h hops (2 under INFRA, else 1)
     and ``X = D + encode_path_us + host_netstack_us``:
 
-      * A frame is sent at a tick of the encoder's clock: at f FPS
-        ``frame_ticks`` has at most ``D*f // 10**6 + 1``.
+      * A frame is sent at a tick of the encoder's clock, which has at
+        most n ticks (``clock_ticks``).
       * A use of the medium, m packets requested at r, moves ``busy_until``
         from b to at most ``max(r, b) + h*m*s + (h-1)*(p+J)`` (hop 2 waits
         at most p + J for a packet), and delivers by that plus p + J or,
@@ -211,13 +299,19 @@ def time_bound(value_of: dict[str, Any]) -> int:
         are differences of times >= 0.
     """
     duration_us = round(value_of["duration_s"] * US_PER_S)
-    frames = duration_us * max(value_of["render_fps"], value_of["codec.fps"]) // US_PER_S + 1
     # a cap of 2**62 or more fails the bound as it is; 3.0 * sigma may be inf
     jitter = math.ceil(min(3.0 * value_of["channel.jitter_sigma_us"], 2**62))
     packets = (dpp.MAX_FRAGS + 1) * serialization_us(dpp.MTU, value_of["channel.bandwidth_bps"])
     link = 2 * (packets + value_of["channel.prop_delay_us"] + jitter)
     decode = -(-US_PER_S // value_of["codec.decode_fps_cap"])
-    return duration_us + MAX_STAGES_US + frames * (link + decode)
+    return duration_us + MAX_STAGES_US + clock_ticks(value_of) * (link + decode)
+
+
+def validated(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg``, once it validates; else ``ScenarioError`` with its errors."""
+    if errors := cfg.validate():
+        raise ScenarioError(errors)
+    return cfg
 
 
 def bound_error(name: str, value: Any, bound: str) -> Optional[str]:

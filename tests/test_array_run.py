@@ -28,10 +28,10 @@ from hypothesis import strategies as st
 from uvrpipe import pipeline
 from uvrpipe.codec import DecodeServer
 from uvrpipe.core import Rng
-from uvrpipe.dpp import FragmentationError
+from uvrpipe.dpp import MAX_FRAGS, fragment_layout
 from uvrpipe.netsim import LinkState, LossModel
 from uvrpipe.pipeline import Simulator
-from uvrpipe.scenario import EncodeMode, ScenarioConfig, preset_config
+from uvrpipe.scenario import EncodeMode, ScenarioConfig, ScenarioError, preset_config
 from uvrpipe.stages import OptimizationToggles
 
 TOGGLE_SETS = list(itertools.product((False, True), repeat=5))
@@ -280,19 +280,26 @@ def test_a_delay_near_the_decoder_horizon_runs_as_arrays():
     assert _outcome(cfg, _run) == _outcome(cfg, _arrays) == _outcome(cfg, _events)
 
 
-def test_frame_over_the_fragment_limit_falls_back():
-    # frame 0 of seed 3 needs ~69k fragments; the event loop raises there
+def test_a_frame_at_the_fragment_limit_runs_as_the_event_loop_does():
+    # frame 0 of seed 3, an I-frame, draws the grid's largest complexity
+    # (1.08): the highest bitrate that validates gives it at most 65,535
+    # fragments, and one bps more fails validation, before either path runs
     cfg = preset_config("openuvr")
     cfg.seed = 3
     cfg.duration_s = 0.05
-    cfg.codec.bitrate_bps = 16_000_000_000
-    sim = Simulator(cfg)
-    assert sim._run_arrays() is None
-    with pytest.raises(FragmentationError) as from_run:
-        Simulator(cfg).run()
-    with pytest.raises(FragmentationError) as from_events:
-        Simulator(cfg)._run_events()
-    assert str(from_run.value) == str(from_events.value)
+    lo, hi = 1, 16_000_000_000  # validation passes at lo and fails at hi
+    while hi - lo > 1:
+        cfg.codec.bitrate_bps = (lo + hi) // 2
+        lo, hi = (cfg.codec.bitrate_bps, hi) if cfg.validate() == [] else (lo, cfg.codec.bitrate_bps)
+    cfg.codec.bitrate_bps = hi
+    (error,) = cfg.validate()
+    assert error.startswith("seed 3 draws a frame of complexity 1.08176 whose I-frame needs 65536 ")
+    with pytest.raises(ScenarioError):
+        Simulator(cfg)
+    cfg.codec.bitrate_bps = lo
+    assert _outcome(cfg, _run) == _outcome(cfg, _arrays) == _outcome(cfg, _events)
+    sizes = Simulator(cfg).run().frames["size_bytes"]
+    assert sizes.argmax() == 0 and fragment_layout(int(sizes[0]))[0] == MAX_FRAGS
 
 
 # --- the shared timing: a run that takes it from the cache equals a fresh one -

@@ -16,7 +16,7 @@ from uvrpipe.netsim import (
     _clean_ends,
 )
 from uvrpipe.pipeline import run_scenario
-from uvrpipe.scenario import preset_config
+from uvrpipe.scenario import ScenarioError, preset_config
 
 
 @settings(max_examples=1_000)
@@ -77,12 +77,18 @@ def test_fragment_count_limit():
 
 
 def test_frame_over_the_fragment_limit_fails_the_run():
-    # validation passes the nominal I-frame of ~146 MB (97.5% of the limit),
-    # but frame 0 of seed 3 draws complexity 1.08 and needs ~69k fragments
+    # the nominal I-frame of ~146 MB (97.5% of the limit) fits, but frame 0
+    # of seed 3 draws complexity 1.08 and needs ~69k fragments: validation's
+    # seeded check names it, and the run fails before it starts
     cfg = preset_config("openuvr")
     cfg.seed = 3
     cfg.duration_s = 0.05
     cfg.codec.bitrate_bps = 16_000_000_000
-    assert cfg.validate() == []
-    with pytest.raises(FragmentationError):
+    errors = cfg.validate()
+    assert errors == [
+        "seed 3 draws a frame of complexity 1.08176 whose I-frame needs 69125 fragments,"
+        " past the 65535-fragment limit"
+    ]
+    with pytest.raises(ScenarioError) as failed:
         run_scenario(cfg)
+    assert failed.value.errors == errors

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 
 from uvrpipe.cli import main
+from uvrpipe.pipeline import Simulator
 from uvrpipe.report import load_report, strip_meta
 
 
@@ -136,6 +138,42 @@ def test_times_past_the_int64_horizon_are_a_validation_error(capsys, monkeypatch
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and "horizon" in err[0]
     assert main([*argv, "--set", "duration_s=1"]) == 0
+
+
+@pytest.mark.parametrize("sigma", ["3", "1000"])
+def test_a_frame_over_the_fragment_limit_is_a_validation_error(sigma, capsys, monkeypatch):
+    # seed 1's 5-s grid draws a frame whose I-frame needs 3,566,298 fragments;
+    # at sigma 1000 a complexity overflows to inf, with no numpy warning
+    argv = ["sim", "run", "--preset", "openuvr", "--set", f"workload.complexity_sigma={sigma}"]
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr("uvrpipe.cli.run_scenario", lambda cfg: pytest.fail("the run started"))
+        assert main([*argv, "--set", "duration_s=5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    complexity, fragments = ("44648.7", "3566298") if sigma == "3" else ("inf", "inf")
+    assert err == [
+        f"config error: seed 1 draws a frame of complexity {complexity} whose I-frame needs"
+        f" {fragments} fragments, past the 65535-fragment limit"
+    ]
+
+
+def test_an_ab_suite_validates_every_variant_before_its_first_run(capsys, monkeypatch):
+    # the base config encodes in YUV and validates; the suite's RGB variants
+    # inflate their frames a millionfold
+    runs = []
+    real_run = Simulator.run
+    monkeypatch.setattr(Simulator, "run", lambda sim: runs.append(sim) or real_run(sim))
+    argv = [
+        "sim", "ab", "--toggle", "all", "--preset", "baseline",
+        "--set", "codec.rgb_inflation=1e6", "--set", "duration_s=0.1",
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: seed 1 draws a frame")
+    assert runs == []
+    # one toggle's comparison too
+    assert main([*argv[:3], "transcode_avoidance", *argv[4:]]) == 1
+    assert runs == []
 
 
 def test_seed_precedence(tmp_path, monkeypatch):

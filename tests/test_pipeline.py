@@ -12,9 +12,16 @@ from test_golden import RUNS, _ge_fault
 from uvrpipe import netsim, stages
 from uvrpipe.core import Rng
 from uvrpipe.experiments import recovery_config, recovery_trial
-from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario, send_grid
+from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario
 from uvrpipe.report import FrameRecord, report_file_dict
-from uvrpipe.scenario import EncodeMode, ScenarioConfig, ScenarioError, preset_config, to_flat_dict
+from uvrpipe.scenario import (
+    EncodeMode,
+    ScenarioConfig,
+    ScenarioError,
+    preset_config,
+    send_grid,
+    to_flat_dict,
+)
 from uvrpipe.stages import OptimizationToggles, TOGGLE_NAMES, build_datapath
 
 

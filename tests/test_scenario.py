@@ -1,4 +1,5 @@
 import copy
+import warnings
 from dataclasses import asdict
 from operator import attrgetter
 
@@ -7,16 +8,20 @@ import pytest
 from uvrpipe.netsim import LossModel
 from uvrpipe.scenario import (
     KEYS,
+    MAX_TICKS,
+    PRESETS,
     EncodeMode,
     ScenarioConfig,
     ScenarioError,
     _errors,
+    _fragment_errors,
     apply_kv,
     config_values,
     emit_scenario,
     parse_scenario,
     parse_scenario_text,
     preset_config,
+    send_grid,
     to_flat_dict,
     with_toggle,
 )
@@ -107,32 +112,44 @@ def test_duration_us_rounding():
 
 
 def test_nominal_iframe_over_the_fragment_limit_rejected():
+    # at complexity_sigma 0 every frame is the nominal one, and a 20-Gbps
+    # I-frame of ~145 MB fits: frames up to complexity 1.031 fit in YUV
     cfg = preset_config("baseline")
-    cfg.codec.bitrate_bps = 20_000_000_000  # a nominal I-frame of ~145 MB fits
+    cfg.codec.bitrate_bps = 20_000_000_000
+    cfg.workload.complexity_sigma = 0.0
     assert cfg.validate() == []
-    # RGB inflation takes the same I-frame past 65,535 fragments of 2,281 bytes
+    # RGB inflation lowers that limit to 0.938, and takes the nominal
+    # I-frame past 65,535 fragments of 2,281 bytes
     cfg.toggles.transcode_avoidance = True
-    errors = cfg.validate()
-    assert len(errors) == 1
-    assert "65535-fragment limit" in errors[0]
+    assert cfg.validate() == [
+        "seed 1 draws a frame of complexity 1 whose I-frame needs 69891 fragments,"
+        " past the 65535-fragment limit"
+    ]
+    # the preset's sigma draws frames past both limits in 60 s
+    cfg.workload.complexity_sigma = 0.15
+    for rgb in (False, True):
+        cfg.toggles.transcode_avoidance = rgb
+        (error,) = cfg.validate()
+        assert error.startswith("seed 1 draws a frame of complexity 1.70801 whose I-frame needs")
 
 
 @pytest.mark.parametrize("rgb_toggle", [False, True])
 def test_configs_of_equal_values_get_equal_errors(rgb_toggle):
-    # the codec's own transcode_avoidance is no key: the nominal I-frame takes
-    # the toggles' color space, so the two configs differ only outside their
-    # values, and validation, cached by those values, must not see it
+    # the codec's own transcode_avoidance is no key: the seeded check sizes
+    # frames in the toggles' color space, so the two configs differ only
+    # outside their values, and validation, cached by those values, must not see it
     a = preset_config("baseline")
-    a.codec.bitrate_bps = 20_000_000_000  # only an RGB nominal I-frame is too large
-    a.duration_s = 1e-7
+    a.codec.bitrate_bps = 20_000_000_000  # only an RGB I-frame of complexity 1 is too large
+    a.workload.complexity_sigma = 0.0
+    a.duration_s = 1.0
     a.toggles.transcode_avoidance = rgb_toggle
     b = copy.deepcopy(a)
     b.codec.transcode_avoidance = not rgb_toggle
     assert config_values(a) == config_values(b)
     errors = a.validate()
-    assert errors[0] == "duration_s must be at least 1 us, rounded to whole us"
-    assert len(errors) == 1 + rgb_toggle
+    assert len(errors) == rgb_toggle
     _errors.cache_clear()
+    _fragment_errors.cache_clear()
     assert b.validate() == errors
     assert b.validate() is not b.validate()  # a fresh list on every call
 
@@ -203,3 +220,70 @@ def test_float_overflowing_nominal_iframe_rejected():
     errors = cfg.validate()
     assert len(errors) == 1
     assert "fragment limit" in errors[0]
+
+
+@pytest.mark.parametrize("key", ["render_fps", "codec.fps"])
+def test_a_run_of_more_ticks_than_the_limit_is_rejected(key):
+    # a 1-s run at f FPS has at most f + 1 ticks; validation at the limit
+    # draws the run's grid, and no run starts here
+    assert _with(key, str(MAX_TICKS - 1)).validate() == []
+    misses = send_grid.cache_info().misses
+    errors = _with(key, str(MAX_TICKS)).validate()
+    assert errors == [f"a run's clocks could tick {MAX_TICKS + 1} times, past the limit of {MAX_TICKS}"]
+    assert send_grid.cache_info().misses == misses  # rejected before any draw
+
+
+def _sigma_3():
+    cfg = preset_config("openuvr")
+    cfg.workload.complexity_sigma = 3.0
+    cfg.duration_s = 5.0
+    return cfg
+
+
+SIGMA_3_ERROR = (
+    "seed 1 draws a frame of complexity 44648.7 whose I-frame needs 3566298 fragments,"
+    " past the 65535-fragment limit"
+)
+
+
+def test_the_seeded_check_names_the_seed_and_its_largest_frame():
+    assert _sigma_3().validate() == [SIGMA_3_ERROR]
+    # an unrelated bad key is reported beside it
+    cfg = _sigma_3()
+    cfg.channel.loss_p = 2.0
+    assert cfg.validate() == ["channel.loss_p must be in [0, 1]", SIGMA_3_ERROR]
+    # a key that it reads out of range skips it
+    cfg = _sigma_3()
+    cfg.codec.gop_size = 0
+    assert cfg.validate() == ["codec.gop_size must be >= 1"]
+    cfg = _sigma_3()
+    cfg.seed = -1
+    assert cfg.validate() == ["seed must be >= 0"]
+
+
+def test_a_complexity_past_the_float_range_is_reported_without_a_warning():
+    cfg = _sigma_3()
+    cfg.workload.complexity_sigma = 1000.0  # exp overflows to inf and underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (error,) = cfg.validate()
+    assert error == (
+        "seed 1 draws a frame of complexity inf whose I-frame needs inf fragments,"
+        " past the 65535-fragment limit"
+    )
+    # runs of one frame: seed 2's underflows to 0, and seed 3's I-frame
+    # needs more fragments than an int64 holds
+    cfg.duration_s = 1e-6
+    cfg.seed = 2
+    assert cfg.validate() == ["seed 2 draws a frame of complexity 0, where it must be > 0"]
+    cfg.seed = 3
+    assert cfg.validate() == [
+        "seed 3 draws a frame of complexity 3.49764e+227 whose I-frame needs"
+        " 2.793727497e+229 fragments, past the 65535-fragment limit"
+    ]
+
+
+def test_both_presets_validate_at_60_s():
+    for name in PRESETS:
+        cfg = preset_config(name)
+        assert cfg.duration_s == 60.0 and cfg.validate() == []
