@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import report as report_mod
 from . import runner as runner_mod
-from .pipeline import ab_compare, ab_suite, run_scenario
+from .pipeline import ab_row, ab_runs, ab_suite, run_scenario
 from .report import dump_report, load_report, render_report, render_table, report_file_dict
 from .scenario import (
     PRESETS,
@@ -114,9 +114,9 @@ def cmd_sim_ab(args) -> int:
                 {"schema_version": report_mod.SCHEMA_VERSION, "ab_suite": suite}, args.out
             )
         return EXIT_OK
-    ab = ab_compare(cfg, args.toggle)
-    result = run_scenario(cfg)
-    data = report_file_dict(result.metrics, ab=ab)
+    off, on = ab_runs(cfg, args.toggle)
+    result = on if getattr(cfg.toggles, args.toggle) else off  # the run of ``cfg`` itself
+    data = report_file_dict(result.metrics, ab=ab_row(args.toggle, off.metrics, on.metrics))
     _emit(data, args.out)
     return EXIT_OK
 

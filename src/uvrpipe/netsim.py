@@ -59,8 +59,8 @@ second reader of the loss stream after the medium has drawn ahead (another
 past the medium's array, not the ones that the medium has yet to read.
 
 Then the burst is timed. ``Medium.frame`` times a burst in closed form,
-below: on P2P without jitter every burst, lossy or not; under INFRA or with
-jitter only a burst that lost nothing on any hop and drew no jitter. Every
+below: on P2P without jitter every burst, lossy or not; under INFRA without
+jitter only a burst that lost nothing on either hop; with jitter none. Every
 other burst walks its packets over the values already drawn, in plain
 Python numbers, as ``Medium.burst`` always does. On P2P without jitter a
 burst that reaches no disturbance is timed inline, from constants fixed for
@@ -93,13 +93,21 @@ read off the loss flags with the lost count; the busy time is still
 ``S_n``, and the link's last arrival moves only when something arrives.
 
 The receiver-side FIFO clamp raises an arrival to ``last_arrival`` when it
-would land earlier. The walk's arrivals rise with k, so the clamp binds
-somewhere only if it binds on the first delivered arrival; then the closed
-form leaves the link untouched and the burst walks.
+would land earlier. Without jitter it never binds on a link that a medium
+reached from ``LinkState()``, so the closed form has no clamp. Invariant:
+``last_arrival <= busy_until + prop``, as the walk delivers each packet at
+its hop's busy end plus ``prop``, the closed form's last arrival is its busy
+end plus ``prop`` and ``busy_until`` never falls. A burst's first delivered
+arrival is at least ``max(now, busy_until) + ser_first + prop`` (plus
+``hop2`` under INFRA) and ``ser_first >= 1``, so it lands strictly after
+``last_arrival``, lossy or not; the walk's later arrivals rise with k. With
+jitter no burst reaches the closed form: ``Medium._draw`` returns the hops
+whenever it draws jitter, so the burst walks, with the only clamp left.
 
 ``clean_run`` evaluates the same closed form for a whole run of frames at
 once, over int64 arrays; across frames the link is Lindley's recursion
-again, one frame per step, unrolled into one running maximum.
+again, one frame per step, unrolled into one running maximum, and each step
+lands after the last as above.
 """
 
 from __future__ import annotations
@@ -392,32 +400,28 @@ class Medium:
         (``_clean_ends``) or by the walk, as the module docstring says."""
         _check_size(tail_size)
         ch, link = self.ch, self.link
+        lost = None
         if self._inline:
             at = self._at
             if at + count <= self._next and link.ge_bad is self._bad:
+                self._at = at + count
                 ser_tail = -(-(tail_size * 8_000_000) // ch.bandwidth_bps)
                 busy = link.busy_until
                 start = now if now > busy else busy
+                total = (count - 1) * self._ser_full + ser_tail
+                link.busy_until = start + total
+                link.last_arrival = last = start + total + ch.prop_delay_us
+                link.busy_accum_us += total
+                link.sent_packets += count
+                link.sent_bytes += (count - 1) * MAX_PACKET_BYTES + tail_size
                 first = start + (self._ser_full if count > 1 else ser_tail) + ch.prop_delay_us
-                if first >= link.last_arrival:  # else the FIFO clamp binds: walk
-                    self._at = at + count
-                    total = (count - 1) * self._ser_full + ser_tail
-                    link.busy_until = start + total
-                    link.last_arrival = last = start + total + ch.prop_delay_us
-                    link.busy_accum_us += total
-                    link.sent_packets += count
-                    link.sent_bytes += (count - 1) * MAX_PACKET_BYTES + tail_size
-                    return first, last, count
+                return first, last, count
             lost = self._flags(count)
-            hops = None if lost is None else [(lost, None)]
-            ends = _clean_ends(ch, link, count, tail_size, now, lost)
-        else:
-            hops = self._draw(count)
-            ends = None if hops else _clean_ends(ch, link, count, tail_size, now)
-        if ends is not None:
-            return ends if ends[2] else None
-        sizes = [MAX_PACKET_BYTES] * (count - 1) + [tail_size]
-        return frame_arrivals(_walk(ch, link, sizes, now, hops))
+        elif hops := self._draw(count):
+            sizes = [MAX_PACKET_BYTES] * (count - 1) + [tail_size]
+            return frame_arrivals(_walk(ch, link, sizes, now, hops))
+        ends = _clean_ends(ch, link, count, tail_size, now, lost)
+        return ends if ends[2] else None
 
 
 def frame_arrivals(
@@ -466,15 +470,14 @@ def _clean_ends(
     tail_size: int,
     now: SimTime,
     lost: Optional[list[bool]] = None,
-) -> Optional[tuple[Optional[SimTime], Optional[SimTime], int]]:
-    """Closed-form burst of ``count - 1`` full packets and a tail, whose
-    draws, if any, came out clean or, on P2P only, lost the packets flagged
-    in ``lost``.
+) -> tuple[Optional[SimTime], Optional[SimTime], int]:
+    """Closed-form burst of ``count - 1`` full packets and a tail without
+    jitter, whose draws, if any, came out clean or, on P2P only, lost the
+    packets flagged in ``lost``.
 
     Returns (first arrival, last arrival, packets delivered), the arrivals
     None when nothing arrives, and updates ``link`` exactly as the walk
-    would. Returns None and leaves ``link`` untouched when the receiver FIFO
-    clamp binds (see the module docstring); the caller then walks.
+    would on a link reached from ``LinkState()``, where no clamp binds.
     """
     first_off, busy_off, total = _clean_shape(ch, count, tail_size)
     start = now if now > link.busy_until else link.busy_until
@@ -489,8 +492,6 @@ def _clean_ends(
             first = at + (total if head == count - 1 else (head + 1) * ser_full)
             last = at + (total if back == 0 else (count - back) * ser_full)
     if delivered:
-        if first < link.last_arrival:
-            return None
         link.last_arrival = last
     link.busy_until = start + busy_off
     link.lost_packets += count - delivered
@@ -500,9 +501,9 @@ def _clean_ends(
 
 def clean_run(
     ch: ChannelModel, link: LinkState, count: np.ndarray, tail_size: np.ndarray, now: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``_clean_ends`` for a run of frames at once, each of ``count - 1``
-    full packets (``MAX_PACKET_BYTES``) and a tail, requested at ``now``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_clean_ends`` for a run of frames at once on a draw-free channel,
+    each of ``count - 1`` full packets and a tail, requested at ``now``.
 
     Returns int64 arrays (start, last arrival) and updates ``link`` as the
     per-frame calls would; validation keeps a run's times below 2**62
@@ -511,22 +512,15 @@ def clean_run(
     ``T_i`` is frame i's busy offset; with ``C = cumsum(T)`` it unrolls to
     ``busy_i = C_i + max(busy_until, max_{k<=i} (now_k - C_{k-1}))``, one
     running maximum. A tail, at most a full packet, is never oversized.
-    Returns None and leaves ``link`` untouched when the channel draws or the
-    FIFO clamp binds on some frame; the caller then takes the per-frame path.
     """
-    if not draw_free(ch):
-        return None
     if not len(count):
         return count, count
-    first_off, busy_off, total = _clean_shape(ch, count, tail_size)
+    _, busy_off, total = _clean_shape(ch, count, tail_size)
     cum = np.cumsum(busy_off)
     lead = running_max(now - (cum - busy_off))
     busy = cum + np.maximum(lead, link.busy_until)
     start = busy - busy_off
-    first = start + first_off
     last = busy + ch.prop_delay_us
-    if first[0] < link.last_arrival or (first[1:] < last[:-1]).any():
-        return None
     link.busy_until = int(busy[-1])
     link.last_arrival = int(last[-1])
     _account_clean(

@@ -58,9 +58,8 @@ one of two ways, with the same result:
     (color space, topology) cells once and each run adds its own constants.
     With them it keeps what every run's report takes as it is: the network
     stage sorted once, with its distribution, and the one value of the
-    sampler and decode waits, when each has one. When the receiver's FIFO
-    clamp binds or the link was used before, the link is left as it was and
-    the event loop runs on the same prefix.
+    sampler and decode waits, when each has one. A run's config alone picks
+    its middle (``Simulator._draw_free``): no array step can decline.
   * The tail: the event loop's decode step (``Simulator._decode``; an array
     run's comes with its timing), corruption, one array step run only when
     some frame dropped, then the report (``Simulator._result``). The MUD
@@ -149,7 +148,7 @@ class ArrayTiming(NamedTuple):
     constant (``array_timing``): per frame its type and size, its burst's
     start and last arrival, ``net`` (last arrival minus send tick), its
     decode start and ``queue_wait`` (decode start minus last arrival); the
-    link's end state; and what every run's report takes from it as it is.
+    link's totals; and what every run's report takes from it as it is.
 
     ``stages`` is the report's sampler-wait (clock tick minus render time)
     and decode-wait as their one value each, and its network stage (``net``
@@ -165,8 +164,6 @@ class ArrayTiming(NamedTuple):
     net: np.ndarray
     decode_start: np.ndarray
     queue_wait: np.ndarray
-    busy_until: SimTime
-    last_arrival: SimTime
     totals: tuple[int, int, int]  # the link's busy_accum_us, sent_packets, sent_bytes
     stages: Optional[tuple[int, KnownStage, int]]  # sampler-wait, network, decode-wait
     sent_bytes: int
@@ -174,11 +171,10 @@ class ArrayTiming(NamedTuple):
 
 def array_timing(
     cfg: ScenarioConfig, codec: CodecConfig, channel: netsim.ChannelModel
-) -> Optional[ArrayTiming]:
-    """The array timing of ``cfg``'s send grid on a codec and channel (a
-    datapath's, with its toggles applied), computed once for their values
-    and shared read-only by every run whose values agree; None when a
-    precondition fails on it (see ``Simulator._run_arrays``)."""
+) -> ArrayTiming:
+    """The array timing of ``cfg``'s send grid on a codec and a draw-free
+    channel (a datapath's, with its toggles applied), computed once for
+    their values and shared read-only by every run whose values agree."""
     return _timing(
         cfg.seed,
         cfg.workload.complexity_sigma,
@@ -219,10 +215,7 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, mode, *values):
     is_iframe[:: codec.gop_size] = True
     sizes, count, tail_wire = _frame_layout(is_iframe, codec, grid.complexity, nominal_sizes(codec))
     link = netsim.LinkState()
-    sent = netsim.clean_run(channel, link, count, tail_wire, grid.tick)
-    if sent is None:
-        return None
-    start, last = sent
+    start, last = netsim.clean_run(channel, link, count, tail_wire, grid.tick)
     decode_start = DecodeServer(codec.decode_fps_cap).offer_run(last)
     columns = dict(
         frame_type=np.where(is_iframe, FrameType.I.value, FrameType.P.value),
@@ -244,8 +237,6 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, mode, *values):
             stages = sampler_wait, network, decode_wait
     return ArrayTiming(
         **columns,
-        busy_until=link.busy_until,
-        last_arrival=link.last_arrival,
         totals=(link.busy_accum_us, link.sent_packets, link.sent_bytes),
         stages=stages,
         sent_bytes=int(sizes.sum()),
@@ -443,11 +434,7 @@ class Simulator:
 
     def run(self) -> SimResult:
         """Simulate the scenario: as arrays when the run is draw-free, else event by event."""
-        if self._draw_free():
-            result = self._run_arrays()
-            if result is not None:
-                return result
-        return self._run_events()
+        return self._run_arrays() if self._draw_free() else self._run_events()
 
     def _draw_free(self) -> bool:
         """Whether the array run applies: no random number is drawn on the
@@ -493,23 +480,21 @@ class Simulator:
         self._decode(frames)
         return self._result(frames)
 
-    def _run_arrays(self) -> Optional[SimResult]:
-        """The whole draw-free run as numpy arrays; None, with the link
-        unchanged, when the link was used before or its FIFO clamp binds.
+    def _run_arrays(self) -> SimResult:
+        """The whole draw-free run as numpy arrays.
 
         Every frame arrives whole, so the receiver never drops one and no
         feedback is sent: each frame is I exactly on its GOP schedule. The
         run is its grid's ``array_timing`` shifted by its datapath's
         constants: a frame's wire request is its clock tick plus ``shift =
         encode_path_us + host_netstack_us``, and its decode arrival its last
-        arrival plus ``link_fixed_us``. The shift is exact on a fresh link,
-        so a run on any other declines, and every run's decoder is fresh:
+        arrival plus ``link_fixed_us``. The shift is exact on a fresh link
+        and decoder, and a ``Simulator`` runs once, on the link it builds:
 
           * Link. With ``busy_until = last_arrival = 0`` and requests >= 0,
             ``clean_run``'s running maximum never takes ``busy_until``, so a
-            request shifted by c shifts each start, first and last arrival by
-            c; the FIFO check and the busy, packet and byte totals are the
-            same.
+            request shifted by c shifts each start and last arrival by c; the
+            busy, packet and byte totals are the same.
           * Decoder. The first frame finds the bucket full at any time >= 0,
             and every later step of ``offer`` (and so of ``offer_run``)
             depends only on differences of times.
@@ -518,17 +503,13 @@ class Simulator:
             (``scenario.time_bound``), so no shifted array wraps.
         """
         g, link = self.graph, self.link
-        if link != netsim.LinkState():
-            return None
         timing = array_timing(self.cfg, self.codec_cfg, self.channel)
-        if timing is None:
-            return None
         n = len(timing.last)
         shift = g.encode_path_us + g.host_netstack_us
         link.busy_accum_us, link.sent_packets, link.sent_bytes = timing.totals
         if n:  # a run that sends nothing leaves the link as it was
-            link.busy_until = timing.busy_until + shift
-            link.last_arrival = timing.last_arrival + shift
+            link.last_arrival = int(timing.last[-1]) + shift
+            link.busy_until = link.last_arrival - self.channel.prop_delay_us  # the last busy end
         decode_start = timing.decode_start + (shift + g.link_fixed_us)
         zeros = np.zeros(n, dtype=bool)
         frames = self._frames()
@@ -693,10 +674,14 @@ def run_scenario(cfg: ScenarioConfig, collect_transcript: bool = False) -> SimRe
     return Simulator(cfg, collect_transcript=collect_transcript).run()
 
 
-def ab_compare(cfg: ScenarioConfig, toggle: str) -> dict[str, Any]:
-    """Mean end-to-end saving from enabling one optimization, same seed."""
-    configs = [validated(with_toggle(cfg, toggle, value)) for value in (False, True)]
-    off, on = (run_scenario(config).metrics for config in configs)
+def ab_runs(cfg: ScenarioConfig, toggle: str) -> tuple[SimResult, SimResult]:
+    """The runs of ``cfg`` with ``toggle`` off, then on, both validated first."""
+    off, on = (validated(with_toggle(cfg, toggle, value)) for value in (False, True))
+    return run_scenario(off), run_scenario(on)
+
+
+def ab_row(toggle: str, off: MetricsReport, on: MetricsReport) -> dict[str, Any]:
+    """One toggle's mean end-to-end saving, from its off and on runs' reports."""
     stage_deltas = {}
     for name in set(off.stages) | set(on.stages):
         before = off.stages.get(name, {}).get("mean_ms", 0.0)
@@ -711,26 +696,32 @@ def ab_compare(cfg: ScenarioConfig, toggle: str) -> dict[str, Any]:
     }
 
 
+def ab_compare(cfg: ScenarioConfig, toggle: str) -> dict[str, Any]:
+    """Mean end-to-end saving from enabling one optimization, same seed."""
+    return ab_row(toggle, *(run.metrics for run in ab_runs(cfg, toggle)))
+
+
 def ab_suite(base: ScenarioConfig) -> dict[str, Any]:
-    """Every toggle measured one-at-a-time from ``base`` plus the residual.
+    """Every toggle measured one-at-a-time from ``base``'s values with every
+    toggle off, plus the residual.
 
     The p2p delta is taken both against the base color space and with
     transcoding avoidance active (RGB); the interaction residual follows the
-    cumulative-measurement convention, so it uses the RGB p2p delta. Every
-    run's config validates before the first run."""
-    all_off = base
+    cumulative-measurement convention, so it uses the RGB p2p delta. All 14
+    runs' configs validate before the first run."""
+    all_off = replace(base, toggles=OptimizationToggles())
     rgb_base = with_toggle(all_off, "transcode_avoidance", True)
-    all_on = replace(all_off, toggles=OptimizationToggles.all_on())
     compared = [(all_off, name) for name in TOGGLE_NAMES] + [(rgb_base, "p2p_topology")]
-    for cfg in [with_toggle(c, name, v) for c, name in compared for v in (False, True)] + [all_on]:
-        validated(cfg)
-    results = {name: ab_compare(all_off, name) for name in TOGGLE_NAMES}
-    p2p_rgb = ab_compare(rgb_base, "p2p_topology")
-    baseline_mean = run_scenario(all_off).metrics.end_to_end["mean_ms"]
-    all_on_mean = run_scenario(all_on).metrics.end_to_end["mean_ms"]
-    delta_sum = sum(
-        (p2p_rgb if name == "p2p_topology" else results[name])["delta_ms"] for name in TOGGLE_NAMES
-    )
+    configs = [with_toggle(c, name, v) for c, name in compared for v in (False, True)]
+    configs += [all_off, replace(all_off, toggles=OptimizationToggles.all_on())]
+    configs = [validated(cfg) for cfg in configs]
+    metrics = [run_scenario(cfg).metrics for cfg in configs]
+    pairs = zip(compared, metrics[::2], metrics[1::2])  # each comparison's off and on run
+    rows = [ab_row(name, off, on) for (_, name), off, on in pairs]
+    results, p2p_rgb = dict(zip(TOGGLE_NAMES, rows)), rows[-1]
+    baseline_mean, all_on_mean = (m.end_to_end["mean_ms"] for m in metrics[-2:])
+    # in toggle order, with the RGB p2p delta in p2p's place
+    delta_sum = sum(row["delta_ms"] for row in {**results, "p2p_topology": p2p_rgb}.values())
     residual = round(abs(baseline_mean - delta_sum - all_on_mean), 4)
     return {
         "baseline_mean_ms": baseline_mean,

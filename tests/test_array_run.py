@@ -2,8 +2,7 @@
 
 ``Simulator.run`` computes a draw-free run (Bernoulli loss with
 ``loss_p == 0``, no jitter, no fault frame, no transcript) as numpy arrays,
-and hands every other run, or one whose preconditions fail on the arrays, to
-the event loop. The event loop is the reference: the report, every
+and hands every other run to the event loop. The event loop is the reference: the report, every
 ``FrameRecord`` field, every ``LinkState`` field and the next draw of the
 workload stream must come out the same.
 
@@ -27,9 +26,8 @@ from hypothesis import strategies as st
 
 from uvrpipe import pipeline
 from uvrpipe.codec import DecodeServer
-from uvrpipe.core import Rng
 from uvrpipe.dpp import MAX_FRAGS, fragment_layout
-from uvrpipe.netsim import LinkState, LossModel
+from uvrpipe.netsim import LossModel
 from uvrpipe.pipeline import Simulator
 from uvrpipe.scenario import EncodeMode, ScenarioConfig, ScenarioError, preset_config
 from uvrpipe.stages import OptimizationToggles
@@ -37,9 +35,8 @@ from uvrpipe.stages import OptimizationToggles
 TOGGLE_SETS = list(itertools.product((False, True), repeat=5))
 
 
-def _outcome(cfg, method, collect_transcript=False, last_arrival=0):
+def _outcome(cfg, method, collect_transcript=False):
     sim = Simulator(cfg, collect_transcript=collect_transcript)
-    sim.link.last_arrival = last_arrival
     result = method(sim)
     return (
         json.dumps(result.metrics.to_dict()),
@@ -55,9 +52,7 @@ def _events(sim):
 
 
 def _arrays(sim):
-    result = sim._run_arrays()
-    assert result is not None, "the array run declined a draw-free scenario"
-    return result
+    return sim._run_arrays()
 
 
 def _run(sim):
@@ -181,7 +176,7 @@ def test_presets_admit_the_decoder_in_one_pass(preset, monkeypatch):
     assert result.metrics.stages["decode-wait"]["p99_ms"] == 0.0
 
 
-# --- fallback: each of these runs must come out as the event loop's -----------
+# --- runs that draw take the event loop ---------------------------------------
 
 
 def _fault_frame(cfg):
@@ -214,27 +209,6 @@ def test_transcript_run_takes_the_event_loop():
     cfg.duration_s = 1.0
     assert not Simulator(cfg, collect_transcript=True)._draw_free()
     assert _outcome(cfg, _run, True) == _outcome(cfg, _events, True)
-
-
-@pytest.mark.parametrize("toggles", [OptimizationToggles(), OptimizationToggles.all_on()])
-def test_binding_clamp_falls_back(toggles):
-    # a delivery still due at 0.5 s holds the first frames' arrivals back
-    cfg = preset_config("baseline")
-    cfg.duration_s = 1.0
-    cfg.toggles = toggles
-    sim = Simulator(cfg)
-    sim.link.last_arrival = 500_000
-    assert sim._run_arrays() is None
-    # declined before it changed the link; the workload stream is where the
-    # prefix's one batched draw leaves it, and the event loop draws no more
-    assert sim.link == LinkState(last_arrival=500_000)
-    prefix = Rng(cfg.seed)
-    prefix.lognormal_complexity(cfg.workload.complexity_sigma, sim._rendered)
-    next_draw = prefix.stream("workload").standard_normal()
-    assert sim.rng.stream("workload").standard_normal() == next_draw
-    assert _outcome(cfg, _run, last_arrival=500_000) == _outcome(
-        cfg, _events, last_arrival=500_000
-    )
 
 
 def _p2p_config(prop_delay_us, slow=False):

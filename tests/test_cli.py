@@ -188,16 +188,26 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert load_report(out2)["report"]["seed"] == 9
 
 
-def test_ab_single_toggle(tmp_path, capsys):
-    out = tmp_path / "ab.json"
-    argv = [
-        "sim", "ab", "--toggle", "transcode_avoidance", "--preset", "baseline",
-        "--seed", "42", "--set", "duration_s=2", "--out", str(out),
-    ]
-    assert main(argv) == 0
-    data = load_report(out)
-    assert data["ab_compare"]["toggle"] == "transcode_avoidance"
-    assert data["ab_compare"]["delta_ms"] == pytest.approx(5.51, abs=0.1)
+def test_ab_single_toggle(tmp_path, capsys, monkeypatch):
+    # two runs, the toggle off and then on; the file reports the one whose
+    # config is the one given (off on baseline, on on openuvr)
+    runs = []
+    real_run = Simulator.run
+    monkeypatch.setattr(Simulator, "run", lambda sim: runs.append(sim.cfg) or real_run(sim))
+    for preset in ("baseline", "openuvr"):
+        runs.clear()
+        given = ["--preset", preset, "--seed", "42", "--set", "duration_s=2"]
+        ab, run = tmp_path / f"{preset}-ab.json", tmp_path / f"{preset}.json"
+        argv = ["sim", "ab", "--toggle", "transcode_avoidance", *given, "--out", str(ab)]
+        assert main(argv) == 0
+        assert [cfg.toggles.transcode_avoidance for cfg in runs] == [False, True]
+        assert main(["sim", "run", *given, "--out", str(run)]) == 0
+        data = strip_meta(load_report(ab))
+        row = data.pop("ab_compare")
+        assert data == strip_meta(load_report(run))
+        assert row["toggle"] == "transcode_avoidance"
+        if preset == "baseline":
+            assert row["delta_ms"] == pytest.approx(5.51, abs=0.1)
 
 
 def test_sweep(tmp_path, capsys):

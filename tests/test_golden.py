@@ -166,8 +166,7 @@ def test_golden_run_takes_the_expected_path(name):
     # the draw-free runs (and the A/B suite, on baseline) pin the array run;
     # the lossy, jittered and fault runs pin the event loop
     sim = Simulator(RUNS[name](), collect_transcript=name == TRANSCRIPT_RUN)
-    takes_arrays = sim._draw_free() and sim._run_arrays() is not None
-    assert takes_arrays == (name in {"baseline", "openuvr", "sync"})
+    assert sim._draw_free() == (name in {"baseline", "openuvr", "sync"})
 
 
 def test_decode_capped_run_makes_frames_wait():

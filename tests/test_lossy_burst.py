@@ -141,12 +141,21 @@ channels = st.builds(
     ge_loss_good=st.floats(0.0, 1.0),
     ge_loss_bad=st.floats(0.0, 1.0),
 )
-links = st.builds(
-    LinkState,
-    busy_until=st.integers(0, 200_000),
-    last_arrival=st.integers(0, 400_000),
-    ge_bad=st.booleans(),
-)
+
+
+@st.composite
+def channel_links(draw, channel_strategy):
+    """A channel and a link state that a medium can reach on it. Without
+    jitter that is ``last_arrival <= busy_until + prop_delay_us`` (the
+    ``uvrpipe.netsim`` docstring); with jitter any state, as the walk's
+    FIFO clamp handles each."""
+    ch = draw(channel_strategy)
+    busy_until = draw(st.integers(0, 200_000))
+    top = 400_000 if ch.jitter_sigma_us > 0.0 else busy_until + ch.prop_delay_us
+    last_arrival = draw(st.integers(0, top))
+    return ch, LinkState(busy_until=busy_until, last_arrival=last_arrival, ge_bad=draw(st.booleans()))
+
+
 packet = st.integers(1, MAX_PACKET_BYTES)
 # each call: (send time, sizes, one_packet_call); a one-packet call sends ``frame(1, ...)``
 calls = st.lists(
@@ -159,49 +168,53 @@ GE = dict(loss_model=LossModel.GILBERT_ELLIOTT, ge_p_gb=0.3, ge_p_bg=0.3, ge_los
 
 
 @settings(max_examples=600)
-@given(ch=channels, link=links, seed=st.integers(0, 2**32 - 1), calls=calls)
+@given(ch_link=channel_links(channels), seed=st.integers(0, 2**32 - 1), calls=calls)
 # the FIFO clamp binds: a preset last arrival lies far beyond this burst
 @example(
-    ChannelModel(jitter_sigma_us=300.0, loss_p=0.2),
-    LinkState(last_arrival=400_000),
+    (ChannelModel(jitter_sigma_us=300.0, loss_p=0.2), LinkState(last_arrival=400_000)),
     1,
     [(0, [MAX_PACKET_BYTES] * 30, False)],
 )
 @example(
-    ChannelModel(topology=Topology.INFRA, jitter_sigma_us=50.0, **GE),
-    LinkState(last_arrival=300_000, ge_bad=True),
+    (
+        ChannelModel(topology=Topology.INFRA, jitter_sigma_us=50.0, **GE),
+        LinkState(last_arrival=300_000, ge_bad=True),
+    ),
     2,
     [(0, [MAX_PACKET_BYTES] * 30, False), (10, [900], True)],
 )
+# without jitter, the last arrival at its top edge: a one-byte packet at no
+# delay lands 1 us after it
+@example(
+    (ChannelModel(prop_delay_us=0), LinkState(busy_until=9, last_arrival=9)),
+    7,
+    [(0, [1], True), (0, [1, 1], False), (30, [MAX_PACKET_BYTES] * 3, False)],
+)
 # one-packet bursts and interleaved one-packet frames and bursts on one medium
 @example(
-    ChannelModel(topology=Topology.INFRA, loss_p=0.5, jitter_sigma_us=80.0),
-    LinkState(),
+    (ChannelModel(topology=Topology.INFRA, loss_p=0.5, jitter_sigma_us=80.0), LinkState()),
     3,
     [(0, [700], False), (5, [64], True), (5, [2_000, 3], False), (90_000, [1], True)],
 )
 @example(
-    ChannelModel(topology=Topology.P2P, jitter_sigma_us=20.0, **GE),
-    LinkState(),
+    (ChannelModel(topology=Topology.P2P, jitter_sigma_us=20.0, **GE), LinkState()),
     4,
     [(0, [1_500], True), (0, [MAX_PACKET_BYTES] * 12 + [400], False), (0, [64], True)],
 )
 # jitter on a loss-free channel: no loss draw at all, and draws beyond 2 sigma
 @example(
-    ChannelModel(topology=Topology.INFRA, jitter_sigma_us=500.0),
-    LinkState(),
+    (ChannelModel(topology=Topology.INFRA, jitter_sigma_us=500.0), LinkState()),
     6,
     [(0, [MAX_PACKET_BYTES] * 40, False), (0, [64], True)],
 )
 # every packet lost on hop 1: hop 2 draws nothing
 @example(
-    ChannelModel(topology=Topology.INFRA, loss_p=1.0, jitter_sigma_us=10.0),
-    LinkState(),
+    (ChannelModel(topology=Topology.INFRA, loss_p=1.0, jitter_sigma_us=10.0), LinkState()),
     5,
     [(0, [MAX_PACKET_BYTES] * 5, False), (0, [100], True)],
 )
-def test_batched_walk_equals_reference(ch, link, seed, calls):
-    _compare(ch, link, seed, calls)
+def test_batched_walk_equals_reference(ch_link, seed, calls):
+    _compare(*ch_link, seed, calls)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 120.0])
@@ -274,22 +287,33 @@ FRAME = [(0, 30, 700), (16_667, 12, 64), (16_700, 1, 900)]
 
 @settings(max_examples=600)
 @given(
-    ch=st.one_of(channels, ge_channels()),
-    link=links,
+    ch_link=channel_links(st.one_of(channels, ge_channels())),
     seed=st.integers(0, 2**32 - 1),
     frames=frames,
 )
-# clean draws, then the FIFO clamp binds: a preset last arrival lies beyond the burst
-@example(ChannelModel(**dict(GE, ge_p_gb=0.0)), LinkState(last_arrival=400_000), 1, FRAME)
+# with jitter, the walk's FIFO clamp binds: a preset last arrival lies beyond the burst
+@example(
+    (ChannelModel(jitter_sigma_us=40.0, **dict(GE, ge_p_gb=0.0)), LinkState(last_arrival=400_000)),
+    1,
+    FRAME,
+)
+# clean draws without jitter, the last arrival at its top edge
+@example(
+    (ChannelModel(**dict(GE, ge_p_gb=0.0)), LinkState(busy_until=1_000, last_arrival=1_200)),
+    1,
+    FRAME,
+)
 # a chain that starts bad with loss in the good state, and one-packet bursts
 @example(
-    ChannelModel(topology=Topology.INFRA, **dict(GE, ge_loss_good=0.02, ge_p_bg=0.01)),
-    LinkState(ge_bad=True),
+    (
+        ChannelModel(topology=Topology.INFRA, **dict(GE, ge_loss_good=0.02, ge_p_bg=0.01)),
+        LinkState(ge_bad=True),
+    ),
     2,
     [(0, 1, 64), (5, 1, 2_000), *FRAME],
 )
-def test_frame_entry_equals_reference(ch, link, seed, frames):
-    _compare_frames(ch, link, seed, frames)
+def test_frame_entry_equals_reference(ch_link, seed, frames):
+    _compare_frames(*ch_link, seed, frames)
 
 
 def _hop_losses(ch, link, sizes, now, seed):
@@ -323,7 +347,7 @@ def test_infra_clean_first_hop_lossy_second_hop(loss, jitter):
     "loss", [dict(loss_p=0.01), dict(GE, ge_p_gb=0.01)], ids=["bernoulli", "gilbert_elliott"]
 )
 def test_clean_draws_take_the_closed_form(loss, topology, monkeypatch):
-    # a burst that lost nothing is never walked, and the clamp sends it back to the walk
+    # a burst that lost nothing is never walked
     ch = ChannelModel(topology=topology, **loss)
     walks = []
     hop = netsim._hop
@@ -336,8 +360,6 @@ def test_clean_draws_take_the_closed_form(loss, topology, monkeypatch):
         walks.clear()
         _compare_frames(ch, LinkState(), seed, [(0, 12, MAX_PACKET_BYTES)])
         assert not walks
-        _compare_frames(ch, LinkState(last_arrival=10**6), seed, [(0, 12, MAX_PACKET_BYTES)])
-        assert walks
         return
     pytest.fail("no seed gave a clean burst")
 
@@ -387,18 +409,6 @@ def test_p2p_lossy_burst_takes_the_closed_form(loss, count, wanted, monkeypatch)
     frames = [(0, count, 700), (16_667, 12, 64)]
     _compare_frames(ch, LinkState(), seed, frames)
     assert not walks
-
-
-@pytest.mark.parametrize("loss", P2P_LOSSY, ids=["bernoulli", "gilbert_elliott"])
-def test_binding_clamp_after_lossy_burst_walks(loss, monkeypatch):
-    # the FIFO clamp binds on a burst that lost its first packets, so it walks
-    ch = ChannelModel(**loss)
-    seed = _seed_where(ch, 12, 700, lambda a: a[0] is None and _some(a))
-    walks = _walk_counter(monkeypatch)
-    link = LinkState(last_arrival=10**6)
-    frames = [(0, 12, 700), (10, 3, 64)]
-    _compare_frames(ch, link, seed, frames)
-    assert walks
 
 
 # --- the loss table ----------------------------------------------------------
@@ -501,20 +511,61 @@ def test_bound_medium_equals_reference(ch, bad, seed, ops):
     fast, ref = LinkState(ge_bad=bad), LinkState(ge_bad=bad)
     fast_rng, ref_rng = Rng(seed), Rng(seed)
     medium = netsim.Medium(ch, fast, fast_rng)
-    for op, now, n, size in ops:
-        if op == "frame":
-            got = medium.frame(n, size, now)
-            sizes = [MAX_PACKET_BYTES] * (n - 1) + [size]
-            want = reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
-        elif op == "control":  # a control message: a one-packet frame
-            got = medium.frame(1, n, now)
-            want = reference_frame(reference_transmit_burst(ch, ref, [n], now, ref_rng))
-        elif op == "burst":
-            got = medium.burst(n, now)
-            want = reference_transmit_burst(ch, ref, n, now, ref_rng)
-        else:
-            fast.ge_bad = ref.ge_bad = not ref.ge_bad
-            continue
-        assert got == want
-        assert fast == ref
+    for op in ops:
+        _step(medium, ref, ref_rng, *op)
     assert _next_draws(fast_rng, medium) == _next_draws(ref_rng)
+
+
+def _step(medium, ref, ref_rng, op, now, n, size):
+    """One of ``bound_ops`` on the medium and on the reference walk's link,
+    which must agree; returns the medium's arrivals as a list."""
+    ch = medium.ch
+    if op == "frame":
+        got = medium.frame(n, size, now)
+        sizes = [MAX_PACKET_BYTES] * (n - 1) + [size]
+        want = reference_frame(reference_transmit_burst(ch, ref, sizes, now, ref_rng))
+    elif op == "control":  # a control message: a one-packet frame
+        got = medium.frame(1, n, now)
+        want = reference_frame(reference_transmit_burst(ch, ref, [n], now, ref_rng))
+    elif op == "burst":
+        got = medium.burst(n, now)
+        want = reference_transmit_burst(ch, ref, n, now, ref_rng)
+    else:
+        medium.link.ge_bad = ref.ge_bad = not ref.ge_bad
+        return []
+    assert got == want
+    assert medium.link == ref
+    if op == "burst":
+        return got
+    return [] if got is None else [got[0], got[1]]
+
+
+jitter_free = st.one_of(channels, ge_channels(), table_channels()).map(
+    lambda ch: replace(ch, jitter_sigma_us=0.0)
+)
+
+
+@settings(max_examples=500)
+@given(ch=jitter_free, seed=st.integers(0, 2**32 - 1), ops=bound_ops)
+# at no delay, one-byte packets end 1 us after the link's last arrival
+@example(
+    ChannelModel(prop_delay_us=0),
+    1,
+    [("control", 9, 1, None), ("control", 0, 1, None), ("burst", 0, [1, 1], None)],
+)
+@example(
+    ChannelModel(topology=Topology.INFRA, prop_delay_us=0, loss_p=0.3),
+    2,
+    [("frame", 0, 12, 1), ("control", 0, 1, None), ("frame", 0, 1, 1), *LONG[:3]],
+)
+def test_jitter_free_medium_never_clamps(ch, seed, ops):
+    # from ``LinkState()`` without jitter every state keeps ``last_arrival <=
+    # busy_until + prop``, and each call's first delivery lands strictly
+    # after the last arrival before it: the FIFO clamp never binds
+    link, ref, rng = LinkState(), LinkState(), Rng(seed)
+    medium = netsim.Medium(ch, link, Rng(seed))
+    for op in ops:
+        before = link.last_arrival
+        delivered = [a for a in _step(medium, ref, rng, *op) if a is not None]
+        assert link.last_arrival <= link.busy_until + ch.prop_delay_us
+        assert not delivered or delivered[0] > before

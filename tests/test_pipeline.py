@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import RUNS, _ge_fault
 
-from uvrpipe import netsim, stages
+from uvrpipe import netsim, pipeline, stages
 from uvrpipe.core import Rng
 from uvrpipe.experiments import recovery_config, recovery_trial
 from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario
@@ -21,6 +21,7 @@ from uvrpipe.scenario import (
     preset_config,
     send_grid,
     to_flat_dict,
+    with_toggle,
 )
 from uvrpipe.stages import OptimizationToggles, TOGGLE_NAMES, build_datapath
 
@@ -186,6 +187,31 @@ def test_a_run_binds_at_most_one_medium(monkeypatch):
 def test_unknown_toggle_rejected():
     with pytest.raises(ScenarioError):
         ab_compare(_short(), "warp_drive")
+
+
+def test_ab_suite_validates_and_runs_each_config_once(monkeypatch):
+    # 14 runs, each toggle's off and on run, then p2p's on RGB, the
+    # baseline and all-on; each config validates before the first run,
+    # and once more as its run starts
+    events = []
+    validate, run = ScenarioConfig.validate, pipeline.run_scenario
+    monkeypatch.setattr(ScenarioConfig, "validate", lambda cfg: events.append("v") or validate(cfg))
+    monkeypatch.setattr(pipeline, "run_scenario", lambda cfg: events.append(cfg) or run(cfg))
+    base = _short(seconds=0.5)
+    pipeline.ab_suite(base)
+    runs = [e for e in events if e != "v"]
+    assert events.index(runs[0]) == 14 and events.count("v") == 28
+    rgb = with_toggle(base, "transcode_avoidance", True)
+    want = [with_toggle(base, name, value) for name in TOGGLE_NAMES for value in (False, True)]
+    want += [with_toggle(rgb, "p2p_topology", value) for value in (False, True)]
+    want += [base, replace(base, toggles=OptimizationToggles.all_on())]
+    assert runs == want
+
+
+def test_ab_suite_measures_from_every_toggle_off():
+    # openuvr turns every toggle on: its suite is that of its values with all off
+    cfg = _short("openuvr", seconds=0.5)
+    assert pipeline.ab_suite(cfg) == pipeline.ab_suite(replace(cfg, toggles=OptimizationToggles()))
 
 
 def test_lossy_run_drops_and_recovers():
