@@ -3,7 +3,7 @@
 from .codec import CodecConfig, DecodeServer, FrameType, GopWalker
 from .core import ColorSpace, EventQueue, RawFrame, Rng, SimTime
 from .netsim import ChannelModel, LinkState, Topology
-from .pipeline import SimResult, ab_compare, ab_suite, run_scenario
+from .pipeline import SimResult, ab_suite, run_scenario
 from .scenario import ScenarioConfig, parse_scenario, preset_config
 from .stages import OptimizationToggles, build_datapath
 
@@ -25,7 +25,6 @@ __all__ = [
     "SimResult",
     "SimTime",
     "Topology",
-    "ab_compare",
     "ab_suite",
     "build_datapath",
     "parse_scenario",

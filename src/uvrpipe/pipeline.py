@@ -18,19 +18,14 @@ one of two ways, with the same result:
     and consecutive runs that differ in nothing else share it; each run
     restores the workload stream to where the draw left it.
   * The event loop (``Simulator._run_events``), the general middle: burst,
-    deadline and feedback events on one heap, with the tick grid merged in
-    lazily (``EventQueue.run``). Each tick carries the frame that it sends,
-    or -1; a tick that sends nothing (every ASYNC render tick, and a SYNC one
-    that the codec rate skips) is merged only for the transcript. A tick
-    goes before a heap event at its time, and a render before a sample, as
-    when every tick was scheduled up front. A frame's size and fragment
-    layout come from two whole-run arrays, one per frame type; its burst is
-    drawn, then timed (``netsim.Medium.frame``), and the reassembler takes
-    its result as it is (``Reassembler.on_frame``). Outcomes go into one
-    Python list per column, made arrays once at the end.
-
-    A run that collects a transcript puts every burst and request on the
-    heap. Without one, the heap keeps only what can interleave:
+    deadline and feedback events on one heap, with the ticks that send a
+    frame (``Simulator._ticks``) merged in lazily (``EventQueue.run``). A
+    tick goes before a heap event at its time, as when every tick was
+    scheduled up front. A frame's size and fragment layout come from two
+    whole-run arrays, one per frame type; its burst is drawn, then timed
+    (``netsim.Medium.frame``), and the reassembler takes its result as it is
+    (``Reassembler.on_frame``). Outcomes go into one Python list per column,
+    made arrays once at the end. The heap keeps only what can interleave:
 
       - A burst whose last arrival comes strictly before the next tick that
         sends and strictly before every heap event is the loop's next
@@ -45,21 +40,21 @@ one of two ways, with the same result:
 
     Deadlines, and bursts and requests that are not next, stay on the heap.
   * The array run (``Simulator._run_arrays``), for a draw-free run:
-    Bernoulli loss at ``loss_p == 0``, no jitter, no fault frame and no
-    transcript. No frame drops, no feedback is sent and every frame follows
-    the GOP schedule; sizes, fragment layouts, the link
-    (``netsim.clean_run``) and the decoder's token bucket
-    (``DecodeServer.offer_run``) are whole-run arrays, with no Python step
-    per frame unless the bucket makes some frame wait. They depend on the
-    send grid, codec and channel, not on the datapath's stage constants,
-    which only shift every time by the same amount: ``array_timing``
-    computes them once, from a fresh link and decoder at the clock ticks,
-    and shares them read-only, so an A/B suite times each of its four
-    (color space, topology) cells once and each run adds its own constants.
-    With them it keeps what every run's report takes as it is: the network
-    stage sorted once, with its distribution, and the one value of the
-    sampler and decode waits, when each has one. A run's config alone picks
-    its middle (``Simulator._draw_free``): no array step can decline.
+    Bernoulli loss at ``loss_p == 0``, no jitter and no fault frame. No
+    frame drops, no feedback is sent and every frame follows the GOP
+    schedule; sizes, fragment layouts, the link (``netsim.clean_run``) and
+    the decoder's token bucket (``DecodeServer.offer_run``) are whole-run
+    arrays, with no Python step per frame unless the bucket makes some frame
+    wait. They depend on the send grid, codec and channel, not on the
+    datapath's stage constants, which only shift every time by the same
+    amount: ``array_timing`` computes them once, from a fresh link and
+    decoder at the clock ticks, and shares them read-only, so an A/B suite
+    times each of its four (color space, topology) cells once and each run
+    adds its own constants. With them it keeps what every run's report takes
+    as it is: the network stage sorted once, with its distribution, and the
+    one value of the sampler and decode waits, when each has one. A run's
+    config alone picks its middle (``Simulator._draw_free``): no array step
+    can decline.
   * The tail: the event loop's decode step (``Simulator._decode``; an array
     run's comes with its timing), corruption, one array step run only when
     some frame dropped, then the report (``Simulator._result``). The MUD
@@ -80,20 +75,20 @@ one of two ways, with the same result:
     or the network does not, the report takes the general path, as the event
     loop's does.
 
-``tests/test_array_run.py`` keeps the event loop as the array run's reference
-(and the general report path as that of a report from the timing's stages),
-``tests/test_tick_merge.py`` keeps the eager tick schedule as the lazy
-merge's, ``tests/test_inline_events.py`` the transcript run as the reference
-of a run without one, ``tests/test_decode_tail.py`` the decoder inside the
-loop as the decode step's, and ``tests/test_pipeline.py`` the per-frame
-corruption loop as the array step's.
+``tests/test_array_run.py`` keeps the event loop as the array run's
+reference (and the general report path as that of a report from the timing's
+stages), ``tests/test_tick_merge.py`` keeps the eager tick schedule as the
+lazy merge's, ``tests/test_inline_events.py`` the run that heaps every event
+(``tests/transcript_run.py``) as the event loop's,
+``tests/test_decode_tail.py`` the decoder inside the loop as the decode
+step's, and ``tests/test_pipeline.py`` the per-frame corruption loop as the
+array step's.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, replace
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -244,7 +239,7 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, mode, *values):
 
 
 class SimResult:
-    """A run's report, datapath, optional event transcript and frame table.
+    """A run's report, datapath and frame table.
 
     ``frames`` holds one array per ``FrameRecord`` field, indexed by frame
     id; ``records`` is its read view as ``FrameRecord``s, built when first
@@ -252,17 +247,10 @@ class SimResult:
     (``send_grid``, ``array_timing``) are read-only.
     """
 
-    def __init__(
-        self,
-        metrics: MetricsReport,
-        frames: dict[str, np.ndarray],
-        graph: DatapathGraph,
-        transcript: Optional[list[tuple]] = None,
-    ):
+    def __init__(self, metrics: MetricsReport, frames: dict[str, np.ndarray], graph: DatapathGraph):
         self.metrics = metrics
         self.frames = frames
         self.graph = graph
-        self.transcript = transcript
 
     @cached_property
     def records(self) -> list[FrameRecord]:
@@ -274,14 +262,13 @@ class Simulator:
     # an array run sends no feedback and reports these; the event loop builds its own
     mud_fb, host_fb = cp_mod.MudFeedbackState(), cp_mod.HostFeedbackState()
 
-    def __init__(self, cfg: ScenarioConfig, collect_transcript: bool = False):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = validated(cfg)
         self.graph = shared_datapath(cfg.toggles, cfg.codec, cfg.channel)
         self.codec_cfg = self.graph.codec
         self.channel = self.graph.channel
         self.rng = Rng(cfg.seed)
         self.link = netsim.LinkState()
-        self.transcript: Optional[list[tuple]] = [] if collect_transcript else None
 
     @cached_property
     def queue(self) -> EventQueue:  # built on first use, as the event loop's other state
@@ -342,7 +329,7 @@ class Simulator:
         if sent is not None:
             first, last, delivered = sent
             burst = ("burst", k, first, last, delivered, count, is_iframe, forced, col["gen_us"][k])
-            if self.transcript is None and last < self._next_tick and self.queue.is_next(last):
+            if last < self._next_tick and self.queue.is_next(last):
                 # the loop's next dispatch: no tick and no heap event comes
                 # first. Its time becomes the queue's, as its pop would make it
                 self.queue.now = last
@@ -381,7 +368,7 @@ class Simulator:
         if sent is None:
             return
         arrival = sent[0]
-        if self.transcript is None and arrival < self._next_tick:
+        if arrival < self._next_tick:
             # only an encode reads or writes the host's feedback state, and
             # none comes before the next tick that sends: decide it now
             cp_mod.host_on_request(self.host_fb, msg, arrival)
@@ -420,8 +407,6 @@ class Simulator:
 
     def _dispatch(self, t: SimTime, event: tuple) -> None:
         kind = event[0]
-        if self.transcript is not None:
-            self.transcript.append((t, kind, event[1]))
         if kind == "burst":
             self._handle_burst(t, event)
         elif kind == "deadline":
@@ -429,7 +414,7 @@ class Simulator:
         elif kind == "cp":
             if self.cfg.toggles.feedback_control:
                 cp_mod.host_on_request(self.host_fb, event[1], t)
-        elif event[2] >= 0:  # a render or sample tick that sends a frame
+        else:  # a render or sample tick, which sends a frame
             self._encode_and_send(event[2])
 
     def run(self) -> SimResult:
@@ -438,12 +423,8 @@ class Simulator:
 
     def _draw_free(self) -> bool:
         """Whether the array run applies: no random number is drawn on the
-        channel or for a fault, and no event transcript is wanted."""
-        return (
-            netsim.draw_free(self.channel)
-            and self.cfg.fault_drop_frame_id < 0
-            and self.transcript is None
-        )
+        channel or for a fault."""
+        return netsim.draw_free(self.channel) and self.cfg.fault_drop_frame_id < 0
 
     def _run_events(self) -> SimResult:
         self.walker = GopWalker(self.codec_cfg)
@@ -461,24 +442,20 @@ class Simulator:
         self._layouts = [list(zip(*(column.tolist() for column in layout))) for layout in layouts]
         self._send_at = grid.tick.tolist() + [float("inf")]  # each frame's send tick
         self._next_tick = self._send_at[0]
-        kind = "render" if self.cfg.encode_mode is EncodeMode.SYNC else "sample"
-        if self.transcript is None:
-            # a tick that sends nothing does nothing, and a burst handled at
-            # the tick before it may arrive after it
-            sending = np.flatnonzero(grid.sends).tolist()
-            ticks = [(t, (kind, i, k)) for k, (t, i) in enumerate(zip(self._send_at, sending))]
-        else:
-            frame = np.where(grid.sends, np.cumsum(grid.sends) - 1, -1).tolist()
-            ticks = [(t, (kind, i, k)) for i, (t, k) in enumerate(zip(grid.clock.tolist(), frame))]
-            if kind == "sample":
-                renders = [(t, ("render", i, -1)) for i, t in enumerate(grid.render.tolist())]
-                ticks = sorted(renders + ticks, key=itemgetter(0))  # on a tie the render goes first
-        self.queue.run(self._dispatch, ticks)
+        self.queue.run(self._dispatch, self._ticks())
         # each column typed as its values; validation keeps every time in int64
         frames = {k: np.array(v, dtype=type(v[0]) if v else int) for k, v in self._table.items()}
         frames["frame_type"] = np.where(frames["frame_type"], FrameType.I.value, FrameType.P.value)
         self._decode(frames)
         return self._result(frames)
+
+    def _ticks(self) -> list[tuple[SimTime, tuple]]:
+        """The ticks that send a frame, in time order: (time, (kind, clock
+        tick, frame id)). A tick that sends nothing does nothing, and a burst
+        handled at the tick before it may arrive after it."""
+        kind = "render" if self.cfg.encode_mode is EncodeMode.SYNC else "sample"
+        sending = np.flatnonzero(self._grid.sends).tolist()
+        return [(t, (kind, i, k)) for k, (t, i) in enumerate(zip(self._send_at, sending))]
 
     def _run_arrays(self) -> SimResult:
         """The whole draw-free run as numpy arrays.
@@ -547,7 +524,7 @@ class Simulator:
         table; ``timing`` is an array run's."""
         if frames["dropped"].any():
             frames["corrupted"] = _corrupted(frames)
-        return SimResult(self._metrics(frames, timing), frames, self.graph, self.transcript)
+        return SimResult(self._metrics(frames, timing), frames, self.graph)
 
     def _metrics(
         self, col: dict[str, np.ndarray], timing: Optional[ArrayTiming] = None
@@ -670,8 +647,8 @@ class Simulator:
         )
 
 
-def run_scenario(cfg: ScenarioConfig, collect_transcript: bool = False) -> SimResult:
-    return Simulator(cfg, collect_transcript=collect_transcript).run()
+def run_scenario(cfg: ScenarioConfig) -> SimResult:
+    return Simulator(cfg).run()
 
 
 def ab_runs(cfg: ScenarioConfig, toggle: str) -> tuple[SimResult, SimResult]:
@@ -694,11 +671,6 @@ def ab_row(toggle: str, off: MetricsReport, on: MetricsReport) -> dict[str, Any]
         "delta_ms": round(off.end_to_end["mean_ms"] - on.end_to_end["mean_ms"], 4),
         "stage_deltas_ms": {k: stage_deltas[k] for k in sorted(stage_deltas)},
     }
-
-
-def ab_compare(cfg: ScenarioConfig, toggle: str) -> dict[str, Any]:
-    """Mean end-to-end saving from enabling one optimization, same seed."""
-    return ab_row(toggle, *(run.metrics for run in ab_runs(cfg, toggle)))
 
 
 def ab_suite(base: ScenarioConfig) -> dict[str, Any]:

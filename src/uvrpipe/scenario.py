@@ -62,13 +62,16 @@ class ScenarioConfig:
         return round(self.duration_s * US_PER_S)
 
     def validate(self) -> list[str]:
-        """Every range violation, key by key in ``KEYS`` order, then the
-        checks that a key's own range cannot express, the seeded one last."""
+        """Every type or range violation, key by key in ``KEYS`` order, then
+        the checks that a key's own range cannot express, the seeded one last."""
         seed, *values = config_values(self)
         # only the seeded check reads the seed besides its range, so runs of
         # one config at many seeds share one cached validation of the rest
         error = key_error("seed", seed)
-        errors, sized = _errors(*values)
+        try:
+            errors, sized = _errors(*values)
+        except TypeError:  # an unhashable value, which no key's type allows
+            errors, sized = _errors.__wrapped__(*values)
         if error is None and sized is not None:
             errors += _fragment_errors(seed, *sized)
         return ([error] if error else []) + list(errors)
@@ -76,7 +79,9 @@ class ScenarioConfig:
 
 # Every scenario key, in file order: its attribute path in ScenarioConfig and
 # the range its value must lie in (None: any value of the field's type). The
-# field's declared type picks the key's parser and formatter; float values
+# field's declared type picks the key's parser and formatter, and a value must
+# be of exactly that type, with one widening: an int passes for a float field
+# (``duration_s=1``). A bool passes only for a bool field, and float values
 # must also be finite.
 KEYS: dict[str, tuple[str, Optional[str]]] = {
     "seed": ("seed", ">= 0"),
@@ -139,15 +144,20 @@ _TYPES = {key: _field_type(path) for key, (path, _bound) in KEYS.items()}
 # every key's value, in ``KEYS`` order: a snapshot that later changes to a config do not reach
 config_values = attrgetter(*(path for path, _bound in KEYS.values()))
 _UNSEEDED_KEYS = tuple(KEYS)[1:]  # the seed comes first
-# per key, resolved once: whether its value must be finite, and its range test
+# per key, resolved once: the types its value may have, whether the value
+# must be finite, and its range test
 _CHECKS = {
-    key: (_TYPES[key] is float, bound and _IN_RANGE[bound]) for key, (_path, bound) in KEYS.items()
+    key: ((float, int) if t is float else (t,), t is float, bound and _IN_RANGE[bound])
+    for key, t, (_path, bound) in zip(KEYS, _TYPES.values(), KEYS.values())
 }
 
 
 def key_error(key: str, value: Any) -> Optional[str]:
-    """Why ``value`` is out of ``key``'s declared range, or None if it is not."""
-    finite, in_range = _CHECKS[key]
+    """Why ``value`` is not of ``key``'s declared type or is out of its
+    declared range, or None if neither."""
+    types, finite, in_range = _CHECKS[key]
+    if type(value) not in types:
+        return f"{key} must be of type {_TYPES[key].__name__}, not {type(value).__name__}"
     if finite and not math.isfinite(value):
         return f"{key} must be finite"
     if in_range is None or in_range(value):
@@ -228,8 +238,9 @@ def _errors(*values) -> tuple[tuple[str, ...], Optional[tuple]]:
     errors = list(failed.values())
     if not errors and (bound := time_bound(value_of)) >= 2**62:
         errors.append(f"a run's times could reach {bound} us, past the 2**62-us horizon of int64")
-    # the seeded check needs the keys with a range that it reads, and the tick bound
+    # the seeded check needs every key that it reads, and the tick bound
     sized = ("codec.", "duration_s", "render_fps", "workload.complexity_sigma", "ticks")
+    sized += ("encode_mode", "toggles.transcode_avoidance")  # checked for type alone
     if any(key.startswith(sized) for key in failed):
         return tuple(errors), None
     # the codec's values, in the color space that the toggles encode in

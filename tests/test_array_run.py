@@ -1,8 +1,8 @@
 """The array run of a draw-free scenario against the event loop it stands in for.
 
 ``Simulator.run`` computes a draw-free run (Bernoulli loss with
-``loss_p == 0``, no jitter, no fault frame, no transcript) as numpy arrays,
-and hands every other run to the event loop. The event loop is the reference: the report, every
+``loss_p == 0``, no jitter, no fault frame) as numpy arrays, and hands
+every other run to the event loop. The event loop is the reference: the report, every
 ``FrameRecord`` field, every ``LinkState`` field and the next draw of the
 workload stream must come out the same.
 
@@ -35,14 +35,13 @@ from uvrpipe.stages import OptimizationToggles
 TOGGLE_SETS = list(itertools.product((False, True), repeat=5))
 
 
-def _outcome(cfg, method, collect_transcript=False):
-    sim = Simulator(cfg, collect_transcript=collect_transcript)
+def _outcome(cfg, method):
+    sim = Simulator(cfg)
     result = method(sim)
     return (
         json.dumps(result.metrics.to_dict()),
         repr(result.records),
         repr(sim.link),
-        repr(result.transcript),
         sim.rng.stream("workload").standard_normal(),
     )
 
@@ -202,13 +201,6 @@ def test_runs_that_draw_take_the_event_loop(change):
     change(cfg)
     assert not Simulator(cfg)._draw_free()
     assert _outcome(cfg, _run) == _outcome(cfg, _events)
-
-
-def test_transcript_run_takes_the_event_loop():
-    cfg = preset_config("baseline")
-    cfg.duration_s = 1.0
-    assert not Simulator(cfg, collect_transcript=True)._draw_free()
-    assert _outcome(cfg, _run, True) == _outcome(cfg, _events, True)
 
 
 def _p2p_config(prop_delay_us, slow=False):

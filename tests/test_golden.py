@@ -1,9 +1,10 @@
 """Golden reports: simulator output pinned byte-for-byte.
 
 Each run's report (``meta`` stripped) must equal the stored JSON exactly, and
-the fault-drop run's event transcript must equal the stored one. The resolved
-datapath of every toggle combination and an A/B suite are pinned the same
-way. Regenerate the files only for an intended behaviour change:
+the fault-drop run's event transcript (``transcript_run.py``), with its
+report, must equal the stored ones. The resolved datapath of every toggle
+combination and an A/B suite are pinned the same way. Regenerate the files
+only for an intended behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +14,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from transcript_run import TranscriptRun
 
 from uvrpipe.codec import CodecConfig, effective_color_space
 from uvrpipe.core import ColorSpace, raw_frame_bytes
@@ -107,7 +110,13 @@ def _transcript_text(transcript) -> str:
 
 
 def _run(name):
-    return run_scenario(RUNS[name](), collect_transcript=name == TRANSCRIPT_RUN)
+    return run_scenario(RUNS[name]())
+
+
+def _transcribed():
+    """The fault-drop run that heaps every event, with its transcript."""
+    sim = TranscriptRun(RUNS[TRANSCRIPT_RUN]())
+    return sim.run(), sim.transcript
 
 
 def _datapaths_text() -> str:
@@ -149,11 +158,14 @@ PINNED = {"datapaths": _datapaths_text, "ab_suite": _ab_suite_text}
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_matches_golden(name):
-    result = _run(name)
-    assert _report_text(result) == (GOLDEN / f"{name}.json").read_text()
-    if name == TRANSCRIPT_RUN:
-        stored = (GOLDEN / f"{name}.transcript.jsonl").read_text()
-        assert _transcript_text(result.transcript) == stored
+    assert _report_text(_run(name)) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_transcript_matches_golden():
+    result, transcript = _transcribed()
+    assert _report_text(result) == (GOLDEN / f"{TRANSCRIPT_RUN}.json").read_text()
+    stored = (GOLDEN / f"{TRANSCRIPT_RUN}.transcript.jsonl").read_text()
+    assert _transcript_text(transcript) == stored
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -165,7 +177,7 @@ def test_pinned_output_matches_golden(name):
 def test_golden_run_takes_the_expected_path(name):
     # the draw-free runs (and the A/B suite, on baseline) pin the array run;
     # the lossy, jittered and fault runs pin the event loop
-    sim = Simulator(RUNS[name](), collect_transcript=name == TRANSCRIPT_RUN)
+    sim = Simulator(RUNS[name]())
     assert sim._draw_free() == (name in {"baseline", "openuvr", "sync"})
 
 
@@ -183,11 +195,11 @@ def test_fault_drop_run_mixes_lost_and_whole_frames():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in RUNS:
-        result = _run(name)
-        (GOLDEN / f"{name}.json").write_text(_report_text(result))
-        if name == TRANSCRIPT_RUN:
-            (GOLDEN / f"{name}.transcript.jsonl").write_text(_transcript_text(result.transcript))
+        (GOLDEN / f"{name}.json").write_text(_report_text(_run(name)))
         print(f"wrote {name}")
+    _, transcript = _transcribed()
+    (GOLDEN / f"{TRANSCRIPT_RUN}.transcript.jsonl").write_text(_transcript_text(transcript))
+    print(f"wrote {TRANSCRIPT_RUN}.transcript")
     for name, text in PINNED.items():
         (GOLDEN / f"{name}.json").write_text(text())
         print(f"wrote {name}")

@@ -1,14 +1,15 @@
-"""A run without a transcript against the transcript run it is pinned to.
+"""The event loop against the run that heaps every event, its reference.
 
-Without a transcript, ``Simulator._run_events`` leaves two kinds of event off
-its heap. A frame's burst whose last arrival comes strictly before the next
-tick that sends and strictly before every event on the heap is handled at the
-end of its own tick: it is the loop's next dispatch. An I-frame request that
-reaches the host strictly before the next tick that sends is decided when it
-is sent: only an encode reads or writes the host's feedback state. A run that
-collects a transcript keeps every event on the heap; it is the reference. The
-report, every frame-table column with its dtype, the link and both feedback
-states must come out the same. (The decoder's end state follows from the
+``Simulator._run_events`` leaves two kinds of event off its heap. A frame's
+burst whose last arrival comes strictly before the next tick that sends and
+strictly before every event on the heap is handled at the end of its own
+tick: it is the loop's next dispatch. An I-frame request that reaches the
+host strictly before the next tick that sends is decided when it is sent:
+only an encode reads or writes the host's feedback state. ``TranscriptRun``
+(``transcript_run.py``) keeps every event on the heap and writes the
+transcript that shows the ties below; it is the reference. The report, every
+frame-table column with its dtype, the link and both feedback states must
+come out the same. (The decoder's end state follows from the
 ``decode_start_us`` and ``queue_wait_us`` columns.)
 
 A drop deadline shorter than a partial burst's span falls before the
@@ -21,6 +22,7 @@ from copy import deepcopy
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from transcript_run import TranscriptRun
 
 from uvrpipe import dpp, pipeline
 from uvrpipe.core import EventQueue
@@ -30,8 +32,7 @@ from uvrpipe.pipeline import Simulator, run_scenario
 from uvrpipe.scenario import EncodeMode, preset_config
 
 
-def _outcome(cfg, collect_transcript):
-    sim = Simulator(cfg, collect_transcript=collect_transcript)
+def _outcome(sim):
     result = sim.run()
     return (
         json.dumps(result.metrics.to_dict()),
@@ -43,7 +44,7 @@ def _outcome(cfg, collect_transcript):
 
 
 def _assert_same(cfg):
-    assert _outcome(cfg, False) == _outcome(cfg, True)
+    assert _outcome(Simulator(cfg)) == _outcome(TranscriptRun(cfg))
 
 
 def _sent(cfg):
@@ -191,7 +192,9 @@ def _arrivals(cfg, monkeypatch):
 
 
 def _transcript(cfg):
-    return Simulator(cfg, collect_transcript=True).run().transcript
+    sim = TranscriptRun(cfg)
+    sim.run()
+    return sim.transcript
 
 
 def _ties(transcript, kinds, other_kinds):

@@ -221,10 +221,13 @@ def test_batched_walk_equals_reference(ch_link, seed, calls):
 @pytest.mark.parametrize("topology", Topology)
 @pytest.mark.parametrize("loss", [dict(loss_p=0.05), GE], ids=["bernoulli", "gilbert_elliott"])
 def test_every_channel_kind(loss, topology, jitter):
-    # an I-frame-sized burst whose first arrivals the preset FIFO clamp holds
-    # back, a control packet, then a P-frame-sized burst
+    # an I-frame-sized burst, a control packet, then a P-frame-sized burst.
+    # With jitter, the preset FIFO clamp holds the first arrivals back on a
+    # P2P link; without, the link is as a burst leaves it, its last arrival
+    # one propagation delay after its busy end
     ch = ChannelModel(topology=topology, jitter_sigma_us=jitter, **loss)
-    link = LinkState(busy_until=1_000, last_arrival=1_900, ge_bad=True)
+    last_arrival = 1_900 if jitter else 1_000 + ch.prop_delay_us
+    link = LinkState(busy_until=1_000, last_arrival=last_arrival, ge_bad=True)
     full = [MAX_PACKET_BYTES] * 80 + [1_248]
     calls = [(0, full, False), (500, [64], True), (16_667, full[:19], False)]
     for seed in range(8):

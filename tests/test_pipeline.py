@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import RUNS, _ge_fault
+from transcript_run import TranscriptRun
 
 from uvrpipe import netsim, pipeline, stages
 from uvrpipe.core import Rng
 from uvrpipe.experiments import recovery_config, recovery_trial
-from uvrpipe.pipeline import Simulator, _corrupted, ab_compare, run_scenario
+from uvrpipe.pipeline import Simulator, _corrupted, ab_runs, run_scenario
 from uvrpipe.report import FrameRecord, report_file_dict
 from uvrpipe.scenario import (
     EncodeMode,
@@ -36,12 +37,11 @@ def _short(preset="baseline", seconds=2.0, seed=42, **attrs):
 
 
 def test_deterministic_transcript_and_metrics():
-    a = run_scenario(_short(), collect_transcript=True)
-    b = run_scenario(_short(), collect_transcript=True)
+    a, b = TranscriptRun(_short()), TranscriptRun(_short())
+    metrics = a.run().metrics.to_dict()
+    assert b.run().metrics.to_dict() == metrics
     assert a.transcript == b.transcript
-    assert a.metrics.to_dict() == b.metrics.to_dict()
-    c = run_scenario(_short(seed=43))
-    assert c.metrics.to_dict() != a.metrics.to_dict()
+    assert run_scenario(_short(seed=43)).metrics.to_dict() != metrics
 
 
 def test_stage_sum_equals_end_to_end_per_frame():
@@ -186,7 +186,7 @@ def test_a_run_binds_at_most_one_medium(monkeypatch):
 
 def test_unknown_toggle_rejected():
     with pytest.raises(ScenarioError):
-        ab_compare(_short(), "warp_drive")
+        ab_runs(_short(), "warp_drive")
 
 
 def test_ab_suite_validates_and_runs_each_config_once(monkeypatch):
@@ -407,10 +407,14 @@ def test_equal_configs_share_one_frozen_graph():
 
 
 def test_equal_values_of_other_types_do_not_share_a_graph():
-    # 200 == 200.0, but a float delay makes every arrival time a float
+    # 200 == 200.0, but a float delay would make every arrival time a float:
+    # validation refuses it, and the datapath cache keeps the two apart
     cfg = _short()
     cfg.channel.prop_delay_us = 200.0
-    assert type(Simulator(cfg).graph.channel.prop_delay_us) is float
+    with pytest.raises(ScenarioError):
+        Simulator(cfg)
+    graph = stages.shared_datapath(cfg.toggles, cfg.codec, cfg.channel)
+    assert type(graph.channel.prop_delay_us) is float
     assert type(Simulator(_short()).graph.channel.prop_delay_us) is int
 
 

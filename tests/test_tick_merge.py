@@ -5,10 +5,11 @@ dynamic events instead of scheduling every tick up front. The eager
 scheduler is kept here as the reference: it pushes every tick onto the heap
 before the run, in grid order, and then runs the heap. A tick was scheduled
 before any dynamic event, so on equal times it goes first, and a render goes
-before a sample; transcripts, records and reports must come out the same. A
-run without a transcript merges no tick that sends nothing (no ASYNC render
-tick, and no SYNC one that the codec rate skips); its records and report
-must still equal the eager schedule's.
+before a sample. ``TranscriptRun`` (``transcript_run.py``) merges every tick,
+including those that send nothing; its transcripts, records and reports must
+come out the same under both. The plain run merges no tick that sends
+nothing (no ASYNC render tick, and no SYNC one that the codec rate skips);
+its records and report must still equal the eager schedule's.
 """
 
 import json
@@ -17,6 +18,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from transcript_run import HeapQueue, TranscriptRun
 
 from uvrpipe.core import EventQueue, Rng, SchedulingError
 from uvrpipe.netsim import LossModel
@@ -24,7 +26,7 @@ from uvrpipe.pipeline import Simulator
 from uvrpipe.scenario import EncodeMode, preset_config
 
 
-class EagerQueue(EventQueue):
+class EagerQueue(HeapQueue):
     """The old scheduler: every render tick, then every sample tick, on the
     heap before the first dispatch."""
 
@@ -34,12 +36,9 @@ class EagerQueue(EventQueue):
         super().run(handler)
 
 
-def _outcome(cfg, queue_cls, transcript=True):
-    sim = Simulator(cfg, collect_transcript=transcript)
-    sim.queue = queue_cls()
+def _outcome(sim):
     result = sim.run()
     return (
-        result.transcript,
         repr(result.records),
         json.dumps(result.metrics.to_dict()),
         repr(sim.link),
@@ -77,15 +76,15 @@ def _config(channel, mode, render_fps):
 @pytest.mark.parametrize("channel", ["lossy", "faulted", "tied"])
 def test_lazy_merge_equals_eager_schedule(channel, mode, render_fps):
     cfg = _config(channel, mode, render_fps)
-    lazy = _outcome(cfg, EventQueue)
-    eager = _outcome(cfg, EagerQueue)
-    assert lazy == eager
-    # without a transcript the ticks that send nothing are left out of the
-    # merge; records, report, link and streams stay the same
-    untranscribed = _outcome(cfg, EventQueue, transcript=False)
-    assert untranscribed[0] is None
-    assert untranscribed[1:] == eager[1:]
-    transcript = lazy[0]
+    lazy, eager = TranscriptRun(cfg), TranscriptRun(cfg)
+    eager.queue = EagerQueue()
+    outcome = _outcome(eager)
+    assert _outcome(lazy) == outcome
+    assert lazy.transcript == eager.transcript
+    # the plain run leaves the ticks that send nothing out of the merge;
+    # records, report, link and streams stay the same
+    assert _outcome(Simulator(cfg)) == outcome
+    transcript = lazy.transcript
     ticks = {t for t, kind, _ in transcript if kind in ("render", "sample")}
     on_ticks = [kind for t, kind, _ in transcript if t in ticks and kind not in ("render", "sample")]
     if channel == "tied":

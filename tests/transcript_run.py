@@ -1,0 +1,64 @@
+"""The event loop with every event on the heap, and its event transcript.
+
+``Simulator._run_events`` leaves two kinds of event off its heap: a burst
+that is the loop's next dispatch is handled by the tick that sent it, and an
+I-frame request that reaches the host before the next tick that sends is
+decided when it is sent. It merges only the ticks that send a frame.
+``TranscriptRun`` is its reference: it heaps every burst and request, merges
+every clock tick (and every render tick in ASYNC) as the eager scheduler
+did, and records each dispatch as ``(time, kind, arg)``: the tick's clock
+index, the burst's frame id, the deadline's frame id or the request.
+"""
+
+from operator import itemgetter
+
+import numpy as np
+
+from uvrpipe.core import EventQueue
+from uvrpipe.cp import WIRE_BYTES
+from uvrpipe.pipeline import Simulator
+from uvrpipe.scenario import EncodeMode
+
+
+class HeapQueue(EventQueue):
+    """An event queue that never reports an event as next, so that every
+    burst goes on the heap."""
+
+    def is_next(self, t):
+        return False
+
+
+class TranscriptRun(Simulator):
+    """A run that heaps every event and writes its transcript; it always
+    takes the event loop."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.queue = HeapQueue()
+        self.transcript = []
+
+    run = Simulator._run_events
+
+    def _ticks(self):
+        """Every clock tick, with the frame that it sends or -1, and in ASYNC
+        every render tick, which sends nothing; on a tie the render goes
+        first."""
+        grid = self._grid
+        kind = "render" if self.cfg.encode_mode is EncodeMode.SYNC else "sample"
+        frame = np.where(grid.sends, np.cumsum(grid.sends) - 1, -1).tolist()
+        ticks = [(t, (kind, i, k)) for i, (t, k) in enumerate(zip(grid.clock.tolist(), frame))]
+        if kind == "render":
+            return ticks
+        renders = [(t, ("render", i, -1)) for i, t in enumerate(grid.render.tolist())]
+        return sorted(renders + ticks, key=itemgetter(0))  # stable: renders first on a tie
+
+    def _send_cp(self, msg, t):
+        sent = self._medium.frame(1, WIRE_BYTES, t)  # a one-packet frame
+        if sent is not None:
+            self.queue.schedule(sent[0], ("cp", msg))
+
+    def _dispatch(self, t, event):
+        kind = event[0]
+        self.transcript.append((t, kind, event[1]))
+        if kind not in ("render", "sample") or event[2] >= 0:  # else a tick that sends nothing
+            super()._dispatch(t, event)
