@@ -48,13 +48,17 @@ one of two ways, with the same result:
     wait. They depend on the send grid, codec and channel, not on the
     datapath's stage constants, which only shift every time by the same
     amount: ``array_timing`` computes them once, from a fresh link and
-    decoder at the clock ticks, and shares them read-only, so an A/B suite
-    times each of its four (color space, topology) cells once and each run
-    adds its own constants. With them it keeps what every run's report takes
-    as it is: the network stage sorted once, with its distribution, and the
-    one value of the sampler and decode waits, when each has one. A run's
-    config alone picks its middle (``Simulator._draw_free``): no array step
-    can decline.
+    decoder at the clock ticks, and shares them read-only. The sizes,
+    layouts and frame types, their total and the one value of the sampler
+    wait depend on the grid and codec alone, so a color space's two
+    topologies share them (``_layout``): an A/B suite lays out each of its
+    two color spaces once, times each of its four (color space, topology)
+    cells once, and each run adds its own constants. With them a cell keeps
+    what every run's report takes as it is: the network stage sorted once,
+    with its distribution, the one value of the sampler and decode waits,
+    when each has one, and per frame the decode start minus the render time.
+    A run's config alone picks its middle (``Simulator._draw_free``): no
+    array step can decline.
   * The tail: the event loop's decode step (``Simulator._decode``; an array
     run's comes with its timing), corruption, one array step run only when
     some frame dropped, then the report (``Simulator._result``). The MUD
@@ -67,13 +71,17 @@ one of two ways, with the same result:
     (``report.build_distributions``) and formats its config when first read; a
     run shares its datapath (``stages.shared_datapath``) and builds the event
     loop's state only when the event loop runs. An array run whose timing
-    keeps its report's stages sorts nothing and counts nothing: every frame is
-    presented, the network stage is the timing's, and end-to-end, the sum of
-    the stages on every frame, reads its percentiles off the network's order
-    plus the run's constant stages. Only its mean, whose float sum depends on
-    those constants, is a pass over the run's own values. When a wait varies
-    or the network does not, the report takes the general path, as the event
-    loop's does.
+    keeps its report's stages reads its report off its cell and its own
+    constants alone, and builds its frame table only when ``frames`` or
+    ``records`` is first read. It sorts nothing and counts nothing: every
+    frame is presented, the network stage is the timing's, and end-to-end,
+    the sum of the stages on every frame, reads its percentiles off the
+    network's order plus the run's constant stages. Only its mean, whose
+    float sum depends on those constants, is a pass over values: the cell's
+    decode start minus render time plus one int, exact in int64. When a wait
+    varies or the network does not, the run builds its table first and the
+    report takes the general path, as the event loop's does. A SYNC report
+    counts its tick overruns off the grid's sorted render periods.
 
 ``tests/test_array_run.py`` keeps the event loop as the array run's
 reference (and the general report path as that of a report from the timing's
@@ -88,8 +96,8 @@ array step's.
 from __future__ import annotations
 
 from dataclasses import fields, replace
-from functools import cached_property, lru_cache
-from typing import Any, NamedTuple, Optional
+from functools import cached_property, lru_cache, partial
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -109,7 +117,6 @@ from .core import (
     Rng,
     SimTime,
     raw_frame_bytes,
-    tick_time,
 )
 from .report import FrameRecord, KnownStage, MetricsReport, build_distributions, known_stage
 from .scenario import EncodeMode, ScenarioConfig, config_values, validated, with_toggle
@@ -120,7 +127,6 @@ from .stages import (
     channel_values,
     codec_values,
     ledger_frame_copies,
-    link_fixed_overhead_us,
     shared_datapath,
 )
 
@@ -138,18 +144,36 @@ def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
     return presented & ~is_iframe & (last_drop > last_i)
 
 
+class Layout(NamedTuple):
+    """What a send grid and a codec fix for both topologies (``_layout``):
+    per frame its type on the GOP schedule, its size, fragment count and tail
+    datagram bytes; the total of the sizes, and the one value of the sampler
+    wait (clock tick minus render time), or None when it varies or no frame
+    is sent."""
+
+    frame_type: np.ndarray
+    size_bytes: np.ndarray
+    count: np.ndarray
+    tail_wire: np.ndarray
+    sent_bytes: int
+    sampler_wait: Optional[int]
+
+
 class ArrayTiming(NamedTuple):
     """A draw-free run's link and decoder timing, shifted by no datapath
-    constant (``array_timing``): per frame its type and size, its burst's
-    start and last arrival, ``net`` (last arrival minus send tick), its
-    decode start and ``queue_wait`` (decode start minus last arrival); the
-    link's totals; and what every run's report takes from it as it is.
+    constant (``array_timing``): per frame its type and size (its color
+    space's ``Layout``, shared by both topologies), its burst's start and
+    last arrival, ``net`` (last arrival minus send tick), its decode start
+    and ``queue_wait`` (decode start minus last arrival); the link's totals;
+    and what every run's report takes from it as it is.
 
-    ``stages`` is the report's sampler-wait (clock tick minus render time)
-    and decode-wait as their one value each, and its network stage (``net``
-    plus the codec and channel's ``link_fixed_overhead_us``, the datapath's
-    ``link_fixed_us``) sorted once with its distribution; None when either
-    wait varies or the network stage does not (``report.known_stage``).
+    ``stages`` is the report's sampler-wait and decode-wait as their one
+    value each, its network stage (``net`` plus the datapath's
+    ``link_fixed_us``) sorted once with its distribution, and per frame its
+    decode start minus its render time, which end-to-end is plus the run's
+    constants; None when either wait varies or the network stage does not
+    (``report.known_stage``). A run whose cell has ``stages`` reads its report
+    from them and builds its frame table only when it is read.
     """
 
     frame_type: np.ndarray
@@ -160,24 +184,24 @@ class ArrayTiming(NamedTuple):
     decode_start: np.ndarray
     queue_wait: np.ndarray
     totals: tuple[int, int, int]  # the link's busy_accum_us, sent_packets, sent_bytes
-    stages: Optional[tuple[int, KnownStage, int]]  # sampler-wait, network, decode-wait
+    # sampler-wait, network, decode-wait, decode start minus render time
+    stages: Optional[tuple[int, KnownStage, int, np.ndarray]]
     sent_bytes: int
 
 
-def array_timing(
-    cfg: ScenarioConfig, codec: CodecConfig, channel: netsim.ChannelModel
-) -> ArrayTiming:
-    """The array timing of ``cfg``'s send grid on a codec and a draw-free
-    channel (a datapath's, with its toggles applied), computed once for
-    their values and shared read-only by every run whose values agree."""
+def array_timing(cfg: ScenarioConfig, graph: DatapathGraph) -> ArrayTiming:
+    """The array timing of ``cfg``'s send grid on a datapath's codec and
+    draw-free channel (its toggles applied), computed once for their values
+    and shared read-only by every run whose values agree."""
     return _timing(
         cfg.seed,
         cfg.workload.complexity_sigma,
         cfg.render_fps,
         cfg.duration_us,
         cfg.encode_mode,
-        *codec_values(codec),
-        *channel_values(channel),
+        graph.link_fixed_us,  # a function of the codec and the channel
+        *codec_values(graph.codec),
+        *channel_values(graph.channel),
     )
 
 
@@ -196,25 +220,36 @@ def _frame_layout(is_iframe, codec: CodecConfig, complexity: np.ndarray, nominal
     return sizes, count, dpp.HEADER_LEN + tail
 
 
+# typed: 1, 1.0 and True differ; 2 holds an A/B suite's two color spaces
+@lru_cache(maxsize=2, typed=True)
+def _layout(seed, complexity_sigma, render_fps, duration_us, mode, *codec_values) -> Layout:
+    """The grid's frames on the GOP schedule, laid out by the codec."""
+    codec = CodecConfig(*codec_values)
+    grid, _ = scenario.send_grid(seed, complexity_sigma, render_fps, codec.fps, duration_us, mode)
+    is_iframe = np.zeros(len(grid.tick), dtype=bool)
+    is_iframe[:: codec.gop_size] = True
+    sizes, count, tail_wire = _frame_layout(is_iframe, codec, grid.complexity, nominal_sizes(codec))
+    frame_type = np.where(is_iframe, FrameType.I.value, FrameType.P.value)
+    for array in (frame_type, sizes, count, tail_wire):
+        array.flags.writeable = False
+    sampler_wait = _single_value(grid.tick - grid.gen) if len(sizes) else None
+    return Layout(frame_type, sizes, count, tail_wire, int(sizes.sum()), sampler_wait)
+
+
 # typed: 1, 1.0 and True differ; 4 holds an A/B suite's (color space, topology) cells
 @lru_cache(maxsize=4, typed=True)
-def _timing(seed, complexity_sigma, render_fps, duration_us, mode, *values):
+def _timing(seed, complexity_sigma, render_fps, duration_us, mode, link_fixed_us, *values):
     """A fresh link and decoder timing the grid's frames sent at their clock
     ticks; the frames follow the GOP schedule."""
     codec_at = len(fields(CodecConfig))
     codec = CodecConfig(*values[:codec_at])
     channel = netsim.ChannelModel(*values[codec_at:])
     grid, _ = scenario.send_grid(seed, complexity_sigma, render_fps, codec.fps, duration_us, mode)
-    n = len(grid.tick)
-    is_iframe = np.zeros(n, dtype=bool)
-    is_iframe[:: codec.gop_size] = True
-    sizes, count, tail_wire = _frame_layout(is_iframe, codec, grid.complexity, nominal_sizes(codec))
+    layout = _layout(seed, complexity_sigma, render_fps, duration_us, mode, *values[:codec_at])
     link = netsim.LinkState()
-    start, last = netsim.clean_run(channel, link, count, tail_wire, grid.tick)
+    start, last = netsim.clean_run(channel, link, layout.count, layout.tail_wire, grid.tick)
     decode_start = DecodeServer(codec.decode_fps_cap).offer_run(last)
     columns = dict(
-        frame_type=np.where(is_iframe, FrameType.I.value, FrameType.P.value),
-        size_bytes=sizes,
         start=start,
         last=last,
         net=last - grid.tick,
@@ -224,17 +259,20 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, mode, *values):
     for array in columns.values():
         array.flags.writeable = False
     stages = None
-    network = known_stage(columns["net"], link_fixed_overhead_us(codec, channel))
-    if network is not None:  # so some frame is sent
-        sampler_wait = _single_value(grid.tick - grid.gen)
+    network = known_stage(columns["net"], link_fixed_us)
+    if network is not None and layout.sampler_wait is not None:  # so some frame is sent
         decode_wait = _single_value(columns["queue_wait"])
-        if sampler_wait is not None and decode_wait is not None:
-            stages = sampler_wait, network, decode_wait
+        if decode_wait is not None:
+            to_decode = decode_start - grid.gen
+            to_decode.flags.writeable = False
+            stages = layout.sampler_wait, network, decode_wait, to_decode
     return ArrayTiming(
+        frame_type=layout.frame_type,
+        size_bytes=layout.size_bytes,
         **columns,
         totals=(link.busy_accum_us, link.sent_packets, link.sent_bytes),
         stages=stages,
-        sent_bytes=int(sizes.sum()),
+        sent_bytes=layout.sent_bytes,
     )
 
 
@@ -243,14 +281,29 @@ class SimResult:
 
     ``frames`` holds one array per ``FrameRecord`` field, indexed by frame
     id; ``records`` is its read view as ``FrameRecord``s, built when first
-    read. The columns that an array run takes as they are from a cache
+    read. An array run whose timing keeps its report's stages builds
+    ``frames`` itself when it is first read, and every other run before its
+    report. The columns that an array run takes as they are from a cache
     (``send_grid``, ``array_timing``) are read-only.
     """
 
-    def __init__(self, metrics: MetricsReport, frames: dict[str, np.ndarray], graph: DatapathGraph):
+    def __init__(
+        self,
+        metrics: MetricsReport,
+        frames: Union[dict[str, np.ndarray], Callable[[], dict[str, np.ndarray]]],
+        graph: DatapathGraph,
+    ):
+        """``frames`` is the frame table, or the function that builds it."""
         self.metrics = metrics
-        self.frames = frames
         self.graph = graph
+        if callable(frames):
+            self._build_frames = frames
+        else:
+            self.frames = frames  # the instance's own, so the property never runs
+
+    @cached_property
+    def frames(self) -> dict[str, np.ndarray]:
+        return self._build_frames()
 
     @cached_property
     def records(self) -> list[FrameRecord]:
@@ -466,7 +519,9 @@ class Simulator:
         constants: a frame's wire request is its clock tick plus ``shift =
         encode_path_us + host_netstack_us``, and its decode arrival its last
         arrival plus ``link_fixed_us``. The shift is exact on a fresh link
-        and decoder, and a ``Simulator`` runs once, on the link it builds:
+        and decoder, and a ``Simulator`` runs once, on the link it builds.
+        When the timing keeps the report's stages, the report reads them and
+        the frame table is built when it is first read (``SimResult``):
 
           * Link. With ``busy_until = last_arrival = 0`` and requests >= 0,
             ``clean_run``'s running maximum never takes ``busy_until``, so a
@@ -480,15 +535,23 @@ class Simulator:
             (``scenario.time_bound``), so no shifted array wraps.
         """
         g, link = self.graph, self.link
-        timing = array_timing(self.cfg, self.codec_cfg, self.channel)
-        n = len(timing.last)
+        timing = array_timing(self.cfg, g)
         shift = g.encode_path_us + g.host_netstack_us
         link.busy_accum_us, link.sent_packets, link.sent_bytes = timing.totals
-        if n:  # a run that sends nothing leaves the link as it was
+        if len(timing.last):  # a run that sends nothing leaves the link as it was
             link.last_arrival = int(timing.last[-1]) + shift
             link.busy_until = link.last_arrival - self.channel.prop_delay_us  # the last busy end
+        table = partial(self._array_frames, timing, shift)
+        if timing.stages is None:
+            return self._result(table())
+        return SimResult(self._metrics(timing=timing), table, g)
+
+    def _array_frames(self, timing: ArrayTiming, shift: SimTime) -> dict[str, np.ndarray]:
+        """The array run's frame table: its timing shifted by ``shift`` on
+        the wire and by ``link_fixed_us`` more at the decoder."""
+        g = self.graph
         decode_start = timing.decode_start + (shift + g.link_fixed_us)
-        zeros = np.zeros(n, dtype=bool)
+        zeros = np.zeros(len(timing.last), dtype=bool)
         frames = self._frames()
         frames.update(
             frame_type=timing.frame_type,
@@ -503,7 +566,7 @@ class Simulator:
             queue_wait_us=timing.queue_wait,
             net_us=timing.net + g.link_fixed_us,
         )
-        return self._result(frames, timing)
+        return frames
 
     # --- the tail ----------------------------------------------------------
 
@@ -517,32 +580,33 @@ class Simulator:
         frames["decode_start_us"][done] = starts
         frames["presented_us"][done] = starts + (g.mud_service_us + g.residual_us)
 
-    def _result(
-        self, frames: dict[str, np.ndarray], timing: Optional[ArrayTiming] = None
-    ) -> SimResult:
-        """Corruption, when some frame dropped, and the report of the frame
-        table; ``timing`` is an array run's."""
+    def _result(self, frames: dict[str, np.ndarray]) -> SimResult:
+        """Corruption, when some frame dropped, and the report of the frame table."""
         if frames["dropped"].any():
             frames["corrupted"] = _corrupted(frames)
-        return SimResult(self._metrics(frames, timing), frames, self.graph)
+        return SimResult(self._metrics(frames), frames, self.graph)
 
     def _metrics(
-        self, col: dict[str, np.ndarray], timing: Optional[ArrayTiming] = None
+        self, col: Optional[dict[str, np.ndarray]] = None, timing: Optional[ArrayTiming] = None
     ) -> MetricsReport:
-        """The run's report from its frame table. An array run presents every
-        frame; when its timing knows the report's ``stages``, only the
-        network stage varies, and its order and distribution are the
-        timing's, so the report sorts nothing."""
+        """The run's report from its frame table ``col``, or from ``timing``,
+        an array run's, when it keeps the report's stages. Such a run presents
+        every frame and only its network stage varies, whose order and
+        distribution are the timing's; end-to-end is the timing's decode
+        start minus render time plus the run's constants. So the report
+        sorts nothing and reads no frame table."""
         cfg = self.cfg
         g = self.graph
-        sent = len(col["size_bytes"])
-        if timing is not None and timing.stages is not None:
+        if col is None:
+            sampler_wait, network, decode_wait, to_decode = timing.stages
+            sent = len(to_decode)
             n_presented, dropped, unresolved, corrupted = sent, 0, 0, 0
-            sampler_wait, network, decode_wait = timing.stages
             has_sampler_wait = sampler_wait != 0
-            e2e = col["presented_us"] - col["gen_us"]
+            to_wire = g.encode_path_us + g.host_netstack_us
+            e2e = to_decode + (to_wire + g.link_fixed_us + g.mud_service_us + g.residual_us)
             sent_bytes = timing.sent_bytes
         else:
+            sent = len(col["size_bytes"])
             shown = col["presented_us"] >= 0
             n_presented = int(np.count_nonzero(shown))
             dropped = int(np.count_nonzero(col["dropped"]))
@@ -624,13 +688,13 @@ class Simulator:
         if cfg.encode_mode is EncodeMode.SYNC:
             # every encode task takes the datapath's encode-path time
             mean_task = g.encode_path_us if sent else 0.0
-            # rendering plus encoding overruns the period of a tick that sends
-            source = self._grid.source
-            period = tick_time(source + 1, cfg.render_fps) - self._grid.gen
+            # rendering plus encoding overruns the period of a tick that
+            # sends: the periods below it, which the grid keeps sorted
+            overruns = np.searchsorted(self._grid.period, cfg.render_work_us + g.encode_path_us)
             sync = {
                 "task_time_mean_ms": round(mean_task / 1000.0, 4),
                 "render_work_ms": round(cfg.render_work_us / 1000.0, 4),
-                "tick_overruns": int((cfg.render_work_us + g.encode_path_us > period).sum()),
+                "tick_overruns": int(overruns),
             }
         return MetricsReport(
             seed=cfg.seed,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dpp
 from .codec import CodecConfig, FrameType, encoded_size
-from .core import US_PER_S, Rng, SimTime, WorkloadConfig, frame_ticks
+from .core import US_PER_S, Rng, SimTime, WorkloadConfig, frame_ticks, tick_time
 from .cp import DEFAULT_SUPPRESSION_WINDOW_US
 from .netsim import ChannelModel, serialization_us
 from .stages import MAX_STAGES_US, TOGGLE_NAMES, OptimizationToggles, codec_values
@@ -168,7 +168,10 @@ def key_error(key: str, value: Any) -> Optional[str]:
 class SendGrid(NamedTuple):
     """The render ticks, the encoder's clock ticks, which clock ticks send a
     frame, and per frame the render tick that it encodes, that tick's
-    complexity, the frame's id, its render time and its clock tick."""
+    complexity, the frame's id, its render time and its clock tick; in SYNC,
+    also each frame's render period (its tick to the next render tick), in
+    ascending order, which a SYNC report counts its overruns in (empty in
+    ASYNC)."""
 
     render: np.ndarray
     clock: np.ndarray
@@ -178,6 +181,7 @@ class SendGrid(NamedTuple):
     frame_id: np.ndarray
     gen: np.ndarray
     tick: np.ndarray
+    period: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -192,9 +196,10 @@ def send_grid(
     """The send grid: the render ticks, the encoder's clock ticks (the render
     grid in SYNC, the sample grid at the codec's ``fps`` in ASYNC), which
     clock ticks send a frame, and per frame the render tick that it encodes
-    and that tick's complexity. Every render tick's complexity is one batched
-    draw from the seed's workload stream, whose state after the draw comes
-    with the grid; past the float range a complexity is inf.
+    and that tick's complexity; in SYNC also the sent frames' render periods,
+    sorted once for every run's report. Every render tick's complexity is one
+    batched draw from the seed's workload stream, whose state after the draw
+    comes with the grid; past the float range a complexity is inf.
 
     The arrays are read-only, since validation, the run that follows it and
     consecutive runs of one seed and clocks, such as an A/B suite's, share
@@ -210,14 +215,21 @@ def send_grid(
         clock, latest = render, np.arange(len(render))
         sends = latest * fps // render_fps != (latest + 1) * fps // render_fps
     else:
-        # the latest render at or before each sample; on a tie the render runs first
+        # the latest render at or before each sample; on a tie the render
+        # runs first. ``tick_time(i, r) <= t`` exactly when ``2*10**6*i <
+        # r*(2t+1)``, and ``r*t`` stays below 2**41 (``MAX_TICKS``)
         clock = frame_ticks(fps, duration_us)
-        latest = np.searchsorted(render, clock, side="right") - 1
+        latest = (render_fps * (2 * clock + 1) - 1) // (2 * US_PER_S)
         sends = np.diff(latest, prepend=-1) > 0
     source = latest[sends]
     frame_id = np.arange(len(source))
+    gen = render[source]
+    if encode_mode is EncodeMode.SYNC:
+        period = np.sort(tick_time(source + 1, render_fps) - gen)
+    else:
+        period = source[:0]  # only a SYNC report reads them
     grid = SendGrid(
-        render, clock, sends, source, complexity[source], frame_id, render[source], clock[sends]
+        render, clock, sends, source, complexity[source], frame_id, gen, clock[sends], period
     )
     for array in grid:
         array.flags.writeable = False

@@ -12,7 +12,8 @@ constants. A run whose timing comes from the cache must equal one that
 computes it afresh. Its report reads what the timing cell fixes (the
 network stage's order and distribution, the single sampler and decode
 waits), and must equal the general report over the same frame table and the
-event loop's, key order included.
+event loop's, key order included. Such a run builds its frame table only when
+it is read, and the table it builds must equal the event loop's.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from uvrpipe.dpp import MAX_FRAGS, fragment_layout
 from uvrpipe.netsim import LossModel
 from uvrpipe.pipeline import Simulator
 from uvrpipe.scenario import EncodeMode, ScenarioConfig, ScenarioError, preset_config
-from uvrpipe.stages import OptimizationToggles
+from uvrpipe.stages import OptimizationToggles, codec_values
 
 TOGGLE_SETS = list(itertools.product((False, True), repeat=5))
 
@@ -218,7 +219,7 @@ def _p2p_config(prop_delay_us, slow=False):
 def _p2p_timing(prop_delay_us, slow=False):
     cfg = _p2p_config(prop_delay_us, slow)
     sim = Simulator(cfg)
-    return cfg, sim, pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
+    return cfg, sim, pipeline.array_timing(cfg, sim.graph)
 
 
 def test_a_delay_past_the_link_horizon_fails_validation():
@@ -334,8 +335,22 @@ def test_the_suite_has_four_timing_cells():
     cells = {(c.toggles.transcode_avoidance, c.toggles.p2p_topology) for c in SUITE}
     assert len(cells) == 4
     pipeline._timing.cache_clear()
-    pipeline.ab_suite(_baseline_42())
+    pipeline._layout.cache_clear()
+    results, run_scenario = [], pipeline.run_scenario
+
+    def record(cfg):
+        results.append(run_scenario(cfg))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "run_scenario", record)
+        pipeline.ab_suite(_baseline_42())
     assert pipeline._timing.cache_info().misses == 4
+    # the two topologies of a color space share its sizes and layout
+    assert pipeline._layout.cache_info().misses == 2
+    # every run reads its report off its cell: none builds a frame table
+    assert len(results) == 14
+    assert not any("frames" in vars(result) for result in results)
 
 
 @pytest.mark.parametrize("index", range(len(SUITE)))
@@ -360,17 +375,76 @@ def test_edge_runs_with_shared_timing_equal_fresh_ones(cfg):
 
 
 def test_cached_timing_is_read_only():
-    cfg = _baseline_42()
+    for mode in EncodeMode:
+        _assert_read_only(replace(_baseline_42(), encode_mode=mode))
+
+
+def _assert_read_only(cfg):
+    """Every array that ``cfg``'s run shares through a cache is read-only."""
+    pipeline._timing.cache_clear()
+    pipeline._layout.cache_clear()
     sim = Simulator(cfg)
-    timing = pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
-    sampler_wait, network, decode_wait = timing.stages
+    timing = pipeline.array_timing(cfg, sim.graph)
+    sampler_wait, network, decode_wait, to_decode = timing.stages
     # single values as Python ints, which build_distributions takes as constants
     assert type(sampler_wait) is int and type(decode_wait) is int
-    arrays = [value for value in timing if isinstance(value, np.ndarray)]
-    assert len(arrays) == 7
-    for array in arrays + [network.ordered]:
-        with pytest.raises(ValueError):
-            array[0] = array[1]
+    grid = sim._grid
+    layout = pipeline._layout(
+        cfg.seed,
+        cfg.workload.complexity_sigma,
+        cfg.render_fps,
+        cfg.duration_us,
+        cfg.encode_mode,
+        *codec_values(sim.graph.codec),
+    )
+    arrays = {
+        "timing": [value for value in timing if isinstance(value, np.ndarray)],
+        "layout": [value for value in layout if isinstance(value, np.ndarray)],
+        "grid": list(grid),
+        "stages": [network.ordered, to_decode],
+    }
+    assert [len(group) for group in arrays.values()] == [7, 4, 9, 2]
+    # the timing shares its color space's layout
+    assert timing.frame_type is layout.frame_type and timing.size_bytes is layout.size_bytes
+    assert len(grid.period) == (len(grid.tick) if cfg.encode_mode is EncodeMode.SYNC else 0)
+    for array in itertools.chain(*arrays.values()):
+        assert not array.flags.writeable
+        if len(array) > 1:
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
+
+@pytest.mark.parametrize("index", range(len(SUITE)))
+def test_a_frame_table_built_on_read_equals_the_eager_one(index):
+    # a suite run's report builds no frame table; read, the table equals the
+    # one that the array run builds before its report when its cell keeps no
+    # stages, and the event loop's, column by column with dtypes
+    cfg = SUITE[index]
+    result = Simulator(cfg).run()
+    assert "frames" not in vars(result)
+    records = result.records  # built from the table, which it builds
+    assert "frames" in vars(result) and result.frames is result.frames
+    sim = Simulator(cfg)
+    timing = pipeline.array_timing(cfg, sim.graph)
+    eager = sim._array_frames(timing, sim.graph.encode_path_us + sim.graph.host_netstack_us)
+    events = Simulator(cfg)._run_events()
+    assert list(result.frames) == list(eager)
+    for table in (eager, events.frames):
+        assert result.frames.keys() == table.keys()
+        for name, column in table.items():
+            assert result.frames[name].dtype == column.dtype, name
+            assert result.frames[name].tolist() == column.tolist(), name
+    assert repr(records) == repr(events.records)
+
+
+def test_a_cell_without_stages_builds_its_frame_table_before_its_report():
+    cfg = _decoder_waits(EncodeMode.ASYNC)
+    sim = Simulator(cfg)
+    assert pipeline.array_timing(cfg, sim.graph).stages is None
+    result = sim.run()
+    assert "frames" in vars(result)
+    events = Simulator(cfg)._run_events()
+    assert json.dumps(result.metrics.to_dict()) == json.dumps(events.metrics.to_dict())
 
 
 # --- the report of an array run reads its timing cell's statistics ----------
@@ -383,7 +457,7 @@ def _three_reports(cfg):
     the cell had the statistics."""
     sim = Simulator(cfg)
     result = _arrays(sim)
-    timing = pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
+    timing = pipeline.array_timing(cfg, sim.graph)
     general = sim._metrics(result.frames)  # given no timing: the general path
     events = Simulator(cfg)._run_events().metrics
     reports = [json.dumps(m.to_dict()) for m in (result.metrics, general, events)]
@@ -464,7 +538,7 @@ def test_the_explicit_cases_reach_their_edges():
     def parts(case):
         cfg = _space_config(STATISTICS_CASES[case][0])
         sim = Simulator(cfg)
-        return sim, pipeline.array_timing(cfg, sim.codec_cfg, sim.channel)
+        return sim, pipeline.array_timing(cfg, sim.graph)
 
     sim, timing = parts("baseline")
     assert sim.graph.link_fixed_us > 0

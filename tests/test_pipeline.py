@@ -11,7 +11,7 @@ from test_golden import RUNS, _ge_fault
 from transcript_run import TranscriptRun
 
 from uvrpipe import netsim, pipeline, stages
-from uvrpipe.core import Rng
+from uvrpipe.core import Rng, tick_time
 from uvrpipe.experiments import recovery_config, recovery_trial
 from uvrpipe.pipeline import Simulator, _corrupted, ab_runs, run_scenario
 from uvrpipe.report import FrameRecord, report_file_dict
@@ -114,6 +114,47 @@ def test_sync_mode_budget_accounting():
     base.encode_mode = EncodeMode.SYNC
     mb = run_scenario(base).metrics
     assert mb.sync["tick_overruns"] > 0  # baseline task does not fit the tick
+
+
+def _sync_overruns(render_fps, render_work_us, toggles=OptimizationToggles.all_on(), seconds=1.0):
+    """A SYNC run's ``tick_overruns``, and the count of its sent frames whose
+    render period is shorter than rendering plus encoding."""
+    cfg = _short(seconds=seconds, render_fps=render_fps, render_work_us=render_work_us)
+    cfg.encode_mode = EncodeMode.SYNC
+    cfg.toggles = toggles
+    sim = Simulator(cfg)
+    overruns = sim.run().metrics.sync["tick_overruns"]
+    grid, task = sim._grid, render_work_us + sim.graph.encode_path_us
+    period = tick_time(grid.source + 1, render_fps) - grid.gen
+    return overruns, int((task > period).sum())
+
+
+@pytest.mark.parametrize("render_fps", [60, 90, 120])
+@pytest.mark.parametrize("past", [-1, 0, 1])
+def test_tick_overruns_at_the_edge_of_a_period(render_fps, past):
+    # at 90 FPS the periods are 11,111 and 11,112 us: a task of exactly one
+    # of them fits it, 1 us more overruns it
+    cfg = replace(_short(), toggles=OptimizationToggles.all_on())
+    encode_path_us = Simulator(cfg).graph.encode_path_us
+    shortest = 1_000_000 // render_fps  # a grid's periods: 10**6 / fps rounded down or up
+    overruns, want = _sync_overruns(render_fps, shortest - encode_path_us + past)
+    assert overruns == want
+    assert (overruns > 0) == (past > 0)
+
+
+@settings(max_examples=60)
+@given(
+    render_fps=st.integers(1, 240),
+    render_work_us=st.integers(0, 1_100_000),
+    toggles=st.sampled_from(list(itertools.product((False, True), repeat=5))),
+    seconds=st.floats(0.01, 3.0),
+)
+def test_tick_overruns_count_the_periods_that_the_task_overruns(
+    render_fps, render_work_us, toggles, seconds
+):
+    toggles = OptimizationToggles(*toggles)
+    overruns, want = _sync_overruns(render_fps, render_work_us, toggles, seconds)
+    assert overruns == want
 
 
 def test_injected_drop_recovers_with_feedback():
@@ -311,8 +352,10 @@ def test_runs_of_one_seed_and_clocks_share_a_read_only_grid():
     assert _grid_state(first) == _grid_state(second)
     assert all(a is b for a, b in zip(first._grid, second._grid))
     for array in second._grid:
-        with pytest.raises(ValueError):
-            array[0] = array[1]
+        assert not array.flags.writeable
+        if len(array) > 1:  # an ASYNC grid keeps no render periods
+            with pytest.raises(ValueError):
+                array[0] = array[1]
 
 
 def _changed(cfg, field):

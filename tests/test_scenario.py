@@ -3,8 +3,12 @@ import warnings
 from dataclasses import asdict
 from operator import attrgetter
 
+import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
+from uvrpipe.core import US_PER_S, frame_ticks
 from uvrpipe.netsim import LossModel
 from uvrpipe.scenario import (
     KEYS,
@@ -231,6 +235,36 @@ def test_a_run_of_more_ticks_than_the_limit_is_rejected(key):
     errors = _with(key, str(MAX_TICKS)).validate()
     assert errors == [f"a run's clocks could tick {MAX_TICKS + 1} times, past the limit of {MAX_TICKS}"]
     assert send_grid.cache_info().misses == misses  # rejected before any draw
+
+
+@settings(max_examples=300)
+@given(
+    render_fps=st.integers(1, 240),
+    fps=st.integers(1, 240),
+    duration_us=st.integers(1, 3_000_000),
+)
+@example(render_fps=90, fps=60, duration_us=1_234_567)
+@example(render_fps=60, fps=60, duration_us=2_000_001)
+@example(render_fps=24, fps=60, duration_us=999_999)
+@example(render_fps=240, fps=1, duration_us=2_500_001)
+@example(render_fps=1, fps=240, duration_us=2_500_001)
+@example(render_fps=7, fps=11, duration_us=1)
+# sample 3 at 1,562 us is 0.5 us before render 1's exact time, which rounds up
+# to 1,563: the one case where the closed form's ``- 1`` decides
+@example(render_fps=640, fps=1921, duration_us=2_000)
+def test_the_latest_render_at_each_sample_is_its_closed_form(render_fps, fps, duration_us):
+    # ASYNC: each sample encodes the latest render at or before it, found
+    # with ``(r*(2t+1) - 1) // (2*10**6)`` in place of a binary search
+    event("render " + ("faster" if render_fps > fps else "slower" if render_fps < fps else "equal"))
+    if duration_us * render_fps % US_PER_S and duration_us * fps % US_PER_S:
+        event("duration a multiple of neither period")
+    grid, _ = send_grid(5, 0.0, render_fps, fps, duration_us, EncodeMode.ASYNC)
+    render, clock = frame_ticks(render_fps, duration_us), frame_ticks(fps, duration_us)
+    latest = np.searchsorted(render, clock, side="right") - 1
+    assert grid.render.tolist() == render.tolist() and grid.clock.tolist() == clock.tolist()
+    # the grid keeps the latest render of the samples that send: those where it changes
+    assert grid.sends.tolist() == (np.diff(latest, prepend=-1) > 0).tolist()
+    assert grid.source[np.cumsum(grid.sends) - 1].tolist() == latest.tolist()
 
 
 def _sigma_3():
