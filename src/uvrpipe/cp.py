@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 from . import dpp
 from .core import SimTime
@@ -71,41 +71,36 @@ class MudFeedbackState:
     requests_sent: int = 0
 
 
+def mud_on_complete(
+    state: MudFeedbackState, frame_id: int, is_iframe: bool, now: SimTime
+) -> Optional[CpMessage]:
+    """Receiver reaction to a complete frame: an I-frame ends recovery, and
+    any other frame in recovery repeats the I-frame request."""
+    state.last_received_frame_id = frame_id
+    if is_iframe:
+        state.mode = MudMode.NORMAL
+    elif state.mode is MudMode.RECOVERY:
+        state.requests_sent += 1
+        return CpMessage(SUB_IFRAME_REQUEST, state.dropped_frame_id, frame_id, now)
+    return None
+
+
+def mud_on_drop(state: MudFeedbackState, frame_id: int, now: SimTime) -> CpMessage:
+    """Receiver reaction to a dropped frame: enter recovery and request an I-frame."""
+    state.mode = MudMode.RECOVERY
+    state.dropped_frame_id = frame_id
+    state.requests_sent += 1
+    return CpMessage(SUB_IFRAME_REQUEST, frame_id, state.last_received_frame_id, now)
+
+
 def mud_on_frame_event(
     state: MudFeedbackState, ev: Union[dpp.FrameComplete, dpp.FrameDropped], now: SimTime
 ) -> list[CpMessage]:
-    """Receiver reaction to a resolved frame.
-
-    A drop enters recovery and requests an I-frame; every further received
-    frame repeats the request until a complete I-frame arrives.
-    """
-    messages: list[CpMessage] = []
+    """Receiver reaction to a resolved frame, as the messages it sends."""
     if isinstance(ev, dpp.FrameDropped):
-        state.mode = MudMode.RECOVERY
-        state.dropped_frame_id = ev.frame_id
-        messages.append(
-            CpMessage(
-                subtype=SUB_IFRAME_REQUEST,
-                dropped_frame_id=ev.frame_id,
-                last_received_frame_id=state.last_received_frame_id,
-                send_time=now,
-            )
-        )
-    else:
-        state.last_received_frame_id = ev.frame_id
-        if ev.is_iframe:
-            state.mode = MudMode.NORMAL
-        elif state.mode is MudMode.RECOVERY:
-            messages.append(
-                CpMessage(
-                    subtype=SUB_IFRAME_REQUEST,
-                    dropped_frame_id=state.dropped_frame_id,
-                    last_received_frame_id=ev.frame_id,
-                    send_time=now,
-                )
-            )
-    state.requests_sent += len(messages)
-    return messages
+        return [mud_on_drop(state, ev.frame_id, now)]
+    msg = mud_on_complete(state, ev.frame_id, ev.is_iframe, now)
+    return [] if msg is None else [msg]
 
 
 class HostDecision(Enum):

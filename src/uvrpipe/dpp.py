@@ -13,8 +13,8 @@ flags bit0 marks an I-frame fragment, bit1 a forced I-frame.
 datagrams with it, gathered from their packed headers and views of the frame,
 and ``parse_header`` checks a datagram in place in a reused receive buffer.
 Control messages (``cp``) are packed and checked through the same two.
-``Reassembler`` takes either a run of parsed datagrams of one frame
-(``on_fragments``) or a simulated frame's burst (``on_frame``).
+``Reassembler`` takes a run of parsed datagrams of one frame
+(``on_fragments``).
 
 On Linux, ``send_frame`` hands the kernel up to ``TRAIN`` datagrams per
 ``sendmsg`` through UDP segmentation offload (udp(7), ``UDP_SEGMENT``): the
@@ -47,6 +47,9 @@ MTU = MAX_PACKET_BYTES
 PAYLOAD_CAP = MTU - HEADER_LEN  # 2281
 MAX_FRAGS = 0xFFFF
 DROP_DEADLINE_US = 33_334  # two 60-FPS frame periods
+# the longest jump in frame ids whose skipped frames a receiver registers as
+# pending; a longer one is ignored rather than allocated for
+GAP_LIMIT = 1024
 
 # udp(7): a send whose ancillary data carries (SOL_UDP, UDP_SEGMENT, size)
 # leaves as datagrams of ``size`` bytes, the last one shorter. Linux only;
@@ -228,7 +231,6 @@ class _PendingFrame:
         "forced",
         "gen_timestamp_us",
         "chunks",
-        "reported_deadline",
     )
 
     def __init__(self, anchor: SimTime):
@@ -242,7 +244,6 @@ class _PendingFrame:
         self.gen_timestamp_us = 0
         # each run's bytes, by the index of its first fragment
         self.chunks: Optional[dict[int, bytes]] = None
-        self.reported_deadline: Optional[SimTime] = None  # last one pending_deadlines gave
 
 
 class Reassembler:
@@ -254,12 +255,10 @@ class Reassembler:
     own fragments ever arrived) expires - either observed directly via
     ``expire`` or implied by a fragment of a newer frame arriving later.
 
-    Fragments come in through one of two entries over the same pending-frame
-    state. The runner hands ``on_fragments`` a run of datagrams of one frame
-    with consecutive fragment indices, read together (one datagram is a run
-    of one), and the frame's bytes are joined when it completes. The
-    simulator hands ``on_frame`` one frame's burst as
-    ``netsim.Medium.frame`` sums it up, and carries no payload.
+    It is the runner's wire receiver: ``on_fragments`` takes a run of
+    datagrams of one frame with consecutive fragment indices, read together
+    (one datagram is a run of one), and the frame's bytes are joined when it
+    completes.
     """
 
     def __init__(self, drop_deadline_us: int):
@@ -303,7 +302,7 @@ class Reassembler:
             # frames skipped entirely start their deadline at discovery time
             if self.highest_seen is not None:
                 gap = (frame_id - self.highest_seen) & 0xFFFFFFFF
-                if gap <= 1024:  # ignore absurd jumps rather than allocate for them
+                if gap <= GAP_LIMIT:
                     fid = (self.highest_seen + 1) & 0xFFFFFFFF
                     while seq_newer(frame_id, fid):
                         if fid not in self._resolved and fid not in self._pending:
@@ -348,50 +347,6 @@ class Reassembler:
             )
             if ingested is not None:
                 events.append(ingested)
-        return events
-
-    def on_frame(
-        self,
-        first: SimTime,
-        last: SimTime,
-        delivered: int,
-        frame_id: int,
-        frag_count: int,
-        is_iframe: bool,
-        forced: bool,
-        gen_timestamp_us: int,
-    ) -> list[ReassemblyEvent]:
-        """Ingest one frame's burst in O(1), as ``netsim.Medium.frame``
-        returns it: its first and last arrival and how many of its
-        ``frag_count`` fragments arrived. The drop sweep runs once, at
-        ``first``. A whole frame completes; a partial one turns pending, its
-        deadline anchored at ``first``, as its first fragment would leave it.
-        A frame id goes on the air once in the simulator, so nothing completes it.
-
-        A whole frame that follows ``highest_seen`` with nothing pending
-        resolves in one step: it opens no gap, and the sweep has nothing to
-        drop. That sweep would leave the anchor floor at inf, or as it was
-        when it stops early; this step sets inf, the exact bound when nothing
-        is pending.
-        """
-        highest = self.highest_seen
-        if (
-            delivered == frag_count
-            and not self._pending
-            and highest is not None
-            and frame_id == (highest + 1) & 0xFFFFFFFF
-            and frame_id not in self._resolved
-        ):
-            self.highest_seen = frame_id
-            self._anchor_floor = math.inf
-            self._resolve(frame_id)
-            return [FrameComplete(frame_id, is_iframe, forced, gen_timestamp_us, first, last)]
-        events: list[ReassemblyEvent] = list(self._note_frame(first, frame_id))
-        if delivered < frag_count:
-            self._ingest(first, frame_id, 0, frag_count, is_iframe, forced, gen_timestamp_us, None)
-        elif frame_id not in self._resolved:
-            self._resolve(frame_id)
-            events.append(FrameComplete(frame_id, is_iframe, forced, gen_timestamp_us, first, last))
         return events
 
     def _ingest(
@@ -516,25 +471,6 @@ class Reassembler:
     def expire(self, now: SimTime) -> list[FrameDropped]:
         """Resolve every pending frame whose deadline has passed."""
         return self._sweep(now, None)
-
-    @property
-    def has_pending(self) -> bool:
-        """Whether some frame is pending: seen, but neither complete nor dropped."""
-        return bool(self._pending)
-
-    def pending_deadlines(self) -> list[tuple[int, SimTime]]:
-        """(frame id, deadline) of each pending frame not returned by an earlier call.
-
-        A frame's deadline moves once, when its first fragment arrives after
-        it was discovered through a newer frame; the moved deadline is new.
-        """
-        fresh = []
-        for fid, pend in self._pending.items():
-            deadline = pend.deadline_anchor + self.drop_deadline_us
-            if deadline != pend.reported_deadline:
-                pend.reported_deadline = deadline
-                fresh.append((fid, deadline))
-        return fresh
 
 
 # --- host-side copy accounting -------------------------------------------

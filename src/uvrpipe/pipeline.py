@@ -23,9 +23,23 @@ one of two ways, with the same result:
     tick goes before a heap event at its time, as when every tick was
     scheduled up front. A frame's size and fragment layout come from two
     whole-run arrays, one per frame type; its burst is drawn, then timed
-    (``netsim.Medium.frame``), and the reassembler takes its result as it is
-    (``Reassembler.on_frame``). Outcomes go into one Python list per column,
-    made arrays once at the end. The heap keeps only what can interleave:
+    (``netsim.Medium.frame``). Outcomes go into one Python list per column,
+    made arrays once at the end.
+
+    The receiver (``Simulator._handle_burst``) keeps no stream buffer: it
+    presents a frame that arrived whole and drops any other at its deadline.
+    Every frame goes on the air once, the final hop is FIFO and a tie
+    dispatches in scheduling order, so bursts reach it in frame-id order and
+    a pending frame never completes. It keeps the newest frame id that
+    delivered a fragment and the pending frames' (id, deadline anchor) in id
+    order, with anchors that never decrease: a partial frame's is its first
+    arrival, and the frames that a burst skips (at most ``dpp.GAP_LIMIT``
+    ids past the newest; none before the first arrival) take that burst's.
+    So the frames past their deadline are a prefix: a burst drops it at its
+    first arrival, then presents its frame or makes it pending, and a
+    deadline event, one per newly pending frame, drops it at its own time.
+    A frame that no later burst follows stays unresolved. The heap keeps
+    only what can interleave:
 
       - A burst whose last arrival comes strictly before the next tick that
         sends and strictly before every heap event is the loop's next
@@ -49,14 +63,15 @@ one of two ways, with the same result:
     datapath's stage constants, which only shift every time by the same
     amount: ``array_timing`` computes them once, from a fresh link and
     decoder at the clock ticks, and shares them read-only. The sizes,
-    layouts and frame types, their total and the one value of the sampler
-    wait depend on the grid and codec alone, so a color space's two
+    layouts and frame types, their total and whether any frame waits for
+    the sampler depend on the grid and codec alone, so a color space's two
     topologies share them (``_layout``): an A/B suite lays out each of its
     two color spaces once, times each of its four (color space, topology)
     cells once, and each run adds its own constants. With them a cell keeps
     what every run's report takes as it is: the network stage sorted once,
-    with its distribution, the one value of the sampler and decode waits,
-    when each has one, and per frame the decode start minus the render time.
+    with its distribution, the one value of the decode wait, and per frame
+    the decode start minus the render time, when no frame waits for the
+    sampler and the decode wait has one value.
     A run's config alone picks its middle (``Simulator._draw_free``): no
     array step can decline.
   * The tail: the event loop's decode step (``Simulator._decode``; an array
@@ -78,16 +93,19 @@ one of two ways, with the same result:
     the sum of the stages on every frame, reads its percentiles off the
     network's order plus the run's constant stages. Only its mean, whose
     float sum depends on those constants, is a pass over values: the cell's
-    decode start minus render time plus one int, exact in int64. When a wait
-    varies or the network does not, the run builds its table first and the
-    report takes the general path, as the event loop's does. A SYNC report
-    counts its tick overruns off the grid's sorted render periods.
+    decode start minus render time plus one int, exact in int64. When some
+    frame waits for the sampler, the decode wait varies or the network does
+    not, the run builds its table first and the report takes the general
+    path, as the event loop's does. A SYNC report counts its tick overruns
+    off the grid's sorted render periods.
 
 ``tests/test_array_run.py`` keeps the event loop as the array run's
 reference (and the general report path as that of a report from the timing's
 stages), ``tests/test_tick_merge.py`` keeps the eager tick schedule as the
 lazy merge's, ``tests/test_inline_events.py`` the run that heaps every event
 (``tests/transcript_run.py``) as the event loop's,
+``tests/test_in_order_receiver.py`` the run whose receiver is a
+``dpp.Reassembler`` (``tests/reassembler_run.py``) as the receiver's,
 ``tests/test_decode_tail.py`` the decoder inside the loop as the decode
 step's, and ``tests/test_pipeline.py`` the per-frame corruption loop as the
 array step's.
@@ -95,6 +113,7 @@ array step's.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import fields, replace
 from functools import cached_property, lru_cache, partial
 from typing import Any, Callable, NamedTuple, Optional, Union
@@ -147,16 +166,17 @@ def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
 class Layout(NamedTuple):
     """What a send grid and a codec fix for both topologies (``_layout``):
     per frame its type on the GOP schedule, its size, fragment count and tail
-    datagram bytes; the total of the sizes, and the one value of the sampler
-    wait (clock tick minus render time), or None when it varies or no frame
-    is sent."""
+    datagram bytes; the total of the sizes, and whether every frame is sent
+    at its render time (clock tick equals render time), so that no frame
+    waits for the sampler. Frame 0 is sent at clock tick 0 and encodes render
+    0, so a sampler wait that takes one value is 0."""
 
     frame_type: np.ndarray
     size_bytes: np.ndarray
     count: np.ndarray
     tail_wire: np.ndarray
     sent_bytes: int
-    sampler_wait: Optional[int]
+    no_sampler_wait: bool
 
 
 class ArrayTiming(NamedTuple):
@@ -167,11 +187,11 @@ class ArrayTiming(NamedTuple):
     and ``queue_wait`` (decode start minus last arrival); the link's totals;
     and what every run's report takes from it as it is.
 
-    ``stages`` is the report's sampler-wait and decode-wait as their one
-    value each, its network stage (``net`` plus the datapath's
-    ``link_fixed_us``) sorted once with its distribution, and per frame its
-    decode start minus its render time, which end-to-end is plus the run's
-    constants; None when either wait varies or the network stage does not
+    ``stages`` is the report's network stage (``net`` plus the datapath's
+    ``link_fixed_us``) sorted once with its distribution, its decode-wait as
+    its one value, and per frame its decode start minus its render time,
+    which end-to-end is plus the run's constants; None when some frame waits
+    for the sampler, the decode wait varies or the network stage does not
     (``report.known_stage``). A run whose cell has ``stages`` reads its report
     from them and builds its frame table only when it is read.
     """
@@ -184,8 +204,8 @@ class ArrayTiming(NamedTuple):
     decode_start: np.ndarray
     queue_wait: np.ndarray
     totals: tuple[int, int, int]  # the link's busy_accum_us, sent_packets, sent_bytes
-    # sampler-wait, network, decode-wait, decode start minus render time
-    stages: Optional[tuple[int, KnownStage, int, np.ndarray]]
+    # network, decode-wait, decode start minus render time
+    stages: Optional[tuple[KnownStage, int, np.ndarray]]
     sent_bytes: int
 
 
@@ -232,8 +252,8 @@ def _layout(seed, complexity_sigma, render_fps, duration_us, mode, *codec_values
     frame_type = np.where(is_iframe, FrameType.I.value, FrameType.P.value)
     for array in (frame_type, sizes, count, tail_wire):
         array.flags.writeable = False
-    sampler_wait = _single_value(grid.tick - grid.gen) if len(sizes) else None
-    return Layout(frame_type, sizes, count, tail_wire, int(sizes.sum()), sampler_wait)
+    no_wait = bool((grid.tick == grid.gen).all())
+    return Layout(frame_type, sizes, count, tail_wire, int(sizes.sum()), no_wait)
 
 
 # typed: 1, 1.0 and True differ; 4 holds an A/B suite's (color space, topology) cells
@@ -260,12 +280,12 @@ def _timing(seed, complexity_sigma, render_fps, duration_us, mode, link_fixed_us
         array.flags.writeable = False
     stages = None
     network = known_stage(columns["net"], link_fixed_us)
-    if network is not None and layout.sampler_wait is not None:  # so some frame is sent
+    if network is not None and layout.no_sampler_wait:
         decode_wait = _single_value(columns["queue_wait"])
         if decode_wait is not None:
             to_decode = decode_start - grid.gen
             to_decode.flags.writeable = False
-            stages = layout.sampler_wait, network, decode_wait, to_decode
+            stages = network, decode_wait, to_decode
     return ArrayTiming(
         frame_type=layout.frame_type,
         size_bytes=layout.size_bytes,
@@ -381,7 +401,7 @@ class Simulator:
         sent = self._transmit(k, count, tail_wire, wire_request)
         if sent is not None:
             first, last, delivered = sent
-            burst = ("burst", k, first, last, delivered, count, is_iframe, forced, col["gen_us"][k])
+            burst = ("burst", k, first, last, delivered, count, is_iframe)
             if last < self._next_tick and self.queue.is_next(last):
                 # the loop's next dispatch: no tick and no heap event comes
                 # first. Its time becomes the queue's, as its pop would make it
@@ -428,33 +448,41 @@ class Simulator:
         else:
             self.queue.schedule(arrival, ("cp", msg))
 
-    def _on_reassembly(self, ev, t: SimTime) -> None:
-        if isinstance(ev, dpp.FrameComplete):
-            self._table["arrived_last_us"][ev.frame_id] = ev.last_arrival
-            self._done.append(ev.frame_id)  # the decode step admits it (``_decode``)
-        else:
-            self._table["dropped"][ev.frame_id] = True
-        if self.cfg.toggles.feedback_control:
-            for msg in cp_mod.mud_on_frame_event(self.mud_fb, ev, t):
-                self._send_cp(msg, t)
-
-    def _schedule_deadlines(self) -> None:
-        if not self.reasm.has_pending:
-            return
-        for fid, deadline in self.reasm.pending_deadlines():
-            # a deadline inside the frame's own burst drops it as that burst is handled
-            self.queue.schedule(max(deadline + 1, self.queue.now), ("deadline", fid))
-
     def _handle_burst(self, t: SimTime, event: tuple) -> None:
-        _, wire_id, first, last, delivered, *frame = event
-        for ev in self.reasm.on_frame(first, last, delivered, wire_id, *frame):
-            self._on_reassembly(ev, t)
-        self._schedule_deadlines()
+        """Present a whole frame or make a partial one pending, after the
+        pending frames past their deadline at the burst's first arrival
+        drop; the frames that the burst skips turn pending too."""
+        _, k, first, last, delivered, count, is_iframe = event
+        if self._pending:
+            self._drop_expired(first, t)
+        whole = delivered == count
+        if whole:
+            self._table["arrived_last_us"][k] = last
+            self._done.append(k)  # the decode step admits it (``_decode``)
+            if self.cfg.toggles.feedback_control:
+                msg = cp_mod.mud_on_complete(self.mud_fb, k, is_iframe, t)
+                if msg is not None:
+                    self._send_cp(msg, t)
+        newest, self._newest = self._newest, k
+        skips = newest is not None and 1 < k - newest <= dpp.GAP_LIMIT
+        if whole and not skips:
+            return
+        fresh = range(newest + 1 if skips else k, k if whole else k + 1)
+        self._pending.extend((fid, first) for fid in fresh)
+        # a deadline inside the frame's own burst drops it after the burst
+        at = max(first + self.cfg.drop_deadline_us + 1, t)
+        for fid in fresh:
+            self.queue.schedule(at, ("deadline", fid))
 
-    def _handle_deadline(self, t: SimTime) -> None:
-        for ev in self.reasm.expire(t):
-            self._on_reassembly(ev, t)
-        self._schedule_deadlines()
+    def _drop_expired(self, now: SimTime, t: SimTime) -> None:
+        """Drop the pending frames whose deadline has passed at ``now``, a
+        prefix of the queue, and send their feedback at ``t``."""
+        pending, horizon = self._pending, now - self.cfg.drop_deadline_us
+        while pending and pending[0][1] < horizon:
+            k = pending.popleft()[0]
+            self._table["dropped"][k] = True
+            if self.cfg.toggles.feedback_control:
+                self._send_cp(cp_mod.mud_on_drop(self.mud_fb, k, t), t)
 
     # --- run ---------------------------------------------------------------
 
@@ -463,7 +491,7 @@ class Simulator:
         if kind == "burst":
             self._handle_burst(t, event)
         elif kind == "deadline":
-            self._handle_deadline(t)
+            self._drop_expired(t, t)
         elif kind == "cp":
             if self.cfg.toggles.feedback_control:
                 cp_mod.host_on_request(self.host_fb, event[1], t)
@@ -481,7 +509,10 @@ class Simulator:
 
     def _run_events(self) -> SimResult:
         self.walker = GopWalker(self.codec_cfg)
-        self.reasm = dpp.Reassembler(self.cfg.drop_deadline_us)
+        # the receiver: the pending frames' (id, deadline anchor), in id order,
+        # and the newest frame id that delivered a fragment
+        self._pending: deque[tuple[int, SimTime]] = deque()
+        self._newest: Optional[int] = None
         self.mud_fb, self.host_fb = cp_mod.MudFeedbackState(), cp_mod.HostFeedbackState()
         self._done: list[int] = []  # the completed frames, in the order they completed
         grid = self._grid
@@ -598,10 +629,10 @@ class Simulator:
         cfg = self.cfg
         g = self.graph
         if col is None:
-            sampler_wait, network, decode_wait, to_decode = timing.stages
+            network, decode_wait, to_decode = timing.stages
             sent = len(to_decode)
             n_presented, dropped, unresolved, corrupted = sent, 0, 0, 0
-            has_sampler_wait = sampler_wait != 0
+            sampler_wait = None  # every frame is sent at its render time
             to_wire = g.encode_path_us + g.host_netstack_us
             e2e = to_decode + (to_wire + g.link_fixed_us + g.mud_service_us + g.residual_us)
             sent_bytes = timing.sent_bytes
@@ -619,7 +650,8 @@ class Simulator:
             gen = col["gen_us"][shown]
             sampler_wait = col["encoded_us"][shown] - g.encode_path_us - gen
             network, decode_wait = col["net_us"][shown], col["queue_wait_us"][shown]
-            has_sampler_wait = sampler_wait.any()
+            if not sampler_wait.any():
+                sampler_wait = None
             e2e = col["presented_us"][shown] - gen
             sent_bytes = int(col["size_bytes"].sum())
 
@@ -632,7 +664,7 @@ class Simulator:
             "mud": g.mud_service_us,
             "presentation": g.residual_us,
         }
-        if not has_sampler_wait:
+        if sampler_wait is None:
             del per_stage["sampler-wait"]
         if g.residual_us == 0:
             del per_stage["presentation"]

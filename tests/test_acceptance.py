@@ -12,6 +12,7 @@ import time
 
 import pytest
 from packet_feed import DppPacket, decode_packet, deliver, encode_packet, fragment
+from reassembler_run import StepwiseOnFrame
 
 from uvrpipe import dpp
 from uvrpipe.cli import main
@@ -201,7 +202,7 @@ def test_c07_protocol_properties():
             for i in order:
                 events += reasm.on_fragments(0, case, i, count, False, False, 0, [None])
             assert [e.frame_id for e in events] == [case]
-            events = dpp.Reassembler(10**9).on_frame(0, 0, count, case, count, False, False, 0)
+            events = StepwiseOnFrame(10**9).on_frame(0, 0, count, case, count, False, False, 0)
             assert [e.frame_id for e in events] == [case]
 
     # exactly-once resolution under shuffled, duplicated, lossy delivery

@@ -10,8 +10,8 @@ An array run is its grid's shared timing (``pipeline.array_timing``),
 computed once per grid, codec and channel, shifted by its own datapath's
 constants. A run whose timing comes from the cache must equal one that
 computes it afresh. Its report reads what the timing cell fixes (the
-network stage's order and distribution, the single sampler and decode
-waits), and must equal the general report over the same frame table and the
+network stage's order and distribution and the single decode wait; no
+frame of such a cell waits for the sampler), and must equal the general report over the same frame table and the
 event loop's, key order included. Such a run builds its frame table only when
 it is read, and the table it builds must equal the event loop's.
 """
@@ -385,9 +385,9 @@ def _assert_read_only(cfg):
     pipeline._layout.cache_clear()
     sim = Simulator(cfg)
     timing = pipeline.array_timing(cfg, sim.graph)
-    sampler_wait, network, decode_wait, to_decode = timing.stages
-    # single values as Python ints, which build_distributions takes as constants
-    assert type(sampler_wait) is int and type(decode_wait) is int
+    network, decode_wait, to_decode = timing.stages
+    # a single value as a Python int, which build_distributions takes as a constant
+    assert type(decode_wait) is int
     grid = sim._grid
     layout = pipeline._layout(
         cfg.seed,
@@ -545,7 +545,7 @@ def test_the_explicit_cases_reach_their_edges():
     sim, timing = parts("no fixed overhead")
     assert sim.graph.link_fixed_us == 0
     _, timing = parts("slow link")
-    ordered = timing.stages[1].ordered
+    ordered = timing.stages[0].ordered
     assert ordered.dtype == np.int64 and ordered[0] < 2**31 <= ordered[-1] < 2**32
     _, timing = parts("one frame")
     assert len(timing.net) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from hypothesis import given
 from hypothesis import strategies as st
 from packet_feed import DppPacket, decode_packet, encode_packet
@@ -15,6 +17,8 @@ from uvrpipe.cp import (
     encode_cp,
     host_on_iframe_emitted,
     host_on_request,
+    mud_on_complete,
+    mud_on_drop,
     mud_on_frame_event,
 )
 
@@ -77,6 +81,43 @@ def test_request_train_until_iframe():
     assert mud_on_frame_event(state, _complete(14, True), 14) == []
     assert state.mode is MudMode.NORMAL
     assert mud_on_frame_event(state, _complete(15, False), 15) == []
+
+
+def _reference_frame_event(state, ev, now):
+    """The MUD rule as one function over reassembler events, the reference."""
+    messages = []
+    if isinstance(ev, dpp.FrameDropped):
+        state.mode = MudMode.RECOVERY
+        state.dropped_frame_id = ev.frame_id
+        messages.append(CpMessage(SUB_IFRAME_REQUEST, ev.frame_id, state.last_received_frame_id, now))
+    else:
+        state.last_received_frame_id = ev.frame_id
+        if ev.is_iframe:
+            state.mode = MudMode.NORMAL
+        elif state.mode is MudMode.RECOVERY:
+            messages.append(CpMessage(SUB_IFRAME_REQUEST, state.dropped_frame_id, ev.frame_id, now))
+    state.requests_sent += len(messages)
+    return messages
+
+
+# a resolved frame: (frame id, dropped, is I-frame, now)
+EVENTS = st.lists(st.tuples(_U32, st.booleans(), st.booleans(), st.integers(0, 2**62)), max_size=30)
+
+
+@given(EVENTS)
+def test_complete_and_drop_entries_equal_the_frame_event_rule(events):
+    reference, entries, wrapped = MudFeedbackState(), MudFeedbackState(), MudFeedbackState()
+    for fid, dropped, is_i, now in events:
+        if dropped:
+            ev = dpp.FrameDropped(frame_id=fid, is_iframe=is_i)
+            got = [mud_on_drop(entries, fid, now)]
+        else:
+            ev = replace(_complete(fid, is_i), first_arrival=now, last_arrival=now)
+            msg = mud_on_complete(entries, fid, is_i, now)
+            got = [] if msg is None else [msg]
+        want = _reference_frame_event(reference, ev, now)
+        assert got == want == mud_on_frame_event(wrapped, ev, now)
+        assert entries == reference == wrapped
 
 
 def test_host_suppression_window():

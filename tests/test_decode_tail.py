@@ -14,8 +14,6 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from test_inline_events import REPRO, SPACE, _space_config
 
-from uvrpipe import cp as cp_mod
-from uvrpipe import dpp
 from uvrpipe.codec import DecodeServer
 from uvrpipe.pipeline import Simulator
 from uvrpipe.scenario import preset_config
@@ -29,21 +27,17 @@ class PerFrameDecode(Simulator):
         super().__init__(cfg)
         self.decoder = DecodeServer(self.codec_cfg.decode_fps_cap)
 
-    def _on_reassembly(self, ev, t):
-        g, col, k = self.graph, self._table, ev.frame_id
-        if isinstance(ev, dpp.FrameComplete):
-            net_done = ev.last_arrival + g.link_fixed_us
-            col["arrived_last_us"][k] = ev.last_arrival
+    def _handle_burst(self, t, event):
+        super()._handle_burst(t, event)
+        _, k, _, last, delivered, count, _ = event
+        if delivered == count:  # the frame completed
+            g, col = self.graph, self._table
+            net_done = last + g.link_fixed_us
             col["net_us"][k] = net_done - (col["encoded_us"][k] + g.host_netstack_us)
             start, wait = self.decoder.offer(net_done)
             col["queue_wait_us"][k] = wait
             col["decode_start_us"][k] = start
             col["presented_us"][k] = start + g.mud_service_us + g.residual_us
-        else:
-            col["dropped"][k] = True
-        if self.cfg.toggles.feedback_control:
-            for msg in cp_mod.mud_on_frame_event(self.mud_fb, ev, t):
-                self._send_cp(msg, t)
 
     def _decode(self, frames):
         pass

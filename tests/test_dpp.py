@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from packet_feed import DppPacket, decode_packet, deliver, encode_packet, fragment
 
 from uvrpipe import dpp
@@ -216,86 +214,6 @@ def test_serial_arithmetic_wrap():
     # ids skipped across the wrap get deadline anchors at discovery
     drops = reasm.expire(50_000 + 33_335)
     assert {d.frame_id for d in drops} == {0xFFFFFFFF, 0}
-
-
-class StepwiseOnFrame(Reassembler):
-    """``on_frame`` before its one-step case, the reference: every burst
-    notes its frame (gaps, sweep), then completes it or leaves it pending."""
-
-    def on_frame(self, first, last, delivered, frame_id, frag_count, is_iframe, forced, gen):
-        events = list(self._note_frame(first, frame_id))
-        if delivered < frag_count:
-            self._ingest(first, frame_id, 0, frag_count, is_iframe, forced, gen, None)
-        elif frame_id not in self._resolved:
-            self._resolve(frame_id)
-            events.append(FrameComplete(frame_id, is_iframe, forced, gen, first, last))
-        return events
-
-
-def _reassembler_state(reasm):
-    pending = {fid: pend.deadline_anchor for fid, pend in reasm._pending.items()}
-    return reasm.highest_seen, pending, reasm._resolved
-
-
-# the id of each burst relative to the last one: next in order, a gap, a
-# repeat, an older id, a jump past the gap limit, or the longest jump that
-# is still newer (two of them bring an id back close behind itself)
-ID_STEPS = st.one_of(
-    st.just(1),
-    st.integers(2, 4),
-    st.just(0),
-    st.integers(-3, -1),
-    st.sampled_from([5_000, 2**31 - 1]),
-)
-CALLS = st.lists(
-    st.one_of(
-        # a burst: time since the last call, id step, span, fragments, delivered share
-        st.tuples(
-            st.just("frame"),
-            st.integers(0, 400),
-            ID_STEPS,
-            st.integers(0, 300),
-            st.integers(1, 20),
-            st.sampled_from([1.0, 0.5, 0.0]),
-        ),
-        st.tuples(st.just("expire"), st.integers(0, 600)),
-    ),
-    max_size=60,
-)
-
-
-def _in_order(step):
-    return ("frame", 0, step, 0, 1, 1.0)
-
-
-@settings(max_examples=400, deadline=None)
-# frame 0 resolves; two longest jumps and two steps come back to it, the id
-# after ``highest_seen`` again, with nothing pending: it must not complete twice
-@example(
-    first_id=0,
-    deadline=1_000,
-    calls=[_in_order(step) for step in (0, 2**31 - 1, 2**31 - 1, 1, 1)],
-)
-@given(
-    first_id=st.sampled_from([0, 1_000, 2**32 - 3]),
-    deadline=st.sampled_from([1, 200, 1_000]),
-    calls=CALLS,
-)
-def test_on_frame_equals_the_stepwise_reference(first_id, deadline, calls):
-    fast, reference = Reassembler(deadline), StepwiseOnFrame(deadline)
-    now, frame_id = 0, first_id
-    for call in calls:
-        now += call[1]
-        if call[0] == "expire":
-            got, want = fast.expire(now), reference.expire(now)
-        else:
-            _, _, step, span, count, share = call
-            frame_id = (frame_id + step) & 0xFFFFFFFF
-            delivered = max(1, round(count * share))
-            args = (now, now + span, delivered, frame_id, count, frame_id % 3 == 0, False, now)
-            got, want = fast.on_frame(*args), reference.on_frame(*args)
-        assert got == want
-        assert _reassembler_state(fast) == _reassembler_state(reference)
 
 
 def test_host_send_path_copies():

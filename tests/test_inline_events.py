@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from transcript_run import TranscriptRun
 
-from uvrpipe import dpp, pipeline
+from uvrpipe import pipeline
 from uvrpipe.core import EventQueue
 from uvrpipe.cp import WIRE_BYTES
 from uvrpipe.netsim import LossModel, serialization_us
@@ -173,19 +173,19 @@ def _request_us(cfg):
 
 
 def _arrivals(cfg, monkeypatch):
-    """Each frame's (first, last) arrival as the reassembler takes it, in a
+    """Each frame's (first, last) arrival as the receiver takes it, in a
     run whose deadline drops no frame: until its first drop, a run with
     ``cfg``'s deadline has the same arrivals."""
     cfg = deepcopy(cfg)
     cfg.drop_deadline_us = 10**9
     seen = {}
-    on_frame = dpp.Reassembler.on_frame
+    handle_burst = Simulator._handle_burst
 
-    def record(self, first, last, delivered, frame_id, *rest):
-        seen[frame_id] = (first, last)
-        return on_frame(self, first, last, delivered, frame_id, *rest)
+    def record(self, t, event):
+        seen[event[1]] = event[2:4]  # (first, last)
+        return handle_burst(self, t, event)
 
-    monkeypatch.setattr(dpp.Reassembler, "on_frame", record)
+    monkeypatch.setattr(Simulator, "_handle_burst", record)
     Simulator(cfg)._run_events()  # a draw-free run would take the array run
     monkeypatch.undo()
     return seen

@@ -10,9 +10,12 @@ reference is the packet codec of ``packet_feed``: ``fragment`` +
 the receiver, with the drop sweep doing a full pass on every call. Both must
 give the same bytes, the same events and the same counters.
 
-The simulator's entry, ``Reassembler.on_frame``, is checked here too: against
-the full sweep, and its O(1) whole and partial frames against their
-fragments fed to ``on_fragments`` one at a time in shuffled order.
+A simulated frame's burst as the reassembler takes it,
+``StepwiseOnFrame.on_frame`` (``reassembler_run.py``), is checked here too:
+against the full sweep, and its whole and partial frames against their
+fragments fed to ``on_fragments`` one at a time in shuffled order. The
+simulator's in-order receiver is checked against it in
+``test_in_order_receiver.py``.
 """
 
 import errno
@@ -29,6 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from packet_feed import DppPacket, decode_packet, deliver, encode_packet, fragment
+from reassembler_run import StepwiseOnFrame
 
 from uvrpipe import cp, dpp, runner
 from uvrpipe.dpp import (
@@ -169,6 +173,10 @@ class FullSweep(Reassembler):
     def _sweep(self, now, newest_id):
         self._anchor_floor = -math.inf
         return super()._sweep(now, newest_id)
+
+
+class StepwiseFullSweep(StepwiseOnFrame, FullSweep):
+    """Simulated bursts taken with the full sweep."""
 
 
 def _stream(seed: int, frames: int, loss: float, dups: int) -> list[tuple[str, int, bytes]]:
@@ -340,7 +348,7 @@ def test_runs_match_one_fragment_at_a_time(seed, frames):
 
 
 def _simulator_steps(seed: int, frames: int):
-    """A random sequence of what the simulator hands its reassembler.
+    """A random sequence of simulated bursts for a reassembler.
 
     ("frame", (args, indices)) steps hold ``on_frame`` arguments and the
     indices of the delivered fragments, shuffled; ("poll", None) and
@@ -373,7 +381,7 @@ def _simulator_steps(seed: int, frames: int):
     yield "expire", now + 10**6
 
 
-def _fragment_loop(reasm: Reassembler, args, indices) -> list:
+def _fragment_loop(reasm: StepwiseOnFrame, args, indices) -> list:
     """``on_frame``'s reference: ``on_fragments`` for each delivered fragment,
     in the shuffled order given, all at ``first``, where ``on_frame`` runs
     its one drop sweep. The frame's completion then reports ``last`` as its
@@ -392,7 +400,7 @@ def _fragment_loop(reasm: Reassembler, args, indices) -> list:
 @given(seed=st.integers(0, 2**32), frames=st.integers(1, 60))
 def test_simulator_entries_match_full_sweep(seed, frames):
     # whole frames, bursts, deadline polls and expiry, as the simulator sends them
-    reference, reasm = FullSweep(33_334), Reassembler(33_334)
+    reference, reasm = StepwiseFullSweep(33_334), StepwiseOnFrame(33_334)
     for kind, arg in _simulator_steps(seed, frames):
         if kind == "frame":
             assert reasm.on_frame(*arg[0]) == reference.on_frame(*arg[0])
@@ -405,8 +413,8 @@ def test_simulator_entries_match_full_sweep(seed, frames):
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32), frames=st.integers(1, 60))
 def test_whole_frame_matches_its_fragment_loop(seed, frames):
-    # on_frame's O(1) whole and partial frames against the same frame's fragments
-    whole, loop = Reassembler(33_334), Reassembler(33_334)
+    # on_frame's whole and partial frames against the same frame's fragments
+    whole, loop = StepwiseOnFrame(33_334), StepwiseOnFrame(33_334)
     for kind, arg in _simulator_steps(seed, frames):
         if kind == "frame":
             assert whole.on_frame(*arg[0]) == _fragment_loop(loop, *arg)
