@@ -100,10 +100,11 @@ def cmd_sim_ab(args) -> int:
     if args.toggle == "all":
         suite = ab_suite(cfg)
         rows = [
-            (name, f"{suite['deltas'][name]['delta_ms']:.3f}")
+            (name, report_mod.format_cell(suite["deltas"][name]["delta_ms"]))
             for name in suite["deltas"]
         ]
-        rows.append(("p2p_topology (RGB)", f"{suite['p2p_topology_rgb']['delta_ms']:.3f}"))
+        rgb_delta = suite["p2p_topology_rgb"]["delta_ms"]
+        rows.append(("p2p_topology (RGB)", report_mod.format_cell(rgb_delta)))
         print(render_table(rows, ("toggle", "saved ms")))
         print(
             f"baseline {suite['baseline_mean_ms']} ms, all-on {suite['all_on_mean_ms']} ms,"
@@ -136,8 +137,8 @@ def cmd_sim_sweep(args) -> int:
         rows.append(
             (
                 value,
-                f"{metrics.end_to_end['mean_ms']:.3f}",
-                f"{metrics.end_to_end['p99_ms']:.3f}",
+                report_mod.format_cell(metrics.end_to_end["mean_ms"]),
+                report_mod.format_cell(metrics.end_to_end["p99_ms"]),
                 metrics.frames["dropped"],
                 f"{metrics.network['link_utilization']:.4f}",
             )

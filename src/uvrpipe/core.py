@@ -137,21 +137,23 @@ class EventQueue:
         self,
         handler: Callable[[SimTime, Any], None],
         ticks: Iterable[tuple[SimTime, Any]] = (),
+        on_tick: Optional[Callable[[SimTime, Any], None]] = None,
     ) -> None:
-        """Dispatch every event, and every (time, event) of ``ticks``, in order.
+        """Dispatch every heap event to ``handler`` and every (time, arg) of
+        ``ticks`` to ``on_tick``, in order.
 
         ``ticks`` is a grid in time order that is merged lazily with the heap
         instead of being scheduled: a tick dispatches before every heap event
         at its time, as if it had been scheduled before all of them.
         """
         heap = self._heap
-        for t, event in ticks:
+        for t, arg in ticks:
             while heap and heap[0][0] < t:
                 handler(*self.pop())
             if t < self.now:
                 raise SchedulingError(f"tick at t={t} before now={self.now}")
             self.now = t
-            handler(t, event)
+            on_tick(t, arg)
         while heap:
             handler(*self.pop())
 

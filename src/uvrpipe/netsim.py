@@ -40,9 +40,11 @@ swap when ``u < min(p_gb, p_bg)``, a constant when ``u`` lies between the
 two (good if ``p_gb <= p_bg``, else bad), and the identity when
 ``u >= max(p_gb, p_bg)``. The state before packet k is therefore the value
 of the last constant map (or the start state) XOR the parity of the swaps
-since then: one running maximum and one cumulative sum. A packet is lost
-when its loss draw is below its state's loss probability. Bernoulli loss is
-the stateless case, at one draw per packet. The table keeps the packets that
+since then: one running maximum and one cumulative sum. The cumulative
+sum of swaps never falls, so the running maximum of its values at the
+constant maps is its value at the last one, with no gather by index. A
+packet is lost when its loss draw is below its state's loss probability.
+Bernoulli loss is the stateless case, at one draw per packet. The table keeps the packets that
 *disturb* (a loss, or a change of state) as one sorted list, and the medium
 keeps the index of the next one, so a hop that reaches no disturbance is one
 comparison and one add.
@@ -59,14 +61,16 @@ second reader of the loss stream after the medium has drawn ahead (another
 past the medium's array, not the ones that the medium has yet to read.
 
 Then the burst is timed. ``Medium.frame`` times a burst in closed form,
-below: on P2P without jitter every burst, lossy or not; under INFRA without
-jitter only a burst that lost nothing on either hop; with jitter none. Every
-other burst walks its packets over the values already drawn, in plain
-Python numbers, as ``Medium.burst`` always does. On P2P without jitter a
-burst that reaches no disturbance is timed inline, from constants fixed for
-the run: ``prop`` and the serialization of a full packet.
+below: on P2P without jitter every burst, lossy or not, inline from its
+loss flags and constants fixed for the run (``prop`` and the serialization
+of a full packet), reading no flags when it reaches no disturbance; under
+INFRA without jitter only a burst that lost nothing on either hop
+(``_clean_ends``); with jitter none. Every other burst walks its packets
+over the values already drawn, in plain Python numbers, as
+``Medium.burst`` always does.
 
-The closed form (``_clean_ends``) computes in O(1) what the walk computes:
+The closed form (``Medium.frame`` on P2P, ``_clean_ends`` for INFRA)
+computes in O(1) what the walk computes:
 
 Each packet's transmission ends at ``end_k = max(req_k, end_{k-1}) + ser_k``
 (Lindley's recursion). A frame is ``n`` packets: ``n - 1`` full ones, then
@@ -185,12 +189,15 @@ def _loss_table(
     # a loss draw, then a transition draw, per packet
     loss, move = values[0::2], values[1::2]
     low, high = sorted((ch.ge_p_gb, ch.ge_p_bg))
-    swaps = np.cumsum(move < low)
+    swaps = np.cumsum(move < low, dtype=np.int32)  # a table holds far fewer than 2**31 packets
     constant = (move >= low) & (move < high)
-    last = np.maximum.accumulate(np.where(constant, np.arange(len(move)), -1))
+    # the swap count at the last constant map, a running maximum as the
+    # cumsum never falls; before the first, a negative count whose parity
+    # gives the start state: -1 when it differs from the constant's, else -2
+    value = ch.ge_p_gb > ch.ge_p_bg  # the constant map's state
+    base = np.maximum.accumulate(np.where(constant, swaps, -2 + (value != bad)))
     # the last constant map's value, or the start state, XOR the parity of the swaps since
-    since = np.where(last < 0, swaps, swaps - swaps[last])
-    after = np.where(last < 0, bad, ch.ge_p_gb > ch.ge_p_bg) ^ (since & 1).astype(bool)
+    after = ((swaps ^ base) & 1).astype(bool) ^ value
     before = np.concatenate(([bad], after[:-1]))
     lost = loss < np.where(before, ch.ge_loss_bad, ch.ge_loss_good)
     marks = np.flatnonzero(lost | (before != after)).tolist()
@@ -293,9 +300,8 @@ def _walk(
     return arrivals
 
 
-def _check_size(size: int) -> None:
-    if size > MAX_PACKET_BYTES:
-        raise OversizedPacket(f"{size} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
+def _oversized(size: int) -> OversizedPacket:
+    return OversizedPacket(f"{size} bytes exceeds the {MAX_PACKET_BYTES}-byte limit")
 
 
 class Medium:
@@ -389,39 +395,54 @@ class Medium:
 
         For P2P this is exactly equivalent to one-packet ``frame`` calls.
         """
-        _check_size(max(sizes, default=0))
+        if (largest := max(sizes, default=0)) > MAX_PACKET_BYTES:
+            raise _oversized(largest)
         return _walk(self.ch, self.link, sizes, now, self._draw(len(sizes)))
 
     def frame(
         self, count: int, tail_size: int, now: SimTime
     ) -> Optional[tuple[SimTime, SimTime, int]]:
         """``burst`` of ``count - 1`` full packets and a tail, summed up as
-        ``frame_arrivals``: draw, then time inline, in closed form
-        (``_clean_ends``) or by the walk, as the module docstring says."""
-        _check_size(tail_size)
+        ``frame_arrivals``: draw, then time in closed form (inline on P2P
+        without jitter, ``_clean_ends`` for a clean INFRA burst) or by the
+        walk, as the module docstring says."""
+        if tail_size > MAX_PACKET_BYTES:
+            raise _oversized(tail_size)
         ch, link = self.ch, self.link
-        lost = None
-        if self._inline:
-            at = self._at
-            if at + count <= self._next and link.ge_bad is self._bad:
-                self._at = at + count
-                ser_tail = -(-(tail_size * 8_000_000) // ch.bandwidth_bps)
-                busy = link.busy_until
-                start = now if now > busy else busy
-                total = (count - 1) * self._ser_full + ser_tail
-                link.busy_until = start + total
-                link.last_arrival = last = start + total + ch.prop_delay_us
-                link.busy_accum_us += total
-                link.sent_packets += count
-                link.sent_bytes += (count - 1) * MAX_PACKET_BYTES + tail_size
-                first = start + (self._ser_full if count > 1 else ser_tail) + ch.prop_delay_us
-                return first, last, count
-            lost = self._flags(count)
-        elif hops := self._draw(count):
+        if not self._inline:
+            hops = self._draw(count)
+            if hops is None:  # a clean burst delivers every packet
+                return _clean_ends(ch, link, count, tail_size, now)
             sizes = [MAX_PACKET_BYTES] * (count - 1) + [tail_size]
             return frame_arrivals(_walk(ch, link, sizes, now, hops))
-        ends = _clean_ends(ch, link, count, tail_size, now, lost)
-        return ends if ends[2] else None
+        at = self._at
+        if at + count <= self._next and link.ge_bad is self._bad:
+            self._at = at + count
+            lost = None
+        else:
+            lost = self._flags(count)
+        # P2P: packet k arrives at ``start + S_k + prop``, lost or not
+        ser_full = self._ser_full
+        ser_tail = -(-(tail_size * 8_000_000) // ch.bandwidth_bps)
+        busy = link.busy_until
+        start = now if now > busy else busy
+        total = (count - 1) * ser_full + ser_tail
+        link.busy_until = start + total
+        link.busy_accum_us += total
+        link.sent_packets += count
+        link.sent_bytes += (count - 1) * MAX_PACKET_BYTES + tail_size
+        base = start + ch.prop_delay_us
+        if lost is None:
+            link.last_arrival = last = base + total
+            return base + (ser_full if count > 1 else ser_tail), last, count
+        delivered = lost.count(False)
+        link.lost_packets += count - delivered
+        if not delivered:
+            return None
+        head, back = lost.index(False), lost[::-1].index(False)
+        first = base + (total if head == count - 1 else (head + 1) * ser_full)
+        link.last_arrival = last = base + (total if back == 0 else (count - back) * ser_full)
+        return first, last, delivered
 
 
 def frame_arrivals(
@@ -464,39 +485,21 @@ def _account_clean(ch: ChannelModel, link: LinkState, busy_us: int, packets: int
 
 
 def _clean_ends(
-    ch: ChannelModel,
-    link: LinkState,
-    count: int,
-    tail_size: int,
-    now: SimTime,
-    lost: Optional[list[bool]] = None,
-) -> tuple[Optional[SimTime], Optional[SimTime], int]:
+    ch: ChannelModel, link: LinkState, count: int, tail_size: int, now: SimTime
+) -> tuple[SimTime, SimTime, int]:
     """Closed-form burst of ``count - 1`` full packets and a tail without
-    jitter, whose draws, if any, came out clean or, on P2P only, lost the
-    packets flagged in ``lost``.
+    jitter, whose draws, if any, came out clean.
 
-    Returns (first arrival, last arrival, packets delivered), the arrivals
-    None when nothing arrives, and updates ``link`` exactly as the walk
-    would on a link reached from ``LinkState()``, where no clamp binds.
+    Returns (first arrival, last arrival, packets delivered) and updates
+    ``link`` exactly as the walk would on a link reached from
+    ``LinkState()``, where no clamp binds.
     """
     first_off, busy_off, total = _clean_shape(ch, count, tail_size)
     start = now if now > link.busy_until else link.busy_until
-    first, last, delivered = start + first_off, start + busy_off + ch.prop_delay_us, count
-    if lost is not None:  # P2P: packet k arrives at ``start + S_k + prop``, lost or not
-        delivered = lost.count(False)
-        first = last = None
-        if delivered:
-            at = start + ch.prop_delay_us
-            ser_full = serialization_us(MAX_PACKET_BYTES, ch.bandwidth_bps)
-            head, back = lost.index(False), lost[::-1].index(False)
-            first = at + (total if head == count - 1 else (head + 1) * ser_full)
-            last = at + (total if back == 0 else (count - back) * ser_full)
-    if delivered:
-        link.last_arrival = last
+    link.last_arrival = last = start + busy_off + ch.prop_delay_us
     link.busy_until = start + busy_off
-    link.lost_packets += count - delivered
     _account_clean(ch, link, total, count, (count - 1) * MAX_PACKET_BYTES + tail_size)
-    return first, last, delivered
+    return start + first_off, last, count
 
 
 def clean_run(

@@ -19,12 +19,17 @@ one of two ways, with the same result:
     restores the workload stream to where the draw left it.
   * The event loop (``Simulator._run_events``), the general middle: burst,
     deadline and feedback events on one heap, with the ticks that send a
-    frame (``Simulator._ticks``) merged in lazily (``EventQueue.run``). A
+    frame (``Simulator._ticks``, plain (time, frame id) pairs) merged in
+    lazily (``EventQueue.run``), each handed to ``_encode_and_send``. A
     tick goes before a heap event at its time, as when every tick was
     scheduled up front. A frame's size and fragment layout come from two
     whole-run arrays, one per frame type; its burst is drawn, then timed
-    (``netsim.Medium.frame``). Outcomes go into one Python list per column,
-    made arrays once at the end.
+    (``netsim.Medium.frame``, inline on P2P without jitter, lossy or not;
+    under Gilbert-Elliott the chain state over the medium's uniforms is
+    still one running maximum and one cumulative sum, now without a
+    gather). The columns that the loop fills go into one Python list each,
+    made arrays once at the end; what each frame reads and the run fixes
+    is bound once per run.
 
     The receiver (``Simulator._handle_burst``) keeps no stream buffer: it
     presents a frame that arrived whole and drops any other at its deadline.
@@ -116,7 +121,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import fields, replace
 from functools import cached_property, lru_cache, partial
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -148,6 +153,11 @@ from .stages import (
     ledger_frame_copies,
     shared_datapath,
 )
+
+
+# the frame-table columns that the event loop fills: a frame's encode, then its receiver
+_HOST_COLUMNS = ("frame_type", "forced", "size_bytes", "sent_first_us")
+_LOOP_COLUMNS = (*_HOST_COLUMNS, "arrived_last_us", "dropped")
 
 
 def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
@@ -380,24 +390,24 @@ class Simulator:
 
     # --- host side ---------------------------------------------------------
 
-    def _encode_and_send(self, k: int) -> None:
-        """Encode frame ``k`` at its send tick and put it on the air."""
-        g, col = self.graph, self._table
+    def _encode_and_send(self, t: SimTime, k: int) -> None:
+        """Encode frame ``k`` at its send tick ``t`` and put it on the air."""
+        feedback = self._feedback
         self._next_tick = self._send_at[k + 1]
-        force = self.host_fb.pending_force if self.cfg.toggles.feedback_control else False
-        ftype, _, forced = self.walker.plan(force)
-        encode_done = col["encoded_us"][k]
+        ftype, _, forced = self.walker.plan(feedback and self.host_fb.pending_force)
         is_iframe = ftype is FrameType.I
         size, count, tail_wire = self._layouts[is_iframe][k]
-        if is_iframe and self.cfg.toggles.feedback_control:
+        if is_iframe and feedback:
+            encode_done = t + self.graph.encode_path_us  # the frame's ``encoded_us``
             cp_mod.host_on_iframe_emitted(self.host_fb, encode_done, self.cfg.suppression_window_us)
-        col["frame_type"][k] = is_iframe  # made "I" or "P" at the end of the run
-        col["forced"][k] = forced
-        col["size_bytes"][k] = size
+        frame_type, forced_col, size_col, sent_first = self._host_columns
+        frame_type[k] = is_iframe  # made "I" or "P" at the end of the run
+        forced_col[k] = forced
+        size_col[k] = size
 
-        wire_request = encode_done + g.host_netstack_us
+        wire_request = t + self._to_wire
         busy_before = self.link.busy_until
-        col["sent_first_us"][k] = wire_request if wire_request > busy_before else busy_before
+        sent_first[k] = wire_request if wire_request > busy_before else busy_before
         sent = self._transmit(k, count, tail_wire, wire_request)
         if sent is not None:
             first, last, delivered = sent
@@ -459,7 +469,7 @@ class Simulator:
         if whole:
             self._table["arrived_last_us"][k] = last
             self._done.append(k)  # the decode step admits it (``_decode``)
-            if self.cfg.toggles.feedback_control:
+            if self._feedback:
                 msg = cp_mod.mud_on_complete(self.mud_fb, k, is_iframe, t)
                 if msg is not None:
                     self._send_cp(msg, t)
@@ -481,22 +491,20 @@ class Simulator:
         while pending and pending[0][1] < horizon:
             k = pending.popleft()[0]
             self._table["dropped"][k] = True
-            if self.cfg.toggles.feedback_control:
+            if self._feedback:
                 self._send_cp(cp_mod.mud_on_drop(self.mud_fb, k, t), t)
 
     # --- run ---------------------------------------------------------------
 
     def _dispatch(self, t: SimTime, event: tuple) -> None:
+        """A heap event: a burst, a deadline or an I-frame request."""
         kind = event[0]
         if kind == "burst":
             self._handle_burst(t, event)
         elif kind == "deadline":
             self._drop_expired(t, t)
-        elif kind == "cp":
-            if self.cfg.toggles.feedback_control:
-                cp_mod.host_on_request(self.host_fb, event[1], t)
-        else:  # a render or sample tick, which sends a frame
-            self._encode_and_send(event[2])
+        else:  # an I-frame request, which only a run with feedback sends
+            cp_mod.host_on_request(self.host_fb, event[1], t)
 
     def run(self) -> SimResult:
         """Simulate the scenario: as arrays when the run is draw-free, else event by event."""
@@ -517,29 +525,40 @@ class Simulator:
         self._done: list[int] = []  # the completed frames, in the order they completed
         grid = self._grid
         n = len(grid.tick)
-        # frame_type and forced have no default: each frame's encode sets them
-        self._table = {f.name: [f.default] * n for f in fields(FrameRecord)}
-        self._table.update((name, col.tolist()) for name, col in self._frames().items())
+        # the columns that the loop fills, one list each; frame_type and
+        # forced have no default: each frame's encode sets them
+        defaults = {f.name: f.default for f in fields(FrameRecord)}
+        self._table = {name: [defaults[name]] * n for name in _LOOP_COLUMNS}
         # per frame type (P, then I), each frame's (size, fragment count, tail datagram bytes)
         nominal, complexity = nominal_sizes(self.codec_cfg), grid.complexity
         layouts = (_frame_layout(i, self.codec_cfg, complexity, nominal) for i in (False, True))
         self._layouts = [list(zip(*(column.tolist() for column in layout))) for layout in layouts]
         self._send_at = grid.tick.tolist() + [float("inf")]  # each frame's send tick
         self._next_tick = self._send_at[0]
-        self.queue.run(self._dispatch, self._ticks())
-        # each column typed as its values; validation keeps every time in int64
-        frames = {k: np.array(v, dtype=type(v[0]) if v else int) for k, v in self._table.items()}
+        # what every frame reads, bound once
+        self._feedback = self.cfg.toggles.feedback_control
+        self._to_wire = self.graph.encode_path_us + self.graph.host_netstack_us
+        self._host_columns = [self._table[name] for name in _HOST_COLUMNS]
+        self.queue.run(self._dispatch, self._ticks(), self._encode_and_send)
+        # each column typed as its values, int when there are none; validation
+        # keeps every time in int64. The decode step's start at their defaults
+        filled = self._frames()
+        for name, values in self._table.items():
+            filled[name] = np.array(values, dtype=type(values[0]) if n else int)
+        frames = {
+            name: filled[name] if name in filled else np.full(n, d, dtype=type(d) if n else int)
+            for name, d in defaults.items()
+        }
         frames["frame_type"] = np.where(frames["frame_type"], FrameType.I.value, FrameType.P.value)
         self._decode(frames)
         return self._result(frames)
 
-    def _ticks(self) -> list[tuple[SimTime, tuple]]:
-        """The ticks that send a frame, in time order: (time, (kind, clock
-        tick, frame id)). A tick that sends nothing does nothing, and a burst
-        handled at the tick before it may arrive after it."""
-        kind = "render" if self.cfg.encode_mode is EncodeMode.SYNC else "sample"
-        sending = np.flatnonzero(self._grid.sends).tolist()
-        return [(t, (kind, i, k)) for k, (t, i) in enumerate(zip(self._send_at, sending))]
+    def _ticks(self) -> Iterable[tuple[SimTime, int]]:
+        """The ticks that send a frame, in time order: (time, frame id). A
+        tick that sends nothing does nothing, and a burst handled at the
+        tick before it may arrive after it."""
+        send_at = self._send_at
+        return zip(send_at, range(len(send_at) - 1))  # the last is the end sentinel
 
     def _run_arrays(self) -> SimResult:
         """The whole draw-free run as numpy arrays.
@@ -753,18 +772,24 @@ def ab_runs(cfg: ScenarioConfig, toggle: str) -> tuple[SimResult, SimResult]:
     return run_scenario(off), run_scenario(on)
 
 
+def _saving(before: Optional[float], after: Optional[float]) -> Optional[float]:
+    """``before - after`` in ms, or None when either run presented no frame."""
+    return None if before is None or after is None else round(before - after, 4)
+
+
 def ab_row(toggle: str, off: MetricsReport, on: MetricsReport) -> dict[str, Any]:
-    """One toggle's mean end-to-end saving, from its off and on runs' reports."""
+    """One toggle's mean end-to-end saving, from its off and on runs' reports;
+    each saving is None when either run presented no frame."""
     stage_deltas = {}
     for name in set(off.stages) | set(on.stages):
         before = off.stages.get(name, {}).get("mean_ms", 0.0)
         after = on.stages.get(name, {}).get("mean_ms", 0.0)
-        stage_deltas[name] = round(before - after, 4)
+        stage_deltas[name] = _saving(before, after)
     return {
         "toggle": toggle,
         "off_mean_ms": off.end_to_end["mean_ms"],
         "on_mean_ms": on.end_to_end["mean_ms"],
-        "delta_ms": round(off.end_to_end["mean_ms"] - on.end_to_end["mean_ms"], 4),
+        "delta_ms": _saving(off.end_to_end["mean_ms"], on.end_to_end["mean_ms"]),
         "stage_deltas_ms": {k: stage_deltas[k] for k in sorted(stage_deltas)},
     }
 
@@ -789,8 +814,11 @@ def ab_suite(base: ScenarioConfig) -> dict[str, Any]:
     results, p2p_rgb = dict(zip(TOGGLE_NAMES, rows)), rows[-1]
     baseline_mean, all_on_mean = (m.end_to_end["mean_ms"] for m in metrics[-2:])
     # in toggle order, with the RGB p2p delta in p2p's place
-    delta_sum = sum(row["delta_ms"] for row in {**results, "p2p_topology": p2p_rgb}.values())
-    residual = round(abs(baseline_mean - delta_sum - all_on_mean), 4)
+    terms = [baseline_mean, all_on_mean]
+    terms += [row["delta_ms"] for row in {**results, "p2p_topology": p2p_rgb}.values()]
+    residual = None  # when some run presented no frame
+    if None not in terms:
+        residual = round(abs(baseline_mean - sum(terms[2:]) - all_on_mean), 4)
     return {
         "baseline_mean_ms": baseline_mean,
         "all_on_mean_ms": all_on_mean,

@@ -81,16 +81,17 @@ def write_trace(records: list[FrameRecord], path: Union[str, Path]) -> None:
             fh.write(rec.trace_row() + "\n")
 
 
-def _dist_ms(values_us: np.ndarray, ordered=None, shift: int = 0) -> dict[str, float]:
+def _dist_ms(values_us: np.ndarray, ordered=None, shift: int = 0) -> dict[str, Optional[float]]:
     """Mean, median and 99th percentile of ``values_us``, in ms; ``ordered +
-    shift`` is the values in ascending order, sorted here if not given.
+    shift`` is the values in ascending order, sorted here if not given. An
+    empty sample (a run that presents no frame) has none of them: each is None.
 
     Both percentiles come from one sort and equal ``np.percentile``'s default
     (linear) method bit for bit: the same index ``(n-1)*q``, the same weight
     and the same two-sided interpolation, in plain floats.
     """
     if len(values_us) == 0:
-        return {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
+        return {"mean_ms": None, "p50_ms": None, "p99_ms": None}
     arr = values_us / 1000.0  # the ufunc makes int64 float64 itself, in the same pass
     ordered = np.sort(values_us) if ordered is None else ordered
     return {
@@ -230,12 +231,16 @@ def build_distributions(
         if max(top, abs(int(offset[0]))) < 2**62 and offset.min() == offset.max():
             shift = int(offset[0])
     e2e = _dist_ms(e2e_us) if shift is None else _dist_ms(e2e_us, ordered, shift)
-    e2e["mean_frames_60fps"] = round(e2e["mean_ms"] / FRAME_PERIOD_60FPS_MS, 4)
+    mean = e2e["mean_ms"]
+    e2e["mean_frames_60fps"] = None if mean is None else round(mean / FRAME_PERIOD_60FPS_MS, 4)
     return stages, e2e
 
 
-def stage_breakdown(report: MetricsReport) -> list[tuple[str, float, float]]:
-    """(stage, mean ms, share %) rows; shares total 100 +/- rounding."""
+def stage_breakdown(report: MetricsReport) -> list[tuple[str, Optional[float], Optional[float]]]:
+    """(stage, mean ms, share %) rows; shares total 100 +/- rounding. A run
+    that presents no frame has neither a mean nor a share."""
+    if report.end_to_end["mean_ms"] is None:
+        return [(name, None, None) for name in report.stages]
     rows = [(name, d["mean_ms"]) for name, d in report.stages.items()]
     total = sum(ms for _, ms in rows)
     if total <= 0:
@@ -290,15 +295,23 @@ def render_table(rows: list[tuple], headers: tuple) -> str:
     return "\n".join(lines)
 
 
+def format_cell(value: Optional[float], spec: str = ".3f", unit: str = "") -> str:
+    """A table cell of ``value``; "n/a" when a sample had none (no frame presented)."""
+    return "n/a" if value is None else format(value, spec) + unit
+
+
 def render_report(data: dict[str, Any]) -> str:
     rep = data["report"]
     lines = []
     e2e = rep["end_to_end"]
-    lines.append(
-        f"end-to-end latency: mean {e2e['mean_ms']} ms"
-        f" (p50 {e2e['p50_ms']}, p99 {e2e['p99_ms']};"
-        f" {e2e['mean_frames_60fps']} frames at 60 FPS)"
-    )
+    if e2e["mean_ms"] is None:
+        lines.append("end-to-end latency: none, no frame was presented")
+    else:
+        lines.append(
+            f"end-to-end latency: mean {e2e['mean_ms']} ms"
+            f" (p50 {e2e['p50_ms']}, p99 {e2e['p99_ms']};"
+            f" {e2e['mean_frames_60fps']} frames at 60 FPS)"
+        )
     fr = rep["frames"]
     lines.append(
         f"frames: {fr['sent']} sent, {fr['presented']} presented,"
@@ -309,14 +322,15 @@ def render_report(data: dict[str, Any]) -> str:
                  f" link utilization {rep['network']['link_utilization']}")
     lines.append("")
     rows = [
-        (r["stage"], f"{r['mean_ms']:.3f}", f"{r['share_pct']:.1f}%")
+        (r["stage"], format_cell(r["mean_ms"]), format_cell(r["share_pct"], ".1f", "%"))
         for r in data["breakdown"]
     ]
     lines.append(render_table(rows, ("stage", "mean ms", "share")))
     if "ab_compare" in data:
         lines.append("")
         ab = data["ab_compare"]
-        lines.append(f"A/B toggle {ab['toggle']}: saves {ab['delta_ms']} ms end-to-end")
-        rows = [(k, f"{v:+.3f}") for k, v in ab["stage_deltas_ms"].items()]
+        saves = format_cell(ab["delta_ms"], "", " ms")
+        lines.append(f"A/B toggle {ab['toggle']}: saves {saves} end-to-end")
+        rows = [(k, format_cell(v, "+.3f")) for k, v in ab["stage_deltas_ms"].items()]
         lines.append(render_table(rows, ("stage", "delta ms")))
     return "\n".join(lines)

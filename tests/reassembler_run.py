@@ -58,7 +58,7 @@ class ReassemblerRun(Simulator):
 
     def _handle_burst(self, t, event):
         _, k, first, last, delivered, count, is_iframe = event
-        forced, gen = self._table["forced"][k], self._table["gen_us"][k]
+        forced, gen = self._table["forced"][k], int(self._grid.gen[k])
         for ev in self.reasm.on_frame(first, last, delivered, k, count, is_iframe, forced, gen):
             self._on_reassembly(ev, t)
         self._schedule_deadlines()

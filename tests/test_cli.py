@@ -32,6 +32,53 @@ def test_sim_run_writes_report(tmp_path, capsys):
     assert "end-to-end latency" in shown
 
 
+# every fragment but one in 10,000 is lost: none of the run's 300 frames is presented
+NOTHING_PRESENTED = ["--preset", "openuvr", "--seed", "42", "--set", "channel.loss_p=0.9999",
+                     "--set", "duration_s=5"]
+
+
+def test_a_run_that_presents_no_frame_reports_no_latency(tmp_path, capsys):
+    out = tmp_path / "none.json"
+    assert main(["sim", "run", *NOTHING_PRESENTED, "--out", str(out)]) == 0
+    shown = capsys.readouterr().out
+    report = load_report(out)["report"]
+    assert report["frames"]["sent"] == 300 and report["frames"]["presented"] == 0
+    none = dict(mean_ms=None, p50_ms=None, p99_ms=None)
+    assert report["end_to_end"] == dict(none, mean_frames_60fps=None)
+    assert report["stages"] and all(dist == none for dist in report["stages"].values())
+    breakdown = load_report(out)["breakdown"]
+    assert all(row["mean_ms"] is None and row["share_pct"] is None for row in breakdown)
+    assert "end-to-end latency: none, no frame was presented" in shown
+    assert "0.0 ms" not in shown and "0.000" not in shown
+    capsys.readouterr()
+    assert main(["report", "show", str(out)]) == 0
+    assert "no frame was presented" in capsys.readouterr().out
+
+
+def test_a_saving_against_a_run_that_presents_no_frame_is_absent(capsys):
+    from uvrpipe.pipeline import ab_row, ab_suite, run_scenario
+    from uvrpipe.scenario import apply_kv, preset_config
+
+    assert main(["sim", "ab", "--toggle", "feedback_control", *NOTHING_PRESENTED]) == 0
+    assert "saves n/a end-to-end" in capsys.readouterr().out
+    cfg = preset_config("openuvr")
+    cfg.seed = 42
+    presenting = run_scenario(cfg).metrics
+    errors = []
+    for setting in NOTHING_PRESENTED[5::2]:
+        apply_kv(cfg, *setting.split("=", 1), errors)
+    assert not errors
+    nothing = run_scenario(cfg).metrics
+    for off, on in ((nothing, presenting), (presenting, nothing)):
+        row = ab_row("feedback_control", off, on)
+        assert row["delta_ms"] is None
+        assert set(row["stage_deltas_ms"].values()) == {None}
+    assert ab_row("feedback_control", presenting, presenting)["delta_ms"] == 0.0
+    suite = ab_suite(cfg)
+    assert suite["baseline_mean_ms"] is None and suite["interaction_residual_ms"] is None
+    assert all(row["delta_ms"] is None for row in suite["deltas"].values())
+
+
 def test_report_show(tmp_path, capsys):
     out = _run_args(tmp_path, "r2")
     capsys.readouterr()

@@ -19,28 +19,34 @@ from uvrpipe.pipeline import Simulator
 from uvrpipe.scenario import preset_config
 
 
+DECODE_COLUMNS = ("net_us", "queue_wait_us", "decode_start_us", "presented_us")
+
+
 class PerFrameDecode(Simulator):
     """The event loop with a decoder of its own, offered each frame as the
-    frame completes; the decode step after the loop does nothing."""
+    frame completes; the decode step after the loop only writes down what
+    the loop's decoder gave each frame."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.decoder = DecodeServer(self.codec_cfg.decode_fps_cap)
+        self.decoded = {}  # frame id -> its DECODE_COLUMNS values
 
     def _handle_burst(self, t, event):
         super()._handle_burst(t, event)
         _, k, _, last, delivered, count, _ = event
         if delivered == count:  # the frame completed
-            g, col = self.graph, self._table
+            g = self.graph
             net_done = last + g.link_fixed_us
-            col["net_us"][k] = net_done - (col["encoded_us"][k] + g.host_netstack_us)
+            encoded = self._grid.tick[k] + g.encode_path_us
             start, wait = self.decoder.offer(net_done)
-            col["queue_wait_us"][k] = wait
-            col["decode_start_us"][k] = start
-            col["presented_us"][k] = start + g.mud_service_us + g.residual_us
+            presented = start + g.mud_service_us + g.residual_us
+            self.decoded[k] = (net_done - (encoded + g.host_netstack_us), wait, start, presented)
 
     def _decode(self, frames):
-        pass
+        for k, values in self.decoded.items():
+            for name, value in zip(DECODE_COLUMNS, values):
+                frames[name][k] = value
 
 
 def _outcome(sim):

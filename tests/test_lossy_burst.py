@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uvrpipe import netsim
-from uvrpipe.core import Rng
+from uvrpipe.core import EventQueue, Rng
 from uvrpipe.netsim import (
     MAX_PACKET_BYTES,
     ChannelModel,
@@ -39,6 +39,8 @@ from uvrpipe.netsim import (
     Topology,
     serialization_us,
 )
+from uvrpipe.pipeline import Simulator, run_scenario
+from uvrpipe.scenario import preset_config
 
 
 def _ref_lost(ch: ChannelModel, link: LinkState, rng: Rng) -> bool:
@@ -374,12 +376,39 @@ def _walk_counter(monkeypatch) -> list:
     return walks
 
 
-def _seed_where(ch, count, tail, wanted) -> int:
-    """The first seed whose burst of ``count`` packets the reference walk
-    delivers as ``wanted`` (a predicate over its arrivals) says."""
-    sizes = [MAX_PACKET_BYTES] * (count - 1) + [tail]
+def _flag_reads(monkeypatch) -> list:
+    """Each ``Medium._flags`` call as [lossy, crossed]: whether it returned
+    loss flags, and whether it built a table over values that an earlier
+    table left unread. On P2P without jitter only ``Medium.frame``'s inline
+    path reads flags, so a lossy read there is a hit on the inline lossy path."""
+    reads = []
+    flags, table = netsim.Medium._flags, netsim.Medium._table
+
+    def counted_table(self, n):
+        reads[-1][1] = len(self._values) > self._per * self._at
+        return table(self, n)
+
+    def counted_flags(self, n):
+        reads.append([False, False])
+        got = flags(self, n)
+        reads[-1][0] = got is not None
+        return got
+
+    monkeypatch.setattr(netsim.Medium, "_table", counted_table)
+    monkeypatch.setattr(netsim.Medium, "_flags", counted_flags)
+    return reads
+
+
+def _seed_where(ch, frames, wanted) -> int:
+    """The first seed whose last burst of ``frames`` (each ``(send time,
+    count, tail)``) the reference walk delivers as ``wanted`` (a predicate
+    over its arrivals) says."""
     for seed in range(2_000):
-        if wanted(reference_transmit_burst(ch, LinkState(), sizes, 0, Rng(seed))):
+        link, rng = LinkState(), Rng(seed)
+        for now, count, tail in frames:
+            sizes = [MAX_PACKET_BYTES] * (count - 1) + [tail]
+            arrivals = reference_transmit_burst(ch, link, sizes, now, rng)
+        if wanted(arrivals):
             return seed
     pytest.fail("no seed gave the wanted burst")
 
@@ -393,25 +422,84 @@ P2P_LOSSY = [dict(loss_p=0.4), dict(GE, ge_loss_good=0.3, ge_p_gb=0.5)]
 
 @pytest.mark.parametrize("loss", P2P_LOSSY, ids=["bernoulli", "gilbert_elliott"])
 @pytest.mark.parametrize(
-    "count, wanted",
+    "counts, wanted",
     [
-        (12, lambda a: a[0] is None and _some(a)),
-        (12, lambda a: a[-1] is None and _some(a)),
-        (12, lambda a: a[0] is None and a[-1] is None and _some(a)),
-        (4, lambda a: not _some(a)),
-        (1, lambda a: a == [None]),
-        (2, lambda a: a[0] is not None and a[1] is None),
+        ((12,), lambda a: a[0] is None and _some(a)),
+        ((12,), lambda a: a[-1] is None and _some(a)),
+        ((12,), lambda a: a[0] is None and a[-1] is None and _some(a)),
+        ((4,), lambda a: not _some(a)),
+        ((1,), lambda a: a == [None]),
+        ((2,), lambda a: a[0] is not None and a[1] is None),
+        # the first table holds 64 values: 32 Gilbert-Elliott packets or 64
+        # Bernoulli ones, so the second burst's values cross into the next block
+        ((30, 40), lambda a: None in a and _some(a)),
     ],
-    ids=["first_lost", "last_lost", "both_ends_lost", "all_lost", "one_fragment", "tail_lost"],
+    ids=[
+        "first_lost",
+        "last_lost",
+        "both_ends_lost",
+        "all_lost",
+        "one_fragment",
+        "tail_lost",
+        "crosses_a_refill",
+    ],
 )
-def test_p2p_lossy_burst_takes_the_closed_form(loss, count, wanted, monkeypatch):
-    # a lossy P2P burst without jitter is never walked; a clean frame follows it
+def test_p2p_lossy_burst_takes_the_closed_form(loss, counts, wanted, monkeypatch):
+    # a lossy P2P burst without jitter is timed inline from its loss flags
+    # and never walked; a clean frame follows it
     ch = ChannelModel(**loss)
-    seed = _seed_where(ch, count, 700, wanted)
+    frames = [(16_667 * k, count, 700) for k, count in enumerate(counts)]
+    seed = _seed_where(ch, frames, wanted)
     walks = _walk_counter(monkeypatch)
-    frames = [(0, count, 700), (16_667, 12, 64)]
-    _compare_frames(ch, LinkState(), seed, frames)
+    reads = _flag_reads(monkeypatch)
+    _compare_frames(ch, LinkState(), seed, [*frames, (16_667 * len(frames), 12, 64)])
     assert not walks
+    lossy, crossed = reads[len(frames) - 1]  # the wanted burst's read
+    assert lossy
+    assert crossed == (len(frames) > 1)
+
+
+def test_the_lossy_benchmark_run_stays_on_the_inline_path(monkeypatch):
+    # perfbench's sim_lossy run: openuvr (P2P, no jitter) under
+    # Gilbert-Elliott loss for 60 s at seed 42. Every frame burst and I-frame
+    # request is timed inline, none walks; the hops that reach a disturbance
+    # or the end of the values drawn read the loss table
+    calls = dict(frame=0, request=0, burst_reads=0, request_reads=0, walk=0, table=0, push=0)
+    in_request = []
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def send_cp(self, msg, t):
+        in_request.append(True)
+        calls["request"] += 1
+        try:
+            return send(self, msg, t)
+        finally:
+            in_request.pop()
+
+    def flags(self, n):
+        calls["request_reads" if in_request else "burst_reads"] += 1
+        return read(self, n)
+
+    send, read = Simulator._send_cp, netsim.Medium._flags
+    monkeypatch.setattr(Simulator, "_send_cp", send_cp)
+    monkeypatch.setattr(netsim.Medium, "_flags", flags)
+    monkeypatch.setattr(netsim.Medium, "frame", count("frame", netsim.Medium.frame))
+    monkeypatch.setattr(netsim.Medium, "_table", count("table", netsim.Medium._table))
+    monkeypatch.setattr(netsim, "_walk", count("walk", netsim._walk))
+    monkeypatch.setattr(EventQueue, "schedule", count("push", EventQueue.schedule))
+    cfg = preset_config("openuvr")
+    cfg.channel.loss_model = LossModel.GILBERT_ELLIOTT
+    cfg.seed = 42
+    assert run_scenario(cfg).metrics.frames["sent"] == 3_600
+    assert calls == dict(
+        frame=5_945, request=2_345, burst_reads=871, request_reads=53, walk=0, table=12, push=1_115
+    )
 
 
 # --- the loss table ----------------------------------------------------------
@@ -456,16 +544,44 @@ def table_channels(draw):
     )
 
 
-@settings(max_examples=800)
-@given(ch=table_channels(), bad=st.booleans(), data=st.data())
-def test_loss_table_equals_the_per_packet_walk(ch, bad, data):
-    # uniforms that include every threshold itself, where ``<`` and ``<=`` part
-    edges = [ch.loss_p, ch.ge_p_gb, ch.ge_p_bg, ch.ge_loss_good, ch.ge_loss_bad, 0.0]
-    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges))
+def _edges(ch):
+    """Every threshold of ``ch``, where ``<`` and ``<=`` part, and 0."""
+    return [ch.loss_p, ch.ge_p_gb, ch.ge_p_bg, ch.ge_loss_good, ch.ge_loss_bad, 0.0]
+
+
+@st.composite
+def table_cases(draw):
+    """A channel of ``table_channels`` and uniforms for whole packets, which
+    include every threshold itself."""
+    ch = draw(table_channels())
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(_edges(ch)))
     # a Gilbert-Elliott packet takes two uniforms
     per = 2 if ch.loss_model is LossModel.GILBERT_ELLIOTT else 1
-    values = data.draw(st.lists(uniform, min_size=per, max_size=80))
-    values = values[: len(values) // per * per]
+    values = draw(st.lists(uniform, min_size=per, max_size=80))
+    return ch, values[: len(values) // per * per]
+
+
+def _at_every_edge(ch):
+    """Uniforms that put every threshold (and 0 and a value past them all)
+    in the loss draw and in the transition draw, after each other one."""
+    edges = [*_edges(ch), 0.99]
+    return [u for a in edges for b in edges for u in (a, b)]
+
+
+# ``ge_p_gb == ge_p_bg``: no transition draw is a constant map, only swaps
+# and identities; ``ge_p_gb > ge_p_bg``: a constant map sets the chain bad
+NO_CONSTANT = ChannelModel(**dict(GE, ge_p_gb=0.3, ge_p_bg=0.3, ge_loss_good=0.1))
+CONSTANT_BAD = ChannelModel(**dict(GE, ge_p_gb=0.4, ge_p_bg=0.1, ge_loss_good=0.1))
+
+
+@settings(max_examples=800)
+@given(case=table_cases(), bad=st.booleans())
+@example((NO_CONSTANT, _at_every_edge(NO_CONSTANT)), False)
+@example((NO_CONSTANT, _at_every_edge(NO_CONSTANT)), True)
+@example((CONSTANT_BAD, _at_every_edge(CONSTANT_BAD)), False)
+@example((CONSTANT_BAD, _at_every_edge(CONSTANT_BAD)), True)
+def test_loss_table_equals_the_per_packet_walk(case, bad):
+    ch, values = case
     lost, after, marks = netsim._loss_table(ch, np.array(values), bad)
     want_lost, want_after, want_marks = _reference_table(ch, values, bad)
     assert lost.tolist() == want_lost

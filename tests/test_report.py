@@ -82,11 +82,16 @@ def test_dist_ms_equals_its_two_step_float_conversion(values):
 
 
 def test_empty_sample():
-    assert _dist_ms(np.zeros(0, dtype=np.int64)) == {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
+    # a run that presents no frame has no latency: absent, not 0
+    empty = np.zeros(0, dtype=np.int64)
+    assert _dist_ms(empty) == {"mean_ms": None, "p50_ms": None, "p99_ms": None}
+    stages, e2e = build_distributions({"encode-path": 3_000, "network": empty}, empty)
+    assert e2e == {"mean_ms": None, "p50_ms": None, "p99_ms": None, "mean_frames_60fps": None}
+    assert all(value is None for dist in stages.values() for value in dist.values())
 
 
 def _bits(dist):
-    return {name: value.hex() for name, value in dist.items()}
+    return {name: None if value is None else value.hex() for name, value in dist.items()}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

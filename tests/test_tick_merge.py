@@ -3,13 +3,14 @@
 ``EventQueue.run`` merges the render and sample tick grid with the heap of
 dynamic events instead of scheduling every tick up front. The eager
 scheduler is kept here as the reference: it pushes every tick onto the heap
-before the run, in grid order, and then runs the heap. A tick was scheduled
-before any dynamic event, so on equal times it goes first, and a render goes
-before a sample. ``TranscriptRun`` (``transcript_run.py``) merges every tick,
-including those that send nothing; its transcripts, records and reports must
-come out the same under both. The plain run merges no tick that sends
-nothing (no ASYNC render tick, and no SYNC one that the codec rate skips);
-its records and report must still equal the eager schedule's.
+before the run, in grid order, and then runs the heap, still handing each
+tick to the run's ``on_tick``. A tick was scheduled before any dynamic
+event, so on equal times it goes first, and a render goes before a sample.
+``TranscriptRun`` (``transcript_run.py``) merges every tick, including those
+that send nothing; its transcripts, records and reports must come out the
+same under both. The plain run merges no tick that sends nothing (no ASYNC
+render tick, and no SYNC one that the codec rate skips); its records and
+report must still equal the eager schedule's.
 """
 
 import json
@@ -26,14 +27,28 @@ from uvrpipe.pipeline import Simulator
 from uvrpipe.scenario import EncodeMode, preset_config
 
 
+class _Tick:
+    """A tick on the eager heap."""
+
+    def __init__(self, arg):
+        self.arg = arg
+
+
 class EagerQueue(HeapQueue):
     """The old scheduler: every render tick, then every sample tick, on the
-    heap before the first dispatch."""
+    heap before the first dispatch; a tick still goes to ``on_tick``."""
 
-    def run(self, handler, ticks=()):
-        for t, event in sorted(ticks, key=lambda tick: tick[1][0] == "sample"):
-            self.schedule(t, event)
-        super().run(handler)
+    def run(self, handler, ticks=(), on_tick=None):
+        for t, arg in sorted(ticks, key=lambda tick: tick[1][0] == "sample"):
+            self.schedule(t, _Tick(arg))
+
+        def dispatch(t, event):
+            if isinstance(event, _Tick):
+                on_tick(t, event.arg)
+            else:
+                handler(t, event)
+
+        super().run(dispatch)
 
 
 def _outcome(sim):
@@ -131,7 +146,7 @@ def _dispatch_all(queue_cls, ticks, seeds):
         for child_t, child in children:
             queue.schedule(child_t, child)
 
-    queue.run(handler, ticks)
+    queue.run(handler, ticks, handler)
     return order
 
 
@@ -150,4 +165,4 @@ def test_queue_merge_equals_eager_schedule(gaps, seeds):
 def test_unsorted_ticks_are_refused():
     queue = EventQueue()
     with pytest.raises(SchedulingError):
-        queue.run(lambda t, event: None, [(5, "a"), (4, "b")])
+        queue.run(lambda t, event: None, [(5, "a"), (4, "b")], lambda t, arg: None)

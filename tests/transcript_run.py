@@ -3,11 +3,13 @@
 ``Simulator._run_events`` leaves two kinds of event off its heap: a burst
 that is the loop's next dispatch is handled by the tick that sent it, and an
 I-frame request that reaches the host before the next tick that sends is
-decided when it is sent. It merges only the ticks that send a frame.
+decided when it is sent. It merges only the ticks that send a frame, as
+(time, frame id) pairs that ``EventQueue.run`` hands to ``_encode_and_send``.
 ``TranscriptRun`` is its reference: it heaps every burst and request, merges
 every clock tick (and every render tick in ASYNC) as the eager scheduler
-did, and records each dispatch as ``(time, kind, arg)``: the tick's clock
-index, the burst's frame id, the deadline's frame id or the request.
+did, through the same hook, and records each dispatch as ``(time, kind,
+arg)``: the tick's clock index, the burst's frame id, the deadline's frame
+id or the request.
 """
 
 from operator import itemgetter
@@ -57,8 +59,14 @@ class TranscriptRun(Simulator):
         if sent is not None:
             self.queue.schedule(sent[0], ("cp", msg))
 
+    def _encode_and_send(self, t, tick):
+        """Record a tick of ``_ticks``, ``(kind, clock index, frame id or
+        -1)``, and send its frame."""
+        kind, i, k = tick
+        self.transcript.append((t, kind, i))
+        if k >= 0:  # else a tick that sends nothing
+            super()._encode_and_send(t, k)
+
     def _dispatch(self, t, event):
-        kind = event[0]
-        self.transcript.append((t, kind, event[1]))
-        if kind not in ("render", "sample") or event[2] >= 0:  # else a tick that sends nothing
-            super()._dispatch(t, event)
+        self.transcript.append((t, event[0], event[1]))
+        super()._dispatch(t, event)
