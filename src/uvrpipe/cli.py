@@ -19,11 +19,13 @@ from . import runner as runner_mod
 from .pipeline import ab_row, ab_runs, ab_suite, run_scenario
 from .report import dump_report, load_report, render_report, render_table, report_file_dict
 from .scenario import (
+    MAX_TICKS,
     PRESETS,
     ScenarioConfig,
     ScenarioError,
     apply_kv,
     bound_error,
+    clock_ticks,
     key_error,
     parse_scenario,
     preset_config,
@@ -173,8 +175,14 @@ def _parse_addr(raw: str, default_port: int) -> Optional[tuple[str, int]]:
 
 
 def _runner_config(args) -> runner_mod.RunnerConfig:
+    cfg = runner_mod.RunnerConfig()
     checks = (("duration_s", args.duration), ("codec.gop_size", args.gop), ("seed", args.seed))
     errors = [e for key, v in checks if v is not None and (e := key_error(key, v))]
+    # the host builds its send grid up front, at the codec's rate, which no flag sets
+    fps = cfg.codec.fps
+    clocks = {"duration_s": args.duration, "render_fps": fps, "codec.fps": fps}
+    if not key_error("duration_s", args.duration) and (ticks := clock_ticks(clocks)) > MAX_TICKS:
+        errors.append(f"duration_s must be at most {MAX_TICKS} ticks at {fps} FPS, not {ticks}")
     # a mud-only flag that no scenario key owns; nan fails the range too
     induced_loss = getattr(args, "induced_loss", 0.0)
     if error := bound_error("--induced-loss", induced_loss, "in [0, 1]"):
@@ -185,7 +193,6 @@ def _runner_config(args) -> runner_mod.RunnerConfig:
             errors.append(f"{flag} must be IPV4HOST:PORT with PORT in [0, 65535]")
     if errors:  # before any socket opens
         raise ScenarioError(errors)
-    cfg = runner_mod.RunnerConfig()
     cfg.bind, cfg.peer = bind, peer
     cfg.duration_s = args.duration
     cfg.seed = args.seed if args.seed is not None else cfg.seed

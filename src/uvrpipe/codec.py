@@ -63,13 +63,11 @@ class GopWalker:
         self.g = cfg.gop_size
         self._next_index = 0
 
-    def plan(self, force_i: bool) -> tuple[FrameType, int, bool]:
-        """Returns (type, gop_index, forced) for the next frame."""
+    def plan(self, force_i: bool) -> tuple[FrameType, bool]:
+        """Returns (type, forced) for the next frame."""
         idx = 0 if force_i else self._next_index
         self._next_index = (idx + 1) % self.g
-        if idx == 0:
-            return FrameType.I, 0, force_i
-        return FrameType.P, idx, False
+        return (FrameType.I, force_i) if idx == 0 else (FrameType.P, False)
 
 
 def encoded_size(

@@ -92,17 +92,17 @@ class Rng:
         else:
             self._states[name] = state
 
-    def lognormal_complexity(self, sigma: float, n: Optional[int] = None):
-        """One content complexity, or an array of ``n`` from one batched draw.
+    def lognormal_complexity(self, sigma: float, n: int) -> np.ndarray:
+        """``n`` content complexities from one batched draw.
 
-        The batch equals ``n`` scalar calls bit for bit and leaves the
-        workload stream at the same place.
+        The batch equals ``n`` scalar draws, ``exp(sigma * z)`` each, bit for
+        bit and leaves the workload stream at the same place.
         """
         z = self.stream("workload").standard_normal(n)
         if sigma == 0.0:
             # degenerate distribution; the draw above keeps streams aligned
-            return 1.0 if n is None else np.ones(n)
-        return float(np.exp(sigma * z)) if n is None else np.exp(sigma * z)
+            return np.ones(n)
+        return np.exp(sigma * z)
 
 
 class EventQueue:
@@ -200,7 +200,7 @@ class FrameSource:
         frame = RawFrame(
             frame_id=self._next_id,
             gen_time=now,
-            complexity=self.rng.lognormal_complexity(self.cfg.complexity_sigma),
+            complexity=float(self.rng.lognormal_complexity(self.cfg.complexity_sigma, 1)[0]),
         )
         self._next_id += 1
         return frame

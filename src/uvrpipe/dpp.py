@@ -208,7 +208,7 @@ class FrameComplete:
     gen_timestamp_us: int
     first_arrival: SimTime
     last_arrival: SimTime
-    data: Optional[bytes] = None
+    data: bytes
 
 
 @dataclass
@@ -243,7 +243,7 @@ class _PendingFrame:
         self.forced = False
         self.gen_timestamp_us = 0
         # each run's bytes, by the index of its first fragment
-        self.chunks: Optional[dict[int, bytes]] = None
+        self.chunks: dict[int, bytes] = {}
 
 
 class Reassembler:
@@ -322,13 +322,12 @@ class Reassembler:
         is_iframe: bool,
         forced: bool,
         gen_timestamp_us: int,
-        payloads: Sequence[bytes | memoryview | None],
+        payloads: Sequence[bytes | memoryview],
     ) -> list[ReassemblyEvent]:
         """Ingest fragments ``frag_index``, ``frag_index + 1``, ... of one
         frame, all arrived at ``now``, one per item of ``payloads``. The
         header fields are the run's first datagram's. A payload may be a view
-        of a reused buffer (it is copied), or None when no fragment of the
-        frame carries bytes.
+        of a reused buffer (it is copied).
 
         The events and the state left equal one call per fragment, in order:
         the drop sweep runs once, since every fragment repeats its ``now``
@@ -358,16 +357,13 @@ class Reassembler:
         is_iframe: bool,
         forced: bool,
         gen_timestamp_us: int,
-        payload: Optional[bytes | memoryview],
+        payload: bytes | memoryview,
     ) -> Optional[FrameComplete]:
         if frame_id in self._resolved:
             return None
         pend = self._pending.get(frame_id)
         if pend is None or pend.first_arrival is None:
-            pend = self._open(
-                now, frame_id, pend, frag_count, is_iframe, forced, gen_timestamp_us,
-                payload is not None,
-            )
+            pend = self._open(now, frame_id, pend, frag_count, is_iframe, forced, gen_timestamp_us)
         elif frag_count != pend.frag_count:
             self.malformed_count += 1
             return None
@@ -378,8 +374,7 @@ class Reassembler:
             return None
         pend.mask |= bit
         pend.received += 1
-        if pend.chunks is not None:
-            pend.chunks[frag_index] = bytes(payload)
+        pend.chunks[frag_index] = bytes(payload)
         if pend.received == pend.frag_count:
             return self._complete(now, frame_id, pend)
         return None
@@ -393,7 +388,7 @@ class Reassembler:
         is_iframe: bool,
         forced: bool,
         gen_timestamp_us: int,
-        payloads: Sequence[bytes | memoryview | None],
+        payloads: Sequence[bytes | memoryview],
         events: list[ReassemblyEvent],
     ) -> bool:
         """Take a run of fragments in one step, its bytes as one chunk, and
@@ -410,16 +405,12 @@ class Reassembler:
         if pend is None or pend.first_arrival is None:
             if n > frag_count:
                 return False
-            pend = self._open(
-                now, frame_id, pend, frag_count, is_iframe, forced, gen_timestamp_us,
-                payloads[0] is not None,
-            )
+            pend = self._open(now, frame_id, pend, frag_count, is_iframe, forced, gen_timestamp_us)
         elif frag_count != pend.frag_count or pend.received + n > frag_count or pend.mask & bits:
             return False
         pend.mask |= bits
         pend.received += n
-        if pend.chunks is not None:
-            pend.chunks[frag_index] = b"".join(payloads)
+        pend.chunks[frag_index] = b"".join(payloads)
         if pend.received == frag_count:
             events.append(self._complete(now, frame_id, pend))
         return True
@@ -433,7 +424,6 @@ class Reassembler:
         is_iframe: bool,
         forced: bool,
         gen_timestamp_us: int,
-        carries_bytes: bool,
     ) -> _PendingFrame:
         """The pending frame ``frame_id`` as its first fragment leaves it:
         new, or ``pend``, discovered through a newer frame, whose deadline
@@ -448,15 +438,11 @@ class Reassembler:
         pend.is_iframe = is_iframe
         pend.forced = forced
         pend.gen_timestamp_us = gen_timestamp_us
-        if carries_bytes:  # a frame's fragments all carry bytes, or none does
-            pend.chunks = {}
         return pend
 
     def _complete(self, now: SimTime, frame_id: int, pend: _PendingFrame) -> FrameComplete:
-        data = None
-        if pend.chunks is not None:
-            # one chunk, a whole frame read as one run, is the frame: no join
-            data = b"".join([pend.chunks[i] for i in sorted(pend.chunks)])
+        # one chunk, a whole frame read as one run, is the frame: no join
+        data = b"".join([pend.chunks[i] for i in sorted(pend.chunks)])
         self._resolve(frame_id)
         return FrameComplete(
             frame_id=frame_id,

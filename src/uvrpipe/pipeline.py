@@ -394,7 +394,7 @@ class Simulator:
         """Encode frame ``k`` at its send tick ``t`` and put it on the air."""
         feedback = self._feedback
         self._next_tick = self._send_at[k + 1]
-        ftype, _, forced = self.walker.plan(feedback and self.host_fb.pending_force)
+        ftype, forced = self.walker.plan(feedback and self.host_fb.pending_force)
         is_iframe = ftype is FrameType.I
         size, count, tail_wire = self._layouts[is_iframe][k]
         if is_iframe and feedback:

@@ -6,8 +6,13 @@ HELLO carrying a fingerprint of the codec parameters before streaming; frames
 are synthetic (model sizes, deterministic byte pattern) so the receiver can
 verify payload integrity end to end.
 
-One-way latency numbers are only meaningful when both roles share a clock,
-i.e. run on the same machine. They and the datagrams' generation stamps are
+The host streams the simulator's workload: the SYNC send grid
+(``scenario.send_grid``) at the codec's rate sets the frames, their ticks and
+their complexities, which ``codec.encoded_sizes`` sizes for each frame's type.
+The receiver's one-way latency is ``report._dist_ms`` of its completed frames
+(ms to 4 decimals, None when none completed), as the simulator reports its
+stages. It is only meaningful when both roles share a clock, i.e. run on the
+same machine. The latency and the datagrams' generation stamps are
 the only use of the wall clock: deadlines and the suppression window run on
 the monotonic clock, so a wall-clock step neither drops nor freezes frames.
 
@@ -40,8 +45,10 @@ import numpy as np
 
 from . import cp as cp_mod
 from . import dpp
-from .codec import CodecConfig, FrameType, GopWalker, encoded_size, nominal_sizes
-from .core import US_PER_S, Rng, tick_time
+from .codec import CodecConfig, FrameType, GopWalker, encoded_sizes, nominal_sizes
+from .core import US_PER_S
+from .report import _dist_ms
+from .scenario import EncodeMode, send_grid
 
 DEFAULT_PORT = 28_864
 HANDSHAKE_TIMEOUT_S = 3.0
@@ -168,9 +175,10 @@ class RunnerStats:
     frag_count_mismatches: int = 0  # fragments whose frag_count disagrees with their frame's
     duplicate_fragments: int = 0
     induced_drops: int = 0
-    latency_p50_ms: float = 0.0
-    latency_p99_ms: float = 0.0
-    latency_mean_ms: float = 0.0
+    # of the completed frames (``report._dist_ms``); None when none completed
+    latency_p50_ms: Optional[float] = None
+    latency_p99_ms: Optional[float] = None
+    latency_mean_ms: Optional[float] = None
     rcvbuf_bytes: int = 0  # SO_RCVBUF as granted by the kernel
     # packets the receive queue overflowed (SO_RXQ_OVFL): a datagram, or a
     # whole train that UDP_GRO kept in one piece, counts as one
@@ -262,6 +270,15 @@ def _ancillary(ancdata: list, drops: int, n: int) -> tuple[int, int]:
 
 def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> RunnerStats:
     """Stream paced synthetic frames; honor I-frame requests from the peer."""
+    # the simulator's SYNC send grid at the codec's rate paces the frames; per
+    # type (P, then I), its complexities size them. Built before the socket
+    # opens: a process's first draw loads numpy's random module, which must
+    # delay neither the HELLO reply nor the stream's clock.
+    codec, fps, duration_us = cfg.codec, cfg.codec.fps, round(cfg.duration_s * US_PER_S)
+    grid, _ = send_grid(cfg.seed, cfg.complexity_sigma, fps, fps, duration_us, EncodeMode.SYNC)
+    nominal = nominal_sizes(codec)
+    sizes = [encoded_sizes(i, codec, grid.complexity, nominal).tolist() for i in (False, True)]
+    ticks = grid.tick.tolist()
     stats = RunnerStats(role="HOST")
     fp = config_fingerprint(cfg.codec, cfg.feedback_control)
     sock = _open_socket(cfg.bind)
@@ -301,28 +318,21 @@ def host_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runne
         receive(time.monotonic() + HANDSHAKE_TIMEOUT_S)
         if peer is None:
             raise HandshakeTimeout("no HELLO from receiver within 3 s")
-        rng = Rng(cfg.seed)
-        walker = GopWalker(cfg.codec)
-        nominal = nominal_sizes(cfg.codec)
-        # in integer us: int(4.1 * 30) is 122, not 123
-        n_frames = round(cfg.duration_s * US_PER_S) * cfg.codec.fps // US_PER_S
+        walker = GopWalker(codec)
         train = dpp.TRAIN
         t0 = time.monotonic()
-        for i in range(n_frames):
+        for i, tick in enumerate(ticks):
             if stop is not None and stop.is_set():
                 break
             # a request is acted on at the next plan: wait for the tick here
-            receive(t0 + tick_time(i, cfg.codec.fps) / 1e6)
+            receive(t0 + tick / 1e6)
             force = host_fb.pending_force if cfg.feedback_control else False
-            ftype, _idx, forced = walker.plan(force)
-            if ftype is FrameType.I and cfg.feedback_control:
+            ftype, forced = walker.plan(force)
+            iframe = ftype is FrameType.I
+            if iframe and cfg.feedback_control:
                 cp_mod.host_on_iframe_emitted(host_fb, _mono_us(), cfg.suppression_window_us)
-            complexity = rng.lognormal_complexity(cfg.complexity_sigma)
-            size = encoded_size(ftype, cfg.codec, complexity, nominal)
-            payload = frame_payload(i, size)
-            sends, train = dpp.send_frame(
-                sock, peer, i, payload, _now_us(), ftype is FrameType.I, forced, train
-            )
+            payload = frame_payload(i, sizes[iframe][i])
+            sends, train = dpp.send_frame(sock, peer, i, payload, _now_us(), iframe, forced, train)
             stats.sends += sends
             stats.frames_sent += 1
         stats.requests_suppressed = host_fb.suppressed_count
@@ -459,11 +469,8 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
         stats.requests_sent = mud_fb.requests_sent
         stats.frag_count_mismatches = reasm.malformed_count
         stats.duplicate_fragments = reasm.duplicate_count
-        if latencies_us:
-            arr = np.asarray(latencies_us, dtype=np.float64) / 1000.0
-            stats.latency_mean_ms = round(float(arr.mean()), 3)
-            stats.latency_p50_ms = round(float(np.percentile(arr, 50)), 3)
-            stats.latency_p99_ms = round(float(np.percentile(arr, 99)), 3)
+        latency = _dist_ms(np.array(latencies_us, dtype=np.int64))
+        stats.latency_mean_ms, stats.latency_p50_ms, stats.latency_p99_ms = latency.values()
         return stats
     finally:
         sock.close()

@@ -29,10 +29,10 @@ class StepwiseOnFrame(dpp.Reassembler):
     def on_frame(self, first, last, delivered, frame_id, frag_count, is_iframe, forced, gen):
         events = list(self._note_frame(first, frame_id))
         if delivered < frag_count:
-            self._ingest(first, frame_id, 0, frag_count, is_iframe, forced, gen, None)
+            self._ingest(first, frame_id, 0, frag_count, is_iframe, forced, gen, b"")
         elif frame_id not in self._resolved:
             self._resolve(frame_id)
-            events.append(dpp.FrameComplete(frame_id, is_iframe, forced, gen, first, last))
+            events.append(dpp.FrameComplete(frame_id, is_iframe, forced, gen, first, last, b""))
         return events
 
     def pending_deadlines(self):

@@ -200,7 +200,7 @@ def test_c07_protocol_properties():
             rnd.shuffle(order)
             events = []
             for i in order:
-                events += reasm.on_fragments(0, case, i, count, False, False, 0, [None])
+                events += reasm.on_fragments(0, case, i, count, False, False, 0, [b""])
             assert [e.frame_id for e in events] == [case]
             events = StepwiseOnFrame(10**9).on_frame(0, 0, count, case, count, False, False, 0)
             assert [e.frame_id for e in events] == [case]

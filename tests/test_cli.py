@@ -147,6 +147,8 @@ def test_out_of_range_value_is_a_validation_error(override, capsys):
         (["--bind", "[::1]:5000"], "--bind"),
         (["--peer", "::1"], "--peer"),
         (["--peer", "[::1]:5000"], "--peer"),
+        # the host's 60-FPS send grid would hold 6,000,001 ticks, past MAX_TICKS
+        (["--duration", "1e5"], "duration_s"),
     ],
 )
 @pytest.mark.parametrize("role", ["host", "mud"])
@@ -165,7 +167,11 @@ def _assert_rejected_before_any_socket(argv, key, capsys, monkeypatch):
     def no_socket(*args, **kwargs):
         raise AssertionError("a socket was opened")
 
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a send grid was built")
+
     monkeypatch.setattr("uvrpipe.runner._open_socket", no_socket)
+    monkeypatch.setattr("uvrpipe.runner.send_grid", no_grid)
     assert main(argv) == 1
     assert f"config error: {key} must be" in capsys.readouterr().err
 

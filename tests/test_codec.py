@@ -92,13 +92,11 @@ def test_nominal_sizes_degenerate_gop():
 def test_gop_walk_and_forced_restart():
     walker = GopWalker(CodecConfig(gop_size=480))
     plans = [walker.plan(False) for _ in range(242)]
-    assert plans[0][0] is FrameType.I
-    assert plans[241][0] is FrameType.P  # gop_index 241
-    ftype, idx, forced = walker.plan(True)
-    assert (ftype, idx, forced) == (FrameType.I, 0, True)
-    tail = [walker.plan(False)[0] for _ in range(479)]
-    assert all(t is FrameType.P for t in tail)
-    assert walker.plan(False)[0] is FrameType.I
+    assert plans == [(FrameType.I, False)] + [(FrameType.P, False)] * 241
+    # a forced I mid-GOP restarts the phase: 479 P-frames before the next I
+    assert walker.plan(True) == (FrameType.I, True)
+    tail = [walker.plan(False) for _ in range(480)]
+    assert tail == [(FrameType.P, False)] * 479 + [(FrameType.I, False)]
 
 
 def test_iframe_cadence_without_forcing():
@@ -114,11 +112,14 @@ def test_frame_type_invariant_on_walk():
     import random
 
     rnd = random.Random(3)
+    since_i = None  # frames since the last I-frame
     for _ in range(1000):
         force = rnd.random() < 0.1
-        ftype, idx, forced = walker.plan(force)
-        assert (ftype is FrameType.I) == (idx == 0)
-        assert forced == (force)
+        ftype, forced = walker.plan(force)
+        # the phase: an I-frame when forced or 7 frames after the last one
+        assert (ftype is FrameType.I) == (force or since_i in (None, 6))
+        assert forced == force
+        since_i = 0 if ftype is FrameType.I else since_i + 1
 
 
 def test_encoded_size_examples():

@@ -26,7 +26,7 @@ from uvrpipe.cp import (
 def _complete(fid, is_i):
     return dpp.FrameComplete(
         frame_id=fid, is_iframe=is_i, forced=False, gen_timestamp_us=0,
-        first_arrival=0, last_arrival=0,
+        first_arrival=0, last_arrival=0, data=b"",
     )
 
 

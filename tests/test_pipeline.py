@@ -398,7 +398,7 @@ def test_a_cache_hit_leaves_the_workload_stream_where_scalar_draws_do():
     assert send_grid.cache_info().hits == hits + 1
     scalar = Rng(cfg.seed)
     for _ in range(sim._rendered):
-        scalar.lognormal_complexity(cfg.workload.complexity_sigma)
+        scalar.stream("workload").standard_normal()
     assert sim.rng.stream("workload").random() == scalar.stream("workload").random()
 
 

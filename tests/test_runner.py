@@ -3,11 +3,14 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from packet_feed import decode_packet, encode_packet, fragment
-from test_wire_path import CaptureSocket
+from test_wire_path import CaptureSocket, _host_with_silent_peer
 
 from uvrpipe import dpp, runner
+from uvrpipe.codec import CodecConfig, FrameType, encoded_size, nominal_sizes
+from uvrpipe.core import Rng
 from uvrpipe.runner import (
     ConfigMismatch,
     HandshakeTimeout,
@@ -17,6 +20,7 @@ from uvrpipe.runner import (
     host_run,
     mud_run,
 )
+from uvrpipe.scenario import EncodeMode, send_grid
 
 
 def _free_port():
@@ -188,6 +192,72 @@ def test_host_with_a_scripted_peer(monkeypatch):
     tick_s = 1 / cfg.codec.fps
     for i, at in enumerate(sent_at):
         assert at - sent_at[0] > (i - 0.5) * tick_s
+
+
+def _sent_frames(monkeypatch, **config) -> list[tuple[int, bool, int]]:
+    """(frame id, I-frame, size) of each frame that ``host_run`` sends to a
+    silent peer, in order."""
+    sent, send_frame = [], dpp.send_frame
+
+    def recording_send_frame(sock, to, frame_id, payload, stamp_us, is_iframe, forced, train):
+        sent.append((frame_id, is_iframe, len(payload)))
+        return send_frame(sock, to, frame_id, payload, stamp_us, is_iframe, forced, train)
+
+    monkeypatch.setattr(dpp, "send_frame", recording_send_frame)
+    assert _host_with_silent_peer(**config).frames_sent == len(sent)
+    return sent
+
+
+@pytest.mark.parametrize(
+    "codec, duration_s",
+    [
+        (CodecConfig(fps=90, gop_size=7), 0.4),
+        (CodecConfig(fps=60, gop_size=5, transcode_avoidance=True), 0.25),
+    ],
+)
+def test_host_frames_are_the_scalar_workload(codec, duration_s, monkeypatch):
+    # whole periods: one scalar complexity draw and one ``encoded_size`` per
+    # frame, on the GOP schedule, as the host drew them before it read the
+    # simulator's send grid
+    seed, sigma = 7, 0.3
+    sent = _sent_frames(
+        monkeypatch, codec=codec, duration_s=duration_s, seed=seed, complexity_sigma=sigma
+    )
+    draw, nominal = Rng(seed).stream("workload").standard_normal, nominal_sizes(codec)
+    reference = []
+    for i in range(round(duration_s * 1e6) * codec.fps // 10**6):
+        ftype = FrameType.I if i % codec.gop_size == 0 else FrameType.P
+        size = encoded_size(ftype, codec, float(np.exp(sigma * draw())), nominal)
+        reference.append((i, ftype is FrameType.I, size))
+    assert sent == reference
+    assert len(reference) == round(duration_s * codec.fps)
+
+
+def test_host_sends_the_send_grids_frames(monkeypatch):
+    # 0.21 s is 12.6 periods at 60 FPS: the grid's ticks 0 to 200,000 us are 13
+    cfg = RunnerConfig(duration_s=0.21)
+    grid, _ = send_grid(cfg.seed, cfg.complexity_sigma, 60, 60, 210_000, EncodeMode.SYNC)
+    sent = _sent_frames(monkeypatch, duration_s=0.21)
+    assert [frame_id for frame_id, _, _ in sent] == list(range(len(grid.tick))) == list(range(13))
+
+
+def test_a_session_that_completes_no_frame_reports_no_latency():
+    host_cfg, mud_cfg = _pair(duration_s=0.3, induced_loss=1.0)
+    stop, results = threading.Event(), {}
+    thread = threading.Thread(target=lambda: results.update(mud=mud_run(mud_cfg, stop)))
+    thread.start()
+    try:
+        host_stats = host_run(host_cfg)
+    finally:
+        stop.set()  # the receiver saw no data, so it would wait out its session
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    mud_stats = results["mud"]
+    assert host_stats.frames_sent == 18
+    assert mud_stats.induced_drops > 0
+    assert mud_stats.frames_completed == mud_stats.frames_dropped == 0
+    latency = mud_stats.to_dict()["one_way_latency"]
+    assert latency == {"mean_ms": None, "p50_ms": None, "p99_ms": None}
 
 
 def test_handshake_timeout_without_peer():

@@ -114,7 +114,7 @@ def test_complexities_leave_the_stream_where_scalar_draws_do():
     sim.run()
     scalar = Rng(cfg.seed)
     for _ in range(sim._rendered):
-        scalar.lognormal_complexity(cfg.workload.complexity_sigma)
+        scalar.stream("workload").standard_normal()
     assert sim.rng.stream("workload").random() == scalar.stream("workload").random()
 
 

@@ -314,7 +314,7 @@ def _state(reasm: Reassembler):
     pending = {
         fid: tuple(
             b"".join(pend.chunks[i] for i in sorted(pend.chunks))
-            if slot == "chunks" and pend.chunks is not None
+            if slot == "chunks"
             else getattr(pend, slot)
             for slot in type(pend).__slots__
         )
@@ -389,7 +389,7 @@ def _fragment_loop(reasm: StepwiseOnFrame, args, indices) -> list:
     first, last, _delivered, fid, count, *flags = args
     events = []
     for index in indices:
-        events += reasm.on_fragments(first, fid, index, count, *flags, [None])
+        events += reasm.on_fragments(first, fid, index, count, *flags, [b""])
     return [
         replace(ev, last_arrival=last) if isinstance(ev, dpp.FrameComplete) else ev
         for ev in events
