@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional
+from typing import Any
 
 import numpy as np
 
@@ -122,40 +122,10 @@ class EventQueue:
         heapq.heappush(self._heap, (int(t), self._seq, event))
         self._seq += 1
 
-    def is_next(self, t: SimTime) -> bool:
-        """Whether an event scheduled now at ``t`` would be the heap's next
-        pop: every event on the heap is later (one at ``t`` goes first)."""
-        heap = self._heap
-        return not heap or t < heap[0][0]
-
     def pop(self) -> tuple[SimTime, Any]:
         t, _seq, event = heapq.heappop(self._heap)
         self.now = t
         return t, event
-
-    def run(
-        self,
-        handler: Callable[[SimTime, Any], None],
-        ticks: Iterable[tuple[SimTime, Any]] = (),
-        on_tick: Optional[Callable[[SimTime, Any], None]] = None,
-    ) -> None:
-        """Dispatch every heap event to ``handler`` and every (time, arg) of
-        ``ticks`` to ``on_tick``, in order.
-
-        ``ticks`` is a grid in time order that is merged lazily with the heap
-        instead of being scheduled: a tick dispatches before every heap event
-        at its time, as if it had been scheduled before all of them.
-        """
-        heap = self._heap
-        for t, arg in ticks:
-            while heap and heap[0][0] < t:
-                handler(*self.pop())
-            if t < self.now:
-                raise SchedulingError(f"tick at t={t} before now={self.now}")
-            self.now = t
-            on_tick(t, arg)
-        while heap:
-            handler(*self.pop())
 
 
 class ColorSpace(Enum):

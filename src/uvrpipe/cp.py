@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from . import dpp
 from .core import SimTime
@@ -91,16 +91,6 @@ def mud_on_drop(state: MudFeedbackState, frame_id: int, now: SimTime) -> CpMessa
     state.dropped_frame_id = frame_id
     state.requests_sent += 1
     return CpMessage(SUB_IFRAME_REQUEST, frame_id, state.last_received_frame_id, now)
-
-
-def mud_on_frame_event(
-    state: MudFeedbackState, ev: Union[dpp.FrameComplete, dpp.FrameDropped], now: SimTime
-) -> list[CpMessage]:
-    """Receiver reaction to a resolved frame, as the messages it sends."""
-    if isinstance(ev, dpp.FrameDropped):
-        return [mud_on_drop(state, ev.frame_id, now)]
-    msg = mud_on_complete(state, ev.frame_id, ev.is_iframe, now)
-    return [] if msg is None else [msg]
 
 
 class HostDecision(Enum):

@@ -17,21 +17,20 @@ one of two ways, with the same result:
     validation, and caches the last one, read-only, so the run that follows
     and consecutive runs that differ in nothing else share it; each run
     restores the workload stream to where the draw left it.
-  * The event loop (``Simulator._run_events``), the general middle: burst,
-    deadline and feedback events on one heap, with the ticks that send a
-    frame (``Simulator._ticks``, plain (time, frame id) pairs) merged in
-    lazily (``EventQueue.run``), each handed to ``_encode_and_send``. A
-    tick goes before a heap event at its time, as when every tick was
-    scheduled up front. A frame's size and fragment layout come from two
-    whole-run arrays, one per frame type; its burst is drawn, then timed
-    (``netsim.Medium.frame``, inline on P2P without jitter, lossy or not;
-    under Gilbert-Elliott the chain state over the medium's uniforms is
-    still one running maximum and one cumulative sum, now without a
-    gather). The columns that the loop fills go into one Python list each,
-    made arrays once at the end; what each frame reads and the run fixes
-    is bound once per run.
+  * The event loop (``Simulator._run_events``), the general middle, one
+    method on locals: burst, deadline and feedback events on one heap
+    (``EventQueue``), with the ticks that send a frame merged in lazily by
+    the loop itself. A tick goes before a heap event at its time, as when
+    every tick was scheduled up front. A frame's size and fragment layout
+    come from two whole-run arrays, one per frame type; its burst is drawn,
+    then timed (``netsim.Medium.frame``, inline on P2P without jitter, lossy
+    or not). The receiver, the MUD's and the host's feedback state and the
+    columns that the loop fills are locals; its burst handling, drop sweep
+    and request send are nested functions over them; cp's four rules run
+    inline, and the feedback states are written back once, at the end. Each
+    column is one Python list, made an array once at the end.
 
-    The receiver (``Simulator._handle_burst``) keeps no stream buffer: it
+    The receiver (the loop's ``burst``) keeps no stream buffer: it
     presents a frame that arrived whole and drops any other at its deadline.
     Every frame goes on the air once, the final hop is FIFO and a tie
     dispatches in scheduling order, so bursts reach it in frame-id order and
@@ -106,9 +105,11 @@ one of two ways, with the same result:
 
 ``tests/test_array_run.py`` keeps the event loop as the array run's
 reference (and the general report path as that of a report from the timing's
-stages), ``tests/test_tick_merge.py`` keeps the eager tick schedule as the
+stages), ``tests/test_event_loop.py`` the loop with one method per step
+(``tests/method_run.py``, from which the references below derive) as the
+event loop's, ``tests/test_tick_merge.py`` the eager tick schedule as the
 lazy merge's, ``tests/test_inline_events.py`` the run that heaps every event
-(``tests/transcript_run.py``) as the event loop's,
+(``tests/transcript_run.py``) as the inline cases',
 ``tests/test_in_order_receiver.py`` the run whose receiver is a
 ``dpp.Reassembler`` (``tests/reassembler_run.py``) as the receiver's,
 ``tests/test_decode_tail.py`` the decoder inside the loop as the decode
@@ -121,7 +122,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import fields, replace
 from functools import cached_property, lru_cache, partial
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -139,6 +140,7 @@ from .core import (
     ColorSpace,
     EventQueue,
     Rng,
+    SchedulingError,
     SimTime,
     raw_frame_bytes,
 )
@@ -156,8 +158,11 @@ from .stages import (
 
 
 # the frame-table columns that the event loop fills: a frame's encode, then its receiver
-_HOST_COLUMNS = ("frame_type", "forced", "size_bytes", "sent_first_us")
-_LOOP_COLUMNS = (*_HOST_COLUMNS, "arrived_last_us", "dropped")
+_LOOP_COLUMNS = (
+    "frame_type", "forced", "size_bytes", "sent_first_us", "arrived_last_us", "dropped"
+)
+# the heap's deadline and I-frame request events; a burst is the tuple of its values
+_DEADLINE, _REQUEST = ("deadline",), ("cp",)
 
 
 def _corrupted(frames: dict[str, np.ndarray]) -> np.ndarray:
@@ -388,37 +393,174 @@ class Simulator:
     def _rendered(self) -> int:
         return len(self._grid.render)
 
-    # --- host side ---------------------------------------------------------
+    # --- the event loop ----------------------------------------------------
 
-    def _encode_and_send(self, t: SimTime, k: int) -> None:
-        """Encode frame ``k`` at its send tick ``t`` and put it on the air."""
-        feedback = self._feedback
-        self._next_tick = self._send_at[k + 1]
-        ftype, forced = self.walker.plan(feedback and self.host_fb.pending_force)
-        is_iframe = ftype is FrameType.I
-        size, count, tail_wire = self._layouts[is_iframe][k]
-        if is_iframe and feedback:
-            encode_done = t + self.graph.encode_path_us  # the frame's ``encoded_us``
-            cp_mod.host_on_iframe_emitted(self.host_fb, encode_done, self.cfg.suppression_window_us)
-        frame_type, forced_col, size_col, sent_first = self._host_columns
-        frame_type[k] = is_iframe  # made "I" or "P" at the end of the run
-        forced_col[k] = forced
-        size_col[k] = size
+    def run(self) -> SimResult:
+        """Simulate the scenario: as arrays when the run is draw-free, else event by event."""
+        return self._run_arrays() if self._draw_free() else self._run_events()
 
-        wire_request = t + self._to_wire
-        busy_before = self.link.busy_until
-        sent_first[k] = wire_request if wire_request > busy_before else busy_before
-        sent = self._transmit(k, count, tail_wire, wire_request)
-        if sent is not None:
-            first, last, delivered = sent
-            burst = ("burst", k, first, last, delivered, count, is_iframe)
-            if last < self._next_tick and self.queue.is_next(last):
-                # the loop's next dispatch: no tick and no heap event comes
-                # first. Its time becomes the queue's, as its pop would make it
-                self.queue.now = last
-                self._handle_burst(last, burst)
-            else:
-                self.queue.schedule(last, burst)
+    def _draw_free(self) -> bool:
+        """Whether the array run applies: no random number is drawn on the
+        channel or for a fault."""
+        return netsim.draw_free(self.channel) and self.cfg.fault_drop_frame_id < 0
+
+    def _run_events(self) -> SimResult:
+        """The event loop. It merges the send ticks with the heap itself; a
+        tick goes before a heap event at its time. At each tick it encodes
+        the frame, puts it on the air, and runs the receiver on its burst or
+        heaps it. The receiver and both feedback states are locals, written
+        to ``mud_fb`` and ``host_fb`` at the end; cp's rules run inline."""
+        cfg, g, grid = self.cfg, self.graph, self._grid
+        n = len(grid.tick)
+        plan = GopWalker(self.codec_cfg).plan
+        transmit, medium_frame, link = self._transmit, self._medium.frame, self.link
+        queue = self.queue
+        heap, schedule, pop = queue._heap, queue.schedule, queue.pop
+        # the columns that the loop fills, one list each; frame_type and
+        # forced have no default: each frame's encode sets them
+        defaults = {f.name: f.default for f in fields(FrameRecord)}
+        self._table = {name: [defaults[name]] * n for name in _LOOP_COLUMNS}
+        type_col, forced_col, size_col, sent_col, arrived_col, dropped_col = self._table.values()
+        done = self._done = []  # the completed frames, in the order they completed
+        # per frame type (P, then I), the frames' sizes, fragment counts and tail datagram bytes
+        nominal, complexity = nominal_sizes(self.codec_cfg), grid.complexity
+        layouts = [
+            [column.tolist() for column in _frame_layout(i, self.codec_cfg, complexity, nominal)]
+            for i in (False, True)
+        ]
+        send_at = grid.tick.tolist() + [float("inf")]  # each frame's send tick, then the end
+        feedback, deadline_us = cfg.toggles.feedback_control, cfg.drop_deadline_us
+        encode_path, to_wire = g.encode_path_us, g.encode_path_us + g.host_netstack_us
+        window, wire_bytes, gap_limit, iframe = (
+            cfg.suppression_window_us, cp_mod.WIRE_BYTES, dpp.GAP_LIMIT, FrameType.I
+        )
+        # the receiver: the pending frames' (id, deadline anchor), in id
+        # order, and the newest frame id that delivered a fragment
+        pending: deque[tuple[int, SimTime]] = deque()
+        newest: Optional[int] = None
+        # the MUD's feedback state (``MudFeedbackState``), then the host's
+        recovery, dropped_id, last_received, requests_sent = False, 0, 0, 0
+        suppression_until, pending_force, suppressed, forced_count = 0, False, 0, 0
+        next_tick = send_at[0]
+
+        def request(t: SimTime) -> None:
+            """Send an I-frame request at ``t``, a one-packet frame. Only an
+            encode reads or writes the host's feedback state, and none comes
+            before the next tick that sends: one that arrives before then is
+            decided now (``host_on_request``, as a heap request below)."""
+            nonlocal pending_force, suppressed
+            sent = medium_frame(1, wire_bytes, t)
+            if sent is not None:
+                arrival = sent[0]
+                if arrival >= next_tick:
+                    schedule(arrival, _REQUEST)
+                elif arrival >= suppression_until:  # boundary inclusive
+                    pending_force = True
+                else:
+                    suppressed += 1
+
+        def drop_expired(now: SimTime, t: SimTime) -> None:
+            """Drop the pending frames whose deadline has passed at ``now``, a
+            prefix of the queue, each with ``mud_on_drop``'s request at ``t``."""
+            nonlocal recovery, dropped_id, requests_sent
+            horizon = now - deadline_us
+            while pending and pending[0][1] < horizon:
+                k = pending.popleft()[0]
+                dropped_col[k] = True
+                if feedback:
+                    recovery, dropped_id, requests_sent = True, k, requests_sent + 1
+                    request(t)
+
+        def burst(t, k, first, last, delivered, count, is_iframe) -> None:
+            """Present a whole frame or make a partial one pending, after the
+            pending frames past their deadline at the burst's first arrival
+            drop; the frames that the burst skips turn pending too."""
+            nonlocal newest, recovery, last_received, requests_sent
+            if pending:
+                drop_expired(first, t)
+            whole = delivered == count
+            if whole:
+                arrived_col[k] = last
+                done.append(k)  # the decode step admits it (``_decode``)
+                if feedback:  # ``mud_on_complete``
+                    last_received = k
+                    if is_iframe:
+                        recovery = False
+                    elif recovery:
+                        requests_sent += 1
+                        request(t)
+            previous, newest = newest, k
+            skips = previous is not None and 1 < k - previous <= gap_limit
+            if whole and not skips:
+                return
+            fresh = range(previous + 1 if skips else k, k if whole else k + 1)
+            pending.extend((fid, first) for fid in fresh)
+            # a deadline inside the frame's own burst drops it after the burst
+            at = max(first + deadline_us + 1, t)
+            for _ in fresh:
+                schedule(at, _DEADLINE)
+
+        for k, t in enumerate(send_at):
+            while heap and heap[0][0] < t:
+                now, event = pop()
+                if event is _DEADLINE:
+                    drop_expired(now, now)
+                elif event is not _REQUEST:
+                    burst(now, *event)
+                elif now >= suppression_until:  # a request: ``host_on_request``
+                    pending_force = True
+                else:
+                    suppressed += 1
+            if k == n:
+                break
+            if t < queue.now:
+                raise SchedulingError(f"tick at t={t} before now={queue.now}")
+            queue.now = t
+            next_tick = send_at[k + 1]
+            ftype, forced = plan(pending_force)
+            if forced:  # ``host_on_iframe_emitted``, at the frame's ``encoded_us``
+                pending_force, forced_count = False, forced_count + 1
+                suppression_until = t + encode_path + window
+            is_iframe = ftype is iframe
+            sizes, counts, tails = layouts[is_iframe]
+            size, count, tail_wire = sizes[k], counts[k], tails[k]
+            type_col[k] = is_iframe  # made "I" or "P" at the end of the run
+            forced_col[k] = forced
+            size_col[k] = size
+            wire_request, busy = t + to_wire, link.busy_until
+            sent_col[k] = wire_request if wire_request > busy else busy
+            sent = transmit(k, count, tail_wire, wire_request)
+            if sent is not None:
+                first, last, delivered = sent
+                if last < next_tick and (not heap or last < heap[0][0]):
+                    # the loop's next dispatch: no tick and no heap event
+                    # comes first. Its time becomes the queue's, as its pop would make it
+                    queue.now = last
+                    burst(last, k, first, last, delivered, count, is_iframe)
+                else:
+                    schedule(last, (k, first, last, delivered, count, is_iframe))
+        mode = cp_mod.MudMode.RECOVERY if recovery else cp_mod.MudMode.NORMAL
+        self.mud_fb = cp_mod.MudFeedbackState(mode, dropped_id, last_received, requests_sent)
+        self.host_fb = cp_mod.HostFeedbackState(
+            suppression_until, pending_force, suppressed, forced_count
+        )
+        return self._loop_result()
+
+    def _loop_result(self) -> SimResult:
+        """The result of the event loop's columns (``_table``) and the grid's."""
+        n = len(self._grid.tick)
+        # each column typed as its values, int when there are none; validation
+        # keeps every time in int64. The decode step's start at their defaults
+        filled = self._frames()
+        for name, values in self._table.items():
+            filled[name] = np.array(values, dtype=type(values[0]) if n else int)
+        frames = {
+            name: filled[name] if name in filled else np.full(n, d, dtype=type(d) if n else int)
+            for name, d in ((f.name, f.default) for f in fields(FrameRecord))
+        }
+        frames["frame_type"] = np.where(frames["frame_type"], FrameType.I.value, FrameType.P.value)
+        self._decode(frames)
+        return self._result(frames)
 
     def _transmit(
         self, frame_id: int, count: int, tail_wire: int, request: SimTime
@@ -441,124 +583,8 @@ class Simulator:
     @cached_property
     def _medium(self) -> netsim.Medium:
         """The channel bound to this run's link and loss stream, built when
-        the first packet goes on the air: an array run never builds it."""
+        the event loop starts: an array run never builds it."""
         return netsim.Medium(self.channel, self.link, self.rng)
-
-    # --- receiver side -----------------------------------------------------
-
-    def _send_cp(self, msg: cp_mod.CpMessage, t: SimTime) -> None:
-        sent = self._medium.frame(1, cp_mod.WIRE_BYTES, t)  # a one-packet frame
-        if sent is None:
-            return
-        arrival = sent[0]
-        if arrival < self._next_tick:
-            # only an encode reads or writes the host's feedback state, and
-            # none comes before the next tick that sends: decide it now
-            cp_mod.host_on_request(self.host_fb, msg, arrival)
-        else:
-            self.queue.schedule(arrival, ("cp", msg))
-
-    def _handle_burst(self, t: SimTime, event: tuple) -> None:
-        """Present a whole frame or make a partial one pending, after the
-        pending frames past their deadline at the burst's first arrival
-        drop; the frames that the burst skips turn pending too."""
-        _, k, first, last, delivered, count, is_iframe = event
-        if self._pending:
-            self._drop_expired(first, t)
-        whole = delivered == count
-        if whole:
-            self._table["arrived_last_us"][k] = last
-            self._done.append(k)  # the decode step admits it (``_decode``)
-            if self._feedback:
-                msg = cp_mod.mud_on_complete(self.mud_fb, k, is_iframe, t)
-                if msg is not None:
-                    self._send_cp(msg, t)
-        newest, self._newest = self._newest, k
-        skips = newest is not None and 1 < k - newest <= dpp.GAP_LIMIT
-        if whole and not skips:
-            return
-        fresh = range(newest + 1 if skips else k, k if whole else k + 1)
-        self._pending.extend((fid, first) for fid in fresh)
-        # a deadline inside the frame's own burst drops it after the burst
-        at = max(first + self.cfg.drop_deadline_us + 1, t)
-        for fid in fresh:
-            self.queue.schedule(at, ("deadline", fid))
-
-    def _drop_expired(self, now: SimTime, t: SimTime) -> None:
-        """Drop the pending frames whose deadline has passed at ``now``, a
-        prefix of the queue, and send their feedback at ``t``."""
-        pending, horizon = self._pending, now - self.cfg.drop_deadline_us
-        while pending and pending[0][1] < horizon:
-            k = pending.popleft()[0]
-            self._table["dropped"][k] = True
-            if self._feedback:
-                self._send_cp(cp_mod.mud_on_drop(self.mud_fb, k, t), t)
-
-    # --- run ---------------------------------------------------------------
-
-    def _dispatch(self, t: SimTime, event: tuple) -> None:
-        """A heap event: a burst, a deadline or an I-frame request."""
-        kind = event[0]
-        if kind == "burst":
-            self._handle_burst(t, event)
-        elif kind == "deadline":
-            self._drop_expired(t, t)
-        else:  # an I-frame request, which only a run with feedback sends
-            cp_mod.host_on_request(self.host_fb, event[1], t)
-
-    def run(self) -> SimResult:
-        """Simulate the scenario: as arrays when the run is draw-free, else event by event."""
-        return self._run_arrays() if self._draw_free() else self._run_events()
-
-    def _draw_free(self) -> bool:
-        """Whether the array run applies: no random number is drawn on the
-        channel or for a fault."""
-        return netsim.draw_free(self.channel) and self.cfg.fault_drop_frame_id < 0
-
-    def _run_events(self) -> SimResult:
-        self.walker = GopWalker(self.codec_cfg)
-        # the receiver: the pending frames' (id, deadline anchor), in id order,
-        # and the newest frame id that delivered a fragment
-        self._pending: deque[tuple[int, SimTime]] = deque()
-        self._newest: Optional[int] = None
-        self.mud_fb, self.host_fb = cp_mod.MudFeedbackState(), cp_mod.HostFeedbackState()
-        self._done: list[int] = []  # the completed frames, in the order they completed
-        grid = self._grid
-        n = len(grid.tick)
-        # the columns that the loop fills, one list each; frame_type and
-        # forced have no default: each frame's encode sets them
-        defaults = {f.name: f.default for f in fields(FrameRecord)}
-        self._table = {name: [defaults[name]] * n for name in _LOOP_COLUMNS}
-        # per frame type (P, then I), each frame's (size, fragment count, tail datagram bytes)
-        nominal, complexity = nominal_sizes(self.codec_cfg), grid.complexity
-        layouts = (_frame_layout(i, self.codec_cfg, complexity, nominal) for i in (False, True))
-        self._layouts = [list(zip(*(column.tolist() for column in layout))) for layout in layouts]
-        self._send_at = grid.tick.tolist() + [float("inf")]  # each frame's send tick
-        self._next_tick = self._send_at[0]
-        # what every frame reads, bound once
-        self._feedback = self.cfg.toggles.feedback_control
-        self._to_wire = self.graph.encode_path_us + self.graph.host_netstack_us
-        self._host_columns = [self._table[name] for name in _HOST_COLUMNS]
-        self.queue.run(self._dispatch, self._ticks(), self._encode_and_send)
-        # each column typed as its values, int when there are none; validation
-        # keeps every time in int64. The decode step's start at their defaults
-        filled = self._frames()
-        for name, values in self._table.items():
-            filled[name] = np.array(values, dtype=type(values[0]) if n else int)
-        frames = {
-            name: filled[name] if name in filled else np.full(n, d, dtype=type(d) if n else int)
-            for name, d in defaults.items()
-        }
-        frames["frame_type"] = np.where(frames["frame_type"], FrameType.I.value, FrameType.P.value)
-        self._decode(frames)
-        return self._result(frames)
-
-    def _ticks(self) -> Iterable[tuple[SimTime, int]]:
-        """The ticks that send a frame, in time order: (time, frame id). A
-        tick that sends nothing does nothing, and a burst handled at the
-        tick before it may arrive after it."""
-        send_at = self._send_at
-        return zip(send_at, range(len(send_at) - 1))  # the last is the end sentinel
 
     def _run_arrays(self) -> SimResult:
         """The whole draw-free run as numpy arrays.

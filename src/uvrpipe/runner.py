@@ -377,7 +377,6 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
         idle_limit_s = max(1.0, cfg.duration_s * 0.2)
         end_by = time.monotonic() + cfg.duration_s + HANDSHAKE_TIMEOUT_S
         last_rx = time.monotonic()
-        got_data = False
         # drain without blocking, then wait once
         sock.setblocking(False)
         poller = select.poll()
@@ -392,16 +391,20 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
             # stamped after the reassembler's work, which the latency counts
             wall_us = _now_us()
             for ev in events:
+                msg = None
                 if isinstance(ev, dpp.FrameComplete):
                     stats.frames_completed += 1
                     latencies_us.append(wall_us - ev.gen_timestamp_us)
                     if not is_frame_payload(ev.frame_id, ev.data):
                         stats.pattern_mismatches += 1
+                    if cfg.feedback_control:
+                        msg = cp_mod.mud_on_complete(mud_fb, ev.frame_id, ev.is_iframe, wall_us)
                 else:
                     stats.frames_dropped += 1
-                if cfg.feedback_control:
-                    for msg in cp_mod.mud_on_frame_event(mud_fb, ev, wall_us):
-                        sock.sendto(cp_mod.encode_cp(msg), cfg.peer)
+                    if cfg.feedback_control:
+                        msg = cp_mod.mud_on_drop(mud_fb, ev.frame_id, wall_us)
+                if msg is not None:
+                    sock.sendto(cp_mod.encode_cp(msg), cfg.peer)
 
         def ingest(now: int, head: tuple, run: list) -> None:
             handle_events(reasm.on_fragments(now, *head, run))
@@ -441,7 +444,6 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
                         continue
                     if msg_type == dpp.MSG_CTRL:
                         continue  # HELLO retransmits
-                    got_data = True
                     payload = view[at + dpp.HEADER_LEN : at + size]
                     if run and (frame_id, frag_index, frag_count) == expected:
                         run.append(payload)
@@ -461,7 +463,7 @@ def mud_run(cfg: RunnerConfig, stop: Optional[threading.Event] = None) -> Runner
             handle_events(reasm.expire(_mono_us()))
             if now_s >= end_by or (stop is not None and stop.is_set()):
                 break
-            if got_data and now_s - last_rx > idle_limit_s:
+            if now_s - last_rx > idle_limit_s:
                 break
             poller.poll(POLL_MS)
 

@@ -3,17 +3,19 @@
 ``Simulator._run_events`` resolves frames in order: bursts reach its
 receiver in frame-id order, so it keeps the pending frames' (id, deadline
 anchor) in a deque and drops a prefix of it at each burst's first arrival
-and at each deadline event. ``ReassemblerRun`` is its reference. Each burst
+and at each deadline event. ``ReassemblerRun``, a ``MethodRun``
+(``method_run.py``), is its reference. Each burst
 goes to ``StepwiseOnFrame.on_frame``, each deadline event to
 ``Reassembler.expire``, and each frame that a call leaves newly pending gets
 one ``("deadline", fid)`` event at ``max(deadline + 1, now)``, its deadline
-as ``pending_deadlines`` gives it. A resolved frame goes to
-``cp.mud_on_frame_event`` as a ``FrameComplete`` or ``FrameDropped``.
+as ``pending_deadlines`` gives it. A ``FrameComplete`` goes to
+``cp.mud_on_complete``, a ``FrameDropped`` to ``cp.mud_on_drop``.
 """
+
+from method_run import MethodRun
 
 from uvrpipe import cp as cp_mod
 from uvrpipe import dpp
-from uvrpipe.pipeline import Simulator
 
 
 class StepwiseOnFrame(dpp.Reassembler):
@@ -49,7 +51,7 @@ class StepwiseOnFrame(dpp.Reassembler):
         return fresh
 
 
-class ReassemblerRun(Simulator):
+class ReassemblerRun(MethodRun):
     """A run whose receiver is ``StepwiseOnFrame``; it always takes the event loop."""
 
     def run(self):
@@ -71,14 +73,18 @@ class ReassemblerRun(Simulator):
         self._schedule_deadlines()
 
     def _on_reassembly(self, ev, t):
+        feedback, msg = self.cfg.toggles.feedback_control, None
         if isinstance(ev, dpp.FrameComplete):
             self._table["arrived_last_us"][ev.frame_id] = ev.last_arrival
             self._done.append(ev.frame_id)
+            if feedback:
+                msg = cp_mod.mud_on_complete(self.mud_fb, ev.frame_id, ev.is_iframe, t)
         else:
             self._table["dropped"][ev.frame_id] = True
-        if self.cfg.toggles.feedback_control:
-            for msg in cp_mod.mud_on_frame_event(self.mud_fb, ev, t):
-                self._send_cp(msg, t)
+            if feedback:
+                msg = cp_mod.mud_on_drop(self.mud_fb, ev.frame_id, t)
+        if msg is not None:
+            self._send_cp(msg, t)
 
     def _schedule_deadlines(self):
         for fid, deadline in self.reasm.pending_deadlines():

@@ -19,7 +19,6 @@ from uvrpipe.cp import (
     host_on_request,
     mud_on_complete,
     mud_on_drop,
-    mud_on_frame_event,
 )
 
 
@@ -58,29 +57,26 @@ def test_encode_cp_is_the_reference_codec(m):
 
 def test_normal_complete_is_silent():
     state = MudFeedbackState()
-    assert mud_on_frame_event(state, _complete(5, False), 0) == []
+    assert mud_on_complete(state, 5, False, 0) is None
     assert state.mode is MudMode.NORMAL
 
 
 def test_drop_enters_recovery_and_requests():
     state = MudFeedbackState()
-    msgs = mud_on_frame_event(state, dpp.FrameDropped(frame_id=100, is_iframe=False), 7)
+    msg = mud_on_drop(state, 100, 7)
     assert state.mode is MudMode.RECOVERY
-    assert len(msgs) == 1
-    assert msgs[0].subtype == SUB_IFRAME_REQUEST
-    assert msgs[0].dropped_frame_id == 100
+    assert msg.subtype == SUB_IFRAME_REQUEST
+    assert msg.dropped_frame_id == 100
 
 
 def test_request_train_until_iframe():
     state = MudFeedbackState()
-    mud_on_frame_event(state, dpp.FrameDropped(frame_id=10, is_iframe=False), 0)
-    train = []
-    for fid in (11, 12, 13):
-        train += mud_on_frame_event(state, _complete(fid, False), fid)
-    assert len(train) == 3
-    assert mud_on_frame_event(state, _complete(14, True), 14) == []
+    mud_on_drop(state, 10, 0)
+    train = [mud_on_complete(state, fid, False, fid) for fid in (11, 12, 13)]
+    assert None not in train
+    assert mud_on_complete(state, 14, True, 14) is None
     assert state.mode is MudMode.NORMAL
-    assert mud_on_frame_event(state, _complete(15, False), 15) == []
+    assert mud_on_complete(state, 15, False, 15) is None
 
 
 def _reference_frame_event(state, ev, now):
@@ -106,7 +102,7 @@ EVENTS = st.lists(st.tuples(_U32, st.booleans(), st.booleans(), st.integers(0, 2
 
 @given(EVENTS)
 def test_complete_and_drop_entries_equal_the_frame_event_rule(events):
-    reference, entries, wrapped = MudFeedbackState(), MudFeedbackState(), MudFeedbackState()
+    reference, entries = MudFeedbackState(), MudFeedbackState()
     for fid, dropped, is_i, now in events:
         if dropped:
             ev = dpp.FrameDropped(frame_id=fid, is_iframe=is_i)
@@ -116,8 +112,8 @@ def test_complete_and_drop_entries_equal_the_frame_event_rule(events):
             msg = mud_on_complete(entries, fid, is_i, now)
             got = [] if msg is None else [msg]
         want = _reference_frame_event(reference, ev, now)
-        assert got == want == mud_on_frame_event(wrapped, ev, now)
-        assert entries == reference == wrapped
+        assert got == want
+        assert entries == reference
 
 
 def test_host_suppression_window():

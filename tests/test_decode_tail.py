@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 from hypothesis import example, given, settings
+from method_run import MethodRun
 from test_inline_events import REPRO, SPACE, _space_config
 
 from uvrpipe.codec import DecodeServer
@@ -22,10 +23,10 @@ from uvrpipe.scenario import preset_config
 DECODE_COLUMNS = ("net_us", "queue_wait_us", "decode_start_us", "presented_us")
 
 
-class PerFrameDecode(Simulator):
-    """The event loop with a decoder of its own, offered each frame as the
-    frame completes; the decode step after the loop only writes down what
-    the loop's decoder gave each frame."""
+class PerFrameDecode(MethodRun):
+    """The structured event loop (``method_run.py``) with a decoder of its
+    own, offered each frame as the frame completes; the decode step after
+    the loop only writes down what the loop's decoder gave each frame."""
 
     def __init__(self, cfg):
         super().__init__(cfg)

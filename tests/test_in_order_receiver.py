@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from method_run import MethodRun
 from reassembler_run import ReassemblerRun
 
 from uvrpipe import dpp
@@ -146,7 +147,7 @@ OWN_BURST = _params(loss=(LossModel.GILBERT_ELLIOTT, (0.01, 0.2)), drop_deadline
 def _bursts(p):
     """Each burst's (frame id, first arrival, last arrival, whole) in a run of ``p``."""
 
-    class Recorded(Simulator):
+    class Recorded(MethodRun):
         def _handle_burst(self, t, event):
             _, k, first, last, delivered, count, _ = event
             bursts[k] = (first, last, delivered == count)

@@ -22,6 +22,7 @@ from copy import deepcopy
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from method_run import MethodRun
 from transcript_run import TranscriptRun
 
 from uvrpipe import pipeline
@@ -179,14 +180,14 @@ def _arrivals(cfg, monkeypatch):
     cfg = deepcopy(cfg)
     cfg.drop_deadline_us = 10**9
     seen = {}
-    handle_burst = Simulator._handle_burst
+    handle_burst = MethodRun._handle_burst
 
     def record(self, t, event):
         seen[event[1]] = event[2:4]  # (first, last)
         return handle_burst(self, t, event)
 
-    monkeypatch.setattr(Simulator, "_handle_burst", record)
-    Simulator(cfg)._run_events()  # a draw-free run would take the array run
+    monkeypatch.setattr(MethodRun, "_handle_burst", record)
+    MethodRun(cfg).run()  # always the event loop: a draw-free Simulator would take the array run
     monkeypatch.undo()
     return seen
 

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from uvrpipe import netsim
 from uvrpipe.core import EventQueue, Rng
+from uvrpipe.cp import WIRE_BYTES
 from uvrpipe.netsim import (
     MAX_PACKET_BYTES,
     ChannelModel,
@@ -39,7 +40,7 @@ from uvrpipe.netsim import (
     Topology,
     serialization_us,
 )
-from uvrpipe.pipeline import Simulator, run_scenario
+from uvrpipe.pipeline import run_scenario
 from uvrpipe.scenario import preset_config
 
 
@@ -463,9 +464,10 @@ def test_the_lossy_benchmark_run_stays_on_the_inline_path(monkeypatch):
     # perfbench's sim_lossy run: openuvr (P2P, no jitter) under
     # Gilbert-Elliott loss for 60 s at seed 42. Every frame burst and I-frame
     # request is timed inline, none walks; the hops that reach a disturbance
-    # or the end of the values drawn read the loss table
+    # or the end of the values drawn read the loss table. A request is a
+    # one-packet frame of ``cp.WIRE_BYTES``
     calls = dict(frame=0, request=0, burst_reads=0, request_reads=0, walk=0, table=0, push=0)
-    in_request = []
+    in_request = [False]
 
     def count(name, fn):
         def counted(*args, **kwargs):
@@ -474,22 +476,23 @@ def test_the_lossy_benchmark_run_stays_on_the_inline_path(monkeypatch):
 
         return counted
 
-    def send_cp(self, msg, t):
-        in_request.append(True)
-        calls["request"] += 1
+    def frame(self, count, tail_size, now):
+        request = count == 1 and tail_size == WIRE_BYTES
+        calls["frame"] += 1
+        calls["request"] += request
+        in_request.append(request)
         try:
-            return send(self, msg, t)
+            return send(self, count, tail_size, now)
         finally:
             in_request.pop()
 
     def flags(self, n):
-        calls["request_reads" if in_request else "burst_reads"] += 1
+        calls["request_reads" if in_request[-1] else "burst_reads"] += 1
         return read(self, n)
 
-    send, read = Simulator._send_cp, netsim.Medium._flags
-    monkeypatch.setattr(Simulator, "_send_cp", send_cp)
+    send, read = netsim.Medium.frame, netsim.Medium._flags
+    monkeypatch.setattr(netsim.Medium, "frame", frame)
     monkeypatch.setattr(netsim.Medium, "_flags", flags)
-    monkeypatch.setattr(netsim.Medium, "frame", count("frame", netsim.Medium.frame))
     monkeypatch.setattr(netsim.Medium, "_table", count("table", netsim.Medium._table))
     monkeypatch.setattr(netsim, "_walk", count("walk", netsim._walk))
     monkeypatch.setattr(EventQueue, "schedule", count("push", EventQueue.schedule))

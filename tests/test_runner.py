@@ -249,7 +249,7 @@ def test_a_session_that_completes_no_frame_reports_no_latency():
     try:
         host_stats = host_run(host_cfg)
     finally:
-        stop.set()  # the receiver saw no data, so it would wait out its session
+        stop.set()  # the receiver need not wait out its idle limit
         thread.join(timeout=10)
     assert not thread.is_alive()
     mud_stats = results["mud"]
@@ -258,6 +258,27 @@ def test_a_session_that_completes_no_frame_reports_no_latency():
     assert mud_stats.frames_completed == mud_stats.frames_dropped == 0
     latency = mud_stats.to_dict()["one_way_latency"]
     assert latency == {"mean_ms": None, "p50_ms": None, "p99_ms": None}
+
+
+def test_a_session_that_sees_no_data_ends_by_its_idle_limit():
+    # the idle limit runs from the handshake: a receiver that drops every
+    # datagram ends within it of the host's end, not at duration_s + 3 s
+    host_cfg, mud_cfg = _pair(duration_s=0.3, induced_loss=1.0)
+    results = {}
+
+    def mud():
+        results["mud"] = mud_run(mud_cfg)
+        results["mud_end"] = time.monotonic()
+
+    thread = threading.Thread(target=mud)
+    thread.start()
+    host_run(host_cfg)
+    host_end = time.monotonic()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert results["mud"].induced_drops > 0
+    idle_limit_s = max(1.0, 0.2 * mud_cfg.duration_s)
+    assert results["mud_end"] - host_end < idle_limit_s + 0.5
 
 
 def test_handshake_timeout_without_peer():

@@ -1,7 +1,8 @@
 """The lazy tick merge of the event loop against the eager scheduler it replaced.
 
-``EventQueue.run`` merges the render and sample tick grid with the heap of
-dynamic events instead of scheduling every tick up front. The eager
+The event loop merges its tick grid with the heap of dynamic events
+instead of scheduling every tick up front: ``Simulator._run_events`` inline,
+the structured loop through ``MethodQueue.run`` (``method_run.py``). The eager
 scheduler is kept here as the reference: it pushes every tick onto the heap
 before the run, in grid order, and then runs the heap, still handing each
 tick to the run's ``on_tick``. A tick was scheduled before any dynamic
@@ -19,9 +20,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from method_run import MethodQueue
 from transcript_run import HeapQueue, TranscriptRun
 
-from uvrpipe.core import EventQueue, Rng, SchedulingError
+from uvrpipe.core import Rng, SchedulingError
 from uvrpipe.netsim import LossModel
 from uvrpipe.pipeline import Simulator
 from uvrpipe.scenario import EncodeMode, preset_config
@@ -159,10 +161,10 @@ def test_queue_merge_equals_eager_schedule(gaps, seeds):
     # a sorted grid with repeated times (a render and a sample on one time)
     times = [sum(gaps[:k]) for k in range(len(gaps) + 1)]
     ticks = [(t, ("tick", k)) for k, t in enumerate(times)]
-    assert _dispatch_all(EventQueue, ticks, seeds) == _dispatch_all(EagerQueue, ticks, seeds)
+    assert _dispatch_all(MethodQueue, ticks, seeds) == _dispatch_all(EagerQueue, ticks, seeds)
 
 
 def test_unsorted_ticks_are_refused():
-    queue = EventQueue()
+    queue = MethodQueue()
     with pytest.raises(SchedulingError):
         queue.run(lambda t, event: None, [(5, "a"), (4, "b")], lambda t, arg: None)

@@ -3,26 +3,25 @@
 ``Simulator._run_events`` leaves two kinds of event off its heap: a burst
 that is the loop's next dispatch is handled by the tick that sent it, and an
 I-frame request that reaches the host before the next tick that sends is
-decided when it is sent. It merges only the ticks that send a frame, as
-(time, frame id) pairs that ``EventQueue.run`` hands to ``_encode_and_send``.
-``TranscriptRun`` is its reference: it heaps every burst and request, merges
-every clock tick (and every render tick in ASYNC) as the eager scheduler
-did, through the same hook, and records each dispatch as ``(time, kind,
-arg)``: the tick's clock index, the burst's frame id, the deadline's frame
-id or the request.
+decided when it is sent. It merges only the ticks that send a frame.
+``TranscriptRun``, a ``MethodRun`` (``method_run.py``), is its reference:
+it heaps every burst and request, merges every clock tick (and every render
+tick in ASYNC) as the eager scheduler did, as the (time, tick) pairs that
+``MethodQueue.run`` hands to ``_encode_and_send``, and records each dispatch
+as ``(time, kind, arg)``: the tick's clock index, the burst's frame id, the
+deadline's frame id or the request.
 """
 
 from operator import itemgetter
 
 import numpy as np
+from method_run import MethodQueue, MethodRun
 
-from uvrpipe.core import EventQueue
 from uvrpipe.cp import WIRE_BYTES
-from uvrpipe.pipeline import Simulator
 from uvrpipe.scenario import EncodeMode
 
 
-class HeapQueue(EventQueue):
+class HeapQueue(MethodQueue):
     """An event queue that never reports an event as next, so that every
     burst goes on the heap."""
 
@@ -30,7 +29,7 @@ class HeapQueue(EventQueue):
         return False
 
 
-class TranscriptRun(Simulator):
+class TranscriptRun(MethodRun):
     """A run that heaps every event and writes its transcript; it always
     takes the event loop."""
 
@@ -38,8 +37,6 @@ class TranscriptRun(Simulator):
         super().__init__(cfg)
         self.queue = HeapQueue()
         self.transcript = []
-
-    run = Simulator._run_events
 
     def _ticks(self):
         """Every clock tick, with the frame that it sends or -1, and in ASYNC
